@@ -1,16 +1,12 @@
 //! CI gate over the committed `results/` artifacts: every JSON file must
 //! parse and carry the keys downstream tooling (plots, dashboards, the
-//! perf-baseline diff) relies on. Catches the failure mode where a bench
-//! binary's output shape drifts but the stale committed artifact — or a
+//! quality gate) relies on. Catches the failure mode where a writer's
+//! output shape drifts but the stale committed artifact — or a
 //! half-written one — goes unnoticed until a plot script breaks weeks
 //! later.
 //!
 //! Checked shapes:
 //!
-//! * `OBS_*.json` — must round-trip through the real `ObsArtifact`
-//!   deserializer and carry the current `sketchad-obs/v1` schema tag.
-//! * `BENCH_*.json` — `id` matching the file stem, a non-empty
-//!   `description`, and a non-empty `cases` or `runs` array.
 //! * `MATRIX_*.json` — must round-trip through the real
 //!   `sketchad_eval::matrix::MatrixArtifact` deserializer with the
 //!   `sketchad-matrix/v1` schema tag, non-empty anchored cells, AUCs in
@@ -42,7 +38,7 @@ use serde::Value;
 use sketchad_core::rowfmt::RowsView;
 use sketchad_durable::{read_snapshot, snapshot::parse_snapshot_name, wal, TailStatus};
 use sketchad_eval::matrix::{MatrixArtifact, MATRIX_SCHEMA};
-use sketchad_obs::{ObsArtifact, TelemetryRecord, OBS_SCHEMA, TELEMETRY_SCHEMA};
+use sketchad_obs::{TelemetryRecord, TELEMETRY_SCHEMA};
 use std::path::Path;
 
 fn get<'v>(value: &'v Value, key: &str) -> Option<&'v Value> {
@@ -56,15 +52,6 @@ fn get<'v>(value: &'v Value, key: &str) -> Option<&'v Value> {
 fn get_str<'v>(value: &'v Value, key: &str) -> Option<&'v str> {
     match get(value, key)? {
         Value::String(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn get_num(value: &Value, key: &str) -> Option<f64> {
-    match get(value, key)? {
-        Value::Int(i) => Some(*i as f64),
-        Value::UInt(u) => Some(*u as f64),
-        Value::Float(f) => Some(*f),
         _ => None,
     }
 }
@@ -190,25 +177,6 @@ fn check_file(path: &Path) -> Vec<String> {
         return violations;
     }
 
-    if name.starts_with("OBS_") {
-        // The strongest check available: the real deserializer.
-        match serde_json::from_str::<ObsArtifact>(&text) {
-            Ok(artifact) => {
-                if artifact.schema != OBS_SCHEMA {
-                    violation(format!(
-                        "schema tag {:?} (expected {OBS_SCHEMA:?})",
-                        artifact.schema
-                    ));
-                }
-                if artifact.command.is_empty() {
-                    violation("empty command".to_string());
-                }
-            }
-            Err(e) => violation(format!("not a valid ObsArtifact: {e}")),
-        }
-        return violations;
-    }
-
     if name.starts_with("MATRIX_") {
         // The benchmark-matrix artifact: the real deserializer, then the
         // invariants the quality gate and `matrix select` rely on.
@@ -281,75 +249,7 @@ fn check_file(path: &Path) -> Vec<String> {
         None => violation("missing string key \"description\"".to_string()),
     }
 
-    if name.starts_with("BENCH_") {
-        // A bench artifact carries its data as `cases` (kernel/score
-        // benches) or `runs` (the serve scaling sweep).
-        let rows = get(&value, "cases").or_else(|| get(&value, "runs"));
-        match rows.and_then(Value::as_array) {
-            Some([]) => violation("empty cases/runs array".to_string()),
-            Some(rows) => {
-                for (i, row) in rows.iter().enumerate() {
-                    if row.as_object().is_none() {
-                        violation(format!(
-                            "cases/runs[{i}] is {}, expected object",
-                            row.kind()
-                        ));
-                    }
-                }
-            }
-            None => violation("missing array key \"cases\" or \"runs\"".to_string()),
-        }
-        if stem == "BENCH_scaling" {
-            // The producer-scaling matrix additionally pins its contract:
-            // a host block (the numbers are unreadable without knowing the
-            // core count they ran on) and, in every (shards, channel) cell,
-            // a producers=1 anchor run so each speedup has a denominator.
-            match get(&value, "host") {
-                Some(host) if host.as_object().is_some() => {
-                    match get_num(host, "available_parallelism") {
-                        Some(p) if p >= 1.0 => {}
-                        Some(p) => violation(format!("host.available_parallelism {p} < 1")),
-                        None => violation(
-                            "host missing numeric key \"available_parallelism\"".to_string(),
-                        ),
-                    }
-                    if get_str(host, "simd_dispatch").is_none() {
-                        violation("host missing string key \"simd_dispatch\"".to_string());
-                    }
-                }
-                _ => violation("missing object key \"host\"".to_string()),
-            }
-            if let Some(runs) = get(&value, "runs").and_then(Value::as_array) {
-                let mut anchored: std::collections::BTreeMap<(u64, String), bool> =
-                    std::collections::BTreeMap::new();
-                for (i, run) in runs.iter().enumerate() {
-                    let producers = get_num(run, "producers");
-                    let shards = get_num(run, "shards");
-                    let channel = get_str(run, "channel").unwrap_or_default().to_string();
-                    match (producers, shards, channel.as_str()) {
-                        (Some(p), Some(s), "ring" | "queue") if p >= 1.0 && s >= 1.0 => {
-                            *anchored.entry((s as u64, channel)).or_default() |= p == 1.0;
-                        }
-                        _ => violation(format!(
-                            "runs[{i}] needs producers >= 1, shards >= 1, channel ring|queue"
-                        )),
-                    }
-                    match get_num(run, "points_per_sec") {
-                        Some(rate) if rate > 0.0 && rate.is_finite() => {}
-                        _ => violation(format!("runs[{i}] needs a positive points_per_sec")),
-                    }
-                }
-                for ((shards, channel), has_anchor) in anchored {
-                    if !has_anchor {
-                        violation(format!(
-                            "cell (shards {shards}, channel {channel}) has no producers=1 \
-                             anchor run"
-                        ));
-                    }
-                }
-            }
-        }
-    } else if !is_experiment_stem(&stem) {
+    if !is_experiment_stem(&stem) {
         // A `.json` file matching no known artifact family: new families
         // must land with their own rule, not slide past the gate. If the
         // file declares a schema tag, surface it in the violation.
@@ -358,8 +258,8 @@ fn check_file(path: &Path) -> Vec<String> {
                 "unknown schema tag {tag:?} — add a schema_check rule for this artifact family"
             )),
             None => violation(
-                "unknown JSON artifact family (expected OBS_*/BENCH_*/MATRIX_* or an \
-                 f*/t*/a* experiment id) — add a schema_check rule"
+                "unknown JSON artifact family (expected MATRIX_* or an f*/t*/a* \
+                 experiment id) — add a schema_check rule"
                     .to_string(),
             ),
         }
@@ -482,64 +382,6 @@ mod tests {
             r#"{"id":"f9","description":"a figure","results":[{"auc":0.9}]}"#,
         );
         assert!(check_file(&f).is_empty(), "{:?}", check_file(&f));
-        let b = write(
-            &dir,
-            "BENCH_x.json",
-            r#"{"id":"BENCH_x","description":"bench","cases":[{"kernel":"dot"}]}"#,
-        );
-        assert!(check_file(&b).is_empty(), "{:?}", check_file(&b));
-    }
-
-    #[test]
-    fn scaling_artifact_rules() {
-        let dir = tmpdir("scaling");
-        let good = write(
-            &dir,
-            "BENCH_scaling.json",
-            r#"{"id":"BENCH_scaling","description":"matrix",
-                "host":{"available_parallelism":4,"arch":"x86_64","os":"linux",
-                        "simd_dispatch":"avx2"},
-                "runs":[
-                  {"producers":1,"shards":2,"channel":"ring","points_per_sec":1000.0},
-                  {"producers":2,"shards":2,"channel":"ring","points_per_sec":1800.0}
-                ]}"#,
-        );
-        assert!(check_file(&good).is_empty(), "{:?}", check_file(&good));
-
-        let no_host = write(
-            &dir,
-            "BENCH_scaling.json",
-            r#"{"id":"BENCH_scaling","description":"matrix",
-                "runs":[{"producers":1,"shards":1,"channel":"ring","points_per_sec":1.0}]}"#,
-        );
-        assert!(check_file(&no_host)
-            .iter()
-            .any(|v| v.contains("missing object key \"host\"")));
-
-        // A cell whose every run is multi-producer has no speedup anchor.
-        let unanchored = write(
-            &dir,
-            "BENCH_scaling.json",
-            r#"{"id":"BENCH_scaling","description":"matrix",
-                "host":{"available_parallelism":4,"arch":"x86_64","os":"linux",
-                        "simd_dispatch":"scalar"},
-                "runs":[{"producers":2,"shards":2,"channel":"queue","points_per_sec":5.0}]}"#,
-        );
-        assert!(check_file(&unanchored)
-            .iter()
-            .any(|v| v.contains("no producers=1 anchor")));
-
-        let bad_rate = write(
-            &dir,
-            "BENCH_scaling.json",
-            r#"{"id":"BENCH_scaling","description":"matrix",
-                "host":{"available_parallelism":1,"arch":"x86_64","os":"linux",
-                        "simd_dispatch":"scalar"},
-                "runs":[{"producers":1,"shards":1,"channel":"ring","points_per_sec":0.0}]}"#,
-        );
-        assert!(check_file(&bad_rate)
-            .iter()
-            .any(|v| v.contains("positive points_per_sec")));
     }
 
     #[test]
@@ -553,27 +395,12 @@ mod tests {
         assert!(check_file(&wrong_id)[0].contains("does not match file stem"));
         let empty = write(
             &dir,
-            "BENCH_y.json",
-            r#"{"id":"BENCH_y","description":"d","cases":[]}"#,
+            "a9.json",
+            r#"{"id":"a9","description":"d","results":[]}"#,
         );
-        assert!(check_file(&empty)[0].contains("empty cases/runs"));
+        assert!(check_file(&empty)[0].contains("both results and series are empty"));
         let garbage = write(&dir, "t9.json", "not json");
         assert!(check_file(&garbage)[0].contains("invalid JSON"));
-    }
-
-    #[test]
-    fn obs_artifacts_use_the_real_deserializer() {
-        let dir = tmpdir("obs");
-        let bad = write(&dir, "OBS_x.json", r#"{"schema":"sketchad-obs/v1"}"#);
-        assert!(check_file(&bad)[0].contains("not a valid ObsArtifact"));
-        // A real artifact round-trips.
-        let artifact = ObsArtifact::new("schema_check_test", Default::default());
-        let good = write(
-            &dir,
-            "OBS_y.json",
-            &serde_json::to_string(&artifact).unwrap(),
-        );
-        assert!(check_file(&good).is_empty(), "{:?}", check_file(&good));
     }
 
     #[test]
@@ -598,6 +425,17 @@ mod tests {
                 .any(|v| v.contains("unknown JSON artifact family")),
             "{:?}",
             check_file(&untagged)
+        );
+        // The deleted legacy bench families get no free pass either.
+        let stray = write(
+            &dir,
+            "BENCH_serve.json",
+            r#"{"id":"BENCH_serve","description":"d","runs":[{}]}"#,
+        );
+        assert!(
+            check_file(&stray)[0].contains("unknown JSON artifact family"),
+            "{:?}",
+            check_file(&stray)
         );
         // Known families are unaffected.
         assert!(is_experiment_stem("f12") && is_experiment_stem("t1") && is_experiment_stem("a2"));

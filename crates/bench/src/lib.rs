@@ -8,16 +8,12 @@
 //!   and build the method roster compared in T2/T3.
 //! * the `experiments` binary (`src/bin/experiments.rs`) — one subcommand
 //!   per table/figure id; `all` runs the full evaluation.
-//! * [`host`] — host metadata ([`HostMeta`]) stamped into every benchmark
-//!   artifact header so throughput numbers carry their hardware context.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod harness;
-pub mod host;
 
 pub use harness::{
     evaluate_scores, run_boxed, run_detector, standard_roster, EvalOutcome, RunOutcome,
 };
-pub use host::HostMeta;

@@ -1,15 +1,10 @@
-//! Host metadata stamped into every benchmark and matrix artifact header.
+//! Host metadata stamped into every matrix artifact header.
 //!
 //! Throughput numbers are meaningless without knowing what ran them: a
 //! "2.1× with 4 shards" on a single-core container is coordination overhead,
-//! not scaling. Every `BENCH_*.json` / `MATRIX_*.json` artifact therefore
-//! embeds a [`HostMeta`] block so readers (and the schema checker) can judge
-//! the numbers against the hardware that produced them.
-//!
-//! This lives in `sketchad-eval` (rather than the bench crate that
-//! historically owned it) because the benchmark-matrix artifact reader needs
-//! to deserialize it without depending on the bench binaries;
-//! `sketchad_bench::HostMeta` re-exports it for existing callers.
+//! not scaling. Every `MATRIX_*.json` artifact therefore embeds a
+//! [`HostMeta`] block so readers (and the schema checker) can judge the
+//! numbers against the hardware that produced them.
 
 use serde::{Deserialize, Serialize};
 

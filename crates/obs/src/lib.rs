@@ -52,8 +52,7 @@
 //!
 //! A [`MetricsRecorder`] snapshots into an [`ObsReport`] (serializable,
 //! mergeable across shards, renderable as a human table) which wraps into a
-//! versioned [`ObsArtifact`] for the `results/OBS_*.json` files the CLI
-//! (`--metrics-out`) and `serve_bench` emit.
+//! versioned [`ObsArtifact`], the file the CLI's `--metrics-out` writes.
 //!
 //! ```
 //! use sketchad_obs::{MetricsRecorder, RecorderHandle, Stage};

@@ -253,7 +253,7 @@ impl ObsReport {
     }
 }
 
-/// The versioned envelope written to `results/OBS_*.json`.
+/// The versioned envelope `--metrics-out` writes.
 ///
 /// Carries the schema tag, the command that produced it, free-form context
 /// (dataset, detector config, shard count, …) and the merged report. Fields

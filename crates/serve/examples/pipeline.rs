@@ -54,7 +54,7 @@ fn main() {
     });
 
     let batch = engine
-        .submit_batch(stream.points.iter().map(|p| p.values.clone()))
+        .submit_batch_rows_parallel(&stream.rows(), 1)
         .expect("submit");
     let report = engine.finish().expect("clean drain");
     stop.store(true, Ordering::Relaxed);

@@ -54,7 +54,7 @@ pub struct ServeConfig {
     /// job, the worker opportunistically drains up to `max_batch − 1` more
     /// already-queued jobs and scores them through the detector's batched
     /// path (one blocked `V_kᵀY` matmul per batch). Scores are bitwise
-    /// identical to per-point processing; `1` disables micro-batching.
+    /// identical to per-point processing; `1` is a micro-batch of one.
     /// Must be ≥ 1.
     pub max_batch: usize,
     /// How many times a shard's panicked worker is rebuilt (resuming from
@@ -91,10 +91,6 @@ pub struct ServeConfig {
     /// thread-timing-dependent moments; they differ from inline-refresh
     /// scores (the model is adopted one period later than it was computed).
     pub refresh_every: u64,
-    /// Forces every shard onto the legacy condvar `JobQueue` channel
-    /// instead of the lock-free SPSC ring. A benchmarking knob for
-    /// measuring the ring against the old ingest path; `false` by default.
-    pub legacy_ingest: bool,
 }
 
 impl ServeConfig {
@@ -116,7 +112,6 @@ impl ServeConfig {
             checkpoint_every: 4096,
             fsync: FsyncPolicy::default(),
             refresh_every: 0,
-            legacy_ingest: false,
         }
     }
 
@@ -200,14 +195,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_async_refresh(mut self, every: u64) -> Self {
         self.refresh_every = every;
-        self
-    }
-
-    /// Forces the legacy condvar queue channel instead of the SPSC ring
-    /// (benchmark comparison knob).
-    #[must_use]
-    pub fn with_legacy_ingest(mut self, legacy: bool) -> Self {
-        self.legacy_ingest = legacy;
         self
     }
 

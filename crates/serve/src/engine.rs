@@ -3,7 +3,7 @@
 use crate::config::{stable_hash, BackpressurePolicy, PartitionStrategy, ServeConfig};
 use crate::error::{panic_message, ServeError};
 use crate::quarantine::Quarantine;
-use crate::queue::{JobQueue, PushError};
+use crate::queue::JobQueue;
 use crate::ring::{DeathWatch, ShardChannel, SpscRing};
 use crate::shard::{run_supervised, Job, ShardShared, WorkerConfig};
 use crate::snapshot::SnapshotScorer;
@@ -13,7 +13,10 @@ use sketchad_core::{validate_point, InputViolation, ScoreKind, StreamingDetector
 use sketchad_durable::{self as durable, StateStore};
 use sketchad_obs::{Counter, Event, MetricsRecorder, ObsReport, Recorder, RecorderHandle, Sampler};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{
+    AtomicU64,
+    Ordering::{Relaxed, Release},
+};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -140,6 +143,10 @@ pub struct ServeEngine {
     /// Global submission counter. Atomic (not plain `u64`) so the telemetry
     /// sampler can read it live; submission itself stays single-writer.
     submitted: Arc<AtomicU64>,
+    /// Row count of the submit call in flight (0 between calls): rows it
+    /// has claimed in `submitted` but not yet accounted anywhere else. The
+    /// telemetry probe widens its conservation slack by this much.
+    in_flight: Arc<AtomicU64>,
     backpressure: BackpressurePolicy,
     partition: PartitionStrategy,
     max_batch: usize,
@@ -289,15 +296,15 @@ impl ServeEngine {
                 }
                 Some(_) => {}
             }
-            // The ring is the default ingest channel; the condvar queue
-            // stays for ShedOldest (sender-side eviction needs shared
-            // access to the buffer) and the legacy-ingest bench knob.
-            let use_ring = !config.legacy_ingest
-                && !matches!(config.backpressure, BackpressurePolicy::ShedOldest);
-            let channel = Arc::new(if use_ring {
-                ShardChannel::Ring(SpscRing::new(config.queue_capacity))
-            } else {
-                ShardChannel::Queue(JobQueue::new(config.queue_capacity))
+            // The channel follows the policy: sender-side eviction needs
+            // shared access to the buffer, which only the queue allows.
+            let channel = Arc::new(match config.backpressure {
+                BackpressurePolicy::ShedOldest => {
+                    ShardChannel::Queue(JobQueue::new(config.queue_capacity))
+                }
+                BackpressurePolicy::Block | BackpressurePolicy::DropNewest => {
+                    ShardChannel::Ring(SpscRing::new(config.queue_capacity))
+                }
             });
             let shared = Arc::new(ShardShared::default());
             prepared.push(PreparedShard {
@@ -413,6 +420,7 @@ impl ServeEngine {
             shards,
             dim: dim.expect("validated shards >= 1"),
             submitted: Arc::new(AtomicU64::new(0)),
+            in_flight: Arc::new(AtomicU64::new(0)),
             backpressure: config.backpressure,
             partition: config.partition,
             max_batch: config.max_batch,
@@ -455,10 +463,11 @@ impl ServeEngine {
                 .map(|s| s.recorder.as_ref().map(Arc::clone))
                 .collect(),
             submitted: Arc::clone(&self.submitted),
+            in_flight: Arc::clone(&self.in_flight),
             started: Instant::now(),
-            // One in-flight micro-batch per worker, one reserved slot per
-            // shard, one mid-flight submission.
-            slack_limit: (self.shards.len() * (self.max_batch + 1) + 1) as i64,
+            // One in-flight micro-batch per worker and one reserved slot
+            // per shard; the probe adds the rows of the submit in flight.
+            slack_limit: (self.shards.len() * (self.max_batch + 1)) as u64,
         };
         let (sampler, handle) = config.launch(probe)?;
         self.telemetry = Some(sampler);
@@ -499,187 +508,10 @@ impl ServeEngine {
         self.shards[shard].shared.degraded.load(Relaxed)
     }
 
-    fn route(&self, key: Option<u64>) -> usize {
-        let n = self.shards.len() as u64;
-        match (self.partition, key) {
-            (PartitionStrategy::KeyHash, Some(k)) => (stable_hash(k) % n) as usize,
-            // Round-robin, and the keyless fallback under KeyHash.
-            _ => (self.submitted.load(Relaxed) % n) as usize,
-        }
-    }
-
-    /// Submits one point, partitioned by the configured strategy.
-    pub fn submit(&mut self, point: Vec<f64>) -> Result<SubmitOutcome, ServeError> {
-        self.submit_inner(None, point)
-    }
-
-    /// Submits one point with an explicit partition key (used by
-    /// [`PartitionStrategy::KeyHash`]; ignored under round-robin).
-    pub fn submit_keyed(&mut self, key: u64, point: Vec<f64>) -> Result<SubmitOutcome, ServeError> {
-        self.submit_inner(Some(key), point)
-    }
-
-    fn submit_inner(
-        &mut self,
-        key: Option<u64>,
-        point: Vec<f64>,
-    ) -> Result<SubmitOutcome, ServeError> {
-        let shard = self.route(key);
-        let seq = self.submitted.load(Relaxed);
-        // Input hygiene first: a poison row is quarantined whatever the
-        // overload state, so it can never reach (and corrupt) a detector.
-        if let Err(violation) = validate_point(&point, self.dim) {
-            self.submitted.fetch_add(1, Relaxed);
-            let handle = &self.shards[shard];
-            handle.shared.rejected.fetch_add(1, Relaxed);
-            if handle.obs.enabled() {
-                handle.obs.incr(Counter::PointsRejected, 1);
-                handle.obs.event(Event::PointRejected {
-                    shard,
-                    seq,
-                    reason: violation.label().to_string(),
-                });
-            }
-            self.quarantine.push(seq, violation, point);
-            return Ok(SubmitOutcome::Rejected(violation));
-        }
-        // Availability shedding: a read-only engine or a degraded shard
-        // refuses the update but the submission still succeeds — reads stay
-        // up, accounting stays exact.
-        if self.read_only || self.shards[shard].shared.degraded.load(Relaxed) {
-            self.submitted.fetch_add(1, Relaxed);
-            let handle = &self.shards[shard];
-            handle.shared.shed.fetch_add(1, Relaxed);
-            if handle.obs.enabled() {
-                handle.obs.incr(Counter::PointsShed, 1);
-                handle.obs.event(Event::QueueShed { shard, seq });
-            }
-            return Ok(SubmitOutcome::Shed);
-        }
-        let job = Job {
-            seq,
-            point,
-            enqueued: Instant::now(),
-        };
-        // Reserve the depth slot *before* sending: the worker may process
-        // the job and decrement at any moment after the send lands.
-        self.shards[shard].shared.reserve_slot();
-        let outcome = match self.backpressure {
-            BackpressurePolicy::Block => {
-                let handle = &self.shards[shard];
-                // When observing, probe with try_push first so a full queue
-                // is recorded as a QueueBlocked event before the (identical)
-                // blocking push; when not observing this is a plain push.
-                let push_result = if handle.obs.enabled() {
-                    match handle.channel.try_push(job) {
-                        Ok(()) => Ok(()),
-                        Err(PushError::Full(job)) => {
-                            handle.obs.incr(Counter::QueueBlocked, 1);
-                            handle.obs.event(Event::QueueBlocked {
-                                shard,
-                                seq: job.seq,
-                            });
-                            handle.channel.push_block(job)
-                        }
-                        Err(dead) => Err(dead),
-                    }
-                } else {
-                    handle.channel.push_block(job)
-                };
-                match push_result {
-                    Ok(()) => SubmitOutcome::Accepted,
-                    // The worker thread itself is gone (not a contained
-                    // detector panic — those are handled in-thread).
-                    Err(_) => {
-                        self.shards[shard].shared.release_slot();
-                        return Err(self.harvest_dead_shard(shard));
-                    }
-                }
-            }
-            BackpressurePolicy::DropNewest => {
-                let handle = &self.shards[shard];
-                match handle.channel.try_push(job) {
-                    Ok(()) => SubmitOutcome::Accepted,
-                    Err(PushError::Full(job)) => {
-                        handle.shared.release_slot();
-                        handle.shared.dropped.fetch_add(1, Relaxed);
-                        if handle.obs.enabled() {
-                            handle.obs.incr(Counter::QueueDropped, 1);
-                            handle.obs.event(Event::QueueDropped {
-                                shard,
-                                seq: job.seq,
-                            });
-                        }
-                        SubmitOutcome::Dropped
-                    }
-                    Err(PushError::Dead(_)) => {
-                        self.shards[shard].shared.release_slot();
-                        return Err(self.harvest_dead_shard(shard));
-                    }
-                }
-            }
-            BackpressurePolicy::ShedOldest => {
-                let handle = &self.shards[shard];
-                match handle.channel.push_shed_oldest(job) {
-                    Ok(None) => SubmitOutcome::Accepted,
-                    Ok(Some(evicted)) => {
-                        // The new point took the evicted one's slot.
-                        handle.shared.release_slot();
-                        handle.shared.shed.fetch_add(1, Relaxed);
-                        if handle.obs.enabled() {
-                            handle.obs.incr(Counter::PointsShed, 1);
-                            handle.obs.event(Event::QueueShed {
-                                shard,
-                                seq: evicted.seq,
-                            });
-                        }
-                        SubmitOutcome::Accepted
-                    }
-                    Err(_) => {
-                        self.shards[shard].shared.release_slot();
-                        return Err(self.harvest_dead_shard(shard));
-                    }
-                }
-            }
-        };
-        // A dropped point still consumes a sequence number: scores report
-        // the submission index, and round-robin keeps rotating.
-        self.submitted.fetch_add(1, Relaxed);
-        Ok(outcome)
-    }
-
-    /// Submits a batch, aggregating per-outcome counts. Stops at the first
-    /// hard error (a dead worker thread).
-    ///
-    /// This is the convenience form that loops [`submit`](Self::submit) per
-    /// point; high-throughput callers holding their rows in a slice should
-    /// prefer [`submit_batch_rows`](Self::submit_batch_rows), which routes
-    /// the whole batch with one channel reservation per shard.
-    pub fn submit_batch<I>(&mut self, points: I) -> Result<BatchOutcome, ServeError>
-    where
-        I: IntoIterator<Item = Vec<f64>>,
-    {
-        let mut outcome = BatchOutcome::default();
-        for point in points {
-            match self.submit(point)? {
-                SubmitOutcome::Accepted => outcome.accepted += 1,
-                SubmitOutcome::Dropped => outcome.dropped += 1,
-                SubmitOutcome::Rejected(_) => outcome.rejected += 1,
-                SubmitOutcome::Shed => outcome.shed += 1,
-            }
-        }
-        Ok(outcome)
-    }
-
-    /// Submits a slice of rows through the batched fast path: rows are
-    /// hash-routed into per-shard staging buffers (validation, quarantine,
-    /// and shed accounting run per row, exactly as in per-point
-    /// submission), then each shard's group is flushed with **one channel
-    /// reservation per shard per batch** instead of one push per point.
-    ///
-    /// Every shard sees the same points in the same order as `rows.len()`
-    /// calls to [`submit`](Self::submit) would deliver, so scores are
-    /// bitwise identical to per-point submission:
+    /// Submits one point, partitioned round-robin: a batch of one through
+    /// the same stage-and-flush as
+    /// [`submit_batch_rows_parallel`](Self::submit_batch_rows_parallel), so
+    /// `n` calls score bitwise identically to one `n`-row batch:
     ///
     /// ```
     /// use sketchad_core::{DetectorConfig, StreamingDetector};
@@ -695,12 +527,10 @@ impl ServeEngine {
     ///     })
     ///     .collect();
     ///
-    /// // One batched submission …
     /// let mut batched = ServeEngine::start(ServeConfig::new(2), factory).unwrap();
-    /// let outcome = batched.submit_batch_rows(&rows).unwrap();
+    /// let outcome = batched.submit_batch_rows_parallel(&rows, 1).unwrap();
     /// assert_eq!(outcome.accepted, 100);
     ///
-    /// // … scores bitwise identically to 100 per-point submissions.
     /// let mut per_point = ServeEngine::start(ServeConfig::new(2), factory).unwrap();
     /// for row in &rows {
     ///     per_point.submit(row.clone()).unwrap();
@@ -709,19 +539,52 @@ impl ServeEngine {
     /// let per_point = per_point.finish().unwrap();
     /// assert_eq!(batched.scores_in_order(), per_point.scores_in_order());
     /// ```
-    ///
-    /// Accounting differences from the per-point path, all metrics-only:
-    /// queue-wait latency is measured from one batch-wide timestamp, a
-    /// stalled `Block` flush records a single `queue_blocked` event per
-    /// shard per batch rather than one per blocked point, and the depth
-    /// reservation, high-water update, and degraded-shard check each run
-    /// once per shard per batch instead of once per row.
-    pub fn submit_batch_rows(&mut self, rows: &[Vec<f64>]) -> Result<BatchOutcome, ServeError> {
-        self.submit_batch_rows_parallel(rows, 1)
+    pub fn submit(&mut self, point: Vec<f64>) -> Result<SubmitOutcome, ServeError> {
+        self.submit_one(None, point)
     }
 
-    /// [`submit_batch_rows`](Self::submit_batch_rows) driven by `producers`
-    /// concurrent lanes: the multi-core ingest boundary.
+    /// Submits one point with an explicit partition key: under
+    /// [`PartitionStrategy::KeyHash`] the key's stable hash picks the shard,
+    /// under round-robin the key is ignored.
+    pub fn submit_keyed(&mut self, key: u64, point: Vec<f64>) -> Result<SubmitOutcome, ServeError> {
+        let shard = match self.partition {
+            PartitionStrategy::KeyHash => {
+                Some((stable_hash(key) % self.shards.len() as u64) as usize)
+            }
+            PartitionStrategy::RoundRobin => None,
+        };
+        self.submit_one(shard, point)
+    }
+
+    /// A batch of one; whichever outcome count it bumped names the outcome.
+    fn submit_one(
+        &mut self,
+        route: Option<usize>,
+        point: Vec<f64>,
+    ) -> Result<SubmitOutcome, ServeError> {
+        let outcome = self.submit_rows(std::slice::from_ref(&point), 1, route)?;
+        Ok(if outcome.accepted == 1 {
+            SubmitOutcome::Accepted
+        } else if outcome.dropped == 1 {
+            SubmitOutcome::Dropped
+        } else if outcome.shed == 1 {
+            SubmitOutcome::Shed
+        } else {
+            let violation = validate_point(&point, self.dim).expect_err("staging rejected it");
+            SubmitOutcome::Rejected(violation)
+        })
+    }
+
+    /// Submits a slice of rows through `producers` concurrent lanes: the
+    /// engine's one ingest boundary.
+    ///
+    /// Rows are routed into per-shard staging buffers (validation,
+    /// quarantine, and shed accounting run per row), then each shard's
+    /// group is flushed with **one depth reservation and one channel
+    /// reservation per shard per batch**. Queue-wait latency is measured
+    /// from one batch-wide timestamp, a stalled `Block` flush records one
+    /// `queue_blocked` event per shard per batch, and a shard that degrades
+    /// mid-batch sheds from the next batch onward.
     ///
     /// The batch's sequence range is claimed once, then the rows are fanned
     /// out across `min(producers, shards)` scoped producer threads. Lane
@@ -741,10 +604,10 @@ impl ServeEngine {
     /// whenever capacity ≥ load, any policy) nothing is lost and the score
     /// stream is reproducible bit-for-bit across producer counts.
     ///
-    /// `producers` is clamped to `[1, shards]`; `1` is exactly the serial
-    /// batched path. Lanes stop at the first dead worker thread they meet
+    /// `producers` is clamped to `[1, shards]`; `1` stages and flushes on the
+    /// calling thread. Lanes stop at the first dead worker thread they meet
     /// (other lanes finish their flush), and the first dead shard is
-    /// harvested and returned as the error, as in the serial path.
+    /// harvested and returned as the error.
     ///
     /// ```
     /// use sketchad_core::{DetectorConfig, StreamingDetector};
@@ -772,12 +635,28 @@ impl ServeEngine {
         rows: &[Vec<f64>],
         producers: usize,
     ) -> Result<BatchOutcome, ServeError> {
-        let lanes = producers.clamp(1, self.shards.len());
-        let base = self.submitted.fetch_add(rows.len() as u64, Relaxed);
-        // Degradation is checked once per shard per batch instead of once
-        // per row: a shard that degrades mid-batch sheds from the next
-        // batch onward, which is the same lag the per-point path has for
-        // points already past its own check.
+        self.submit_rows(rows, producers, None)
+    }
+
+    /// The one submit path. `route` pins every row to one shard (keyed
+    /// submission, single lane); `None` routes round-robin by sequence.
+    fn submit_rows(
+        &mut self,
+        rows: &[Vec<f64>],
+        producers: usize,
+        route: Option<usize>,
+    ) -> Result<BatchOutcome, ServeError> {
+        let lanes = match route {
+            Some(_) => 1,
+            None => producers.clamp(1, self.shards.len()),
+        };
+        // Published before the claim (Release pairs with the probe's
+        // Acquire load of `submitted`): a sampler that sees the claimed
+        // sequence range also sees how many of its rows may still be
+        // unaccounted.
+        self.in_flight.store(rows.len() as u64, Release);
+        let base = self.submitted.fetch_add(rows.len() as u64, Release);
+        // Degradation is checked once per shard per batch, not per row.
         let shedding: Vec<bool> = self
             .shards
             .iter()
@@ -788,6 +667,7 @@ impl ServeEngine {
             shards: &self.shards,
             rows,
             base,
+            route,
             dim: self.dim,
             shedding: &shedding,
             backpressure: self.backpressure,
@@ -812,6 +692,9 @@ impl ServeEngine {
                     .collect()
             })
         };
+        // Every claimed row is accounted for now: rejected or shed while
+        // staging, or reserved in its shard's depth at flush.
+        self.in_flight.store(0, Release);
         let mut outcome = BatchOutcome::default();
         let mut quarantined = Vec::new();
         let mut dead = Vec::new();
@@ -824,8 +707,7 @@ impl ServeEngine {
             dead.extend(report.dead);
         }
         // Lanes quarantined their own shards' rows; re-merging by sequence
-        // restores the per-point path's eviction order under the capacity
-        // bound.
+        // keeps eviction under the capacity bound in submission order.
         quarantined.sort_by_key(|(seq, _, _)| *seq);
         for (seq, violation, point) in quarantined {
             self.quarantine.push(seq, violation, point);
@@ -1054,6 +936,8 @@ struct LaneInput<'a> {
     shards: &'a [ShardHandle],
     rows: &'a [Vec<f64>],
     base: u64,
+    /// `Some(shard)` pins every row to that shard; `None` is round-robin.
+    route: Option<usize>,
     dim: usize,
     shedding: &'a [bool],
     backpressure: BackpressurePolicy,
@@ -1072,8 +956,7 @@ struct LaneReport {
 }
 
 /// One producer lane: stages and flushes every row whose shard the lane
-/// owns (`shard % lanes == lane`). With `lanes == 1` this is exactly the
-/// serial batched submit path.
+/// owns (`shard % lanes == lane`).
 ///
 /// Determinism: which rows a shard receives, and in which order, depends
 /// only on `(base, shards, validation, shedding)` — all identical across
@@ -1088,7 +971,9 @@ fn run_lane(input: &LaneInput<'_>, lane: usize, lanes: usize) -> LaneReport {
     let mut staged: Vec<VecDeque<Job>> = (0..n_shards).map(|_| VecDeque::new()).collect();
     if lanes == 1 {
         for j in 0..input.rows.len() {
-            lane_stage_row(input, j, &mut staged, &mut report);
+            let round_robin = ((input.base + j as u64) % n_shards as u64) as usize;
+            let shard = input.route.unwrap_or(round_robin);
+            lane_stage_row(input, j, shard, &mut staged, &mut report);
         }
     } else {
         // A shard's sequences stride the batch with period `n_shards`, so
@@ -1103,7 +988,7 @@ fn run_lane(input: &LaneInput<'_>, lane: usize, lanes: usize) -> LaneReport {
                 (shard as u64 + n_shards as u64 - input.base % n_shards as u64) % n_shards as u64;
             let mut j = offset as usize;
             while j < input.rows.len() {
-                lane_stage_row(input, j, &mut staged, &mut report);
+                lane_stage_row(input, j, shard, &mut staged, &mut report);
                 j += n_shards;
             }
         }
@@ -1113,9 +998,8 @@ fn run_lane(input: &LaneInput<'_>, lane: usize, lanes: usize) -> LaneReport {
             continue;
         }
         let handle = &input.shards[shard];
-        // One depth reservation per shard per batch (the per-point path
-        // reserves before each enqueue; the flush below is the enqueue,
-        // so the same reserve-before-send ordering holds).
+        // One depth reservation per shard per batch, before the flush: the
+        // worker may drain (and decrement) the moment a job lands.
         handle.shared.reserve_slots(group.len());
         let flushed = match input.backpressure {
             BackpressurePolicy::Block => lane_flush_blocking(handle, shard, group),
@@ -1131,17 +1015,15 @@ fn run_lane(input: &LaneInput<'_>, lane: usize, lanes: usize) -> LaneReport {
     report
 }
 
-/// Validates, sheds, or stages row `j` of the batch onto its shard's
-/// group. Routing is the same round-robin as per-point submission:
-/// `shard = seq % n_shards` (keyless `KeyHash` falls back to it too).
+/// Validates, sheds, or stages row `j` of the batch onto `shard`'s group.
 fn lane_stage_row(
     input: &LaneInput<'_>,
     j: usize,
+    shard: usize,
     staged: &mut [VecDeque<Job>],
     report: &mut LaneReport,
 ) {
     let seq = input.base + j as u64;
-    let shard = (seq % input.shards.len() as u64) as usize;
     let row = &input.rows[j];
     if let Err(violation) = validate_point(row, input.dim) {
         let handle = &input.shards[shard];
@@ -1257,7 +1139,7 @@ fn lane_flush_shed_oldest(
                     });
                 }
             }
-            Err(_) => {
+            Err(()) => {
                 // The in-hand job was already popped from `staged`; roll
                 // its reservation back separately.
                 handle.shared.release_slot();
@@ -1298,6 +1180,29 @@ mod tests {
     fn wave(i: u64) -> Vec<f64> {
         let t = i as f64 * 0.13;
         vec![t.sin(), t.cos(), (0.5 * t).sin(), 0.1]
+    }
+
+    fn waves(range: std::ops::Range<u64>) -> Vec<Vec<f64>> {
+        range.map(wave).collect()
+    }
+
+    /// One `submit` per point, outcomes tallied like a batch: the load
+    /// shape where the lossy policies decide point by point.
+    fn submit_each(engine: &mut ServeEngine, range: std::ops::Range<u64>) -> BatchOutcome {
+        let mut outcome = BatchOutcome::default();
+        for i in range {
+            match engine.submit(wave(i)).unwrap() {
+                SubmitOutcome::Accepted => outcome.accepted += 1,
+                SubmitOutcome::Dropped => outcome.dropped += 1,
+                SubmitOutcome::Rejected(_) => outcome.rejected += 1,
+                SubmitOutcome::Shed => outcome.shed += 1,
+            }
+        }
+        outcome
+    }
+
+    fn score_bits(report: &PipelineReport) -> Vec<u64> {
+        report.scores.iter().map(|&(_, s)| s.to_bits()).collect()
     }
 
     #[test]
@@ -1424,7 +1329,7 @@ mod tests {
             .with_queue_capacity(1)
             .with_backpressure(BackpressurePolicy::DropNewest);
         let mut engine = ServeEngine::start(config, fd_factory).unwrap();
-        let outcome = engine.submit_batch((0..5_000).map(wave)).unwrap();
+        let outcome = submit_each(&mut engine, 0..5_000);
         assert_eq!(outcome.submitted(), 5_000);
         let report = engine.finish().unwrap();
         assert_eq!(report.stats.total_processed, outcome.accepted);
@@ -1438,7 +1343,7 @@ mod tests {
             .with_queue_capacity(2)
             .with_backpressure(BackpressurePolicy::ShedOldest);
         let mut engine = ServeEngine::start(config, fd_factory).unwrap();
-        let outcome = engine.submit_batch((0..5_000).map(wave)).unwrap();
+        let outcome = submit_each(&mut engine, 0..5_000);
         // Every submission is admitted under ShedOldest …
         assert_eq!(outcome.accepted, 5_000);
         assert_eq!(outcome.dropped + outcome.rejected + outcome.shed, 0);
@@ -1462,7 +1367,7 @@ mod tests {
     fn read_only_mode_sheds_updates_but_serves_reads() {
         let config = ServeConfig::new(1).with_snapshot_every(16);
         let mut engine = ServeEngine::start(config, fd_factory).unwrap();
-        engine.submit_batch((0..64).map(wave)).unwrap();
+        engine.submit_batch_rows_parallel(&waves(0..64), 1).unwrap();
         // Wait for a snapshot so the read path has a model to serve.
         let scorer = engine.scorer(0, ScoreKind::ProjectionDistance);
         while scorer.generation() == 0 {
@@ -1476,7 +1381,9 @@ mod tests {
         // Stale-snapshot reads keep working while updates shed.
         assert!(scorer.score(&wave(1_000)).unwrap().is_finite());
         engine.set_read_only(false);
-        engine.submit_batch((96..128).map(wave)).unwrap();
+        engine
+            .submit_batch_rows_parallel(&waves(96..128), 1)
+            .unwrap();
         let report = engine.finish().unwrap();
         assert_eq!(report.stats.total_shed, 32);
         assert_eq!(report.stats.total_processed, 96);
@@ -1518,7 +1425,9 @@ mod tests {
             )
         })
         .unwrap();
-        engine.submit_batch((0..200).map(wave)).unwrap();
+        engine
+            .submit_batch_rows_parallel(&waves(0..200), 1)
+            .unwrap();
         let report = engine.finish().unwrap();
         assert_eq!(report.stats.total_processed, 200);
 
@@ -1537,10 +1446,13 @@ mod tests {
             obs.span("snapshot_publish").unwrap().count as usize,
             snapshots
         );
-        // Queue depth was sampled for every drained job, and the ring's own
-        // occupancy gauge alongside it (the default channel is the ring).
-        assert_eq!(obs.gauge("queue_depth").unwrap().samples, 200);
-        assert_eq!(obs.gauge("ring_depth").unwrap().samples, 200);
+        // Queue depth is sampled once per micro-batch, with the ring's own
+        // occupancy gauge alongside it (`Block` runs on the ring); the
+        // queue-wait histogram sees every job.
+        let depth_samples = obs.gauge("queue_depth").unwrap().samples;
+        assert!((1..=200).contains(&depth_samples), "{depth_samples}");
+        assert_eq!(obs.gauge("ring_depth").unwrap().samples, depth_samples);
+        assert_eq!(obs.hist("submit_latency").unwrap().count(), 200);
     }
 
     #[test]
@@ -1569,7 +1481,7 @@ mod tests {
     #[test]
     fn uninstrumented_engine_attaches_no_obs() {
         let mut engine = ServeEngine::start(ServeConfig::new(2), fd_factory).unwrap();
-        engine.submit_batch((0..20).map(wave)).unwrap();
+        engine.submit_batch_rows_parallel(&waves(0..20), 1).unwrap();
         let report = engine.finish().unwrap();
         assert!(report.stats.obs.is_none());
     }
@@ -1592,13 +1504,10 @@ mod tests {
             } else {
                 ServeEngine::start(config, fd_factory).unwrap()
             };
-            engine.submit_batch((0..120).map(wave)).unwrap();
-            let report = engine.finish().unwrap();
-            report
-                .scores_in_order()
-                .iter()
-                .map(|s| s.to_bits())
-                .collect()
+            engine
+                .submit_batch_rows_parallel(&waves(0..120), 1)
+                .unwrap();
+            score_bits(&engine.finish().unwrap())
         };
         assert_eq!(run(false), run(true), "instrumented scores diverged");
     }
@@ -1618,7 +1527,7 @@ mod tests {
             )
         })
         .unwrap();
-        let outcome = engine.submit_batch((0..5_000).map(wave)).unwrap();
+        let outcome = submit_each(&mut engine, 0..5_000);
         let report = engine.finish().unwrap();
         let obs = report.stats.obs.unwrap();
         assert_eq!(obs.counter("queue_dropped"), outcome.dropped);
@@ -1638,13 +1547,10 @@ mod tests {
                 .with_snapshot_every(8)
                 .with_max_batch(max_batch);
             let mut engine = ServeEngine::start(config, fd_factory).unwrap();
-            engine.submit_batch((0..300).map(wave)).unwrap();
-            let report = engine.finish().unwrap();
-            report
-                .scores_in_order()
-                .iter()
-                .map(|s| s.to_bits())
-                .collect()
+            engine
+                .submit_batch_rows_parallel(&waves(0..300), 1)
+                .unwrap();
+            score_bits(&engine.finish().unwrap())
         };
         let strict = run(1);
         assert_eq!(strict.len(), 300);
@@ -1654,51 +1560,62 @@ mod tests {
 
     #[test]
     fn batch_submit_rows_matches_per_point_bitwise() {
-        // The staged batch path must route every row to the same shard with
-        // the same sequence number as per-point submission, so the scores
-        // are bitwise identical — batching is an ingest optimisation, never
-        // a semantic change.
-        let rows: Vec<Vec<f64>> = (0..240).map(wave).collect();
-        let run = |batched: bool| -> Vec<u64> {
-            let config = ServeConfig::new(3).with_snapshot_every(8);
-            let mut engine = ServeEngine::start(config, fd_factory).unwrap();
-            if batched {
-                let outcome = engine.submit_batch_rows(&rows).unwrap();
-                assert_eq!(outcome.accepted, 240);
-            } else {
-                for row in &rows {
-                    engine.submit(row.clone()).unwrap();
+        // One batch must route every row to the same shard with the same
+        // sequence number as N batches of one, at any lane count and on
+        // both channels (Block → ring, lossless ShedOldest → queue), so the
+        // scores are bitwise identical — batching is an ingest
+        // optimisation, never a semantic change.
+        let rows = waves(0..240);
+        for policy in [BackpressurePolicy::Block, BackpressurePolicy::ShedOldest] {
+            let run = |lanes: Option<usize>| -> Vec<u64> {
+                let config = ServeConfig::new(4)
+                    .with_snapshot_every(8)
+                    .with_queue_capacity(rows.len())
+                    .with_backpressure(policy);
+                let mut engine = ServeEngine::start(config, fd_factory).unwrap();
+                match lanes {
+                    Some(lanes) => {
+                        let outcome = engine.submit_batch_rows_parallel(&rows, lanes).unwrap();
+                        assert_eq!(outcome.accepted, 240);
+                    }
+                    None => {
+                        for row in &rows {
+                            engine.submit(row.clone()).unwrap();
+                        }
+                    }
                 }
-            }
-            let report = engine.finish().unwrap();
-            report
-                .scores_in_order()
-                .iter()
-                .map(|s| s.to_bits())
-                .collect()
-        };
-        assert_eq!(run(true), run(false), "batch path diverged");
+                let report = engine.finish().unwrap();
+                assert_eq!(report.stats.total_processed, 240, "{policy:?} is lossless");
+                score_bits(&report)
+            };
+            let per_point = run(None);
+            assert_eq!(run(Some(1)), per_point, "{policy:?}: 1 lane diverged");
+            assert_eq!(run(Some(4)), per_point, "{policy:?}: 4 lanes diverged");
+        }
     }
 
     #[test]
-    fn legacy_ingest_matches_ring_scores() {
-        // The condvar queue and the SPSC ring are interchangeable carriers:
-        // same jobs, same order, same scores.
-        let rows: Vec<Vec<f64>> = (0..240).map(wave).collect();
-        let run = |legacy: bool| -> Vec<u64> {
+    fn shed_oldest_without_loss_matches_block_bitwise() {
+        // The condvar queue (ShedOldest) and the SPSC ring (Block) are
+        // interchangeable carriers while capacity ≥ load: same jobs, same
+        // order, same scores.
+        let rows = waves(0..240);
+        let run = |policy: BackpressurePolicy| -> Vec<u64> {
             let config = ServeConfig::new(2)
                 .with_snapshot_every(8)
-                .with_legacy_ingest(legacy);
+                .with_queue_capacity(rows.len())
+                .with_backpressure(policy);
             let mut engine = ServeEngine::start(config, fd_factory).unwrap();
-            engine.submit_batch_rows(&rows).unwrap();
+            engine.submit_batch_rows_parallel(&rows, 1).unwrap();
             let report = engine.finish().unwrap();
-            report
-                .scores_in_order()
-                .iter()
-                .map(|s| s.to_bits())
-                .collect()
+            assert_eq!(report.stats.total_shed, 0, "sized lossless");
+            score_bits(&report)
         };
-        assert_eq!(run(false), run(true), "legacy queue scores diverged");
+        assert_eq!(
+            run(BackpressurePolicy::Block),
+            run(BackpressurePolicy::ShedOldest),
+            "queue channel scores diverged from the ring's"
+        );
     }
 
     #[test]
@@ -1712,13 +1629,10 @@ mod tests {
                 .with_async_refresh(32)
                 .with_max_batch(max_batch);
             let mut engine = ServeEngine::start(config, fd_factory).unwrap();
-            engine.submit_batch((0..300).map(wave)).unwrap();
-            let report = engine.finish().unwrap();
-            report
-                .scores_in_order()
-                .iter()
-                .map(|s| s.to_bits())
-                .collect()
+            engine
+                .submit_batch_rows_parallel(&waves(0..300), 1)
+                .unwrap();
+            score_bits(&engine.finish().unwrap())
         };
         let strict = run(1);
         assert_eq!(strict.len(), 300);
@@ -1728,12 +1642,12 @@ mod tests {
 
     #[test]
     fn batch_submit_conserves_under_drop_newest() {
-        let rows: Vec<Vec<f64>> = (0..5_000).map(wave).collect();
+        let rows = waves(0..5_000);
         let config = ServeConfig::new(1)
             .with_queue_capacity(1)
             .with_backpressure(BackpressurePolicy::DropNewest);
         let mut engine = ServeEngine::start(config, fd_factory).unwrap();
-        let outcome = engine.submit_batch_rows(&rows).unwrap();
+        let outcome = engine.submit_batch_rows_parallel(&rows, 1).unwrap();
         assert_eq!(outcome.submitted(), 5_000);
         let report = engine.finish().unwrap();
         assert_eq!(report.stats.total_processed, outcome.accepted);
@@ -1744,12 +1658,12 @@ mod tests {
 
     #[test]
     fn batch_submit_conserves_under_shed_oldest() {
-        let rows: Vec<Vec<f64>> = (0..5_000).map(wave).collect();
+        let rows = waves(0..5_000);
         let config = ServeConfig::new(1)
             .with_queue_capacity(2)
             .with_backpressure(BackpressurePolicy::ShedOldest);
         let mut engine = ServeEngine::start(config, fd_factory).unwrap();
-        let outcome = engine.submit_batch_rows(&rows).unwrap();
+        let outcome = engine.submit_batch_rows_parallel(&rows, 1).unwrap();
         // ShedOldest admits everything; losses surface as evictions.
         assert_eq!(outcome.accepted, 5_000);
         assert_eq!(outcome.dropped + outcome.rejected + outcome.shed, 0);
@@ -1767,7 +1681,7 @@ mod tests {
         rows[7] = vec![1.0, f64::NAN, 0.0, 0.0];
         rows[23] = vec![0.5; 3];
         let mut engine = ServeEngine::start(ServeConfig::new(2), fd_factory).unwrap();
-        let outcome = engine.submit_batch_rows(&rows).unwrap();
+        let outcome = engine.submit_batch_rows_parallel(&rows, 1).unwrap();
         assert_eq!(outcome.accepted, 38);
         assert_eq!(outcome.rejected, 2);
         let report = engine.finish().unwrap();
@@ -1783,7 +1697,7 @@ mod tests {
         let config = ServeConfig::new(1).with_snapshot_every(8);
         let mut engine = ServeEngine::start(config, fd_factory).unwrap();
         let scorer = engine.scorer(0, ScoreKind::ProjectionDistance);
-        engine.submit_batch((0..64).map(wave)).unwrap();
+        engine.submit_batch_rows_parallel(&waves(0..64), 1).unwrap();
         let report = engine.finish().unwrap();
         assert_eq!(report.stats.total_processed, 64);
         // After drain the final model is published.

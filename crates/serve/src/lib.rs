@@ -53,13 +53,13 @@
 //! * `shard` *(private)* — the supervised worker loop owning each detector,
 //!   plus the off-thread model refresher
 //!   ([`ServeConfig::with_async_refresh`]).
-//! * `ring` *(private)* — the lock-free SPSC ingest ring (the default
-//!   channel; seqlock-style per-slot counters, batch push/pop). The one
-//!   module in this crate allowed to use `unsafe`; its memory-ordering
-//!   contract is documented in the module and exercised under ASan in CI.
-//! * `queue` *(private)* — the bounded condvar job queue, retained as the
-//!   fallback channel for `ShedOldest` (sender-side eviction) and the
-//!   `legacy_ingest` comparison knob.
+//! * `ring` *(private)* — the lock-free SPSC ingest ring (the channel under
+//!   `Block` / `DropNewest`; seqlock-style per-slot counters, batch
+//!   push/pop). The one module in this crate allowed to use `unsafe`; its
+//!   memory-ordering contract is documented in the module and exercised
+//!   under ASan in CI.
+//! * `queue` *(private)* — the bounded condvar job queue, the channel under
+//!   `ShedOldest` (sender-side eviction).
 //! * [`quarantine`] — [`Quarantine`] / [`QuarantinedRow`] for refused input.
 //! * [`snapshot`] — [`SnapshotCell`] / [`SnapshotScorer`] read path.
 //! * [`stats`] — [`PipelineStats`], [`LatencyHistogram`], serializable.

@@ -1,35 +1,24 @@
-//! The bounded job queue between the submit path and a shard worker.
+//! The bounded job queue between the submit path and a shard worker under
+//! `ShedOldest` backpressure.
 //!
 //! `std::sync::mpsc` almost fits, but two fault-tolerance requirements rule
 //! it out: `ShedOldest` must evict the *oldest queued* job from the sender
 //! side, and jobs already queued must survive a worker panic so the
 //! restarted worker can take over the backlog (an mpsc `Receiver` dies with
 //! the thread that owns it). This is the classic bounded buffer instead —
-//! one mutex, two condvars — with explicit lifecycle flags:
+//! one mutex, one condvar (the producer never waits: a full queue evicts) —
+//! with explicit lifecycle flags:
 //!
 //! * `closed` — set by the engine at shutdown; the worker drains what is
 //!   queued and then sees `None` from [`JobQueue::pop_block`].
 //! * `dead` — set by the worker thread's [`DeathWatch`] guard if the
 //!   supervisor itself dies (it should never: every detector panic is
-//!   caught and handled). A dead queue refuses pushes instead of letting a
-//!   producer block forever on a queue nobody will ever drain.
+//!   caught and handled). A dead queue refuses pushes instead of growing a
+//!   backlog nobody will ever drain.
 
 use crate::shard::Job;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
-
-/// Why a push did not enqueue. The job is handed back so `DropNewest` can
-/// count it and error paths can report its sequence number.
-#[derive(Debug)]
-pub(crate) enum PushError {
-    /// The queue is at capacity (non-blocking pushes only).
-    Full(Job),
-    /// The worker died without closing the queue, or the queue was closed;
-    /// enqueuing would be a silent loss or an eternal block. The job rides
-    /// along for symmetry with `Full`; the engine's dead-shard path reports
-    /// the shard error instead of retrying the job.
-    Dead(#[allow(dead_code)] Job),
-}
 
 #[derive(Debug)]
 struct Inner {
@@ -44,7 +33,6 @@ pub(crate) struct JobQueue {
     inner: Mutex<Inner>,
     capacity: usize,
     not_empty: Condvar,
-    not_full: Condvar,
 }
 
 impl JobQueue {
@@ -57,7 +45,6 @@ impl JobQueue {
             }),
             capacity,
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
         }
     }
 
@@ -67,48 +54,14 @@ impl JobQueue {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Blocks while the queue is full (`Block` backpressure). Fails only on
-    /// a dead or closed queue.
-    pub(crate) fn push_block(&self, job: Job) -> Result<(), PushError> {
-        let mut inner = self.lock();
-        loop {
-            if inner.dead || inner.closed {
-                return Err(PushError::Dead(job));
-            }
-            if inner.jobs.len() < self.capacity {
-                break;
-            }
-            inner = self.not_full.wait(inner).unwrap_or_else(|e| e.into_inner());
-        }
-        inner.jobs.push_back(job);
-        drop(inner);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Non-blocking push (`DropNewest` backpressure, and the full-queue
-    /// probe the observing `Block` path uses to record blocked submissions).
-    pub(crate) fn try_push(&self, job: Job) -> Result<(), PushError> {
-        let mut inner = self.lock();
-        if inner.dead || inner.closed {
-            return Err(PushError::Dead(job));
-        }
-        if inner.jobs.len() >= self.capacity {
-            return Err(PushError::Full(job));
-        }
-        inner.jobs.push_back(job);
-        drop(inner);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
     /// Always-admitting push (`ShedOldest` backpressure): when full, the
     /// oldest queued job is evicted and returned so the caller can account
-    /// for it.
-    pub(crate) fn push_shed_oldest(&self, job: Job) -> Result<Option<Job>, PushError> {
+    /// for it. `Err` on a dead or closed queue: enqueuing would be a silent
+    /// loss.
+    pub(crate) fn push_shed_oldest(&self, job: Job) -> Result<Option<Job>, ()> {
         let mut inner = self.lock();
         if inner.dead || inner.closed {
-            return Err(PushError::Dead(job));
+            return Err(());
         }
         let evicted = if inner.jobs.len() >= self.capacity {
             inner.jobs.pop_front()
@@ -127,8 +80,6 @@ impl JobQueue {
         let mut inner = self.lock();
         loop {
             if let Some(job) = inner.jobs.pop_front() {
-                drop(inner);
-                self.not_full.notify_one();
                 return Some(job);
             }
             if inner.closed {
@@ -145,13 +96,7 @@ impl JobQueue {
     /// [`pop_batch`](Self::pop_batch) instead.
     #[cfg(test)]
     pub(crate) fn try_pop(&self) -> Option<Job> {
-        let mut inner = self.lock();
-        let job = inner.jobs.pop_front();
-        drop(inner);
-        if job.is_some() {
-            self.not_full.notify_one();
-        }
-        job
+        self.lock().jobs.pop_front()
     }
 
     /// Current queue length.
@@ -167,10 +112,6 @@ impl JobQueue {
         let mut inner = self.lock();
         let n = max.min(inner.jobs.len());
         out.extend(inner.jobs.drain(..n));
-        drop(inner);
-        if n > 0 {
-            self.not_full.notify_one();
-        }
         n
     }
 
@@ -180,24 +121,21 @@ impl JobQueue {
         inner.closed = true;
         drop(inner);
         self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 
-    /// Declares the consumer gone for good; blocked and future pushes fail
-    /// instead of waiting on a drain that will never come.
+    /// Declares the consumer gone for good; future pushes fail instead of
+    /// feeding a drain that will never come.
     pub(crate) fn mark_dead(&self) {
         let mut inner = self.lock();
         inner.dead = true;
         drop(inner);
         self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use std::time::Instant;
 
     fn job(seq: u64) -> Job {
@@ -212,23 +150,13 @@ mod tests {
     fn fifo_order_and_close_drain() {
         let q = JobQueue::new(4);
         for s in 0..3 {
-            q.push_block(job(s)).ok().unwrap();
+            q.push_shed_oldest(job(s)).unwrap();
         }
         q.close();
         assert_eq!(q.pop_block().unwrap().seq, 0);
         assert_eq!(q.pop_block().unwrap().seq, 1);
         assert_eq!(q.pop_block().unwrap().seq, 2);
         assert!(q.pop_block().is_none(), "closed and drained");
-    }
-
-    #[test]
-    fn try_push_full_hands_job_back() {
-        let q = JobQueue::new(1);
-        q.try_push(job(0)).ok().unwrap();
-        match q.try_push(job(1)) {
-            Err(PushError::Full(j)) => assert_eq!(j.seq, 1),
-            _ => panic!("expected Full"),
-        }
     }
 
     #[test]
@@ -244,17 +172,12 @@ mod tests {
     }
 
     #[test]
-    fn dead_queue_refuses_pushes_and_wakes_blocked_producer() {
-        let q = Arc::new(JobQueue::new(1));
-        q.push_block(job(0)).ok().unwrap();
-        let q2 = Arc::clone(&q);
-        let producer = std::thread::spawn(move || q2.push_block(job(1)).is_err());
-        // Give the producer a moment to block on the full queue, then kill
-        // the (never-started) consumer side.
-        std::thread::sleep(std::time::Duration::from_millis(20));
+    fn dead_queue_refuses_pushes() {
+        let q = JobQueue::new(1);
+        q.push_shed_oldest(job(0)).unwrap();
         q.mark_dead();
-        assert!(producer.join().unwrap(), "blocked push must fail, not hang");
-        assert!(matches!(q.try_push(job(2)), Err(PushError::Dead(_))));
+        assert!(q.push_shed_oldest(job(1)).is_err());
+        assert_eq!(q.len(), 1, "a refused push evicts nothing");
     }
 
     #[test]
@@ -262,8 +185,8 @@ mod tests {
         // The restart story: jobs enqueued before a worker panic are still
         // there for whoever picks the queue back up.
         let q = JobQueue::new(8);
-        q.push_block(job(7)).ok().unwrap();
-        q.push_block(job(8)).ok().unwrap();
+        q.push_shed_oldest(job(7)).unwrap();
+        q.push_shed_oldest(job(8)).unwrap();
         // (No consumer existed yet; a restarted one simply pops.)
         assert_eq!(q.pop_block().unwrap().seq, 7);
         assert_eq!(q.pop_block().unwrap().seq, 8);

@@ -3,20 +3,19 @@
 //! counters, plus the [`ShardChannel`] façade that lets the engine fall
 //! back to the condvar [`JobQueue`] where sender-side eviction is needed.
 //!
-//! ## Why a second channel
+//! ## Why two channels
 //!
-//! [`JobQueue`] (one mutex, two condvars) is correct for every backpressure
-//! policy, but its hot path takes a lock per job on both sides and wakes
-//! the peer through a condvar. At millions of points per second those two
-//! costs dominate the submit path. The ring replaces them with two atomic
-//! operations per slot and no syscalls in the common case; waiting sides
-//! spin briefly, then yield, then park on a timeout — no wakeup protocol,
-//! so neither side ever takes a lock.
+//! [`JobQueue`] (one mutex, one condvar) takes a lock per job on both sides
+//! and wakes the peer through a condvar. At millions of points per second
+//! those two costs dominate the submit path. The ring replaces them with
+//! two atomic operations per slot and no syscalls in the common case;
+//! waiting sides spin briefly, then yield, then park on a timeout — no
+//! wakeup protocol, so neither side ever takes a lock.
 //!
-//! The queue stays for two cases: `ShedOldest` backpressure (evicting the
+//! The channel follows the backpressure policy alone: `Block` and
+//! `DropNewest` run on the ring, `ShedOldest` on the queue (evicting the
 //! *oldest queued* job from the sender side needs shared access to the
-//! buffer interior, which the SPSC discipline forbids) and the
-//! `legacy_ingest` bench knob that measures the old path for comparison.
+//! buffer interior, which the SPSC discipline forbids).
 //!
 //! ## Memory-ordering contract
 //!
@@ -47,7 +46,7 @@
 
 #![allow(unsafe_code)]
 
-use crate::queue::{JobQueue, PushError};
+use crate::queue::JobQueue;
 use crate::shard::Job;
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
@@ -55,6 +54,20 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Why a single-job push did not enqueue; the job is handed back. The
+/// engine only ever pushes batches, so the single-job API (and this error)
+/// exists for the unit and stress tests that drive the slot protocol one
+/// job at a time.
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) enum PushError {
+    /// The ring is at capacity.
+    Full(Job),
+    /// The ring is dead or closed: enqueuing would be a silent loss or an
+    /// eternal spin.
+    Dead(Job),
+}
 
 /// Keeps the producer and consumer cursors on separate cache lines so the
 /// two sides do not false-share.
@@ -72,17 +85,14 @@ struct Slot {
 ///
 /// At most one thread pushes at a time and at most one thread pops at a
 /// time (the shard's worker thread; a restarted worker is the *same*
-/// thread, so the discipline survives panics). Two engine paths satisfy
-/// the producer side:
-///
-/// * the `&mut self` submit methods on `ServeEngine`, which serialize all
-///   producers through one exclusive borrow;
-/// * `submit_batch_rows_parallel`'s producer lanes, which partition shards
-///   by ownership — lane `p` of `P` is the unique pusher for every shard
-///   `s` with `s % P == p`, so each ring still sees exactly one producer
-///   thread for the whole scoped region. Lanes are joined (scope exit)
-///   before any other path may push again, and the join's happens-before
-///   edge hands the producer cursor to the next pusher.
+/// thread, so the discipline survives panics). The engine's one submit path
+/// satisfies the producer side: every submission holds the engine's `&mut
+/// self` for its whole duration, and within it the producer lanes partition
+/// shards by ownership — lane `p` of `P` is the unique pusher for every
+/// shard `s` with `s % P == p` (a single lane is the calling thread), so
+/// each ring sees exactly one producer thread for the whole scoped region.
+/// Lanes are joined (scope exit) before the next submission may push, and
+/// the join's happens-before edge hands the producer cursor on.
 ///
 /// `close` / `mark_dead` / `len` are safe from any thread.
 pub(crate) struct SpscRing {
@@ -152,6 +162,7 @@ impl SpscRing {
     }
 
     /// Non-blocking push (producer side only).
+    #[cfg(test)]
     pub(crate) fn try_push(&self, job: Job) -> Result<(), PushError> {
         if self.dead.load(Ordering::Acquire) || self.closed.load(Ordering::Acquire) {
             return Err(PushError::Dead(job));
@@ -170,8 +181,9 @@ impl SpscRing {
         Ok(())
     }
 
-    /// Blocking push (`Block` backpressure): spins/parks while full, fails
-    /// only on a dead or closed ring.
+    /// Blocking push: spins/parks while full, fails only on a dead or closed
+    /// ring.
+    #[cfg(test)]
     pub(crate) fn push_block(&self, mut job: Job) -> Result<(), PushError> {
         let mut backoff = Backoff::new();
         loop {
@@ -181,7 +193,7 @@ impl SpscRing {
                     job = j;
                     backoff.snooze();
                 }
-                Err(dead) => return Err(dead),
+                Err(PushError::Dead(job)) => return Err(PushError::Dead(job)),
             }
         }
     }
@@ -309,59 +321,47 @@ impl Drop for SpscRing {
     }
 }
 
-/// The channel between the engine's submit path and one shard worker:
-/// either the lock-free [`SpscRing`] (the default) or the condvar
-/// [`JobQueue`] fallback (`ShedOldest` backpressure, `legacy_ingest`).
+/// The channel between the engine's submit path and one shard worker,
+/// chosen by backpressure policy: the lock-free [`SpscRing`] under `Block`
+/// and `DropNewest`, the condvar [`JobQueue`] under `ShedOldest`.
 pub(crate) enum ShardChannel {
     /// Lock-free fast path (`Block` / `DropNewest` backpressure).
     Ring(SpscRing),
-    /// Condvar fallback: sender-side eviction and the legacy bench knob.
+    /// Condvar queue with sender-side eviction (`ShedOldest`).
     Queue(JobQueue),
 }
 
 impl ShardChannel {
+    #[cfg(test)]
     pub(crate) fn push_block(&self, job: Job) -> Result<(), PushError> {
         match self {
             Self::Ring(r) => r.push_block(job),
-            Self::Queue(q) => q.push_block(job),
+            Self::Queue(_) => unreachable!("single-job pushes are ring-only"),
         }
     }
 
+    #[cfg(test)]
     pub(crate) fn try_push(&self, job: Job) -> Result<(), PushError> {
         match self {
             Self::Ring(r) => r.try_push(job),
-            Self::Queue(q) => q.try_push(job),
+            Self::Queue(_) => unreachable!("single-job pushes are ring-only"),
         }
     }
 
     /// Moves as many jobs as currently fit from the front of `jobs` into
-    /// the channel — one slot reservation on the ring, per-job pushes on
-    /// the queue — returning the number pushed. `Err` means the channel is
-    /// dead or closed (unpushed jobs stay in `jobs` for rollback).
+    /// the ring under one slot reservation, returning the number pushed.
+    /// `Err` means the channel is dead or closed (unpushed jobs stay in
+    /// `jobs` for rollback).
     pub(crate) fn try_push_batch(&self, jobs: &mut VecDeque<Job>) -> Result<u64, ()> {
         match self {
             Self::Ring(r) => r.try_push_batch(jobs),
-            Self::Queue(q) => {
-                let mut n = 0;
-                while let Some(job) = jobs.pop_front() {
-                    match q.try_push(job) {
-                        Ok(()) => n += 1,
-                        Err(PushError::Full(job)) => {
-                            jobs.push_front(job);
-                            break;
-                        }
-                        Err(PushError::Dead(job)) => {
-                            jobs.push_front(job);
-                            return Err(());
-                        }
-                    }
-                }
-                Ok(n)
-            }
+            Self::Queue(_) => unreachable!("Block and DropNewest always run on the ring channel"),
         }
     }
 
-    pub(crate) fn push_shed_oldest(&self, job: Job) -> Result<Option<Job>, PushError> {
+    /// Always-admitting push: a full queue evicts and returns its oldest
+    /// job. `Err` means the channel is dead or closed.
+    pub(crate) fn push_shed_oldest(&self, job: Job) -> Result<Option<Job>, ()> {
         match self {
             // Sender-side eviction needs shared access to the buffer
             // interior; the engine always pairs ShedOldest with the queue.

@@ -78,19 +78,11 @@ pub(crate) struct ShardShared {
 }
 
 impl ShardShared {
-    /// Reserves a queue slot in the depth accounting. Called **before** the
-    /// actual enqueue — the worker may drain the job (and decrement) at any
-    /// moment after the send, so incrementing afterwards could underflow.
-    pub(crate) fn reserve_slot(&self) {
-        let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.high_water.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Batched form of [`reserve_slot`](Self::reserve_slot): one depth bump
-    /// and one high-water update for a whole staged group. The depth count
-    /// stays exact; only the high-water mark coarsens to group granularity
-    /// (metrics-only — the per-row path would have observed intermediate
-    /// depths the worker may already have drained past anyway).
+    /// Reserves `n` queue slots in the depth accounting: one depth bump and
+    /// one high-water update for a whole staged group. Called **before**
+    /// the actual enqueue — the worker may drain a job (and decrement) at
+    /// any moment after the send, so incrementing afterwards could
+    /// underflow.
     pub(crate) fn reserve_slots(&self, n: usize) {
         let depth = self.depth.fetch_add(n, Ordering::Relaxed) + n;
         self.high_water.fetch_max(depth, Ordering::Relaxed);
@@ -282,7 +274,7 @@ pub(crate) fn run_supervised(
                 // next open restores without replay.
                 publish_snapshot(cfg.shard, detector.as_ref(), &shared, &recorder);
                 if let Some(s) = store.as_mut() {
-                    checkpoint(&cfg, s, detector.as_ref(), &recorder);
+                    checkpoint(s, detector.as_ref(), &recorder);
                     let _ = s.flush();
                 }
                 break;
@@ -339,16 +331,16 @@ pub(crate) fn run_supervised(
     }
 }
 
-/// Drains jobs until the channel closes. With `max_batch > 1` the worker
-/// micro-batches: after blocking for one job it opportunistically drains up
-/// to `max_batch − 1` already-queued jobs (one batch pop on the ring) and
+/// Drains jobs until the channel closes, one micro-batch at a time: after
+/// blocking for one job the worker opportunistically drains up to
+/// `max_batch − 1` already-queued jobs (one batch pop on the ring) and
 /// scores the group through [`StreamingDetector::process_batch`], whose
 /// blocked `V_kᵀY` kernel yields scores bitwise identical to per-point
-/// processing. Under async refresh a micro-batch is additionally clamped so
-/// it never crosses a `refresh_every` boundary — adoption points stay a
-/// pure function of the point stream. Instrumented workers always run per
-/// point so recorded span and gauge counts match the per-point contract
-/// exactly.
+/// processing (`max_batch = 1` is a budget of one). Under async refresh a
+/// micro-batch is additionally clamped so it never crosses a
+/// `refresh_every` boundary — adoption points stay a pure function of the
+/// point stream. An attached recorder samples the depth gauges once per
+/// micro-batch and the queue-wait histogram once per job.
 #[allow(clippy::too_many_arguments)]
 fn drain(
     cfg: &WorkerConfig,
@@ -361,107 +353,81 @@ fn drain(
     refresher: &mut Option<Refresher>,
 ) {
     let observing = recorder.enabled();
-    if observing || cfg.max_batch <= 1 {
-        while let Some(job) = channel.pop_block() {
-            let depth_after = shared.depth.fetch_sub(1, Ordering::Relaxed) - 1;
-            // Write-ahead: the row is on disk before the detector sees it,
-            // so a crash between log and score replays it on recovery.
-            log_row(store, &job.point);
-            state.in_flight = 1;
-            let score = detector.process(&job.point);
-            state.in_flight = 0;
-            let processed = shared.processed.fetch_add(1, Ordering::Relaxed) + 1;
-            let waited = job.enqueued.elapsed();
-            state.latency.record(waited);
-            state.scores.push((job.seq, score));
-            if observing {
-                recorder.gauge(Gauge::QueueDepth, depth_after as f64);
-                if let Some(depth) = channel.ring_depth() {
-                    recorder.gauge(Gauge::RingDepth, depth as f64);
-                }
-                recorder.record_hist(Hist::SubmitLatency, waited.as_nanos() as u64);
+    // Reused across batches: the only steady-state allocations left are
+    // the point vectors themselves, owned by the submitter.
+    let mut batch_jobs: Vec<Job> = Vec::with_capacity(cfg.max_batch);
+    let mut batch_points: Vec<Vec<f64>> = Vec::with_capacity(cfg.max_batch);
+    let mut batch_meta: Vec<(u64, Instant)> = Vec::with_capacity(cfg.max_batch);
+    let mut batch_scores: Vec<f64> = Vec::with_capacity(cfg.max_batch);
+    while let Some(job) = channel.pop_block() {
+        let before = shared.processed.load(Ordering::Relaxed);
+        // Clamp to the next refresh boundary so no batch straddles one.
+        let budget = match refresher {
+            Some(_) => {
+                let to_boundary = cfg.refresh_every - (before % cfg.refresh_every);
+                (cfg.max_batch as u64).min(to_boundary) as usize
             }
-            if let Some(r) = refresher.as_mut() {
-                if processed.is_multiple_of(cfg.refresh_every) {
-                    r.at_boundary(detector, shared, recorder);
-                }
-            }
-            if cfg.snapshot_every > 0 && processed.is_multiple_of(cfg.snapshot_every) {
-                publish_snapshot(cfg.shard, detector, shared, recorder);
-            }
-            if let Some(s) = store.as_mut() {
-                if cfg.checkpoint_every > 0 && processed.is_multiple_of(cfg.checkpoint_every) {
-                    checkpoint(cfg, s, detector, recorder);
-                }
+            None => cfg.max_batch,
+        };
+        batch_points.clear();
+        batch_meta.clear();
+        batch_meta.push((job.seq, job.enqueued));
+        batch_points.push(job.point);
+        if batch_points.len() < budget {
+            batch_jobs.clear();
+            channel.pop_batch(&mut batch_jobs, budget - batch_points.len());
+            for job in batch_jobs.drain(..) {
+                batch_meta.push((job.seq, job.enqueued));
+                batch_points.push(job.point);
             }
         }
-    } else {
-        // Reused across batches: the only steady-state allocations left are
-        // the point vectors themselves, owned by the submitter.
-        let mut batch_jobs: Vec<Job> = Vec::with_capacity(cfg.max_batch);
-        let mut batch_points: Vec<Vec<f64>> = Vec::with_capacity(cfg.max_batch);
-        let mut batch_meta: Vec<(u64, Instant)> = Vec::with_capacity(cfg.max_batch);
-        let mut batch_scores: Vec<f64> = Vec::with_capacity(cfg.max_batch);
-        while let Some(job) = channel.pop_block() {
-            let before = shared.processed.load(Ordering::Relaxed);
-            // Clamp to the next refresh boundary so no batch straddles one.
-            let budget = match refresher {
-                Some(_) => {
-                    let to_boundary = cfg.refresh_every - (before % cfg.refresh_every);
-                    (cfg.max_batch as u64).min(to_boundary) as usize
-                }
-                None => cfg.max_batch,
-            };
-            batch_points.clear();
-            batch_meta.clear();
-            batch_meta.push((job.seq, job.enqueued));
-            batch_points.push(job.point);
-            if batch_points.len() < budget {
-                batch_jobs.clear();
-                channel.pop_batch(&mut batch_jobs, budget - batch_points.len());
-                for job in batch_jobs.drain(..) {
-                    batch_meta.push((job.seq, job.enqueued));
-                    batch_points.push(job.point);
-                }
+        let n = batch_points.len() as u64;
+        let depth_before = shared.depth.fetch_sub(n as usize, Ordering::Relaxed);
+        if observing {
+            recorder.gauge(Gauge::QueueDepth, (depth_before - n as usize) as f64);
+            if let Some(depth) = channel.ring_depth() {
+                recorder.gauge(Gauge::RingDepth, depth as f64);
             }
-            let n = batch_points.len() as u64;
-            shared.depth.fetch_sub(n as usize, Ordering::Relaxed);
-            // Write-ahead for the whole micro-batch before any scoring: a
-            // crash mid-batch replays every logged row on recovery.
-            for point in &batch_points {
-                log_row(store, point);
+        }
+        // Write-ahead for the whole micro-batch before any scoring: a
+        // crash mid-batch replays every logged row on recovery.
+        for point in &batch_points {
+            log_row(store, point);
+        }
+        state.in_flight = n;
+        detector.process_batch(&batch_points, &mut batch_scores);
+        state.in_flight = 0;
+        let before = shared.processed.fetch_add(n, Ordering::Relaxed);
+        // One clock read per micro-batch: queue latency is measured at
+        // drain granularity, like the submit side stamps one `enqueued`
+        // per staged batch (metrics-only accounting, scores unaffected).
+        let drained = Instant::now();
+        for (&(seq, enqueued), &score) in batch_meta.iter().zip(batch_scores.iter()) {
+            let waited = drained.duration_since(enqueued);
+            state.latency.record(waited);
+            state.scores.push((seq, score));
+            if observing {
+                recorder.record_hist(Hist::SubmitLatency, waited.as_nanos() as u64);
             }
-            state.in_flight = n;
-            detector.process_batch(&batch_points, &mut batch_scores);
-            state.in_flight = 0;
-            let before = shared.processed.fetch_add(n, Ordering::Relaxed);
-            // One clock read per micro-batch: queue latency is measured at
-            // drain granularity, like the submit side stamps one `enqueued`
-            // per staged batch (metrics-only accounting, scores unaffected).
-            let drained = Instant::now();
-            for (&(seq, enqueued), &score) in batch_meta.iter().zip(batch_scores.iter()) {
-                state.latency.record(drained.duration_since(enqueued));
-                state.scores.push((seq, score));
+        }
+        if let Some(r) = refresher.as_mut() {
+            // The clamp above means crossing ⇔ landing exactly on it.
+            if (before + n).is_multiple_of(cfg.refresh_every) {
+                r.at_boundary(detector, shared, recorder);
             }
-            if let Some(r) = refresher.as_mut() {
-                // The clamp above means crossing ⇔ landing exactly on it.
-                if (before + n).is_multiple_of(cfg.refresh_every) {
-                    r.at_boundary(detector, shared, recorder);
-                }
-            }
-            // Publish when the batch crossed a `snapshot_every` boundary —
-            // same cadence (one publish per period) as the per-point loop.
-            if cfg.snapshot_every > 0
-                && before / cfg.snapshot_every != (before + n) / cfg.snapshot_every
+        }
+        // Publish when the batch crossed a `snapshot_every` boundary: one
+        // publish per period, whatever the batch sizes.
+        if cfg.snapshot_every > 0
+            && before / cfg.snapshot_every != (before + n) / cfg.snapshot_every
+        {
+            publish_snapshot(cfg.shard, detector, shared, recorder);
+        }
+        if let Some(s) = store.as_mut() {
+            if cfg.checkpoint_every > 0
+                && before / cfg.checkpoint_every != (before + n) / cfg.checkpoint_every
             {
-                publish_snapshot(cfg.shard, detector, shared, recorder);
-            }
-            if let Some(s) = store.as_mut() {
-                if cfg.checkpoint_every > 0
-                    && before / cfg.checkpoint_every != (before + n) / cfg.checkpoint_every
-                {
-                    checkpoint(cfg, s, detector, recorder);
-                }
+                checkpoint(s, detector, recorder);
             }
         }
     }
@@ -512,21 +478,13 @@ fn log_row(store: &mut Option<StateStore>, point: &[f64]) {
 /// Serializes the detector and cuts a durable checkpoint. Detectors without
 /// a persistence path (`save_state` → `false`) simply skip checkpointing —
 /// their WAL is never rotated, so recovery replays the entire log instead.
-fn checkpoint(
-    cfg: &WorkerConfig,
-    store: &mut StateStore,
-    detector: &dyn StreamingDetector,
-    recorder: &RecorderHandle,
-) {
+fn checkpoint(store: &mut StateStore, detector: &dyn StreamingDetector, recorder: &RecorderHandle) {
     let mut payload = Vec::new();
     if !detector.save_state(&mut payload) {
         return;
     }
-    if let Ok(generation) = store.checkpoint(&payload) {
-        if recorder.enabled() {
-            recorder.incr(Counter::CheckpointsWritten, 1);
-            let _ = (cfg.shard, generation);
-        }
+    if store.checkpoint(&payload).is_ok() && recorder.enabled() {
+        recorder.incr(Counter::CheckpointsWritten, 1);
     }
 }
 
@@ -552,5 +510,101 @@ fn publish_snapshot(
         });
     } else {
         cell.publish(Arc::new(model.clone()));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ring::SpscRing;
+    use sketchad_obs::{MetricsRecorder, Recorder};
+    use std::collections::VecDeque;
+
+    /// Scores each row with its first component and remembers the slice
+    /// lengths `process_batch` was handed.
+    #[derive(Default)]
+    struct CountingDetector {
+        processed: u64,
+        batch_lens: Vec<usize>,
+    }
+
+    impl StreamingDetector for CountingDetector {
+        fn dim(&self) -> usize {
+            1
+        }
+        fn process(&mut self, y: &[f64]) -> f64 {
+            self.processed += 1;
+            y[0]
+        }
+        fn processed(&self) -> u64 {
+            self.processed
+        }
+        fn is_warmed_up(&self) -> bool {
+            true
+        }
+        fn name(&self) -> String {
+            "counting".into()
+        }
+        fn process_batch(&mut self, ys: &[Vec<f64>], out: &mut Vec<f64>) {
+            self.batch_lens.push(ys.len());
+            out.clear();
+            out.extend(ys.iter().map(|y| self.process(y)));
+        }
+    }
+
+    #[test]
+    fn observed_worker_drains_in_micro_batches() {
+        const N: usize = 200;
+        let channel = ShardChannel::Ring(SpscRing::new(256));
+        let mut jobs: VecDeque<Job> = (0..N as u64)
+            .map(|seq| Job {
+                seq,
+                point: vec![seq as f64],
+                enqueued: Instant::now(),
+            })
+            .collect();
+        assert_eq!(channel.try_push_batch(&mut jobs), Ok(N as u64));
+        channel.close();
+        let shared = ShardShared::default();
+        shared.reserve_slots(N);
+        let metrics = Arc::new(MetricsRecorder::new());
+        let recorder = RecorderHandle::from(Arc::clone(&metrics) as Arc<dyn Recorder>);
+        assert!(recorder.enabled());
+        let cfg = WorkerConfig {
+            shard: 0,
+            snapshot_every: 0,
+            max_batch: 64,
+            max_restarts: 0,
+            checkpoint_every: 0,
+            refresh_every: 0,
+        };
+        let mut detector = CountingDetector::default();
+        let mut state = WorkerState {
+            scores: Vec::new(),
+            latency: LatencyHistogram::new(),
+            in_flight: 0,
+        };
+        drain(
+            &cfg,
+            &channel,
+            &mut detector,
+            &shared,
+            &recorder,
+            &mut state,
+            &mut None,
+            &mut None,
+        );
+
+        // An observed worker micro-batches like any other: the pre-filled
+        // channel comes out in full `max_batch` groups.
+        assert_eq!(detector.batch_lens, vec![64, 64, 64, 8]);
+        let expected: Vec<(u64, f64)> = (0..N as u64).map(|seq| (seq, seq as f64)).collect();
+        assert_eq!(state.scores, expected, "every score, in order");
+        assert_eq!(shared.depth.load(Ordering::Relaxed), 0);
+        // Depth gauges once per micro-batch, queue-wait once per job.
+        let obs = metrics.snapshot();
+        assert_eq!(obs.gauge("queue_depth").unwrap().samples, 4);
+        assert_eq!(obs.gauge("ring_depth").unwrap().samples, 4);
+        assert_eq!(obs.hist("submit_latency").unwrap().count(), N as u64);
     }
 }

@@ -5,24 +5,13 @@ use serde::{Deserialize, Serialize};
 use sketchad_obs::ObsReport;
 
 /// The end-to-end latency histogram is the obs crate's HDR-style
-/// [`LogHistogram`](sketchad_obs::LogHistogram) as of stats v3: per-octave
-/// sub-buckets give p50/p90/p99/p999 at ≤3% relative error, and
-/// out-of-range observations land in an explicit `overflow` field instead
-/// of being folded into the last bucket. Legacy (v≤2) artifacts — plain
-/// `{"counts": [...], "total": n}` — deserialize into the same type and
-/// are interpreted under the original one-bucket-per-octave scheme.
+/// [`LogHistogram`](sketchad_obs::LogHistogram): per-octave sub-buckets
+/// give p50/p90/p99/p999 at ≤3% relative error, and out-of-range
+/// observations land in an explicit `overflow` field instead of being
+/// folded into the last bucket.
 pub type LatencyHistogram = sketchad_obs::LogHistogram;
 
-/// Schema version written into [`PipelineStats::stats_version`]. Artifacts
-/// predating the field deserialize with version `0` (every new field is
-/// `#[serde(default)]`, so they remain readable).
-///
-/// * `0` — legacy artifacts, before versioning existed.
-/// * `2` — fault-tolerance accounting: per-shard and total
-///   `rejected` / `shed` / `crash_lost` / `restarts`, `degraded` flags.
-/// * `3` — log-bucketed latency histogram with sub-octave resolution and
-///   an explicit `overflow` count; `latency_p90_us` / `latency_p999_us`
-///   summary quantiles.
+/// Schema version written into [`PipelineStats::stats_version`].
 pub const STATS_VERSION: u32 = 3;
 
 /// Final counters for one shard.
@@ -37,29 +26,22 @@ pub struct ShardStats {
     /// Highest queue depth observed (approximate; sampled at enqueue).
     pub queue_high_water: usize,
     /// Rows routed here that input validation refused (quarantined).
-    #[serde(default)]
     pub rejected: u64,
     /// Updates shed: `ShedOldest` evictions, read-only refusals, and jobs a
     /// degraded shard drained without scoring.
-    #[serde(default)]
     pub shed: u64,
     /// Points consumed from the queue but unscored when the worker panicked.
-    #[serde(default)]
     pub crash_lost: u64,
     /// Times the worker was restarted from its last published snapshot.
-    #[serde(default)]
     pub restarts: u64,
     /// Whether the shard exhausted its restart budget and degraded to
     /// shed-with-count.
-    #[serde(default)]
     pub degraded: bool,
     /// WAL rows replayed into this shard's detector during warm restart
     /// (0 for engines without a state directory, or for cold starts).
-    #[serde(default)]
     pub replayed: u64,
     /// Generation of the durable snapshot this shard was restored from
     /// (0 when no snapshot existed — cold start or WAL-only recovery).
-    #[serde(default)]
     pub recovered_generation: u64,
 }
 
@@ -68,8 +50,7 @@ pub struct ShardStats {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineStats {
     /// Artifact schema version ([`STATS_VERSION`] when written by this
-    /// build; `0` when read back from an artifact that predates the field).
-    #[serde(default)]
+    /// build).
     pub stats_version: u32,
     /// Per-shard final counters.
     pub shards: Vec<ShardStats>,
@@ -78,26 +59,19 @@ pub struct PipelineStats {
     /// Sum of per-shard `dropped`.
     pub total_dropped: u64,
     /// Sum of per-shard `rejected` (quarantined rows).
-    #[serde(default)]
     pub total_rejected: u64,
     /// Sum of per-shard `shed`.
-    #[serde(default)]
     pub total_shed: u64,
     /// Sum of per-shard `crash_lost`.
-    #[serde(default)]
     pub total_crash_lost: u64,
     /// Sum of per-shard worker `restarts`.
-    #[serde(default)]
     pub total_restarts: u64,
     /// Indices of shards that degraded (restart budget exhausted).
-    #[serde(default)]
     pub degraded_shards: Vec<usize>,
     /// Sum of per-shard `replayed` WAL rows (warm restarts only).
-    #[serde(default)]
     pub total_replayed: u64,
     /// Indices of shards that warm-restarted from durable state (restored
     /// a snapshot and/or replayed WAL rows).
-    #[serde(default)]
     pub recovered_shards: Vec<usize>,
     /// End-to-end (enqueue → scored) latency over all shards.
     pub latency: LatencyHistogram,
@@ -105,15 +79,13 @@ pub struct PipelineStats {
     /// 0 when nothing was processed).
     pub latency_p50_us: f64,
     /// 90th-percentile end-to-end latency in microseconds (bucket upper
-    /// bound; 0 when nothing was processed; absent in pre-v3 artifacts).
-    #[serde(default)]
+    /// bound; 0 when nothing was processed).
     pub latency_p90_us: f64,
     /// 99th-percentile end-to-end latency in microseconds (bucket upper
     /// bound; 0 when nothing was processed).
     pub latency_p99_us: f64,
     /// 99.9th-percentile end-to-end latency in microseconds (bucket upper
-    /// bound; 0 when nothing was processed; absent in pre-v3 artifacts).
-    #[serde(default)]
+    /// bound; 0 when nothing was processed).
     pub latency_p999_us: f64,
     /// Merged per-shard observability report (spans, counters, gauges,
     /// events). `None` for engines started without instrumentation
@@ -263,47 +235,6 @@ mod tests {
         let json = serde_json::to_string(&stats).unwrap();
         let back: PipelineStats = serde_json::from_str(&json).unwrap();
         assert_eq!(back, stats);
-    }
-
-    #[test]
-    fn legacy_artifacts_without_fault_fields_still_parse() {
-        // A verbatim pre-fault-tolerance artifact shape: no stats_version,
-        // no rejected/shed/crash_lost/restarts/degraded anywhere. Old
-        // `results/` JSON must stay readable by new builds.
-        let legacy = r#"{
-            "shards": [
-                {"shard": 0, "processed": 7, "dropped": 1, "queue_high_water": 3}
-            ],
-            "total_processed": 7,
-            "total_dropped": 1,
-            "latency": {"counts": [0, 2, 5], "total": 7},
-            "latency_p50_us": 1.5,
-            "latency_p99_us": 2.0,
-            "obs": null
-        }"#;
-        let stats: PipelineStats = serde_json::from_str(legacy).unwrap();
-        assert_eq!(stats.stats_version, 0, "legacy artifacts read as v0");
-        assert_eq!(stats.total_processed, 7);
-        // The histogram parsed into the v3 type under the legacy scheme:
-        // counts interpreted as one bucket per octave, no overflow.
-        assert_eq!(stats.latency.sub_bits(), 0);
-        assert_eq!(stats.latency.overflow(), 0);
-        assert_eq!(stats.latency.count(), 7);
-        assert_eq!(
-            stats.latency.quantile(1.0),
-            Some(Duration::from_nanos(8)),
-            "legacy bucket 2 covers [4, 8)"
-        );
-        assert_eq!(stats.latency_p90_us, 0.0, "pre-v3 quantiles default");
-        assert_eq!(stats.total_rejected, 0);
-        assert_eq!(stats.total_shed, 0);
-        assert_eq!(stats.total_crash_lost, 0);
-        assert_eq!(stats.total_restarts, 0);
-        assert!(stats.degraded_shards.is_empty());
-        let shard = &stats.shards[0];
-        assert_eq!(shard.processed, 7);
-        assert_eq!(shard.rejected, 0);
-        assert!(!shard.degraded);
     }
 
     #[test]

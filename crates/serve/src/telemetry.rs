@@ -21,10 +21,11 @@
 //! carries `conservation_lag` (submitted minus everything accounted for,
 //! including in-queue depth) together with `conservation_ok`, which is
 //! `1.0` while the lag stays inside the race window
-//! `shards × (max_batch + 1) + 1` — each worker can be mid-batch, each
-//! shard can have one reserved-but-unsent slot, and one submission can be
-//! mid-flight. The final frame (taken after the workers join) must have a
-//! lag of exactly zero, and the stress tests check it does.
+//! `shards × (max_batch + 1) + in-flight rows` — each worker can be
+//! mid-batch, each shard can have one reserved-but-unsent slot, and the
+//! submit call in flight has claimed its whole batch in `submitted` before
+//! staging the first row. The final frame (taken after the workers join)
+//! must have a lag of exactly zero, and the stress tests check it does.
 
 use crate::shard::ShardShared;
 use sketchad_obs::{
@@ -33,7 +34,10 @@ use sketchad_obs::{
 };
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{
+    AtomicU64,
+    Ordering::{Acquire, Relaxed},
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -178,10 +182,12 @@ pub(crate) struct EngineProbe {
     pub shards: Vec<Arc<ShardShared>>,
     pub recorders: Vec<Option<Arc<MetricsRecorder>>>,
     pub submitted: Arc<AtomicU64>,
+    /// Row count of the submit call in flight (0 between calls).
+    pub in_flight: Arc<AtomicU64>,
     pub started: Instant,
-    /// Allowed |conservation_lag| on a live sample: one in-flight batch per
-    /// worker, one reserved slot per shard, one mid-flight submission.
-    pub slack_limit: i64,
+    /// Allowed |conservation_lag| on a live sample besides the in-flight
+    /// rows: one micro-batch per worker, one reserved slot per shard.
+    pub slack_limit: u64,
 }
 
 impl EngineProbe {
@@ -195,8 +201,12 @@ impl EngineProbe {
         // Read the global submission counter *before* the per-shard
         // counters: anything submitted after this instant only makes the
         // accounted side larger, keeping the live lag one-sided-ish within
-        // the documented slack either way.
-        let submitted = self.submitted.load(Relaxed);
+        // the documented slack either way. The in-flight row count is read
+        // in between: a claim visible in `submitted` (Acquire pairs with
+        // the engine's Release) is either still in flight here or was fully
+        // accounted before the engine cleared it.
+        let submitted = self.submitted.load(Acquire);
+        let in_flight = self.in_flight.load(Acquire);
         let (mut processed, mut dropped, mut rejected) = (0u64, 0u64, 0u64);
         let (mut shed, mut crash_lost, mut restarts) = (0u64, 0u64, 0u64);
         let (mut depth, mut high_water, mut degraded) = (0u64, 0u64, 0u64);
@@ -231,7 +241,7 @@ impl EngineProbe {
         frame.gauges.insert("conservation_lag".into(), lag as f64);
         frame.gauges.insert(
             "conservation_ok".into(),
-            f64::from(u8::from(lag.abs() <= self.slack_limit)),
+            f64::from(u8::from(lag.unsigned_abs() <= self.slack_limit + in_flight)),
         );
         // Instrumented engines also surface the recorder tier: merged
         // counters (events_dropped, snapshots_published, updates_skipped,
@@ -280,11 +290,12 @@ impl EngineProbe {
 mod tests {
     use super::*;
 
-    fn probe_with(shards: Vec<Arc<ShardShared>>, submitted: u64, slack: i64) -> EngineProbe {
+    fn probe_with(shards: Vec<Arc<ShardShared>>, submitted: u64, slack: u64) -> EngineProbe {
         EngineProbe {
             shards,
             recorders: Vec::new(),
             submitted: Arc::new(AtomicU64::new(submitted)),
+            in_flight: Arc::new(AtomicU64::new(0)),
             started: Instant::now(),
             slack_limit: slack,
         }
@@ -312,6 +323,22 @@ mod tests {
         let frame = probe_with(vec![shard], 100, 3).frame(0);
         assert_eq!(frame.gauge("conservation_lag"), Some(90.0));
         assert_eq!(frame.gauge("conservation_ok"), Some(0.0));
+    }
+
+    #[test]
+    fn rows_of_the_submit_in_flight_widen_the_slack() {
+        // A batch claimed up front and still being staged: 5 000 of its
+        // rows are in `submitted` and nowhere else yet.
+        let shard = Arc::new(ShardShared::default());
+        shard.processed.store(10_000, Relaxed);
+        let probe = probe_with(vec![shard], 15_000, 3);
+        probe.in_flight.store(8_192, Relaxed);
+        let frame = probe.frame(0);
+        assert_eq!(frame.gauge("conservation_lag"), Some(5_000.0));
+        assert_eq!(frame.gauge("conservation_ok"), Some(1.0));
+        // The same lag with no submit in flight is a real violation.
+        probe.in_flight.store(0, Relaxed);
+        assert_eq!(probe.frame(1).gauge("conservation_ok"), Some(0.0));
     }
 
     #[test]

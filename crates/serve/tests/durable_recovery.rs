@@ -37,6 +37,10 @@ fn row(i: u64) -> Vec<f64> {
         .collect()
 }
 
+fn rows(range: std::ops::Range<u64>) -> Vec<Vec<f64>> {
+    range.map(row).collect()
+}
+
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("skad-serve-rec-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
@@ -73,7 +77,9 @@ fn persistent_config(state_dir: &Path) -> ServeConfig {
 fn control_scores() -> Vec<f64> {
     let mut engine =
         ServeEngine::start(ServeConfig::new(1).with_max_batch(8), factory).expect("control start");
-    engine.submit_batch((0..TOTAL).map(row)).expect("submit");
+    engine
+        .submit_batch_rows_parallel(&rows(0..TOTAL), 1)
+        .expect("submit");
     engine.finish().expect("drain").scores_in_order()
 }
 
@@ -84,7 +90,9 @@ fn control_scores() -> Vec<f64> {
 fn run_then_crash(state_dir: &Path) -> Vec<f64> {
     let mut engine =
         ServeEngine::open_or_recover(persistent_config(state_dir), factory).expect("start");
-    engine.submit_batch((0..CRASH_AT).map(row)).expect("submit");
+    engine
+        .submit_batch_rows_parallel(&rows(0..CRASH_AT), 1)
+        .expect("submit");
     let scores = engine.finish().expect("drain").scores_in_order();
 
     let shard = durable::shard_dir(state_dir, 0);
@@ -128,7 +136,7 @@ fn kill_mid_stream_then_recover_matches_uncrashed_control() {
     let mut engine =
         ServeEngine::open_or_recover(persistent_config(&state_dir), factory).expect("recover");
     let outcome = engine
-        .submit_batch((CRASH_AT..TOTAL).map(row))
+        .submit_batch_rows_parallel(&rows(CRASH_AT..TOTAL), 1)
         .expect("submit tail");
     let report = engine.finish().expect("drain");
 
@@ -181,7 +189,7 @@ fn double_recovery_from_same_damage_is_bitwise_identical() {
         let mut engine =
             ServeEngine::open_or_recover(persistent_config(dir), factory).expect("recover");
         engine
-            .submit_batch((CRASH_AT..TOTAL).map(row))
+            .submit_batch_rows_parallel(&rows(CRASH_AT..TOTAL), 1)
             .expect("submit");
         let report = engine.finish().expect("drain");
         (
@@ -226,20 +234,24 @@ fn two_shard_recovery_aggregates_counters_and_preserves_scores() {
     };
 
     let mut control = ServeEngine::start(config(None), factory).expect("control");
-    control.submit_batch((0..TOTAL).map(row)).expect("submit");
+    control
+        .submit_batch_rows_parallel(&rows(0..TOTAL), 1)
+        .expect("submit");
     let control_scores = control.finish().expect("drain").scores_in_order();
 
     let state_dir = temp_dir("two-shard");
     let mut first = ServeEngine::open_or_recover(config(Some(&state_dir)), factory).expect("start");
     // CRASH_AT is even, so both shards stop on a round-robin boundary and
     // the reopened engine's round-robin cursor realigns with the control.
-    first.submit_batch((0..CRASH_AT).map(row)).expect("submit");
+    first
+        .submit_batch_rows_parallel(&rows(0..CRASH_AT), 1)
+        .expect("submit");
     drop(first.finish().expect("drain"));
 
     let mut second =
         ServeEngine::open_or_recover(config(Some(&state_dir)), factory).expect("recover");
     second
-        .submit_batch((CRASH_AT..TOTAL).map(row))
+        .submit_batch_rows_parallel(&rows(CRASH_AT..TOTAL), 1)
         .expect("submit");
     let report = second.finish().expect("drain");
 

@@ -4,7 +4,9 @@
 //! restart budget is spent).
 
 use sketchad_core::{DetectorConfig, ScoreKind, StreamingDetector, SubspaceModel};
-use sketchad_serve::{BackpressurePolicy, PartitionStrategy, ServeConfig, ServeEngine};
+use sketchad_serve::{
+    BackpressurePolicy, BatchOutcome, PartitionStrategy, ServeConfig, ServeEngine, SubmitOutcome,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -26,6 +28,10 @@ fn wave(i: u64) -> Vec<f64> {
         .collect()
 }
 
+fn waves(n: u64) -> Vec<Vec<f64>> {
+    (0..n).map(wave).collect()
+}
+
 /// 100k points across 4 shards under blocking backpressure: every point is
 /// scored exactly once, nothing is dropped, and shutdown drains cleanly.
 #[test]
@@ -36,7 +42,9 @@ fn hundred_k_points_four_shards_zero_loss() {
         .with_backpressure(BackpressurePolicy::Block)
         .with_snapshot_every(1024);
     let mut engine = ServeEngine::start(config, fd_factory).expect("start");
-    let outcome = engine.submit_batch((0..N).map(wave)).expect("submit");
+    let outcome = engine
+        .submit_batch_rows_parallel(&waves(N), 1)
+        .expect("submit");
     assert_eq!(outcome.accepted, N);
     assert_eq!(outcome.dropped, 0);
 
@@ -96,7 +104,9 @@ fn concurrent_snapshot_readers_see_coherent_models() {
         })
         .collect();
 
-    engine.submit_batch((0..20_000).map(wave)).expect("submit");
+    engine
+        .submit_batch_rows_parallel(&waves(20_000), 1)
+        .expect("submit");
     let report = engine.finish().expect("drain");
     stop.store(true, Ordering::Relaxed);
     for handle in readers {
@@ -163,7 +173,9 @@ fn worker_panic_recovers_from_last_snapshot() {
     })
     .expect("start");
 
-    let outcome = engine.submit_batch((0..N).map(wave)).expect("submit");
+    let outcome = engine
+        .submit_batch_rows_parallel(&waves(N), 1)
+        .expect("submit");
     assert_eq!(outcome.accepted, N, "blocking policy admits everything");
     let report = engine.finish().expect("a contained panic must not error");
 
@@ -199,6 +211,20 @@ fn worker_panic_recovers_from_last_snapshot() {
     );
 }
 
+/// One `submit` per point, outcomes tallied like a batch.
+fn submit_each(engine: &mut ServeEngine, range: std::ops::Range<u64>) -> BatchOutcome {
+    let mut outcome = BatchOutcome::default();
+    for i in range {
+        match engine.submit(wave(i)).expect("submit stays infallible") {
+            SubmitOutcome::Accepted => outcome.accepted += 1,
+            SubmitOutcome::Dropped => outcome.dropped += 1,
+            SubmitOutcome::Rejected(_) => outcome.rejected += 1,
+            SubmitOutcome::Shed => outcome.shed += 1,
+        }
+    }
+    outcome
+}
+
 /// A persistently panicking detector exhausts its restart budget and the
 /// shard degrades: updates shed with exact counts, the other shard keeps
 /// scoring, and `finish` still succeeds with the damage itemised.
@@ -223,22 +249,16 @@ fn exhausted_restart_budget_degrades_shard_not_pipeline() {
     })
     .expect("start");
 
-    let outcome = engine.submit_batch((0..N).map(wave)).expect("submit");
+    // Point by point, so the tiny DropNewest queues keep admitting while
+    // the flaky shard burns through its incarnations.
+    let outcome = submit_each(&mut engine, 0..N);
     // The degrade flag is set by the worker thread; wait for it, then
     // verify post-degradation submissions to that shard shed at submit
     // time while the healthy shard still accepts.
     while !engine.is_degraded(1) {
         std::thread::yield_now();
     }
-    let mut late = sketchad_serve::BatchOutcome::default();
-    for i in N..N + 40 {
-        match engine.submit(wave(i)).expect("submit stays infallible") {
-            sketchad_serve::SubmitOutcome::Shed => late.shed += 1,
-            sketchad_serve::SubmitOutcome::Accepted => late.accepted += 1,
-            sketchad_serve::SubmitOutcome::Dropped => late.dropped += 1,
-            sketchad_serve::SubmitOutcome::Rejected(_) => late.rejected += 1,
-        }
-    }
+    let late = submit_each(&mut engine, N..N + 40);
     assert_eq!(late.shed, 20, "every point routed to the degraded shard");
     assert_eq!(late.accepted + late.dropped, 20, "healthy shard unaffected");
     let report = engine

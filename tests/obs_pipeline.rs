@@ -21,15 +21,15 @@ fn run_instrumented(stream: &LabeledStream, shards: usize) -> PipelineReport {
     })
     .expect("engine start");
     engine
-        .submit_batch(stream.iter().map(|(v, _)| v.to_vec()))
+        .submit_batch_rows_parallel(&stream.rows(), 1)
         .expect("submit");
     engine.finish().expect("drain")
 }
 
 /// The merged report tells a story consistent with the pipeline stats:
-/// every processed point was a sketch update and a queue-depth sample,
-/// models refreshed and were snapshotted, and the counters agree with the
-/// event log.
+/// every processed point was a sketch update and a queue-wait observation,
+/// every micro-batch a queue-depth sample, models refreshed and were
+/// snapshotted, and the counters agree with the event log.
 #[test]
 fn instrumented_pipeline_report_is_internally_consistent() {
     let stream = standard_datasets(DatasetScale::Small).remove(0);
@@ -42,8 +42,13 @@ fn instrumented_pipeline_report_is_internally_consistent() {
     assert_eq!(updates.count, stats.total_processed);
     assert!(obs.span("score").expect("score span").count > 0);
     assert!(obs.span("model_refresh").expect("refresh span").count > 0);
+    let depth_samples = obs.gauge("queue_depth").expect("queue_depth gauge").samples;
+    assert!(
+        (1..=stats.total_processed).contains(&depth_samples),
+        "one queue_depth sample per micro-batch, got {depth_samples}"
+    );
     assert_eq!(
-        obs.gauge("queue_depth").expect("queue_depth gauge").samples,
+        obs.hist("submit_latency").expect("submit_latency").count(),
         stats.total_processed
     );
 
@@ -85,7 +90,7 @@ fn instrumentation_leaves_pipeline_scores_bit_identical() {
     })
     .expect("engine start");
     plain_engine
-        .submit_batch(stream.iter().map(|(v, _)| v.to_vec()))
+        .submit_batch_rows_parallel(&stream.rows(), 1)
         .expect("submit");
     let plain = plain_engine.finish().expect("drain").scores_in_order();
     let metered = run_instrumented(&stream, 2).scores_in_order();
@@ -108,7 +113,7 @@ fn instrumentation_leaves_pipeline_scores_bit_identical() {
         )
         .expect("start telemetry");
     sampled_engine
-        .submit_batch(stream.iter().map(|(v, _)| v.to_vec()))
+        .submit_batch_rows_parallel(&stream.rows(), 1)
         .expect("submit");
     let sampled = sampled_engine.finish().expect("drain").scores_in_order();
     assert_eq!(plain.len(), sampled.len());

@@ -26,7 +26,7 @@ fn engine_scores(stream: &LabeledStream, config: ServeConfig) -> Vec<f64> {
     })
     .expect("engine start");
     engine
-        .submit_batch(stream.iter().map(|(v, _)| v.to_vec()))
+        .submit_batch_rows_parallel(&stream.rows(), 1)
         .expect("submit");
     engine.finish().expect("drain").scores_in_order()
 }
