@@ -7,6 +7,7 @@
 //! `O(ℓ²·d / period)` share of the model rebuild — constant per point and
 //! independent of the stream length.
 
+use sketchad_linalg::svd::Workspace;
 use sketchad_linalg::Matrix;
 use sketchad_obs::{Counter, Event, Gauge, Hist, RecorderHandle, Stage};
 use sketchad_sketch::wire::{ByteReader, ByteWriter, WireError};
@@ -99,6 +100,8 @@ pub struct SketchDetector<S: MatrixSketch> {
     scratch: ScoreScratch,
     /// Reusable score buffer for the batched scoring path.
     batch_scores: Vec<f64>,
+    /// Reusable decomposition scratch for inline model rebuilds.
+    refresh_workspace: Workspace,
 }
 
 impl<S: MatrixSketch> SketchDetector<S> {
@@ -139,6 +142,7 @@ impl<S: MatrixSketch> SketchDetector<S> {
             recorder: RecorderHandle::default(),
             scratch: ScoreScratch::new(),
             batch_scores: Vec::new(),
+            refresh_workspace: Workspace::default(),
         }
     }
 
@@ -325,7 +329,12 @@ impl<S: MatrixSketch> SketchDetector<S> {
             return;
         }
         let started = self.span_start();
-        match SubspaceModel::from_matrix(&b, self.k, self.sketch.rows_seen()) {
+        match SubspaceModel::from_matrix_in(
+            &b,
+            self.k,
+            self.sketch.rows_seen(),
+            &mut self.refresh_workspace,
+        ) {
             Ok(m) => {
                 // The refresh duration feeds both the span aggregate and
                 // the quantile histogram (refreshes are rare but heavy —

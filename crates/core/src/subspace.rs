@@ -14,7 +14,7 @@
 //! The blended score combines both, which catches anomalies of either kind.
 
 use sketchad_linalg::eigen::warm_subspace_iteration;
-use sketchad_linalg::svd::top_k_svd;
+use sketchad_linalg::svd::{right_factor, Workspace};
 use sketchad_linalg::vecops;
 use sketchad_linalg::{LinAlgError, Matrix, SparseVec};
 
@@ -76,9 +76,31 @@ impl SubspaceModel {
     /// `rows_represented` is bookkeeping carried through for diagnostics —
     /// pass the number of stream rows folded into `b`.
     ///
+    /// The model always has `min(k, rows, cols)` basis rows; directions the
+    /// Gram-route SVD cannot resolve (`σ_j ≤ 10⁻¹⁰·σ_1`, e.g. past the rank
+    /// of a rank-deficient sketch) are zero rows with `σ_j ≈ 0`, so they
+    /// contribute to neither score.
+    ///
     /// # Errors
     /// Propagates SVD failures; `k = 0` or an empty `b` is invalid.
     pub fn from_matrix(b: &Matrix, k: usize, rows_represented: u64) -> Result<Self, LinAlgError> {
+        Self::from_matrix_in(b, k, rows_represented, &mut Workspace::default())
+    }
+
+    /// [`from_matrix`](Self::from_matrix) on a caller-owned decomposition
+    /// [`Workspace`]: a detector that refreshes repeatedly keeps one, and the
+    /// only allocations left per refresh are the model's own `k × d` basis
+    /// and `k` singular values. The workspace is scratch — the model's bits
+    /// do not depend on what it held.
+    ///
+    /// # Errors
+    /// Same conditions as [`from_matrix`](Self::from_matrix).
+    pub fn from_matrix_in(
+        b: &Matrix,
+        k: usize,
+        rows_represented: u64,
+        workspace: &mut Workspace,
+    ) -> Result<Self, LinAlgError> {
         if b.rows() == 0 {
             return Err(LinAlgError::EmptyInput {
                 op: "SubspaceModel::from_matrix",
@@ -91,10 +113,10 @@ impl SubspaceModel {
                 message: "k must be positive",
             });
         }
-        let svd = top_k_svd(b, k_eff)?;
+        let rf = right_factor(b, k_eff, workspace)?;
         Ok(Self {
-            vt: svd.vt,
-            sigma: svd.s,
+            vt: Matrix::from_vec(k_eff, b.cols(), rf.vt().to_vec())?,
+            sigma: (0..k_eff).map(|j| rf.sigma(j)).collect(),
             total_energy: b.squared_frobenius_norm(),
             rows_represented,
         })

@@ -1,19 +1,24 @@
 //! Symmetric eigendecomposition.
 //!
-//! Two routines:
-//!
-//! * [`jacobi_eigen_sym`] — cyclic Jacobi rotations; unconditionally stable,
-//!   `O(n³)` per sweep. Used for the small (ℓ×ℓ) Gram matrices arising from
-//!   sketches, where ℓ ≤ a few hundred.
-//! * [`subspace_iteration`] — block orthogonal iteration extracting only the
-//!   top-k eigenpairs of a large symmetric PSD matrix. Used by the exact-SVD
-//!   baseline detector on full `d × d` covariance matrices, where a dense
-//!   full decomposition would be needlessly cubic in `d`.
+//! * [`eigen_sym`] — the one production solver: Householder
+//!   tridiagonalization followed by implicit-shift QL (`tred2`/`tql2`), with
+//!   the eigenvector accumulator stored **as rows** so the back-accumulation
+//!   and every QL plane rotation ([`vecops::rot`]) walk contiguous slices.
+//!   [`tridiag_ql_in_place`] is the same solver over caller-owned buffers —
+//!   what the allocation-free SVD kernel ([`crate::svd::right_factor`])
+//!   runs on its workspace.
+//! * [`jacobi_eigen_sym`] — cyclic Jacobi rotations; unconditionally stable
+//!   and several times slower at every size. Kept as the accuracy oracle the
+//!   tests compare the QL solver against; nothing on a hot path calls it.
+//! * [`subspace_iteration`] / [`warm_subspace_iteration`] — block orthogonal
+//!   iteration extracting only the top-k eigenpairs, for the exact-SVD
+//!   baseline's `d × d` covariances and the warm-started model refresh.
 
 use crate::error::{LinAlgError, Result};
 use crate::matrix::Matrix;
 use crate::qr::qr_thin;
 use crate::rng::{gaussian_matrix, seeded_rng};
+use crate::vecops;
 
 /// Eigendecomposition of a symmetric matrix: `S = V diag(λ) Vᵀ`.
 #[derive(Debug, Clone)]
@@ -65,7 +70,7 @@ pub fn jacobi_eigen_sym(s: &Matrix) -> Result<SymEigen> {
     let scale = a.max_abs().max(f64::MIN_POSITIVE);
     let tol = 1e-14 * scale;
 
-    for sweep in 0..MAX_JACOBI_SWEEPS {
+    for _ in 0..MAX_JACOBI_SWEEPS {
         let mut off = 0.0f64;
         for i in 0..n {
             for j in (i + 1)..n {
@@ -75,7 +80,6 @@ pub fn jacobi_eigen_sym(s: &Matrix) -> Result<SymEigen> {
         if off <= tol {
             return Ok(finish_jacobi(a, v));
         }
-        let _ = sweep;
 
         for p in 0..n {
             for q in (p + 1)..n {
@@ -144,143 +148,205 @@ fn finish_jacobi(a: Matrix, v: Matrix) -> SymEigen {
     SymEigen { values, vectors }
 }
 
-/// Size at which [`eigen_sym`] switches from cyclic Jacobi to the
-/// tridiagonal QL solver (QL is `O(n³)` with a much smaller constant;
-/// Jacobi is kept for small matrices where its accuracy is cheap).
-const JACOBI_CUTOFF: usize = 64;
-
-/// Full symmetric eigendecomposition, dispatching on size:
-/// cyclic Jacobi for `n ≤ 64`, Householder tridiagonalization + implicit QL
-/// for larger matrices.
+/// Full symmetric eigendecomposition: Householder tridiagonalization
+/// followed by implicit-shift QL, at every size (allocating wrapper over
+/// [`tridiag_ql_in_place`]). Eigenvalues come back in descending order; the
+/// `i`-th column of `vectors` is the eigenvector for `values[i]`.
 ///
-/// # Errors
-/// Same conditions as [`jacobi_eigen_sym`].
-pub fn eigen_sym(s: &Matrix) -> Result<SymEigen> {
-    if s.rows() <= JACOBI_CUTOFF {
-        jacobi_eigen_sym(s)
-    } else {
-        tridiag_eigen_sym(s)
-    }
-}
-
-/// Full symmetric eigendecomposition via Householder tridiagonalization
-/// followed by the implicit-shift QL algorithm (the classical
-/// `tred2`/`tql2` pair). `O(n³)` with small constants; the workhorse for
-/// `n` in the hundreds (large sketch buffers, exact-baseline covariances).
+/// There is no small-matrix dispatch to [`jacobi_eigen_sym`]: measured on the
+/// n = 2…16 Grams the cheap detectors and the Rayleigh–Ritz steps produce,
+/// QL is faster from n = 3 up and ties within 0.05 µs at n = 2 (the table is
+/// in ARCHITECTURE.md, kernel layer).
 ///
 /// # Errors
 /// * [`LinAlgError::ShapeMismatch`] for non-square input.
 /// * [`LinAlgError::NotFinite`] for NaN/inf input.
 /// * [`LinAlgError::NoConvergence`] if QL exceeds its iteration budget.
-pub fn tridiag_eigen_sym(s: &Matrix) -> Result<SymEigen> {
+pub fn eigen_sym(s: &Matrix) -> Result<SymEigen> {
     let n = s.rows();
     if s.rows() != s.cols() {
         return Err(LinAlgError::ShapeMismatch {
             expected: (n, n),
             got: s.shape(),
-            op: "tridiag_eigen_sym",
+            op: "eigen_sym",
         });
     }
     if !s.all_finite() {
-        return Err(LinAlgError::NotFinite {
-            op: "tridiag_eigen_sym",
+        return Err(LinAlgError::NotFinite { op: "eigen_sym" });
+    }
+    let mut z = s.as_slice().to_vec();
+    let mut d = vec![0.0f64; n];
+    let mut e = vec![0.0f64; n];
+    tridiag_ql_in_place(&mut z, &mut d, &mut e)?;
+    let mut order = vec![0usize; n];
+    descending_order(&d, &mut order);
+    let values: Vec<f64> = order.iter().map(|&i| d[i]).collect();
+    let mut vectors = Matrix::zeros(n, n);
+    for (new_col, &old_row) in order.iter().enumerate() {
+        for (row, &v) in z[old_row * n..(old_row + 1) * n].iter().enumerate() {
+            vectors[(row, new_col)] = v;
+        }
+    }
+    Ok(SymEigen { values, vectors })
+}
+
+/// Fills `order` (same length as `d`) with the indices of `d` sorted by
+/// descending value, ties in index order. Allocation-free.
+pub(crate) fn descending_order(d: &[f64], order: &mut [usize]) {
+    debug_assert_eq!(d.len(), order.len());
+    for (i, o) in order.iter_mut().enumerate() {
+        *o = i;
+    }
+    // The index tie-break makes the order total, so the (non-allocating)
+    // unstable sort is as deterministic as a stable one.
+    order.sort_unstable_by(|&i, &j| d[j].total_cmp(&d[i]).then(i.cmp(&j)));
+}
+
+/// Unbiased binary exponent of a finite `x` (subnormals and zero read as
+/// −1023).
+pub(crate) fn binary_exponent(x: f64) -> i64 {
+    ((x.to_bits() >> 52) & 0x7ff) as i64 - 1023
+}
+
+/// The exact power of two that brings a finite `max_abs` to about 1 (into
+/// `[1, 4)`; subnormals only as far as 2⁻⁵², and zero stays zero), chosen so
+/// that both it and its reciprocal are normal numbers. Multiplying by it is
+/// exact.
+pub(crate) fn unit_scale(max_abs: f64) -> f64 {
+    let exp = binary_exponent(max_abs).clamp(-1022, 1022);
+    f64::from_bits(((1023 - exp) as u64) << 52)
+}
+
+/// QL iterations allowed per eigenvalue before declaring non-convergence.
+const MAX_QL_ITERS: usize = 50;
+
+/// The symmetric eigensolver over caller-owned buffers: Householder
+/// reduction to tridiagonal form, then implicit-shift QL (the classical
+/// `tred2`/`tql2` pair, restructured for row-major storage).
+///
+/// On entry `z` holds the symmetric `n × n` matrix row-major (`n = d.len()`;
+/// the reduction reads its lower triangle). On success `d[i]` is an eigenvalue —
+/// **unsorted** — and row `i` of `z` its unit eigenvector; `e` is scratch.
+/// Every element of `z`, `d` and `e` is written before it is read, so the
+/// result depends on the input matrix alone, never on what the buffers held.
+///
+/// The transform is accumulated *transposed* relative to the textbook
+/// routine. That turns the three cubic loops into contiguous row work: the
+/// symmetric matrix–vector product and rank-2 update of the reduction are
+/// one [`vecops::dot`] + [`vecops::axpy`] per row, applying a reflector to
+/// the accumulator is one dot + axpy per row, and each QL rotation is one
+/// [`vecops::rot`] over two adjacent rows instead of two stride-`n` columns.
+///
+/// # Errors
+/// * [`LinAlgError::ShapeMismatch`] unless `z.len() == n²` and
+///   `e.len() == n`.
+/// * [`LinAlgError::NoConvergence`] if QL exceeds its iteration budget.
+/// * [`LinAlgError::NotFinite`] if an eigenvalue comes out NaN/inf (the
+///   input held a non-finite value or overflowed in the reduction).
+pub fn tridiag_ql_in_place(z: &mut [f64], d: &mut [f64], e: &mut [f64]) -> Result<()> {
+    let n = d.len();
+    if z.len() != n * n || e.len() != n {
+        return Err(LinAlgError::ShapeMismatch {
+            expected: (n, n),
+            got: (z.len(), e.len()),
+            op: "tridiag_ql_in_place",
         });
     }
     if n == 0 {
-        return Ok(SymEigen {
-            values: vec![],
-            vectors: Matrix::zeros(0, 0),
-        });
+        return Ok(());
     }
 
-    // ---- tred2: Householder reduction to tridiagonal form. ----
-    // `z` accumulates the orthogonal transform; `d` diagonal, `e` off-diag.
-    let mut z = s.clone();
-    let mut d = vec![0.0f64; n];
-    let mut e = vec![0.0f64; n];
+    // Normalize the matrix to unit magnitude by an exact power of two. The QL
+    // recurrence below sits on a serial dependency chain through one
+    // √(f² + g²) per plane rotation; with every entry O(1) that can be formed
+    // directly, where an overflow-safe `hypot` would add a third to the
+    // chain's latency (and libm's costs more than the rotation itself).
+    let max_abs = z.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+    if !max_abs.is_finite() {
+        return Err(LinAlgError::NotFinite {
+            op: "tridiag_ql_in_place",
+        });
+    }
+    let scale = unit_scale(max_abs);
+    vecops::scale(scale, z);
 
+    // ---- tred2: Householder reduction to tridiagonal form. ----
+    // Step `i` annihilates row `i` left of the subdiagonal with a reflector
+    // `u` that overwrites `z[i][..i]`; `d[i]` keeps `h = |u|²/2` for the
+    // accumulation below and `e[i]` the new subdiagonal entry.
     for i in (1..n).rev() {
-        let l = i - 1;
+        let (head, tail) = z.split_at_mut(i * n);
+        let u = &mut tail[..i];
         let mut h = 0.0;
-        if l > 0 {
-            let mut scale = 0.0;
-            for k in 0..=l {
-                scale += z[(i, k)].abs();
-            }
+        if i > 1 {
+            let scale: f64 = u.iter().map(|v| v.abs()).sum();
             if scale == 0.0 {
-                e[i] = z[(i, l)];
+                e[i] = u[i - 1];
             } else {
-                for k in 0..=l {
-                    z[(i, k)] /= scale;
-                    h += z[(i, k)] * z[(i, k)];
+                for v in u.iter_mut() {
+                    *v /= scale;
+                    h += *v * *v;
                 }
-                let mut f = z[(i, l)];
+                let f = u[i - 1];
                 let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
                 e[i] = scale * g;
                 h -= f * g;
-                z[(i, l)] = f - g;
-                f = 0.0;
-                for j in 0..=l {
-                    z[(j, i)] = z[(i, j)] / h;
-                    let mut g = 0.0;
-                    for k in 0..=j {
-                        g += z[(j, k)] * z[(i, k)];
-                    }
-                    for k in (j + 1)..=l {
-                        g += z[(k, j)] * z[(i, k)];
-                    }
-                    e[j] = g / h;
-                    f += e[j] * z[(i, j)];
+                u[i - 1] = f - g;
+                // p = A·u over the leading i×i block, of which only the
+                // lower triangle is stored: row j contributes its dot with u
+                // to p[j] and, mirrored, u[j]·row to p[..j].
+                let p = &mut e[..i];
+                p.fill(0.0);
+                for j in 0..i {
+                    let row = &head[j * n..j * n + j + 1];
+                    p[j] += vecops::dot(row, &u[..=j]);
+                    vecops::axpy(u[j], &row[..j], &mut p[..j]);
                 }
-                let hh = f / (h + h);
-                for j in 0..=l {
-                    let f = z[(i, j)];
-                    let g = e[j] - hh * f;
-                    e[j] = g;
-                    for k in 0..=j {
-                        let upd = f * e[k] + g * z[(i, k)];
-                        z[(j, k)] -= upd;
-                    }
+                let mut f = 0.0;
+                for (pj, &uj) in p.iter_mut().zip(u.iter()) {
+                    *pj /= h;
+                    f += *pj * uj;
+                }
+                // q = p − (uᵀp / 2h)·u, then A ← A − u·qᵀ − q·uᵀ.
+                vecops::axpy(-f / (h + h), u, p);
+                for j in 0..i {
+                    let row = &mut head[j * n..j * n + j + 1];
+                    vecops::axpy(-u[j], &p[..=j], row);
+                    vecops::axpy(-p[j], &u[..=j], row);
                 }
             }
         } else {
-            e[i] = z[(i, l)];
+            e[i] = u[0];
         }
         d[i] = h;
     }
     d[0] = 0.0;
     e[0] = 0.0;
+
+    // Accumulate the reflectors into Qᵀ, growing the leading block one row
+    // and column per step: block ← block·(I − u·uᵀ/h), a dot and an axpy
+    // per (contiguous) row.
     for i in 0..n {
-        let l = i;
+        let (head, tail) = z.split_at_mut(i * n);
         if d[i] != 0.0 {
-            for j in 0..l {
-                let mut g = 0.0;
-                for k in 0..l {
-                    g += z[(i, k)] * z[(k, j)];
-                }
-                for k in 0..l {
-                    let upd = g * z[(k, i)];
-                    z[(k, j)] -= upd;
-                }
+            let (u, h) = (&tail[..i], d[i]);
+            for k in 0..i {
+                let row = &mut head[k * n..k * n + i];
+                let g = vecops::dot(row, u);
+                vecops::axpy(-g / h, u, row);
             }
         }
-        d[i] = z[(i, i)];
-        z[(i, i)] = 1.0;
-        if i > 0 {
-            for k in 0..i {
-                z[(k, i)] = 0.0;
-                z[(i, k)] = 0.0;
-            }
+        d[i] = tail[i];
+        tail[..i].fill(0.0);
+        tail[i] = 1.0;
+        for k in 0..i {
+            head[k * n + i] = 0.0;
         }
     }
 
     // ---- tql2: implicit-shift QL on the tridiagonal (d, e). ----
-    for i in 1..n {
-        e[i - 1] = e[i];
-    }
+    e.copy_within(1.., 0);
     e[n - 1] = 0.0;
-
-    const MAX_QL_ITERS: usize = 50;
     for l in 0..n {
         let mut iter = 0;
         loop {
@@ -299,26 +365,29 @@ pub fn tridiag_eigen_sym(s: &Matrix) -> Result<SymEigen> {
             iter += 1;
             if iter > MAX_QL_ITERS {
                 return Err(LinAlgError::NoConvergence {
-                    op: "tridiag_eigen_sym",
+                    op: "tridiag_ql_in_place",
                     iterations: MAX_QL_ITERS,
                 });
             }
             // Wilkinson shift.
             let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
-            let mut r = g.hypot(1.0);
+            let mut r = (g * g + 1.0).sqrt();
             let sign_r = if g >= 0.0 { r } else { -r };
             g = d[m] - d[l] + e[l] / (g + sign_r);
             let mut s_rot = 1.0;
             let mut c = 1.0;
             let mut p = 0.0;
+            let mut underflow = false;
             for i in (l..m).rev() {
-                let mut f = s_rot * e[i];
+                let f = s_rot * e[i];
                 let b = c * e[i];
-                r = f.hypot(g);
+                r = (f * f + g * g).sqrt();
                 e[i + 1] = r;
                 if r == 0.0 {
+                    // The rotation vanished: recover and restart this `l`.
                     d[i + 1] -= p;
                     e[m] = 0.0;
+                    underflow = true;
                     break;
                 }
                 s_rot = f / r;
@@ -328,14 +397,15 @@ pub fn tridiag_eigen_sym(s: &Matrix) -> Result<SymEigen> {
                 p = s_rot * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                // Accumulate the rotation into the eigenvector matrix.
-                for k in 0..n {
-                    f = z[(k, i + 1)];
-                    z[(k, i + 1)] = s_rot * z[(k, i)] + c * f;
-                    z[(k, i)] = c * z[(k, i)] - s_rot * f;
-                }
+                // Accumulate the rotation into eigenvector rows i and i+1.
+                let (lo, hi) = z[i * n..(i + 2) * n].split_at_mut(n);
+                vecops::rot(lo, hi, c, s_rot);
             }
-            if r == 0.0 && m > l {
+            // (Keyed on the early exit itself, not on `r == 0.0`: `r` is
+            // reused below for a second quantity that can be exactly zero
+            // after a *complete* sweep — inside a cluster of zero eigenvalues
+            // — and skipping the update then leaves a stale `e[l]`.)
+            if underflow {
                 continue;
             }
             d[l] -= p;
@@ -344,17 +414,14 @@ pub fn tridiag_eigen_sym(s: &Matrix) -> Result<SymEigen> {
         }
     }
 
-    // Sort descending.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| d[j].partial_cmp(&d[i]).expect("finite eigenvalues"));
-    let values: Vec<f64> = order.iter().map(|&i| d[i]).collect();
-    let mut vectors = Matrix::zeros(n, n);
-    for (new_col, &old_col) in order.iter().enumerate() {
-        for row in 0..n {
-            vectors[(row, new_col)] = z[(row, old_col)];
-        }
+    vecops::scale(1.0 / scale, d);
+    if d.iter().all(|v| v.is_finite()) {
+        Ok(())
+    } else {
+        Err(LinAlgError::NotFinite {
+            op: "tridiag_ql_in_place",
+        })
     }
-    Ok(SymEigen { values, vectors })
 }
 
 /// Top-`k` eigenpairs of a symmetric PSD matrix by block orthogonal
@@ -564,7 +631,7 @@ mod tests {
         let eigs = [12.0, 7.5, 3.0, 1.5, 0.8, 0.3, 0.1, 0.0];
         let (s, _) = synth_sym(8, &eigs, 91);
         let j = jacobi_eigen_sym(&s).unwrap();
-        let t = tridiag_eigen_sym(&s).unwrap();
+        let t = eigen_sym(&s).unwrap();
         for (a, b) in j.values.iter().zip(t.values.iter()) {
             assert!((a - b).abs() < 1e-9, "eig {a} vs {b}");
         }
@@ -584,7 +651,7 @@ mod tests {
 
     #[test]
     fn tridiag_handles_larger_matrices() {
-        // 120×120 with known spectrum — above the Jacobi dispatch cutoff.
+        // 120×120 with known spectrum.
         let n = 120;
         let eigs: Vec<f64> = (0..n).map(|i| (n - i) as f64).collect();
         let (s, _) = synth_sym(n, &eigs, 92);
@@ -605,24 +672,24 @@ mod tests {
     #[test]
     fn tridiag_diagonal_and_degenerate_cases() {
         let s = Matrix::from_diag(&[3.0, 1.0, 2.0, 2.0]);
-        let e = tridiag_eigen_sym(&s).unwrap();
+        let e = eigen_sym(&s).unwrap();
         assert_eq!(e.values, vec![3.0, 2.0, 2.0, 1.0]);
         // 1×1.
         let s1 = Matrix::from_diag(&[5.0]);
-        let e1 = tridiag_eigen_sym(&s1).unwrap();
+        let e1 = eigen_sym(&s1).unwrap();
         assert_eq!(e1.values, vec![5.0]);
         // Zero matrix.
         let z = Matrix::zeros(5, 5);
-        let ez = tridiag_eigen_sym(&z).unwrap();
+        let ez = eigen_sym(&z).unwrap();
         assert!(ez.values.iter().all(|&v| v.abs() < 1e-12));
     }
 
     #[test]
     fn tridiag_rejects_bad_input() {
-        assert!(tridiag_eigen_sym(&Matrix::zeros(2, 3)).is_err());
+        assert!(eigen_sym(&Matrix::zeros(2, 3)).is_err());
         let mut m = Matrix::identity(2);
         m[(0, 0)] = f64::NAN;
-        assert!(tridiag_eigen_sym(&m).is_err());
+        assert!(eigen_sym(&m).is_err());
     }
 
     #[test]

@@ -13,10 +13,15 @@
 //! ## Module map
 //!
 //! * [`matrix`] — the dense row-major [`Matrix`] type and its kernels.
-//! * [`vecops`] — slice-level vector kernels (dot, axpy, norms).
+//! * [`vecops`] — slice-level vector kernels (dot, axpy, plane rotation,
+//!   norms).
 //! * [`qr`] — Householder thin QR.
-//! * [`eigen`] — cyclic Jacobi eigensolver and top-k subspace iteration.
-//! * [`svd`] — thin SVD (Gram route + one-sided Jacobi reference).
+//! * [`eigen`] — the symmetric eigensolver (Householder tridiagonalization +
+//!   implicit QL over a row-stored accumulator), the cyclic Jacobi accuracy
+//!   oracle, and top-k subspace iteration.
+//! * [`svd`] — the allocation-free Gram-route kernel [`svd::right_factor`]
+//!   (σ² and the top rows of Vᵀ on a reusable [`svd::Workspace`]), the thin
+//!   SVD wrappers over it, and the one-sided Jacobi reference.
 //! * [`power`] — power-iteration spectral-norm estimation on operators.
 //! * [`rng`] — seeded RNG helpers: Gaussian (Box–Muller), Rademacher,
 //!   random orthonormal bases.

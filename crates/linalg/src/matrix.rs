@@ -275,69 +275,15 @@ impl Matrix {
                 op: "Matrix::matmul",
             });
         }
-        let n = rhs.cols;
-        let r4 = self.rows / 4 * 4;
-        let mut out = Matrix::zeros(self.rows, n);
-        for i in (0..r4).step_by(4) {
-            let out_block = &mut out.data[i * n..(i + 4) * n];
-            let tiled = n > 0
-                && vecops::gemm4(
-                    self.row(i),
-                    self.row(i + 1),
-                    self.row(i + 2),
-                    self.row(i + 3),
-                    &rhs.data,
-                    n,
-                    n,
-                    out_block,
-                    n,
-                );
-            if !tiled {
-                for r in 0..4 {
-                    Self::matmul_row_scalar(
-                        self.row(i + r),
-                        &rhs.data,
-                        n,
-                        &mut out_block[r * n..(r + 1) * n],
-                    );
-                }
-            }
-        }
-        for i in r4..self.rows {
-            Self::matmul_row_scalar(self.row(i), &rhs.data, n, &mut out.data[i * n..(i + 1) * n]);
-        }
+        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        matmul_rows_into(
+            |i| self.row(i),
+            self.rows,
+            &rhs.data,
+            rhs.cols,
+            &mut out.data,
+        );
         Ok(out)
-    }
-
-    /// One output row of `matmul` via the blocked axpy formulation — the
-    /// portable fallback behind [`vecops::gemm4`] and the row-tail path.
-    fn matmul_row_scalar(a_row: &[f64], rhs_data: &[f64], n: usize, out_row: &mut [f64]) {
-        if n == 0 {
-            return;
-        }
-        let kdim = a_row.len();
-        let k4 = kdim / 4 * 4;
-        for jb in (0..n).step_by(Self::COL_BLOCK) {
-            let je = (jb + Self::COL_BLOCK).min(n);
-            for k in (0..k4).step_by(4) {
-                let alpha = [a_row[k], a_row[k + 1], a_row[k + 2], a_row[k + 3]];
-                vecops::axpy4(
-                    alpha,
-                    &rhs_data[k * n + jb..k * n + je],
-                    &rhs_data[(k + 1) * n + jb..(k + 1) * n + je],
-                    &rhs_data[(k + 2) * n + jb..(k + 2) * n + je],
-                    &rhs_data[(k + 3) * n + jb..(k + 3) * n + je],
-                    &mut out_row[jb..je],
-                );
-            }
-            for k in k4..kdim {
-                vecops::axpy(
-                    a_row[k],
-                    &rhs_data[k * n + jb..k * n + je],
-                    &mut out_row[jb..je],
-                );
-            }
-        }
     }
 
     /// `self * rhsᵀ` without materializing the transpose (`rows × rhs.rows`).
@@ -442,37 +388,8 @@ impl Matrix {
     /// mirrored, halving the flops. On AVX2+FMA hosts each four-row sweep
     /// runs as one fused [`vecops::gram4_upper`] dispatch.
     pub fn gram(&self) -> Matrix {
-        let d = self.cols;
-        let r4 = self.rows / 4 * 4;
-        let mut g = Matrix::zeros(d, d);
-        for r in (0..r4).step_by(4) {
-            let (x0, x1, x2, x3) = (
-                self.row(r),
-                self.row(r + 1),
-                self.row(r + 2),
-                self.row(r + 3),
-            );
-            if !vecops::gram4_upper(x0, x1, x2, x3, &mut g.data, d) {
-                for i in 0..d {
-                    let alpha = [x0[i], x1[i], x2[i], x3[i]];
-                    let grow = &mut g.data[i * d + i..(i + 1) * d];
-                    vecops::axpy4(alpha, &x0[i..], &x1[i..], &x2[i..], &x3[i..], grow);
-                }
-            }
-        }
-        for r in r4..self.rows {
-            let row = self.row(r);
-            for i in 0..d {
-                let grow = &mut g.data[i * d + i..(i + 1) * d];
-                vecops::axpy(row[i], &row[i..], grow);
-            }
-        }
-        // Mirror the upper triangle.
-        for i in 0..d {
-            for j in 0..i {
-                g.data[i * d + j] = g.data[j * d + i];
-            }
-        }
+        let mut g = Matrix::zeros(self.cols, self.cols);
+        gram_into(&self.data, self.rows, self.cols, &mut g.data);
         g
     }
 
@@ -481,32 +398,8 @@ impl Matrix {
     /// Upper-triangle row-row dot products, four at a time via
     /// [`vecops::dot4`].
     pub fn outer_gram(&self) -> Matrix {
-        let n = self.rows;
-        let mut g = Matrix::zeros(n, n);
-        for i in 0..n {
-            let ri = self.row(i);
-            let mut j = i;
-            while j + 4 <= n {
-                let d = vecops::dot4(
-                    self.row(j),
-                    self.row(j + 1),
-                    self.row(j + 2),
-                    self.row(j + 3),
-                    ri,
-                );
-                for (o, &v) in d.iter().enumerate() {
-                    g.data[i * n + j + o] = v;
-                    g.data[(j + o) * n + i] = v;
-                }
-                j += 4;
-            }
-            while j < n {
-                let v = vecops::dot(ri, self.row(j));
-                g.data[i * n + j] = v;
-                g.data[j * n + i] = v;
-                j += 1;
-            }
-        }
+        let mut g = Matrix::zeros(self.rows, self.rows);
+        outer_gram_into(&self.data, self.rows, self.cols, &mut g.data);
         g
     }
 
@@ -659,6 +552,139 @@ impl Matrix {
             }
         }
         true
+    }
+}
+
+/// Accumulates `out += L · rhs`, where row `i` of `L` is `lhs_row(i)` (all
+/// of one length `k`), `rhs` is row-major `k × n` and `out` row-major
+/// `nrows × n`. The body of [`Matrix::matmul`]; taking the left rows through
+/// a closure lets the SVD kernel multiply a *permuted subset* of eigenvector
+/// rows by the input without gathering them first.
+pub(crate) fn matmul_rows_into<'a>(
+    lhs_row: impl Fn(usize) -> &'a [f64],
+    nrows: usize,
+    rhs: &[f64],
+    n: usize,
+    out: &mut [f64],
+) {
+    debug_assert_eq!(out.len(), nrows * n);
+    let r4 = nrows / 4 * 4;
+    for i in (0..r4).step_by(4) {
+        let out_block = &mut out[i * n..(i + 4) * n];
+        let tiled = n > 0
+            && vecops::gemm4(
+                lhs_row(i),
+                lhs_row(i + 1),
+                lhs_row(i + 2),
+                lhs_row(i + 3),
+                rhs,
+                n,
+                n,
+                out_block,
+                n,
+            );
+        if !tiled {
+            for r in 0..4 {
+                matmul_row_scalar(lhs_row(i + r), rhs, n, &mut out_block[r * n..(r + 1) * n]);
+            }
+        }
+    }
+    for i in r4..nrows {
+        matmul_row_scalar(lhs_row(i), rhs, n, &mut out[i * n..(i + 1) * n]);
+    }
+}
+
+/// One output row of `matmul` via the blocked axpy formulation — the
+/// portable fallback behind [`vecops::gemm4`] and the row-tail path.
+fn matmul_row_scalar(a_row: &[f64], rhs_data: &[f64], n: usize, out_row: &mut [f64]) {
+    if n == 0 {
+        return;
+    }
+    let kdim = a_row.len();
+    let k4 = kdim / 4 * 4;
+    for jb in (0..n).step_by(Matrix::COL_BLOCK) {
+        let je = (jb + Matrix::COL_BLOCK).min(n);
+        for k in (0..k4).step_by(4) {
+            let alpha = [a_row[k], a_row[k + 1], a_row[k + 2], a_row[k + 3]];
+            vecops::axpy4(
+                alpha,
+                &rhs_data[k * n + jb..k * n + je],
+                &rhs_data[(k + 1) * n + jb..(k + 1) * n + je],
+                &rhs_data[(k + 2) * n + jb..(k + 2) * n + je],
+                &rhs_data[(k + 3) * n + jb..(k + 3) * n + je],
+                &mut out_row[jb..je],
+            );
+        }
+        for k in k4..kdim {
+            vecops::axpy(
+                a_row[k],
+                &rhs_data[k * n + jb..k * n + je],
+                &mut out_row[jb..je],
+            );
+        }
+    }
+}
+
+/// Overwrites `g` (`cols × cols`) with the Gram matrix `AᵀA` of the
+/// row-major `rows × cols` matrix `data` — the body of [`Matrix::gram`],
+/// writing into a caller-owned buffer.
+pub(crate) fn gram_into(data: &[f64], rows: usize, cols: usize, g: &mut [f64]) {
+    let d = cols;
+    debug_assert_eq!(data.len(), rows * d);
+    debug_assert_eq!(g.len(), d * d);
+    let row = |r: usize| &data[r * d..(r + 1) * d];
+    g.fill(0.0);
+    let r4 = rows / 4 * 4;
+    for r in (0..r4).step_by(4) {
+        let (x0, x1, x2, x3) = (row(r), row(r + 1), row(r + 2), row(r + 3));
+        if !vecops::gram4_upper(x0, x1, x2, x3, g, d) {
+            for i in 0..d {
+                let alpha = [x0[i], x1[i], x2[i], x3[i]];
+                let grow = &mut g[i * d + i..(i + 1) * d];
+                vecops::axpy4(alpha, &x0[i..], &x1[i..], &x2[i..], &x3[i..], grow);
+            }
+        }
+    }
+    for r in r4..rows {
+        let x = row(r);
+        for i in 0..d {
+            let grow = &mut g[i * d + i..(i + 1) * d];
+            vecops::axpy(x[i], &x[i..], grow);
+        }
+    }
+    // Mirror the upper triangle.
+    for i in 0..d {
+        for j in 0..i {
+            g[i * d + j] = g[j * d + i];
+        }
+    }
+}
+
+/// Overwrites `g` (`rows × rows`) with the outer Gram matrix `AAᵀ` of the
+/// row-major `rows × cols` matrix `data` — the body of
+/// [`Matrix::outer_gram`], writing into a caller-owned buffer.
+pub(crate) fn outer_gram_into(data: &[f64], rows: usize, cols: usize, g: &mut [f64]) {
+    let n = rows;
+    debug_assert_eq!(data.len(), n * cols);
+    debug_assert_eq!(g.len(), n * n);
+    let row = |r: usize| &data[r * cols..(r + 1) * cols];
+    for i in 0..n {
+        let ri = row(i);
+        let mut j = i;
+        while j + 4 <= n {
+            let d = vecops::dot4(row(j), row(j + 1), row(j + 2), row(j + 3), ri);
+            for (o, &v) in d.iter().enumerate() {
+                g[i * n + j + o] = v;
+                g[(j + o) * n + i] = v;
+            }
+            j += 4;
+        }
+        while j < n {
+            let v = vecops::dot(ri, row(j));
+            g[i * n + j] = v;
+            g[j * n + i] = v;
+            j += 1;
+        }
     }
 }
 

@@ -1,18 +1,25 @@
 //! Thin singular value decomposition.
 //!
-//! Two routes are provided:
-//!
-//! * [`svd_thin`] — the *Gram route*: eigendecompose the smaller of `A Aᵀ`
-//!   or `Aᵀ A` with Jacobi, then recover the other factor. For the
-//!   short-and-wide sketch matrices in this project (ℓ ≪ d) this costs
-//!   `O(ℓ²d + ℓ³)` and is the default. It loses accuracy for singular values
-//!   below `√ε·σ₁`, which is irrelevant for top-k extraction with k ≪ ℓ.
+//! * [`right_factor`] — the *Gram route* and the only one production code
+//!   runs: eigendecompose the smaller of `A Aᵀ` or `Aᵀ A` with the
+//!   row-stored QL solver ([`crate::eigen::tridiag_ql_in_place`]) and return
+//!   all `σ²` plus only the top-`keep` rows of `Vᵀ`. No `U`, no transpose, no
+//!   completion of unresolved directions, and no allocation once its
+//!   [`Workspace`] has been sized. For the short-and-wide sketch matrices in
+//!   this project (ℓ ≪ d) this costs `O(ℓ²d + ℓ³)`. It loses accuracy for
+//!   singular values below `√ε·σ₁`, which is irrelevant for top-k extraction
+//!   with k ≪ ℓ. This is what the frequent-directions shrink and the model
+//!   refresh call.
+//! * [`svd_thin`] / [`top_k_svd`] — thin wrappers over [`right_factor`] that
+//!   add `U` and complete unresolved singular vectors to an orthonormal set,
+//!   for the cold callers that want a full factorization.
 //! * [`svd_jacobi`] — one-sided Jacobi on the columns; slower but accurate to
-//!   full precision for all singular values. Kept as the reference
-//!   implementation and for the `svd_routes` ablation bench.
+//!   full precision for all singular values. The reference implementation the
+//!   tests hold the Gram route to.
 
+use crate::eigen::{binary_exponent, descending_order, tridiag_ql_in_place, unit_scale};
 use crate::error::{LinAlgError, Result};
-use crate::matrix::Matrix;
+use crate::matrix::{gram_into, matmul_rows_into, outer_gram_into, Matrix};
 use crate::rng::{random_unit_vector, seeded_rng};
 use crate::vecops;
 
@@ -70,73 +77,271 @@ impl Svd {
 /// recovering the paired factor.
 const SIGMA_REL_TOL: f64 = 1e-10;
 
-/// Thin SVD via the Gram route (default, fast for ℓ ≪ d sketches).
+/// Scratch and output storage of [`right_factor`].
+///
+/// A workspace is **scratch, never state**: every call overwrites all of it
+/// before reading any of it, so a decomposition's bits depend on the input
+/// alone — a reused workspace and a fresh one give identical results. Owners
+/// (the frequent-directions sketch, the detector's refresh) keep one so the
+/// kernel allocates nothing once the buffers have reached their shape.
+#[derive(Debug, Clone, Default)]
+pub struct Workspace {
+    /// Gram matrix of the (scaled) input, overwritten in place by the
+    /// eigensolver with its row-stored eigenvectors.
+    z: Vec<f64>,
+    /// Eigenvalues in solver order, then scratch of the solver.
+    d: Vec<f64>,
+    e: Vec<f64>,
+    /// Descending permutation of `d`.
+    order: Vec<usize>,
+    /// Squared singular values of the scaled input, descending.
+    sigma_sq: Vec<f64>,
+    /// `keep × n` output block: the top right-singular vectors as rows.
+    vt: Vec<f64>,
+    /// Power-of-two-scaled copy of the input; stays empty unless the input's
+    /// magnitude would overflow or underflow its Gram matrix.
+    scaled: Vec<f64>,
+}
+
+impl Workspace {
+    /// A workspace already sized for `rows × cols` inputs keeping `keep`
+    /// directions, so even the first [`right_factor`] call on that shape
+    /// allocates nothing.
+    pub fn for_shape(rows: usize, cols: usize, keep: usize) -> Self {
+        let mut ws = Self::default();
+        ws.resize(rows.min(cols), keep.min(rows.min(cols)) * cols);
+        ws
+    }
+
+    fn resize(&mut self, r: usize, vt_len: usize) {
+        self.z.resize(r * r, 0.0);
+        self.d.resize(r, 0.0);
+        self.e.resize(r, 0.0);
+        self.order.resize(r, 0);
+        self.sigma_sq.resize(r, 0.0);
+        self.vt.resize(vt_len, 0.0);
+    }
+
+    /// Bytes of the buffers this workspace holds at its current shape
+    /// (lengths rather than capacities, so equal shapes report equal bytes
+    /// whatever the allocator rounded up to).
+    pub fn resident_bytes(&self) -> usize {
+        let f64s = self.z.len()
+            + self.d.len()
+            + self.e.len()
+            + self.sigma_sq.len()
+            + self.vt.len()
+            + self.scaled.len();
+        f64s * std::mem::size_of::<f64>() + self.order.len() * std::mem::size_of::<usize>()
+    }
+}
+
+/// What [`right_factor`] computed, borrowed from its [`Workspace`].
+///
+/// Singular values are held in *scaled* units together with the exact
+/// power-of-two factor that undoes the scaling, so a caller that must stay
+/// finite at the ends of the `f64` range (the frequent-directions shrink) can
+/// do its arithmetic before unscaling; everyone else reads [`Self::sigma`].
+#[derive(Debug)]
+pub struct RightFactor<'w> {
+    scaled_sigma_sq: &'w [f64],
+    unscale: f64,
+    resolved: usize,
+    vt: &'w [f64],
+    cols: usize,
+}
+
+impl<'w> RightFactor<'w> {
+    /// `σᵢ²·s²` for every `i < min(m, n)`, descending and non-negative,
+    /// where `s = 1 / self.unscale()` is the input scaling.
+    pub fn scaled_sigma_sq(&self) -> &'w [f64] {
+        self.scaled_sigma_sq
+    }
+
+    /// The power of two that maps scaled singular values back to the
+    /// input's units: `σᵢ = √scaled_sigma_sq[i] · unscale`. Exactly `1.0`
+    /// unless the input's largest magnitude lies outside `[2⁻⁴⁸⁰, 2⁵⁰⁰)`.
+    pub fn unscale(&self) -> f64 {
+        self.unscale
+    }
+
+    /// Singular value `σᵢ` (finite whenever `‖A‖_F` is).
+    pub fn sigma(&self, i: usize) -> f64 {
+        self.scaled_sigma_sq[i].sqrt() * self.unscale
+    }
+
+    /// Squared singular value `σᵢ²`; honestly `∞` or `0` when it leaves the
+    /// `f64` range although `σᵢ` itself does not.
+    pub fn sigma_sq(&self, i: usize) -> f64 {
+        self.scaled_sigma_sq[i] * self.unscale * self.unscale
+    }
+
+    /// Number of leading directions with `σᵢ > 10⁻¹⁰·σ₁`. The Gram route
+    /// cannot resolve the others: their rows of `Vᵀ` are returned as zeros.
+    pub fn resolved(&self) -> usize {
+        self.resolved
+    }
+
+    /// Number of `Vᵀ` rows held (`min(keep, m, n)`).
+    pub fn kept(&self) -> usize {
+        self.vt.len() / self.cols
+    }
+
+    /// Row `i < kept()` of `Vᵀ`: the unit right-singular vector of `σᵢ`, or
+    /// zeros when `i >= resolved()`.
+    pub fn vt_row(&self, i: usize) -> &'w [f64] {
+        &self.vt[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// All kept rows of `Vᵀ`, row-major `kept() × n`.
+    pub fn vt(&self) -> &'w [f64] {
+        self.vt
+    }
+}
+
+/// The exact power of two [`right_factor`] multiplies its input by before
+/// forming the Gram matrix: `1.0` while the largest magnitude lies in
+/// `[2⁻⁴⁸⁰, 2⁵⁰⁰)` — squares summed over up to 2²⁴ terms stay finite, and
+/// whatever underflows is below the rounding error of the largest entry —
+/// otherwise the power that brings it to about 1.
+fn gram_safe_scale(max_abs: f64) -> f64 {
+    if max_abs == 0.0 || (-480..500).contains(&binary_exponent(max_abs)) {
+        1.0
+    } else {
+        unit_scale(max_abs)
+    }
+}
+
+/// The Gram-route kernel: all squared singular values of `a` and the top
+/// `keep` rows of `Vᵀ`, through the smaller of `A Aᵀ` (`m ≤ n`) and `Aᵀ A`.
+///
+/// * `m > n`: the eigenvector rows of `Aᵀ A` *are* the rows of `Vᵀ`; the top
+///   `keep` are copied out in descending order.
+/// * `m ≤ n`: only `keep` rows of `Uᵀ A` are formed (a `keep × m` by `m × n`
+///   product straight off the permuted eigenvector rows) and normalized.
+///
+/// Directions with `σᵢ ≤ 10⁻¹⁰·σ₁` are not resolved by a Gram route; their
+/// rows come back as zeros (see [`RightFactor::resolved`]) — callers that
+/// need an orthonormal completion use [`svd_thin`].
+///
+/// The input is pre-scaled by an exact power of two when its largest
+/// magnitude lies outside `[2⁻⁴⁸⁰, 2⁵⁰⁰)`, so the Gram matrix neither
+/// overflows nor underflows and **every finite input decomposes**; within
+/// that window no copy is made (outside it the workspace grows, once, by a
+/// scaled copy of the input). `keep` is clamped to `min(m, n)`.
+///
+/// # Errors
+/// * [`LinAlgError::EmptyInput`] for an empty matrix.
+/// * [`LinAlgError::NotFinite`] for NaN/inf input.
+/// * Propagates [`LinAlgError::NoConvergence`] from the eigensolver
+///   (practically unreachable for symmetric input).
+pub fn right_factor<'w>(a: &Matrix, keep: usize, ws: &'w mut Workspace) -> Result<RightFactor<'w>> {
+    let (m, n) = a.shape();
+    if m == 0 || n == 0 {
+        return Err(LinAlgError::EmptyInput { op: "right_factor" });
+    }
+    // One pass finds both NaN/inf and the magnitude (`f64::max` skips NaN,
+    // so finiteness is tracked on its own).
+    let mut max_abs = 0.0f64;
+    let mut finite = true;
+    for &v in a.as_slice() {
+        finite &= v.is_finite();
+        max_abs = max_abs.max(v.abs());
+    }
+    if !finite {
+        return Err(LinAlgError::NotFinite { op: "right_factor" });
+    }
+
+    let wide = m <= n;
+    let r = m.min(n);
+    let keep = keep.min(r);
+    ws.resize(r, keep * n);
+
+    let scale = gram_safe_scale(max_abs);
+    let src: &[f64] = if scale == 1.0 {
+        a.as_slice()
+    } else {
+        ws.scaled.clear();
+        ws.scaled.extend(a.as_slice().iter().map(|&v| v * scale));
+        &ws.scaled
+    };
+    if wide {
+        outer_gram_into(src, m, n, &mut ws.z);
+    } else {
+        gram_into(src, m, n, &mut ws.z);
+    }
+    tridiag_ql_in_place(&mut ws.z, &mut ws.d, &mut ws.e)?;
+    descending_order(&ws.d, &mut ws.order);
+    for (dst, &i) in ws.sigma_sq.iter_mut().zip(&ws.order) {
+        *dst = ws.d[i].max(0.0);
+    }
+
+    let tol = SIGMA_REL_TOL * ws.sigma_sq[0].sqrt().max(f64::MIN_POSITIVE);
+    let resolved = ws.sigma_sq.iter().take_while(|&&l| l.sqrt() > tol).count();
+    let live = keep.min(resolved);
+    let (z, order) = (&ws.z, &ws.order);
+    let eigenvector = |i: usize| &z[order[i] * r..(order[i] + 1) * r];
+    let (top, rest) = ws.vt.split_at_mut(live * n);
+    if wide {
+        // Row i of Uᵀ·A is σᵢ·vᵢᵀ.
+        top.fill(0.0);
+        matmul_rows_into(eigenvector, live, src, n, top);
+        for (row, &l) in top.chunks_exact_mut(n).zip(ws.sigma_sq.iter()) {
+            vecops::scale(1.0 / l.sqrt(), row);
+        }
+    } else {
+        for (i, row) in top.chunks_exact_mut(n).enumerate() {
+            row.copy_from_slice(eigenvector(i));
+        }
+    }
+    rest.fill(0.0);
+
+    Ok(RightFactor {
+        scaled_sigma_sq: &ws.sigma_sq,
+        unscale: 1.0 / scale,
+        resolved,
+        vt: &ws.vt,
+        cols: n,
+    })
+}
+
+/// The cold wrapper behind [`svd_thin`] and [`top_k_svd`]: the top `keep`
+/// triplets from [`right_factor`], with `U = A·V·Σ⁻¹` added and unresolved
+/// singular vectors on both sides completed to orthonormal sets.
+fn svd_top(a: &Matrix, keep: usize) -> Result<Svd> {
+    let mut ws = Workspace::default();
+    let rf = right_factor(a, keep, &mut ws)?;
+    let kept = rf.kept();
+    let s: Vec<f64> = (0..kept).map(|i| rf.sigma(i)).collect();
+    let mut vt = Matrix::from_vec(kept, a.cols(), rf.vt().to_vec())?;
+    let degenerate: Vec<usize> = (rf.resolved().min(kept)..kept).collect();
+    complete_rows(&mut vt, &degenerate, 0x5eed_57d0);
+
+    // Column j of A·V is σⱼ·uⱼ.
+    let mut u = a.matmul_nt(&vt)?;
+    for j in 0..kept - degenerate.len() {
+        let inv = 1.0 / s[j];
+        for i in 0..u.rows() {
+            u[(i, j)] *= inv;
+        }
+    }
+    complete_cols(&mut u, &degenerate, 0x5eed_57d1);
+    Ok(Svd { u, s, vt })
+}
+
+/// Thin SVD via the Gram route (default, fast for ℓ ≪ d sketches): every
+/// triplet of [`right_factor`], plus `U` and the orthonormal completion.
 ///
 /// # Errors
 /// * [`LinAlgError::EmptyInput`] for an empty matrix.
 /// * [`LinAlgError::NotFinite`] for NaN/inf input.
 /// * Propagates eigensolver failures.
 pub fn svd_thin(a: &Matrix) -> Result<Svd> {
-    let (m, n) = a.shape();
-    if m == 0 || n == 0 {
-        return Err(LinAlgError::EmptyInput { op: "svd_thin" });
-    }
-    if !a.all_finite() {
-        return Err(LinAlgError::NotFinite { op: "svd_thin" });
-    }
-
-    if m <= n {
-        // Eigendecompose A Aᵀ (m×m): A Aᵀ = U diag(σ²) Uᵀ.
-        let g = a.outer_gram();
-        let eig = crate::eigen::eigen_sym(&g)?;
-        let s: Vec<f64> = eig.values.iter().map(|&l| l.max(0.0).sqrt()).collect();
-        let u = eig.vectors; // m×m, columns are left singular vectors
-                             // Recover Vᵀ rows: vᵢ = Aᵀ uᵢ / σᵢ.
-        let ut = u.transpose(); // m×m; row i = uᵢ
-        let mut vt = ut.matmul(a)?; // m×n; row i = uᵢᵀ A = σᵢ vᵢᵀ
-        let sigma_max = s.first().copied().unwrap_or(0.0);
-        let tol = SIGMA_REL_TOL * sigma_max.max(f64::MIN_POSITIVE);
-        let mut degenerate = Vec::new();
-        for (i, &si) in s.iter().enumerate().take(m) {
-            if si > tol {
-                vecops::scale(1.0 / si, vt.row_mut(i));
-            } else {
-                degenerate.push(i);
-            }
-        }
-        complete_rows(&mut vt, &degenerate, 0x5eed_57d0);
-        Ok(Svd { u, s, vt })
-    } else {
-        // Eigendecompose Aᵀ A (n×n): Aᵀ A = V diag(σ²) Vᵀ.
-        let g = a.gram();
-        let eig = crate::eigen::eigen_sym(&g)?;
-        let s: Vec<f64> = eig.values.iter().map(|&l| l.max(0.0).sqrt()).collect();
-        let v = eig.vectors; // n×n, columns are right singular vectors
-                             // Recover U columns: uᵢ = A vᵢ / σᵢ.
-        let mut u = a.matmul(&v)?; // m×n; column i = A vᵢ = σᵢ uᵢ
-        let sigma_max = s.first().copied().unwrap_or(0.0);
-        let tol = SIGMA_REL_TOL * sigma_max.max(f64::MIN_POSITIVE);
-        let mut degenerate = Vec::new();
-        for j in 0..n {
-            if s[j] > tol {
-                let inv = 1.0 / s[j];
-                for i in 0..m {
-                    u[(i, j)] *= inv;
-                }
-            } else {
-                degenerate.push(j);
-            }
-        }
-        complete_cols(&mut u, &degenerate, 0x5eed_57d1);
-        Ok(Svd {
-            u,
-            s,
-            vt: v.transpose(),
-        })
-    }
+    svd_top(a, a.rows().min(a.cols()))
 }
 
-/// Thin SVD of `a` truncated to the top `k` triplets.
+/// Thin SVD of `a` truncated to the top `k` triplets (`k` is clamped to
+/// `min(m, n)`); only those `k` singular vectors are formed.
 ///
 /// # Errors
 /// See [`svd_thin`]; additionally `k = 0` is invalid.
@@ -147,7 +352,7 @@ pub fn top_k_svd(a: &Matrix, k: usize) -> Result<Svd> {
             message: "k must be positive",
         });
     }
-    Ok(svd_thin(a)?.truncate(k))
+    svd_top(a, k)
 }
 
 /// Maximum one-sided Jacobi sweeps.
@@ -361,6 +566,85 @@ mod tests {
         let a = gaussian_matrix(&mut rng, 15, 15, 2.0);
         let svd = svd_thin(&a).unwrap();
         check_svd(&a, &svd, 1e-8);
+    }
+
+    /// A fixed, full-rank `m × n` pattern with entries in `[-mag, mag]` (the
+    /// phase is quadratic in the index: a linear one has rank 2).
+    fn pattern(m: usize, n: usize, mag: f64) -> Matrix {
+        let data = (0..m * n)
+            .map(|i| mag * ((i * i * 7 + 3) as f64 * 0.61).sin())
+            .collect();
+        Matrix::from_vec(m, n, data).unwrap()
+    }
+
+    #[test]
+    fn right_factor_decomposes_every_finite_magnitude() {
+        // Entries near 2^±540 overflow / underflow their own squares, so an
+        // unscaled Gram matrix is all ∞ / all 0. Scaling by an exact power
+        // of two makes the decomposition the unit-magnitude one, bit for bit.
+        for (m, n) in [(5usize, 9usize), (9, 5)] {
+            let mut ws = Workspace::default();
+            let base = right_factor(&pattern(m, n, 1.0), 3, &mut ws).unwrap();
+            let (base_sigma, base_vt) = (
+                (0..5).map(|i| base.sigma(i)).collect::<Vec<_>>(),
+                base.vt().to_vec(),
+            );
+            assert_eq!(base.unscale(), 1.0);
+            for exp in [540i32, -570, 1000, -1010] {
+                let mag = 2f64.powi(exp);
+                let mut ws = Workspace::default();
+                let rf = right_factor(&pattern(m, n, mag), 3, &mut ws).unwrap();
+                assert_ne!(rf.unscale(), 1.0, "2^{exp} must be rescaled");
+                assert_eq!(rf.resolved(), 5);
+                assert_eq!(rf.vt(), &base_vt[..], "{m}x{n} at 2^{exp}");
+                for (i, &want) in base_sigma.iter().enumerate() {
+                    assert_eq!(rf.sigma(i), want * mag, "{m}x{n} σ{i} at 2^{exp}");
+                }
+                // σ² leaves the f64 range although σ does not: honest ∞ / 0.
+                let s2 = rf.sigma_sq(0);
+                assert!(s2 == if exp > 0 { f64::INFINITY } else { 0.0 }, "σ² = {s2}");
+            }
+        }
+    }
+
+    #[test]
+    fn right_factor_rejects_empty_and_non_finite() {
+        let mut ws = Workspace::default();
+        assert!(right_factor(&Matrix::zeros(0, 3), 1, &mut ws).is_err());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut a = pattern(4, 6, 1.0);
+            a[(2, 3)] = bad;
+            assert!(matches!(
+                right_factor(&a, 2, &mut ws),
+                Err(LinAlgError::NotFinite { .. })
+            ));
+        }
+        // The failed calls leave the workspace usable.
+        assert!(right_factor(&pattern(4, 6, 1.0), 2, &mut ws).is_ok());
+    }
+
+    #[test]
+    fn right_factor_zero_matrix_resolves_nothing() {
+        let mut ws = Workspace::default();
+        let rf = right_factor(&Matrix::zeros(3, 5), 2, &mut ws).unwrap();
+        assert_eq!(rf.resolved(), 0);
+        assert_eq!(rf.kept(), 2);
+        assert!(rf.scaled_sigma_sq().iter().all(|&l| l == 0.0));
+        assert!(rf.vt().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn presized_workspace_does_not_grow() {
+        let mut ws = Workspace::for_shape(8, 10, 4);
+        let before = ws.resident_bytes();
+        // r = 8: 64 Gram cells, three 8-vectors, a 4 × 10 output block and
+        // eight permutation indices.
+        assert_eq!(
+            before,
+            (64 + 3 * 8 + 40) * 8 + 8 * std::mem::size_of::<usize>()
+        );
+        right_factor(&pattern(8, 10, 1.0), 4, &mut ws).unwrap();
+        assert_eq!(ws.resident_bytes(), before);
     }
 
     #[test]

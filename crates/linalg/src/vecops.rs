@@ -7,9 +7,10 @@
 //!   `chunks_exact` blocks (no bounds checks in the hot path) with four
 //!   independent accumulator chains, so the compiler can emit SIMD without
 //!   needing `-ffast-math` reassociation; and
-//! * an **AVX2+FMA** path (x86-64 only) selected by runtime feature
-//!   detection, since the default `x86_64` target compiles the scalar path
-//!   to baseline SSE2 and leaves 2–4× on the table on any post-2013 core.
+//! * an **AVX2+FMA** path (x86-64 only; AVX-512 for the dot family and
+//!   [`rot`]) selected by runtime feature detection, since the default
+//!   `x86_64` target compiles the scalar path to baseline SSE2 and leaves
+//!   2–4× on the table on any post-2013 core.
 //!
 //! Path selection depends only on the slice length and the host CPU, so a
 //! given machine always takes the same path for the same input: results are
@@ -31,9 +32,9 @@ const MIN_SIMD_LEN: usize = 8;
 
 /// SIMD capability tiers, cached once (the kernels below sit on per-point
 /// hot paths where even a couple of extra atomic loads per call are
-/// measurable). The dot family prefers AVX-512 (half the loop trips at the
-/// short lengths scoring uses); the axpy family and the gemm micro-kernel
-/// are store-bound and stay on the 256-bit path.
+/// measurable). The dot family and `rot` prefer AVX-512 (half the loop trips
+/// at the short lengths scoring and the eigensolver use); the axpy family and
+/// the gemm micro-kernel are store-bound and stay on the 256-bit path.
 ///
 /// Setting `SKETCHAD_FORCE_SCALAR=1` in the environment pins tier 0
 /// regardless of CPU capabilities. CI uses this to run the whole test suite
@@ -468,6 +469,41 @@ fn scalar_axpy4(alpha: [f64; 4], x0: &[f64], x1: &[f64], x2: &[f64], x3: &[f64],
     }
 }
 
+/// Plane (Givens) rotation of two equal-length rows, in place:
+/// `(x, y) ← (c·x − s·y, s·x + c·y)`.
+///
+/// This is the inner loop of the symmetric eigensolver: the QL iteration
+/// accumulates each rotation into two adjacent rows of its row-stored
+/// eigenvector matrix, so both operands are contiguous. Path selection is a
+/// pure function of the length and the host tier, like every kernel here.
+///
+/// # Panics
+/// Panics when the slices have different lengths.
+#[inline]
+pub fn rot(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
+    assert_eq!(x.len(), y.len(), "rot: length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if x.len() >= MIN_SIMD_LEN {
+        // SAFETY: the matching CPU features were verified at runtime.
+        #[allow(unsafe_code)]
+        match simd_level() {
+            2 => return unsafe { simd::rot512(x, y, c, s) },
+            1 => return unsafe { simd::rot(x, y, c, s) },
+            _ => {}
+        }
+    }
+    scalar_rot(x, y, c, s)
+}
+
+#[inline]
+fn scalar_rot(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
+    for (xi, yi) in x.iter_mut().zip(y.iter_mut()) {
+        let (a, b) = (*xi, *yi);
+        *xi = c * a - s * b;
+        *yi = s * a + c * b;
+    }
+}
+
 /// Runtime-dispatched AVX2+FMA kernels. Kept in one module so the
 /// crate-level `deny(unsafe_code)` has exactly one sanctioned exception.
 ///
@@ -836,6 +872,56 @@ mod simd {
             i += 1;
         }
     }
+
+    /// Plane rotation `(x, y) ← (c·x − s·y, s·x + c·y)`, four lanes at a
+    /// time; each output is one multiply feeding one fused multiply-add.
+    ///
+    /// # Safety
+    /// Requires AVX2 and FMA; `x` and `y` must have equal lengths (checked
+    /// by the public wrapper).
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn rot(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
+        debug_assert_eq!(x.len(), y.len());
+        let n = x.len();
+        let xp = x.as_mut_ptr();
+        let yp = y.as_mut_ptr();
+        let cv = _mm256_set1_pd(c);
+        let sv = _mm256_set1_pd(s);
+        let mut i = 0usize;
+        while i + 4 <= n {
+            let a = _mm256_loadu_pd(xp.add(i));
+            let b = _mm256_loadu_pd(yp.add(i));
+            _mm256_storeu_pd(xp.add(i), _mm256_fmsub_pd(cv, a, _mm256_mul_pd(sv, b)));
+            _mm256_storeu_pd(yp.add(i), _mm256_fmadd_pd(sv, a, _mm256_mul_pd(cv, b)));
+            i += 4;
+        }
+        super::scalar_rot(&mut x[i..], &mut y[i..], c, s);
+    }
+
+    /// [`rot`] on 512-bit lanes: half the loop trips at the row lengths the
+    /// eigensolver uses (n = 48…128).
+    ///
+    /// # Safety
+    /// Requires AVX-512F; `x` and `y` must have equal lengths (checked by
+    /// the public wrapper).
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn rot512(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
+        debug_assert_eq!(x.len(), y.len());
+        let n = x.len();
+        let xp = x.as_mut_ptr();
+        let yp = y.as_mut_ptr();
+        let cv = _mm512_set1_pd(c);
+        let sv = _mm512_set1_pd(s);
+        let mut i = 0usize;
+        while i + 8 <= n {
+            let a = _mm512_loadu_pd(xp.add(i));
+            let b = _mm512_loadu_pd(yp.add(i));
+            _mm512_storeu_pd(xp.add(i), _mm512_fmsub_pd(cv, a, _mm512_mul_pd(sv, b)));
+            _mm512_storeu_pd(yp.add(i), _mm512_fmadd_pd(sv, a, _mm512_mul_pd(cv, b)));
+            i += 8;
+        }
+        super::scalar_rot(&mut x[i..], &mut y[i..], c, s);
+    }
 }
 
 /// `y ← alpha * y`.
@@ -1055,6 +1141,34 @@ mod tests {
             }
             assert_eq!(fused, seq, "n={n}");
         }
+    }
+
+    #[test]
+    fn rot_matches_scalar_and_preserves_norms() {
+        // Lengths straddle the 8-lane and 4-lane main loops and their tails;
+        // 5 stays on the scalar path on every host.
+        let (c, s) = (0.6f64, -0.8f64);
+        for n in [0usize, 1, 5, 8, 9, 15, 16, 23, 48, 64, 127, 128] {
+            let x0: Vec<f64> = (0..n).map(|i| ((i * 7 + 1) as f64 * 0.37).sin()).collect();
+            let y0: Vec<f64> = (0..n).map(|i| ((i * 3 + 2) as f64 * 0.29).cos()).collect();
+            let (mut xf, mut yf) = (x0.clone(), y0.clone());
+            rot(&mut xf, &mut yf, c, s);
+            let (mut xs, mut ys) = (x0.clone(), y0.clone());
+            scalar_rot(&mut xs, &mut ys, c, s);
+            for i in 0..n {
+                assert!((xf[i] - xs[i]).abs() <= 4.0 * f64::EPSILON, "n={n} x[{i}]");
+                assert!((yf[i] - ys[i]).abs() <= 4.0 * f64::EPSILON, "n={n} y[{i}]");
+                // A rotation keeps each column pair's length.
+                let before = x0[i].hypot(y0[i]);
+                assert!((xf[i].hypot(yf[i]) - before).abs() <= 1e-15, "n={n} i={i}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn rot_length_mismatch_panics() {
+        rot(&mut [1.0], &mut [1.0, 2.0], 1.0, 0.0);
     }
 
     #[test]

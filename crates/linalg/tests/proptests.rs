@@ -1,10 +1,11 @@
 //! Property-based tests for the linear-algebra substrate.
 
 use proptest::prelude::*;
-use sketchad_linalg::eigen::jacobi_eigen_sym;
+use sketchad_linalg::eigen::{eigen_sym, jacobi_eigen_sym};
 use sketchad_linalg::power::spectral_norm;
 use sketchad_linalg::qr::qr_thin;
-use sketchad_linalg::svd::svd_thin;
+use sketchad_linalg::rng::{random_orthonormal_rows, seeded_rng};
+use sketchad_linalg::svd::{right_factor, svd_jacobi, svd_thin, Workspace};
 use sketchad_linalg::vecops;
 use sketchad_linalg::Matrix;
 
@@ -26,8 +27,219 @@ fn symmetric_strategy(max_n: usize) -> impl Strategy<Value = Matrix> {
     })
 }
 
+/// Strategy: the shapes the Gram-route kernel must get right — wide, tall,
+/// square, exactly rank-deficient (a product through a thin inner
+/// dimension) and all-zero.
+fn factor_input_strategy() -> impl Strategy<Value = Matrix> {
+    (0..5usize, 1..=12usize, 1..=12usize, 1..=3usize).prop_flat_map(|(kind, a, b, q)| {
+        let (m, n) = match kind {
+            0 => (a.min(b), a.max(b) + 1), // wide
+            1 => (a.max(b) + 1, a.min(b)), // tall
+            2 => (a, a),                   // square
+            _ => (a, b),
+        };
+        prop::collection::vec(-100.0f64..100.0, (m + n) * m.max(n)).prop_map(move |data| {
+            match kind {
+                3 => {
+                    // rank ≤ q: (m × q)·(q × n).
+                    let q = q.min(m).min(n);
+                    let l = Matrix::from_vec(m, q, data[..m * q].to_vec()).unwrap();
+                    let r = Matrix::from_vec(q, n, data[m * q..m * q + q * n].to_vec()).unwrap();
+                    l.matmul(&r).unwrap()
+                }
+                4 => Matrix::zeros(m, n),
+                _ => Matrix::from_vec(m, n, data[..m * n].to_vec()).unwrap(),
+            }
+        })
+    })
+}
+
+/// Strategy: a symmetric matrix `Qᵀ diag(λ) Q` with `Q` random orthogonal and
+/// `λ` drawn from a small palette, so repeated and zero eigenvalues are the
+/// rule rather than the exception. Returns the matrix and its spectrum.
+fn planted_symmetric_strategy(max_n: usize) -> impl Strategy<Value = (Matrix, Vec<f64>)> {
+    (1..=max_n, 0..u64::MAX).prop_flat_map(|(n, seed)| {
+        let palette = vec![0.0, 0.0, 1.0, 1.0, 2.5, 7.0, -3.0, 1e-9];
+        prop::collection::vec(prop::sample::select(palette), n).prop_map(move |eigs| {
+            let q = random_orthonormal_rows(&mut seeded_rng(seed), n, n);
+            let s = q
+                .transpose()
+                .matmul(&Matrix::from_diag(&eigs))
+                .unwrap()
+                .matmul(&q)
+                .unwrap();
+            (s, eigs)
+        })
+    })
+}
+
+/// Checks that `(values, vectors)` is an eigendecomposition of `s` by its
+/// own certificate: small residuals `‖S·v − λ·v‖` and orthonormal vectors.
+fn assert_eigen_certificate(s: &Matrix, values: &[f64], vectors: &Matrix, tol: f64) {
+    let n = s.rows();
+    let scale = s.max_abs().max(1.0);
+    for (j, &lambda) in values.iter().enumerate() {
+        let v = vectors.col(j);
+        let sv = s.matvec(&v);
+        let res = sv
+            .iter()
+            .zip(&v)
+            .map(|(a, b)| (a - lambda * b) * (a - lambda * b))
+            .sum::<f64>()
+            .sqrt();
+        assert!(res <= tol * scale, "n={n} pair {j}: residual {res}");
+    }
+    let vtv = vectors.tr_matmul(vectors).unwrap();
+    let off = vtv.sub(&Matrix::identity(n)).unwrap().max_abs();
+    assert!(off <= tol, "n={n}: VᵀV − I = {off}");
+}
+
+#[test]
+fn ql_certificate_and_planted_spectrum_up_to_160() {
+    // The sizes past what the Jacobi oracle covers cheaply in a debug build:
+    // the certificate (residual + orthonormality) is complete on its own,
+    // and the planted spectrum — with a triple, a pair and zeros — pins the
+    // eigenvalues.
+    for n in [64usize, 100, 128, 160] {
+        let mut eigs: Vec<f64> = (0..n).map(|i| ((n - i) / 4) as f64).collect();
+        eigs[0] = n as f64;
+        let q = random_orthonormal_rows(&mut seeded_rng(n as u64), n, n);
+        let s = q
+            .transpose()
+            .matmul(&Matrix::from_diag(&eigs))
+            .unwrap()
+            .matmul(&q)
+            .unwrap();
+        let e = eigen_sym(&s).unwrap();
+        eigs.sort_by(|a, b| b.partial_cmp(a).unwrap());
+        for (got, want) in e.values.iter().zip(&eigs) {
+            assert!(
+                (got - want).abs() <= 1e-10 * n as f64,
+                "n={n}: {got} vs {want}"
+            );
+        }
+        assert_eigen_certificate(&s, &e.values, &e.vectors, 1e-11);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn right_factor_matches_one_sided_jacobi(a in factor_input_strategy(), keep_sel in 0..3usize) {
+        let (m, n) = a.shape();
+        let r = m.min(n);
+        let keep = [1, (r / 2).max(1), r][keep_sel];
+        let reference = svd_jacobi(&a).unwrap();
+        let mut ws = Workspace::default();
+        let rf = right_factor(&a, keep, &mut ws).unwrap();
+        prop_assert_eq!(rf.unscale(), 1.0);
+        prop_assert_eq!(rf.scaled_sigma_sq().len(), r);
+        prop_assert_eq!(rf.kept(), keep);
+
+        // Every σ to 1e-7·σ₁ (the Gram route's honest accuracy), descending.
+        let s1 = reference.s[0];
+        for i in 0..r {
+            prop_assert!((rf.sigma(i) - reference.s[i]).abs() <= 1e-7 * s1.max(1e-300),
+                "σ[{}]: {} vs {}", i, rf.sigma(i), reference.s[i]);
+            prop_assert_eq!(rf.sigma_sq(i), rf.scaled_sigma_sq()[i]);
+        }
+        for w in rf.scaled_sigma_sq().windows(2) {
+            prop_assert!(w[0] >= w[1] && w[1] >= 0.0);
+        }
+
+        // Resolved rows are unit right-singular vectors (‖A·v‖ = σ, mutually
+        // orthogonal); unresolved rows are zero, and nothing the reference
+        // sees clearly above the noise floor is left unresolved.
+        let live = rf.resolved().min(keep);
+        let clear = reference.s.iter().take_while(|&&s| s > 1e-6 * s1).count();
+        prop_assert!(rf.resolved() >= clear.min(r), "resolved {} < rank {}", rf.resolved(), clear);
+        for i in 0..keep {
+            let v = rf.vt_row(i);
+            if i >= live {
+                prop_assert!(v.iter().all(|&x| x == 0.0));
+                continue;
+            }
+            if i >= clear {
+                continue; // a noise-level direction: resolved, but not checkable
+            }
+            let av = vecops::norm2(&a.matvec(v));
+            prop_assert!((av - reference.s[i]).abs() <= 1e-7 * s1, "‖A·v{}‖ = {}", i, av);
+            for j in 0..i.min(clear) {
+                let dot = vecops::dot(v, rf.vt_row(j));
+                prop_assert!(dot.abs() <= 1e-7, "v{}·v{} = {}", i, j, dot);
+            }
+            prop_assert!((vecops::norm2(v) - 1.0).abs() <= 1e-7);
+        }
+
+        // Top-`keep` subspace by principal angle, where a spectral gap makes
+        // it well defined.
+        let gap_ok = keep <= clear && (keep == r || reference.s[keep - 1] - reference.s[keep] > 1e-3 * s1);
+        if gap_ok {
+            let mine = Matrix::from_vec(keep, n, rf.vt().to_vec()).unwrap();
+            let cosines = svd_jacobi(&mine.matmul_nt(&reference.vt.top_rows(keep)).unwrap()).unwrap();
+            let worst = cosines.s.last().copied().unwrap();
+            prop_assert!(1.0 - worst <= 1e-8, "largest principal angle: cos = {}", worst);
+        }
+    }
+
+    #[test]
+    fn reused_workspace_gives_the_bits_of_a_fresh_one(
+        a in factor_input_strategy(),
+        b in factor_input_strategy(),
+        keep_a in 1..=12usize,
+        keep_b in 1..=12usize,
+    ) {
+        // The workspace is scratch, never state: whatever it decomposed
+        // before — another shape, another keep — leaves no trace.
+        let capture = |m: &Matrix, keep: usize, ws: &mut Workspace| {
+            let rf = right_factor(m, keep, ws).unwrap();
+            let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+            (bits(rf.scaled_sigma_sq()), bits(rf.vt()), rf.unscale().to_bits(), rf.resolved())
+        };
+        let mut shared = Workspace::default();
+        let first = capture(&a, keep_a, &mut shared);
+        let second = capture(&b, keep_b, &mut shared);
+        let again = capture(&a, keep_a, &mut shared);
+        prop_assert_eq!(&first, &capture(&a, keep_a, &mut Workspace::default()));
+        prop_assert_eq!(&second, &capture(&b, keep_b, &mut Workspace::for_shape(40, 40, 40)));
+        prop_assert_eq!(&first, &again);
+    }
+
+    #[test]
+    fn ql_matches_jacobi_oracle((s, eigs) in planted_symmetric_strategy(40)) {
+        let ql = eigen_sym(&s).unwrap();
+        let oracle = jacobi_eigen_sym(&s).unwrap();
+        let mut planted = eigs.clone();
+        planted.sort_by(|a, b| b.partial_cmp(a).unwrap());
+        for (i, &got) in ql.values.iter().enumerate() {
+            prop_assert!((got - oracle.values[i]).abs() <= 1e-11,
+                "λ[{}]: ql {} vs jacobi {}", i, got, oracle.values[i]);
+            prop_assert!((got - planted[i]).abs() <= 1e-11);
+        }
+        assert_eigen_certificate(&s, &ql.values, &ql.vectors, 1e-12);
+    }
+
+    #[test]
+    fn rot_dispatch_tier_matches_reference(
+        x in prop::collection::vec(-50.0f64..50.0, 0..200),
+        y in prop::collection::vec(-50.0f64..50.0, 0..200),
+        angle in -3.2f64..3.2,
+    ) {
+        // Whatever tier the host dispatches to (AVX-512, AVX2+FMA, or scalar
+        // under SKETCHAD_FORCE_SCALAR=1) must agree with the two-multiply
+        // reference to rounding: fusing changes the last bit at most.
+        let n = x.len().min(y.len());
+        let (c, s) = (angle.cos(), angle.sin());
+        let (mut xr, mut yr) = (x[..n].to_vec(), y[..n].to_vec());
+        vecops::rot(&mut xr, &mut yr, c, s);
+        for i in 0..n {
+            let (a, b) = (x[i], y[i]);
+            let tol = 4.0 * f64::EPSILON * (a.abs() + b.abs());
+            prop_assert!((xr[i] - (c * a - s * b)).abs() <= tol, "x[{}] of {}", i, n);
+            prop_assert!((yr[i] - (s * a + c * b)).abs() <= tol, "y[{}] of {}", i, n);
+        }
+    }
 
     #[test]
     fn transpose_is_involution(a in matrix_strategy(12, 12)) {

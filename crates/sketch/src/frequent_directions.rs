@@ -4,7 +4,10 @@
 //! directions: the sketch owns a `2ℓ × d` buffer; rows are appended until the
 //! buffer fills, at which point an SVD-based *shrink* compresses it back to
 //! `ℓ` rows by subtracting `δ = σ_{ℓ+1}²` from every squared singular value.
-//! Amortized cost per row is `O(ℓ·d)`.
+//! Amortized cost per row is `O(ℓ·d)`. The shrink needs only `σ²` and the top
+//! ℓ right-singular vectors, so it runs the allocation-free Gram-route kernel
+//! [`right_factor`] on a workspace the sketch owns and writes the shrunk rows
+//! back over its own buffer.
 //!
 //! Deterministic guarantee (tested in this module and re-verified at the
 //! workspace level): for every unit vector `x`,
@@ -15,7 +18,7 @@
 //!
 //! and more sharply `‖AᵀA − BᵀB‖₂ ≤ ‖A − A_k‖_F² / (ℓ − k)` for any `k < ℓ`.
 
-use sketchad_linalg::svd::svd_thin;
+use sketchad_linalg::svd::{right_factor, Workspace};
 use sketchad_linalg::Matrix;
 use sketchad_obs::{Event, Gauge, RecorderHandle, Stage};
 use std::time::Instant;
@@ -33,9 +36,14 @@ pub struct FrequentDirections {
     ell: usize,
     /// Ambient dimension d.
     dim: usize,
-    /// `2ℓ × d` working buffer; rows `0..occupied` are valid.
+    /// `2ℓ × d` working buffer; rows `0..occupied` are valid and every row
+    /// past them is zero (so the whole buffer has the singular values and
+    /// right-singular vectors of its occupied prefix).
     buffer: Matrix,
     occupied: usize,
+    /// Scratch of the shrink's decomposition — never state: each shrink
+    /// overwrites all of it before reading any of it.
+    workspace: Workspace,
     rows_seen: u64,
     /// Running `‖A‖_F²` (decay-adjusted).
     frobenius_sq: f64,
@@ -59,6 +67,7 @@ impl FrequentDirections {
             dim,
             buffer: Matrix::zeros(2 * ell, dim),
             occupied: 0,
+            workspace: Workspace::for_shape(2 * ell, dim, ell),
             rows_seen: 0,
             frobenius_sq: 0.0,
             total_shrink_delta: 0.0,
@@ -91,18 +100,18 @@ impl FrequentDirections {
             "cannot merge sketches of different dimension"
         );
         for i in 0..other.occupied {
-            self.push_buffer_row(other.buffer.row(i).to_vec());
+            self.push_buffer_row(other.buffer.row(i));
         }
         self.rows_seen += other.rows_seen;
         self.frobenius_sq += other.frobenius_sq;
         self.total_shrink_delta += other.total_shrink_delta;
     }
 
-    fn push_buffer_row(&mut self, row: Vec<f64>) {
+    fn push_buffer_row(&mut self, row: &[f64]) {
         if self.occupied == self.buffer.rows() {
             self.shrink();
         }
-        self.buffer.set_row(self.occupied, &row);
+        self.buffer.set_row(self.occupied, row);
         self.occupied += 1;
     }
 
@@ -115,41 +124,26 @@ impl FrequentDirections {
         } else {
             None
         };
-        // Hot path: the amortized schedule fires shrink exactly when the
-        // 2ℓ-row buffer is full, so the SVD can read the buffer in place.
-        // Only the cold `compress`/merge paths (partially-filled buffer)
-        // pay for a `top_rows` copy.
-        let svd = if self.occupied == self.buffer.rows() {
-            svd_thin(&self.buffer)
-        } else {
-            svd_thin(&self.buffer.top_rows(self.occupied))
-        }
-        .expect("SVD of a finite FD buffer");
-        let r = svd.s.len();
-        // δ = σ²_{ℓ+1} (0-indexed s[ell]); zero when fewer values exist.
-        let delta = if r > self.ell {
-            svd.s[self.ell] * svd.s[self.ell]
-        } else {
-            0.0
-        };
-        self.total_shrink_delta += delta;
+        // The whole 2ℓ × d buffer is decomposed in place, whatever its fill:
+        // unoccupied rows are zero and change neither σ² nor Vᵀ.
+        let rf = right_factor(&self.buffer, self.ell, &mut self.workspace)
+            .expect("an FD buffer of finite rows always decomposes");
+        // Arithmetic stays in the kernel's scaled units until the last
+        // multiply, so rows near the ends of the f64 range shrink to finite
+        // rows even where σ² itself is not representable.
+        let lambda = rf.scaled_sigma_sq();
+        let unscale = rf.unscale();
+        // δ = σ²_{ℓ+1} (0-indexed [ell]); zero when fewer values exist.
+        let delta = lambda.get(self.ell).copied().unwrap_or(0.0);
+        self.total_shrink_delta += delta * unscale * unscale;
 
-        let keep = self.ell.min(r);
         let mut new_occupied = 0;
-        let mut dropped_mass = 0.0;
-        // Mass dropped from directions not kept.
-        for i in keep..r {
-            dropped_mass += svd.s[i] * svd.s[i];
-        }
-        for i in 0..keep {
-            let s2 = svd.s[i] * svd.s[i];
-            let shrunk = (s2 - delta).max(0.0);
-            dropped_mass += s2 - shrunk;
+        for (i, &l) in lambda.iter().enumerate().take(rf.kept().min(rf.resolved())) {
+            let shrunk = l - delta;
             if shrunk > 0.0 {
-                let scale = shrunk.sqrt();
-                let vt_row = svd.vt.row(i);
+                let scale = shrunk.sqrt() * unscale;
                 let dst = self.buffer.row_mut(new_occupied);
-                for (d, &v) in dst.iter_mut().zip(vt_row.iter()) {
+                for (d, &v) in dst.iter_mut().zip(rf.vt_row(i)) {
                     *d = scale * v;
                 }
                 new_occupied += 1;
@@ -157,11 +151,8 @@ impl FrequentDirections {
         }
         // Zero the tail so stale data never leaks into `sketch()`.
         for i in new_occupied..self.occupied {
-            for v in self.buffer.row_mut(i) {
-                *v = 0.0;
-            }
+            self.buffer.row_mut(i).fill(0.0);
         }
-        let _ = dropped_mass; // retained for debugging clarity
         self.occupied = new_occupied;
         if let Some(t0) = started {
             self.recorder
@@ -228,9 +219,11 @@ impl MatrixSketch for FrequentDirections {
 
     fn resident_bytes(&self) -> usize {
         // The doubling-buffer variant holds a 2ℓ × d working buffer, not
-        // the ℓ × d surface `capacity()` advertises; charge what is
-        // actually resident.
-        self.buffer.rows() * self.dim * std::mem::size_of::<f64>()
+        // the ℓ × d surface `capacity()` advertises, plus the shrink's
+        // decomposition workspace (Gram/eigenvector block, the ℓ × d output
+        // block) — sized at construction and resident for the sketch's
+        // lifetime. Charge what is actually resident.
+        self.buffer.rows() * self.dim * std::mem::size_of::<f64>() + self.workspace.resident_bytes()
     }
 
     fn decay(&mut self, alpha: f64) {
@@ -544,9 +537,54 @@ mod tests {
 
     #[test]
     fn resident_bytes_charges_the_doubling_buffer() {
-        let fd = FrequentDirections::new(4, 10);
-        // 2ℓ × d f64 cells, regardless of occupancy.
-        assert_eq!(fd.resident_bytes(), 2 * 4 * 10 * 8);
+        let (ell, d) = (4usize, 10usize);
+        let mut fd = FrequentDirections::new(ell, d);
+        // 2ℓ × d buffer cells plus the shrink workspace for that shape
+        // (whose own byte count is pinned in `linalg::svd`), regardless of
+        // occupancy.
+        let workspace = Workspace::for_shape(2 * ell, d, ell).resident_bytes();
+        assert!(workspace > 0);
+        let want = 2 * ell * d * 8 + workspace;
+        assert_eq!(fd.resident_bytes(), want);
+        // The workspace is sized at construction: shrinking allocates
+        // nothing, so the charge does not move.
+        let mut rng = seeded_rng(14);
+        feed(&mut fd, &gaussian_matrix(&mut rng, 50, d, 1.0));
+        assert_eq!(fd.resident_bytes(), want);
+    }
+
+    #[test]
+    fn rows_at_the_ends_of_the_f64_range_shrink_without_panicking() {
+        // `validate_point` admits any finite value. At ±2e160 the buffer's
+        // Gram matrix used to overflow to ∞ and the shrink panicked on a
+        // NotFinite SVD error; at 1e-170 it underflowed to 0 and the shrink
+        // silently erased the sketch. Both ends must shrink to a finite,
+        // non-empty sketch with an honest (never NaN) certificate.
+        for mag in [2e160, 1e-170] {
+            let mut fd = FrequentDirections::new(4, 6);
+            for i in 0..20usize {
+                let row: Vec<f64> = (0..6)
+                    .map(|j| {
+                        let sign = if (i + j) % 2 == 0 { 1.0 } else { -1.0 };
+                        sign * mag * (1.0 + ((i * 6 + j) as f64 * 0.37).sin().abs())
+                    })
+                    .collect();
+                fd.update(&row);
+            }
+            fd.compress();
+            let b = fd.sketch();
+            assert!((1..=4).contains(&b.rows()), "{mag:e}: {} rows", b.rows());
+            assert!(b.all_finite(), "{mag:e}: non-finite sketch");
+            // The sketch keeps the stream's scale: its largest entry is
+            // within a small factor of the rows' magnitude.
+            let top = b.max_abs();
+            assert!(top > 0.1 * mag && top < 100.0 * mag, "{mag:e}: top {top:e}");
+            // Σδ = Σσ²_{ℓ+1} is ~mag²: honestly ∞ at the top of the range,
+            // honestly 0 at the bottom, and never NaN.
+            let delta = fd.shrink_delta_sum();
+            assert!(!delta.is_nan());
+            assert_eq!(delta, if mag > 1.0 { f64::INFINITY } else { 0.0 });
+        }
     }
 
     #[test]

@@ -92,8 +92,10 @@ pub trait MatrixSketch {
     /// capacity-planning or benchmark-matrix consumer should charge this
     /// sketch for. The default charges the exposed sketch surface
     /// (`capacity × dim` f64 cells); sketches whose working set differs from
-    /// that surface (e.g. [`FrequentDirections`]' doubling buffer, the
-    /// block-window combinator's live blocks) override it.
+    /// that surface (e.g. [`FrequentDirections`]' doubling buffer plus the
+    /// decomposition workspace its shrink owns — resident for the sketch's
+    /// lifetime, not transient heap — or the block-window combinator's live
+    /// blocks) override it.
     ///
     /// [`FrequentDirections`]: crate::FrequentDirections
     fn resident_bytes(&self) -> usize {

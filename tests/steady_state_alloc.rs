@@ -1,0 +1,108 @@
+//! Zero allocations after warm-up — counted, not assumed.
+//!
+//! The frequent-directions shrink and the Gram-route kernel under it own
+//! their scratch (`svd::Workspace`), so once the first shrink has run, the
+//! steady state of `FrequentDirections::update` must never touch the heap.
+//! This binary installs a counting global allocator (it is its own crate, so
+//! `sketchad-linalg` keeps its `deny(unsafe_code)`) and counts.
+//!
+//! The counter is per-thread: the libtest harness allocates on its own
+//! threads while a test runs, and only the measured thread's traffic is the
+//! kernel's.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use sketchad_core::SubspaceModel;
+use sketchad_linalg::rng::{gaussian_matrix, seeded_rng};
+use sketchad_linalg::svd::{right_factor, Workspace};
+use sketchad_sketch::{FrequentDirections, MatrixSketch};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards to `System` unchanged; the only addition is
+// a thread-local counter bump, which neither allocates (the cell is
+// const-initialized, no lazy registration) nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations (including reallocations) made by `f` on this thread.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+#[test]
+fn the_counter_counts() {
+    assert_eq!(
+        allocations_in(|| drop(std::hint::black_box(vec![0u8; 64]))),
+        1
+    );
+    assert_eq!(allocations_in(|| {}), 0);
+}
+
+#[test]
+fn fd_update_and_its_kernel_allocate_nothing_after_warm_up() {
+    // The two FD shapes the benchmark runs: d=48 decomposes through the
+    // 48×48 inner Gram (m > n), d=256 through the 128×128 outer Gram.
+    for (ell, d) in [(32usize, 48usize), (64, 256)] {
+        let rows = gaussian_matrix(&mut seeded_rng(ell as u64), 2 * ell + 1_000 + 1, d, 1.0);
+        let mut fd = FrequentDirections::new(ell, d);
+        let mut refresh_ws = Workspace::default();
+
+        // Warm-up: fill the buffer, one shrink, one model refresh.
+        let mut fed = rows.iter_rows();
+        for row in fed.by_ref().take(2 * ell + 1) {
+            fd.update(row);
+        }
+        assert!(fd.shrink_delta_sum() > 0.0, "warm-up did not shrink");
+        let sketch = fd.sketch();
+        SubspaceModel::from_matrix_in(&sketch, 10, fd.rows_seen(), &mut refresh_ws).unwrap();
+
+        let shrinks_before = fd.shrink_delta_sum();
+        let in_updates = allocations_in(|| {
+            for row in fed.by_ref().take(1_000) {
+                fd.update(row);
+            }
+        });
+        assert!(
+            fd.shrink_delta_sum() > shrinks_before,
+            "no shrink in the measured window"
+        );
+        assert_eq!(in_updates, 0, "(ℓ={ell}, d={d}): FD update allocated");
+
+        // The kernel itself, on both workspaces it runs under: the sketch's
+        // shape again and the refresh's.
+        let in_kernel = allocations_in(|| {
+            for _ in 0..3 {
+                let rf = right_factor(&sketch, 10, &mut refresh_ws).unwrap();
+                std::hint::black_box(rf.sigma(0));
+            }
+        });
+        assert_eq!(in_kernel, 0, "(ℓ={ell}, d={d}): right_factor allocated");
+    }
+}
