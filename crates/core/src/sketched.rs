@@ -5,7 +5,13 @@
 //! into the sketch, and rebuilds the subspace on a refresh schedule. Memory
 //! is `O(ℓ·d)` and amortized per-point cost is the sketch update plus an
 //! `O(ℓ²·d / period)` share of the model rebuild — constant per point and
-//! independent of the stream length.
+//! independent of the stream length. The rebuild decomposes nothing itself:
+//! it reads the model off the factor the sketch hands out
+//! (`MatrixSketch::refresh_factor`). For frequent directions that factor is
+//! the one its shrink computes, so shrink and refresh together run
+//! `1 + ⌊(period − 1)/ℓ⌋` decompositions per `period` rows — one per ℓ rows
+//! when `period` is a multiple of ℓ — instead of a shrink every ℓ rows *and*
+//! a second solve of the same buffer every `period`.
 
 use sketchad_linalg::svd::Workspace;
 use sketchad_linalg::Matrix;
@@ -323,18 +329,26 @@ impl<S: MatrixSketch> SketchDetector<S> {
     }
 
     /// Forces an immediate model rebuild (used at warmup end and by tests).
+    ///
+    /// The model is built from the factor the sketch hands out
+    /// (`MatrixSketch::refresh_factor`): a frequent-directions sketch runs
+    /// its shrink in that call, so a refresh costs it no decomposition of
+    /// its own and may leave the sketch compacted.
     pub fn rebuild_model(&mut self) {
-        let b = self.sketch.sketch();
-        if b.rows() == 0 {
-            return;
-        }
         let started = self.span_start();
-        match SubspaceModel::from_matrix_in(
-            &b,
-            self.k,
-            self.sketch.rows_seen(),
-            &mut self.refresh_workspace,
-        ) {
+        let rows_seen = self.sketch.rows_seen();
+        let built = match self
+            .sketch
+            .refresh_factor(self.k, &mut self.refresh_workspace)
+        {
+            // Nothing to model yet (no span: no decomposition ran).
+            Ok(None) => return,
+            Ok(Some(f)) => {
+                SubspaceModel::from_right_factor(&f.factor, self.k, f.rows, f.energy, rows_seen)
+            }
+            Err(e) => Err(e),
+        };
+        match built {
             Ok(m) => {
                 // The refresh duration feeds both the span aggregate and
                 // the quantile histogram (refreshes are rare but heavy —
@@ -1063,6 +1077,57 @@ mod tests {
         assert_eq!(energy.samples, det.refresh_count());
         let captured = report.gauge(Gauge::ModelEnergyCaptured.label()).unwrap();
         assert!(captured.last > 0.0 && captured.last <= 1.0 + 1e-9);
+    }
+
+    #[test]
+    fn fd_refresh_and_shrink_share_one_decomposition() {
+        use sketchad_obs::{MetricsRecorder, Recorder};
+        use std::sync::Arc;
+
+        // The paper-default shape with the refresh period on the shrink
+        // cadence: every refresh finds the buffer full, shrinks it from the
+        // factor it builds the model from, and the next update finds room.
+        let (ell, d, period) = (64usize, 256usize, 64usize);
+        let n = 10 * ell + 17;
+        let mut rng = seeded_rng(41);
+        let recorder = Arc::new(MetricsRecorder::new());
+        let mut det = SketchDetector::new(
+            FrequentDirections::new(ell, d),
+            10,
+            ScoreKind::RelativeProjection,
+            RefreshPolicy::Periodic { period },
+            period,
+        )
+        .with_recorder(RecorderHandle::from(
+            Arc::clone(&recorder) as Arc<dyn Recorder>
+        ));
+        for _ in 0..n {
+            det.process(&gaussian_vec(&mut rng, d));
+        }
+
+        let report = recorder.snapshot();
+        let spans = |stage: Stage| report.span(stage.label()).map_or(0, |s| s.count);
+        let (shrinks, refreshes) = (spans(Stage::SketchShrink), spans(Stage::ModelRefresh));
+        // One decomposition per ℓ rows, where shrink + refresh used to be two.
+        assert!(
+            shrinks + refreshes <= (n / ell) as u64 + 2,
+            "{shrinks} shrinks + {refreshes} refreshes over {n} rows"
+        );
+        // The policy fires exactly when it always did: at warmup end, then
+        // every `period` rows.
+        let fired = 1 + (n - period) / period;
+        assert_eq!(det.refresh_count(), fired as u64);
+        assert_eq!(refreshes, fired as u64);
+        assert_eq!(report.event_count("refresh_fired"), fired);
+        // Every δ applied under a refresh span still reaches the certificate
+        // gauge and the event log.
+        assert_eq!(
+            report.event_count("sketch_shrink") as u64,
+            shrinks + refreshes
+        );
+        let bound = report.gauge(Gauge::FdErrorBound.label()).unwrap();
+        assert!(bound.last > 0.0);
+        assert_eq!(bound.last, det.sketch().shrink_delta_sum());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! The blended score combines both, which catches anomalies of either kind.
 
 use sketchad_linalg::eigen::warm_subspace_iteration;
-use sketchad_linalg::svd::{right_factor, Workspace};
+use sketchad_linalg::svd::{right_factor, RightFactor, Workspace};
 use sketchad_linalg::vecops;
 use sketchad_linalg::{LinAlgError, Matrix, SparseVec};
 
@@ -101,23 +101,47 @@ impl SubspaceModel {
         rows_represented: u64,
         workspace: &mut Workspace,
     ) -> Result<Self, LinAlgError> {
-        if b.rows() == 0 {
-            return Err(LinAlgError::EmptyInput {
-                op: "SubspaceModel::from_matrix",
-            });
-        }
-        let k_eff = k.min(b.rows()).min(b.cols());
+        let rf = right_factor(b, k.min(b.rows()), workspace)?;
+        Self::from_right_factor(
+            &rf,
+            k,
+            b.rows(),
+            b.squared_frobenius_norm(),
+            rows_represented,
+        )
+    }
+
+    /// The one constructor behind every cold build: reads the top
+    /// `min(k, rows, d)` directions off a decomposition somebody already
+    /// ran — [`from_matrix_in`](Self::from_matrix_in)'s own, or the one a
+    /// sketch hands out through `MatrixSketch::refresh_factor`. `rows` is the
+    /// row count of the decomposed matrix and `total_energy` its `‖·‖_F²`;
+    /// `factor` must hold at least `min(k, rows, d)` rows of `Vᵀ`. The only
+    /// allocations are the model's own basis and singular values.
+    ///
+    /// # Errors
+    /// `k = 0` is invalid, and so is a matrix of no rows.
+    pub fn from_right_factor(
+        factor: &RightFactor<'_>,
+        k: usize,
+        rows: usize,
+        total_energy: f64,
+        rows_represented: u64,
+    ) -> Result<Self, LinAlgError> {
+        // `kept() ≤ d`, so this is min(k, rows, d) whenever enough rows of
+        // Vᵀ were kept.
+        let k_eff = k.min(rows).min(factor.kept());
         if k_eff == 0 {
             return Err(LinAlgError::InvalidParameter {
-                op: "SubspaceModel::from_matrix",
-                message: "k must be positive",
+                op: "SubspaceModel::from_right_factor",
+                message: "k and the row count must be positive",
             });
         }
-        let rf = right_factor(b, k_eff, workspace)?;
+        let d = factor.vt_row(0).len();
         Ok(Self {
-            vt: Matrix::from_vec(k_eff, b.cols(), rf.vt().to_vec())?,
-            sigma: (0..k_eff).map(|j| rf.sigma(j)).collect(),
-            total_energy: b.squared_frobenius_norm(),
+            vt: Matrix::from_vec(k_eff, d, factor.vt()[..k_eff * d].to_vec())?,
+            sigma: (0..k_eff).map(|j| factor.sigma(j)).collect(),
+            total_energy,
             rows_represented,
         })
     }

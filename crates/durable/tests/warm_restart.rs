@@ -5,9 +5,10 @@
 //! would), recovers, and checks the recovered detector is bitwise identical
 //! to a control detector that never crashed.
 
-use sketchad_core::{DetectorConfig, StreamingDetector, UpdatePolicy};
+use sketchad_core::{DetectorConfig, RefreshPolicy, StreamingDetector, UpdatePolicy};
 use sketchad_durable::wal::encode_wal_record;
 use sketchad_durable::{recover, FsyncPolicy, StateStore, WalRecord};
+use sketchad_sketch::MatrixSketch;
 use std::path::PathBuf;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -110,6 +111,85 @@ fn warm_restart_matches_uninterrupted_run_bitwise() {
     }
     assert_eq!(revived.processed(), control.processed());
     assert_eq!(revived.refresh_count(), control.refresh_count());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn fd_checkpoint_after_a_refresh_time_shrink_restarts_bitwise() {
+    // A frequent-directions refresh runs the sketch's shrink, so with a
+    // refresh period off the buffer-full cadence (7 against ℓ = 4) the buffer
+    // is shrunk on two interleaved schedules. The checkpoint lands between
+    // the two: after a refresh-time shrink, before the next buffer-full one,
+    // which the replayed WAL tail then has to reproduce.
+    let (dim, ell) = (6, 4);
+    let config = || {
+        DetectorConfig::new(3, ell)
+            .with_warmup(6)
+            .with_refresh(RefreshPolicy::Periodic { period: 7 })
+    };
+    let rows = stream(150, dim);
+    let crash_at = 110;
+
+    let mut control = config().build_fd(dim);
+    let control_scores: Vec<f64> = rows.iter().map(|r| control.process(r)).collect();
+
+    let dir = tmp_dir("fd-refresh-shrink");
+    let mut checkpoint_seq = None;
+    let mut buffer_full_shrinks_after_checkpoint = 0;
+    {
+        let mut store = StateStore::open(&dir, 0, FsyncPolicy::EveryN(8)).unwrap();
+        let mut det = config().build_fd(dim);
+        // Row count at the latest shrink, when a refresh ran it.
+        let mut refresh_shrink_at = None;
+        for row in &rows[..crash_at] {
+            store.append_row(row).unwrap();
+            let room = det.sketch().sketch().rows() < 2 * ell;
+            let (delta, refreshes) = (det.sketch().shrink_delta_sum(), det.refresh_count());
+            det.process(row);
+            if det.sketch().shrink_delta_sum() > delta {
+                // With room in the buffer the update did not shrink it.
+                assert!(!room || det.refresh_count() > refreshes);
+                refresh_shrink_at = room.then_some(det.processed());
+                buffer_full_shrinks_after_checkpoint +=
+                    usize::from(!room && checkpoint_seq.is_some());
+            }
+            if checkpoint_seq.is_none()
+                && det.processed() >= 40
+                && refresh_shrink_at == Some(det.processed() - 2)
+            {
+                let mut payload = Vec::new();
+                assert!(det.save_state(&mut payload));
+                store.checkpoint(&payload).unwrap();
+                checkpoint_seq = Some(det.processed());
+            }
+        }
+        store.flush().unwrap();
+    }
+    let checkpoint_seq = checkpoint_seq.expect("a refresh-time shrink past row 40");
+    assert!(buffer_full_shrinks_after_checkpoint > 0);
+
+    let rec = recover(&dir).unwrap();
+    let snap = rec.snapshot.as_ref().expect("a checkpoint was taken");
+    assert_eq!(snap.seq, checkpoint_seq);
+    let mut revived = config().build_fd(dim);
+    assert!(revived.restore_state(&snap.payload).unwrap());
+    for wal_row in &rec.replay {
+        revived.process(&wal_row.row);
+    }
+    assert_eq!(revived.processed(), crash_at as u64);
+
+    for (i, row) in rows.iter().enumerate().skip(crash_at) {
+        assert_eq!(
+            revived.process(row).to_bits(),
+            control_scores[i].to_bits(),
+            "post-recovery score diverged at row {i}"
+        );
+    }
+    assert_eq!(revived.refresh_count(), control.refresh_count());
+    assert_eq!(
+        revived.sketch().shrink_delta_sum().to_bits(),
+        control.sketch().shrink_delta_sum().to_bits()
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -7,7 +7,12 @@
 //! Amortized cost per row is `O(ℓ·d)`. The shrink needs only `σ²` and the top
 //! ℓ right-singular vectors, so it runs the allocation-free Gram-route kernel
 //! [`right_factor`] on a workspace the sketch owns and writes the shrunk rows
-//! back over its own buffer.
+//! back over its own buffer. A model refresh needs `(σ, Vᵀ)` of that same
+//! buffer, so [`MatrixSketch::refresh_factor`] runs the shrink and hands its
+//! factor to the detector: one decomposition per buffer, whoever asks first.
+//! A shrink on a partly filled buffer is still an FD shrink (it removes at
+//! least ℓ·δ of Frobenius mass for the δ it adds), so the guarantee below
+//! holds on any schedule of refreshes.
 //!
 //! Deterministic guarantee (tested in this module and re-verified at the
 //! workspace level): for every unit vector `x`,
@@ -18,12 +23,14 @@
 //!
 //! and more sharply `‖AᵀA − BᵀB‖₂ ≤ ‖A − A_k‖_F² / (ℓ − k)` for any `k < ℓ`.
 
-use sketchad_linalg::svd::{right_factor, Workspace};
-use sketchad_linalg::Matrix;
+use sketchad_linalg::svd::{right_factor, RightFactor, Workspace};
+use sketchad_linalg::{vecops, LinAlgError, Matrix};
 use sketchad_obs::{Event, Gauge, RecorderHandle, Stage};
 use std::time::Instant;
 
-use crate::traits::{assert_row_len, assert_valid_decay, MatrixSketch, MergeableSketch};
+use crate::traits::{
+    assert_row_len, assert_valid_decay, MatrixSketch, MergeableSketch, RefreshFactor,
+};
 use crate::wire::{ByteReader, ByteWriter, WireError};
 
 /// Wire tag identifying a serialized [`FrequentDirections`] state blob.
@@ -124,6 +131,18 @@ impl FrequentDirections {
         } else {
             None
         };
+        self.decompose_and_shrink();
+        if let Some(t0) = started {
+            self.recorder
+                .record_span(Stage::SketchShrink, t0.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// The one decomposition an FD buffer gets: factors the buffer, writes
+    /// the shrunk rows `√(σᵢ² − δ)·vᵢᵀ` back over it, adds δ to the
+    /// certificate, and returns the factor of the buffer *as it was* — the
+    /// shrink discards it, a model refresh builds its model from it.
+    fn decompose_and_shrink(&mut self) -> RightFactor<'_> {
         // The whole 2ℓ × d buffer is decomposed in place, whatever its fill:
         // unoccupied rows are zero and change neither σ² nor Vᵀ.
         let rf = right_factor(&self.buffer, self.ell, &mut self.workspace)
@@ -133,8 +152,13 @@ impl FrequentDirections {
         // rows even where σ² itself is not representable.
         let lambda = rf.scaled_sigma_sq();
         let unscale = rf.unscale();
-        // δ = σ²_{ℓ+1} (0-indexed [ell]); zero when fewer values exist.
-        let delta = lambda.get(self.ell).copied().unwrap_or(0.0);
+        // δ = σ²_{ℓ+1} (0-indexed [ell]); zero when at most ℓ directions
+        // exist (a refresh on a buffer no fuller than that loses nothing).
+        let delta = if self.occupied > self.ell {
+            lambda.get(self.ell).copied().unwrap_or(0.0)
+        } else {
+            0.0
+        };
         self.total_shrink_delta += delta * unscale * unscale;
 
         let mut new_occupied = 0;
@@ -154,9 +178,7 @@ impl FrequentDirections {
             self.buffer.row_mut(i).fill(0.0);
         }
         self.occupied = new_occupied;
-        if let Some(t0) = started {
-            self.recorder
-                .record_span(Stage::SketchShrink, t0.elapsed().as_nanos() as u64);
+        if self.recorder.enabled() {
             self.recorder
                 .gauge(Gauge::FdErrorBound, self.total_shrink_delta);
             self.recorder.event(Event::SketchShrink {
@@ -164,6 +186,7 @@ impl FrequentDirections {
                 error_bound: self.total_shrink_delta,
             });
         }
+        rf
     }
 }
 
@@ -215,6 +238,28 @@ impl MatrixSketch for FrequentDirections {
 
     fn sketch(&self) -> Matrix {
         self.buffer.top_rows(self.occupied)
+    }
+
+    /// One decomposition serves the refresh and the shrink: the model is
+    /// read off the factor the shrink computes, on the sketch's own
+    /// workspace (the caller's stays untouched, and all ℓ rows of `Vᵀ` come
+    /// back whatever `keep` asked for). Records no [`Stage::SketchShrink`]
+    /// span — the caller's refresh span covers the work.
+    fn refresh_factor<'a>(
+        &'a mut self,
+        _keep: usize,
+        _workspace: &'a mut Workspace,
+    ) -> Result<Option<RefreshFactor<'a>>, LinAlgError> {
+        if self.occupied == 0 {
+            return Ok(None);
+        }
+        let rows = self.occupied;
+        let energy = vecops::norm2_sq(&self.buffer.as_slice()[..rows * self.dim]);
+        Ok(Some(RefreshFactor {
+            factor: self.decompose_and_shrink(),
+            energy,
+            rows,
+        }))
     }
 
     fn resident_bytes(&self) -> usize {

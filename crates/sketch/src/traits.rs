@@ -2,12 +2,26 @@
 //! plus [`MergeableSketch`] for distributed / recoverable deployments.
 
 use crate::wire::{ByteReader, ByteWriter, WireError};
-use sketchad_linalg::{Matrix, SparseVec};
+use sketchad_linalg::svd::{right_factor, RightFactor, Workspace};
+use sketchad_linalg::{LinAlgError, Matrix, SparseVec};
 use sketchad_obs::RecorderHandle;
+
+/// What [`MatrixSketch::refresh_factor`] hands a detector: the right factor
+/// of the sketch `B` as it stood when the call was made — everything a
+/// rank-k subspace model is built from, and nothing else.
+#[derive(Debug)]
+pub struct RefreshFactor<'a> {
+    /// Every `σ²` of `B` and (at least) the asked-for top rows of `Vᵀ`.
+    pub factor: RightFactor<'a>,
+    /// `‖B‖_F²`.
+    pub energy: f64,
+    /// Rows `B` held; a model keeps no more directions than this.
+    pub rows: usize,
+}
 
 /// A streaming sketch of a tall row matrix `A` (one row per stream point).
 ///
-/// Implementations maintain a small matrix `B` (at most [`capacity`] rows ×
+/// Implementations maintain a small matrix `B` (about [`capacity`] rows ×
 /// [`dim`] columns) such that `BᵀB ≈ AᵀA`, the covariance-like Gram matrix of
 /// everything observed so far. The anomaly detectors in `sketchad-core`
 /// consume sketches only through this trait, which is what makes the
@@ -20,8 +34,13 @@ pub trait MatrixSketch {
     /// Ambient dimensionality `d` (columns of `A`).
     fn dim(&self) -> usize;
 
-    /// Sketch size parameter ℓ: the maximum number of rows the sketch
-    /// guarantees to expose from [`MatrixSketch::sketch`]. Memory is `O(ℓ·d)`.
+    /// Sketch size parameter ℓ: the number of directions the sketch retains,
+    /// and so the largest model rank it supports. Memory is `O(ℓ·d)`.
+    /// [`MatrixSketch::sketch`] exposes at most ℓ rows for most sketches, but
+    /// up to 2ℓ for [`FrequentDirections`] (its doubling buffer between two
+    /// shrinks) — size by `sketch().rows()`, not by this.
+    ///
+    /// [`FrequentDirections`]: crate::FrequentDirections
     fn capacity(&self) -> usize;
 
     /// Number of stream rows folded into the sketch since the last reset.
@@ -49,10 +68,45 @@ pub trait MatrixSketch {
         self.update(&row.to_dense());
     }
 
-    /// Returns a copy of the current sketch matrix `B` (at most
-    /// `capacity_bound` × `dim`). `BᵀB` approximates the Gram matrix of the
+    /// Returns a copy of the current sketch matrix `B` (`dim` columns; at
+    /// most [`capacity`](MatrixSketch::capacity) rows, or twice that for
+    /// frequent directions). `BᵀB` approximates the Gram matrix of the
     /// observed stream prefix.
     fn sketch(&self) -> Matrix;
+
+    /// Decomposes the current sketch for a model refresh: all `σ²` and the
+    /// top `keep` rows of `Vᵀ` of `B`, its energy and its row count, or
+    /// `None` while the sketch is empty. `keep` must not exceed
+    /// [`capacity`](MatrixSketch::capacity).
+    ///
+    /// The default copies `B` out and runs the Gram-route kernel on the
+    /// caller's `workspace`. A sketch that decomposes `B` for its own
+    /// upkeep overrides this to do both with one decomposition:
+    /// [`FrequentDirections`] runs its shrink here and returns the factor
+    /// the shrink computed (so the sketch may change, and only to another
+    /// sketch of the same stream with the same guarantee). Either way the
+    /// factor is that of `B` *before* the call.
+    ///
+    /// # Errors
+    /// Propagates the kernel's failures (non-finite sketch contents).
+    ///
+    /// [`FrequentDirections`]: crate::FrequentDirections
+    fn refresh_factor<'a>(
+        &'a mut self,
+        keep: usize,
+        workspace: &'a mut Workspace,
+    ) -> Result<Option<RefreshFactor<'a>>, LinAlgError> {
+        let b = self.sketch();
+        if b.rows() == 0 {
+            return Ok(None);
+        }
+        let factor = right_factor(&b, keep, workspace)?;
+        Ok(Some(RefreshFactor {
+            factor,
+            energy: b.squared_frobenius_norm(),
+            rows: b.rows(),
+        }))
+    }
 
     /// Multiplies the *covariance estimate* `BᵀB` by `alpha ∈ (0, 1]`,
     /// i.e. scales the sketch rows by `√alpha`. This is the exponential

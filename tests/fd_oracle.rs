@@ -21,12 +21,13 @@
 //! slack for a kernel bug to hide in.
 
 use sketchad_core::{
-    DetectorConfig, ExactSvdDetector, RefreshPolicy, ScoreKind, StreamingDetector,
+    DetectorConfig, ExactSvdDetector, RefreshPolicy, ScoreKind, SketchDetector, StreamingDetector,
+    SubspaceModel,
 };
 use sketchad_linalg::eigen::jacobi_eigen_sym;
 use sketchad_linalg::power::gram_diff_spectral_norm;
 use sketchad_linalg::rng::{gaussian_matrix, seeded_rng};
-use sketchad_linalg::Matrix;
+use sketchad_linalg::{vecops, Matrix};
 use sketchad_sketch::{FrequentDirections, MatrixSketch};
 
 /// One adversarial case: the rows, the sketch/model sizes, and the exact
@@ -140,6 +141,55 @@ fn spectrum_sq(a: &Matrix) -> Vec<f64> {
     eig.values.iter().map(|l| l.max(0.0)).collect()
 }
 
+/// Holds `fd`, which has been fed exactly the rows of `case` (by whatever
+/// schedule of shrinks), to the covariance theorem. Returns `‖A‖²_F` in
+/// unit-magnitude numbers.
+fn assert_fd_theorem(case: &Case, fd: &FrequentDirections, name: &str) -> f64 {
+    let ell = case.ell;
+    // Reference arithmetic in unit-magnitude numbers: scaling by an
+    // exact power of two commutes with everything being checked.
+    let inv = 1.0 / case.unit;
+    let a = Matrix::from_rows(&case.rows).unwrap().scaled(inv);
+    let b = fd.sketch().scaled(inv);
+    let delta_sum = fd.shrink_delta_sum() * inv * inv;
+    assert!(b.all_finite(), "{name}: non-finite sketch");
+    assert!(b.rows() <= 2 * ell);
+    assert!(
+        delta_sum.is_finite() && delta_sum >= 0.0,
+        "{name}: Σδ = {delta_sum}"
+    );
+
+    let energy = a.squared_frobenius_norm();
+    let slack = 1e-9 * energy;
+    // Upper side: ‖AᵀA − BᵀB‖₂ ≤ Σδ.
+    let err = gram_diff_spectral_norm(&a, &b, 400, 11);
+    assert!(
+        err <= delta_sum * (1.0 + 1e-9) + slack,
+        "{name}: ‖AᵀA − BᵀB‖₂ = {err} exceeds Σδ = {delta_sum}"
+    );
+    // Both sides from the dense difference: every eigenvalue of
+    // AᵀA − BᵀB lies in [0, Σδ].
+    let diff = a.gram().sub(&b.gram()).unwrap();
+    let eig = jacobi_eigen_sym(&diff).unwrap();
+    let (top, bottom) = (eig.values[0], *eig.values.last().unwrap());
+    assert!(bottom >= -slack, "{name}: BᵀB ⋠ AᵀA, λ_min = {bottom}");
+    assert!(
+        top <= delta_sum * (1.0 + 1e-9) + slack,
+        "{name}: AᵀA ⋠ BᵀB + Σδ·I, λ_max = {top} vs Σδ = {delta_sum}"
+    );
+    // The certificate: Σδ ≤ ‖A − A_j‖²_F / (ℓ − j) for every j < ℓ.
+    let sigma_sq = spectrum_sq(&a);
+    for j in 0..ell {
+        let tail: f64 = sigma_sq.iter().skip(j).sum();
+        let bound = tail / (ell - j) as f64;
+        assert!(
+            delta_sum <= bound * (1.0 + 1e-9) + slack,
+            "{name}: Σδ = {delta_sum} exceeds ‖A − A_{j}‖²_F/(ℓ − {j}) = {bound}"
+        );
+    }
+    energy
+}
+
 #[test]
 fn fd_holds_its_theorem_beside_the_exact_detector() {
     for case in cases() {
@@ -152,47 +202,7 @@ fn fd_holds_its_theorem_beside_the_exact_detector() {
         for row in &case.rows {
             fd.update(row);
         }
-        // Reference arithmetic in unit-magnitude numbers: scaling by an
-        // exact power of two commutes with everything being checked.
-        let inv = 1.0 / case.unit;
-        let a = Matrix::from_rows(&case.rows).unwrap().scaled(inv);
-        let b = fd.sketch().scaled(inv);
-        let delta_sum = fd.shrink_delta_sum() * inv * inv;
-        assert!(b.all_finite(), "{name}: non-finite sketch");
-        assert!(b.rows() <= 2 * ell);
-        assert!(
-            delta_sum.is_finite() && delta_sum >= 0.0,
-            "{name}: Σδ = {delta_sum}"
-        );
-
-        let energy = a.squared_frobenius_norm();
-        let slack = 1e-9 * energy;
-        // Upper side: ‖AᵀA − BᵀB‖₂ ≤ Σδ.
-        let err = gram_diff_spectral_norm(&a, &b, 400, 11);
-        assert!(
-            err <= delta_sum * (1.0 + 1e-9) + slack,
-            "{name}: ‖AᵀA − BᵀB‖₂ = {err} exceeds Σδ = {delta_sum}"
-        );
-        // Both sides from the dense difference: every eigenvalue of
-        // AᵀA − BᵀB lies in [0, Σδ].
-        let diff = a.gram().sub(&b.gram()).unwrap();
-        let eig = jacobi_eigen_sym(&diff).unwrap();
-        let (top, bottom) = (eig.values[0], *eig.values.last().unwrap());
-        assert!(bottom >= -slack, "{name}: BᵀB ⋠ AᵀA, λ_min = {bottom}");
-        assert!(
-            top <= delta_sum * (1.0 + 1e-9) + slack,
-            "{name}: AᵀA ⋠ BᵀB + Σδ·I, λ_max = {top} vs Σδ = {delta_sum}"
-        );
-        // The certificate: Σδ ≤ ‖A − A_j‖²_F / (ℓ − j) for every j < ℓ.
-        let sigma_sq = spectrum_sq(&a);
-        for j in 0..ell {
-            let tail: f64 = sigma_sq.iter().skip(j).sum();
-            let bound = tail / (ell - j) as f64;
-            assert!(
-                delta_sum <= bound * (1.0 + 1e-9) + slack,
-                "{name}: Σδ = {delta_sum} exceeds ‖A − A_{j}‖²_F/(ℓ − {j}) = {bound}"
-            );
-        }
+        let energy = assert_fd_theorem(&case, &fd, name);
 
         // --- the detector on top of it, beside the exact one ---
         let (warmup, period) = (24, 16);
@@ -210,8 +220,10 @@ fn fd_holds_its_theorem_beside_the_exact_detector() {
                 "{name}: row {i} scored {s} / {e}"
             );
         }
-        sketched.rebuild_model();
+        // Read before the rebuild: the refresh runs the sketch's shrink,
+        // which compacts a rank-deficient buffer.
         let rows_now = sketched.sketch().sketch().rows();
+        sketched.rebuild_model();
         match sketched.model() {
             Some(model) => {
                 // Rank-deficient or not, the model keeps min(k, rows, d)
@@ -276,6 +288,102 @@ fn rank_deficient_streams_score_like_the_exact_detector() {
                 (s - e).abs() <= 1e-9,
                 "off-span probe: sketched {s} vs exact {e}"
             );
+        }
+    }
+}
+
+/// Forces a refresh and holds the model it reads off the shrink's factor to
+/// the cold build (`SubspaceModel::from_matrix`, its own decomposition of a
+/// copy) of the sketch as it stood before: same rank, σ to `1e-12·σ₁`, and
+/// every direction whose σ² is separated from its neighbours within `1e-8`
+/// rad.
+fn assert_read_off_is_the_cold_model(
+    case: &Case,
+    det: &mut SketchDetector<FrequentDirections>,
+    name: &str,
+) {
+    let before = det.sketch().sketch();
+    let refreshes = det.refresh_count();
+    det.rebuild_model();
+    if before.rows() == 0 {
+        assert_eq!(det.refresh_count(), refreshes, "{name}: model of nothing");
+        return;
+    }
+    assert_eq!(det.refresh_count(), refreshes + 1, "{name}: no refresh");
+    let d = before.cols();
+    let want = SubspaceModel::from_matrix(&before, case.k, det.sketch().rows_seen()).unwrap();
+    let got = det.model().unwrap();
+    assert_eq!(want.k(), case.k.min(before.rows()).min(d));
+    assert_eq!(got.k(), want.k(), "{name}: model rank");
+    assert_eq!(got.rows_represented(), want.rows_represented());
+
+    let sigma_1 = want.sigma()[0];
+    for (j, (g, w)) in got.sigma().iter().zip(want.sigma()).enumerate() {
+        assert!(
+            (g - w).abs() <= 1e-12 * sigma_1,
+            "{name}: σ_{j} read off as {g}, cold {w}"
+        );
+    }
+    let energy = want.total_energy();
+    assert!((got.total_energy() - energy).abs() <= 1e-12 * energy);
+
+    // λ_j of the pre-refresh sketch in unit-magnitude numbers, all d of
+    // them, so a direction's gap to the first one *outside* the model is
+    // known too.
+    let lambda = spectrum_sq(&before.scaled(1.0 / case.unit));
+    for j in 0..got.k() {
+        let gap = [j.checked_sub(1), Some(j + 1).filter(|&n| n < d)]
+            .into_iter()
+            .flatten()
+            .map(|n| (lambda[j] - lambda[n]).abs())
+            .fold(f64::INFINITY, f64::min);
+        if gap < 1e-6 * lambda[0] {
+            continue;
+        }
+        let (v, w) = (got.basis().row(j), want.basis().row(j));
+        let mut off = v.to_vec();
+        vecops::axpy(-vecops::dot(v, w), w, &mut off);
+        let angle = vecops::norm2_sq(&off).sqrt();
+        assert!(angle <= 1e-8, "{name}: direction {j} is {angle} rad off");
+    }
+}
+
+#[test]
+fn detector_driven_shrinks_keep_the_theorem_and_the_exact_model() {
+    // Under a detector every refresh is a shrink, on a buffer of whatever
+    // fill the refresh schedule finds: before the first buffer-full shrink,
+    // on every row, just short of / exactly at / past the buffer-full
+    // cadence, and on the energy trigger's data-dependent schedule.
+    for case in cases() {
+        let d = case.rows[0].len();
+        let (ell, k) = (case.ell, case.k);
+        let periods = [1, ell - 1, ell, 2 * ell + 1];
+        let policies = periods
+            .map(|period| RefreshPolicy::Periodic { period })
+            .into_iter()
+            .chain([RefreshPolicy::EnergyTriggered {
+                growth: 0.5,
+                max_period: 3 * ell,
+            }]);
+        for refresh in policies {
+            let name = format!("{} under {}", case.name, refresh.label());
+            let mut det = DetectorConfig::new(k, ell)
+                .with_score(ScoreKind::RelativeProjection)
+                .with_refresh(refresh)
+                .with_warmup(3)
+                .build_fd(d);
+            for (i, row) in case.rows.iter().enumerate() {
+                let s = det.process(row);
+                assert!(s.is_finite(), "{name}: row {i} scored {s}");
+                if i == case.rows.len() / 2 {
+                    assert_read_off_is_the_cold_model(&case, &mut det, &name);
+                }
+            }
+            assert_read_off_is_the_cold_model(&case, &mut det, &name);
+            // The schedule really was the detector's: one decomposition per
+            // refresh, each of them a shrink.
+            assert!(det.refresh_count() >= (case.rows.len() / (3 * ell)) as u64);
+            assert_fd_theorem(&case, det.sketch(), &name);
         }
     }
 }

@@ -13,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sketchad_core::SubspaceModel;
+use sketchad_core::{RefreshPolicy, ScoreKind, SketchDetector, StreamingDetector, SubspaceModel};
 use sketchad_linalg::rng::{gaussian_matrix, seeded_rng};
 use sketchad_linalg::svd::{right_factor, Workspace};
 use sketchad_sketch::{FrequentDirections, MatrixSketch};
@@ -104,5 +104,43 @@ fn fd_update_and_its_kernel_allocate_nothing_after_warm_up() {
             }
         });
         assert_eq!(in_kernel, 0, "(ℓ={ell}, d={d}): right_factor allocated");
+    }
+}
+
+#[test]
+fn fd_detector_allocates_only_the_model_it_installs() {
+    // A refresh reads the model off the factor its sketch's shrink computes
+    // on the sketch's own workspace: no copy of the sketch is taken, so the
+    // only heap traffic of a whole detector loop is the new model's basis
+    // and singular values, once per refresh. Periods on, off and across the
+    // buffer-full cadence, on both benchmark shapes.
+    for (ell, d, period) in [(32usize, 48usize, 64usize), (64, 256, 64), (32, 48, 50)] {
+        let rows = gaussian_matrix(&mut seeded_rng(period as u64), 4 * ell + 1_000, d, 1.0);
+        let mut det = SketchDetector::new(
+            FrequentDirections::new(ell, d),
+            4,
+            ScoreKind::RelativeProjection,
+            RefreshPolicy::Periodic { period },
+            2 * ell,
+        );
+        let mut fed = rows.iter_rows();
+        for row in fed.by_ref().take(4 * ell) {
+            det.process(row);
+        }
+        assert!(det.refresh_count() > 0 && det.sketch().shrink_delta_sum() > 0.0);
+
+        let refreshes_before = det.refresh_count();
+        for row in fed {
+            let refreshes = det.refresh_count();
+            let allocated = allocations_in(|| {
+                std::hint::black_box(det.process(row));
+            });
+            let budget = 2 * (det.refresh_count() - refreshes);
+            assert!(
+                allocated <= budget,
+                "(ℓ={ell}, d={d}, every {period}): {allocated} allocations in a row with budget {budget}"
+            );
+        }
+        assert!(det.refresh_count() >= refreshes_before + 1_000 / period as u64);
     }
 }
