@@ -23,7 +23,6 @@ use sketchad_linalg::Matrix;
 use sketchad_sketch::bounds::{covariance_error, fd_spectral_error_bound};
 use sketchad_sketch::{
     CountSketch, FrequentDirections, IsvdTruncation, MatrixSketch, RandomProjection, RowSampling,
-    SparseJl,
 };
 use sketchad_streams::{
     drift_datasets, standard_datasets, synth_lowrank, DatasetScale, LowRankStreamConfig,
@@ -740,10 +739,10 @@ fn f6_covariance_error(opts: &Opts) {
     for &ell in &ell_sweep_values(opts.scale) {
         let mut sketches: Vec<(usize, Box<dyn MatrixSketch>)> = vec![
             (0, Box::new(FrequentDirections::new(ell, d))),
-            (1, Box::new(RandomProjection::gaussian(ell, d, 0xf61))),
-            (2, Box::new(CountSketch::new(ell, d, 0xf62))),
+            (1, Box::new(RandomProjection::new(ell, d, 0xf61))),
+            (2, Box::new(CountSketch::new(ell, d, 1, 0xf62))),
             (3, Box::new(RowSampling::new(ell, d, 0xf63))),
-            (4, Box::new(SparseJl::new(ell, d, 4.min(ell), 0xf65))),
+            (4, Box::new(CountSketch::new(ell, d, 4.min(ell), 0xf65))),
             (5, Box::new(IsvdTruncation::new(ell, d))),
         ];
         print!("  ell={ell:<5}");

@@ -5,7 +5,7 @@
 //! is the API surface the examples and experiment harness use.
 
 use sketchad_sketch::{
-    BlockWindowSketch, CountSketch, FrequentDirections, RandomProjection, RowSampling, SparseJl,
+    BlockWindowSketch, CountSketch, FrequentDirections, RandomProjection, RowSampling,
 };
 
 use crate::refresh::RefreshPolicy;
@@ -113,12 +113,12 @@ impl DetectorConfig {
 
     /// Builds a Gaussian random-projection detector (the randomized arm).
     pub fn build_rp(&self, dim: usize) -> SketchDetector<RandomProjection> {
-        self.finish(RandomProjection::gaussian(self.ell, dim, self.seed))
+        self.finish(RandomProjection::new(self.ell, dim, self.seed))
     }
 
     /// Builds a CountSketch detector (cheapest updates).
     pub fn build_cs(&self, dim: usize) -> SketchDetector<CountSketch> {
-        self.finish(CountSketch::new(self.ell, dim, self.seed))
+        self.finish(CountSketch::new(self.ell, dim, 1, self.seed))
     }
 
     /// Builds a row-sampling detector (interpretable sketch contents).
@@ -126,10 +126,11 @@ impl DetectorConfig {
         self.finish(RowSampling::new(self.ell, dim, self.seed))
     }
 
-    /// Builds a sparse-JL detector (`s = min(4, ℓ)` buckets touched per
-    /// coordinate — the sparse-embedding arm of the benchmark matrix).
-    pub fn build_sjl(&self, dim: usize) -> SketchDetector<SparseJl> {
-        self.finish(SparseJl::new(self.ell, dim, 4.min(self.ell), self.seed))
+    /// Builds a sparse-JL detector: a [`CountSketch`] adding each row into
+    /// `s = min(4, ℓ)` buckets — the sparse-embedding arm of the benchmark
+    /// matrix.
+    pub fn build_sjl(&self, dim: usize) -> SketchDetector<CountSketch> {
+        self.finish(CountSketch::new(self.ell, dim, 4.min(self.ell), self.seed))
     }
 
     /// Builds a sliding-window FD detector: the window covers

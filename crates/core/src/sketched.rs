@@ -774,7 +774,7 @@ mod tests {
         let d = 16;
         let (rows, labels) = planted_stream(300, 30, d, 3, 2);
         let rp = SketchDetector::new(
-            RandomProjection::gaussian(24, d, 7),
+            RandomProjection::new(24, d, 7),
             3,
             ScoreKind::RelativeProjection,
             RefreshPolicy::Periodic { period: 32 },
@@ -782,7 +782,7 @@ mod tests {
         );
         check_separation("rp", rp, &rows, &labels);
         let cs = SketchDetector::new(
-            CountSketch::new(48, d, 7),
+            CountSketch::new(48, d, 1, 7),
             3,
             ScoreKind::RelativeProjection,
             RefreshPolicy::Periodic { period: 32 },
@@ -942,7 +942,7 @@ mod tests {
         use sketchad_linalg::SparseVec;
         let d = 10;
         let mut dense_det = SketchDetector::new(
-            CountSketch::new(16, d, 3),
+            CountSketch::new(16, d, 1, 3),
             2,
             ScoreKind::RelativeProjection,
             RefreshPolicy::Periodic { period: 8 },

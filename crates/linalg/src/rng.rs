@@ -62,13 +62,6 @@ pub fn rademacher<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     }
 }
 
-/// Fills `out` with i.i.d. ±`scale` Rademacher entries.
-pub fn fill_rademacher<R: Rng + ?Sized>(rng: &mut R, scale: f64, out: &mut [f64]) {
-    for v in out.iter_mut() {
-        *v = scale * rademacher(rng);
-    }
-}
-
 /// Samples a uniformly random unit vector in `R^n`.
 pub fn random_unit_vector<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<f64> {
     loop {

@@ -1,12 +1,17 @@
-//! CountSketch — the O(d)-per-row hashing sketch.
+//! CountSketch and its sparse-JL generalisation — the hashing sketches.
 //!
-//! Each stream row `y_t` is assigned a bucket `h(t) ∈ [ℓ]` and a sign
-//! `g(t) ∈ {±1}`; the sketch adds `g(t)·y_t` into bucket row `h(t)`. This is
-//! `B = S·A` for the sparse embedding matrix `S` with one ±1 per column, so
-//! `E[BᵀB] = AᵀA`, and `S` is an oblivious subspace embedding for
-//! `ℓ = Ω(k²/ε²)` (Clarkson–Woodruff). It trades a larger required ℓ for the
-//! cheapest possible update: one signed vector addition, no multiplies by
-//! random values.
+//! Each stream row `y_t` is hashed to `s ≥ 1` distinct bucket rows
+//! `h_1(t), …, h_s(t) ∈ [ℓ]`, each with an independent sign `g_j(t) ∈ {±1}`,
+//! and the sketch adds `g_j(t)·y_t/√s` into every one of them. This is
+//! `B = S·A` for the sparse embedding matrix `S` with `s` nonzeros of
+//! magnitude `1/√s` per column, so `E[BᵀB] = AᵀA`.
+//!
+//! * `s = 1` is CountSketch: one signed vector addition per row, no
+//!   multiplies by random values, and an oblivious subspace embedding for
+//!   `ℓ = Ω(k²/ε²)` (Clarkson–Woodruff).
+//! * Larger `s` is the OSNAP-style sparse JL embedding: `O(s·d)` per row buys
+//!   sharper concentration — `s = O(log)` nonzeros per column make `S` a
+//!   subspace embedding at `ℓ = Õ(k)`.
 //!
 //! Hashing is done on the running row counter with a SplitMix64-style mixer,
 //! so the sketch needs no per-row storage and replays deterministically.
@@ -20,23 +25,24 @@ use crate::wire::{ByteReader, ByteWriter, WireError};
 /// Wire tag identifying a serialized [`CountSketch`] state blob.
 pub(crate) const CS_STATE_TAG: u8 = 3;
 
-/// Sparse-embedding (CountSketch) matrix sketch.
+/// Sparse-embedding (CountSketch / sparse-JL) matrix sketch with `s`
+/// nonzeros per embedded row.
 #[derive(Debug, Clone)]
 pub struct CountSketch {
     ell: usize,
     dim: usize,
+    s: usize,
     seed: u64,
     b: Matrix,
     rows_seen: u64,
-    /// Absolute stream position used for hashing; unlike `rows_seen` it is
-    /// preserved across [`CountSketch::fork_empty`] so forked sketches stay
-    /// hash-aligned with their parent.
-    stream_pos: u64,
     frobenius_sq: f64,
+    /// The current row's `s` `(bucket, signed weight)` targets, reused
+    /// across updates.
+    targets: Vec<(usize, f64)>,
 }
 
 /// SplitMix64 finalizer: a high-quality 64-bit mixer, used as a deterministic
-/// hash of (seed, counter).
+/// hash of (seed, counter, salt).
 #[inline]
 fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -46,62 +52,45 @@ fn mix64(mut z: u64) -> u64 {
 }
 
 impl CountSketch {
-    /// Creates an empty CountSketch with `ell` buckets over dimension `dim`.
+    /// Creates an empty sketch with `ell` buckets over dimension `dim`,
+    /// adding each row into `s` of them (`s = 1` is classic CountSketch).
     ///
     /// # Panics
-    /// Panics when `ell == 0` or `dim == 0`.
-    pub fn new(ell: usize, dim: usize, seed: u64) -> Self {
+    /// Panics when `ell == 0`, `dim == 0`, `s == 0`, or `s > ell`.
+    pub fn new(ell: usize, dim: usize, s: usize, seed: u64) -> Self {
         assert!(ell > 0, "sketch size ℓ must be positive");
         assert!(dim > 0, "dimension must be positive");
+        assert!(s > 0 && s <= ell, "need 1 <= s <= ℓ (s={s}, ℓ={ell})");
         Self {
             ell,
             dim,
+            s,
             seed,
             b: Matrix::zeros(ell, dim),
             rows_seen: 0,
-            stream_pos: 0,
             frobenius_sq: 0.0,
+            targets: Vec::with_capacity(s),
         }
     }
 
-    /// Returns an empty sketch that shares this sketch's hash family *and
-    /// stream position*: rows fed to both in lockstep hash identically, so
-    /// the fork's sketch can later be [`subtract`](Self::subtract)ed from the
-    /// parent to delete that suffix exactly.
-    pub fn fork_empty(&self) -> CountSketch {
-        CountSketch {
-            ell: self.ell,
-            dim: self.dim,
-            seed: self.seed,
-            b: Matrix::zeros(self.ell, self.dim),
-            rows_seen: 0,
-            stream_pos: self.stream_pos,
-            frobenius_sq: 0.0,
+    /// Fills `self.targets` with the `s` distinct `(bucket, signed weight)`
+    /// targets for stream index `t`, sampled without replacement by
+    /// rejection: salt `j` re-hashes `(seed, t)` until `s` distinct buckets
+    /// have been drawn.
+    fn draw_targets(&mut self, t: u64) {
+        let w = 1.0 / (self.s as f64).sqrt();
+        self.targets.clear();
+        let mut salt = 0u64;
+        while self.targets.len() < self.s {
+            let h = mix64(self.seed ^ t.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (salt << 48));
+            salt += 1;
+            let bucket = (h % self.ell as u64) as usize;
+            if self.targets.iter().any(|&(b, _)| b == bucket) {
+                continue;
+            }
+            let sign = if (h >> 63) == 0 { w } else { -w };
+            self.targets.push((bucket, sign));
         }
-    }
-
-    /// Bucket and sign for stream index `t`.
-    #[inline]
-    fn bucket_sign(&self, t: u64) -> (usize, f64) {
-        let h = mix64(self.seed ^ t.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let bucket = (h % self.ell as u64) as usize;
-        let sign = if (h >> 63) == 0 { 1.0 } else { -1.0 };
-        (bucket, sign)
-    }
-
-    /// Subtracts another CountSketch built with the *same seed and aligned
-    /// stream offsets* (exact deletion by linearity).
-    ///
-    /// # Panics
-    /// Panics when shapes differ.
-    pub fn subtract(&mut self, other: &CountSketch) {
-        assert_eq!(self.b.shape(), other.b.shape(), "sketch shape mismatch");
-        for i in 0..self.ell {
-            let src = other.b.row(i).to_vec();
-            vecops::axpy(-1.0, &src, self.b.row_mut(i));
-        }
-        self.frobenius_sq = (self.frobenius_sq - other.frobenius_sq).max(0.0);
-        self.rows_seen = self.rows_seen.saturating_sub(other.rows_seen);
     }
 }
 
@@ -120,10 +109,11 @@ impl MatrixSketch for CountSketch {
 
     fn update(&mut self, row: &[f64]) {
         assert_row_len(row, self.dim, "CountSketch::update");
-        let (bucket, sign) = self.bucket_sign(self.stream_pos);
-        vecops::axpy(sign, row, self.b.row_mut(bucket));
+        self.draw_targets(self.rows_seen);
+        for &(bucket, weight) in &self.targets {
+            vecops::axpy(weight, row, self.b.row_mut(bucket));
+        }
         self.rows_seen += 1;
-        self.stream_pos += 1;
         self.frobenius_sq += vecops::norm2_sq(row);
     }
 
@@ -133,10 +123,11 @@ impl MatrixSketch for CountSketch {
             self.dim,
             "CountSketch::update_sparse dimension mismatch"
         );
-        let (bucket, sign) = self.bucket_sign(self.stream_pos);
-        row.axpy_into(sign, self.b.row_mut(bucket)); // O(nnz)
+        self.draw_targets(self.rows_seen);
+        for &(bucket, weight) in &self.targets {
+            row.axpy_into(weight, self.b.row_mut(bucket)); // O(nnz)
+        }
         self.rows_seen += 1;
-        self.stream_pos += 1;
         self.frobenius_sq += row.norm2_sq();
     }
 
@@ -153,7 +144,6 @@ impl MatrixSketch for CountSketch {
     fn reset(&mut self) {
         self.b = Matrix::zeros(self.ell, self.dim);
         self.rows_seen = 0;
-        self.stream_pos = 0;
         self.frobenius_sq = 0.0;
     }
 
@@ -163,7 +153,11 @@ impl MatrixSketch for CountSketch {
     }
 
     fn name(&self) -> &'static str {
-        "count-sketch"
+        if self.s == 1 {
+            "count-sketch"
+        } else {
+            "sparse-jl"
+        }
     }
 
     fn stream_frobenius_sq(&self) -> f64 {
@@ -174,9 +168,9 @@ impl MatrixSketch for CountSketch {
         out.put_u8(CS_STATE_TAG);
         out.put_u64(self.ell as u64);
         out.put_u64(self.dim as u64);
+        out.put_u64(self.s as u64);
         out.put_u64(self.seed);
         out.put_u64(self.rows_seen);
-        out.put_u64(self.stream_pos);
         out.put_f64(self.frobenius_sq);
         for &v in self.b.as_slice() {
             out.put_f64(v);
@@ -189,12 +183,12 @@ impl MatrixSketch for CountSketch {
         if r.get_u8(ctx)? != CS_STATE_TAG
             || r.get_u64(ctx)? != self.ell as u64
             || r.get_u64(ctx)? != self.dim as u64
+            || r.get_u64(ctx)? != self.s as u64
         {
             return Err(WireError { context: ctx });
         }
         self.seed = r.get_u64(ctx)?;
         self.rows_seen = r.get_u64(ctx)?;
-        self.stream_pos = r.get_u64(ctx)?;
         self.frobenius_sq = r.get_f64(ctx)?;
         for v in self.b.as_mut_slice() {
             *v = r.get_f64(ctx)?;
@@ -204,26 +198,18 @@ impl MatrixSketch for CountSketch {
 }
 
 impl MergeableSketch for CountSketch {
-    /// Merging is matrix addition. The merged sketch is a valid CountSketch
-    /// of the concatenated stream when the shards hash independently: either
-    /// **independent seeds** (the sharded-serving layout — cross-shard sign
-    /// products are then mean-zero) or a **shared seed with disjoint stream
-    /// positions** ([`fork_empty`](CountSketch::fork_empty)-aligned splits),
-    /// where the merge reproduces the single-stream sketch exactly. The
-    /// merged `stream_pos` is the max of the two, so a fork-aligned parent
-    /// keeps hashing fresh positions after absorbing its fork.
+    /// Merging is matrix addition. With shards on **independent seeds** (the
+    /// sharded-serving layout) the cross-shard sign products are mean-zero,
+    /// so the sum is an unbiased sketch of the concatenated stream. The
+    /// merged sketch keeps hashing at its summed `rows_seen`.
     fn merge_from(&mut self, other: &Self) {
         assert_eq!(
-            (self.ell, self.dim),
-            (other.ell, other.dim),
+            (self.ell, self.dim, self.s),
+            (other.ell, other.dim, other.s),
             "cannot merge CountSketches of different shape"
         );
-        for i in 0..self.ell {
-            let src = other.b.row(i).to_vec();
-            vecops::axpy(1.0, &src, self.b.row_mut(i));
-        }
+        vecops::axpy(1.0, other.b.as_slice(), self.b.as_mut_slice());
         self.rows_seen += other.rows_seen;
-        self.stream_pos = self.stream_pos.max(other.stream_pos);
         self.frobenius_sq += other.frobenius_sq;
     }
 }
@@ -241,13 +227,40 @@ mod tests {
     }
 
     #[test]
+    fn hash_family_matches_golden_digests() {
+        // FNV-1a over the sketch's f64 bits, then `stream_frobenius_sq`'s,
+        // after 500 seeded rows. The digests pin the hash family, the
+        // rejection rule and the 1/√s weights bit for bit: s = 1 is the
+        // classic CountSketch and s = 4 the sparse-JL arm of every committed
+        // result.
+        fn digest(s: &CountSketch) -> u64 {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            let frob = s.stream_frobenius_sq();
+            for v in s.b.as_slice().iter().chain(std::iter::once(&frob)) {
+                for byte in v.to_bits().to_le_bytes() {
+                    h ^= u64::from(byte);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            h
+        }
+        let rows = gaussian_matrix(&mut seeded_rng(13), 500, 5, 1.0);
+        for (s, want) in [(1, 0x1c48_051c_8f97_0c09u64), (4, 0x719b_4712_928e_cd90)] {
+            let mut cs = CountSketch::new(8, 5, s, 13);
+            feed(&mut cs, &rows);
+            assert_eq!(digest(&cs), want, "s={s}: hash family changed");
+        }
+    }
+
+    #[test]
     fn mixer_spreads_buckets_evenly() {
-        let cs = CountSketch::new(16, 1, 123);
+        let mut cs = CountSketch::new(16, 1, 1, 123);
         let mut counts = [0usize; 16];
         let mut plus = 0usize;
         let n = 32_000u64;
         for t in 0..n {
-            let (b, s) = cs.bucket_sign(t);
+            cs.draw_targets(t);
+            let (b, s) = cs.targets[0];
             counts[b] += 1;
             if s > 0.0 {
                 plus += 1;
@@ -265,20 +278,53 @@ mod tests {
     }
 
     #[test]
-    fn unbiasedness_over_seeds() {
-        let mut rng = seeded_rng(90);
-        let a = gaussian_matrix(&mut rng, 40, 5, 1.0);
+    fn targets_are_distinct_and_weighted() {
+        let mut s = CountSketch::new(16, 4, 4, 7);
+        for t in 0..200 {
+            s.draw_targets(t);
+            assert_eq!(s.targets.len(), 4);
+            let mut buckets: Vec<usize> = s.targets.iter().map(|&(b, _)| b).collect();
+            buckets.sort_unstable();
+            buckets.dedup();
+            assert_eq!(buckets.len(), 4, "duplicate buckets at t={t}");
+            for &(_, w) in &s.targets {
+                assert!((w.abs() - 0.5).abs() < 1e-12); // 1/√4
+            }
+        }
+    }
+
+    /// Max-abs error of the seed-averaged `gram(B)` relative to `gram(A)`.
+    fn relative_bias(a: &Matrix, ell: usize, s: usize, seeds: std::ops::Range<u64>) -> f64 {
         let truth = a.gram();
-        let trials = 500;
-        let mut mean = Matrix::zeros(5, 5);
-        for t in 0..trials {
-            let mut cs = CountSketch::new(8, 5, 5000 + t);
-            feed(&mut cs, &a);
+        let mut mean = Matrix::zeros(a.cols(), a.cols());
+        let trials = seeds.end - seeds.start;
+        for seed in seeds {
+            let mut cs = CountSketch::new(ell, a.cols(), s, seed);
+            feed(&mut cs, a);
+            assert_eq!(cs.rows_seen(), a.rows() as u64);
             mean = mean.add(&cs.sketch().gram()).unwrap();
         }
         mean.scale_mut(1.0 / trials as f64);
-        let rel = mean.sub(&truth).unwrap().max_abs() / truth.max_abs();
-        assert!(rel < 0.15, "relative bias {rel}");
+        mean.sub(&truth).unwrap().max_abs() / truth.max_abs()
+    }
+
+    #[test]
+    fn unbiasedness_over_seeds() {
+        let a = gaussian_matrix(&mut seeded_rng(90), 40, 5, 1.0);
+        for s in [1, 4] {
+            let rel = relative_bias(&a, 8, s, 5000..5500);
+            assert!(rel < 0.15, "s={s}: relative bias {rel}");
+        }
+    }
+
+    #[test]
+    fn s_equals_one_behaves_like_count_sketch_contract() {
+        let a = gaussian_matrix(&mut seeded_rng(80), 50, 6, 1.0);
+        let mut s = CountSketch::new(8, 6, 1, 3);
+        feed(&mut s, &a);
+        assert_eq!(s.rows_seen(), 50);
+        let rel = relative_bias(&a, 8, 1, 7000..7300);
+        assert!(rel < 0.2, "bias {rel}");
     }
 
     #[test]
@@ -287,7 +333,7 @@ mod tests {
         let a = gaussian_matrix(&mut rng, 600, 16, 1.0);
         let mut errs = Vec::new();
         for ell in [8usize, 64, 256] {
-            let mut cs = CountSketch::new(ell, 16, 3);
+            let mut cs = CountSketch::new(ell, 16, 1, 3);
             feed(&mut cs, &a);
             errs.push(gram_diff_spectral_norm(&a, &cs.sketch(), 200, 6));
         }
@@ -295,11 +341,33 @@ mod tests {
     }
 
     #[test]
+    fn more_nonzeros_concentrate_better() {
+        // At fixed ℓ, average error over seeds should not increase with s.
+        let mut rng = seeded_rng(81);
+        let a = gaussian_matrix(&mut rng, 300, 12, 1.0);
+        let avg_err = |s_nnz: usize| -> f64 {
+            let mut total = 0.0;
+            for seed in 0..12 {
+                let mut s = CountSketch::new(16, 12, s_nnz, 100 + seed);
+                feed(&mut s, &a);
+                total += gram_diff_spectral_norm(&a, &s.sketch(), 150, 5);
+            }
+            total / 12.0
+        };
+        let e1 = avg_err(1);
+        let e4 = avg_err(4);
+        assert!(
+            e4 < e1 * 1.05,
+            "s=4 ({e4}) should concentrate at least as well as s=1 ({e1})"
+        );
+    }
+
+    #[test]
     fn deterministic_replay() {
         let mut rng = seeded_rng(92);
         let a = gaussian_matrix(&mut rng, 20, 4, 1.0);
-        let mut s1 = CountSketch::new(4, 4, 11);
-        let mut s2 = CountSketch::new(4, 4, 11);
+        let mut s1 = CountSketch::new(4, 4, 1, 11);
+        let mut s2 = CountSketch::new(4, 4, 1, 11);
         feed(&mut s1, &a);
         feed(&mut s2, &a);
         assert_eq!(s1.sketch(), s2.sketch());
@@ -309,26 +377,32 @@ mod tests {
     }
 
     #[test]
-    fn subtract_is_exact_for_aligned_suffix() {
-        let mut rng = seeded_rng(93);
-        let a = gaussian_matrix(&mut rng, 10, 3, 1.0);
-        let c = gaussian_matrix(&mut rng, 6, 3, 1.0);
-        let mut full = CountSketch::new(4, 3, 2);
-        feed(&mut full, &a);
-        // Suffix sketch aligned at the same stream offsets.
-        let mut suffix = full.fork_empty();
-        feed(&mut full, &c);
-        feed(&mut suffix, &c);
-        let mut prefix = CountSketch::new(4, 3, 2);
-        feed(&mut prefix, &a);
-        full.subtract(&suffix);
-        let diff = full.sketch().sub(&prefix.sketch()).unwrap().max_abs();
-        assert!(diff < 1e-12);
+    fn sparse_and_dense_updates_agree() {
+        use sketchad_linalg::SparseVec;
+        let dense = vec![0.0, 3.0, 0.0, -1.0, 0.0, 2.0];
+        let mut s1 = CountSketch::new(4, 6, 2, 5);
+        let mut s2 = CountSketch::new(4, 6, 2, 5);
+        for _ in 0..10 {
+            s1.update(&dense);
+            s2.update_sparse(&SparseVec::from_dense(&dense));
+        }
+        assert_eq!(s1.sketch(), s2.sketch());
+        assert_eq!(s1.stream_frobenius_sq(), s2.stream_frobenius_sq());
+    }
+
+    #[test]
+    fn reseed_changes_hashing() {
+        let mut s1 = CountSketch::new(4, 3, 2, 1);
+        let mut s2 = CountSketch::new(4, 3, 2, 1);
+        s2.reseed(99);
+        s1.update(&[1.0, 2.0, 3.0]);
+        s2.update(&[1.0, 2.0, 3.0]);
+        assert_ne!(s1.sketch(), s2.sketch());
     }
 
     #[test]
     fn decay_and_reset() {
-        let mut s = CountSketch::new(2, 2, 1);
+        let mut s = CountSketch::new(2, 2, 1, 1);
         s.update(&[3.0, 4.0]);
         assert_eq!(s.stream_frobenius_sq(), 25.0);
         s.decay(0.5);
@@ -341,7 +415,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "row length")]
     fn update_rejects_wrong_dimension() {
-        let mut s = CountSketch::new(2, 3, 1);
+        let mut s = CountSketch::new(2, 3, 1, 1);
         s.update(&[1.0, 2.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "1 <= s <= ℓ")]
+    fn invalid_s_rejected() {
+        let _ = CountSketch::new(4, 3, 5, 1);
     }
 }

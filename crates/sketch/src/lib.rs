@@ -9,9 +9,10 @@
 //!
 //! * [`FrequentDirections`] — deterministic, with the provable
 //!   `‖AᵀA − BᵀB‖₂ ≤ ‖A‖_F²/ℓ` guarantee (the paper's deterministic arm);
-//! * [`RandomProjection`] — Gaussian/Rademacher linear sketch (the paper's
-//!   randomized arm), supporting exact subtraction;
-//! * [`CountSketch`] — O(d)-per-row sparse embedding;
+//! * [`RandomProjection`] — Gaussian linear sketch (the paper's randomized
+//!   arm);
+//! * [`CountSketch`] — hashing sparse embedding with `s` nonzeros per row:
+//!   O(d)-per-row CountSketch at `s = 1`, OSNAP-style sparse JL above;
 //! * [`RowSampling`] — length-squared weighted reservoir sampling, keeping
 //!   interpretable real rows;
 //! * [`BlockWindowSketch`] — tumbling-block combinator giving hard
@@ -52,7 +53,6 @@ pub mod isvd;
 pub mod merge;
 pub mod random_projection;
 pub mod row_sampling;
-pub mod sparse_jl;
 pub mod traits;
 pub mod window;
 pub mod wire;
@@ -61,8 +61,7 @@ pub use count_sketch::CountSketch;
 pub use frequent_directions::FrequentDirections;
 pub use isvd::IsvdTruncation;
 pub use merge::tree_merge;
-pub use random_projection::{ProjectionKind, RandomProjection};
+pub use random_projection::RandomProjection;
 pub use row_sampling::RowSampling;
-pub use sparse_jl::SparseJl;
 pub use traits::{MatrixSketch, MergeableSketch};
 pub use window::BlockWindowSketch;

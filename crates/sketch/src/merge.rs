@@ -103,7 +103,7 @@ mod tests {
         let d = 5;
         let mut parts = Vec::new();
         for s in 0..3usize {
-            let mut cs = CountSketch::new(6, d, 99 + s as u64);
+            let mut cs = CountSketch::new(6, d, 1, 99 + s as u64);
             for i in 0..10 {
                 cs.update(&row(s * 10 + i, d));
             }

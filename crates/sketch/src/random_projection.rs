@@ -1,19 +1,18 @@
-//! Random-projection (linear) sketch.
+//! Gaussian random-projection (linear) sketch.
 //!
 //! Maintains `B = S·A` where `S` is an implicit `ℓ × n` random matrix whose
 //! columns are drawn on the fly: when stream row `y_t` arrives, a fresh
-//! column `s_t ∈ R^ℓ` is sampled and `B += s_t yᵀ_t` (a rank-one update,
-//! `O(ℓ·d)` per row). With i.i.d. entries of variance `1/ℓ`,
+//! column `s_t ∈ R^ℓ` of i.i.d. `N(0, 1/ℓ)` entries is sampled and
+//! `B += s_t yᵀ_t` (a rank-one update, `O(ℓ·d)` per row). Then
 //! `E[BᵀB] = AᵀA` and concentration follows from Johnson–Lindenstrauss-type
 //! arguments: `ℓ = O(k/ε²)` rows suffice for an ε-accurate rank-k subspace.
 //!
-//! Because the sketch is *linear*, decay and windowed deletion compose
-//! exactly: scaling `B` scales the estimate, and subtracting a sub-stream's
-//! sketch removes its contribution.
+//! Because the sketch is *linear*, decay composes exactly: scaling `B`
+//! scales the estimate. (The dense ±1/√ℓ embedding is
+//! [`CountSketch`](crate::CountSketch) at `s = ℓ`.)
 
 use rand::rngs::StdRng;
-use rand::Rng;
-use sketchad_linalg::rng::{gaussian, rademacher, seeded_rng};
+use sketchad_linalg::rng::{fill_gaussian, seeded_rng};
 use sketchad_linalg::vecops;
 use sketchad_linalg::Matrix;
 
@@ -23,29 +22,19 @@ use crate::wire::{ByteReader, ByteWriter, WireError};
 /// Wire tag identifying a serialized [`RandomProjection`] state blob.
 pub(crate) const RP_STATE_TAG: u8 = 2;
 
-/// Distribution of the random projection entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProjectionKind {
-    /// i.i.d. `N(0, 1/ℓ)` entries.
-    Gaussian,
-    /// i.i.d. `±1/√ℓ` entries (cheaper to sample, same second moments).
-    Rademacher,
-}
-
-/// Linear random-projection sketch.
+/// Linear Gaussian random-projection sketch.
 #[derive(Debug, Clone)]
 pub struct RandomProjection {
     ell: usize,
     dim: usize,
-    kind: ProjectionKind,
     seed: u64,
     rng: StdRng,
     b: Matrix,
     rows_seen: u64,
-    /// Projection columns drawn since the RNG was last seeded. Unlike
-    /// `rows_seen` this never decreases (`subtract` lowers `rows_seen`), so
-    /// the live RNG state is exactly "`seed`, advanced `columns_drawn`
-    /// columns" — which is how persistence restores it.
+    /// Projection columns drawn since the RNG was last seeded: the live RNG
+    /// state is exactly "`seed`, advanced `columns_drawn` columns", which is
+    /// how persistence restores it. Equal to `rows_seen` until a merge
+    /// raises the latter, so `columns_drawn ≤ rows_seen` always holds.
     columns_drawn: u64,
     frobenius_sq: f64,
     /// Scratch column `s_t`, reused across updates.
@@ -57,13 +46,12 @@ impl RandomProjection {
     ///
     /// # Panics
     /// Panics when `ell == 0` or `dim == 0`.
-    pub fn new(ell: usize, dim: usize, kind: ProjectionKind, seed: u64) -> Self {
+    pub fn new(ell: usize, dim: usize, seed: u64) -> Self {
         assert!(ell > 0, "sketch size ℓ must be positive");
         assert!(dim > 0, "dimension must be positive");
         Self {
             ell,
             dim,
-            kind,
             seed,
             rng: seeded_rng(seed),
             b: Matrix::zeros(ell, dim),
@@ -74,71 +62,10 @@ impl RandomProjection {
         }
     }
 
-    /// Gaussian-entry constructor shorthand.
-    pub fn gaussian(ell: usize, dim: usize, seed: u64) -> Self {
-        Self::new(ell, dim, ProjectionKind::Gaussian, seed)
-    }
-
-    /// Rademacher-entry constructor shorthand.
-    pub fn rademacher(ell: usize, dim: usize, seed: u64) -> Self {
-        Self::new(ell, dim, ProjectionKind::Rademacher, seed)
-    }
-
-    /// The projection distribution in use.
-    pub fn kind(&self) -> ProjectionKind {
-        self.kind
-    }
-
-    /// Returns an empty sketch that continues this sketch's random column
-    /// stream: rows fed to both in lockstep receive identical projection
-    /// columns, so the fork can later be [`subtract`](Self::subtract)ed from
-    /// the parent to delete that suffix exactly.
-    pub fn fork_empty(&self) -> RandomProjection {
-        RandomProjection {
-            ell: self.ell,
-            dim: self.dim,
-            kind: self.kind,
-            seed: self.seed,
-            rng: self.rng.clone(),
-            b: Matrix::zeros(self.ell, self.dim),
-            rows_seen: 0,
-            columns_drawn: self.columns_drawn,
-            frobenius_sq: 0.0,
-            scratch: vec![0.0; self.ell],
-        }
-    }
-
-    /// Subtracts another random-projection sketch (exact deletion of a
-    /// sub-stream, valid because the sketch is linear). The caller must
-    /// ensure the other sketch was built with an *independent* seed.
-    ///
-    /// # Panics
-    /// Panics when shapes differ.
-    pub fn subtract(&mut self, other: &RandomProjection) {
-        assert_eq!(self.b.shape(), other.b.shape(), "sketch shape mismatch");
-        for i in 0..self.ell {
-            let src = other.b.row(i).to_vec();
-            vecops::axpy(-1.0, &src, self.b.row_mut(i));
-        }
-        self.frobenius_sq = (self.frobenius_sq - other.frobenius_sq).max(0.0);
-        self.rows_seen = self.rows_seen.saturating_sub(other.rows_seen);
-    }
-
     fn sample_column(&mut self) {
         self.columns_drawn += 1;
         let inv_sqrt_ell = 1.0 / (self.ell as f64).sqrt();
-        match self.kind {
-            ProjectionKind::Gaussian => {
-                for v in &mut self.scratch {
-                    *v = inv_sqrt_ell * gaussian(&mut self.rng);
-                }
-            }
-            ProjectionKind::Rademacher => {
-                for v in &mut self.scratch {
-                    *v = inv_sqrt_ell * rademacher(&mut self.rng);
-                }
-            }
-        }
+        fill_gaussian(&mut self.rng, inv_sqrt_ell, &mut self.scratch);
     }
 }
 
@@ -209,10 +136,7 @@ impl MatrixSketch for RandomProjection {
     }
 
     fn name(&self) -> &'static str {
-        match self.kind {
-            ProjectionKind::Gaussian => "random-projection-gaussian",
-            ProjectionKind::Rademacher => "random-projection-rademacher",
-        }
+        "random-projection-gaussian"
     }
 
     fn stream_frobenius_sq(&self) -> f64 {
@@ -223,10 +147,6 @@ impl MatrixSketch for RandomProjection {
         out.put_u8(RP_STATE_TAG);
         out.put_u64(self.ell as u64);
         out.put_u64(self.dim as u64);
-        out.put_u8(match self.kind {
-            ProjectionKind::Gaussian => 0,
-            ProjectionKind::Rademacher => 1,
-        });
         out.put_u64(self.seed);
         out.put_u64(self.rows_seen);
         out.put_u64(self.columns_drawn);
@@ -239,20 +159,22 @@ impl MatrixSketch for RandomProjection {
 
     fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<bool, WireError> {
         let ctx = "RandomProjection state";
-        let kind_byte = match self.kind {
-            ProjectionKind::Gaussian => 0u8,
-            ProjectionKind::Rademacher => 1,
-        };
         if r.get_u8(ctx)? != RP_STATE_TAG
             || r.get_u64(ctx)? != self.ell as u64
             || r.get_u64(ctx)? != self.dim as u64
-            || r.get_u8(ctx)? != kind_byte
         {
             return Err(WireError { context: ctx });
         }
         let seed = r.get_u64(ctx)?;
         let rows_seen = r.get_u64(ctx)?;
         let columns_drawn = r.get_u64(ctx)?;
+        // The replay below costs one column per draw: a count no live
+        // sketch can reach is corruption, not a reason to spin.
+        if columns_drawn > rows_seen {
+            return Err(WireError {
+                context: "RandomProjection state: columns drawn exceed rows seen",
+            });
+        }
         let frobenius_sq = r.get_f64(ctx)?;
         let mut b = Matrix::zeros(self.ell, self.dim);
         for v in b.as_mut_slice() {
@@ -267,7 +189,6 @@ impl MatrixSketch for RandomProjection {
         for _ in 0..columns_drawn {
             self.sample_column();
         }
-        self.columns_drawn = columns_drawn;
         self.b = b;
         self.rows_seen = rows_seen;
         self.frobenius_sq = frobenius_sq;
@@ -279,30 +200,17 @@ impl MergeableSketch for RandomProjection {
     /// Merging is matrix addition (`B = S₁A₁ + S₂A₂`): with shards built on
     /// **independent seeds**, the implicit projection columns of the two
     /// shards are jointly i.i.d., so the sum is a valid random-projection
-    /// sketch of the concatenated stream (`E[BᵀB] = A₁ᵀA₁ + A₂ᵀA₂`). With a
-    /// shared seed the merge is exact only for
-    /// [`fork_empty`](RandomProjection::fork_empty)-aligned splits, where
-    /// the fork continues the parent's column stream.
+    /// sketch of the concatenated stream (`E[BᵀB] = A₁ᵀA₁ + A₂ᵀA₂`). The
+    /// merged sketch keeps drawing from its own column stream.
     fn merge_from(&mut self, other: &Self) {
         assert_eq!(
-            (self.ell, self.dim, self.kind),
-            (other.ell, other.dim, other.kind),
-            "cannot merge random-projection sketches of different shape/kind"
+            (self.ell, self.dim),
+            (other.ell, other.dim),
+            "cannot merge random-projection sketches of different shape"
         );
-        for i in 0..self.ell {
-            let src = other.b.row(i).to_vec();
-            vecops::axpy(1.0, &src, self.b.row_mut(i));
-        }
+        vecops::axpy(1.0, other.b.as_slice(), self.b.as_mut_slice());
         self.rows_seen += other.rows_seen;
         self.frobenius_sq += other.frobenius_sq;
-    }
-}
-
-impl RandomProjection {
-    /// Exposes the RNG for deterministic replay tests.
-    #[doc(hidden)]
-    pub fn rng_probe(&mut self) -> u64 {
-        self.rng.gen()
     }
 }
 
@@ -327,7 +235,7 @@ mod tests {
         let trials = 400;
         let mut mean = Matrix::zeros(6, 6);
         for t in 0..trials {
-            let mut rp = RandomProjection::rademacher(8, 6, 1000 + t);
+            let mut rp = RandomProjection::new(8, 6, 1000 + t);
             feed(&mut rp, &a);
             mean = mean.add(&rp.sketch().gram()).unwrap();
         }
@@ -342,7 +250,7 @@ mod tests {
         let a = gaussian_matrix(&mut rng, 400, 20, 1.0);
         let mut errs = Vec::new();
         for ell in [8usize, 32, 128] {
-            let mut rp = RandomProjection::gaussian(ell, 20, 5);
+            let mut rp = RandomProjection::new(ell, 20, 5);
             feed(&mut rp, &a);
             errs.push(gram_diff_spectral_norm(&a, &rp.sketch(), 200, 8));
         }
@@ -353,8 +261,8 @@ mod tests {
     fn deterministic_under_seed() {
         let mut rng = seeded_rng(79);
         let a = gaussian_matrix(&mut rng, 25, 7, 1.0);
-        let mut s1 = RandomProjection::gaussian(5, 7, 42);
-        let mut s2 = RandomProjection::gaussian(5, 7, 42);
+        let mut s1 = RandomProjection::new(5, 7, 42);
+        let mut s2 = RandomProjection::new(5, 7, 42);
         feed(&mut s1, &a);
         feed(&mut s2, &a);
         assert_eq!(s1.sketch(), s2.sketch());
@@ -364,7 +272,7 @@ mod tests {
     fn reset_replays_identically() {
         let mut rng = seeded_rng(80);
         let a = gaussian_matrix(&mut rng, 10, 4, 1.0);
-        let mut s = RandomProjection::rademacher(3, 4, 9);
+        let mut s = RandomProjection::new(3, 4, 9);
         feed(&mut s, &a);
         let first = s.sketch();
         s.reset();
@@ -374,35 +282,8 @@ mod tests {
     }
 
     #[test]
-    fn subtract_removes_substream() {
-        // Sketch(A then C) − IndependentSketch(C-only) has the same
-        // *expected* Gram as A; here we validate the exact-linearity case:
-        // same-seed split where the suffix sketch replays the same columns.
-        let mut rng = seeded_rng(81);
-        let a = gaussian_matrix(&mut rng, 12, 5, 1.0);
-        let c = gaussian_matrix(&mut rng, 8, 5, 1.0);
-
-        let mut full = RandomProjection::gaussian(4, 5, 7);
-        feed(&mut full, &a);
-        // `fork_empty` snapshots the RNG state: `suffix` draws the exact
-        // same random columns the full sketch is about to use.
-        let mut suffix = full.fork_empty();
-        feed(&mut full, &c);
-        feed(&mut suffix, &c);
-
-        let mut recovered = full.clone();
-        recovered.subtract(&suffix);
-        // recovered should equal the prefix-only sketch of A.
-        let mut prefix = RandomProjection::gaussian(4, 5, 7);
-        feed(&mut prefix, &a);
-        let diff = recovered.sketch().sub(&prefix.sketch()).unwrap().max_abs();
-        assert!(diff < 1e-12, "diff {diff}");
-        assert_eq!(recovered.rows_seen(), 12);
-    }
-
-    #[test]
     fn decay_scales_gram() {
-        let mut s = RandomProjection::rademacher(2, 2, 1);
+        let mut s = RandomProjection::new(2, 2, 1);
         s.update(&[1.0, 1.0]);
         let before = s.sketch().gram()[(0, 0)];
         s.decay(0.5);
@@ -413,15 +294,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "row length")]
     fn update_rejects_wrong_dimension() {
-        let mut s = RandomProjection::gaussian(2, 3, 1);
+        let mut s = RandomProjection::new(2, 3, 1);
         s.update(&[1.0]);
-    }
-
-    #[test]
-    fn names_distinguish_kinds() {
-        assert_ne!(
-            RandomProjection::gaussian(2, 2, 1).name(),
-            RandomProjection::rademacher(2, 2, 1).name()
-        );
     }
 }

@@ -206,21 +206,19 @@ pub trait MatrixSketch {
 ///   add, so `‖AᵀA − BᵀB‖₂ ≤ Σδ₁ + Σδ₂ ≤ (‖A₁‖_F² + ‖A₂‖_F²)/ℓ` — the
 ///   classic FD merge theorem (Ghashami et al.).
 /// * Linear sketches ([`RandomProjection`](crate::RandomProjection),
-///   [`CountSketch`](crate::CountSketch), [`SparseJl`](crate::SparseJl)):
-///   `B = S·A` is linear in the stream, so merging is matrix addition. When
-///   shards share a hash/projection family and cover disjoint stream
-///   positions (the sharded-serving layout), the merge *is* the
-///   single-stream sketch up to floating-point summation order; with
-///   independent families the sum remains an unbiased Gram estimator of
-///   the concatenated stream.
+///   [`CountSketch`](crate::CountSketch) at any `s`): `B = S·A` is linear in
+///   the stream, so merging is matrix addition. Shards built on independent
+///   seeds (the sharded-serving layout) draw jointly independent
+///   embeddings, so the sum is an unbiased Gram estimator of the
+///   concatenated stream.
 pub trait MergeableSketch: MatrixSketch {
     /// Folds `other`'s accumulated state into `self`, leaving `self`
     /// equivalent to a sketch of both shards' streams concatenated.
     ///
     /// # Panics
     /// Panics when the two sketches are structurally incompatible
-    /// (different `dim`, `capacity`, or — for hashing sketches — hash
-    /// family).
+    /// (different `dim`, `capacity`, or — for hashing sketches — nonzeros
+    /// per row).
     fn merge_from(&mut self, other: &Self);
 }
 

@@ -254,7 +254,7 @@ mod tests {
 
     #[test]
     fn randomized_blocks_get_distinct_seeds() {
-        let inner = RandomProjection::gaussian(3, 4, 0);
+        let inner = RandomProjection::new(3, 4, 0);
         let mut w = BlockWindowSketch::new(inner, 2, 3);
         // Feed identical rows into two consecutive blocks; if seeds differed
         // the block sketches should differ.

@@ -223,4 +223,53 @@ mod tests {
         let mut r2 = ByteReader::new(&bytes);
         assert!(r2.get_len_bytes("hostile").is_err());
     }
+
+    #[test]
+    fn linear_sketch_decoders_survive_truncation_and_byte_flips() {
+        use crate::{CountSketch, MatrixSketch, MergeableSketch, RandomProjection};
+        use std::time::{Duration, Instant};
+
+        // Every prefix and every single-byte corruption (each bit, and all
+        // eight at once) of a valid blob must decode to `Ok` or `Err`
+        // promptly: no panic, and no replay loop driven by a corrupt count.
+        fn probe<S: MatrixSketch>(live: &S, fresh: impl Fn() -> S) {
+            let mut w = ByteWriter::new();
+            assert!(live.encode_state(&mut w));
+            let blob = w.into_vec();
+            let started = Instant::now();
+            for len in 0..blob.len() {
+                let mut r = ByteReader::new(&blob[..len]);
+                assert!(fresh().decode_state(&mut r).is_err(), "{len}-byte prefix");
+            }
+            let mut bytes = blob.clone();
+            for i in 0..blob.len() {
+                for mask in [1u8, 2, 4, 8, 16, 32, 64, 128, 0xff] {
+                    bytes[i] = blob[i] ^ mask;
+                    let _ = fresh().decode_state(&mut ByteReader::new(&bytes));
+                }
+                bytes[i] = blob[i];
+            }
+            assert!(
+                started.elapsed() < Duration::from_secs(10),
+                "{}: corrupt blobs decoded too slowly",
+                live.name()
+            );
+        }
+
+        let rows: Vec<Vec<f64>> = (0..40)
+            .map(|i| (0..3).map(|j| ((i * 3 + j) as f64).sin()).collect())
+            .collect();
+        let mut cs = CountSketch::new(4, 3, 2, 7);
+        let mut rp = RandomProjection::new(4, 3, 7);
+        // A merged RP has drawn fewer columns than it has seen rows.
+        let mut other = RandomProjection::new(4, 3, 8);
+        for r in &rows {
+            cs.update(r);
+            rp.update(r);
+            other.update(r);
+        }
+        rp.merge_from(&other);
+        probe(&cs, || CountSketch::new(4, 3, 2, 7));
+        probe(&rp, || RandomProjection::new(4, 3, 7));
+    }
 }

@@ -7,7 +7,7 @@ use sketchad_linalg::Matrix;
 use sketchad_sketch::wire::{ByteReader, ByteWriter};
 use sketchad_sketch::{
     tree_merge, BlockWindowSketch, CountSketch, FrequentDirections, MatrixSketch, MergeableSketch,
-    RandomProjection, RowSampling, SparseJl,
+    RandomProjection, RowSampling,
 };
 
 /// Strategy: a stream of rows with bounded entries.
@@ -52,8 +52,8 @@ proptest! {
         let want = a.squared_frobenius_norm();
         let mut sketches: Vec<Box<dyn MatrixSketch>> = vec![
             Box::new(FrequentDirections::new(3, 5)),
-            Box::new(RandomProjection::gaussian(3, 5, 1)),
-            Box::new(CountSketch::new(3, 5, 1)),
+            Box::new(RandomProjection::new(3, 5, 1)),
+            Box::new(CountSketch::new(3, 5, 1, 1)),
             Box::new(RowSampling::new(3, 5, 1)),
         ];
         for s in &mut sketches {
@@ -72,8 +72,8 @@ proptest! {
     fn reset_replay_determinism(rows in stream_strategy(30, 4)) {
         let mut sketches: Vec<Box<dyn MatrixSketch>> = vec![
             Box::new(FrequentDirections::new(3, 4)),
-            Box::new(RandomProjection::rademacher(3, 4, 7)),
-            Box::new(CountSketch::new(3, 4, 7)),
+            Box::new(RandomProjection::new(3, 4, 7)),
+            Box::new(CountSketch::new(3, 4, 1, 7)),
             Box::new(RowSampling::new(3, 4, 7)),
         ];
         for s in &mut sketches {
@@ -143,21 +143,20 @@ proptest! {
     #[test]
     fn sparse_dense_parity_everywhere(rows in stream_strategy(40, 5)) {
         use sketchad_linalg::SparseVec;
-        use sketchad_sketch::SparseJl;
         let sparse_rows: Vec<SparseVec> =
             rows.iter().map(|r| SparseVec::from_dense(r)).collect();
         // FD
         let mut d1 = FrequentDirections::new(3, 5);
         let mut s1 = FrequentDirections::new(3, 5);
         // CountSketch
-        let mut d2 = CountSketch::new(4, 5, 9);
-        let mut s2 = CountSketch::new(4, 5, 9);
+        let mut d2 = CountSketch::new(4, 5, 1, 9);
+        let mut s2 = CountSketch::new(4, 5, 1, 9);
         // RandomProjection
-        let mut d3 = RandomProjection::gaussian(3, 5, 9);
-        let mut s3 = RandomProjection::gaussian(3, 5, 9);
-        // SparseJL
-        let mut d4 = SparseJl::new(4, 5, 2, 9);
-        let mut s4 = SparseJl::new(4, 5, 2, 9);
+        let mut d3 = RandomProjection::new(3, 5, 9);
+        let mut s3 = RandomProjection::new(3, 5, 9);
+        // CountSketch at s = 2 (sparse JL)
+        let mut d4 = CountSketch::new(4, 5, 2, 9);
+        let mut s4 = CountSketch::new(4, 5, 2, 9);
         // Windowed FD
         let mut d5 = BlockWindowSketch::new(FrequentDirections::new(3, 5), 7, 3);
         let mut s5 = BlockWindowSketch::new(FrequentDirections::new(3, 5), 7, 3);
@@ -171,7 +170,7 @@ proptest! {
         prop_assert_eq!(d1.sketch(), s1.sketch(), "FD parity");
         prop_assert_eq!(d2.sketch(), s2.sketch(), "CS parity");
         prop_assert_eq!(d3.sketch(), s3.sketch(), "RP parity");
-        prop_assert_eq!(d4.sketch(), s4.sketch(), "SparseJL parity");
+        prop_assert_eq!(d4.sketch(), s4.sketch(), "CS(s=2) parity");
         prop_assert_eq!(d5.sketch(), s5.sketch(), "window parity");
     }
 
@@ -224,32 +223,6 @@ proptest! {
         let bound = all.squared_frobenius_norm() / ell as f64;
         prop_assert!(err <= bound * (1.0 + 1e-8) + 1e-9, "err {} > bound {}", err, bound);
         prop_assert_eq!(fd_a.rows_seen(), (a_rows.len() + b_rows.len()) as u64);
-    }
-
-    /// Linear sketches support exact subtraction of an aligned suffix.
-    #[test]
-    fn linear_subtraction_roundtrip(
-        prefix in stream_strategy(15, 3),
-        suffix in stream_strategy(15, 3),
-    ) {
-        let mut full = CountSketch::new(4, 3, 5);
-        for r in &prefix {
-            full.update(r);
-        }
-        // Fork keeps the hash alignment so the suffix can be deleted exactly.
-        let mut sfx = full.fork_empty();
-        for r in &suffix {
-            full.update(r);
-            sfx.update(r);
-        }
-        let mut pre_only = CountSketch::new(4, 3, 5);
-        for r in &prefix {
-            pre_only.update(r);
-        }
-        let mut recovered = full.clone();
-        recovered.subtract(&sfx);
-        let diff = recovered.sketch().sub(&pre_only.sketch()).unwrap().max_abs();
-        prop_assert!(diff < 1e-9, "subtraction residue {}", diff);
     }
 
     /// FD merge is associative *up to the error bound*: `(a⊕b)⊕c` and
@@ -326,78 +299,57 @@ proptest! {
             "tree merge err {} > global bound {}", err, bound);
     }
 
-    /// Linear-sketch merge preserves the embedding exactly on fork-aligned
-    /// splits: tree-merging shard sketches that share the hash/projection
-    /// family over disjoint stream positions reproduces the single-stream
-    /// sketch `S·A` (up to floating-point summation order), so the merged
-    /// sketch inherits the single sketch's error bound verbatim.
+    /// Linear-sketch merge is matrix addition: tree-merging shard sketches
+    /// built on independent seeds (the sharded-serving layout) gives the
+    /// elementwise sum of the shard matrices, with `rows_seen` and
+    /// `stream_frobenius_sq` summed.
     #[test]
-    fn linear_merge_matches_single_stream_sketch(
+    fn linear_tree_merge_sums_independent_shards(
         rows in stream_strategy(60, 4),
         shards in 2usize..5,
     ) {
-        let chunks: Vec<&[Vec<f64>]> = rows.chunks(rows.len().div_ceil(shards)).collect();
-
-        // CountSketch: fork_empty keeps stream_pos aligned across shards.
-        let mut cs_full = CountSketch::new(5, 4, 17);
-        let mut cs_parts: Vec<CountSketch> = Vec::new();
-        for c in &chunks {
-            let mut part = if let Some(prev) = cs_parts.last() {
-                prev.fork_empty()
-            } else {
-                cs_full.fork_empty()
-            };
-            for r in c.iter() {
-                cs_full.update(r);
-                part.update(r);
-            }
-            cs_parts.push(part);
+        fn shard_sketches<S: MatrixSketch>(
+            rows: &[Vec<f64>],
+            shards: usize,
+            make: impl Fn(u64) -> S,
+        ) -> Vec<S> {
+            rows.chunks(rows.len().div_ceil(shards))
+                .zip(17u64..)
+                .map(|(chunk, seed)| {
+                    let mut s = make(seed);
+                    for r in chunk {
+                        s.update(r);
+                    }
+                    s
+                })
+                .collect()
         }
-        let cs_merged = tree_merge(cs_parts).unwrap();
-        let scale = cs_full.sketch().max_abs().max(1.0);
-        let diff = cs_merged.sketch().sub(&cs_full.sketch()).unwrap().max_abs();
-        prop_assert!(diff <= 1e-9 * scale, "CS merge residue {}", diff);
-        prop_assert_eq!(cs_merged.rows_seen(), rows.len() as u64);
-
-        // SparseJl: same alignment story.
-        let mut jl_full = SparseJl::new(6, 4, 2, 23);
-        let mut jl_parts: Vec<SparseJl> = Vec::new();
-        for c in &chunks {
-            let mut part = if let Some(prev) = jl_parts.last() {
-                prev.fork_empty()
-            } else {
-                jl_full.fork_empty()
-            };
-            for r in c.iter() {
-                jl_full.update(r);
-                part.update(r);
+        fn check<S: MergeableSketch>(
+            label: &str,
+            parts: Vec<S>,
+            n: usize,
+        ) -> Result<(), TestCaseError> {
+            let mut sum = Matrix::zeros(parts[0].capacity(), parts[0].dim());
+            let mut frob = 0.0;
+            for p in &parts {
+                sum = sum.add(&p.sketch()).unwrap();
+                frob += p.stream_frobenius_sq();
             }
-            jl_parts.push(part);
+            let merged = tree_merge(parts).unwrap();
+            let diff = merged.sketch().sub(&sum).unwrap().max_abs();
+            prop_assert!(diff <= 1e-9 * sum.max_abs().max(1.0),
+                "{} merge residue {}", label, diff);
+            prop_assert_eq!(merged.rows_seen(), n as u64, "{} rows_seen", label);
+            prop_assert!((merged.stream_frobenius_sq() - frob).abs() <= 1e-9 * frob.max(1.0),
+                "{} frobenius {} vs {}", label, merged.stream_frobenius_sq(), frob);
+            Ok(())
         }
-        let jl_merged = tree_merge(jl_parts).unwrap();
-        let scale = jl_full.sketch().max_abs().max(1.0);
-        let diff = jl_merged.sketch().sub(&jl_full.sketch()).unwrap().max_abs();
-        prop_assert!(diff <= 1e-9 * scale, "SparseJL merge residue {}", diff);
-
-        // RandomProjection: forks continue the parent's RNG column stream.
-        let mut rp_full = RandomProjection::rademacher(4, 4, 31);
-        let mut rp_parts: Vec<RandomProjection> = Vec::new();
-        for c in &chunks {
-            let mut part = if let Some(prev) = rp_parts.last() {
-                prev.fork_empty()
-            } else {
-                rp_full.fork_empty()
-            };
-            for r in c.iter() {
-                rp_full.update(r);
-                part.update(r);
-            }
-            rp_parts.push(part);
-        }
-        let rp_merged = tree_merge(rp_parts).unwrap();
-        let scale = rp_full.sketch().max_abs().max(1.0);
-        let diff = rp_merged.sketch().sub(&rp_full.sketch()).unwrap().max_abs();
-        prop_assert!(diff <= 1e-9 * scale, "RP merge residue {}", diff);
+        let n = rows.len();
+        let cs = |s| move |seed| CountSketch::new(6, 4, s, seed);
+        check("CS", shard_sketches(&rows, shards, cs(1)), n)?;
+        check("CS(s=2)", shard_sketches(&rows, shards, cs(2)), n)?;
+        let rp = |seed| RandomProjection::new(4, 4, seed);
+        check("RP", shard_sketches(&rows, shards, rp), n)?;
     }
 
     /// Persistence round-trip: encode a sketch mid-stream, decode into a
@@ -443,20 +395,20 @@ proptest! {
             &suffix,
         )?;
         roundtrip(
-            RandomProjection::gaussian(3, 4, 11),
-            RandomProjection::gaussian(3, 4, 11),
+            RandomProjection::new(3, 4, 11),
+            RandomProjection::new(3, 4, 11),
             &prefix,
             &suffix,
         )?;
         roundtrip(
-            CountSketch::new(4, 4, 13),
-            CountSketch::new(4, 4, 13),
+            CountSketch::new(4, 4, 1, 13),
+            CountSketch::new(4, 4, 1, 13),
             &prefix,
             &suffix,
         )?;
         roundtrip(
-            SparseJl::new(5, 4, 2, 19),
-            SparseJl::new(5, 4, 2, 19),
+            CountSketch::new(5, 4, 2, 19),
+            CountSketch::new(5, 4, 2, 19),
             &prefix,
             &suffix,
         )?;

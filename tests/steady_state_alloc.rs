@@ -2,7 +2,9 @@
 //!
 //! The frequent-directions shrink and the Gram-route kernel under it own
 //! their scratch (`svd::Workspace`), so once the first shrink has run, the
-//! steady state of `FrequentDirections::update` must never touch the heap.
+//! steady state of `FrequentDirections::update` must never touch the heap;
+//! `CountSketch` draws its hash targets into a buffer sized at construction,
+//! so its updates never do.
 //! This binary installs a counting global allocator (it is its own crate, so
 //! `sketchad-linalg` keeps its `deny(unsafe_code)`) and counts.
 //!
@@ -16,7 +18,7 @@ use std::cell::Cell;
 use sketchad_core::{RefreshPolicy, ScoreKind, SketchDetector, StreamingDetector, SubspaceModel};
 use sketchad_linalg::rng::{gaussian_matrix, seeded_rng};
 use sketchad_linalg::svd::{right_factor, Workspace};
-use sketchad_sketch::{FrequentDirections, MatrixSketch};
+use sketchad_sketch::{CountSketch, FrequentDirections, MatrixSketch};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -104,6 +106,22 @@ fn fd_update_and_its_kernel_allocate_nothing_after_warm_up() {
             }
         });
         assert_eq!(in_kernel, 0, "(ℓ={ell}, d={d}): right_factor allocated");
+    }
+}
+
+#[test]
+fn count_sketch_update_allocates_nothing() {
+    // s = 1 is the classic CountSketch, s = 4 the sparse-JL arm.
+    let rows = gaussian_matrix(&mut seeded_rng(4), 1_000, 48, 1.0);
+    for s in [1usize, 4] {
+        let mut cs = CountSketch::new(32, 48, s, 9);
+        let allocated = allocations_in(|| {
+            for row in rows.iter_rows() {
+                cs.update(row);
+            }
+        });
+        assert_eq!(cs.rows_seen(), 1_000);
+        assert_eq!(allocated, 0, "s={s}: CountSketch update allocated");
     }
 }
 
