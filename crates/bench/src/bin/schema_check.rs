@@ -23,9 +23,11 @@
 //!   tag, with strictly increasing sample steps.
 //! * `*.skad` durable snapshots — magic, format version, and whole-file
 //!   checksum verified by the real `sketchad-durable` reader.
-//! * `*.skwl` WAL segments — header magic/version valid and every complete
-//!   record checksum-verified; a torn tail is legitimate crash damage (the
-//!   reader reports it and recovery drops it), not a violation.
+//! * `*.skwl` WAL segments — header magic/version valid, every complete
+//!   frame checksum-verified, and the records contiguous: the first
+//!   carries `start_seq + 1` and each the previous + 1. A torn tail is
+//!   legitimate crash damage (the reader reports it and recovery drops
+//!   it), not a violation.
 //! * `*.rows` binary row files — `sketchad-rows/v1` magic, version, and
 //!   row-count/body-length consistency verified by the real
 //!   `sketchad-core::rowfmt` reader.
@@ -92,14 +94,22 @@ fn check_file(path: &Path) -> Vec<String> {
         return violations;
     }
     if path.extension().is_some_and(|x| x == "skwl") {
-        // WAL segment: header magic/version plus per-record checksums. A
-        // torn tail is expected crash damage — reported, not a violation.
+        // WAL segment: header magic/version, per-frame checksums, and
+        // sequences running on from the header without a gap. A torn tail
+        // is expected crash damage — reported, not a violation.
         match wal::read_segment(path) {
             Ok((header, records, tail)) => {
-                if let Some(rec) = records.iter().find(|r| r.seq <= header.start_seq) {
+                let due = |i: usize| header.start_seq.checked_add(i as u64 + 1);
+                if let Some((i, rec)) = records
+                    .iter()
+                    .enumerate()
+                    .find(|(i, r)| Some(r.seq) != due(*i))
+                {
                     violation(format!(
-                        "record seq {} does not advance past segment start {}",
-                        rec.seq, header.start_seq
+                        "record {i} has seq {} where the segment start {} makes {} due",
+                        rec.seq,
+                        header.start_seq,
+                        due(i).map_or("none".to_string(), |s| s.to_string())
                     ));
                 }
                 if let TailStatus::Torn { bytes_dropped } = tail {
@@ -598,6 +608,23 @@ mod tests {
         let garbage = dir.join("wal-000000000009.skwl");
         std::fs::write(&garbage, b"not a wal segment at all").unwrap();
         assert!(check_file(&garbage)[0].contains("invalid WAL segment"));
+
+        // Valid frames whose sequences skip a row, or do not start right
+        // after the header's start_seq, are violations.
+        let header = wal::WalHeader {
+            shard: 0,
+            start_seq: 4,
+        };
+        for (number, firsts) in [(10, [5u64, 8]), (11, [6, 8])] {
+            let mut w = wal::SegmentWriter::create(&dir, number, &header).unwrap();
+            for first in firsts {
+                let mut frame = Vec::new();
+                wal::encode_wal_frame(first, &[[1.0, 2.0], [3.0, 4.0]], &mut frame);
+                w.append(&frame).unwrap();
+            }
+            let v = check_file(w.path());
+            assert!(v.len() == 1 && v[0].contains("due"), "{v:?}");
+        }
     }
 
     #[test]

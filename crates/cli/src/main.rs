@@ -941,11 +941,12 @@ fn cmd_recover(p: &ParsedArgs) -> Result<(), String> {
         }
         println!(
             "  scanned {} snapshot(s) ({} corrupt), {} WAL segment(s) ({} corrupt), \
-             {} record(s) seen, torn tail {} byte(s)",
+             {} skipped as covered by the snapshot, {} record(s) seen, torn tail {} byte(s)",
             stats.snapshots_scanned,
             stats.snapshots_corrupt,
             stats.wal_segments,
             stats.wal_segments_corrupt,
+            stats.wal_segments_skipped,
             stats.wal_records_seen,
             stats.torn_tail_bytes
         );

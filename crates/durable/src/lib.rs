@@ -9,14 +9,16 @@
 //!   state — sketch contents, trained subspace model, counters, threshold
 //!   calibration — as an opaque payload produced by
 //!   `StreamingDetector::save_state`. They are written atomically
-//!   (temp + rename) and carry an FNV-1a checksum.
+//!   (temp + rename) and carry a [`checksum64`].
 //! * **WAL segments** (`wal-<seg>.skwl`) log every ingested row *before*
-//!   the detector processes it. Each record is individually framed and
-//!   checksummed, so a crash mid-append costs at most the torn final
-//!   record.
+//!   the detector processes it, one framed and checksummed micro-batch
+//!   per append, so a crash mid-append costs at most the torn final
+//!   batch — none of which had been scored.
 //! * **Recovery** ([`recover`]) finds the newest valid snapshot (falling
-//!   back a generation when the newest is corrupt), restores it, and
-//!   replays the WAL rows past it. Because detectors are deterministic and
+//!   back a generation when the newest is corrupt), reads the WAL segments
+//!   it does not cover once each, and hands back the rows past it for
+//!   replay together with where a writer resumes
+//!   ([`StateStore::resume`]). Because detectors are deterministic and
 //!   `save_state`/`restore_state` round-trip bitwise, the recovered
 //!   detector is bit-for-bit the detector that crashed — and because
 //!   recovery itself is read-only, running it twice gives identical
@@ -37,6 +39,7 @@ pub mod wal;
 pub use format::{checksum64, DurableError, FORMAT_VERSION, MAGIC_SNAPSHOT, MAGIC_WAL};
 pub use snapshot::{read_snapshot, write_snapshot, Snapshot};
 pub use store::{
-    recover, shard_dir, FsyncPolicy, RecoveredState, RecoveryStats, StateStore, RETAINED_SNAPSHOTS,
+    recover, shard_dir, FsyncPolicy, LastSegment, RecoveredState, RecoveryStats, StateStore,
+    RETAINED_SNAPSHOTS,
 };
 pub use wal::{TailStatus, WalHeader, WalRecord};

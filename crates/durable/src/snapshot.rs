@@ -9,7 +9,7 @@
 //! shard       u32       shard index that wrote this snapshot
 //! seq         u64       stream sequence covered: rows 1..=seq are inside
 //! payload     u64 len + bytes   opaque detector state (save_state bytes)
-//! checksum    u64       FNV-1a over every byte above
+//! checksum    u64       checksum64 over every byte above
 //! ```
 //!
 //! Snapshots are written to a temporary file, flushed, then atomically
@@ -68,11 +68,23 @@ pub fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
 }
 
 /// Decodes and validates snapshot bytes: magic, version, and checksum must
-/// all hold or the file is reported corrupt.
+/// all hold or the file is reported corrupt. The magic and version are
+/// checked first, so a snapshot of another format version reports
+/// "unsupported snapshot format version".
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, DurableError> {
-    if bytes.len() < 8 {
+    if bytes.len() < MAGIC_SNAPSHOT.len() + 1 + 8 {
         return Err(DurableError::Corrupt {
-            context: "snapshot shorter than its checksum",
+            context: "snapshot shorter than its magic, version and checksum",
+        });
+    }
+    if bytes[..4] != MAGIC_SNAPSHOT {
+        return Err(DurableError::Corrupt {
+            context: "snapshot magic mismatch",
+        });
+    }
+    if bytes[4] != FORMAT_VERSION {
+        return Err(DurableError::Corrupt {
+            context: "unsupported snapshot format version",
         });
     }
     let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
@@ -82,22 +94,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, DurableError> {
             context: "snapshot checksum mismatch",
         });
     }
-    let mut r = ByteReader::new(body);
-    let mut magic = [0u8; 4];
-    for m in &mut magic {
-        *m = r.get_u8("snapshot magic")?;
-    }
-    if magic != MAGIC_SNAPSHOT {
-        return Err(DurableError::Corrupt {
-            context: "snapshot magic mismatch",
-        });
-    }
-    let version = r.get_u8("snapshot version")?;
-    if version != FORMAT_VERSION {
-        return Err(DurableError::Corrupt {
-            context: "unsupported snapshot format version",
-        });
-    }
+    let mut r = ByteReader::new(&body[5..]);
     let generation = r.get_u64("snapshot generation")?;
     let shard = r.get_u32("snapshot shard")?;
     let seq = r.get_u64("snapshot seq")?;
@@ -200,6 +197,20 @@ mod tests {
         let bytes = encode_snapshot(&sample());
         for cut in 0..bytes.len() {
             assert!(decode_snapshot(&bytes[..cut]).is_err());
+        }
+    }
+
+    #[test]
+    fn other_format_versions_are_rejected_as_unsupported() {
+        let mut bytes = encode_snapshot(&sample());
+        for version in [1u8, 3] {
+            bytes[4] = version;
+            let err = decode_snapshot(&bytes).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains("unsupported snapshot format version"),
+                "{err}"
+            );
         }
     }
 

@@ -2,21 +2,24 @@
 //!
 //! One [`StateStore`] owns one directory and mediates all writes to it:
 //!
-//! * [`StateStore::append_row`] logs an ingested row to the active WAL
-//!   segment **before** the detector processes it (write-ahead), under the
-//!   configured [`FsyncPolicy`].
+//! * [`StateStore::append_rows`] logs a micro-batch of ingested rows to the
+//!   active WAL segment as one frame **before** the detector processes any
+//!   of them (write-ahead), under the configured [`FsyncPolicy`].
 //! * [`StateStore::checkpoint`] writes a full snapshot atomically, rotates
 //!   the WAL to a fresh segment, and prunes artifacts no longer needed for
 //!   recovery (the last two snapshots and the segments after the older one
 //!   are retained, so recovery survives a corrupt newest snapshot).
 //! * [`recover`] is **read-only**: it finds the newest valid snapshot,
 //!   collects the WAL rows past it (stopping at a torn tail), and hands both
-//!   back for replay. Because it mutates nothing, running it twice over the
-//!   same directory yields bitwise-identical results — the property the
-//!   deterministic-recovery tests pin down.
+//!   back for replay, together with where a writer resumes. It reads each
+//!   segment it needs once and skips, by header alone, every segment the
+//!   snapshot already covers. Because it mutates nothing, running it twice
+//!   over the same directory yields bitwise-identical results — the
+//!   property the deterministic-recovery tests pin down.
 //!
-//! Torn tails are truncated *physically* only when a store is reopened for
-//! append ([`StateStore::open`]), never during [`recover`].
+//! Torn tails are truncated *physically* only when a writer resumes on the
+//! directory ([`StateStore::resume`], which [`StateStore::open`] calls),
+//! never during [`recover`].
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -24,19 +27,24 @@ use std::path::{Path, PathBuf};
 use crate::format::DurableError;
 use crate::snapshot::{list_snapshots, read_snapshot, write_snapshot, Snapshot};
 use crate::wal::{
-    list_segments, read_segment, SegmentWriter, TailStatus, WalHeader, WalRecord, WAL_HEADER_LEN,
+    encode_wal_frame, list_segments, read_wal_header, scan_segment, wal_file_name, SegmentWriter,
+    TailStatus, WalHeader, WalRecord,
 };
 
-/// How eagerly WAL appends are forced to stable storage.
+/// How eagerly WAL appends are forced to stable storage. Rows are counted
+/// per append call: a call logs one micro-batch as one frame, and a sync
+/// covers the whole frame.
 ///
 /// The policy trades durability for append throughput; snapshots are always
 /// flushed and atomically renamed regardless (except under `Never`, which
 /// skips fsync everywhere and leaves durability to the OS page cache).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fsync` after every appended row. Maximum durability, slowest.
+    /// `fsync` after every append call, so every row is synced before it
+    /// is processed. Maximum durability, slowest.
     Always,
-    /// `fsync` once per `n` appended rows (and at every checkpoint).
+    /// `fsync` at the end of the append call that brings the rows appended
+    /// since the last sync to `n` or more (and at every checkpoint).
     EveryN(u32),
     /// Never `fsync`; rely on the OS to write back eventually.
     Never,
@@ -68,14 +76,27 @@ pub struct RecoveryStats {
     pub snapshots_corrupt: usize,
     /// WAL segment files read.
     pub wal_segments: usize,
+    /// WAL segment files skipped unread: the segment after each starts at
+    /// or before the snapshot's sequence, so the snapshot covers its rows.
+    pub wal_segments_skipped: usize,
     /// WAL segment files rejected outright (corrupt header).
     pub wal_segments_corrupt: usize,
-    /// Total intact records seen across all segments.
+    /// Total intact records seen across the segments read.
     pub wal_records_seen: u64,
     /// Records actually scheduled for replay (past the snapshot's coverage).
     pub replay_rows: u64,
     /// Bytes dropped from torn segment tails.
     pub torn_tail_bytes: u64,
+}
+
+/// The newest WAL segment as recovery found it: where a writer resumes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LastSegment {
+    /// Segment number.
+    pub number: u64,
+    /// Bytes through its last intact frame; `None` when its header is
+    /// corrupt, so a writer abandons it and starts the next segment.
+    pub valid_len: Option<u64>,
 }
 
 /// The outcome of a read-only recovery scan.
@@ -87,6 +108,11 @@ pub struct RecoveredState {
     pub replay: Vec<WalRecord>,
     /// What the scan encountered.
     pub stats: RecoveryStats,
+    /// Newest snapshot generation on disk, valid or not (0 when none): a
+    /// writer numbers its next checkpoint past it.
+    pub newest_generation: u64,
+    /// The newest WAL segment, if any.
+    pub last_segment: Option<LastSegment>,
 }
 
 impl RecoveredState {
@@ -104,59 +130,70 @@ impl RecoveredState {
 /// Read-only recovery: locate the newest valid snapshot in `dir` and the
 /// WAL rows past it. Missing directory ⇒ empty state (fresh start).
 pub fn recover(dir: &Path) -> Result<RecoveredState, DurableError> {
-    let mut stats = RecoveryStats::default();
+    let mut state = RecoveredState {
+        snapshot: None,
+        replay: Vec::new(),
+        stats: RecoveryStats::default(),
+        newest_generation: 0,
+        last_segment: None,
+    };
     if !dir.exists() {
-        return Ok(RecoveredState {
-            snapshot: None,
-            replay: Vec::new(),
-            stats,
-        });
+        return Ok(state);
     }
+    let stats = &mut state.stats;
 
     // Newest snapshot that validates wins; corrupt ones are skipped.
-    let mut snapshot = None;
-    for (_, path) in list_snapshots(dir)?.into_iter().rev() {
+    let snapshots = list_snapshots(dir)?;
+    state.newest_generation = snapshots.last().map_or(0, |(generation, _)| *generation);
+    for (_, path) in snapshots.iter().rev() {
         stats.snapshots_scanned += 1;
-        match read_snapshot(&path) {
+        match read_snapshot(path) {
             Ok(s) => {
-                snapshot = Some(s);
+                state.snapshot = Some(s);
                 break;
             }
             Err(DurableError::Io(e)) => return Err(DurableError::Io(e)),
             Err(_) => stats.snapshots_corrupt += 1,
         }
     }
-    let covered = snapshot.as_ref().map_or(0, |s| s.seq);
+    let covered = state.snapshot.as_ref().map_or(0, |s| s.seq);
 
-    // Replay everything past the snapshot, in segment order. A torn tail
-    // ends that segment; later segments only exist after a clean rotation,
-    // so a torn tail can only be the end of the whole log.
-    let mut replay = Vec::new();
-    for (_, path) in list_segments(dir)? {
-        match read_segment(&path) {
-            Ok((_, records, tail)) => {
-                stats.wal_segments += 1;
-                stats.wal_records_seen += records.len() as u64;
-                if let TailStatus::Torn { bytes_dropped } = tail {
-                    stats.torn_tail_bytes += bytes_dropped as u64;
-                }
-                for rec in records {
-                    if rec.seq > covered {
-                        replay.push(rec);
-                    }
-                }
-            }
+    // Segments the snapshot covers are skipped by their successor's header
+    // (the rule `prune` deletes by). The rest are read once, in order,
+    // keeping the rows past the snapshot. A torn tail ends that segment;
+    // later segments only exist after a clean rotation, so a torn tail can
+    // only be the end of the whole log.
+    let segments = list_segments(dir)?;
+    while let Some((_, next)) = segments.get(stats.wal_segments_skipped + 1) {
+        match read_wal_header(next) {
+            Ok(h) if h.start_seq <= covered => stats.wal_segments_skipped += 1,
             Err(DurableError::Io(e)) => return Err(DurableError::Io(e)),
-            Err(_) => stats.wal_segments_corrupt += 1,
+            _ => break,
         }
     }
-    stats.replay_rows = replay.len() as u64;
-
-    Ok(RecoveredState {
-        snapshot,
-        replay,
-        stats,
-    })
+    for (number, path) in &segments[stats.wal_segments_skipped..] {
+        let valid_len = match scan_segment(path, covered, &mut state.replay) {
+            Ok(scan) => {
+                stats.wal_segments += 1;
+                stats.wal_records_seen += scan.rows;
+                if let TailStatus::Torn { bytes_dropped } = scan.tail {
+                    stats.torn_tail_bytes += bytes_dropped as u64;
+                }
+                Some(scan.valid_len)
+            }
+            Err(DurableError::Io(e)) => return Err(DurableError::Io(e)),
+            Err(_) => {
+                stats.wal_segments_corrupt += 1;
+                None
+            }
+        };
+        state.last_segment = Some(LastSegment {
+            number: *number,
+            valid_len,
+        });
+    }
+    stats.replay_rows = state.replay.len() as u64;
+    Ok(state)
 }
 
 /// A writable per-shard state store (see module docs).
@@ -169,78 +206,53 @@ pub struct StateStore {
     segment: u64,
     seq: u64,
     generation: u64,
-    unsynced: u32,
+    /// Rows appended since the last sync.
+    unsynced: u64,
+    /// Encoded frames awaiting their `write`, reused across appends.
+    staging: Vec<u8>,
 }
 
 impl StateStore {
-    /// Opens (or creates) the store in `dir` for `shard`, positioning the
-    /// write cursor after the last intact WAL record. Any torn tail on the
-    /// newest segment is physically truncated here; older artifacts are
-    /// left untouched.
+    /// Opens (or creates) the store in `dir` for `shard`: a [`recover`]
+    /// scan, then [`StateStore::resume`] from it.
     pub fn open(dir: &Path, shard: u32, fsync: FsyncPolicy) -> Result<Self, DurableError> {
+        Self::resume(dir, shard, fsync, &recover(dir)?)
+    }
+
+    /// Opens the store in `dir` for `shard` from the [`recover`] scan of
+    /// that same directory, positioning the write cursor after the last
+    /// intact WAL row. Any torn tail on the newest segment is physically
+    /// truncated here (a segment whose header is corrupt is abandoned for
+    /// the next one); older artifacts are left untouched.
+    pub fn resume(
+        dir: &Path,
+        shard: u32,
+        fsync: FsyncPolicy,
+        recovered: &RecoveredState,
+    ) -> Result<Self, DurableError> {
         fs::create_dir_all(dir)?;
-
-        let generation = list_snapshots(dir)?
-            .last()
-            .map(|(generation, _)| *generation)
-            .unwrap_or(0);
-
-        let segments = list_segments(dir)?;
-        let mut seq = {
-            // Sequence resumes after everything on disk: the newest valid
-            // snapshot plus every intact WAL record.
-            let recovered = recover(dir)?;
-            recovered.last_seq()
-        };
-        if seq == 0 {
-            if let Some(snap) = list_snapshots(dir)?
-                .last()
-                .and_then(|(_, p)| read_snapshot(p).ok())
-            {
-                seq = snap.seq;
-            }
-        }
-
-        let (segment, writer) = match segments.last() {
-            Some((num, path)) => match read_segment(path) {
-                Ok((_, records, tail)) => {
-                    let valid_len = match tail {
-                        TailStatus::Clean => fs::metadata(path)?.len(),
-                        TailStatus::Torn { bytes_dropped } => {
-                            fs::metadata(path)?.len() - bytes_dropped as u64
-                        }
-                    };
-                    let _ = records;
-                    (*num, SegmentWriter::reopen(path, valid_len)?)
-                }
-                Err(DurableError::Io(e)) => return Err(DurableError::Io(e)),
-                Err(_) => {
-                    // Header unusable: abandon the segment, start the next.
-                    let num = num + 1;
-                    let writer = SegmentWriter::create(
-                        dir,
-                        num,
-                        &WalHeader {
-                            shard,
-                            start_seq: seq,
-                        },
-                    )?;
-                    (num, writer)
-                }
-            },
-            None => {
-                let writer = SegmentWriter::create(
-                    dir,
-                    0,
-                    &WalHeader {
-                        shard,
-                        start_seq: seq,
-                    },
-                )?;
-                (0, writer)
+        // Sequence resumes after everything on disk: the newest valid
+        // snapshot plus every intact WAL row.
+        let seq = recovered.last_seq();
+        let (segment, writer) = match recovered.last_segment {
+            Some(LastSegment {
+                number,
+                valid_len: Some(len),
+            }) => (
+                number,
+                SegmentWriter::reopen(&dir.join(wal_file_name(number)), len)?,
+            ),
+            // No log yet, or the newest segment's header is unusable:
+            // start the next segment.
+            last => {
+                let number = last.map_or(0, |s| s.number + 1);
+                let header = WalHeader {
+                    shard,
+                    start_seq: seq,
+                };
+                (number, SegmentWriter::create(dir, number, &header)?)
             }
         };
-
         Ok(Self {
             dir: dir.to_path_buf(),
             shard,
@@ -248,23 +260,29 @@ impl StateStore {
             writer,
             segment,
             seq,
-            generation,
+            generation: recovered.newest_generation,
             unsynced: 0,
+            staging: Vec::new(),
         })
     }
 
-    /// Logs one row ahead of processing, returning its sequence number.
-    pub fn append_row(&mut self, row: &[f64]) -> Result<u64, DurableError> {
-        self.seq += 1;
-        self.writer.append(&WalRecord {
-            seq: self.seq,
-            row: row.to_vec(),
-        })?;
+    /// Logs a micro-batch ahead of processing as one frame with one
+    /// `write`, returning the sequence number of its last row (the current
+    /// sequence when `rows` is empty). All rows must share one non-zero
+    /// width.
+    pub fn append_rows<R: AsRef<[f64]>>(&mut self, rows: &[R]) -> Result<u64, DurableError> {
+        if rows.is_empty() {
+            return Ok(self.seq);
+        }
+        self.staging.clear();
+        encode_wal_frame(self.seq + 1, rows, &mut self.staging);
+        self.writer.append(&self.staging)?;
+        self.seq += rows.len() as u64;
         match self.fsync {
             FsyncPolicy::Always => self.writer.sync()?,
             FsyncPolicy::EveryN(n) => {
-                self.unsynced += 1;
-                if self.unsynced >= n.max(1) {
+                self.unsynced += rows.len() as u64;
+                if self.unsynced >= u64::from(n.max(1)) {
                     self.writer.sync()?;
                     self.unsynced = 0;
                 }
@@ -272,6 +290,12 @@ impl StateStore {
             FsyncPolicy::Never => {}
         }
         Ok(self.seq)
+    }
+
+    /// Logs one row ahead of processing, returning its sequence number: a
+    /// batch of one.
+    pub fn append_row(&mut self, row: &[f64]) -> Result<u64, DurableError> {
+        self.append_rows(&[row])
     }
 
     /// Writes a snapshot of `payload` covering every row appended so far,
@@ -355,18 +379,8 @@ impl StateStore {
         for window in segments.windows(2) {
             let (_, path) = &window[0];
             let (_, next_path) = &window[1];
-            let next_start = fs::read(next_path)
-                .ok()
-                .and_then(|b| {
-                    (b.len() >= WAL_HEADER_LEN)
-                        .then(|| crate::wal::decode_wal_header(&b).ok())
-                        .flatten()
-                })
-                .map(|h| h.start_seq);
-            if let Some(next_start) = next_start {
-                if next_start <= retained_oldest_seq {
-                    fs::remove_file(path)?;
-                }
+            if read_wal_header(next_path).is_ok_and(|h| h.start_seq <= retained_oldest_seq) {
+                fs::remove_file(path)?;
             }
         }
         Ok(())
@@ -559,5 +573,178 @@ mod tests {
         assert!(rec.snapshot.is_none());
         assert!(rec.replay.is_empty());
         assert_eq!(rec.last_seq(), 0);
+    }
+
+    #[test]
+    fn one_append_rows_call_lands_as_one_frame() {
+        let dir = tmp_dir("one-frame");
+        let mut store = StateStore::open(&dir, 0, FsyncPolicy::EveryN(1024)).unwrap();
+        let rows: Vec<Vec<f64>> = (0..256)
+            .map(|i| (0..48).map(|j| (i * 48 + j) as f64).collect())
+            .collect();
+        assert_eq!(store.append_rows(&rows).unwrap(), 256);
+        assert_eq!(
+            store.append_rows(&rows[..0]).unwrap(),
+            256,
+            "empty is a no-op"
+        );
+        store.flush().unwrap();
+        let (_, active) = list_segments(&dir).unwrap().pop().unwrap();
+        // Header, then one frame: len, first_seq, rows, dim, values, checksum.
+        assert_eq!(
+            std::fs::metadata(&active).unwrap().len() as usize,
+            crate::wal::WAL_HEADER_LEN + 4 + 16 + 256 * 48 * 8 + 8
+        );
+        let (_, got, tail) = crate::wal::read_segment(&active).unwrap();
+        assert_eq!(tail, TailStatus::Clean);
+        assert_eq!(got.len(), 256);
+        for (i, rec) in got.iter().enumerate() {
+            assert_eq!(rec.seq, i as u64 + 1);
+            assert_eq!(rec.row, rows[i]);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recovery_skips_covered_segments_and_resumes_from_its_own_scan() {
+        let dir = tmp_dir("skip");
+        let mut store = StateStore::open(&dir, 0, FsyncPolicy::Never).unwrap();
+        for gen in 1..=2u64 {
+            let batch: Vec<Vec<f64>> = (1..=4).map(|i| row(4 * (gen - 1) + i)).collect();
+            store.append_rows(&batch).unwrap();
+            store.checkpoint(format!("gen-{gen}").as_bytes()).unwrap();
+        }
+        store.append_rows(&[row(9), row(10)]).unwrap();
+        drop(store);
+
+        // Retention keeps the segment after the older snapshot (rows 5–8)
+        // and the active one (rows 9–10); the newest snapshot covers the
+        // first, so only the active segment is read.
+        assert_eq!(list_segments(&dir).unwrap().len(), 2);
+        let rec = recover(&dir).unwrap();
+        assert_eq!(rec.snapshot.as_ref().unwrap().seq, 8);
+        assert_eq!(rec.stats.wal_segments_skipped, 1);
+        assert_eq!(rec.stats.wal_segments, 1);
+        assert_eq!(rec.stats.wal_records_seen, 2);
+        assert_eq!(rec.newest_generation, 2);
+        assert_eq!(
+            rec.replay.iter().map(|r| r.seq).collect::<Vec<_>>(),
+            vec![9, 10]
+        );
+
+        // With the newest snapshot gone the older one needs that segment.
+        let newest = list_snapshots(&dir).unwrap().pop().unwrap().1;
+        let mut bytes = std::fs::read(&newest).unwrap();
+        bytes[7] ^= 0x20;
+        std::fs::write(&newest, &bytes).unwrap();
+        let fallback = recover(&dir).unwrap();
+        assert_eq!(fallback.stats.wal_segments_skipped, 0);
+        assert_eq!(
+            fallback.replay.iter().map(|r| r.seq).collect::<Vec<_>>(),
+            (5..=10).collect::<Vec<_>>()
+        );
+
+        // A writer resumed from that scan numbers past the corrupt
+        // generation and appends after row 10.
+        let mut store = StateStore::resume(&dir, 0, FsyncPolicy::Never, &fallback).unwrap();
+        assert_eq!((store.seq(), store.generation()), (10, 2));
+        assert_eq!(store.append_row(&row(11)).unwrap(), 11);
+        assert_eq!(store.checkpoint(b"gen-3").unwrap(), 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn corrupt_last_segment_header_is_abandoned_for_the_next_segment() {
+        let dir = tmp_dir("bad-header");
+        let mut store = StateStore::open(&dir, 0, FsyncPolicy::Never).unwrap();
+        store.append_rows(&[row(1), row(2)]).unwrap();
+        store.checkpoint(b"gen-1").unwrap();
+        store.append_rows(&[row(3)]).unwrap();
+        drop(store);
+        let (number, active) = list_segments(&dir).unwrap().pop().unwrap();
+        let mut bytes = std::fs::read(&active).unwrap();
+        bytes[10] ^= 0x01;
+        std::fs::write(&active, &bytes).unwrap();
+
+        let rec = recover(&dir).unwrap();
+        assert_eq!(rec.stats.wal_segments_corrupt, 1);
+        assert_eq!(
+            rec.last_segment,
+            Some(LastSegment {
+                number,
+                valid_len: None
+            })
+        );
+        let mut store = StateStore::resume(&dir, 0, FsyncPolicy::Never, &rec).unwrap();
+        assert_eq!(store.seq(), 2, "row 3 went with the corrupt segment");
+        store.append_row(&row(3)).unwrap();
+        drop(store);
+        let (next, _) = list_segments(&dir).unwrap().pop().unwrap();
+        assert_eq!(next, number + 1);
+        assert_eq!(recover(&dir).unwrap().last_seq(), 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every crash point inside the last two frames of the log: recovery
+    /// replays exactly the complete frames, a reopened store truncates the
+    /// torn tail and appends one more batch, and a second recovery sees the
+    /// intact prefix plus that batch with contiguous sequences.
+    #[test]
+    fn every_truncation_in_the_last_two_frames_recovers_and_resumes() {
+        let dir = tmp_dir("crash-points");
+        let mut store = StateStore::open(&dir, 0, FsyncPolicy::Never).unwrap();
+        store.append_rows(&[row(1), row(2)]).unwrap();
+        store.checkpoint(b"at-2").unwrap();
+        let mut ends = Vec::new();
+        let mut seq = 2;
+        for n in [3u64, 1, 2] {
+            let batch: Vec<Vec<f64>> = (seq + 1..=seq + n).map(row).collect();
+            seq = store.append_rows(&batch).unwrap();
+            ends.push((store.writer.len(), seq));
+        }
+        drop(store);
+        let (_, active) = list_segments(&dir).unwrap().pop().unwrap();
+        let full = std::fs::read(&active).unwrap();
+        let snapshot = list_snapshots(&dir).unwrap().pop().unwrap().1;
+        let snapshot_bytes = std::fs::read(&snapshot).unwrap();
+
+        let last_two_start = ends[0].0 as usize;
+        for cut in last_two_start..full.len() {
+            std::fs::write(&active, &full[..cut]).unwrap();
+            // The complete frames left by this cut.
+            let kept = ends
+                .iter()
+                .rfind(|(end, _)| *end as usize <= cut)
+                .map_or(2, |(_, seq)| *seq);
+            let rec = recover(&dir).unwrap();
+            assert_eq!(rec.snapshot.as_ref().unwrap().seq, 2);
+            assert_eq!(
+                rec.replay.iter().map(|r| r.seq).collect::<Vec<_>>(),
+                (3..=kept).collect::<Vec<_>>(),
+                "cut at {cut}"
+            );
+            for r in &rec.replay {
+                assert_eq!(r.row, row(r.seq), "cut at {cut}");
+            }
+
+            let mut store = StateStore::open(&dir, 0, FsyncPolicy::Never).unwrap();
+            assert_eq!(store.seq(), kept);
+            let more = [row(kept + 1), row(kept + 2)];
+            assert_eq!(store.append_rows(&more).unwrap(), kept + 2);
+            drop(store);
+            let again = recover(&dir).unwrap();
+            assert_eq!(again.stats.torn_tail_bytes, 0, "cut at {cut}");
+            assert_eq!(
+                again.replay.iter().map(|r| r.seq).collect::<Vec<_>>(),
+                (3..=kept + 2).collect::<Vec<_>>(),
+                "cut at {cut}"
+            );
+            for r in &again.replay {
+                assert_eq!(r.row, row(r.seq), "cut at {cut}");
+            }
+            // Nothing else moved: the snapshot is the one written before.
+            assert_eq!(std::fs::read(&snapshot).unwrap(), snapshot_bytes);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,27 +1,34 @@
 //! Write-ahead log segments: an append-only record of ingested rows.
 //!
-//! Layout of `wal-<segment>.skwl`:
+//! Layout of `wal-<segment>.skwl` (`sketchad-wal/v2`, integers
+//! little-endian):
 //!
 //! ```text
 //! header:
 //!   magic      [u8; 4]  "SKWL"
-//!   version    u8       FORMAT_VERSION
+//!   version    u8       FORMAT_VERSION (2)
 //!   shard      u32      shard index that owns this segment
 //!   start_seq  u64      stream sequence of the last row BEFORE this segment
-//!   checksum   u64      FNV-1a over the header bytes above
-//! records (repeated until EOF):
-//!   len        u32      byte length of the record body
-//!   body       [u8]     seq u64, dim u32, dim × f64 row values
-//!   checksum   u64      FNV-1a over the record body
+//!   checksum   u64      checksum64 over the header bytes above
+//! frames (repeated until EOF), one per logged micro-batch:
+//!   len        u32      byte length of the body: 16 + rows × dim × 8
+//!   body:
+//!     first_seq  u64    sequence of the frame's first row; row i is first_seq + i
+//!     rows       u32    rows in the frame, ≥ 1
+//!     dim        u32    values per row, ≥ 1
+//!     values     f64 × rows × dim, row-major
+//!   checksum   u64      checksum64 over the body
 //! ```
 //!
-//! Records are framed individually so a crash mid-append leaves at most one
-//! torn record at the tail. Readers stop at the first frame that is
-//! incomplete or fails its checksum and report how many bytes they dropped —
-//! everything before the torn frame is intact and replayable.
+//! A frame carries a whole micro-batch and reaches the file in one `write`
+//! before any of its rows is scored, so a crash mid-append tears at most
+//! the final frame. Readers stop at the first frame that is incomplete or
+//! fails its checks and report how many bytes they dropped: the torn
+//! frame's whole batch is lost, and none of it had been scored before the
+//! crash. Everything before it is intact and replayable.
 
 use std::fs;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 use sketchad_sketch::wire::{ByteReader, ByteWriter};
@@ -59,8 +66,14 @@ pub enum TailStatus {
     },
 }
 
-/// Byte offset where the first record frame starts.
+/// Byte offset where the first frame starts.
 pub const WAL_HEADER_LEN: usize = 4 + 1 + 4 + 8 + 8;
+
+/// Bytes of a frame body before its values: `first_seq`, `rows`, `dim`.
+const FRAME_BODY_HEADER: usize = 8 + 4 + 4;
+
+/// Bytes a frame adds around its body: the `len` prefix and the checksum.
+const FRAME_OVERHEAD: usize = 4 + 8;
 
 /// Filename for segment `seg`, e.g. `wal-000000000003.skwl`.
 pub fn wal_file_name(segment: u64) -> String {
@@ -88,23 +101,55 @@ pub fn encode_wal_header(header: &WalHeader) -> Vec<u8> {
     bytes
 }
 
-/// Encodes one record frame (length prefix + body + checksum).
-pub fn encode_wal_record(record: &WalRecord) -> Vec<u8> {
-    let mut body = ByteWriter::new();
-    body.put_u64(record.seq);
-    body.put_u32(record.row.len() as u32);
-    for &v in &record.row {
-        body.put_f64(v);
+/// Appends to `out` the frames that log `rows` as stream sequences
+/// `first_seq..`: one frame, unless the batch exceeds a frame's 4 GiB body
+/// limit. Reuses `out`'s capacity, so a warm buffer allocates nothing.
+///
+/// # Panics
+/// When `rows` is empty, or its rows are empty or differ in width: a
+/// batch of one detector's points has neither.
+pub fn encode_wal_frame<R: AsRef<[f64]>>(first_seq: u64, rows: &[R], out: &mut Vec<u8>) {
+    let dim = rows.first().map_or(0, |r| r.as_ref().len());
+    assert!(
+        dim > 0 && rows.iter().all(|r| r.as_ref().len() == dim),
+        "a WAL frame holds one or more rows of one non-zero width"
+    );
+    let row_bytes = dim * 8;
+    let max_rows = ((u32::MAX as usize - FRAME_BODY_HEADER) / row_bytes).max(1);
+    for (k, batch) in rows.chunks(max_rows).enumerate() {
+        let seq = first_seq + (k * max_rows) as u64;
+        let body_len = FRAME_BODY_HEADER + batch.len() * row_bytes;
+        let len = u32::try_from(body_len).expect("a WAL row fits a 4 GiB frame");
+        let start = out.len();
+        out.resize(start + FRAME_OVERHEAD + body_len, 0);
+        let frame = &mut out[start..];
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        let (body, sum) = frame[4..].split_at_mut(body_len);
+        body[..8].copy_from_slice(&seq.to_le_bytes());
+        body[8..12].copy_from_slice(&(batch.len() as u32).to_le_bytes());
+        body[12..16].copy_from_slice(&(dim as u32).to_le_bytes());
+        for (dst, row) in body[FRAME_BODY_HEADER..]
+            .chunks_exact_mut(row_bytes)
+            .zip(batch)
+        {
+            for (d, v) in dst.chunks_exact_mut(8).zip(row.as_ref()) {
+                d.copy_from_slice(&v.to_le_bytes());
+            }
+        }
+        sum.copy_from_slice(&checksum64(body).to_le_bytes());
     }
-    let body = body.into_vec();
-    let mut w = ByteWriter::new();
-    w.put_u32(body.len() as u32);
-    w.put_bytes(&body);
-    w.put_u64(checksum64(&body));
-    w.into_vec()
 }
 
-/// Validates and decodes a segment header from the front of `bytes`.
+/// Encodes one record as a one-row frame.
+pub fn encode_wal_record(record: &WalRecord) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_wal_frame(record.seq, std::slice::from_ref(&record.row), &mut out);
+    out
+}
+
+/// Validates and decodes a segment header from the front of `bytes`. The
+/// magic and version are checked before the checksum, so a segment of
+/// another format version reports "unsupported WAL format version".
 pub fn decode_wal_header(bytes: &[u8]) -> Result<WalHeader, DurableError> {
     if bytes.len() < WAL_HEADER_LEN {
         return Err(DurableError::Corrupt {
@@ -112,12 +157,6 @@ pub fn decode_wal_header(bytes: &[u8]) -> Result<WalHeader, DurableError> {
         });
     }
     let (body, sum_bytes) = bytes[..WAL_HEADER_LEN].split_at(WAL_HEADER_LEN - 8);
-    let stored = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
-    if checksum64(body) != stored {
-        return Err(DurableError::Corrupt {
-            context: "WAL header checksum mismatch",
-        });
-    }
     let mut r = ByteReader::new(body);
     let mut magic = [0u8; 4];
     for m in &mut magic {
@@ -134,72 +173,155 @@ pub fn decode_wal_header(bytes: &[u8]) -> Result<WalHeader, DurableError> {
             context: "unsupported WAL format version",
         });
     }
+    let stored = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
+    if checksum64(body) != stored {
+        return Err(DurableError::Corrupt {
+            context: "WAL header checksum mismatch",
+        });
+    }
     let shard = r.get_u32("WAL shard")?;
     let start_seq = r.get_u64("WAL start_seq")?;
     Ok(WalHeader { shard, start_seq })
 }
 
-/// Reads a whole segment: header, every intact record, and whether the tail
-/// was torn. A corrupt *header* is an error (the segment is unusable); a
-/// corrupt *tail* is expected after a crash and reported via [`TailStatus`].
+/// Reads and validates only the header of the segment at `path`: the
+/// first [`WAL_HEADER_LEN`] bytes, not the frames behind them.
+pub fn read_wal_header(path: &Path) -> Result<WalHeader, DurableError> {
+    let mut bytes = [0u8; WAL_HEADER_LEN];
+    match fs::File::open(path)?.read_exact(&mut bytes) {
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+            return Err(DurableError::Corrupt {
+                context: "WAL segment shorter than its header",
+            })
+        }
+        other => other?,
+    }
+    decode_wal_header(&bytes)
+}
+
+/// Reads a whole segment: header, every row of every intact frame, and
+/// whether the tail was torn. A corrupt *header* is an error (the segment
+/// is unusable); a corrupt *tail* is expected after a crash and reported
+/// via [`TailStatus`].
+pub fn read_segment(path: &Path) -> Result<(WalHeader, Vec<WalRecord>, TailStatus), DurableError> {
+    let mut records = Vec::new();
+    let scan = scan_segment(path, 0, &mut records)?;
+    Ok((scan.header, records, scan.tail))
+}
+
+/// What one pass over a segment found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SegmentScan {
+    pub header: WalHeader,
+    /// Rows in the intact frames, whether or not they were collected.
+    pub rows: u64,
+    pub tail: TailStatus,
+    /// Bytes through the last intact frame: where an appender resumes.
+    pub valid_len: u64,
+}
+
+/// Reads the segment at `path` once, appending to `out` each row of an
+/// intact frame whose sequence is past `covered`; rows at or below it are
+/// checksummed but never copied.
 ///
 /// The segment is memory-mapped where the platform allows it
-/// (`sketchad_core::mmapio::MappedBytes`), so replay parses frames straight
-/// out of the page cache instead of first copying the whole file into a
-/// `Vec`. The mapping lives only for the duration of this call — it is
-/// released before recovery truncates torn tails via
+/// (`sketchad_core::mmapio::MappedBytes`), so frames are parsed straight
+/// out of the page cache. The mapping lives only for the duration of this
+/// call — it is released before a writer truncates a torn tail via
 /// [`SegmentWriter::reopen`] — and callers hold no writer on the segment
 /// while reading (recovery and inspection are exclusive), so the
 /// no-concurrent-truncation precondition holds.
-pub fn read_segment(path: &Path) -> Result<(WalHeader, Vec<WalRecord>, TailStatus), DurableError> {
+pub(crate) fn scan_segment(
+    path: &Path,
+    covered: u64,
+    out: &mut Vec<WalRecord>,
+) -> Result<SegmentScan, DurableError> {
     let mapped = sketchad_core::mmapio::MappedBytes::open(path)?;
     let bytes = mapped.bytes();
     let header = decode_wal_header(bytes)?;
-    let mut records = Vec::new();
     let mut pos = WAL_HEADER_LEN;
+    let mut rows = 0;
     let tail = loop {
         if pos == bytes.len() {
             break TailStatus::Clean;
         }
-        let Some(frame) = parse_frame(&bytes[pos..]) else {
+        let Some(frame) = Frame::parse(&bytes[pos..]) else {
             break TailStatus::Torn {
                 bytes_dropped: bytes.len() - pos,
             };
         };
-        let (record, frame_len) = frame;
-        records.push(record);
-        pos += frame_len;
+        rows += frame.rows as u64;
+        frame.collect_past(covered, out);
+        pos += frame.len;
     };
-    Ok((header, records, tail))
+    Ok(SegmentScan {
+        header,
+        rows,
+        tail,
+        valid_len: pos as u64,
+    })
 }
 
-/// Parses one frame from the front of `bytes`; `None` when the frame is
-/// incomplete or its checksum/body is invalid (torn tail).
-fn parse_frame(bytes: &[u8]) -> Option<(WalRecord, usize)> {
-    if bytes.len() < 4 {
-        return None;
+/// One intact frame, borrowed from the segment bytes.
+struct Frame<'a> {
+    first_seq: u64,
+    rows: usize,
+    dim: usize,
+    values: &'a [u8],
+    /// Bytes the whole frame occupies, prefix and checksum included.
+    len: usize,
+}
+
+impl<'a> Frame<'a> {
+    /// Parses the frame at the front of `bytes`; `None` when it is
+    /// incomplete, inconsistent or fails its checksum (a torn tail). The
+    /// sizes are checked against each other and against `bytes` before
+    /// anything is read past them, so no field can make a reader allocate
+    /// more than the segment holds.
+    fn parse(bytes: &'a [u8]) -> Option<Self> {
+        let field = |at: usize, n: usize| bytes.get(at..at.checked_add(n)?);
+        let len = u32::from_le_bytes(field(0, 4)?.try_into().ok()?) as usize;
+        let body = field(4, len)?;
+        let stored = u64::from_le_bytes(field(4 + len, 8)?.try_into().ok()?);
+        let (head, values) = body.split_at_checked(FRAME_BODY_HEADER)?;
+        let first_seq = u64::from_le_bytes(head[..8].try_into().ok()?);
+        let rows = u32::from_le_bytes(head[8..12].try_into().ok()?) as usize;
+        let dim = u32::from_le_bytes(head[12..16].try_into().ok()?) as usize;
+        let sized = rows
+            .checked_mul(dim)
+            .and_then(|n| n.checked_mul(8))
+            .is_some_and(|n| n == values.len());
+        if rows == 0 || dim == 0 || !sized || first_seq.checked_add(rows as u64).is_none() {
+            return None;
+        }
+        if checksum64(body) != stored {
+            return None;
+        }
+        Some(Frame {
+            first_seq,
+            rows,
+            dim,
+            values,
+            len: FRAME_OVERHEAD + len,
+        })
     }
-    let len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
-    let frame_len = 4 + len + 8;
-    if bytes.len() < frame_len {
-        return None;
+
+    /// Appends the frame's rows with sequence past `covered` to `out`.
+    fn collect_past(&self, covered: u64, out: &mut Vec<WalRecord>) {
+        let skip = covered
+            .checked_sub(self.first_seq)
+            .map_or(0, |d| d.saturating_add(1).min(self.rows as u64) as usize);
+        let rows = self.values.chunks_exact(self.dim * 8);
+        for (i, row) in rows.enumerate().skip(skip) {
+            out.push(WalRecord {
+                seq: self.first_seq + i as u64,
+                row: row
+                    .chunks_exact(8)
+                    .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+                    .collect(),
+            });
+        }
     }
-    let body = &bytes[4..4 + len];
-    let stored = u64::from_le_bytes(bytes[4 + len..frame_len].try_into().expect("8 bytes"));
-    if checksum64(body) != stored {
-        return None;
-    }
-    let mut r = ByteReader::new(body);
-    let seq = r.get_u64("WAL record seq").ok()?;
-    let dim = r.get_u32("WAL record dim").ok()? as usize;
-    if dim.checked_mul(8).is_none_or(|b| b != r.remaining()) {
-        return None;
-    }
-    let mut row = Vec::with_capacity(dim);
-    for _ in 0..dim {
-        row.push(r.get_f64("WAL record value").ok()?);
-    }
-    Some((WalRecord { seq, row }, frame_len))
 }
 
 /// Lists WAL segment files in `dir`, sorted by segment number ascending.
@@ -254,11 +376,11 @@ impl SegmentWriter {
         })
     }
 
-    /// Appends one record frame.
-    pub fn append(&mut self, record: &WalRecord) -> Result<(), DurableError> {
-        let bytes = encode_wal_record(record);
-        self.file.write_all(&bytes)?;
-        self.bytes_written += bytes.len() as u64;
+    /// Appends encoded frames (see [`encode_wal_frame`]) with one
+    /// `write_all`.
+    pub fn append(&mut self, frames: &[u8]) -> Result<(), DurableError> {
+        self.file.write_all(frames)?;
+        self.bytes_written += frames.len() as u64;
         Ok(())
     }
 
@@ -303,6 +425,17 @@ mod tests {
             .collect()
     }
 
+    /// Logs `recs` (consecutive sequences) in frames of `per_frame` rows.
+    fn append_frames(w: &mut SegmentWriter, recs: &[WalRecord], per_frame: usize) {
+        let mut buf = Vec::new();
+        for batch in recs.chunks(per_frame) {
+            let rows: Vec<&[f64]> = batch.iter().map(|r| r.row.as_slice()).collect();
+            buf.clear();
+            encode_wal_frame(batch[0].seq, &rows, &mut buf);
+            w.append(&buf).unwrap();
+        }
+    }
+
     #[test]
     fn segment_roundtrip() {
         let dir = tmp_dir("roundtrip");
@@ -312,9 +445,7 @@ mod tests {
         };
         let mut w = SegmentWriter::create(&dir, 0, &header).unwrap();
         let recs = records(10, 3);
-        for r in &recs {
-            w.append(r).unwrap();
-        }
+        append_frames(&mut w, &recs, 4);
         w.sync().unwrap();
         let (h, got, tail) = read_segment(&dir.join(wal_file_name(0))).unwrap();
         assert_eq!(h, header);
@@ -332,9 +463,7 @@ mod tests {
         };
         let mut w = SegmentWriter::create(&dir, 1, &header).unwrap();
         let recs = records(4, 2);
-        for r in &recs {
-            w.append(r).unwrap();
-        }
+        append_frames(&mut w, &recs, 2);
         w.sync().unwrap();
         let path = dir.join(wal_file_name(1));
         // Append half of a fifth record — a crash mid-write.
@@ -368,9 +497,7 @@ mod tests {
         };
         let mut w = SegmentWriter::create(&dir, 7, &header).unwrap();
         let recs = records(6, 3);
-        for r in &recs {
-            w.append(r).unwrap();
-        }
+        append_frames(&mut w, &recs, 5);
         w.sync().unwrap();
         let path = dir.join(wal_file_name(7));
         let mapped = read_segment(&path).unwrap();
@@ -394,20 +521,20 @@ mod tests {
             },
         )
         .unwrap();
-        let recs = records(3, 2);
-        for r in &recs {
-            w.append(r).unwrap();
-        }
+        let recs = records(6, 2);
+        append_frames(&mut w, &recs, 2);
         w.sync().unwrap();
         let path = dir.join(wal_file_name(0));
         let mut bytes = std::fs::read(&path).unwrap();
-        // Flip a byte inside the second record's body.
-        let first_frame = encode_wal_record(&recs[0]).len();
-        let idx = WAL_HEADER_LEN + first_frame + 8;
+        // Flip a value byte inside the second frame: its whole batch goes,
+        // and so does the intact third frame behind it.
+        let mut first_frame = Vec::new();
+        encode_wal_frame(1, &[&recs[0].row, &recs[1].row], &mut first_frame);
+        let idx = WAL_HEADER_LEN + first_frame.len() + 4 + FRAME_BODY_HEADER + 3;
         bytes[idx] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
         let (_, got, tail) = read_segment(&path).unwrap();
-        assert_eq!(got, recs[..1], "only the first record is trustworthy");
+        assert_eq!(got, recs[..2], "only the first frame is trustworthy");
         assert!(matches!(tail, TailStatus::Torn { .. }));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -430,7 +557,26 @@ mod tests {
         bytes[1] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         assert!(read_segment(&path).is_err());
+        assert!(read_wal_header(&path).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn other_format_versions_are_rejected_as_unsupported() {
+        // A well-formed header of any other version (v1 included, whatever
+        // its checksum) is refused by version, before the checksum.
+        let mut bytes = encode_wal_header(&WalHeader {
+            shard: 0,
+            start_seq: 9,
+        });
+        for version in [1u8, 3] {
+            bytes[4] = version;
+            let err = decode_wal_header(&bytes).unwrap_err();
+            assert!(
+                err.to_string().contains("unsupported WAL format version"),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -441,9 +587,7 @@ mod tests {
             start_seq: 0,
         };
         let mut w = SegmentWriter::create(&dir, 2, &header).unwrap();
-        for r in records(2, 2) {
-            w.append(&r).unwrap();
-        }
+        append_frames(&mut w, &records(2, 2), 2);
         let valid = w.len();
         drop(w);
         let path = dir.join(wal_file_name(2));
@@ -452,16 +596,171 @@ mod tests {
         bytes.extend_from_slice(&[0xaa; 7]);
         std::fs::write(&path, &bytes).unwrap();
         let mut w = SegmentWriter::reopen(&path, valid).unwrap();
-        w.append(&WalRecord {
+        w.append(&encode_wal_record(&WalRecord {
             seq: 3,
             row: vec![1.0, 2.0],
-        })
+        }))
         .unwrap();
         w.sync().unwrap();
         let (_, got, tail) = read_segment(&path).unwrap();
         assert_eq!(tail, TailStatus::Clean);
         assert_eq!(got.len(), 3);
         assert_eq!(got[2].seq, 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn scan_collects_only_rows_past_the_covered_sequence() {
+        let dir = tmp_dir("covered");
+        let mut w = SegmentWriter::create(
+            &dir,
+            0,
+            &WalHeader {
+                shard: 0,
+                start_seq: 0,
+            },
+        )
+        .unwrap();
+        let recs = records(9, 2);
+        append_frames(&mut w, &recs, 3);
+        let path = dir.join(wal_file_name(0));
+        for covered in 0..=10 {
+            let mut out = Vec::new();
+            let scan = scan_segment(&path, covered, &mut out).unwrap();
+            assert_eq!(scan.rows, 9);
+            assert_eq!(scan.valid_len, w.len());
+            assert_eq!(out, recs[(covered as usize).min(9)..], "covered {covered}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn inconsistent_frame_sizes_are_torn_even_under_a_valid_checksum() {
+        // Hand-built frames whose checksum holds but whose `rows`, `dim`
+        // and `len` disagree (or are zero): a writer never emits them, so
+        // the reader treats each as the end of the log.
+        let frame = |rows: u32, dim: u32, values: usize| {
+            let mut body = 1u64.to_le_bytes().to_vec();
+            body.extend_from_slice(&rows.to_le_bytes());
+            body.extend_from_slice(&dim.to_le_bytes());
+            body.extend(std::iter::repeat_n(0u8, values * 8));
+            let mut out = (body.len() as u32).to_le_bytes().to_vec();
+            out.extend_from_slice(&body);
+            out.extend_from_slice(&checksum64(&body).to_le_bytes());
+            out
+        };
+        let dir = tmp_dir("sizes");
+        let path = dir.join(wal_file_name(0));
+        let header = encode_wal_header(&WalHeader {
+            shard: 0,
+            start_seq: 0,
+        });
+        for (rows, dim, values) in [
+            (3, 2, 4),
+            (1, 2, 3),
+            (0, 2, 0),
+            (2, 0, 0),
+            (u32::MAX, u32::MAX, 2),
+        ] {
+            let bad = frame(rows, dim, values);
+            std::fs::write(&path, [header.as_slice(), &bad].concat()).unwrap();
+            let (_, got, tail) = read_segment(&path).unwrap();
+            assert!(got.is_empty(), "rows {rows} dim {dim} values {values}");
+            assert_eq!(
+                tail,
+                TailStatus::Torn {
+                    bytes_dropped: bad.len()
+                }
+            );
+        }
+        // The same builder's consistent frame reads back.
+        std::fs::write(&path, [header.as_slice(), &frame(2, 2, 4)].concat()).unwrap();
+        let (_, got, tail) = read_segment(&path).unwrap();
+        assert_eq!((got.len(), tail), (2, TailStatus::Clean));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every prefix, every single-bit flip and every single-byte 0xff
+    /// write of a valid three-frame segment: header damage is an error;
+    /// otherwise exactly the intact leading frames come back and the tail
+    /// reads torn. A damaged `len`, `rows` or `dim` is refused by the size
+    /// checks, so nothing is reserved from it (the allocation bound is
+    /// counted in `tests/steady_state_alloc.rs`).
+    #[test]
+    fn reader_survives_every_truncation_and_byte_flip() {
+        let dir = tmp_dir("sweep");
+        let mut w = SegmentWriter::create(
+            &dir,
+            0,
+            &WalHeader {
+                shard: 2,
+                start_seq: 10,
+            },
+        )
+        .unwrap();
+        let recs: Vec<WalRecord> = records(16, 3).split_off(10);
+        // Frames of 1, 2 and 3 rows: sequences 11, 12–13, 14–16.
+        let mut valid = Vec::new();
+        let mut ends = vec![WAL_HEADER_LEN];
+        for (first, n) in [(0usize, 1usize), (1, 2), (3, 3)] {
+            let rows: Vec<&[f64]> = recs[first..first + n]
+                .iter()
+                .map(|r| r.row.as_slice())
+                .collect();
+            valid.clear();
+            encode_wal_frame(recs[first].seq, &rows, &mut valid);
+            w.append(&valid).unwrap();
+            ends.push(w.len() as usize);
+        }
+        drop(w);
+        let path = dir.join(wal_file_name(0));
+        let good = std::fs::read(&path).unwrap();
+        let rows_before = [0usize, 1, 3, 6];
+        // The frames wholly inside the first `n` bytes.
+        let intact = |n: usize| ends.iter().rposition(|&e| e <= n).unwrap_or(0);
+
+        let check = |bytes: &[u8], damaged_at: Option<usize>, what: &str| {
+            std::fs::write(&path, bytes).unwrap();
+            let result = read_segment(&path);
+            if bytes.len() < WAL_HEADER_LEN || damaged_at.is_some_and(|i| i < WAL_HEADER_LEN) {
+                assert!(result.is_err(), "{what}: header damage must be an error");
+                return;
+            }
+            let (header, got, tail) = result.unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(header.start_seq, 10, "{what}");
+            // Damage inside frame f keeps frames before it; a cut keeps
+            // the frames that fit.
+            let frames = match damaged_at {
+                Some(i) => ends.iter().rposition(|&e| e <= i).unwrap(),
+                None => intact(bytes.len()),
+            };
+            assert_eq!(got, recs[..rows_before[frames]], "{what}");
+            let expect_tail = if ends[frames] == bytes.len() {
+                TailStatus::Clean
+            } else {
+                TailStatus::Torn {
+                    bytes_dropped: bytes.len() - ends[frames],
+                }
+            };
+            assert_eq!(tail, expect_tail, "{what}");
+        };
+
+        for cut in 0..=good.len() {
+            check(&good[..cut], None, &format!("prefix {cut}"));
+        }
+        let mut bad = good.clone();
+        for i in 0..good.len() {
+            for bit in 0..8 {
+                bad[i] ^= 1 << bit;
+                check(&bad, Some(i), &format!("bit {bit} of byte {i}"));
+                bad[i] = good[i];
+            }
+            if good[i] != 0xff {
+                bad[i] = 0xff;
+                check(&bad, Some(i), &format!("byte {i} = 0xff"));
+                bad[i] = good[i];
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -872,9 +872,9 @@ struct PreparedShard {
 
 /// Warm-restarts one shard from its durable directory: restore the newest
 /// valid snapshot into the detector, replay the WAL rows past it, publish
-/// the recovered model, and open the store for writing (which truncates
-/// any torn WAL tail and positions the write cursor after the replayed
-/// rows). Runs on a per-shard recovery thread when the engine has more
+/// the recovered model, and resume the store for writing from the same
+/// scan (which truncates any torn WAL tail and positions the write cursor
+/// after the replayed rows). Runs on a per-shard recovery thread when the engine has more
 /// than one shard; the logic is identical either way.
 fn recover_shard(
     root: &std::path::Path,
@@ -925,7 +925,8 @@ fn recover_shard(
             replayed,
         });
     }
-    StateStore::open(&dir, idx as u32, config.fsync).map_err(|e| durable_err(e.to_string()))
+    StateStore::resume(&dir, idx as u32, config.fsync, &recovered)
+        .map_err(|e| durable_err(e.to_string()))
 }
 
 /// Everything a producer lane needs, borrowed from the engine for the

@@ -389,11 +389,10 @@ fn drain(
                 recorder.gauge(Gauge::RingDepth, depth as f64);
             }
         }
-        // Write-ahead for the whole micro-batch before any scoring: a
-        // crash mid-batch replays every logged row on recovery.
-        for point in &batch_points {
-            log_row(store, point);
-        }
+        // Write-ahead for the whole micro-batch, as one WAL frame, before
+        // any scoring: a crash mid-batch replays every logged row on
+        // recovery, and a crash mid-write loses only unscored rows.
+        log_rows(store, &batch_points);
         state.in_flight = n;
         detector.process_batch(&batch_points, &mut batch_scores);
         state.in_flight = 0;
@@ -463,13 +462,14 @@ fn degrade(
     }
 }
 
-/// Appends one row to the shard's WAL. A durable I/O failure disables
-/// persistence for the rest of the run (the store is dropped) rather than
-/// taking the shard down: serving availability outranks durability, and the
-/// on-disk state stays valid — it is merely frozen at the last good write.
-fn log_row(store: &mut Option<StateStore>, point: &[f64]) {
+/// Appends a micro-batch to the shard's WAL as one frame. A durable I/O
+/// failure disables persistence for the rest of the run (the store is
+/// dropped) rather than taking the shard down: serving availability
+/// outranks durability, and the on-disk state stays valid — it is merely
+/// frozen at the last good write.
+fn log_rows(store: &mut Option<StateStore>, points: &[Vec<f64>]) {
     if let Some(s) = store.as_mut() {
-        if s.append_row(point).is_err() {
+        if s.append_rows(points).is_err() {
             *store = None;
         }
     }

@@ -9,6 +9,7 @@ use sketchad_serve::{
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const DIM: usize = 16;
 
@@ -211,12 +212,21 @@ fn worker_panic_recovers_from_last_snapshot() {
     );
 }
 
-/// One `submit` per point, outcomes tallied like a batch.
-fn submit_each(engine: &mut ServeEngine, range: std::ops::Range<u64>) -> BatchOutcome {
+/// One `submit` per point, outcomes tallied like a batch; `accepted_by[s]`
+/// counts the points shard `s` accepted (round-robin routes point `i` to
+/// shard `i % shards`).
+fn submit_each(
+    engine: &mut ServeEngine,
+    range: std::ops::Range<u64>,
+    accepted_by: &mut [u64],
+) -> BatchOutcome {
     let mut outcome = BatchOutcome::default();
     for i in range {
         match engine.submit(wave(i)).expect("submit stays infallible") {
-            SubmitOutcome::Accepted => outcome.accepted += 1,
+            SubmitOutcome::Accepted => {
+                outcome.accepted += 1;
+                accepted_by[i as usize % accepted_by.len()] += 1;
+            }
             SubmitOutcome::Dropped => outcome.dropped += 1,
             SubmitOutcome::Rejected(_) => outcome.rejected += 1,
             SubmitOutcome::Shed => outcome.shed += 1,
@@ -235,10 +245,13 @@ fn exhausted_restart_budget_degrades_shard_not_pipeline() {
         .with_queue_capacity(16)
         .with_backpressure(BackpressurePolicy::DropNewest)
         .with_max_restarts(1);
-    let mut engine = ServeEngine::start(config, |shard| {
+    let flaky_builds = Arc::new(AtomicU64::new(0));
+    let builds = Arc::clone(&flaky_builds);
+    let mut engine = ServeEngine::start(config, move |shard| {
         if shard == 1 {
             // Every incarnation dies after 10 points: restart once, die
             // again, degrade.
+            builds.fetch_add(1, Ordering::Relaxed);
             Box::new(FlakyDetector {
                 inner: fd_factory(shard),
                 fail_after: 10,
@@ -251,14 +264,33 @@ fn exhausted_restart_budget_degrades_shard_not_pipeline() {
 
     // Point by point, so the tiny DropNewest queues keep admitting while
     // the flaky shard burns through its incarnations.
-    let outcome = submit_each(&mut engine, 0..N);
-    // The degrade flag is set by the worker thread; wait for it, then
-    // verify post-degradation submissions to that shard shed at submit
-    // time while the healthy shard still accepts.
+    let mut accepted_by = [0u64; 2];
+    let mut outcome = submit_each(&mut engine, 0..N, &mut accepted_by);
+    // A fast producer can finish while shard 1 has accepted only one queue
+    // of 16 points, all lost to its first incarnation's fatal batch; the
+    // second incarnation then has nothing to die on. So keep feeding both
+    // shards, a pair at a time, until the worker thread sets the degrade
+    // flag — within a deadline, not a spin without bound.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut submitted = N;
     while !engine.is_degraded(1) {
+        assert!(
+            Instant::now() < deadline,
+            "shard 1 did not degrade within 10 s: it accepted {} points, its detector was built {} times",
+            accepted_by[1],
+            flaky_builds.load(Ordering::Relaxed)
+        );
+        let pair = submit_each(&mut engine, submitted..submitted + 2, &mut accepted_by);
+        outcome.accepted += pair.accepted;
+        outcome.dropped += pair.dropped;
+        outcome.rejected += pair.rejected;
+        outcome.shed += pair.shed;
+        submitted += 2;
         std::thread::yield_now();
     }
-    let late = submit_each(&mut engine, N..N + 40);
+    // Verify post-degradation submissions to that shard shed at submit
+    // time while the healthy shard still accepts.
+    let late = submit_each(&mut engine, submitted..submitted + 40, &mut accepted_by);
     assert_eq!(late.shed, 20, "every point routed to the degraded shard");
     assert_eq!(late.accepted + late.dropped, 20, "healthy shard unaffected");
     let report = engine
@@ -282,9 +314,9 @@ fn exhausted_restart_budget_degrades_shard_not_pipeline() {
             + report.stats.total_rejected
             + report.stats.total_shed
             + report.stats.total_crash_lost,
-        N + 40
+        submitted + 40
     );
-    assert_eq!(outcome.submitted(), N);
+    assert_eq!(outcome.submitted(), submitted);
 }
 
 /// Key-hash partitioning keeps a key's points on one shard even at volume,

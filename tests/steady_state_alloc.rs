@@ -4,7 +4,10 @@
 //! their scratch (`svd::Workspace`), so once the first shrink has run, the
 //! steady state of `FrequentDirections::update` must never touch the heap;
 //! `CountSketch` draws its hash targets into a buffer sized at construction,
-//! so its updates never do.
+//! so its updates never do. A WAL append encodes its frame into a staging
+//! buffer the store keeps, so appends after the first never do either, and
+//! a damaged WAL segment never makes the reader reserve more than the file
+//! holds.
 //! This binary installs a counting global allocator (it is its own crate, so
 //! `sketchad-linalg` keeps its `deny(unsafe_code)`) and counts.
 //!
@@ -16,22 +19,30 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use sketchad_core::{RefreshPolicy, ScoreKind, SketchDetector, StreamingDetector, SubspaceModel};
+use sketchad_durable::{wal, FsyncPolicy, StateStore};
 use sketchad_linalg::rng::{gaussian_matrix, seeded_rng};
 use sketchad_linalg::svd::{right_factor, Workspace};
 use sketchad_sketch::{CountSketch, FrequentDirections, MatrixSketch};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts one allocation of `size` bytes on this thread.
+fn note(size: usize) {
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
+    LARGEST.with(|c| c.set(c.get().max(size)));
 }
 
 struct Counting;
 
 // SAFETY: every method forwards to `System` unchanged; the only addition is
-// a thread-local counter bump, which neither allocates (the cell is
+// a thread-local counter update, which neither allocates (the cells are
 // const-initialized, no lazy registration) nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        note(layout.size());
         // SAFETY: same contract as the caller's.
         unsafe { System.alloc(layout) }
     }
@@ -42,7 +53,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        note(new_size);
         // SAFETY: same contract as the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -58,6 +69,13 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
+/// The largest single allocation (or reallocation) `f` made on this thread.
+fn largest_allocation_in(f: impl FnOnce()) -> usize {
+    let before = LARGEST.with(|c| c.replace(0));
+    f();
+    LARGEST.with(|c| c.replace(before.max(c.get())))
+}
+
 #[test]
 fn the_counter_counts() {
     assert_eq!(
@@ -65,6 +83,10 @@ fn the_counter_counts() {
         1
     );
     assert_eq!(allocations_in(|| {}), 0);
+    assert_eq!(
+        largest_allocation_in(|| drop(std::hint::black_box(vec![0u8; 300]))),
+        300
+    );
 }
 
 #[test]
@@ -161,4 +183,66 @@ fn fd_detector_allocates_only_the_model_it_installs() {
         }
         assert!(det.refresh_count() >= refreshes_before + 1_000 / period as u64);
     }
+}
+
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("skad-alloc-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+#[test]
+fn wal_append_allocates_nothing_after_the_first_call() {
+    // The durable benchmark's row shape, in the serving engine's largest
+    // default micro-batch: one frame per call.
+    let rows = gaussian_matrix(&mut seeded_rng(26), 256, 48, 1.0);
+    let rows: Vec<&[f64]> = rows.iter_rows().collect();
+    let dir = temp_dir("wal-append");
+    let mut store = StateStore::open(&dir, 0, FsyncPolicy::Never).unwrap();
+    store.append_rows(&rows).unwrap();
+    let allocated = allocations_in(|| {
+        for _ in 0..100 {
+            store.append_rows(&rows).unwrap();
+        }
+    });
+    assert_eq!(store.seq(), 101 * 256);
+    assert_eq!(allocated, 0, "WAL append allocated");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn damaged_wal_segment_never_reserves_more_than_the_file() {
+    // Three frames of 1, 2 and 3 rows; then every single-bit flip and every
+    // 0xff byte, so each `len`, `rows` and `dim` field takes values up to
+    // 2³² − 1. The size checks refuse them before any reservation: the
+    // largest allocation a read makes stays under the file's length.
+    let rows = gaussian_matrix(&mut seeded_rng(27), 6, 48, 1.0);
+    let rows: Vec<&[f64]> = rows.iter_rows().collect();
+    let dir = temp_dir("wal-read");
+    let mut store = StateStore::open(&dir, 0, FsyncPolicy::Never).unwrap();
+    for batch in [&rows[..1], &rows[1..3], &rows[3..]] {
+        store.append_rows(batch).unwrap();
+    }
+    drop(store);
+    let (_, path) = wal::list_segments(&dir).unwrap().pop().unwrap();
+    let good = std::fs::read(&path).unwrap();
+    let mut bad = good.clone();
+    let read = |bytes: &[u8]| {
+        std::fs::write(&path, bytes).unwrap();
+        let largest =
+            largest_allocation_in(|| drop(std::hint::black_box(wal::read_segment(&path))));
+        assert!(
+            largest <= good.len(),
+            "a read reserved {largest} bytes from a {}-byte segment",
+            good.len()
+        );
+    };
+    for i in 0..good.len() {
+        for flip in (0..8).map(|bit| good[i] ^ (1 << bit)).chain([0xff]) {
+            bad[i] = flip;
+            read(&bad);
+        }
+        bad[i] = good[i];
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
