@@ -709,6 +709,64 @@ mod tests {
     }
 
     #[test]
+    fn fd_refresh_decomposes_only_the_occupied_rows() {
+        // At a period of ℓ/4 every refresh after the first finds the 2ℓ-row
+        // buffer part full (ℓ + 4 = 20 rows). Its factor holds σ² of the
+        // occupied rows alone, min(occupied, d) of them, and the model is the
+        // one `from_matrix` builds from `sketch()` — to rounding, since the
+        // two keep different numbers of vectors and so may take different
+        // eigensolver routes. d = 18 decomposes those 20 rows through their
+        // inner Gram, d = 24 through their outer one.
+        let (ell, k) = (16usize, 4usize);
+        for d in [18usize, 24] {
+            let (rows, _) = planted_stream(400, 0, d, k, 7);
+            let mut det = SketchDetector::new(
+                FrequentDirections::new(ell, d),
+                k,
+                ScoreKind::RelativeProjection,
+                RefreshPolicy::Periodic { period: ell / 4 },
+                2 * ell,
+            );
+            let mut part_filled = 0;
+            for row in &rows {
+                // The sketch as this row's refresh, if any, will find it.
+                let mut probe = det.sketch().clone();
+                probe.update(row);
+                let before = probe.sketch();
+                let refreshes = det.refresh_count();
+                det.process(row);
+                if det.refresh_count() == refreshes {
+                    continue;
+                }
+                if before.rows() < 2 * ell {
+                    part_filled += 1;
+                }
+                let mut ws = Workspace::default();
+                let f = probe.refresh_factor(k, &mut ws).unwrap().unwrap();
+                assert_eq!(f.rows, before.rows());
+                assert_eq!(f.factor.scaled_sigma_sq().len(), before.rows().min(d));
+
+                let want = SubspaceModel::from_matrix(&before, k, probe.rows_seen()).unwrap();
+                let got = det.model().unwrap();
+                let tol = 1e-12 * want.sigma()[0];
+                for j in 0..k {
+                    let (g, w) = (got.basis().row(j), want.basis().row(j));
+                    let sign = sketchad_linalg::vecops::dot(g, w).signum();
+                    assert!((got.sigma()[j] - want.sigma()[j]).abs() <= tol, "σ{j}");
+                    for (x, y) in g.iter().zip(w) {
+                        let (x, y) = (sign * x * got.sigma()[j], y * want.sigma()[j]);
+                        assert!((x - y).abs() <= tol, "σ{j}·v{j} off by {}", (x - y).abs());
+                    }
+                }
+            }
+            assert!(
+                part_filled > 50,
+                "d={d}: {part_filled} part-filled refreshes"
+            );
+        }
+    }
+
+    #[test]
     fn anomalies_score_higher_than_normals() {
         let d = 24;
         let (rows, labels) = planted_stream(400, 40, d, 4, 1);

@@ -101,7 +101,7 @@ impl SubspaceModel {
         rows_represented: u64,
         workspace: &mut Workspace,
     ) -> Result<Self, LinAlgError> {
-        let rf = right_factor(b, k.min(b.rows()), workspace)?;
+        let rf = right_factor(b, b.rows(), k.min(b.rows()), workspace)?;
         Self::from_right_factor(
             &rf,
             k,
@@ -765,7 +765,7 @@ mod tests {
         // Non-trivial model: random 40×12 data, rank-5 subspace.
         let a = sketchad_linalg::rng::gaussian_matrix(&mut rng, 40, 12, 1.0);
         let model = SubspaceModel::from_matrix(&a, 5, 40).unwrap();
-        // Batch crossing dot4's 4-row blocking and including a zero row.
+        // Batch crossing a 4-row blocking and including a zero row.
         let mut ys = sketchad_linalg::rng::gaussian_matrix(&mut rng, 23, 12, 2.0);
         for c in 0..12 {
             ys[(7, c)] = 0.0;

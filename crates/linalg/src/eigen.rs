@@ -1,12 +1,17 @@
 //! Symmetric eigendecomposition.
 //!
-//! * [`eigen_sym`] — the one production solver: Householder
-//!   tridiagonalization followed by implicit-shift QL (`tred2`/`tql2`), with
-//!   the eigenvector accumulator stored **as rows** so the back-accumulation
-//!   and every QL plane rotation ([`vecops::rot`]) walk contiguous slices.
-//!   [`tridiag_ql_in_place`] is the same solver over caller-owned buffers —
-//!   what the allocation-free SVD kernel ([`crate::svd::right_factor`])
-//!   runs on its workspace.
+//! * [`sym_eigenvalues`] + [`sym_eigenvectors`] — the one production
+//!   solver, over caller-owned buffers ([`EigenScratch`]), in LAPACK's
+//!   `dsyevx` shape: Householder tridiagonalization, implicit-shift QL for
+//!   every eigenvalue, and only the `keep` eigenvectors asked for. Up to a
+//!   quarter of `n` kept, those come from inverse iteration on the
+//!   tridiagonal and a back-transform through the stored reflectors —
+//!   `O(n²·keep)` flops after the reduction's `O(n³)`; above that QL carries
+//!   every vector through its rotations (`tred2`/`tql2`), which is cheaper
+//!   per vector. Everything is stored **as rows**, so every cubic loop walks
+//!   contiguous slices. It is what the allocation-free SVD kernel
+//!   ([`crate::svd::right_factor`]) runs on its workspace; [`eigen_sym`] /
+//!   [`eigen_sym_top`] are the allocating wrappers.
 //! * [`jacobi_eigen_sym`] — cyclic Jacobi rotations; unconditionally stable
 //!   and several times slower at every size. Kept as the accuracy oracle the
 //!   tests compare the QL solver against; nothing on a hot path calls it.
@@ -148,21 +153,32 @@ fn finish_jacobi(a: Matrix, v: Matrix) -> SymEigen {
     SymEigen { values, vectors }
 }
 
-/// Full symmetric eigendecomposition: Householder tridiagonalization
-/// followed by implicit-shift QL, at every size (allocating wrapper over
-/// [`tridiag_ql_in_place`]). Eigenvalues come back in descending order; the
-/// `i`-th column of `vectors` is the eigenvector for `values[i]`.
+/// Full symmetric eigendecomposition: [`eigen_sym_top`] keeping every
+/// eigenvector. Eigenvalues come back in descending order; the `i`-th
+/// column of `vectors` is the eigenvector for `values[i]`.
 ///
 /// There is no small-matrix dispatch to [`jacobi_eigen_sym`]: measured on the
 /// n = 2…16 Grams the cheap detectors and the Rayleigh–Ritz steps produce,
-/// QL is faster from n = 3 up and ties within 0.05 µs at n = 2 (the table is
-/// in ARCHITECTURE.md, kernel layer).
+/// the tridiagonal route is faster from n = 3 up and ties within 0.05 µs at
+/// n = 2 (the table is in ARCHITECTURE.md, kernel layer).
 ///
 /// # Errors
 /// * [`LinAlgError::ShapeMismatch`] for non-square input.
 /// * [`LinAlgError::NotFinite`] for NaN/inf input.
 /// * [`LinAlgError::NoConvergence`] if QL exceeds its iteration budget.
 pub fn eigen_sym(s: &Matrix) -> Result<SymEigen> {
+    eigen_sym_top(s, s.rows())
+}
+
+/// The top `keep` eigenpairs of a symmetric matrix (`keep` is clamped to
+/// `n`): the allocating wrapper over [`sym_eigenvalues`] and
+/// [`sym_eigenvectors`]. `values` holds the `keep` largest eigenvalues,
+/// descending, and column `i` of the `n × keep` `vectors` the unit
+/// eigenvector of `values[i]`. Only those `keep` vectors are computed.
+///
+/// # Errors
+/// Same conditions as [`eigen_sym`].
+pub fn eigen_sym_top(s: &Matrix, keep: usize) -> Result<SymEigen> {
     let n = s.rows();
     if s.rows() != s.cols() {
         return Err(LinAlgError::ShapeMismatch {
@@ -174,32 +190,17 @@ pub fn eigen_sym(s: &Matrix) -> Result<SymEigen> {
     if !s.all_finite() {
         return Err(LinAlgError::NotFinite { op: "eigen_sym" });
     }
+    let keep = keep.min(n);
     let mut z = s.as_slice().to_vec();
-    let mut d = vec![0.0f64; n];
-    let mut e = vec![0.0f64; n];
-    tridiag_ql_in_place(&mut z, &mut d, &mut e)?;
-    let mut order = vec![0usize; n];
-    descending_order(&d, &mut order);
-    let values: Vec<f64> = order.iter().map(|&i| d[i]).collect();
-    let mut vectors = Matrix::zeros(n, n);
-    for (new_col, &old_row) in order.iter().enumerate() {
-        for (row, &v) in z[old_row * n..(old_row + 1) * n].iter().enumerate() {
-            vectors[(row, new_col)] = v;
-        }
-    }
-    Ok(SymEigen { values, vectors })
-}
-
-/// Fills `order` (same length as `d`) with the indices of `d` sorted by
-/// descending value, ties in index order. Allocation-free.
-pub(crate) fn descending_order(d: &[f64], order: &mut [usize]) {
-    debug_assert_eq!(d.len(), order.len());
-    for (i, o) in order.iter_mut().enumerate() {
-        *o = i;
-    }
-    // The index tie-break makes the order total, so the (non-allocating)
-    // unstable sort is as deterministic as a stable one.
-    order.sort_unstable_by(|&i, &j| d[j].total_cmp(&d[i]).then(i.cmp(&j)));
+    let mut values = vec![0.0f64; n];
+    let mut scratch = EigenScratch::default();
+    sym_eigenvalues(&mut z, &mut values, keep, &mut scratch)?;
+    let rows = sym_eigenvectors(&z, keep, &mut scratch).to_vec();
+    values.truncate(keep);
+    Ok(SymEigen {
+        values,
+        vectors: Matrix::from_vec(keep, n, rows)?.transpose(),
+    })
 }
 
 /// Unbiased binary exponent of a finite `x` (subnormals and zero read as
@@ -220,38 +221,311 @@ pub(crate) fn unit_scale(max_abs: f64) -> f64 {
 /// QL iterations allowed per eigenvalue before declaring non-convergence.
 const MAX_QL_ITERS: usize = 50;
 
-/// The symmetric eigensolver over caller-owned buffers: Householder
-/// reduction to tridiagonal form, then implicit-shift QL (the classical
-/// `tred2`/`tql2` pair, restructured for row-major storage).
+/// Inverse-iteration steps allowed per eigenvector (LAPACK's `dstein`).
+const MAX_INVERSE_ITERS: usize = 5;
+
+/// Steps run past the first that passes the growth test (`dstein`'s
+/// `EXTRA`).
+const EXTRA_INVERSE_ITERS: usize = 2;
+
+/// Eigenvalues closer than this fraction of `‖T‖₁` form one cluster, whose
+/// vectors are reorthogonalised against each other (`dstein`'s `ORTOL`).
+const CLUSTER_REL_GAP: f64 = 1e-3;
+
+/// Eigenvalues closer than this fraction of `‖T‖₁` are copies of one
+/// multiple eigenvalue as far as inverse iteration can tell (a few hundred
+/// ε: the spread rounding gives an exact multiple eigenvalue), and are
+/// iterated as one block.
+const TIE_REL_GAP: f64 = 1e-13;
+
+/// Buffers of the keep-aware symmetric eigensolver — [`sym_eigenvalues`],
+/// then [`sym_eigenvectors`] — besides the `n × n` matrix the caller owns.
 ///
-/// On entry `z` holds the symmetric `n × n` matrix row-major (`n = d.len()`;
-/// the reduction reads its lower triangle). On success `d[i]` is an eigenvalue —
-/// **unsorted** — and row `i` of `z` its unit eigenvector; `e` is scratch.
-/// Every element of `z`, `d` and `e` is written before it is read, so the
-/// result depends on the input matrix alone, never on what the buffers held.
+/// Scratch, never state: [`sym_eigenvalues`] overwrites every buffer it
+/// reads, so results depend on the input matrix alone. The buffers only
+/// inverse iteration reads are sized the first time a call takes that route.
+/// Sized for an `n` and `keep`, a scratch allocates nothing on later calls
+/// of that `n` or smaller keeping as many vectors or fewer.
+#[derive(Debug, Clone, Default)]
+pub struct EigenScratch {
+    /// Diagonal and off-diagonal of the tridiagonal `T = QᵀSQ`, in scaled
+    /// units; `off[i]` couples `i` and `i + 1`. On the all-vectors route QL
+    /// consumes them, leaving the eigenvalues in `diag`.
+    diag: Vec<f64>,
+    off: Vec<f64>,
+    /// Descending permutation of the eigenvalues in QL's order.
+    order: Vec<usize>,
+    // Inverse iteration's buffers, empty until a call takes that route.
+    /// The eigenvalues of `T` in QL's order, in scaled units.
+    w: Vec<f64>,
+    /// LU factors of `T − λI`: the pivots, the first and second
+    /// superdiagonals of `U`, and `L`'s multipliers. `lu[0]` is also the QL
+    /// recurrence's off-diagonal.
+    lu: [Vec<f64>; 4],
+    /// Whether elimination step `k` swapped rows `k` and `k + 1`.
+    swapped: Vec<bool>,
+    /// The kept eigenvectors, `keep × n` rows.
+    vectors: Vec<f64>,
+    /// The exact power of two the matrix was multiplied by.
+    scale: f64,
+    /// Whether QL carries every eigenvector (the matrix then holds them as
+    /// rows) rather than leaving the kept ones to inverse iteration.
+    all_vectors: bool,
+    /// Bytes of the buffers at the largest shape this scratch was sized for.
+    high_water: usize,
+}
+
+impl EigenScratch {
+    /// Sizes the buffers for `n × n` matrices keeping `keep ≤ n` vectors,
+    /// and picks the route by cost alone:
+    /// * `4·keep ≤ n`: inverse iteration computes the kept vectors,
+    ///   `O(n²·keep)` flops after the reduction.
+    /// * otherwise QL carries every vector through its rotations (`tql2`),
+    ///   which per vector kept is cheaper once more than about a quarter of
+    ///   them are kept.
+    pub(crate) fn resize(&mut self, n: usize, keep: usize) {
+        self.diag.resize(n, 0.0);
+        self.off.resize(n, 0.0);
+        self.order.resize(n, 0);
+        self.all_vectors = 4 * keep > n;
+        if !self.all_vectors {
+            self.w.resize(n, 0.0);
+            for v in &mut self.lu {
+                v.resize(n, 0.0);
+            }
+            self.swapped.resize(n, false);
+            self.vectors.resize(keep * n, 0.0);
+        }
+        let f64s = self.diag.len()
+            + self.off.len()
+            + self.w.len()
+            + self.lu.iter().map(Vec::len).sum::<usize>()
+            + self.vectors.len();
+        let bytes = f64s * std::mem::size_of::<f64>()
+            + self.order.len() * std::mem::size_of::<usize>()
+            + self.swapped.len();
+        self.high_water = self.high_water.max(bytes);
+    }
+
+    /// Bytes of the buffers this scratch holds at the largest shape it has
+    /// been sized for: a smaller one reuses those allocations.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.high_water
+    }
+
+    /// Factors `T − λI = P·L·U` by Gaussian elimination with partial
+    /// pivoting (`dlagtf`), storing the reciprocals of `U`'s pivots — any
+    /// pivot below `ε·max|U|` taken as `±ε·max|U|` (`dlagts`' perturbation,
+    /// so an exactly singular `T − λI` still solves) — and returns the last
+    /// pivot's magnitude.
+    fn factor(&mut self, lambda: f64) -> f64 {
+        let n = self.diag.len();
+        let [a, b, c, m] = &mut self.lu;
+        for (ak, &dk) in a.iter_mut().zip(&self.diag) {
+            *ak = dk - lambda;
+        }
+        b.copy_from_slice(&self.off);
+        for k in 0..n - 1 {
+            // Row k holds (a[k], b[k]) in columns k, k+1; row k+1 holds
+            // (sub, a[k+1], b[k+1]) in columns k, k+1, k+2.
+            let sub = self.off[k];
+            self.swapped[k] = sub.abs() > a[k].abs();
+            if self.swapped[k] {
+                let mult = a[k] / sub;
+                let t = a[k + 1];
+                a[k] = sub;
+                a[k + 1] = b[k] - mult * t;
+                c[k] = b[k + 1];
+                b[k + 1] = -mult * c[k];
+                b[k] = t;
+                m[k] = mult;
+            } else {
+                m[k] = if sub == 0.0 { 0.0 } else { sub / a[k] };
+                a[k + 1] -= m[k] * b[k];
+                c[k] = 0.0;
+            }
+        }
+        c[n - 1] = 0.0;
+        let largest = [&*a, &*b, &*c]
+            .iter()
+            .flat_map(|v| v.iter())
+            .fold(0.0f64, |acc, &v| acc.max(v.abs()));
+        let floor = if largest > 0.0 {
+            f64::EPSILON * largest
+        } else {
+            f64::EPSILON
+        };
+        let last = a[n - 1].abs();
+        for ak in a.iter_mut() {
+            *ak = 1.0
+                / if ak.abs() < floor {
+                    floor.copysign(*ak)
+                } else {
+                    *ak
+                };
+        }
+        last
+    }
+
+    /// Solves `(T − λI)·x = rhs` in place with the last [`Self::factor`]
+    /// (`dlagts`, job −1). The whole vector — solved part and remaining
+    /// right-hand side alike — is rescaled whenever a component nears
+    /// overflow, which only changes the solution's length.
+    fn solve(&self, x: &mut [f64]) {
+        const BIG: f64 = 1e150;
+        let n = x.len();
+        let [inv_pivot, b, c, m] = &self.lu;
+        for k in 0..n - 1 {
+            if self.swapped[k] {
+                let t = x[k];
+                x[k] = x[k + 1];
+                x[k + 1] = t - m[k] * x[k];
+            } else {
+                x[k + 1] -= m[k] * x[k];
+            }
+        }
+        for k in (0..n).rev() {
+            let mut t = x[k];
+            if k + 1 < n {
+                t -= b[k] * x[k + 1];
+            }
+            if k + 2 < n {
+                t -= c[k] * x[k + 2];
+            }
+            x[k] = t * inv_pivot[k];
+            if x[k].abs() > BIG {
+                vecops::scale(1.0 / x[k].abs(), x);
+            }
+        }
+    }
+
+    /// Unit eigenvectors of `T` for the tie group `group` of the sorted
+    /// eigenvalues, written as the rows of `block`, by inverse iteration
+    /// from fixed start vectors (`dstein`). After every round of solves
+    /// each vector is reorthogonalised against `cluster` (the rows already
+    /// found for eigenvalues within [`CLUSTER_REL_GAP`] of these) and the
+    /// group's earlier rows, and once more at the end ("twice is enough").
+    ///
+    /// A group of more than one is a near-exact multiple eigenvalue. Its
+    /// copies are iterated as one block with one shift: a shift per copy
+    /// amplifies the other copies about as much as its own, and then the
+    /// reorthogonalisation cancels most of the vector.
+    fn inverse_iteration(
+        &mut self,
+        group: std::ops::Range<usize>,
+        norm: f64,
+        cluster: &[f64],
+        block: &mut [f64],
+    ) {
+        let n = self.diag.len();
+        let value = |j: usize| self.w[self.order[j]];
+        let last_pivot = self.factor(0.5 * (value(group.start) + value(group.end - 1)));
+        for (j, x) in group.zip(block.chunks_exact_mut(n)) {
+            for (i, xi) in x.iter_mut().enumerate() {
+                *xi = start_entry(j, i);
+            }
+        }
+        // dstein's scaling: the right-hand side is this small, so a
+        // solution growing past `growth` certifies a residual of
+        // O(n·ε·‖T‖) for the normalized vector.
+        let rhs_norm = n as f64 * norm * f64::EPSILON.max(last_pivot);
+        let growth = (0.1 / n as f64).sqrt();
+        let orthonormalize = |block: &mut [f64], r: usize| {
+            let (earlier, x) = block.split_at_mut(r * n);
+            let x = &mut x[..n];
+            for v in cluster.chunks_exact(n).chain(earlier.chunks_exact(n)) {
+                vecops::axpy(-vecops::dot(x, v), v, x);
+            }
+            let grown = vecops::norm_inf(x) >= growth;
+            vecops::normalize(x);
+            grown
+        };
+        let rows = block.len() / n;
+        let mut passed = 0;
+        for _ in 0..MAX_INVERSE_ITERS {
+            for x in block.chunks_exact_mut(n) {
+                let l1 = vecops::norm1(x);
+                if l1 > 0.0 {
+                    vecops::scale(rhs_norm / l1, x);
+                }
+                self.solve(x);
+            }
+            let mut grown = true;
+            for r in 0..rows {
+                grown &= orthonormalize(block, r);
+            }
+            if grown {
+                passed += 1;
+                if passed > EXTRA_INVERSE_ITERS {
+                    break;
+                }
+            }
+        }
+        for r in 0..rows {
+            orthonormalize(block, r);
+        }
+    }
+}
+
+/// Entry `i` of the start vector for eigenvalue `j`: a fixed value in
+/// `[−1, 1)` from a SplitMix64 mix of `(j, i)`, so the solver's bits depend
+/// on its input alone.
+fn start_entry(j: usize, i: usize) -> f64 {
+    let mut z = ((j as u64) << 32 | i as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^= z >> 31;
+    (z >> 11) as f64 * (2.0 / (1u64 << 53) as f64) - 1.0
+}
+
+/// The first half of the symmetric eigensolver (LAPACK's `dsyevx` shape):
+/// Householder reduction to a tridiagonal `T`, then implicit-shift QL for
+/// every eigenvalue.
 ///
-/// The transform is accumulated *transposed* relative to the textbook
-/// routine. That turns the three cubic loops into contiguous row work: the
-/// symmetric matrix–vector product and rank-2 update of the reduction are
-/// one [`vecops::dot`] + [`vecops::axpy`] per row, applying a reflector to
-/// the accumulator is one dot + axpy per row, and each QL rotation is one
-/// [`vecops::rot`] over two adjacent rows instead of two stride-`n` columns.
+/// On entry `z` holds the symmetric `n × n` matrix row-major
+/// (`n = values.len()`; the reduction reads its lower triangle). On success
+/// `values` holds every eigenvalue, descending, and `z` and `scratch` hold
+/// what [`sym_eigenvectors`] needs for up to `keep` (clamped to `n`)
+/// eigenvectors.
+///
+/// `keep` picks the route, by cost alone:
+/// * `keep ≤ n / 4`: QL rotates no vectors, and `z` keeps the reflectors,
+///   so that [`sym_eigenvectors`] computes only the vectors it is asked
+///   for. This half is then `O(n³)` flops in the reduction alone and
+///   `O(n²)` in QL.
+/// * otherwise: the reflectors are accumulated into `Qᵀ` and QL carries
+///   every eigenvector through its rotations (`tql2`); the rows of `z` are
+///   then sorted to the order of `values`. Per vector kept that is cheaper
+///   than inverse iteration once more than about a quarter of them are
+///   kept.
+///
+/// Both routes are the textbook `tred2`/`tql2` restructured for row-major
+/// storage: the reduction's symmetric matrix–vector product and rank-2
+/// update, and applying a reflector to the accumulator, are one
+/// [`vecops::dot`] + [`vecops::axpy`] per contiguous row, and a QL rotation
+/// is one [`vecops::rot`] over two adjacent rows. The eigenvalues are the
+/// same bits on both.
 ///
 /// # Errors
-/// * [`LinAlgError::ShapeMismatch`] unless `z.len() == n²` and
-///   `e.len() == n`.
+/// * [`LinAlgError::ShapeMismatch`] unless `z.len() == n²`.
 /// * [`LinAlgError::NoConvergence`] if QL exceeds its iteration budget.
-/// * [`LinAlgError::NotFinite`] if an eigenvalue comes out NaN/inf (the
-///   input held a non-finite value or overflowed in the reduction).
-pub fn tridiag_ql_in_place(z: &mut [f64], d: &mut [f64], e: &mut [f64]) -> Result<()> {
-    let n = d.len();
-    if z.len() != n * n || e.len() != n {
+/// * [`LinAlgError::NotFinite`] if the input holds a non-finite value or an
+///   eigenvalue comes out non-finite.
+pub fn sym_eigenvalues(
+    z: &mut [f64],
+    values: &mut [f64],
+    keep: usize,
+    scratch: &mut EigenScratch,
+) -> Result<()> {
+    let n = values.len();
+    if z.len() != n * n {
         return Err(LinAlgError::ShapeMismatch {
             expected: (n, n),
-            got: (z.len(), e.len()),
-            op: "tridiag_ql_in_place",
+            got: (z.len(), 1),
+            op: "sym_eigenvalues",
         });
     }
+    scratch.resize(n, keep.min(n));
     if n == 0 {
         return Ok(());
     }
@@ -264,16 +538,157 @@ pub fn tridiag_ql_in_place(z: &mut [f64], d: &mut [f64], e: &mut [f64]) -> Resul
     let max_abs = z.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
     if !max_abs.is_finite() {
         return Err(LinAlgError::NotFinite {
-            op: "tridiag_ql_in_place",
+            op: "sym_eigenvalues",
         });
     }
-    let scale = unit_scale(max_abs);
-    vecops::scale(scale, z);
+    scratch.scale = unit_scale(max_abs);
+    vecops::scale(scratch.scale, z);
+    tridiagonalize(z, &mut scratch.diag, &mut scratch.off);
 
-    // ---- tred2: Householder reduction to tridiagonal form. ----
+    let w: &[f64] = if scratch.all_vectors {
+        accumulate_reflectors(z, n);
+        tql(&mut scratch.diag, &mut scratch.off, Some(z))?;
+        &scratch.diag
+    } else {
+        // QL destroys its operands; T itself stays for inverse iteration.
+        scratch.w.copy_from_slice(&scratch.diag);
+        scratch.lu[0].copy_from_slice(&scratch.off);
+        tql(&mut scratch.w, &mut scratch.lu[0], None)?;
+        &scratch.w
+    };
+    descending_order(w, &mut scratch.order);
+    let unscale = 1.0 / scratch.scale;
+    for (v, &i) in values.iter_mut().zip(&scratch.order) {
+        *v = w[i] * unscale;
+    }
+    if scratch.all_vectors {
+        // QL has finished with the off-diagonal: it holds the row in transit.
+        permute_rows(z, &mut scratch.order, &mut scratch.off);
+    }
+    if values.iter().all(|v| v.is_finite()) {
+        Ok(())
+    } else {
+        Err(LinAlgError::NotFinite {
+            op: "sym_eigenvalues",
+        })
+    }
+}
+
+/// Moves row `order[j]` of the `n × n` row-major `z` to row `j`, for every
+/// `j`, one cycle of the permutation at a time through the `n`-long `tmp`.
+/// `order` is left the identity.
+fn permute_rows(z: &mut [f64], order: &mut [usize], tmp: &mut [f64]) {
+    let n = order.len();
+    for start in 0..n {
+        if order[start] == start {
+            continue;
+        }
+        tmp.copy_from_slice(&z[start * n..(start + 1) * n]);
+        let mut j = start;
+        loop {
+            let src = std::mem::replace(&mut order[j], j);
+            if src == start {
+                z[j * n..(j + 1) * n].copy_from_slice(tmp);
+                break;
+            }
+            z.copy_within(src * n..(src + 1) * n, j * n);
+            j = src;
+        }
+    }
+}
+
+/// Fills `order` (same length as `d`) with the indices of `d` sorted by
+/// descending value, ties in index order. Allocation-free.
+fn descending_order(d: &[f64], order: &mut [usize]) {
+    for (i, o) in order.iter_mut().enumerate() {
+        *o = i;
+    }
+    // The index tie-break makes the order total, so the (non-allocating)
+    // unstable sort is as deterministic as a stable one.
+    order.sort_unstable_by(|&i, &j| d[j].total_cmp(&d[i]).then(i.cmp(&j)));
+}
+
+/// The second half of the symmetric eigensolver: unit eigenvectors for the
+/// `count` largest eigenvalues of the matrix the last [`sym_eigenvalues`]
+/// call on `z` and `scratch` decomposed, returned as the rows of a
+/// `count × n` block in the order of its `values`.
+///
+/// On the route that carried every vector they are the leading rows of `z`.
+/// Otherwise each comes from inverse iteration on the tridiagonal `T`
+/// (`dstein`): a fixed start vector, a few `O(n)` solves with `T − λI`, and
+/// reorthogonalisation against the vectors already found in its cluster,
+/// so repeated eigenvalues yield an orthonormal basis of their eigenspace.
+/// The vectors are then carried back through the stored reflectors, one
+/// [`vecops::dot`] + [`vecops::axpy`] per (reflector, vector) pair. That is
+/// `O(n²·count)` flops where accumulating the whole transform is `O(n³)`.
+///
+/// # Panics
+/// Panics unless `z.len() == n²` and `count` is no more than the `keep`
+/// that [`sym_eigenvalues`] call was given.
+pub fn sym_eigenvectors<'a>(
+    z: &'a [f64],
+    count: usize,
+    scratch: &'a mut EigenScratch,
+) -> &'a [f64] {
+    let n = scratch.diag.len();
+    assert_eq!(z.len(), n * n, "sym_eigenvectors: z is not n × n");
+    if scratch.all_vectors {
+        return &z[..count * n];
+    }
+    // Taken out of the scratch (no allocation) while its LU solves fill it.
+    let mut vectors = std::mem::take(&mut scratch.vectors);
+    let kept = &mut vectors[..count * n];
+    let (diag, off) = (&scratch.diag, &scratch.off);
+    let onenorm = (0..n)
+        .map(|i| diag[i].abs() + off[i].abs() + if i > 0 { off[i - 1].abs() } else { 0.0 })
+        .fold(0.0f64, f64::max);
+    let norm = if onenorm > 0.0 { onenorm } else { 1.0 };
+    let mut cluster = 0;
+    let mut start = 0;
+    while start < count {
+        let gap = |j: usize| scratch.w[scratch.order[j - 1]] - scratch.w[scratch.order[j]];
+        if start > 0 && gap(start) > CLUSTER_REL_GAP * norm {
+            cluster = start;
+        }
+        let mut end = start + 1;
+        while end < count && gap(end) <= TIE_REL_GAP * norm {
+            end += 1;
+        }
+        let (found, rest) = kept.split_at_mut(start * n);
+        scratch.inverse_iteration(
+            start..end,
+            norm,
+            &found[cluster * n..],
+            &mut rest[..(end - start) * n],
+        );
+        start = end;
+    }
+
+    // v = P_{n−1} ⋯ P₂ · y: reflector i acts on the leading i coordinates.
+    for i in 2..n {
+        let h = z[i * n + i];
+        if h == 0.0 {
+            continue;
+        }
+        let u = &z[i * n..i * n + i];
+        for x in kept.chunks_exact_mut(n) {
+            let g = vecops::dot(u, &x[..i]);
+            vecops::axpy(-g / h, u, &mut x[..i]);
+        }
+    }
+    scratch.vectors = vectors;
+    &scratch.vectors[..count * n]
+}
+
+/// `tred2`'s Householder reduction of the scaled symmetric `z` to the
+/// tridiagonal `(d, e)` — `e[i]` couples `i` and `i + 1` — leaving reflector
+/// `i` in `z[i][..i]` and its `h = |u|²/2` on the diagonal `z[i][i]` (zero
+/// where step `i` needed no reflector).
+fn tridiagonalize(z: &mut [f64], d: &mut [f64], e: &mut [f64]) {
+    let n = d.len();
     // Step `i` annihilates row `i` left of the subdiagonal with a reflector
-    // `u` that overwrites `z[i][..i]`; `d[i]` keeps `h = |u|²/2` for the
-    // accumulation below and `e[i]` the new subdiagonal entry.
+    // `u` that overwrites `z[i][..i]`; `d[i]` keeps `h = |u|²/2` and `e[i]`
+    // the new subdiagonal entry.
     for i in (1..n).rev() {
         let (head, tail) = z.split_at_mut(i * n);
         let u = &mut tail[..i];
@@ -322,31 +737,45 @@ pub fn tridiag_ql_in_place(z: &mut [f64], d: &mut [f64], e: &mut [f64]) -> Resul
     }
     d[0] = 0.0;
     e[0] = 0.0;
+    // The reduction has finished with the diagonal: it takes `d`'s place,
+    // and `h` takes the diagonal's.
+    for (i, di) in d.iter_mut().enumerate() {
+        std::mem::swap(di, &mut z[i * n + i]);
+    }
+    e.copy_within(1.., 0);
+    e[n - 1] = 0.0;
+}
 
-    // Accumulate the reflectors into Qᵀ, growing the leading block one row
-    // and column per step: block ← block·(I − u·uᵀ/h), a dot and an axpy
-    // per (contiguous) row.
+/// Accumulates the reflectors [`tridiagonalize`] left in `z` into `Qᵀ`, in
+/// place, growing the leading block one row and column per step:
+/// block ← block·(I − u·uᵀ/h), a dot and an axpy per (contiguous) row.
+fn accumulate_reflectors(z: &mut [f64], n: usize) {
     for i in 0..n {
         let (head, tail) = z.split_at_mut(i * n);
-        if d[i] != 0.0 {
-            let (u, h) = (&tail[..i], d[i]);
+        let h = tail[i];
+        if h != 0.0 {
+            let u = &tail[..i];
             for k in 0..i {
                 let row = &mut head[k * n..k * n + i];
                 let g = vecops::dot(row, u);
                 vecops::axpy(-g / h, u, row);
             }
         }
-        d[i] = tail[i];
         tail[..i].fill(0.0);
         tail[i] = 1.0;
         for k in 0..i {
             head[k * n + i] = 0.0;
         }
     }
+}
 
-    // ---- tql2: implicit-shift QL on the tridiagonal (d, e). ----
-    e.copy_within(1.., 0);
-    e[n - 1] = 0.0;
+/// `tql2`: implicit-shift QL on the tridiagonal `(d, e)` (`e[i]` coupling
+/// `i` and `i + 1`), leaving the eigenvalues — unsorted — in `d`; `e` is
+/// destroyed. With `z` (`n × n`, rows the basis `T` is expressed in), every
+/// rotation is also applied to two adjacent rows, which leaves row `i` the
+/// eigenvector of `d[i]`; the eigenvalues do not depend on it.
+fn tql(d: &mut [f64], e: &mut [f64], mut z: Option<&mut [f64]>) -> Result<()> {
+    let n = d.len();
     for l in 0..n {
         let mut iter = 0;
         loop {
@@ -365,7 +794,7 @@ pub fn tridiag_ql_in_place(z: &mut [f64], d: &mut [f64], e: &mut [f64]) -> Resul
             iter += 1;
             if iter > MAX_QL_ITERS {
                 return Err(LinAlgError::NoConvergence {
-                    op: "tridiag_ql_in_place",
+                    op: "sym_eigenvalues",
                     iterations: MAX_QL_ITERS,
                 });
             }
@@ -397,9 +826,10 @@ pub fn tridiag_ql_in_place(z: &mut [f64], d: &mut [f64], e: &mut [f64]) -> Resul
                 p = s_rot * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                // Accumulate the rotation into eigenvector rows i and i+1.
-                let (lo, hi) = z[i * n..(i + 2) * n].split_at_mut(n);
-                vecops::rot(lo, hi, c, s_rot);
+                if let Some(z) = z.as_deref_mut() {
+                    let (lo, hi) = z[i * n..(i + 2) * n].split_at_mut(n);
+                    vecops::rot(lo, hi, c, s_rot);
+                }
             }
             // (Keyed on the early exit itself, not on `r == 0.0`: `r` is
             // reused below for a second quantity that can be exactly zero
@@ -413,15 +843,7 @@ pub fn tridiag_ql_in_place(z: &mut [f64], d: &mut [f64], e: &mut [f64]) -> Resul
             e[m] = 0.0;
         }
     }
-
-    vecops::scale(1.0 / scale, d);
-    if d.iter().all(|v| v.is_finite()) {
-        Ok(())
-    } else {
-        Err(LinAlgError::NotFinite {
-            op: "tridiag_ql_in_place",
-        })
-    }
+    Ok(())
 }
 
 /// Top-`k` eigenpairs of a symmetric PSD matrix by block orthogonal

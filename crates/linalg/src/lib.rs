@@ -16,9 +16,9 @@
 //! * [`vecops`] — slice-level vector kernels (dot, axpy, plane rotation,
 //!   norms).
 //! * [`qr`] — Householder thin QR.
-//! * [`eigen`] — the symmetric eigensolver (Householder tridiagonalization +
-//!   implicit QL over a row-stored accumulator), the cyclic Jacobi accuracy
-//!   oracle, and top-k subspace iteration.
+//! * [`eigen`] — the symmetric eigensolver (Householder tridiagonalization,
+//!   implicit QL for the eigenvalues, and only the kept eigenvectors), the
+//!   cyclic Jacobi accuracy oracle, and top-k subspace iteration.
 //! * [`svd`] — the allocation-free Gram-route kernel [`svd::right_factor`]
 //!   (σ² and the top rows of Vᵀ on a reusable [`svd::Workspace`]), the thin
 //!   SVD wrappers over it, and the one-sided Jacobi reference.

@@ -395,8 +395,8 @@ impl Matrix {
 
     /// Outer Gram matrix `self * selfᵀ` (`rows × rows`), exploiting symmetry.
     ///
-    /// Upper-triangle row-row dot products, four at a time via
-    /// [`vecops::dot4`].
+    /// Upper-triangle row-row dot products in register-tiled 4×4 blocks via
+    /// [`vecops::dots4x4`].
     pub fn outer_gram(&self) -> Matrix {
         let mut g = Matrix::zeros(self.rows, self.rows);
         outer_gram_into(&self.data, self.rows, self.cols, &mut g.data);
@@ -663,27 +663,39 @@ pub(crate) fn gram_into(data: &[f64], rows: usize, cols: usize, g: &mut [f64]) {
 /// Overwrites `g` (`rows × rows`) with the outer Gram matrix `AAᵀ` of the
 /// row-major `rows × cols` matrix `data` — the body of
 /// [`Matrix::outer_gram`], writing into a caller-owned buffer.
+///
+/// The upper triangle is swept in 4×4 blocks of row pairs, each one
+/// register-tiled [`vecops::dots4x4`] over the full rows, and mirrored; the
+/// `rows % 4` trailing rows pair up through [`vecops::dot`].
 pub(crate) fn outer_gram_into(data: &[f64], rows: usize, cols: usize, g: &mut [f64]) {
     let n = rows;
     debug_assert_eq!(data.len(), n * cols);
     debug_assert_eq!(g.len(), n * n);
     let row = |r: usize| &data[r * cols..(r + 1) * cols];
-    for i in 0..n {
-        let ri = row(i);
-        let mut j = i;
-        while j + 4 <= n {
-            let d = vecops::dot4(row(j), row(j + 1), row(j + 2), row(j + 3), ri);
-            for (o, &v) in d.iter().enumerate() {
-                g[i * n + j + o] = v;
-                g[(j + o) * n + i] = v;
+    let quad = |i: usize| [row(i), row(i + 1), row(i + 2), row(i + 3)];
+    let mut put = |i: usize, j: usize, v: f64| {
+        g[i * n + j] = v;
+        g[j * n + i] = v;
+    };
+    let n4 = n / 4 * 4;
+    for i in (0..n4).step_by(4) {
+        for j in (i..n4).step_by(4) {
+            let tile = vecops::dots4x4(quad(i), quad(j));
+            for (r, tile_row) in tile.iter().enumerate() {
+                for (c, &v) in tile_row.iter().enumerate() {
+                    put(i + r, j + c, v);
+                }
             }
-            j += 4;
         }
-        while j < n {
-            let v = vecops::dot(ri, row(j));
-            g[i * n + j] = v;
-            g[j * n + i] = v;
-            j += 1;
+        for j in n4..n {
+            for r in i..i + 4 {
+                put(r, j, vecops::dot(row(r), row(j)));
+            }
+        }
+    }
+    for i in n4..n {
+        for j in i..n {
+            put(i, j, vecops::dot(row(i), row(j)));
         }
     }
 }
@@ -859,7 +871,7 @@ mod tests {
 
     #[test]
     fn matmul_nt_matches_explicit_transpose() {
-        // Sizes straddle the 4-row unroll boundary of the dot4 kernel.
+        // Sizes straddle the 4-wide unroll boundaries of the dot kernels.
         for (m, n, d) in [(3, 5, 7), (4, 4, 8), (6, 9, 13), (1, 1, 3)] {
             let a = Matrix::from_vec(m, d, (0..m * d).map(|i| (i as f64).sin()).collect()).unwrap();
             let b = Matrix::from_vec(n, d, (0..n * d).map(|i| (i as f64).cos()).collect()).unwrap();

@@ -1,15 +1,18 @@
 //! Thin singular value decomposition.
 //!
 //! * [`right_factor`] — the *Gram route* and the only one production code
-//!   runs: eigendecompose the smaller of `A Aᵀ` or `Aᵀ A` with the
-//!   row-stored QL solver ([`crate::eigen::tridiag_ql_in_place`]) and return
-//!   all `σ²` plus only the top-`keep` rows of `Vᵀ`. No `U`, no transpose, no
-//!   completion of unresolved directions, and no allocation once its
-//!   [`Workspace`] has been sized. For the short-and-wide sketch matrices in
-//!   this project (ℓ ≪ d) this costs `O(ℓ²d + ℓ³)`. It loses accuracy for
-//!   singular values below `√ε·σ₁`, which is irrelevant for top-k extraction
-//!   with k ≪ ℓ. This is what the frequent-directions shrink and the model
-//!   refresh call.
+//!   runs: eigendecompose the smaller of `A Aᵀ` or `Aᵀ A` of a row prefix of
+//!   `A` with the keep-aware solver ([`crate::eigen::sym_eigenvalues`] +
+//!   [`crate::eigen::sym_eigenvectors`]) and return all `σ²` plus only the
+//!   top-`keep` rows of `Vᵀ`. No `U`, no transpose, no completion of
+//!   unresolved directions, and no allocation once its [`Workspace`] has
+//!   been sized. For an `ℓ × d` sketch with ℓ ≤ d this costs `ℓ²d` for the
+//!   register-tiled outer Gram, `4ℓ³/3` for the tridiagonal reduction,
+//!   `O(ℓ²)` for the eigenvalues, `O(ℓ²·keep)` for the kept eigenvectors
+//!   (`O(ℓ³)` once keep exceeds ℓ/4) and `keep·ℓ·d` for `UᵀA`. It loses
+//!   accuracy for singular values below `√ε·σ₁`, which is irrelevant for
+//!   top-k extraction with k ≪ ℓ. This is what the frequent-directions
+//!   shrink and the model refresh call.
 //! * [`svd_thin`] / [`top_k_svd`] — thin wrappers over [`right_factor`] that
 //!   add `U` and complete unresolved singular vectors to an orthonormal set,
 //!   for the cold callers that want a full factorization.
@@ -17,7 +20,7 @@
 //!   full precision for all singular values. The reference implementation the
 //!   tests hold the Gram route to.
 
-use crate::eigen::{binary_exponent, descending_order, tridiag_ql_in_place, unit_scale};
+use crate::eigen::{binary_exponent, sym_eigenvalues, sym_eigenvectors, unit_scale, EigenScratch};
 use crate::error::{LinAlgError, Result};
 use crate::matrix::{gram_into, matmul_rows_into, outer_gram_into, Matrix};
 use crate::rng::{random_unit_vector, seeded_rng};
@@ -86,14 +89,12 @@ const SIGMA_REL_TOL: f64 = 1e-10;
 /// kernel allocates nothing once the buffers have reached their shape.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
-    /// Gram matrix of the (scaled) input, overwritten in place by the
-    /// eigensolver with its row-stored eigenvectors.
+    /// Gram matrix of the (scaled) input; the eigensolver leaves its
+    /// Householder reflectors, or every eigenvector, here.
     z: Vec<f64>,
-    /// Eigenvalues in solver order, then scratch of the solver.
-    d: Vec<f64>,
-    e: Vec<f64>,
-    /// Descending permutation of `d`.
-    order: Vec<usize>,
+    /// The eigensolver's tridiagonal and permutation, and inverse
+    /// iteration's eigenvalues, LU scratch and kept eigenvectors.
+    eig: EigenScratch,
     /// Squared singular values of the scaled input, descending.
     sigma_sq: Vec<f64>,
     /// `keep × n` output block: the top right-singular vectors as rows.
@@ -101,38 +102,40 @@ pub struct Workspace {
     /// Power-of-two-scaled copy of the input; stays empty unless the input's
     /// magnitude would overflow or underflow its Gram matrix.
     scaled: Vec<f64>,
+    /// Bytes of the buffers above at the largest shape they have held.
+    high_water: usize,
 }
 
 impl Workspace {
     /// A workspace already sized for `rows × cols` inputs keeping `keep`
-    /// directions, so even the first [`right_factor`] call on that shape
-    /// allocates nothing.
+    /// directions, so no [`right_factor`] call on that shape, or on a row
+    /// prefix of it, allocates.
     pub fn for_shape(rows: usize, cols: usize, keep: usize) -> Self {
+        let r = rows.min(cols);
         let mut ws = Self::default();
-        ws.resize(rows.min(cols), keep.min(rows.min(cols)) * cols);
+        ws.resize(r, keep.min(r), cols);
         ws
     }
 
-    fn resize(&mut self, r: usize, vt_len: usize) {
+    fn resize(&mut self, r: usize, keep: usize, cols: usize) {
         self.z.resize(r * r, 0.0);
-        self.d.resize(r, 0.0);
-        self.e.resize(r, 0.0);
-        self.order.resize(r, 0);
+        self.eig.resize(r, keep);
         self.sigma_sq.resize(r, 0.0);
-        self.vt.resize(vt_len, 0.0);
+        self.vt.resize(keep * cols, 0.0);
+        self.note_high_water();
     }
 
-    /// Bytes of the buffers this workspace holds at its current shape
-    /// (lengths rather than capacities, so equal shapes report equal bytes
-    /// whatever the allocator rounded up to).
+    fn note_high_water(&mut self) {
+        let f64s = self.z.len() + self.sigma_sq.len() + self.vt.len() + self.scaled.len();
+        self.high_water = self.high_water.max(f64s * std::mem::size_of::<f64>());
+    }
+
+    /// Bytes of the buffers this workspace holds at the largest shape it has
+    /// been sized for. A smaller shape — a row prefix, say — reuses those
+    /// allocations, so the charge depends on that shape alone, not on what
+    /// the last call decomposed or on the allocator's rounding.
     pub fn resident_bytes(&self) -> usize {
-        let f64s = self.z.len()
-            + self.d.len()
-            + self.e.len()
-            + self.sigma_sq.len()
-            + self.vt.len()
-            + self.scaled.len();
-        f64s * std::mem::size_of::<f64>() + self.order.len() * std::mem::size_of::<usize>()
+        self.high_water + self.eig.resident_bytes()
     }
 }
 
@@ -212,13 +215,18 @@ fn gram_safe_scale(max_abs: f64) -> f64 {
     }
 }
 
-/// The Gram-route kernel: all squared singular values of `a` and the top
-/// `keep` rows of `Vᵀ`, through the smaller of `A Aᵀ` (`m ≤ n`) and `Aᵀ A`.
+/// The Gram-route kernel: all squared singular values of the first `rows`
+/// rows of `a` (call that prefix `A`, `m × n`) and the top `keep` rows of
+/// `Vᵀ`, through the smaller of `A Aᵀ` (`m ≤ n`) and `Aᵀ A`. Rows past the
+/// prefix are never read, so a caller whose trailing rows are unoccupied
+/// pays only for the occupied ones.
 ///
-/// * `m > n`: the eigenvector rows of `Aᵀ A` *are* the rows of `Vᵀ`; the top
-///   `keep` are copied out in descending order.
-/// * `m ≤ n`: only `keep` rows of `Uᵀ A` are formed (a `keep × m` by `m × n`
-///   product straight off the permuted eigenvector rows) and normalized.
+/// The eigensolver computes every eigenvalue but only the `keep` kept
+/// eigenvectors ([`sym_eigenvalues`], then [`sym_eigenvectors`]):
+/// * `m > n`: the eigenvectors of `Aᵀ A` *are* the rows of `Vᵀ`, and are
+///   written there directly.
+/// * `m ≤ n`: they are the rows of `Uᵀ`; only `keep` rows of `Uᵀ A` are
+///   formed (a `keep × m` by `m × n` product) and normalized.
 ///
 /// Directions with `σᵢ ≤ 10⁻¹⁰·σ₁` are not resolved by a Gram route; their
 /// rows come back as zeros (see [`RightFactor::resolved`]) — callers that
@@ -231,20 +239,34 @@ fn gram_safe_scale(max_abs: f64) -> f64 {
 /// scaled copy of the input). `keep` is clamped to `min(m, n)`.
 ///
 /// # Errors
-/// * [`LinAlgError::EmptyInput`] for an empty matrix.
+/// * [`LinAlgError::EmptyInput`] for an empty prefix or zero columns.
+/// * [`LinAlgError::ShapeMismatch`] when `rows > a.rows()`.
 /// * [`LinAlgError::NotFinite`] for NaN/inf input.
 /// * Propagates [`LinAlgError::NoConvergence`] from the eigensolver
 ///   (practically unreachable for symmetric input).
-pub fn right_factor<'w>(a: &Matrix, keep: usize, ws: &'w mut Workspace) -> Result<RightFactor<'w>> {
-    let (m, n) = a.shape();
+pub fn right_factor<'w>(
+    a: &Matrix,
+    rows: usize,
+    keep: usize,
+    ws: &'w mut Workspace,
+) -> Result<RightFactor<'w>> {
+    let (m, n) = (rows, a.cols());
+    if m > a.rows() {
+        return Err(LinAlgError::ShapeMismatch {
+            expected: (a.rows(), n),
+            got: (m, n),
+            op: "right_factor",
+        });
+    }
     if m == 0 || n == 0 {
         return Err(LinAlgError::EmptyInput { op: "right_factor" });
     }
+    let prefix = &a.as_slice()[..m * n];
     // One pass finds both NaN/inf and the magnitude (`f64::max` skips NaN,
     // so finiteness is tracked on its own).
     let mut max_abs = 0.0f64;
     let mut finite = true;
-    for &v in a.as_slice() {
+    for &v in prefix {
         finite &= v.is_finite();
         max_abs = max_abs.max(v.abs());
     }
@@ -255,14 +277,15 @@ pub fn right_factor<'w>(a: &Matrix, keep: usize, ws: &'w mut Workspace) -> Resul
     let wide = m <= n;
     let r = m.min(n);
     let keep = keep.min(r);
-    ws.resize(r, keep * n);
+    ws.resize(r, keep, n);
 
     let scale = gram_safe_scale(max_abs);
     let src: &[f64] = if scale == 1.0 {
-        a.as_slice()
+        prefix
     } else {
         ws.scaled.clear();
-        ws.scaled.extend(a.as_slice().iter().map(|&v| v * scale));
+        ws.scaled.extend(prefix.iter().map(|&v| v * scale));
+        ws.note_high_water();
         &ws.scaled
     };
     if wide {
@@ -270,29 +293,25 @@ pub fn right_factor<'w>(a: &Matrix, keep: usize, ws: &'w mut Workspace) -> Resul
     } else {
         gram_into(src, m, n, &mut ws.z);
     }
-    tridiag_ql_in_place(&mut ws.z, &mut ws.d, &mut ws.e)?;
-    descending_order(&ws.d, &mut ws.order);
-    for (dst, &i) in ws.sigma_sq.iter_mut().zip(&ws.order) {
-        *dst = ws.d[i].max(0.0);
+    sym_eigenvalues(&mut ws.z, &mut ws.sigma_sq, keep, &mut ws.eig)?;
+    for l in &mut ws.sigma_sq {
+        *l = l.max(0.0);
     }
 
     let tol = SIGMA_REL_TOL * ws.sigma_sq[0].sqrt().max(f64::MIN_POSITIVE);
     let resolved = ws.sigma_sq.iter().take_while(|&&l| l.sqrt() > tol).count();
     let live = keep.min(resolved);
-    let (z, order) = (&ws.z, &ws.order);
-    let eigenvector = |i: usize| &z[order[i] * r..(order[i] + 1) * r];
+    let eigenvectors = sym_eigenvectors(&ws.z, live, &mut ws.eig);
     let (top, rest) = ws.vt.split_at_mut(live * n);
     if wide {
         // Row i of Uᵀ·A is σᵢ·vᵢᵀ.
         top.fill(0.0);
-        matmul_rows_into(eigenvector, live, src, n, top);
+        matmul_rows_into(|i| &eigenvectors[i * r..(i + 1) * r], live, src, n, top);
         for (row, &l) in top.chunks_exact_mut(n).zip(ws.sigma_sq.iter()) {
             vecops::scale(1.0 / l.sqrt(), row);
         }
     } else {
-        for (i, row) in top.chunks_exact_mut(n).enumerate() {
-            row.copy_from_slice(eigenvector(i));
-        }
+        top.copy_from_slice(eigenvectors);
     }
     rest.fill(0.0);
 
@@ -310,7 +329,7 @@ pub fn right_factor<'w>(a: &Matrix, keep: usize, ws: &'w mut Workspace) -> Resul
 /// singular vectors on both sides completed to orthonormal sets.
 fn svd_top(a: &Matrix, keep: usize) -> Result<Svd> {
     let mut ws = Workspace::default();
-    let rf = right_factor(a, keep, &mut ws)?;
+    let rf = right_factor(a, a.rows(), keep, &mut ws)?;
     let kept = rf.kept();
     let s: Vec<f64> = (0..kept).map(|i| rf.sigma(i)).collect();
     let mut vt = Matrix::from_vec(kept, a.cols(), rf.vt().to_vec())?;
@@ -584,7 +603,7 @@ mod tests {
         // of two makes the decomposition the unit-magnitude one, bit for bit.
         for (m, n) in [(5usize, 9usize), (9, 5)] {
             let mut ws = Workspace::default();
-            let base = right_factor(&pattern(m, n, 1.0), 3, &mut ws).unwrap();
+            let base = right_factor(&pattern(m, n, 1.0), m, 3, &mut ws).unwrap();
             let (base_sigma, base_vt) = (
                 (0..5).map(|i| base.sigma(i)).collect::<Vec<_>>(),
                 base.vt().to_vec(),
@@ -593,7 +612,7 @@ mod tests {
             for exp in [540i32, -570, 1000, -1010] {
                 let mag = 2f64.powi(exp);
                 let mut ws = Workspace::default();
-                let rf = right_factor(&pattern(m, n, mag), 3, &mut ws).unwrap();
+                let rf = right_factor(&pattern(m, n, mag), m, 3, &mut ws).unwrap();
                 assert_ne!(rf.unscale(), 1.0, "2^{exp} must be rescaled");
                 assert_eq!(rf.resolved(), 5);
                 assert_eq!(rf.vt(), &base_vt[..], "{m}x{n} at 2^{exp}");
@@ -610,23 +629,23 @@ mod tests {
     #[test]
     fn right_factor_rejects_empty_and_non_finite() {
         let mut ws = Workspace::default();
-        assert!(right_factor(&Matrix::zeros(0, 3), 1, &mut ws).is_err());
+        assert!(right_factor(&Matrix::zeros(0, 3), 0, 1, &mut ws).is_err());
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut a = pattern(4, 6, 1.0);
             a[(2, 3)] = bad;
             assert!(matches!(
-                right_factor(&a, 2, &mut ws),
+                right_factor(&a, 4, 2, &mut ws),
                 Err(LinAlgError::NotFinite { .. })
             ));
         }
         // The failed calls leave the workspace usable.
-        assert!(right_factor(&pattern(4, 6, 1.0), 2, &mut ws).is_ok());
+        assert!(right_factor(&pattern(4, 6, 1.0), 4, 2, &mut ws).is_ok());
     }
 
     #[test]
     fn right_factor_zero_matrix_resolves_nothing() {
         let mut ws = Workspace::default();
-        let rf = right_factor(&Matrix::zeros(3, 5), 2, &mut ws).unwrap();
+        let rf = right_factor(&Matrix::zeros(3, 5), 3, 2, &mut ws).unwrap();
         assert_eq!(rf.resolved(), 0);
         assert_eq!(rf.kept(), 2);
         assert!(rf.scaled_sigma_sq().iter().all(|&l| l == 0.0));
@@ -637,14 +656,57 @@ mod tests {
     fn presized_workspace_does_not_grow() {
         let mut ws = Workspace::for_shape(8, 10, 4);
         let before = ws.resident_bytes();
-        // r = 8: 64 Gram cells, three 8-vectors, a 4 × 10 output block and
+        // r = 8 keeping 4 carries every vector through QL: 64 Gram cells,
+        // σ², the tridiagonal's two 8-vectors, a 4 × 10 output block and
         // eight permutation indices.
         assert_eq!(
             before,
-            (64 + 3 * 8 + 40) * 8 + 8 * std::mem::size_of::<usize>()
+            (64 + 8 + 2 * 8 + 40) * 8 + 8 * std::mem::size_of::<usize>()
         );
-        right_factor(&pattern(8, 10, 1.0), 4, &mut ws).unwrap();
-        assert_eq!(ws.resident_bytes(), before);
+        let a = pattern(8, 10, 1.0);
+        for rows in [8, 3, 8] {
+            right_factor(&a, rows, 4, &mut ws).unwrap();
+            assert_eq!(ws.resident_bytes(), before, "after {rows} rows");
+        }
+
+        // r = 16 keeping 2 takes inverse iteration, which adds its
+        // eigenvalues, four LU vectors, 16 pivot flags and the 2 × 16 kept
+        // eigenvectors; a 5-row prefix carries every vector instead.
+        let mut ws = Workspace::for_shape(16, 20, 2);
+        let before = ws.resident_bytes();
+        assert_eq!(
+            before,
+            (256 + 16 + 7 * 16 + 32 + 40) * 8 + 16 + 16 * std::mem::size_of::<usize>()
+        );
+        let a = pattern(16, 20, 1.0);
+        for rows in [16, 5, 16] {
+            right_factor(&a, rows, 2, &mut ws).unwrap();
+            assert_eq!(ws.resident_bytes(), before, "after {rows} rows");
+        }
+    }
+
+    #[test]
+    fn right_factor_reads_only_the_row_prefix() {
+        // Rows past the prefix are never read: the factor of a prefix is the
+        // factor of that prefix copied out, bit for bit, on both routes.
+        let a = pattern(9, 5, 1.0);
+        for rows in [1usize, 3, 5, 7, 9] {
+            let mut padded = a.clone();
+            for i in rows..9 {
+                padded.row_mut(i).fill(f64::NAN);
+            }
+            let (mut ws1, mut ws2) = (Workspace::default(), Workspace::default());
+            let got = right_factor(&padded, rows, 3, &mut ws1).unwrap();
+            let want = right_factor(&a.top_rows(rows), rows, 3, &mut ws2).unwrap();
+            assert_eq!(got.scaled_sigma_sq(), want.scaled_sigma_sq());
+            assert_eq!(got.scaled_sigma_sq().len(), rows.min(5));
+            assert_eq!(got.vt(), want.vt(), "{rows} rows");
+        }
+        let mut ws = Workspace::default();
+        assert!(matches!(
+            right_factor(&a, 10, 3, &mut ws),
+            Err(LinAlgError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]

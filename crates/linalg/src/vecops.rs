@@ -18,12 +18,13 @@
 //! may differ (FMA fuses the multiply-add rounding) — the workspace's
 //! determinism contract is per-host, matching the seeded-RNG contract.
 //!
-//! The fused kernels [`dot4`] and [`axpy4`] process four rows against one
-//! shared vector in a single pass. They are *bitwise compatible* with their
-//! one-row counterparts on every path: `dot4(a0, a1, a2, a3, b)[i] ==
-//! dot(ai, b)` exactly, and `axpy4` produces the same bits as four
-//! sequential [`axpy`] calls. The blocked matrix kernels rely on this to
-//! keep batched results identical to the one-at-a-time paths.
+//! The fused kernel [`axpy4`] processes four rows against one shared vector
+//! in a single pass and is *bitwise compatible* with its one-row
+//! counterpart on every path: it produces the same bits as four sequential
+//! [`axpy`] calls, and so does [`row_dots`] with one [`dot`] per row. The
+//! blocked matrix kernels rely on this to keep batched results identical to
+//! the one-at-a-time paths. The register tile [`dots4x4`] is the exception:
+//! it sums in another order, so it agrees with [`dot`] to rounding only.
 
 /// Below this length the scalar path is used unconditionally: the SIMD
 /// prologue/reduction costs more than it saves, and keeping one fixed
@@ -147,104 +148,6 @@ fn scalar_dot(a: &[f64], b: &[f64]) -> f64 {
     acc[0] + acc[1] + acc[2] + acc[3] + tail
 }
 
-/// Four simultaneous dot products of rows `a0..a3` against a shared `b`.
-///
-/// Returns `[dot(a0, b), dot(a1, b), dot(a2, b), dot(a3, b)]`, each bitwise
-/// identical to the corresponding [`dot`] call — on the SIMD path this is
-/// literally four calls into the same vector kernel (with `b` L1-hot after
-/// the first), and on the scalar path a fused loop that replicates [`dot`]'s
-/// accumulation order per row. This is the inner kernel of
-/// `Matrix::matmul_nt` and the batched scoring path.
-///
-/// # Panics
-/// Panics when any slice length differs from `b.len()`.
-#[inline]
-pub fn dot4(a0: &[f64], a1: &[f64], a2: &[f64], a3: &[f64], b: &[f64]) -> [f64; 4] {
-    let n = b.len();
-    assert!(
-        a0.len() == n && a1.len() == n && a2.len() == n && a3.len() == n,
-        "dot4: length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if n >= MIN_SIMD_LEN {
-        // SAFETY: the matching CPU features were verified at runtime.
-        #[allow(unsafe_code)]
-        match simd_level() {
-            2 => {
-                return unsafe {
-                    [
-                        simd::dot512(a0, b),
-                        simd::dot512(a1, b),
-                        simd::dot512(a2, b),
-                        simd::dot512(a3, b),
-                    ]
-                }
-            }
-            1 => {
-                return unsafe {
-                    [
-                        simd::dot(a0, b),
-                        simd::dot(a1, b),
-                        simd::dot(a2, b),
-                        simd::dot(a3, b),
-                    ]
-                }
-            }
-            _ => {}
-        }
-    }
-    scalar_dot4(a0, a1, a2, a3, b)
-}
-
-#[inline]
-fn scalar_dot4(a0: &[f64], a1: &[f64], a2: &[f64], a3: &[f64], b: &[f64]) -> [f64; 4] {
-    let n = b.len();
-    let mut acc0 = [0.0f64; 4];
-    let mut acc1 = [0.0f64; 4];
-    let mut acc2 = [0.0f64; 4];
-    let mut acc3 = [0.0f64; 4];
-    let blocks = n / 4;
-    let split = blocks * 4;
-    // Equal-length reslices let the compiler elide all bounds checks below.
-    let (b0, bt) = b.split_at(split);
-    let (r0, t0) = a0.split_at(split);
-    let (r1, t1) = a1.split_at(split);
-    let (r2, t2) = a2.split_at(split);
-    let (r3, t3) = a3.split_at(split);
-    for i in 0..blocks {
-        let j = i * 4;
-        acc0[0] += r0[j] * b0[j];
-        acc0[1] += r0[j + 1] * b0[j + 1];
-        acc0[2] += r0[j + 2] * b0[j + 2];
-        acc0[3] += r0[j + 3] * b0[j + 3];
-        acc1[0] += r1[j] * b0[j];
-        acc1[1] += r1[j + 1] * b0[j + 1];
-        acc1[2] += r1[j + 2] * b0[j + 2];
-        acc1[3] += r1[j + 3] * b0[j + 3];
-        acc2[0] += r2[j] * b0[j];
-        acc2[1] += r2[j + 1] * b0[j + 1];
-        acc2[2] += r2[j + 2] * b0[j + 2];
-        acc2[3] += r2[j + 3] * b0[j + 3];
-        acc3[0] += r3[j] * b0[j];
-        acc3[1] += r3[j + 1] * b0[j + 1];
-        acc3[2] += r3[j + 2] * b0[j + 2];
-        acc3[3] += r3[j + 3] * b0[j + 3];
-    }
-    let mut tails = [0.0f64; 4];
-    for (i, &bv) in bt.iter().enumerate() {
-        tails[0] += t0[i] * bv;
-        tails[1] += t1[i] * bv;
-        tails[2] += t2[i] * bv;
-        tails[3] += t3[i] * bv;
-    }
-    [
-        acc0[0] + acc0[1] + acc0[2] + acc0[3] + tails[0],
-        acc1[0] + acc1[1] + acc1[2] + acc1[3] + tails[1],
-        acc2[0] + acc2[1] + acc2[2] + acc2[3] + tails[2],
-        acc3[0] + acc3[1] + acc3[2] + acc3[3] + tails[3],
-    ]
-}
-
 /// Dot products of `nrows` row-major rows against a shared `y`:
 /// `out[j] = dot(rows[j], y)`, where row `j` is `b[j*ldb .. j*ldb + d]`.
 ///
@@ -290,6 +193,54 @@ pub fn row_dots(b: &[f64], ldb: usize, d: usize, nrows: usize, y: &[f64], out: &
     for (j, o) in out.iter_mut().enumerate() {
         *o = scalar_dot(&b[j * ldb..j * ldb + d], y);
     }
+}
+
+/// The 4×4 block of pairwise dot products `out[r][c] = dot(a[r], b[c])`.
+///
+/// All sixteen accumulators stay in registers across one sweep of the
+/// columns, so eight row loads feed sixteen multiply-adds where sixteen
+/// [`dot`] calls would load two operands per multiply-add. This is the tile
+/// of the outer-Gram kernel behind `Matrix::outer_gram` and the SVD's wide
+/// route. The summation order differs from [`dot`]'s, so the two agree to
+/// rounding, not bit for bit; within one tier a tile's `(r, c)` and `(c, r)`
+/// entries of `a == b` are equal.
+///
+/// # Panics
+/// Panics when the eight slices do not share one length.
+pub fn dots4x4(a: [&[f64]; 4], b: [&[f64]; 4]) -> [[f64; 4]; 4] {
+    let n = a[0].len();
+    assert!(
+        a.iter().chain(&b).all(|s| s.len() == n),
+        "dots4x4: length mismatch"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if n >= MIN_SIMD_LEN {
+        // SAFETY: the matching CPU features were verified at runtime, and
+        // every slice has the length the kernels index up to.
+        #[allow(unsafe_code)]
+        match simd_level() {
+            2 => return unsafe { simd::dots4x4_512(a, b) },
+            1 => return unsafe { simd::dots4x4(a, b) },
+            _ => {}
+        }
+    }
+    scalar_dots4x4(a, b)
+}
+
+fn scalar_dots4x4(a: [&[f64]; 4], b: [&[f64]; 4]) -> [[f64; 4]; 4] {
+    let n = a[0].len();
+    // Exact-length reslices let the compiler drop the bounds checks.
+    let (a, b) = (a.map(|s| &s[..n]), b.map(|s| &s[..n]));
+    let mut acc = [[0.0f64; 4]; 4];
+    for k in 0..n {
+        let bk = [b[0][k], b[1][k], b[2][k], b[3][k]];
+        for (row, ar) in acc.iter_mut().zip(a) {
+            for (cell, &bc) in row.iter_mut().zip(&bk) {
+                *cell += ar[k] * bc;
+            }
+        }
+    }
+    acc
 }
 
 /// Accumulates four rows of a matrix product into `out`:
@@ -662,6 +613,94 @@ mod simd {
         for j in 0..nrows {
             *out.get_unchecked_mut(j) = dot512(b.get_unchecked(j * ldb..j * ldb + d), y);
         }
+    }
+
+    /// 4×4 dot tile on 512-bit lanes: sixteen zmm accumulators live across
+    /// the whole column loop, fed by eight loads per eight columns; each is
+    /// tree-reduced once at the end, then the `n % 8` tail is added.
+    ///
+    /// # Safety
+    /// Requires AVX-512F; all eight slices must share one length (checked
+    /// by the public wrapper).
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn dots4x4_512(a: [&[f64]; 4], b: [&[f64]; 4]) -> [[f64; 4]; 4] {
+        let n = a[0].len();
+        let ap = a.map(<[f64]>::as_ptr);
+        let bp = b.map(<[f64]>::as_ptr);
+        let mut acc = [[_mm512_setzero_pd(); 4]; 4];
+        let mut av = [_mm512_setzero_pd(); 4];
+        let mut bv = [_mm512_setzero_pd(); 4];
+        let mut k = 0usize;
+        while k + 8 <= n {
+            for r in 0..4 {
+                av[r] = _mm512_loadu_pd(ap[r].add(k));
+                bv[r] = _mm512_loadu_pd(bp[r].add(k));
+            }
+            for r in 0..4 {
+                for c in 0..4 {
+                    acc[r][c] = _mm512_fmadd_pd(av[r], bv[c], acc[r][c]);
+                }
+            }
+            k += 8;
+        }
+        let mut out = [[0.0f64; 4]; 4];
+        for r in 0..4 {
+            for c in 0..4 {
+                let mut s = _mm512_reduce_add_pd(acc[r][c]);
+                for i in k..n {
+                    s += *ap[r].add(i) * *bp[c].add(i);
+                }
+                out[r][c] = s;
+            }
+        }
+        out
+    }
+
+    /// 4×4 dot tile on 256-bit lanes. Sixteen ymm accumulators plus the
+    /// operands would overflow the sixteen-register file, so the tile is
+    /// swept as two 4×2 halves (eight accumulators, six operand registers).
+    ///
+    /// # Safety
+    /// Requires AVX2 and FMA; all eight slices must share one length
+    /// (checked by the public wrapper).
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn dots4x4(a: [&[f64]; 4], b: [&[f64]; 4]) -> [[f64; 4]; 4] {
+        let n = a[0].len();
+        let ap = a.map(<[f64]>::as_ptr);
+        let bp = b.map(<[f64]>::as_ptr);
+        let mut out = [[0.0f64; 4]; 4];
+        for half in [0usize, 2] {
+            let mut acc = [[_mm256_setzero_pd(); 2]; 4];
+            let mut av = [_mm256_setzero_pd(); 4];
+            let mut k = 0usize;
+            while k + 4 <= n {
+                for r in 0..4 {
+                    av[r] = _mm256_loadu_pd(ap[r].add(k));
+                }
+                let bv = [
+                    _mm256_loadu_pd(bp[half].add(k)),
+                    _mm256_loadu_pd(bp[half + 1].add(k)),
+                ];
+                for r in 0..4 {
+                    for c in 0..2 {
+                        acc[r][c] = _mm256_fmadd_pd(av[r], bv[c], acc[r][c]);
+                    }
+                }
+                k += 4;
+            }
+            for r in 0..4 {
+                for c in 0..2 {
+                    let v = acc[r][c];
+                    let pair = _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
+                    let mut s = _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
+                    for i in k..n {
+                        s += *ap[r].add(i) * *bp[half + c].add(i);
+                    }
+                    out[r][half + c] = s;
+                }
+            }
+        }
+        out
     }
 
     /// 4-row register-tiled GEMM block: `out[r][j] += Σ_k a_r[k]·b[k][j]`.
@@ -1094,25 +1133,34 @@ mod tests {
     }
 
     #[test]
-    fn dot4_bitwise_matches_dot() {
-        // Awkward lengths (not multiples of 4) exercise the tail path; 23
-        // takes the SIMD path on AVX2 hosts, 5 stays scalar.
-        for n in [5usize, 23] {
-            let rows: Vec<Vec<f64>> = (0..4)
+    fn dots4x4_matches_dot_to_rounding() {
+        // Lengths on both sides of the SIMD threshold and of the 8- and
+        // 4-lane loops' tails; the tile is symmetric when a == b.
+        for n in [0usize, 5, 8, 13, 23, 64, 100] {
+            let rows: Vec<Vec<f64>> = (0..8)
                 .map(|r| {
                     (0..n)
                         .map(|i| ((i * 7 + r * 13 + 1) as f64).sin() * 3.7)
                         .collect()
                 })
                 .collect();
-            let b: Vec<f64> = (0..n).map(|i| ((i * 3 + 2) as f64).cos() * 1.9).collect();
-            let fused = dot4(&rows[0], &rows[1], &rows[2], &rows[3], &b);
+            let quad = |o: usize| [0, 1, 2, 3].map(|r| rows[o + r].as_slice());
+            let tile = dots4x4(quad(0), quad(4));
             for r in 0..4 {
-                assert_eq!(
-                    fused[r],
-                    dot(&rows[r], &b),
-                    "n={n} row {r} not bitwise equal"
-                );
+                for c in 0..4 {
+                    let want = dot(&rows[r], &rows[4 + c]);
+                    let scale = norm2(&rows[r]) * norm2(&rows[4 + c]);
+                    assert!(
+                        (tile[r][c] - want).abs() <= 1e-14 * scale,
+                        "n={n} ({r},{c})"
+                    );
+                }
+            }
+            let sym = dots4x4(quad(0), quad(0));
+            for (r, row) in sym.iter().enumerate() {
+                for (c, v) in row.iter().enumerate() {
+                    assert_eq!(v.to_bits(), sym[c][r].to_bits(), "n={n}");
+                }
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Property-based tests for the linear-algebra substrate.
 
 use proptest::prelude::*;
-use sketchad_linalg::eigen::{eigen_sym, jacobi_eigen_sym};
+use sketchad_linalg::eigen::{eigen_sym, eigen_sym_top, jacobi_eigen_sym};
 use sketchad_linalg::power::spectral_norm;
 use sketchad_linalg::qr::qr_thin;
 use sketchad_linalg::rng::{random_orthonormal_rows, seeded_rng};
@@ -73,8 +73,9 @@ fn planted_symmetric_strategy(max_n: usize) -> impl Strategy<Value = (Matrix, Ve
     })
 }
 
-/// Checks that `(values, vectors)` is an eigendecomposition of `s` by its
-/// own certificate: small residuals `‖S·v − λ·v‖` and orthonormal vectors.
+/// Checks that `(values, vectors)` — as many pairs as `values` holds — are
+/// eigenpairs of `s` by their own certificate: small residuals
+/// `‖S·v − λ·v‖` and orthonormal vectors.
 fn assert_eigen_certificate(s: &Matrix, values: &[f64], vectors: &Matrix, tol: f64) {
     let n = s.rows();
     let scale = s.max_abs().max(1.0);
@@ -90,7 +91,7 @@ fn assert_eigen_certificate(s: &Matrix, values: &[f64], vectors: &Matrix, tol: f
         assert!(res <= tol * scale, "n={n} pair {j}: residual {res}");
     }
     let vtv = vectors.tr_matmul(vectors).unwrap();
-    let off = vtv.sub(&Matrix::identity(n)).unwrap().max_abs();
+    let off = vtv.sub(&Matrix::identity(values.len())).unwrap().max_abs();
     assert!(off <= tol, "n={n}: VᵀV − I = {off}");
 }
 
@@ -110,15 +111,50 @@ fn ql_certificate_and_planted_spectrum_up_to_160() {
             .unwrap()
             .matmul(&q)
             .unwrap();
-        let e = eigen_sym(&s).unwrap();
         eigs.sort_by(|a, b| b.partial_cmp(a).unwrap());
-        for (got, want) in e.values.iter().zip(&eigs) {
-            assert!(
-                (got - want).abs() <= 1e-10 * n as f64,
-                "n={n}: {got} vs {want}"
-            );
+        // Every pair, and the top 16 alone (the keep-aware solver's
+        // `linear_wide` shape at n = 128).
+        for e in [eigen_sym(&s).unwrap(), eigen_sym_top(&s, 16).unwrap()] {
+            for (got, want) in e.values.iter().zip(&eigs) {
+                assert!(
+                    (got - want).abs() <= 1e-10 * n as f64,
+                    "n={n}: {got} vs {want}"
+                );
+            }
+            assert_eigen_certificate(&s, &e.values, &e.vectors, 1e-11);
         }
-        assert_eigen_certificate(&s, &e.values, &e.vectors, 1e-11);
+    }
+}
+
+#[test]
+fn tiled_outer_gram_matches_per_pair_dots_at_full_size() {
+    // The `linear_wide` refresh's shape: a 128 × 1024 sketch.
+    let (m, n) = (128usize, 1024usize);
+    let data = (0..m * n)
+        .map(|i| ((i * 7 + 3) as f64 * 0.37).sin() * 100.0)
+        .collect();
+    assert_outer_gram_matches_dots(&Matrix::from_vec(m, n, data).unwrap());
+}
+
+/// Holds `Matrix::outer_gram` to per-pair `vecops::dot` at relative 1e-14
+/// of `‖aᵢ‖·‖aⱼ‖` (the summation orders differ, so not bit for bit), and
+/// to exact symmetry.
+fn assert_outer_gram_matches_dots(a: &Matrix) {
+    let g = a.outer_gram();
+    let m = a.rows();
+    for i in 0..m {
+        for j in 0..m {
+            let want = vecops::dot(a.row(i), a.row(j));
+            let scale = vecops::norm2(a.row(i)) * vecops::norm2(a.row(j));
+            assert!(
+                (g[(i, j)] - want).abs() <= 1e-14 * scale,
+                "{}x{} ({i},{j}): {} vs {want}",
+                m,
+                a.cols(),
+                g[(i, j)]
+            );
+            assert_eq!(g[(i, j)].to_bits(), g[(j, i)].to_bits());
+        }
     }
 }
 
@@ -132,7 +168,7 @@ proptest! {
         let keep = [1, (r / 2).max(1), r][keep_sel];
         let reference = svd_jacobi(&a).unwrap();
         let mut ws = Workspace::default();
-        let rf = right_factor(&a, keep, &mut ws).unwrap();
+        let rf = right_factor(&a, m, keep, &mut ws).unwrap();
         prop_assert_eq!(rf.unscale(), 1.0);
         prop_assert_eq!(rf.scaled_sigma_sq().len(), r);
         prop_assert_eq!(rf.kept(), keep);
@@ -193,7 +229,7 @@ proptest! {
         // The workspace is scratch, never state: whatever it decomposed
         // before — another shape, another keep — leaves no trace.
         let capture = |m: &Matrix, keep: usize, ws: &mut Workspace| {
-            let rf = right_factor(m, keep, ws).unwrap();
+            let rf = right_factor(m, m.rows(), keep, ws).unwrap();
             let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
             (bits(rf.scaled_sigma_sq()), bits(rf.vt()), rf.unscale().to_bits(), rf.resolved())
         };
@@ -218,6 +254,33 @@ proptest! {
             prop_assert!((got - planted[i]).abs() <= 1e-11);
         }
         assert_eigen_certificate(&s, &ql.values, &ql.vectors, 1e-12);
+    }
+
+    #[test]
+    fn keep_aware_solver_matches_jacobi_oracle(
+        (s, _) in planted_symmetric_strategy(40),
+        keep_sel in 0..4usize,
+    ) {
+        let n = s.rows();
+        let keep = [1, n.div_ceil(8), (n / 2).max(1), n][keep_sel];
+        let top = eigen_sym_top(&s, keep).unwrap();
+        let oracle = jacobi_eigen_sym(&s).unwrap();
+        prop_assert_eq!(top.values.len(), keep);
+        prop_assert_eq!(top.vectors.shape(), (n, keep));
+        for (i, &got) in top.values.iter().enumerate() {
+            prop_assert!((got - oracle.values[i]).abs() <= 1e-11,
+                "keep {}: λ[{}]: {} vs jacobi {}", keep, i, got, oracle.values[i]);
+        }
+        assert_eigen_certificate(&s, &top.values, &top.vectors, 1e-12);
+    }
+
+    #[test]
+    fn tiled_outer_gram_matches_per_pair_dots(
+        (m, n) in (1..=13usize, 0..=40usize),
+        data in prop::collection::vec(-100.0f64..100.0, 13 * 40),
+    ) {
+        let a = Matrix::from_vec(m, n, data[..m * n].to_vec()).unwrap();
+        assert_outer_gram_matches_dots(&a);
     }
 
     #[test]

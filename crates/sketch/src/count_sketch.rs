@@ -16,10 +16,13 @@
 //! Hashing is done on the running row counter with a SplitMix64-style mixer,
 //! so the sketch needs no per-row storage and replays deterministically.
 
+use sketchad_linalg::svd::Workspace;
 use sketchad_linalg::vecops;
-use sketchad_linalg::Matrix;
+use sketchad_linalg::{LinAlgError, Matrix};
 
-use crate::traits::{assert_row_len, assert_valid_decay, MatrixSketch, MergeableSketch};
+use crate::traits::{
+    assert_row_len, assert_valid_decay, factor_of, MatrixSketch, MergeableSketch, RefreshFactor,
+};
 use crate::wire::{ByteReader, ByteWriter, WireError};
 
 /// Wire tag identifying a serialized [`CountSketch`] state blob.
@@ -133,6 +136,15 @@ impl MatrixSketch for CountSketch {
 
     fn sketch(&self) -> Matrix {
         self.b.clone()
+    }
+
+    /// Decomposes `B` where it lies: no copy of the `ℓ × d` sketch.
+    fn refresh_factor<'a>(
+        &'a mut self,
+        keep: usize,
+        workspace: &'a mut Workspace,
+    ) -> Result<Option<RefreshFactor<'a>>, LinAlgError> {
+        factor_of(&self.b, keep, workspace)
     }
 
     fn decay(&mut self, alpha: f64) {

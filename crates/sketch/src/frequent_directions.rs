@@ -143,9 +143,9 @@ impl FrequentDirections {
     /// certificate, and returns the factor of the buffer *as it was* — the
     /// shrink discards it, a model refresh builds its model from it.
     fn decompose_and_shrink(&mut self) -> RightFactor<'_> {
-        // The whole 2ℓ × d buffer is decomposed in place, whatever its fill:
-        // unoccupied rows are zero and change neither σ² nor Vᵀ.
-        let rf = right_factor(&self.buffer, self.ell, &mut self.workspace)
+        // Only the occupied rows are decomposed, in place: a refresh on a
+        // part-filled buffer pays for the rows it holds, not for 2ℓ.
+        let rf = right_factor(&self.buffer, self.occupied, self.ell, &mut self.workspace)
             .expect("an FD buffer of finite rows always decomposes");
         // Arithmetic stays in the kernel's scaled units until the last
         // multiply, so rows near the ends of the f64 range shrink to finite
@@ -242,9 +242,10 @@ impl MatrixSketch for FrequentDirections {
 
     /// One decomposition serves the refresh and the shrink: the model is
     /// read off the factor the shrink computes, on the sketch's own
-    /// workspace (the caller's stays untouched, and all ℓ rows of `Vᵀ` come
-    /// back whatever `keep` asked for). Records no [`Stage::SketchShrink`]
-    /// span — the caller's refresh span covers the work.
+    /// workspace (the caller's stays untouched, and `min(ℓ, occupied, d)`
+    /// rows of `Vᵀ` come back whatever `keep` asked for). Records no
+    /// [`Stage::SketchShrink`] span — the caller's refresh span covers the
+    /// work.
     fn refresh_factor<'a>(
         &'a mut self,
         _keep: usize,

@@ -13,10 +13,13 @@
 
 use rand::rngs::StdRng;
 use sketchad_linalg::rng::{fill_gaussian, seeded_rng};
+use sketchad_linalg::svd::Workspace;
 use sketchad_linalg::vecops;
-use sketchad_linalg::Matrix;
+use sketchad_linalg::{LinAlgError, Matrix};
 
-use crate::traits::{assert_row_len, assert_valid_decay, MatrixSketch, MergeableSketch};
+use crate::traits::{
+    assert_row_len, assert_valid_decay, factor_of, MatrixSketch, MergeableSketch, RefreshFactor,
+};
 use crate::wire::{ByteReader, ByteWriter, WireError};
 
 /// Wire tag identifying a serialized [`RandomProjection`] state blob.
@@ -114,6 +117,15 @@ impl MatrixSketch for RandomProjection {
 
     fn sketch(&self) -> Matrix {
         self.b.clone()
+    }
+
+    /// Decomposes `B` where it lies: no copy of the `ℓ × d` sketch.
+    fn refresh_factor<'a>(
+        &'a mut self,
+        keep: usize,
+        workspace: &'a mut Workspace,
+    ) -> Result<Option<RefreshFactor<'a>>, LinAlgError> {
+        factor_of(&self.b, keep, workspace)
     }
 
     fn decay(&mut self, alpha: f64) {

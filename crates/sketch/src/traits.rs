@@ -80,12 +80,13 @@ pub trait MatrixSketch {
     /// [`capacity`](MatrixSketch::capacity).
     ///
     /// The default copies `B` out and runs the Gram-route kernel on the
-    /// caller's `workspace`. A sketch that decomposes `B` for its own
-    /// upkeep overrides this to do both with one decomposition:
-    /// [`FrequentDirections`] runs its shrink here and returns the factor
-    /// the shrink computed (so the sketch may change, and only to another
-    /// sketch of the same stream with the same guarantee). Either way the
-    /// factor is that of `B` *before* the call.
+    /// caller's `workspace`. A sketch that holds `B` as a matrix overrides
+    /// this to decompose it where it lies (the linear sketches), and a
+    /// sketch that decomposes `B` for its own upkeep overrides it to do both
+    /// with one decomposition: [`FrequentDirections`] runs its shrink here
+    /// and returns the factor the shrink computed (so the sketch may change,
+    /// and only to another sketch of the same stream with the same
+    /// guarantee). Either way the factor is that of `B` *before* the call.
     ///
     /// # Errors
     /// Propagates the kernel's failures (non-finite sketch contents).
@@ -96,16 +97,7 @@ pub trait MatrixSketch {
         keep: usize,
         workspace: &'a mut Workspace,
     ) -> Result<Option<RefreshFactor<'a>>, LinAlgError> {
-        let b = self.sketch();
-        if b.rows() == 0 {
-            return Ok(None);
-        }
-        let factor = right_factor(&b, keep, workspace)?;
-        Ok(Some(RefreshFactor {
-            factor,
-            energy: b.squared_frobenius_norm(),
-            rows: b.rows(),
-        }))
+        factor_of(&self.sketch(), keep, workspace)
     }
 
     /// Multiplies the *covariance estimate* `BᵀB` by `alpha ∈ (0, 1]`,
@@ -220,6 +212,24 @@ pub trait MergeableSketch: MatrixSketch {
     /// (different `dim`, `capacity`, or — for hashing sketches — nonzeros
     /// per row).
     fn merge_from(&mut self, other: &Self);
+}
+
+/// [`MatrixSketch::refresh_factor`] of a sketch whose `B` is the matrix `b`:
+/// the Gram-route factor of all its rows on `workspace`, or `None` for a
+/// sketch of no rows.
+pub(crate) fn factor_of<'a>(
+    b: &Matrix,
+    keep: usize,
+    workspace: &'a mut Workspace,
+) -> Result<Option<RefreshFactor<'a>>, LinAlgError> {
+    if b.rows() == 0 {
+        return Ok(None);
+    }
+    Ok(Some(RefreshFactor {
+        factor: right_factor(b, b.rows(), keep, workspace)?,
+        energy: b.squared_frobenius_norm(),
+        rows: b.rows(),
+    }))
 }
 
 /// Validates a decay factor, panicking with a uniform message otherwise.

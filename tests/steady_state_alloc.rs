@@ -4,10 +4,11 @@
 //! their scratch (`svd::Workspace`), so once the first shrink has run, the
 //! steady state of `FrequentDirections::update` must never touch the heap;
 //! `CountSketch` draws its hash targets into a buffer sized at construction,
-//! so its updates never do. A WAL append encodes its frame into a staging
-//! buffer the store keeps, so appends after the first never do either, and
-//! a damaged WAL segment never makes the reader reserve more than the file
-//! holds.
+//! so its updates never do, and a linear sketch's refresh decomposes the
+//! sketch where it lies rather than a copy of it. A WAL append encodes its
+//! frame into a staging buffer the store keeps, so appends after the first
+//! never do either, and a damaged WAL segment never makes the reader
+//! reserve more than the file holds.
 //! This binary installs a counting global allocator (it is its own crate, so
 //! `sketchad-linalg` keeps its `deny(unsafe_code)`) and counts.
 //!
@@ -22,7 +23,7 @@ use sketchad_core::{RefreshPolicy, ScoreKind, SketchDetector, StreamingDetector,
 use sketchad_durable::{wal, FsyncPolicy, StateStore};
 use sketchad_linalg::rng::{gaussian_matrix, seeded_rng};
 use sketchad_linalg::svd::{right_factor, Workspace};
-use sketchad_sketch::{CountSketch, FrequentDirections, MatrixSketch};
+use sketchad_sketch::{CountSketch, FrequentDirections, MatrixSketch, RandomProjection};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -123,12 +124,29 @@ fn fd_update_and_its_kernel_allocate_nothing_after_warm_up() {
         // shape again and the refresh's.
         let in_kernel = allocations_in(|| {
             for _ in 0..3 {
-                let rf = right_factor(&sketch, 10, &mut refresh_ws).unwrap();
+                let rf = right_factor(&sketch, sketch.rows(), 10, &mut refresh_ws).unwrap();
                 std::hint::black_box(rf.sigma(0));
             }
         });
         assert_eq!(in_kernel, 0, "(ℓ={ell}, d={d}): right_factor allocated");
     }
+}
+
+#[test]
+fn right_factor_keeping_few_vectors_allocates_nothing_after_warm_up() {
+    // The `linear_wide` refresh's shape: a 128 × 1024 sketch keeping 16
+    // directions, which takes the inverse-iteration route; its LU factors,
+    // kept vectors and reflectors all live in the workspace.
+    let a = gaussian_matrix(&mut seeded_rng(16), 128, 1024, 1.0);
+    let mut ws = Workspace::default();
+    right_factor(&a, 128, 16, &mut ws).unwrap();
+    let allocated = allocations_in(|| {
+        for _ in 0..3 {
+            let rf = right_factor(&a, 128, 16, &mut ws).unwrap();
+            std::hint::black_box(rf.sigma(0));
+        }
+    });
+    assert_eq!(allocated, 0, "right_factor allocated after warm-up");
 }
 
 #[test]
@@ -183,6 +201,47 @@ fn fd_detector_allocates_only_the_model_it_installs() {
         }
         assert!(det.refresh_count() >= refreshes_before + 1_000 / period as u64);
     }
+}
+
+#[test]
+fn linear_detector_allocates_only_the_model_it_installs() {
+    // A linear sketch's refresh decomposes its `B` where it lies, on the
+    // detector's workspace: no copy of the sketch is taken, so a row without
+    // a refresh allocates nothing and a row with one allocates only the new
+    // model's basis and singular values.
+    fn run<S: MatrixSketch>(name: &str, sketch: S) {
+        let (ell, d, period) = (32usize, 96usize, 64usize);
+        let rows = gaussian_matrix(&mut seeded_rng(ell as u64), 4 * ell + 1_000, d, 1.0);
+        let mut det = SketchDetector::new(
+            sketch,
+            4,
+            ScoreKind::RelativeProjection,
+            RefreshPolicy::Periodic { period },
+            2 * ell,
+        );
+        let mut fed = rows.iter_rows();
+        for row in fed.by_ref().take(4 * ell) {
+            det.process(row);
+        }
+        assert!(det.refresh_count() > 0, "{name}: no refresh in warm-up");
+
+        let refreshes_before = det.refresh_count();
+        for row in fed {
+            let refreshes = det.refresh_count();
+            let allocated = allocations_in(|| {
+                std::hint::black_box(det.process(row));
+            });
+            let budget = 2 * (det.refresh_count() - refreshes);
+            assert!(
+                allocated <= budget,
+                "{name}: {allocated} allocations in a row with budget {budget}"
+            );
+        }
+        assert!(det.refresh_count() >= refreshes_before + 1_000 / period as u64);
+    }
+    run("count-sketch s=1", CountSketch::new(32, 96, 1, 5));
+    run("count-sketch s=4", CountSketch::new(32, 96, 4, 5));
+    run("random projection", RandomProjection::new(32, 96, 5));
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
