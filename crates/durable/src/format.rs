@@ -51,7 +51,7 @@ fn step(h: u64, w: u64) -> u64 {
     (h ^ w).wrapping_mul(MUL).rotate_left(31)
 }
 
-/// 64-bit checksum of `bytes`: one [`step`] per little-endian u64 word,
+/// 64-bit checksum of `bytes`: one mixing step per little-endian u64 word,
 /// one per byte of the tail, then a bijective 64-bit finalizer. The
 /// length seeds the state.
 ///

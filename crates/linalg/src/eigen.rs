@@ -171,10 +171,11 @@ pub fn eigen_sym(s: &Matrix) -> Result<SymEigen> {
 }
 
 /// The top `keep` eigenpairs of a symmetric matrix (`keep` is clamped to
-/// `n`): the allocating wrapper over [`sym_eigenvalues`] and
-/// [`sym_eigenvectors`]. `values` holds the `keep` largest eigenvalues,
-/// descending, and column `i` of the `n × keep` `vectors` the unit
-/// eigenvector of `values[i]`. Only those `keep` vectors are computed.
+/// `n`; only the lower triangle of `s` is read): the allocating wrapper
+/// over [`sym_eigenvalues`] and [`sym_eigenvectors`]. `values` holds the
+/// `keep` largest eigenvalues, descending, and column `i` of the
+/// `n × keep` `vectors` the unit eigenvector of `values[i]`. Only those
+/// `keep` vectors are computed.
 ///
 /// # Errors
 /// Same conditions as [`eigen_sym`].
@@ -191,7 +192,13 @@ pub fn eigen_sym_top(s: &Matrix, keep: usize) -> Result<SymEigen> {
         return Err(LinAlgError::NotFinite { op: "eigen_sym" });
     }
     let keep = keep.min(n);
-    let mut z = s.as_slice().to_vec();
+    // The solver reads both triangles; this wrapper reads the lower one.
+    let mut z: Vec<f64> = (0..n * n)
+        .map(|k| {
+            let (i, j) = (k / n, k % n);
+            s[(i.max(j), i.min(j))]
+        })
+        .collect();
     let mut values = vec![0.0f64; n];
     let mut scratch = EigenScratch::default();
     sym_eigenvalues(&mut z, &mut values, keep, &mut scratch)?;
@@ -482,11 +489,11 @@ fn start_entry(j: usize, i: usize) -> f64 {
 /// Householder reduction to a tridiagonal `T`, then implicit-shift QL for
 /// every eigenvalue.
 ///
-/// On entry `z` holds the symmetric `n × n` matrix row-major
-/// (`n = values.len()`; the reduction reads its lower triangle). On success
-/// `values` holds every eigenvalue, descending, and `z` and `scratch` hold
-/// what [`sym_eigenvectors`] needs for up to `keep` (clamped to `n`)
-/// eigenvectors.
+/// On entry `z` holds the symmetric `n × n` matrix row-major, **both
+/// triangles** (`n = values.len()`; the reduction reads whole rows). On
+/// success `values` holds every eigenvalue, descending, and `z` and
+/// `scratch` hold what [`sym_eigenvectors`] needs for up to `keep` (clamped
+/// to `n`) eigenvectors.
 ///
 /// `keep` picks the route, by cost alone:
 /// * `keep ≤ n / 4`: QL rotates no vectors, and `z` keeps the reflectors,
@@ -500,11 +507,12 @@ fn start_entry(j: usize, i: usize) -> f64 {
 ///   kept.
 ///
 /// Both routes are the textbook `tred2`/`tql2` restructured for row-major
-/// storage: the reduction's symmetric matrix–vector product and rank-2
-/// update, and applying a reflector to the accumulator, are one
-/// [`vecops::dot`] + [`vecops::axpy`] per contiguous row, and a QL rotation
-/// is one [`vecops::rot`] over two adjacent rows. The eigenvalues are the
-/// same bits on both.
+/// storage. The reduction keeps both triangles current, so each of its
+/// steps — and each step of accumulating the reflectors — is one four-row
+/// [`vecops::update_rows_dots`] pass over contiguous rows that applies the
+/// step's update and forms the next step's matrix–vector product. A QL
+/// rotation is one [`vecops::rot`] over two adjacent rows. The eigenvalues
+/// are the same bits on both.
 ///
 /// # Errors
 /// * [`LinAlgError::ShapeMismatch`] unless `z.len() == n²`.
@@ -535,8 +543,8 @@ pub fn sym_eigenvalues(
     // √(f² + g²) per plane rotation; with every entry O(1) that can be formed
     // directly, where an overflow-safe `hypot` would add a third to the
     // chain's latency (and libm's costs more than the rotation itself).
-    let max_abs = z.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-    if !max_abs.is_finite() {
+    let (max_abs, finite) = vecops::max_abs_finite(z);
+    if !finite {
         return Err(LinAlgError::NotFinite {
             op: "sym_eigenvalues",
         });
@@ -546,7 +554,8 @@ pub fn sym_eigenvalues(
     tridiagonalize(z, &mut scratch.diag, &mut scratch.off);
 
     let w: &[f64] = if scratch.all_vectors {
-        accumulate_reflectors(z, n);
+        // `values` is written last: until then it is the accumulation's.
+        accumulate_reflectors(z, n, values);
         tql(&mut scratch.diag, &mut scratch.off, Some(z))?;
         &scratch.diag
     } else {
@@ -619,8 +628,9 @@ fn descending_order(d: &[f64], order: &mut [usize]) {
 /// reorthogonalisation against the vectors already found in its cluster,
 /// so repeated eigenvalues yield an orthonormal basis of their eigenspace.
 /// The vectors are then carried back through the stored reflectors, one
-/// [`vecops::dot`] + [`vecops::axpy`] per (reflector, vector) pair. That is
-/// `O(n²·count)` flops where accumulating the whole transform is `O(n³)`.
+/// [`vecops::update_rows_dots`] pass over them per reflector, which also
+/// forms their products with the next. That is `O(n²·count)` flops where
+/// accumulating the whole transform is `O(n³)`.
 ///
 /// # Panics
 /// Panics unless `z.len() == n²` and `count` is no more than the `keep`
@@ -665,73 +675,124 @@ pub fn sym_eigenvectors<'a>(
     }
 
     // v = P_{n−1} ⋯ P₂ · y: reflector i acts on the leading i coordinates.
+    // Inverse iteration is done with its LU arrays: `g` holds each kept
+    // vector's product with the reflector at hand.
+    let g = &mut scratch.lu[1][..count];
+    let mut have_product = false;
     for i in 2..n {
         let h = z[i * n + i];
         if h == 0.0 {
+            have_product = false;
             continue;
         }
         let u = &z[i * n..i * n + i];
-        for x in kept.chunks_exact_mut(n) {
-            let g = vecops::dot(u, &x[..i]);
-            vecops::axpy(-g / h, u, &mut x[..i]);
+        if !have_product {
+            vecops::row_dots(kept, n, i, count, u, g);
+        }
+        for gk in g.iter_mut() {
+            *gk /= h;
+        }
+        // Past the last reflector there is no next one to dot with.
+        let next = if i + 1 < n {
+            &z[(i + 1) * n..(i + 1) * n + i]
+        } else {
+            u
+        };
+        vecops::update_rows_dots(kept, n, u, None, next, g);
+        have_product = i + 1 < n;
+        if have_product {
+            // The next reflector reaches one coordinate further, which
+            // this one left alone.
+            let u_i = z[(i + 1) * n + i];
+            for (gk, x) in g.iter_mut().zip(kept.chunks_exact(n)) {
+                *gk += x[i] * u_i;
+            }
         }
     }
     scratch.vectors = vectors;
     &scratch.vectors[..count * n]
 }
 
-/// `tred2`'s Householder reduction of the scaled symmetric `z` to the
-/// tridiagonal `(d, e)` — `e[i]` couples `i` and `i + 1` — leaving reflector
-/// `i` in `z[i][..i]` and its `h = |u|²/2` on the diagonal `z[i][i]` (zero
-/// where step `i` needed no reflector).
+/// Turns `row` — the `i = row.len() ≥ 1` entries left of the diagonal of
+/// row `i` — into step `i`'s Householder reflector `u`, in place, and
+/// returns `(h, e)`: `h = |u|²/2`, zero when the step needs no reflector
+/// (`i = 1` or an all-zero row, which is left as it is), and `e` the
+/// subdiagonal entry the step leaves behind.
+fn householder(row: &mut [f64]) -> (f64, f64) {
+    let i = row.len();
+    let scale: f64 = row.iter().map(|v| v.abs()).sum();
+    if i == 1 || scale == 0.0 {
+        return (0.0, row[i - 1]);
+    }
+    let mut h = 0.0;
+    for v in row.iter_mut() {
+        *v /= scale;
+        h += *v * *v;
+    }
+    let f = row[i - 1];
+    let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
+    h -= f * g;
+    row[i - 1] = f - g;
+    (h, scale * g)
+}
+
+/// `tred2`'s Householder reduction of the scaled symmetric `z` (both
+/// triangles) to the tridiagonal `(d, e)` — `e[i]` couples `i` and
+/// `i + 1` — leaving reflector `i` in `z[i][..i]` and its `h = |u|²/2` on
+/// the diagonal `z[i][i]` (zero where step `i` needed no reflector).
+///
+/// Both triangles of the leading block stay current, so every row the
+/// reduction reads is contiguous. Step `i` (from `n − 1` down) needs the
+/// product `p = A·u` of the block with its reflector; after the first step
+/// that comes out of the previous step's update: one
+/// [`vecops::update_rows_dots`] pass applies `A ← A − u·qᵀ − q·uᵀ` to each
+/// row and dots the updated row with the *next* reflector, which the
+/// block's last row — updated first — has already become. Until the
+/// reduction is done, `d[..i]` holds the product.
 fn tridiagonalize(z: &mut [f64], d: &mut [f64], e: &mut [f64]) {
     let n = d.len();
-    // Step `i` annihilates row `i` left of the subdiagonal with a reflector
-    // `u` that overwrites `z[i][..i]`; `d[i]` keeps `h = |u|²/2` and `e[i]`
-    // the new subdiagonal entry.
+    // `h` of the reflector the previous step's pass formed in row i, with
+    // its product; `None` when step i forms both from scratch.
+    let mut formed = None;
     for i in (1..n).rev() {
-        let (head, tail) = z.split_at_mut(i * n);
-        let u = &mut tail[..i];
-        let mut h = 0.0;
-        if i > 1 {
-            let scale: f64 = u.iter().map(|v| v.abs()).sum();
-            if scale == 0.0 {
-                e[i] = u[i - 1];
-            } else {
-                for v in u.iter_mut() {
-                    *v /= scale;
-                    h += *v * *v;
+        let (block, rest) = z.split_at_mut(i * n);
+        let h = match formed.take() {
+            Some(h) => h,
+            None => {
+                let u = &mut rest[..i];
+                let (h, off) = householder(u);
+                e[i] = off;
+                if h != 0.0 {
+                    vecops::row_dots(block, n, i, i, u, &mut d[..i]);
                 }
-                let f = u[i - 1];
-                let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
-                e[i] = scale * g;
-                h -= f * g;
-                u[i - 1] = f - g;
-                // p = A·u over the leading i×i block, of which only the
-                // lower triangle is stored: row j contributes its dot with u
-                // to p[j] and, mirrored, u[j]·row to p[..j].
-                let p = &mut e[..i];
-                p.fill(0.0);
-                for j in 0..i {
-                    let row = &head[j * n..j * n + j + 1];
-                    p[j] += vecops::dot(row, &u[..=j]);
-                    vecops::axpy(u[j], &row[..j], &mut p[..j]);
-                }
-                let mut f = 0.0;
-                for (pj, &uj) in p.iter_mut().zip(u.iter()) {
-                    *pj /= h;
-                    f += *pj * uj;
-                }
-                // q = p − (uᵀp / 2h)·u, then A ← A − u·qᵀ − q·uᵀ.
-                vecops::axpy(-f / (h + h), u, p);
-                for j in 0..i {
-                    let row = &mut head[j * n..j * n + j + 1];
-                    vecops::axpy(-u[j], &p[..=j], row);
-                    vecops::axpy(-p[j], &u[..=j], row);
-                }
+                h
             }
-        } else {
-            e[i] = u[0];
+        };
+        // Row i holds the reflector u, `h` its |u|²/2, d[..i] the product A·u.
+        let u = &rest[..i];
+        if h != 0.0 {
+            // q = p − (uᵀp / 2h)·u, with p = A·u / h, into e[..i].
+            let q = &mut e[..i];
+            let mut f = 0.0;
+            for ((qj, &pj), &uj) in q.iter_mut().zip(&d[..i]).zip(u) {
+                *qj = pj / h;
+                f += *qj * uj;
+            }
+            vecops::axpy(-f / (h + h), u, q);
+            // The block's last row first, then the next reflector off it.
+            let (head, last) = block.split_at_mut((i - 1) * n);
+            let row = &mut last[..i];
+            vecops::axpy(-u[i - 1], q, row);
+            vecops::axpy(-q[i - 1], u, row);
+            let next = &mut last[..i - 1];
+            let (h_next, off) = householder(next);
+            // e[i - 1] is q's last entry, which only that row needed.
+            e[i - 1] = off;
+            formed = Some(h_next);
+            // The rows' coefficients u[j] go in where their products come out.
+            let (u, q, p) = (&u[..i - 1], &e[..i - 1], &mut d[..i - 1]);
+            p.copy_from_slice(u);
+            vecops::update_rows_dots(head, n, q, Some((q, u)), next, p);
         }
         d[i] = h;
     }
@@ -748,23 +809,42 @@ fn tridiagonalize(z: &mut [f64], d: &mut [f64], e: &mut [f64]) {
 
 /// Accumulates the reflectors [`tridiagonalize`] left in `z` into `Qᵀ`, in
 /// place, growing the leading block one row and column per step:
-/// block ← block·(I − u·uᵀ/h), a dot and an axpy per (contiguous) row.
-fn accumulate_reflectors(z: &mut [f64], n: usize) {
+/// block ← block·(I − u·uᵀ/h). Like a reduction step, each step is one
+/// [`vecops::update_rows_dots`] pass over contiguous rows: the rank-1
+/// update by reflector `i` also dots each updated row with reflector
+/// `i + 1`, which is the product `g = block·u` the next step needs — the
+/// column a step adds is zero in every row but its own, which holds 1. `g`
+/// is `n`-long scratch.
+fn accumulate_reflectors(z: &mut [f64], n: usize, g: &mut [f64]) {
+    // Whether `g[..i]` holds the leading block's product with reflector i.
+    let mut have_product = false;
     for i in 0..n {
         let (head, tail) = z.split_at_mut(i * n);
-        let h = tail[i];
-        if h != 0.0 {
-            let u = &tail[..i];
-            for k in 0..i {
-                let row = &mut head[k * n..k * n + i];
-                let g = vecops::dot(row, u);
-                vecops::axpy(-g / h, u, row);
+        let (row, below) = tail.split_at_mut(n);
+        let h = row[i];
+        have_product = if h != 0.0 {
+            let u = &row[..i];
+            if !have_product {
+                vecops::row_dots(head, n, i, i, u, &mut g[..i]);
             }
-        }
-        tail[..i].fill(0.0);
-        tail[i] = 1.0;
+            for gk in &mut g[..i] {
+                *gk /= h;
+            }
+            // Past the last step there is no next reflector to dot with.
+            let next = if i + 1 < n { &below[..i] } else { u };
+            vecops::update_rows_dots(head, n, u, None, next, &mut g[..i]);
+            i + 1 < n
+        } else {
+            false
+        };
+        row[..i].fill(0.0);
+        row[i] = 1.0;
         for k in 0..i {
             head[k * n + i] = 0.0;
+        }
+        if have_product {
+            // The new row is the unit vector eᵢ.
+            g[i] = below[i];
         }
     }
 }

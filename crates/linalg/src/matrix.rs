@@ -254,16 +254,18 @@ impl Matrix {
 
     /// Matrix product `self * rhs`.
     ///
-    /// Four output rows at a time go through the register-tiled
-    /// [`vecops::gemm4`] micro-kernel (a 4×8 accumulator tile held in
-    /// registers across the whole k loop); leftover rows — and every row on
-    /// hosts without AVX2+FMA — fall back to a retiled `i-k-j` kernel where
-    /// the k dimension is unrolled four-wide through [`vecops::axpy4`] and
-    /// the j dimension is blocked at [`Self::COL_BLOCK`] columns so the
-    /// working set stays L1-resident. The inner loops are branch-free on
-    /// purpose: dense data gains nothing from zero-skipping, and the branch
-    /// defeats vectorization (sparse inputs should use the `SparseVec` paths
-    /// instead).
+    /// Eight output rows at a time go through the register-tiled
+    /// [`vecops::gemm8`] micro-kernel (an 8×16 accumulator tile held in
+    /// registers across the whole k loop on AVX-512, two [`vecops::gemm4`]
+    /// 4×8 tiles on AVX2, the same bits either way), four leftover rows
+    /// through [`vecops::gemm4`]; the last `nrows % 4` rows — and every
+    /// row on hosts without AVX2+FMA — fall back to a retiled `i-k-j`
+    /// kernel where the k dimension is unrolled four-wide through
+    /// [`vecops::axpy4`] and the j dimension is blocked at
+    /// [`Self::COL_BLOCK`] columns so the working set stays L1-resident. The
+    /// inner loops are branch-free on purpose: dense data gains nothing from
+    /// zero-skipping, and the branch defeats vectorization (sparse inputs
+    /// should use the `SparseVec` paths instead).
     ///
     /// # Errors
     /// Returns [`LinAlgError::ShapeMismatch`] when `self.cols != rhs.rows`.
@@ -494,9 +496,10 @@ impl Matrix {
         vecops::dot(&self.data, &self.data)
     }
 
-    /// Maximum absolute element.
+    /// Maximum absolute element (NaNs skipped): [`vecops::norm_inf`] of
+    /// the entries.
     pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
+        vecops::norm_inf(&self.data)
     }
 
     /// Sub-matrix of the first `r` rows (copies).
@@ -568,11 +571,27 @@ pub(crate) fn matmul_rows_into<'a>(
     out: &mut [f64],
 ) {
     debug_assert_eq!(out.len(), nrows * n);
-    let r4 = nrows / 4 * 4;
-    for i in (0..r4).step_by(4) {
-        let out_block = &mut out[i * n..(i + 4) * n];
-        let tiled = n > 0
-            && vecops::gemm4(
+    if n == 0 {
+        return;
+    }
+    let mut i = 0;
+    while i < nrows {
+        let rows = match nrows - i {
+            8.. => 8,
+            4..=7 => 4,
+            _ => 1,
+        };
+        let out_block = &mut out[i * n..(i + rows) * n];
+        let tiled = match rows {
+            8 => vecops::gemm8(
+                std::array::from_fn(|r| lhs_row(i + r)),
+                rhs,
+                n,
+                n,
+                out_block,
+                n,
+            ),
+            4 => vecops::gemm4(
                 lhs_row(i),
                 lhs_row(i + 1),
                 lhs_row(i + 2),
@@ -582,15 +601,15 @@ pub(crate) fn matmul_rows_into<'a>(
                 n,
                 out_block,
                 n,
-            );
+            ),
+            _ => false,
+        };
         if !tiled {
-            for r in 0..4 {
-                matmul_row_scalar(lhs_row(i + r), rhs, n, &mut out_block[r * n..(r + 1) * n]);
+            for (r, out_row) in out_block.chunks_exact_mut(n).enumerate() {
+                matmul_row_scalar(lhs_row(i + r), rhs, n, out_row);
             }
         }
-    }
-    for i in r4..nrows {
-        matmul_row_scalar(lhs_row(i), rhs, n, &mut out[i * n..(i + 1) * n]);
+        i += rows;
     }
 }
 

@@ -7,12 +7,12 @@
 //!   top-`keep` rows of `Vᵀ`. No `U`, no transpose, no completion of
 //!   unresolved directions, and no allocation once its [`Workspace`] has
 //!   been sized. For an `ℓ × d` sketch with ℓ ≤ d this costs `ℓ²d` for the
-//!   register-tiled outer Gram, `4ℓ³/3` for the tridiagonal reduction,
-//!   `O(ℓ²)` for the eigenvalues, `O(ℓ²·keep)` for the kept eigenvectors
-//!   (`O(ℓ³)` once keep exceeds ℓ/4) and `keep·ℓ·d` for `UᵀA`. It loses
-//!   accuracy for singular values below `√ε·σ₁`, which is irrelevant for
-//!   top-k extraction with k ≪ ℓ. This is what the frequent-directions
-//!   shrink and the model refresh call.
+//!   register-tiled outer Gram, `ℓ³` multiply-adds for the full-storage
+//!   tridiagonal reduction, `O(ℓ²)` for the eigenvalues, `O(ℓ²·keep)` for
+//!   the kept eigenvectors (`O(ℓ³)` once keep exceeds ℓ/4) and `keep·ℓ·d`
+//!   for `UᵀA`. It loses accuracy for singular values below `√ε·σ₁`, which
+//!   is irrelevant for top-k extraction with k ≪ ℓ. This is what the
+//!   frequent-directions shrink and the model refresh call.
 //! * [`svd_thin`] / [`top_k_svd`] — thin wrappers over [`right_factor`] that
 //!   add `U` and complete unresolved singular vectors to an orthonormal set,
 //!   for the cold callers that want a full factorization.
@@ -76,9 +76,19 @@ impl Svd {
     }
 }
 
-/// Relative cutoff below which singular values are treated as zero when
-/// recovering the paired factor.
+/// [`svd_jacobi`]'s relative cutoff below which singular values are treated
+/// as zero when recovering the paired factor. Jacobi works on `A` itself,
+/// so it resolves singular values down to this.
 const SIGMA_REL_TOL: f64 = 1e-10;
+
+/// The Gram route's cutoff on `σᵢ²/σ₁²` for an `r × r` Gram matrix:
+/// `4·r·ε`. The eigenvalues of a Gram matrix carry rounding of about
+/// `r·ε·λ₁` from its reduction, so a direction whose `σᵢ²` lies below a few
+/// times that — `σᵢ ≤ √(4·r·ε)·σ₁`, 3·10⁻⁸·σ₁ at `r = 1` and 3.4·10⁻⁷·σ₁ at
+/// `r = 128` — is rounding, not signal, and its vector is noise.
+fn gram_noise_floor(r: usize) -> f64 {
+    4.0 * r as f64 * f64::EPSILON
+}
 
 /// Scratch and output storage of [`right_factor`].
 ///
@@ -179,8 +189,11 @@ impl<'w> RightFactor<'w> {
         self.scaled_sigma_sq[i] * self.unscale * self.unscale
     }
 
-    /// Number of leading directions with `σᵢ > 10⁻¹⁰·σ₁`. The Gram route
-    /// cannot resolve the others: their rows of `Vᵀ` are returned as zeros.
+    /// Number of leading directions with `σᵢ² > 4·r·ε·σ₁²`, where
+    /// `r = min(m, n)` is the order of the Gram matrix: below that floor an
+    /// eigenvalue of the Gram matrix is its own rounding error, so the Gram
+    /// route cannot resolve the direction, and its row of `Vᵀ` is returned
+    /// as zeros.
     pub fn resolved(&self) -> usize {
         self.resolved
     }
@@ -228,9 +241,10 @@ fn gram_safe_scale(max_abs: f64) -> f64 {
 /// * `m ≤ n`: they are the rows of `Uᵀ`; only `keep` rows of `Uᵀ A` are
 ///   formed (a `keep × m` by `m × n` product) and normalized.
 ///
-/// Directions with `σᵢ ≤ 10⁻¹⁰·σ₁` are not resolved by a Gram route; their
-/// rows come back as zeros (see [`RightFactor::resolved`]) — callers that
-/// need an orthonormal completion use [`svd_thin`].
+/// Directions with `σᵢ ≤ √(4·r·ε)·σ₁` (`r = min(m, n)`) are not resolved by
+/// a Gram route; their rows come back as zeros (see
+/// [`RightFactor::resolved`]) — callers that need an orthonormal completion
+/// use [`svd_thin`].
 ///
 /// The input is pre-scaled by an exact power of two when its largest
 /// magnitude lies outside `[2⁻⁴⁸⁰, 2⁵⁰⁰)`, so the Gram matrix neither
@@ -262,14 +276,7 @@ pub fn right_factor<'w>(
         return Err(LinAlgError::EmptyInput { op: "right_factor" });
     }
     let prefix = &a.as_slice()[..m * n];
-    // One pass finds both NaN/inf and the magnitude (`f64::max` skips NaN,
-    // so finiteness is tracked on its own).
-    let mut max_abs = 0.0f64;
-    let mut finite = true;
-    for &v in prefix {
-        finite &= v.is_finite();
-        max_abs = max_abs.max(v.abs());
-    }
+    let (max_abs, finite) = vecops::max_abs_finite(prefix);
     if !finite {
         return Err(LinAlgError::NotFinite { op: "right_factor" });
     }
@@ -298,8 +305,8 @@ pub fn right_factor<'w>(
         *l = l.max(0.0);
     }
 
-    let tol = SIGMA_REL_TOL * ws.sigma_sq[0].sqrt().max(f64::MIN_POSITIVE);
-    let resolved = ws.sigma_sq.iter().take_while(|&&l| l.sqrt() > tol).count();
+    let floor = gram_noise_floor(r) * ws.sigma_sq[0];
+    let resolved = ws.sigma_sq.iter().take_while(|&&l| l > floor).count();
     let live = keep.min(resolved);
     let eigenvectors = sym_eigenvectors(&ws.z, live, &mut ws.eig);
     let (top, rest) = ws.vt.split_at_mut(live * n);

@@ -7,10 +7,11 @@
 //!   `chunks_exact` blocks (no bounds checks in the hot path) with four
 //!   independent accumulator chains, so the compiler can emit SIMD without
 //!   needing `-ffast-math` reassociation; and
-//! * an **AVX2+FMA** path (x86-64 only; AVX-512 for the dot family and
-//!   [`rot`]) selected by runtime feature detection, since the default
-//!   `x86_64` target compiles the scalar path to baseline SSE2 and leaves
-//!   2–4× on the table on any post-2013 core.
+//! * an **AVX2+FMA** path (x86-64 only; AVX-512 for the dot family, [`rot`],
+//!   [`gemm8`], [`update_rows_dots`] and [`max_abs_finite`]) selected by
+//!   runtime feature detection, since the default `x86_64` target compiles
+//!   the scalar path to baseline SSE2 and leaves 2–4× on the table on any
+//!   post-2013 core.
 //!
 //! Path selection depends only on the slice length and the host CPU, so a
 //! given machine always takes the same path for the same input: results are
@@ -23,8 +24,10 @@
 //! counterpart on every path: it produces the same bits as four sequential
 //! [`axpy`] calls, and so does [`row_dots`] with one [`dot`] per row. The
 //! blocked matrix kernels rely on this to keep batched results identical to
-//! the one-at-a-time paths. The register tile [`dots4x4`] is the exception:
-//! it sums in another order, so it agrees with [`dot`] to rounding only.
+//! the one-at-a-time paths; [`gemm8`] is likewise the bits of two [`gemm4`]
+//! calls on every tier. The register tile [`dots4x4`] and the row pass
+//! [`update_rows_dots`] are the exceptions: they sum in another order, so
+//! they agree with [`dot`] to rounding only.
 
 /// Below this length the scalar path is used unconditionally: the SIMD
 /// prologue/reduction costs more than it saves, and keeping one fixed
@@ -33,9 +36,12 @@ const MIN_SIMD_LEN: usize = 8;
 
 /// SIMD capability tiers, cached once (the kernels below sit on per-point
 /// hot paths where even a couple of extra atomic loads per call are
-/// measurable). The dot family and `rot` prefer AVX-512 (half the loop trips
-/// at the short lengths scoring and the eigensolver use); the axpy family and
-/// the gemm micro-kernel are store-bound and stay on the 256-bit path.
+/// measurable). The dot family, `rot`, the eigensolver's row pass and the
+/// input guard prefer AVX-512 (half the loop trips at the short lengths
+/// scoring and the eigensolver use), and so does the 8-row gemm panel,
+/// whose sixteen accumulators need the 512-bit register file; the axpy
+/// family and the 4-row gemm tile are store-bound and stay on the 256-bit
+/// path.
 ///
 /// Setting `SKETCHAD_FORCE_SCALAR=1` in the environment pins tier 0
 /// regardless of CPU capabilities. CI uses this to run the whole test suite
@@ -293,6 +299,56 @@ pub fn gemm4(
     false
 }
 
+/// Accumulates eight rows of a matrix product into `out`: the same
+/// contract as [`gemm4`] for `a[0..8]`, and **bitwise identical** to two
+/// [`gemm4`] calls on rows `0..4` and `4..8` on every tier. Returns `false`
+/// without touching `out` when no SIMD tier is available.
+///
+/// On AVX-512 an 8-row × 16-column accumulator tile (sixteen zmm registers)
+/// lives across the whole `k` loop, so each `b` load feeds eight rows where
+/// [`gemm4`]'s feeds four, with the same sequential-over-`k` FMA order per
+/// element; the `n % 16` column tail runs [`gemm4`]'s 8- and 4-wide loops.
+/// On AVX2 it *is* the two [`gemm4`] calls.
+///
+/// # Panics
+/// Panics when the row lengths disagree or `b`/`out` are too short for the
+/// strides.
+pub fn gemm8(a: [&[f64]; 8], b: &[f64], ldb: usize, n: usize, out: &mut [f64], ldo: usize) -> bool {
+    let kdim = a[0].len();
+    assert!(
+        a.iter().all(|r| r.len() == kdim),
+        "gemm8: a-row length mismatch"
+    );
+    assert!(n <= ldb || kdim <= 1, "gemm8: b stride shorter than row");
+    assert!(n <= ldo, "gemm8: out stride shorter than row");
+    if kdim > 0 {
+        assert!((kdim - 1) * ldb + n <= b.len(), "gemm8: b out of bounds");
+    }
+    assert!(7 * ldo + n <= out.len(), "gemm8: out too short for 8 rows");
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY: the matching CPU features were verified at runtime, and
+        // the asserts above bound every access the kernels make.
+        #[allow(unsafe_code)]
+        match simd_level() {
+            2 => {
+                unsafe { simd::gemm8_512(a, b, ldb, n, out, ldo) };
+                return true;
+            }
+            1 => {
+                let (lo, hi) = out.split_at_mut(4 * ldo);
+                unsafe {
+                    simd::gemm4(a[0], a[1], a[2], a[3], b, ldb, n, lo, ldo);
+                    simd::gemm4(a[4], a[5], a[6], a[7], b, ldb, n, hi, ldo);
+                }
+                return true;
+            }
+            _ => {}
+        }
+    }
+    false
+}
+
 /// Accumulates the upper-triangle Gram contribution of four stream rows:
 /// `g[i][i..] += Σ_r x_r[i] · x_r[i..]` for `i in 0..d`, with `g` a
 /// row-major `d × d` matrix. Semantically one [`axpy4`] per output row, but
@@ -418,6 +474,126 @@ fn scalar_axpy4(alpha: [f64; 4], x0: &[f64], x1: &[f64], x2: &[f64], x3: &[f64],
     for (i, yi) in yt.iter_mut().enumerate() {
         *yi = *yi + alpha[0] * t0[i] + alpha[1] * t1[i] + alpha[2] * t2[i] + alpha[3] * t3[i];
     }
+}
+
+/// One fused pass of a rank-1 or rank-2 row update and a matrix–vector
+/// product. For each row `r_j = block[j·ld ..][..len]`, `j < cd.len()`,
+/// with `len = x.len()` and `c_j` the entry `cd[j]` holds on entry:
+/// `r_j ← r_j − c_j·x`, then `r_j ← r_j − b[j]·y` when `by = Some((b, y))`,
+/// then `cd[j] ← r_j · v` with the updated row.
+///
+/// This is the inner pass of the eigensolver's Householder steps: the
+/// update one reflector makes and the product the next reflector needs, in
+/// one sweep over contiguous rows — the symmetric rank-2 update
+/// `A ← A − u·qᵀ − q·uᵀ` of the reduction (`c = u`, `x = q`, `b = q`,
+/// `y = u`), and the rank-1 update `R ← R − (R·u/h)·uᵀ` of the reflector
+/// accumulation and the back-transform, whose products are the next step's
+/// coefficients. Four rows share each load of `x`, `y` and `v`. The tiers sum in different orders,
+/// so they agree to rounding.
+///
+/// # Panics
+/// Panics unless `b` has `cd`'s length, `y` and `v` have `x`'s, and `block`
+/// holds `cd.len()` rows of stride `ld ≥ len`.
+pub fn update_rows_dots(
+    block: &mut [f64],
+    ld: usize,
+    x: &[f64],
+    by: Option<(&[f64], &[f64])>,
+    v: &[f64],
+    cd: &mut [f64],
+) {
+    let (rows, len) = (cd.len(), x.len());
+    assert_eq!(v.len(), len, "update_rows_dots: length mismatch");
+    if let Some((b, y)) = by {
+        assert!(
+            b.len() == rows && y.len() == len,
+            "update_rows_dots: length mismatch"
+        );
+    }
+    assert!(
+        len <= ld || rows <= 1,
+        "update_rows_dots: stride shorter than row"
+    );
+    if rows > 0 {
+        assert!(
+            (rows - 1) * ld + len <= block.len(),
+            "update_rows_dots: rows out of bounds"
+        );
+    }
+    #[cfg(target_arch = "x86_64")]
+    if len >= MIN_SIMD_LEN {
+        // SAFETY: the matching CPU features were verified at runtime, and
+        // the asserts above bound every row access.
+        #[allow(unsafe_code)]
+        match simd_level() {
+            2 => return unsafe { simd::update_rows_dots512(block, ld, x, by, v, cd) },
+            1 => return unsafe { simd::update_rows_dots(block, ld, x, by, v, cd) },
+            _ => {}
+        }
+    }
+    scalar_update_rows_dots(block, ld, x, by, v, cd)
+}
+
+fn scalar_update_rows_dots(
+    block: &mut [f64],
+    ld: usize,
+    x: &[f64],
+    by: Option<(&[f64], &[f64])>,
+    v: &[f64],
+    cd: &mut [f64],
+) {
+    let len = x.len();
+    for (j, c) in cd.iter_mut().enumerate() {
+        let row = &mut block[j * ld..j * ld + len];
+        for (r, &xk) in row.iter_mut().zip(x) {
+            *r -= *c * xk;
+        }
+        if let Some((b, y)) = by {
+            for (r, &yk) in row.iter_mut().zip(y) {
+                *r -= b[j] * yk;
+            }
+        }
+        *c = scalar_dot(row, v);
+    }
+}
+
+/// The largest magnitude in `x` and whether every entry is finite, in one
+/// pass: `(max |xᵢ|, all xᵢ finite)`. NaNs are skipped by the maximum, as
+/// `f64::max` skips them, and an empty slice gives `(0.0, true)`.
+///
+/// Every tier keeps independent per-lane maximum chains and a separate
+/// NaN/∞ detector. A maximum is exact, so the chains' split changes no bit:
+/// the result equals the sequential `f64::max` fold's on every path.
+pub fn max_abs_finite(x: &[f64]) -> (f64, bool) {
+    #[cfg(target_arch = "x86_64")]
+    if x.len() >= MIN_SIMD_LEN {
+        // SAFETY: the matching CPU features were verified at runtime.
+        #[allow(unsafe_code)]
+        match simd_level() {
+            2 => return unsafe { simd::max_abs_finite512(x) },
+            1 => return unsafe { simd::max_abs_finite(x) },
+            _ => {}
+        }
+    }
+    scalar_max_abs_finite(x)
+}
+
+fn scalar_max_abs_finite(x: &[f64]) -> (f64, bool) {
+    let mut lanes = [0.0f64; 4];
+    let mut finite = true;
+    let blocks = x.chunks_exact(4);
+    let tail = blocks.remainder();
+    for block in blocks {
+        for (m, &v) in lanes.iter_mut().zip(block) {
+            *m = m.max(v.abs());
+            finite &= v.is_finite();
+        }
+    }
+    for &v in tail {
+        lanes[0] = lanes[0].max(v.abs());
+        finite &= v.is_finite();
+    }
+    (lanes[0].max(lanes[1]).max(lanes[2].max(lanes[3])), finite)
 }
 
 /// Plane (Givens) rotation of two equal-length rows, in place:
@@ -796,6 +972,351 @@ mod simd {
         }
     }
 
+    /// 8-row × 16-column GEMM tile on 512-bit lanes: sixteen zmm
+    /// accumulators live across the whole k loop, fed per k step by two `b`
+    /// loads and eight broadcasts. Each accumulator starts at zero, takes one
+    /// FMA per k in order and is added to `out` once — [`gemm4`]'s order —
+    /// and the `n % 16` column tail runs [`gemm4`] itself on each 4-row
+    /// half, so the result is bitwise that of two [`gemm4`] calls.
+    ///
+    /// # Safety
+    /// Requires AVX-512F; the public wrapper's asserts guarantee equal row
+    /// lengths, `(kdim-1)*ldb + n <= b.len()` and `7*ldo + n <= out.len()`.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn gemm8_512(
+        a: [&[f64]; 8],
+        b: &[f64],
+        ldb: usize,
+        n: usize,
+        out: &mut [f64],
+        ldo: usize,
+    ) {
+        let kdim = a[0].len();
+        let ap = a.map(<[f64]>::as_ptr);
+        let bp = b.as_ptr();
+        let op = out.as_mut_ptr();
+        let mut j = 0usize;
+        while j + 16 <= n {
+            let mut acc = [[_mm512_setzero_pd(); 2]; 8];
+            for k in 0..kdim {
+                let b0 = _mm512_loadu_pd(bp.add(k * ldb + j));
+                let b1 = _mm512_loadu_pd(bp.add(k * ldb + j + 8));
+                for r in 0..8 {
+                    let v = _mm512_set1_pd(*ap[r].add(k));
+                    acc[r][0] = _mm512_fmadd_pd(v, b0, acc[r][0]);
+                    acc[r][1] = _mm512_fmadd_pd(v, b1, acc[r][1]);
+                }
+            }
+            for (r, [lo, hi]) in acc.into_iter().enumerate() {
+                let p = op.add(r * ldo + j);
+                _mm512_storeu_pd(p, _mm512_add_pd(_mm512_loadu_pd(p), lo));
+                _mm512_storeu_pd(p.add(8), _mm512_add_pd(_mm512_loadu_pd(p.add(8)), hi));
+            }
+            j += 16;
+        }
+        if j < n {
+            let b = b.get_unchecked(j..);
+            let (lo, hi) = out.split_at_mut(4 * ldo);
+            gemm4(
+                a[0],
+                a[1],
+                a[2],
+                a[3],
+                b,
+                ldb,
+                n - j,
+                lo.get_unchecked_mut(j..),
+                ldo,
+            );
+            gemm4(
+                a[4],
+                a[5],
+                a[6],
+                a[7],
+                b,
+                ldb,
+                n - j,
+                hi.get_unchecked_mut(j..),
+                ldo,
+            );
+        }
+    }
+
+    /// [`update_rows_dots`](super::update_rows_dots) on 512-bit lanes:
+    /// four rows at a time share every load of `x`, `y` and `v`, each row
+    /// keeps one dot accumulator, and the `len % 8` tail is one masked step.
+    ///
+    /// # Safety
+    /// Requires AVX-512F; the public wrapper's asserts guarantee the
+    /// lengths and that `block` holds `cd.len()` rows of stride `ld ≥ len`.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn update_rows_dots512(
+        block: &mut [f64],
+        ld: usize,
+        x: &[f64],
+        by: Option<(&[f64], &[f64])>,
+        v: &[f64],
+        cd: &mut [f64],
+    ) {
+        let p = RowUpdate::new(block, ld, x, by, v, cd);
+        let mut j = 0usize;
+        while j < p.rows {
+            let four = p.rows - j >= 4;
+            match (four, by.is_some()) {
+                (true, true) => update_rows512::<4, true>(&p, j),
+                (true, false) => update_rows512::<4, false>(&p, j),
+                (false, true) => update_rows512::<1, true>(&p, j),
+                (false, false) => update_rows512::<1, false>(&p, j),
+            }
+            j += if four { 4 } else { 1 };
+        }
+    }
+
+    /// The operands of one [`update_rows_dots512`] or [`update_rows_dots`]
+    /// pass as raw pointers; `b` and `y` alias `cd` and `x` when the update
+    /// is rank-1, and are then never read.
+    struct RowUpdate {
+        block: *mut f64,
+        ld: usize,
+        rows: usize,
+        len: usize,
+        cd: *mut f64,
+        x: *const f64,
+        b: *const f64,
+        y: *const f64,
+        v: *const f64,
+    }
+
+    impl RowUpdate {
+        fn new(
+            block: &mut [f64],
+            ld: usize,
+            x: &[f64],
+            by: Option<(&[f64], &[f64])>,
+            v: &[f64],
+            cd: &mut [f64],
+        ) -> Self {
+            let (b, y) = by.map_or((cd.as_ptr(), x.as_ptr()), |(b, y)| (b.as_ptr(), y.as_ptr()));
+            Self {
+                block: block.as_mut_ptr(),
+                ld,
+                rows: cd.len(),
+                len: x.len(),
+                cd: cd.as_mut_ptr(),
+                x: x.as_ptr(),
+                b,
+                y,
+                v: v.as_ptr(),
+            }
+        }
+    }
+
+    /// Rows `j0..j0 + R` of [`update_rows_dots512`]; `RANK2` applies the
+    /// second term. Each row's coefficient is read before its dot is
+    /// written back over it.
+    ///
+    /// # Safety
+    /// As [`update_rows_dots512`], with `j0 + R <= p.rows`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn update_rows512<const R: usize, const RANK2: bool>(p: &RowUpdate, j0: usize) {
+        let len = p.len;
+        let rows: [*mut f64; R] = std::array::from_fn(|r| p.block.add((j0 + r) * p.ld));
+        let ca: [__m512d; R] = std::array::from_fn(|r| _mm512_set1_pd(*p.cd.add(j0 + r)));
+        let cb: [__m512d; R] = std::array::from_fn(|r| _mm512_set1_pd(*p.b.add(j0 + r)));
+        let mut acc = [_mm512_setzero_pd(); R];
+        let mut k = 0usize;
+        while k < len {
+            // A full step of eight lanes, or the masked tail.
+            let m: __mmask8 = if k + 8 <= len {
+                0xff
+            } else {
+                (1u8 << (len - k)) - 1
+            };
+            let xv = _mm512_maskz_loadu_pd(m, p.x.add(k));
+            let yv = _mm512_maskz_loadu_pd(m, p.y.add(k));
+            let vv = _mm512_maskz_loadu_pd(m, p.v.add(k));
+            for r in 0..R {
+                let mut e = _mm512_maskz_loadu_pd(m, rows[r].add(k));
+                e = _mm512_fnmadd_pd(ca[r], xv, e);
+                if RANK2 {
+                    e = _mm512_fnmadd_pd(cb[r], yv, e);
+                }
+                _mm512_mask_storeu_pd(rows[r].add(k), m, e);
+                acc[r] = _mm512_fmadd_pd(e, vv, acc[r]);
+            }
+            k += 8;
+        }
+        for (r, s) in acc.into_iter().enumerate() {
+            *p.cd.add(j0 + r) = _mm512_reduce_add_pd(s);
+        }
+    }
+
+    /// [`update_rows_dots`](super::update_rows_dots) on 256-bit lanes, four
+    /// rows at a time with one dot accumulator each and a scalar tail.
+    ///
+    /// # Safety
+    /// Requires AVX2 and FMA; the public wrapper's asserts guarantee the
+    /// lengths and that `block` holds `cd.len()` rows of stride `ld ≥ len`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn update_rows_dots(
+        block: &mut [f64],
+        ld: usize,
+        x: &[f64],
+        by: Option<(&[f64], &[f64])>,
+        v: &[f64],
+        cd: &mut [f64],
+    ) {
+        let p = RowUpdate::new(block, ld, x, by, v, cd);
+        let mut j = 0usize;
+        while j < p.rows {
+            let four = p.rows - j >= 4;
+            match (four, by.is_some()) {
+                (true, true) => update_rows256::<4, true>(&p, j),
+                (true, false) => update_rows256::<4, false>(&p, j),
+                (false, true) => update_rows256::<1, true>(&p, j),
+                (false, false) => update_rows256::<1, false>(&p, j),
+            }
+            j += if four { 4 } else { 1 };
+        }
+    }
+
+    /// Rows `j0..j0 + R` of [`update_rows_dots`]; `RANK2` applies the
+    /// second term. Each row's coefficient is read before its dot is
+    /// written back over it.
+    ///
+    /// # Safety
+    /// As [`update_rows_dots`], with `j0 + R <= p.rows`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    unsafe fn update_rows256<const R: usize, const RANK2: bool>(p: &RowUpdate, j0: usize) {
+        let len = p.len;
+        let rows: [*mut f64; R] = std::array::from_fn(|r| p.block.add((j0 + r) * p.ld));
+        let sa: [f64; R] = std::array::from_fn(|r| *p.cd.add(j0 + r));
+        let sb: [f64; R] = std::array::from_fn(|r| *p.b.add(j0 + r));
+        let ca = sa.map(|c| _mm256_set1_pd(c));
+        let cb = sb.map(|c| _mm256_set1_pd(c));
+        let mut acc = [_mm256_setzero_pd(); R];
+        let mut k = 0usize;
+        while k + 4 <= len {
+            let xv = _mm256_loadu_pd(p.x.add(k));
+            let yv = _mm256_loadu_pd(p.y.add(k));
+            let vv = _mm256_loadu_pd(p.v.add(k));
+            for r in 0..R {
+                let mut e = _mm256_loadu_pd(rows[r].add(k));
+                e = _mm256_fnmadd_pd(ca[r], xv, e);
+                if RANK2 {
+                    e = _mm256_fnmadd_pd(cb[r], yv, e);
+                }
+                _mm256_storeu_pd(rows[r].add(k), e);
+                acc[r] = _mm256_fmadd_pd(e, vv, acc[r]);
+            }
+            k += 4;
+        }
+        for r in 0..R {
+            let s = acc[r];
+            let pair = _mm_add_pd(_mm256_castpd256_pd128(s), _mm256_extractf128_pd(s, 1));
+            let mut dot = _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
+            for i in k..len {
+                let e = rows[r].add(i);
+                *e -= sa[r] * *p.x.add(i);
+                if RANK2 {
+                    *e -= sb[r] * *p.y.add(i);
+                }
+                dot += *e * *p.v.add(i);
+            }
+            *p.cd.add(j0 + r) = dot;
+        }
+    }
+
+    /// [`max_abs_finite`](super::max_abs_finite) on 512-bit lanes: four
+    /// independent maximum chains of eight lanes, a mask of lanes that were
+    /// NaN or ±∞, and a masked load for the `len % 8` tail (its padding
+    /// lanes read as zero, which moves neither result).
+    ///
+    /// # Safety
+    /// Requires AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn max_abs_finite512(x: &[f64]) -> (f64, bool) {
+        let n = x.len();
+        let p = x.as_ptr();
+        let limit = _mm512_set1_pd(f64::MAX);
+        let mut m = [_mm512_setzero_pd(); 4];
+        let mut bad: __mmask8 = 0;
+        // `max_pd(a, b)` returns `b` when either operand is NaN: with the
+        // running maximum as `b`, a NaN entry is skipped like `f64::max`
+        // skips it. `!(|x| <= MAX)` holds exactly for NaN and ±∞.
+        macro_rules! absorb {
+            ($acc:expr, $v:expr) => {{
+                let v = _mm512_abs_pd($v);
+                $acc = _mm512_max_pd(v, $acc);
+                bad |= _mm512_cmp_pd_mask::<_CMP_NLE_UQ>(v, limit);
+            }};
+        }
+        let mut i = 0usize;
+        while i + 32 <= n {
+            for (lane, acc) in m.iter_mut().enumerate() {
+                absorb!(*acc, _mm512_loadu_pd(p.add(i + 8 * lane)));
+            }
+            i += 32;
+        }
+        while i + 8 <= n {
+            absorb!(m[0], _mm512_loadu_pd(p.add(i)));
+            i += 8;
+        }
+        if i < n {
+            absorb!(m[0], _mm512_maskz_loadu_pd((1u8 << (n - i)) - 1, p.add(i)));
+        }
+        let all = _mm512_max_pd(_mm512_max_pd(m[0], m[1]), _mm512_max_pd(m[2], m[3]));
+        (_mm512_reduce_max_pd(all), bad == 0)
+    }
+
+    /// [`max_abs_finite`](super::max_abs_finite) on 256-bit lanes: four
+    /// independent maximum chains of four lanes, a vector of NaN/∞ flags,
+    /// and a scalar tail.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn max_abs_finite(x: &[f64]) -> (f64, bool) {
+        let n = x.len();
+        let p = x.as_ptr();
+        let sign = _mm256_set1_pd(-0.0);
+        let limit = _mm256_set1_pd(f64::MAX);
+        let mut m = [_mm256_setzero_pd(); 4];
+        let mut bad = _mm256_setzero_pd();
+        // Same operand order and NaN test as the 512-bit kernel.
+        macro_rules! absorb {
+            ($acc:expr, $v:expr) => {{
+                let v = _mm256_andnot_pd(sign, $v);
+                $acc = _mm256_max_pd(v, $acc);
+                bad = _mm256_or_pd(bad, _mm256_cmp_pd::<_CMP_NLE_UQ>(v, limit));
+            }};
+        }
+        let mut i = 0usize;
+        while i + 16 <= n {
+            for (lane, acc) in m.iter_mut().enumerate() {
+                absorb!(*acc, _mm256_loadu_pd(p.add(i + 4 * lane)));
+            }
+            i += 16;
+        }
+        while i + 4 <= n {
+            absorb!(m[0], _mm256_loadu_pd(p.add(i)));
+            i += 4;
+        }
+        let all = _mm256_max_pd(_mm256_max_pd(m[0], m[1]), _mm256_max_pd(m[2], m[3]));
+        let pair = _mm_max_pd(_mm256_castpd256_pd128(all), _mm256_extractf128_pd(all, 1));
+        let mut s = _mm_cvtsd_f64(_mm_max_sd(pair, _mm_unpackhi_pd(pair, pair)));
+        let mut finite = _mm256_movemask_pd(bad) == 0;
+        while i < n {
+            let v = *p.add(i);
+            s = s.max(v.abs());
+            finite &= v.is_finite();
+            i += 1;
+        }
+        (s, finite)
+    }
+
     /// Upper-triangle Gram sweep of four stream rows in one feature region:
     /// row `i` of `g` gets one inlined [`axpy4`] over the `[i..]` tails.
     ///
@@ -996,10 +1517,11 @@ pub fn norm1(x: &[f64]) -> f64 {
     x.iter().map(|v| v.abs()).sum()
 }
 
-/// ℓ∞ norm `max |xᵢ|`.
+/// ℓ∞ norm `max |xᵢ|` (NaNs skipped): the magnitude half of
+/// [`max_abs_finite`].
 #[inline]
 pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
+    max_abs_finite(x).0
 }
 
 /// Normalizes `x` to unit Euclidean length in place; returns the original norm.
@@ -1217,6 +1739,260 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn rot_length_mismatch_panics() {
         rot(&mut [1.0], &mut [1.0, 2.0], 1.0, 0.0);
+    }
+
+    /// The fold `max_abs_finite` must reproduce: `f64::max` over `|xᵢ|`
+    /// from 0 (NaNs skipped), and finiteness as its own yes/no.
+    fn reference_max_abs(x: &[f64]) -> (u64, bool) {
+        let m = x.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+        (m.to_bits(), x.iter().all(|v| v.is_finite()))
+    }
+
+    /// Every tier this host has, called directly (so the forced-scalar run
+    /// covers the SIMD kernels too), plus the dispatcher.
+    fn max_abs_tiers(x: &[f64]) -> Vec<(&'static str, (u64, bool))> {
+        let bits = |(m, f): (f64, bool)| (m.to_bits(), f);
+        #[allow(unused_mut)]
+        let mut got = vec![
+            ("dispatch", bits(max_abs_finite(x))),
+            ("scalar", bits(scalar_max_abs_finite(x))),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
+        {
+            if std::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 was just detected.
+                got.push(("avx2", bits(unsafe { simd::max_abs_finite(x) })));
+            }
+            if std::is_x86_feature_detected!("avx512f") {
+                // SAFETY: AVX-512F was just detected.
+                got.push(("avx512f", bits(unsafe { simd::max_abs_finite512(x) })));
+            }
+        }
+        got
+    }
+
+    #[test]
+    fn max_abs_finite_is_the_scalar_fold_bit_for_bit() {
+        let specials = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE / 3.0,
+            f64::MAX,
+            -f64::MAX,
+        ];
+        let check = |x: &[f64], what: &str| {
+            let want = reference_max_abs(x);
+            for (tier, got) in max_abs_tiers(x) {
+                assert_eq!(got, want, "{tier}: {what}");
+            }
+        };
+        for len in 0..=40usize {
+            // A finite base of mixed sign and magnitude, and an all −0.0
+            // base against which a subnormal is the maximum.
+            let mixed: Vec<f64> = (0..len)
+                .map(|i| ((i * 7 + 1) as f64 * 0.37).sin() * 10f64.powi(i as i32 % 5 - 2))
+                .collect();
+            let zeros = vec![-0.0f64; len];
+            for base in [&mixed, &zeros] {
+                check(base, &format!("len {len}"));
+                // Each special at every lane and tail position.
+                for pos in 0..len {
+                    for &sp in &specials {
+                        let mut x = base.clone();
+                        x[pos] = sp;
+                        check(&x, &format!("len {len}, x[{pos}] = {sp:e}"));
+                    }
+                }
+            }
+        }
+        // The `linear_wide` refresh's input: a 128 × 1024 sketch, clean and
+        // with a NaN, a ±∞ or an extreme finite value at every lane of the
+        // first, a middle and the last vector.
+        let mut big: Vec<f64> = (0..128 * 1024)
+            .map(|i| ((i * 7 + 3) as f64 * 0.37).sin() * 100.0)
+            .collect();
+        check(&big, "128 × 1024");
+        let n = big.len();
+        for pos in (0..8).chain(n / 2 - 4..n / 2 + 4).chain(n - 8..n) {
+            let clean = big[pos];
+            for sp in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -f64::MAX] {
+                big[pos] = sp;
+                check(&big, &format!("128 × 1024, x[{pos}] = {sp:e}"));
+            }
+            big[pos] = clean;
+        }
+    }
+
+    #[test]
+    fn norm_inf_and_matrix_max_abs_are_the_guard_magnitude() {
+        let x = [
+            1.0,
+            f64::NAN,
+            -3.5,
+            2.0,
+            f64::NEG_INFINITY,
+            -7.0,
+            0.5,
+            1.0,
+            6.0,
+        ];
+        assert_eq!(norm_inf(&x), f64::INFINITY);
+        assert_eq!(norm_inf(&x[..4]), 3.5);
+        assert_eq!(norm_inf(&[]), 0.0);
+        let m = crate::Matrix::from_vec(3, 3, x.to_vec()).unwrap();
+        assert_eq!(m.max_abs(), f64::INFINITY);
+    }
+
+    /// `rows` rows of stride `ld` with values that make rounding visible.
+    fn filled(rows: usize, ld: usize, salt: usize) -> Vec<f64> {
+        (0..rows * ld)
+            .map(|i| ((i * 13 + salt * 7 + 1) as f64 * 0.731).sin() * 3.3)
+            .collect()
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[allow(unsafe_code)]
+    fn avx512_panel_tile_is_bitwise_the_avx2_tier() {
+        if !std::is_x86_feature_detected!("avx512f") {
+            return;
+        }
+        for kdim in [0usize, 1, 11] {
+            for m in 1..=19usize {
+                for n in 0..=40usize {
+                    check_panel_tiers(kdim, m, n);
+                }
+            }
+        }
+    }
+
+    /// Both tiers called directly, as `matmul_rows_into` drives them: the
+    /// AVX-512 tier takes 8-row blocks through the 8×16 tile and a leftover
+    /// 4-row block through `gemm4`; the AVX2 tier takes every 4-row block
+    /// through `gemm4`. Rows past the last 4-row block run the same
+    /// portable path on both, so they are left out. Strides wider than the
+    /// rows exercise the kernels' indexing.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    fn check_panel_tiers(kdim: usize, m: usize, n: usize) {
+        let (ldb, ldo) = (n + 1, n + 2);
+        let a = filled(m, kdim, 4);
+        let row = |r: usize| &a[r * kdim..(r + 1) * kdim];
+        let quad = |i: usize| [row(i), row(i + 1), row(i + 2), row(i + 3)];
+        let b = filled(kdim.max(1), ldb, 5);
+        let start = filled(m, ldo, 6);
+        let (mut wide, mut narrow) = (start.clone(), start.clone());
+        let mut i = 0;
+        while i + 4 <= m {
+            let out = &mut wide[i * ldo..];
+            // SAFETY: the caller detected AVX-512F, which implies AVX2 and
+            // FMA; `b` holds `kdim` rows of stride `ldb ≥ n` and `out` the
+            // block's rows of stride `ldo ≥ n`.
+            unsafe {
+                if i + 8 <= m {
+                    simd::gemm8_512(std::array::from_fn(|r| row(i + r)), &b, ldb, n, out, ldo);
+                    i += 8;
+                } else {
+                    let [a0, a1, a2, a3] = quad(i);
+                    simd::gemm4(a0, a1, a2, a3, &b, ldb, n, out, ldo);
+                    i += 4;
+                }
+            }
+        }
+        for i in (0..m / 4 * 4).step_by(4) {
+            let [a0, a1, a2, a3] = quad(i);
+            // SAFETY: as above.
+            unsafe { simd::gemm4(a0, a1, a2, a3, &b, ldb, n, &mut narrow[i * ldo..], ldo) };
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&wide), bits(&narrow), "k={kdim} m={m} n={n}");
+    }
+
+    #[test]
+    fn update_rows_dots_tiers_agree_with_the_reference() {
+        // Square blocks (the reduction's shape) and one row short of square
+        // (the accumulation's), rank-1 and rank-2, on every tier.
+        for len in 0..=40usize {
+            for rows in [len, len.saturating_sub(1)] {
+                for rank2 in [false, true] {
+                    check_update_rows_dots(rows, len, rank2);
+                }
+            }
+        }
+    }
+
+    fn check_update_rows_dots(rows: usize, len: usize, rank2: bool) {
+        let ld = len + 3;
+        let block = filled(rows, ld, 7);
+        let (c, x) = (filled(1, rows, 8), filled(1, len, 9));
+        let (b, y) = (filled(1, rows, 10), filled(1, len, 11));
+        let v = filled(1, len, 12);
+        let by = rank2.then_some((&b[..], &y[..]));
+        // Reference: the update in f64 term by term, then a dot.
+        let mut want = block.clone();
+        let mut want_dots = vec![0.0; rows];
+        for j in 0..rows {
+            let row = &mut want[j * ld..j * ld + len];
+            for k in 0..len {
+                row[k] -= c[j] * x[k];
+                if rank2 {
+                    row[k] -= b[j] * y[k];
+                }
+            }
+            want_dots[j] = row.iter().zip(&v).map(|(p, q)| p * q).sum();
+        }
+        let what = format!("rows {rows}, len {len}, rank2 {rank2}");
+        let check = |tier: &str, got: &[f64], dots: &[f64]| {
+            for j in 0..rows {
+                for k in 0..ld {
+                    let (g, w) = (got[j * ld + k], want[j * ld + k]);
+                    if k >= len {
+                        // Past the row: untouched.
+                        assert_eq!(g.to_bits(), block[j * ld + k].to_bits(), "{tier} {what}");
+                    } else {
+                        assert!(
+                            (g - w).abs() <= 1e-14 * w.abs().max(1.0),
+                            "{tier} {what} [{j}][{k}]"
+                        );
+                    }
+                }
+                let scale = len as f64 * 40.0;
+                assert!(
+                    (dots[j] - want_dots[j]).abs() <= 1e-14 * scale,
+                    "{tier} {what} dot {j}"
+                );
+            }
+        };
+        let (mut got, mut cd) = (block.clone(), c.clone());
+        update_rows_dots(&mut got, ld, &x, by, &v, &mut cd);
+        check("dispatch", &got, &cd);
+        let (mut got, mut cd) = (block.clone(), c.clone());
+        scalar_update_rows_dots(&mut got, ld, &x, by, &v, &mut cd);
+        check("scalar", &got, &cd);
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
+        {
+            if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
+                let (mut got, mut cd) = (block.clone(), c.clone());
+                // SAFETY: AVX2 and FMA were just detected; the shapes are
+                // the public wrapper's.
+                unsafe { simd::update_rows_dots(&mut got, ld, &x, by, &v, &mut cd) };
+                check("avx2", &got, &cd);
+            }
+            if std::is_x86_feature_detected!("avx512f") {
+                let (mut got, mut cd) = (block.clone(), c.clone());
+                // SAFETY: AVX-512F was just detected; the shapes are the
+                // public wrapper's.
+                unsafe { simd::update_rows_dots512(&mut got, ld, &x, by, &v, &mut cd) };
+                check("avx512f", &got, &cd);
+            }
+        }
     }
 
     #[test]

@@ -54,6 +54,28 @@ fn factor_input_strategy() -> impl Strategy<Value = Matrix> {
     })
 }
 
+/// Strategy: a generic rank-`r` matrix `Lᵀ·diag(s)·R` with `r < min(m, n)`,
+/// `L` and `R` random orthonormal rows and `s ∈ [1, 8)`: non-integer
+/// entries, so — unlike an integer product — rounding leaves noise in every
+/// direction past the rank, and a Gram route must not count it as signal.
+/// Returns the matrix and `r`.
+fn generic_low_rank_strategy() -> impl Strategy<Value = (Matrix, usize)> {
+    (2..=16usize, 2..=16usize, 0..u64::MAX).prop_flat_map(|(m, n, seed)| {
+        (1..m.min(n), prop::collection::vec(1.0f64..8.0, 16)).prop_map(move |(r, s)| {
+            let mut rng = seeded_rng(seed);
+            let l = random_orthonormal_rows(&mut rng, r, m);
+            let rt = random_orthonormal_rows(&mut rng, r, n);
+            let a = l
+                .transpose()
+                .matmul(&Matrix::from_diag(&s[..r]))
+                .unwrap()
+                .matmul(&rt)
+                .unwrap();
+            (a, r)
+        })
+    })
+}
+
 /// Strategy: a symmetric matrix `Qᵀ diag(λ) Q` with `Q` random orthogonal and
 /// `λ` drawn from a small palette, so repeated and zero eigenvalues are the
 /// rule rather than the exception. Returns the matrix and its spectrum.
@@ -217,6 +239,28 @@ proptest! {
             let worst = cosines.s.last().copied().unwrap();
             prop_assert!(1.0 - worst <= 1e-8, "largest principal angle: cos = {}", worst);
         }
+    }
+
+    #[test]
+    fn gram_route_resolves_exactly_the_rank_of_generic_low_rank_input(
+        (a, rank) in generic_low_rank_strategy(),
+    ) {
+        // The directions past the rank hold only rounding: σ ≈ √(r·ε)·σ₁
+        // out of a Gram route. Counted as resolved, their "vectors" are
+        // noise and `svd_thin`'s U = A·V·Σ⁻¹ is far from orthonormal.
+        let (m, n) = a.shape();
+        let r = m.min(n);
+        let mut ws = Workspace::default();
+        let rf = right_factor(&a, m, r, &mut ws).unwrap();
+        prop_assert_eq!(rf.resolved(), rank, "{}x{} of rank {}", m, n, rank);
+        let svd = svd_thin(&a).unwrap();
+        let utu = svd.u.tr_matmul(&svd.u).unwrap().sub(&Matrix::identity(r)).unwrap().max_abs();
+        let vvt = svd.vt.matmul_nt(&svd.vt).unwrap().sub(&Matrix::identity(r)).unwrap().max_abs();
+        prop_assert!(utu <= 1e-8, "{}x{} of rank {}: |UᵀU − I| = {}", m, n, rank, utu);
+        prop_assert!(vvt <= 1e-8, "{}x{} of rank {}: |VᵀV − I| = {}", m, n, rank, vvt);
+        let rec = svd.reconstruct().sub(&a).unwrap().max_abs();
+        // The Gram route's honest accuracy, relative to σ₁ < 8.
+        prop_assert!(rec <= 1e-7 * 8.0, "reconstruction error {}", rec);
     }
 
     #[test]

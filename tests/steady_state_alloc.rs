@@ -150,6 +150,29 @@ fn right_factor_keeping_few_vectors_allocates_nothing_after_warm_up() {
 }
 
 #[test]
+fn right_factor_carrying_every_vector_allocates_nothing_after_warm_up() {
+    // The all-vectors route at `fd_wide`'s refresh shape (128 × 256 keeping
+    // 64: reflectors accumulated, QL rotating every row) and a tall input
+    // through the 48 × 48 Gram keeping 32. The reduction's product and
+    // update vectors live in the eigensolver's tridiagonal buffers.
+    for (m, n, keep) in [(128usize, 256usize, 64usize), (64, 48, 32)] {
+        let a = gaussian_matrix(&mut seeded_rng(m as u64), m, n, 1.0);
+        let mut ws = Workspace::default();
+        right_factor(&a, m, keep, &mut ws).unwrap();
+        let allocated = allocations_in(|| {
+            for _ in 0..3 {
+                let rf = right_factor(&a, m, keep, &mut ws).unwrap();
+                std::hint::black_box(rf.sigma(0));
+            }
+        });
+        assert_eq!(
+            allocated, 0,
+            "{m} × {n} keep {keep}: right_factor allocated after warm-up"
+        );
+    }
+}
+
+#[test]
 fn count_sketch_update_allocates_nothing() {
     // s = 1 is the classic CountSketch, s = 4 the sparse-JL arm.
     let rows = gaussian_matrix(&mut seeded_rng(4), 1_000, 48, 1.0);
