@@ -619,7 +619,7 @@ mod tests {
             let mut w = wal::SegmentWriter::create(&dir, number, &header).unwrap();
             for first in firsts {
                 let mut frame = Vec::new();
-                wal::encode_wal_frame(first, &[[1.0, 2.0], [3.0, 4.0]], &mut frame);
+                wal::encode_wal_frame(first, &[1.0, 2.0, 3.0, 4.0], 2, &mut frame);
                 w.append(&frame).unwrap();
             }
             let v = check_file(w.path());

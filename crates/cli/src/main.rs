@@ -268,12 +268,14 @@ fn cmd_score(p: &ParsedArgs) -> Result<(), String> {
     let mut scores = Vec::with_capacity(stream.len());
     let mut alerts: Vec<usize> = Vec::new();
     // Batched scoring path: bitwise identical to per-point processing.
-    let mut chunk: Vec<Vec<f64>> = Vec::with_capacity(CLI_BATCH);
+    let mut chunk: Vec<f64> = Vec::with_capacity(CLI_BATCH * stream.dim);
     let mut chunk_alerts: Vec<Alert> = Vec::new();
     let mut base = 0usize;
     for points in stream.points.chunks(CLI_BATCH) {
         chunk.clear();
-        chunk.extend(points.iter().map(|p| p.values.clone()));
+        for p in points {
+            chunk.extend_from_slice(&p.values);
+        }
         alerting.process_batch(&chunk, &mut chunk_alerts);
         for (off, alert) in chunk_alerts.iter().enumerate() {
             scores.push(alert.score);
@@ -383,14 +385,16 @@ fn cmd_apply(p: &ParsedArgs) -> Result<(), String> {
     // identical to per-point `evaluate`), reusing one scratch across chunks.
     let mut scores: Vec<f64> = Vec::with_capacity(stream.len());
     let mut scratch = ScoreScratch::new();
-    let mut chunk: Vec<Vec<f64>> = Vec::with_capacity(CLI_BATCH);
+    let mut chunk: Vec<f64> = Vec::with_capacity(CLI_BATCH * stream.dim);
     let mut batch_out = Vec::new();
     for points in stream.points.chunks(CLI_BATCH) {
         chunk.clear();
-        chunk.extend(points.iter().map(|p| p.values.clone()));
+        for p in points {
+            chunk.extend_from_slice(&p.values);
+        }
         saved
             .model
-            .score_rows_into(&chunk, saved.score, &mut scratch, &mut batch_out);
+            .score_block_into(&chunk, saved.score, &mut scratch, &mut batch_out);
         scores.extend_from_slice(&batch_out);
     }
 
@@ -1134,8 +1138,8 @@ impl StreamingDetector for BoxedDetector {
     }
     // Forward through the box so the concrete detector's batched kernel is
     // reached (the trait default would loop per point at this layer).
-    fn process_batch(&mut self, ys: &[Vec<f64>], out: &mut Vec<f64>) {
-        self.0.process_batch(ys, out)
+    fn process_batch(&mut self, rows: &[f64], out: &mut Vec<f64>) {
+        self.0.process_batch(rows, out)
     }
 }
 
@@ -1146,8 +1150,8 @@ impl BoxedThreshold {
         }
     }
 
-    fn process_batch(&mut self, ys: &[Vec<f64>], out: &mut Vec<Alert>) {
-        self.inner.process_batch(ys, out)
+    fn process_batch(&mut self, rows: &[f64], out: &mut Vec<Alert>) {
+        self.inner.process_batch(rows, out)
     }
 
     fn name(&self) -> String {

@@ -134,18 +134,24 @@ pub trait StreamingDetector {
         None
     }
 
-    /// Scores a batch of points, folding each into the detector state, and
-    /// appends the scores to `out` (after clearing it).
+    /// Scores a block of points, folding each into the detector state, and
+    /// appends the scores to `out` (after clearing it). `rows` is row-major:
+    /// `rows.len() / dim()` points of `dim()` values each, back to back.
     ///
     /// Semantically identical — bitwise, for the detectors in this crate —
     /// to calling [`Self::process`] per row in order. The default simply
     /// does that; detectors with a batched scoring path (e.g. the sketch
     /// detector's `V_kᵀY` blocked matmul) override it to amortize kernel
     /// cost across the batch while preserving per-point score identity.
-    fn process_batch(&mut self, ys: &[Vec<f64>], out: &mut Vec<f64>) {
+    ///
+    /// # Panics
+    /// When `rows.len()` is not a multiple of `dim()`.
+    fn process_batch(&mut self, rows: &[f64], out: &mut Vec<f64>) {
+        let dim = self.dim();
+        assert_eq!(rows.len() % dim, 0, "a block holds whole rows of dim {dim}");
         out.clear();
-        out.reserve(ys.len());
-        for y in ys {
+        out.reserve(rows.len() / dim);
+        for y in rows.chunks_exact(dim) {
             out.push(self.process(y));
         }
     }
@@ -184,6 +190,15 @@ mod tests {
         fn name(&self) -> String {
             "norm".into()
         }
+    }
+
+    #[test]
+    fn process_batch_reads_a_row_major_block() {
+        let mut d = NormDetector { dim: 2, n: 0 };
+        let mut out = vec![9.0];
+        d.process_batch(&[3.0, 4.0, 1.0, 0.0], &mut out);
+        assert_eq!(out, vec![25.0, 1.0]);
+        assert_eq!(d.processed(), 2);
     }
 
     #[test]

@@ -173,7 +173,8 @@ impl<'a> RowsView<'a> {
     pub fn new(bytes: &'a [u8]) -> Result<Self, RowfmtError> {
         let header = RowsHeader::decode(bytes)?;
         let body = &bytes[HEADER_LEN..];
-        let expected = header.count * header.row_stride() as u64;
+        // Saturating: a corrupt count must read as a mismatch, not overflow.
+        let expected = header.count.saturating_mul(header.row_stride() as u64);
         if body.len() as u64 != expected {
             return Err(RowfmtError::LengthMismatch {
                 expected,
@@ -514,6 +515,55 @@ mod tests {
         w.finish().unwrap();
         std::fs::remove_file(&path).ok();
         assert!(RowsWriter::create(&tmp("zero.rows"), 0, false).is_err());
+    }
+
+    #[test]
+    fn every_truncation_and_byte_flip_decodes_or_errs() {
+        // A small keyed file; then every prefix, every single-bit flip and
+        // every 0xff byte. Each must come back as a typed error, or as a
+        // view whose every row reads (and whose first row past the end is
+        // `None`) — never a panic.
+        let rows: Vec<Vec<f64>> = (0..4)
+            .map(|i| (0..3).map(|j| i as f64 * 1.25 - j as f64).collect())
+            .collect();
+        let good = encode_rows(&rows, Some(&[3, 1, 4, 1])).unwrap();
+        let decode = |bytes: &[u8]| -> Result<usize, RowfmtError> {
+            let view = RowsView::new(bytes)?;
+            if view.is_empty() {
+                return Ok(0);
+            }
+            // A view's body holds `len × stride` bytes, so `dim` is bounded
+            // by the buffer here.
+            let mut out = vec![0.0; view.dim()];
+            for i in 0..view.len() {
+                assert!(view.read_row_into(i, &mut out).is_some());
+                assert_eq!(
+                    view.read_row_into(i, &mut out).unwrap().is_some(),
+                    view.has_keys()
+                );
+            }
+            assert!(view.read_row_into(view.len(), &mut out).is_none());
+            Ok(view.len())
+        };
+        assert_eq!(decode(&good), Ok(4));
+        for cut in 0..good.len() {
+            assert!(
+                decode(&good[..cut]).is_err(),
+                "prefix of {cut} bytes decoded"
+            );
+        }
+        let mut bad = good.clone();
+        let mut decoded = 0;
+        for i in 0..good.len() {
+            for flip in (0..8).map(|bit| good[i] ^ (1 << bit)).chain([0xff]) {
+                bad[i] = flip;
+                decoded += usize::from(decode(&bad).is_ok());
+            }
+            bad[i] = good[i];
+        }
+        // Flips in the row bodies decode (the format has no checksum); the
+        // header's are refused.
+        assert!(decoded > 0);
     }
 
     #[test]

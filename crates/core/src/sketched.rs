@@ -614,19 +614,22 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
     /// [`StreamingDetector::process`] bit for bit — property-tested in this
     /// crate. Instrumented detectors take the per-point path so recorded
     /// span counts are identical to per-point processing.
-    fn process_batch(&mut self, ys: &[Vec<f64>], out: &mut Vec<f64>) {
+    fn process_batch(&mut self, rows: &[f64], out: &mut Vec<f64>) {
+        let d = self.dim();
+        assert_eq!(rows.len() % d, 0, "a block holds whole rows of dim {d}");
+        let n = rows.len() / d;
         out.clear();
-        out.reserve(ys.len());
+        out.reserve(n);
         if self.recorder.enabled() {
-            for y in ys {
+            for y in rows.chunks_exact(d) {
                 out.push(self.process(y));
             }
             return;
         }
         let mut i = 0;
-        while i < ys.len() {
+        while i < n {
             if !self.is_warmed_up() {
-                out.push(self.process(&ys[i]));
+                out.push(self.process(&rows[i * d..(i + 1) * d]));
                 i += 1;
                 continue;
             }
@@ -634,7 +637,7 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
             // With external refresh the model can only change between calls
             // (via adopt_model), so the whole remaining batch qualifies.
             let horizon = if self.external_refresh {
-                ys.len() - i
+                n - i
             } else {
                 match self.refresh {
                     RefreshPolicy::Periodic { period } => {
@@ -643,19 +646,19 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
                     RefreshPolicy::EnergyTriggered { .. } => 1,
                 }
             };
-            let end = (i + horizon).min(ys.len());
+            let end = (i + horizon).min(n);
             if end - i < 2 {
-                out.push(self.process(&ys[i]));
+                out.push(self.process(&rows[i * d..(i + 1) * d]));
                 i += 1;
                 continue;
             }
+            let chunk = &rows[i * d..end * d];
             let mut scores = std::mem::take(&mut self.batch_scores);
             self.model
                 .as_ref()
                 .expect("warmed up implies model")
-                .score_rows_into(&ys[i..end], self.score, &mut self.scratch, &mut scores);
-            for (off, y) in ys[i..end].iter().enumerate() {
-                let score = scores[off];
+                .score_block_into(chunk, self.score, &mut self.scratch, &mut scores);
+            for (y, &score) in chunk.chunks_exact(d).zip(&scores) {
                 if self.should_update(score) {
                     self.sketch.update(y);
                 }
@@ -1246,7 +1249,7 @@ mod tests {
             let mut i = 0;
             for chunk in [7usize, 64, 5, 100, 1, 200] {
                 let end = (i + chunk).min(rows.len());
-                batched.process_batch(&rows[i..end], &mut buf);
+                batched.process_batch(&rows[i..end].concat(), &mut buf);
                 got.extend_from_slice(&buf);
                 i = end;
             }
@@ -1277,7 +1280,7 @@ mod tests {
         let mut batched = make();
         let expected: Vec<f64> = rows.iter().map(|r| per_point.process(r)).collect();
         let mut got = Vec::new();
-        batched.process_batch(&rows, &mut got);
+        batched.process_batch(&rows.concat(), &mut got);
         for (j, (g, e)) in got.iter().zip(expected.iter()).enumerate() {
             assert_eq!(g.to_bits(), e.to_bits(), "point {j}");
         }
@@ -1428,7 +1431,7 @@ mod tests {
                 // Clamp the chunk so adoption lands exactly on boundaries.
                 let to_boundary = (BOUNDARY - (det.processed() % BOUNDARY)) as usize;
                 let end = (i + batch.min(to_boundary)).min(rows.len());
-                det.process_batch(&rows[i..end], &mut buf);
+                det.process_batch(&rows[i..end].concat(), &mut buf);
                 out.extend_from_slice(&buf);
                 i = end;
                 if det.processed().is_multiple_of(BOUNDARY) {

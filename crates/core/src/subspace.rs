@@ -388,7 +388,8 @@ impl SubspaceModel {
         self.relative_projection_distance(y) + beta * self.standardized_leverage(y)
     }
 
-    /// Batched scoring: evaluates `kind` for every row of `ys` in one pass.
+    /// Batched scoring: evaluates `kind` for every row of the row-major
+    /// block `rows` (`rows.len() / dim()` points) in one pass.
     ///
     /// The `batch × k` coefficient matrix `C = Y·V_kᵀ` lands in
     /// `scratch.coeffs`, computed through the blocked
@@ -407,6 +408,20 @@ impl SubspaceModel {
     /// steady-state batch scoring performs no allocation.
     ///
     /// # Panics
+    /// Panics when `rows.len()` is not a multiple of `dim()`.
+    pub fn score_block_into(
+        &self,
+        rows: &[f64],
+        kind: ScoreKind,
+        scratch: &mut ScoreScratch,
+        out: &mut Vec<f64>,
+    ) {
+        self.score_block(rows, kind, &mut scratch.coeffs, out);
+    }
+
+    /// [`Self::score_block_into`] over the rows of a matrix.
+    ///
+    /// # Panics
     /// Panics when `ys.cols() != dim()` (for a non-empty batch).
     pub fn score_batch_into(
         &self,
@@ -415,23 +430,10 @@ impl SubspaceModel {
         scratch: &mut ScoreScratch,
         out: &mut Vec<f64>,
     ) {
-        out.clear();
-        let b = ys.rows();
-        if b == 0 {
-            return;
+        if ys.rows() > 0 {
+            assert_eq!(ys.cols(), self.dim(), "batch point dimension mismatch");
         }
-        assert_eq!(ys.cols(), self.dim(), "batch point dimension mismatch");
-        let k = self.k();
-        let d = self.dim();
-        scratch.coeffs.clear();
-        scratch.coeffs.resize(b * k, 0.0);
-        out.reserve(b);
-        for i in 0..b {
-            let y = ys.row(i);
-            let coeffs = &mut scratch.coeffs[i * k..(i + 1) * k];
-            vecops::row_dots(self.vt.as_slice(), d, d, k, y, coeffs);
-            out.push(self.score_from_coeffs(kind, y, coeffs));
-        }
+        self.score_block_into(ys.as_slice(), kind, scratch, out);
     }
 
     /// [`Self::score_batch_into`] returning a fresh vector.
@@ -447,7 +449,7 @@ impl SubspaceModel {
     }
 
     /// Batched scoring over a slice of rows: stages the rows into
-    /// `scratch`'s reusable matrix, then runs [`Self::score_batch_into`].
+    /// `scratch`'s reusable matrix, then runs [`Self::score_block_into`].
     ///
     /// # Panics
     /// Panics when any row's length differs from `dim()`.
@@ -459,8 +461,7 @@ impl SubspaceModel {
         out: &mut Vec<f64>,
     ) {
         out.clear();
-        let b = rows.len();
-        if b == 0 {
+        if rows.is_empty() {
             return;
         }
         scratch.batch.clear_rows();
@@ -472,16 +473,29 @@ impl SubspaceModel {
             self.dim(),
             "batch point dimension mismatch"
         );
-        let k = self.k();
+        self.score_block(scratch.batch.as_slice(), kind, &mut scratch.coeffs, out);
+    }
+
+    /// The one batched kernel under the entry points above.
+    fn score_block(
+        &self,
+        rows: &[f64],
+        kind: ScoreKind,
+        coeffs: &mut Vec<f64>,
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
         let d = self.dim();
-        scratch.coeffs.clear();
-        scratch.coeffs.resize(b * k, 0.0);
+        assert_eq!(rows.len() % d, 0, "batch point dimension mismatch");
+        let b = rows.len() / d;
+        let k = self.k();
+        coeffs.clear();
+        coeffs.resize(b * k, 0.0);
         out.reserve(b);
-        for i in 0..b {
-            let y = scratch.batch.row(i);
-            let coeffs = &mut scratch.coeffs[i * k..(i + 1) * k];
-            vecops::row_dots(self.vt.as_slice(), d, d, k, y, coeffs);
-            out.push(self.score_from_coeffs(kind, y, coeffs));
+        for (i, y) in rows.chunks_exact(d).enumerate() {
+            let c = &mut coeffs[i * k..(i + 1) * k];
+            vecops::row_dots(self.vt.as_slice(), d, d, k, y, c);
+            out.push(self.score_from_coeffs(kind, y, c));
         }
     }
 

@@ -247,29 +247,33 @@ impl<D: StreamingDetector> ThresholdedDetector<D> {
         }
     }
 
-    /// Processes a batch of points, appending one [`Alert`] per point to
-    /// `out` (after clearing it). Scores run through the inner detector's
-    /// batched path; the threshold logic is applied to the batch scores in
-    /// arrival order, so the alerts are identical to calling
+    /// Processes a row-major block of points (see
+    /// [`StreamingDetector::process_batch`]), appending one [`Alert`] per
+    /// point to `out` (after clearing it). Scores run through the inner
+    /// detector's batched path; the threshold logic is applied to the batch
+    /// scores in arrival order, so the alerts are identical to calling
     /// [`Self::process`] per point.
-    pub fn process_batch(&mut self, ys: &[Vec<f64>], out: &mut Vec<Alert>) {
+    pub fn process_batch(&mut self, rows: &[f64], out: &mut Vec<Alert>) {
+        let d = self.inner.dim();
+        assert_eq!(rows.len() % d, 0, "a block holds whole rows of dim {d}");
         out.clear();
-        out.reserve(ys.len());
+        out.reserve(rows.len() / d);
         // Per-point until the inner detector warms up: `process` feeds the
         // quantile only for warmed-up scores, and the point that *completes*
         // warmup must still contribute its score — exactly what the
         // per-point path does. Warmup is monotone, so once it holds the
         // batch path below can update the quantile unconditionally.
-        let mut i = 0;
-        while i < ys.len() && !self.inner.is_warmed_up() {
-            out.push(self.process(&ys[i]));
-            i += 1;
+        let mut rest = rows;
+        while !rest.is_empty() && !self.inner.is_warmed_up() {
+            let (y, tail) = rest.split_at(d);
+            out.push(self.process(y));
+            rest = tail;
         }
-        if i == ys.len() {
+        if rest.is_empty() {
             return;
         }
         let mut scores = std::mem::take(&mut self.batch_scores);
-        self.inner.process_batch(&ys[i..], &mut scores);
+        self.inner.process_batch(rest, &mut scores);
         for &score in &scores {
             let calibrated = self.quantile.count() >= self.calibration;
             let threshold = self.quantile.estimate();
@@ -412,7 +416,7 @@ mod tests {
         // Batch boundaries straddle warmup (32) and calibration (100).
         for chunk in [20usize, 30, 75, 275] {
             let end = (i + chunk).min(rows.len());
-            batched.process_batch(&rows[i..end], &mut buf);
+            batched.process_batch(&rows[i..end].concat(), &mut buf);
             got.extend_from_slice(&buf);
             i = end;
         }

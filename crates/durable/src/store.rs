@@ -268,21 +268,22 @@ impl StateStore {
 
     /// Logs a micro-batch ahead of processing as one frame with one
     /// `write`, returning the sequence number of its last row (the current
-    /// sequence when `rows` is empty). All rows must share one non-zero
-    /// width.
-    pub fn append_rows<R: AsRef<[f64]>>(&mut self, rows: &[R]) -> Result<u64, DurableError> {
+    /// sequence when `rows` is empty). `rows` is row-major, `dim` values a
+    /// row (see [`encode_wal_frame`]).
+    pub fn append_rows(&mut self, rows: &[f64], dim: usize) -> Result<u64, DurableError> {
         if rows.is_empty() {
             return Ok(self.seq);
         }
         self.staging.clear();
-        encode_wal_frame(self.seq + 1, rows, &mut self.staging);
+        encode_wal_frame(self.seq + 1, rows, dim, &mut self.staging);
         self.writer.append(&self.staging)?;
-        self.seq += rows.len() as u64;
+        let n = (rows.len() / dim) as u64;
+        self.seq += n;
         match self.fsync {
             FsyncPolicy::Always => self.writer.sync()?,
-            FsyncPolicy::EveryN(n) => {
-                self.unsynced += rows.len() as u64;
-                if self.unsynced >= u64::from(n.max(1)) {
+            FsyncPolicy::EveryN(n_sync) => {
+                self.unsynced += n;
+                if self.unsynced >= u64::from(n_sync.max(1)) {
                     self.writer.sync()?;
                     self.unsynced = 0;
                 }
@@ -295,7 +296,7 @@ impl StateStore {
     /// Logs one row ahead of processing, returning its sequence number: a
     /// batch of one.
     pub fn append_row(&mut self, row: &[f64]) -> Result<u64, DurableError> {
-        self.append_rows(&[row])
+        self.append_rows(row, row.len())
     }
 
     /// Writes a snapshot of `payload` covering every row appended so far,
@@ -579,12 +580,10 @@ mod tests {
     fn one_append_rows_call_lands_as_one_frame() {
         let dir = tmp_dir("one-frame");
         let mut store = StateStore::open(&dir, 0, FsyncPolicy::EveryN(1024)).unwrap();
-        let rows: Vec<Vec<f64>> = (0..256)
-            .map(|i| (0..48).map(|j| (i * 48 + j) as f64).collect())
-            .collect();
-        assert_eq!(store.append_rows(&rows).unwrap(), 256);
+        let rows: Vec<f64> = (0..256 * 48).map(|v| v as f64).collect();
+        assert_eq!(store.append_rows(&rows, 48).unwrap(), 256);
         assert_eq!(
-            store.append_rows(&rows[..0]).unwrap(),
+            store.append_rows(&rows[..0], 48).unwrap(),
             256,
             "empty is a no-op"
         );
@@ -600,7 +599,7 @@ mod tests {
         assert_eq!(got.len(), 256);
         for (i, rec) in got.iter().enumerate() {
             assert_eq!(rec.seq, i as u64 + 1);
-            assert_eq!(rec.row, rows[i]);
+            assert_eq!(rec.row, &rows[i * 48..(i + 1) * 48]);
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -610,11 +609,11 @@ mod tests {
         let dir = tmp_dir("skip");
         let mut store = StateStore::open(&dir, 0, FsyncPolicy::Never).unwrap();
         for gen in 1..=2u64 {
-            let batch: Vec<Vec<f64>> = (1..=4).map(|i| row(4 * (gen - 1) + i)).collect();
-            store.append_rows(&batch).unwrap();
+            let batch: Vec<f64> = (1..=4).flat_map(|i| row(4 * (gen - 1) + i)).collect();
+            store.append_rows(&batch, 3).unwrap();
             store.checkpoint(format!("gen-{gen}").as_bytes()).unwrap();
         }
-        store.append_rows(&[row(9), row(10)]).unwrap();
+        store.append_rows(&[row(9), row(10)].concat(), 3).unwrap();
         drop(store);
 
         // Retention keeps the segment after the older snapshot (rows 5–8)
@@ -657,9 +656,9 @@ mod tests {
     fn corrupt_last_segment_header_is_abandoned_for_the_next_segment() {
         let dir = tmp_dir("bad-header");
         let mut store = StateStore::open(&dir, 0, FsyncPolicy::Never).unwrap();
-        store.append_rows(&[row(1), row(2)]).unwrap();
+        store.append_rows(&[row(1), row(2)].concat(), 3).unwrap();
         store.checkpoint(b"gen-1").unwrap();
-        store.append_rows(&[row(3)]).unwrap();
+        store.append_rows(&row(3), 3).unwrap();
         drop(store);
         let (number, active) = list_segments(&dir).unwrap().pop().unwrap();
         let mut bytes = std::fs::read(&active).unwrap();
@@ -693,13 +692,13 @@ mod tests {
     fn every_truncation_in_the_last_two_frames_recovers_and_resumes() {
         let dir = tmp_dir("crash-points");
         let mut store = StateStore::open(&dir, 0, FsyncPolicy::Never).unwrap();
-        store.append_rows(&[row(1), row(2)]).unwrap();
+        store.append_rows(&[row(1), row(2)].concat(), 3).unwrap();
         store.checkpoint(b"at-2").unwrap();
         let mut ends = Vec::new();
         let mut seq = 2;
         for n in [3u64, 1, 2] {
-            let batch: Vec<Vec<f64>> = (seq + 1..=seq + n).map(row).collect();
-            seq = store.append_rows(&batch).unwrap();
+            let batch: Vec<f64> = (seq + 1..=seq + n).flat_map(row).collect();
+            seq = store.append_rows(&batch, 3).unwrap();
             ends.push((store.writer.len(), seq));
         }
         drop(store);
@@ -729,8 +728,8 @@ mod tests {
 
             let mut store = StateStore::open(&dir, 0, FsyncPolicy::Never).unwrap();
             assert_eq!(store.seq(), kept);
-            let more = [row(kept + 1), row(kept + 2)];
-            assert_eq!(store.append_rows(&more).unwrap(), kept + 2);
+            let more = [row(kept + 1), row(kept + 2)].concat();
+            assert_eq!(store.append_rows(&more, 3).unwrap(), kept + 2);
             drop(store);
             let again = recover(&dir).unwrap();
             assert_eq!(again.stats.torn_tail_bytes, 0, "cut at {cut}");

@@ -101,24 +101,25 @@ pub fn encode_wal_header(header: &WalHeader) -> Vec<u8> {
     bytes
 }
 
-/// Appends to `out` the frames that log `rows` as stream sequences
-/// `first_seq..`: one frame, unless the batch exceeds a frame's 4 GiB body
-/// limit. Reuses `out`'s capacity, so a warm buffer allocates nothing.
+/// Appends to `out` the frames that log the row-major block `rows` (rows
+/// of `dim` values, back to back) as stream sequences `first_seq..`: one
+/// frame, unless the batch exceeds a frame's 4 GiB body limit. Reuses
+/// `out`'s capacity, so a warm buffer allocates nothing.
 ///
 /// # Panics
-/// When `rows` is empty, or its rows are empty or differ in width: a
-/// batch of one detector's points has neither.
-pub fn encode_wal_frame<R: AsRef<[f64]>>(first_seq: u64, rows: &[R], out: &mut Vec<u8>) {
-    let dim = rows.first().map_or(0, |r| r.as_ref().len());
+/// When `dim` is zero, or `rows` is empty or not a whole number of rows:
+/// a batch of one detector's points is none of these.
+pub fn encode_wal_frame(first_seq: u64, rows: &[f64], dim: usize, out: &mut Vec<u8>) {
     assert!(
-        dim > 0 && rows.iter().all(|r| r.as_ref().len() == dim),
+        dim > 0 && !rows.is_empty() && rows.len().is_multiple_of(dim),
         "a WAL frame holds one or more rows of one non-zero width"
     );
     let row_bytes = dim * 8;
     let max_rows = ((u32::MAX as usize - FRAME_BODY_HEADER) / row_bytes).max(1);
-    for (k, batch) in rows.chunks(max_rows).enumerate() {
+    for (k, batch) in rows.chunks(max_rows * dim).enumerate() {
         let seq = first_seq + (k * max_rows) as u64;
-        let body_len = FRAME_BODY_HEADER + batch.len() * row_bytes;
+        let n = batch.len() / dim;
+        let body_len = FRAME_BODY_HEADER + batch.len() * 8;
         let len = u32::try_from(body_len).expect("a WAL row fits a 4 GiB frame");
         let start = out.len();
         out.resize(start + FRAME_OVERHEAD + body_len, 0);
@@ -126,15 +127,10 @@ pub fn encode_wal_frame<R: AsRef<[f64]>>(first_seq: u64, rows: &[R], out: &mut V
         frame[..4].copy_from_slice(&len.to_le_bytes());
         let (body, sum) = frame[4..].split_at_mut(body_len);
         body[..8].copy_from_slice(&seq.to_le_bytes());
-        body[8..12].copy_from_slice(&(batch.len() as u32).to_le_bytes());
+        body[8..12].copy_from_slice(&(n as u32).to_le_bytes());
         body[12..16].copy_from_slice(&(dim as u32).to_le_bytes());
-        for (dst, row) in body[FRAME_BODY_HEADER..]
-            .chunks_exact_mut(row_bytes)
-            .zip(batch)
-        {
-            for (d, v) in dst.chunks_exact_mut(8).zip(row.as_ref()) {
-                d.copy_from_slice(&v.to_le_bytes());
-            }
+        for (d, v) in body[FRAME_BODY_HEADER..].chunks_exact_mut(8).zip(batch) {
+            d.copy_from_slice(&v.to_le_bytes());
         }
         sum.copy_from_slice(&checksum64(body).to_le_bytes());
     }
@@ -143,7 +139,7 @@ pub fn encode_wal_frame<R: AsRef<[f64]>>(first_seq: u64, rows: &[R], out: &mut V
 /// Encodes one record as a one-row frame.
 pub fn encode_wal_record(record: &WalRecord) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_wal_frame(record.seq, std::slice::from_ref(&record.row), &mut out);
+    encode_wal_frame(record.seq, &record.row, record.row.len(), &mut out);
     out
 }
 
@@ -429,11 +425,35 @@ mod tests {
     fn append_frames(w: &mut SegmentWriter, recs: &[WalRecord], per_frame: usize) {
         let mut buf = Vec::new();
         for batch in recs.chunks(per_frame) {
-            let rows: Vec<&[f64]> = batch.iter().map(|r| r.row.as_slice()).collect();
+            let rows: Vec<f64> = batch.iter().flat_map(|r| r.row.iter().copied()).collect();
             buf.clear();
-            encode_wal_frame(batch[0].seq, &rows, &mut buf);
+            encode_wal_frame(batch[0].seq, &rows, batch[0].row.len(), &mut buf);
             w.append(&buf).unwrap();
         }
+    }
+
+    /// Frame bytes pinned by value: the checksums were taken from the
+    /// encoder that took one `Vec<f64>` per row, before frames were encoded
+    /// from one row-major slice. The bytes on disk must not move.
+    #[test]
+    fn flat_encoder_reproduces_golden_frames() {
+        let row = |seq: u64, dim: usize| -> Vec<f64> {
+            (0..dim)
+                .map(|j| seq as f64 * 1.5 - j as f64 / 3.0)
+                .collect()
+        };
+        let three: Vec<f64> = (7..10).flat_map(|seq| row(seq, 5)).collect();
+        let mut frame = Vec::new();
+        encode_wal_frame(7, &three, 5, &mut frame);
+        assert_eq!(frame.len(), 148);
+        assert_eq!(checksum64(&frame), 0x808b_4d1b_4b5c_f9f8);
+        let one = WalRecord {
+            seq: 42,
+            row: row(42, 3),
+        };
+        let frame = encode_wal_record(&one);
+        assert_eq!(frame.len(), 52);
+        assert_eq!(checksum64(&frame), 0x594d_6560_ec30_bd50);
     }
 
     #[test]
@@ -529,7 +549,12 @@ mod tests {
         // Flip a value byte inside the second frame: its whole batch goes,
         // and so does the intact third frame behind it.
         let mut first_frame = Vec::new();
-        encode_wal_frame(1, &[&recs[0].row, &recs[1].row], &mut first_frame);
+        encode_wal_frame(
+            1,
+            &[recs[0].row.as_slice(), &recs[1].row].concat(),
+            2,
+            &mut first_frame,
+        );
         let idx = WAL_HEADER_LEN + first_frame.len() + 4 + FRAME_BODY_HEADER + 3;
         bytes[idx] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
@@ -703,12 +728,12 @@ mod tests {
         let mut valid = Vec::new();
         let mut ends = vec![WAL_HEADER_LEN];
         for (first, n) in [(0usize, 1usize), (1, 2), (3, 3)] {
-            let rows: Vec<&[f64]> = recs[first..first + n]
+            let rows: Vec<f64> = recs[first..first + n]
                 .iter()
-                .map(|r| r.row.as_slice())
+                .flat_map(|r| r.row.iter().copied())
                 .collect();
             valid.clear();
-            encode_wal_frame(recs[first].seq, &rows, &mut valid);
+            encode_wal_frame(recs[first].seq, &rows, 3, &mut valid);
             w.append(&valid).unwrap();
             ends.push(w.len() as usize);
         }

@@ -97,7 +97,9 @@ fn gram_noise_floor(r: usize) -> f64 {
 /// alone — a reused workspace and a fresh one give identical results. Owners
 /// (the frequent-directions sketch, the detector's refresh) keep one so the
 /// kernel allocates nothing once the buffers have reached their shape.
-#[derive(Debug, Clone, Default)]
+/// Constructing one fixes the kernels' dispatch tier
+/// ([`vecops::resolve_tier`]).
+#[derive(Debug, Clone)]
 pub struct Workspace {
     /// Gram matrix of the (scaled) input; the eigensolver leaves its
     /// Householder reflectors, or every eigenvector, here.
@@ -114,6 +116,20 @@ pub struct Workspace {
     scaled: Vec<f64>,
     /// Bytes of the buffers above at the largest shape they have held.
     high_water: usize,
+}
+
+impl Default for Workspace {
+    fn default() -> Self {
+        vecops::resolve_tier();
+        Self {
+            z: Vec::new(),
+            eig: EigenScratch::default(),
+            sigma_sq: Vec::new(),
+            vt: Vec::new(),
+            scaled: Vec::new(),
+            high_water: 0,
+        }
+    }
 }
 
 impl Workspace {

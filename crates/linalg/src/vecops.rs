@@ -46,8 +46,10 @@ const MIN_SIMD_LEN: usize = 8;
 /// Setting `SKETCHAD_FORCE_SCALAR=1` in the environment pins tier 0
 /// regardless of CPU capabilities. CI uses this to run the whole test suite
 /// down the scalar path on hardware whose feature detection would otherwise
-/// always pick the `unsafe` SIMD kernels; it is read once, at the first
-/// kernel call.
+/// always pick the `unsafe` SIMD kernels. It is read once, by the first
+/// sketch or [`Workspace`](crate::svd::Workspace) constructor (see
+/// [`resolve_tier`]) or kernel call, whichever comes first, and the tier is
+/// fixed from then on.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn simd_level() -> u8 {
@@ -82,6 +84,17 @@ fn parse_force_scalar(value: Option<&str>) -> bool {
 #[inline]
 fn simd_enabled() -> bool {
     simd_level() >= 1
+}
+
+/// Resolves and caches the dispatch tier now, at a point where allocating
+/// is allowed. Reading `SKETCHAD_FORCE_SCALAR` copies the variable's value
+/// onto the heap, so the sketch and [`Workspace`](crate::svd::Workspace)
+/// constructors call this: the first kernel call on a hot path then finds
+/// the tier cached and allocates nothing. From the first constructor on,
+/// the tier is fixed; setting the variable later changes nothing.
+pub fn resolve_tier() {
+    #[cfg(target_arch = "x86_64")]
+    simd_level();
 }
 
 /// The dispatch tier the kernels in this module are actually using, as a

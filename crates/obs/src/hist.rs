@@ -134,11 +134,19 @@ impl LogHistogram {
 
     /// Records one observation of `nanos` nanoseconds.
     pub fn record_ns(&mut self, nanos: u64) {
-        self.total += 1;
-        self.sum_ns = self.sum_ns.saturating_add(nanos);
+        self.record_n(nanos, 1);
+    }
+
+    /// Records `n` observations of `nanos` nanoseconds each: one bucket
+    /// lookup, and a histogram bit-identical to `n` calls of
+    /// [`record_ns`](Self::record_ns) (the saturating sum saturates at the
+    /// same point either way).
+    pub fn record_n(&mut self, nanos: u64, n: u64) {
+        self.total += n;
+        self.sum_ns = self.sum_ns.saturating_add(nanos.saturating_mul(n));
         match self.bucket_index(nanos) {
-            Some(i) => self.counts[i] += 1,
-            None => self.overflow += 1,
+            Some(i) => self.counts[i] += n,
+            None => self.overflow += n,
         }
     }
 
@@ -240,6 +248,31 @@ impl LogHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn record_n_is_bit_identical_to_repeated_records() {
+        // Linear region, sub-buckets, overflow, and a sum that saturates.
+        let cases = [
+            (1u64, 3u64),
+            (63, 1),
+            (1_500, 512),
+            (1 << 50, 7),
+            (u64::MAX / 3, 5),
+        ];
+        let mut batched = LogHistogram::new();
+        let mut single = LogHistogram::new();
+        for (nanos, n) in cases {
+            batched.record_n(nanos, n);
+            for _ in 0..n {
+                single.record_ns(nanos);
+            }
+            assert_eq!(batched, single, "after {n} × {nanos} ns");
+        }
+        assert_eq!(batched.mean_ns(), single.mean_ns());
+        assert!(batched.overflow() > 0);
+        batched.record_n(9, 0);
+        assert_eq!(batched, single, "n = 0 records nothing");
+    }
 
     #[test]
     fn linear_region_is_exact() {

@@ -260,8 +260,12 @@ impl Recorder for MetricsRecorder {
     }
 
     fn record_hist(&self, hist: Hist, nanos: u64) {
+        self.record_hist_n(hist, nanos, 1);
+    }
+
+    fn record_hist_n(&self, hist: Hist, nanos: u64, n: u64) {
         let mut inner = self.inner.lock().expect("obs recorder poisoned");
-        inner.hists[hist_index(hist)].record_ns(nanos);
+        inner.hists[hist_index(hist)].record_n(nanos, n);
     }
 }
 

@@ -192,6 +192,15 @@ pub trait Recorder: Send + Sync {
     fn record_hist(&self, hist: Hist, nanos: u64) {
         let _ = (hist, nanos);
     }
+
+    /// Records `n` observations of `nanos` each into the `hist`
+    /// distribution; the same as `n` calls of
+    /// [`record_hist`](Self::record_hist).
+    fn record_hist_n(&self, hist: Hist, nanos: u64, n: u64) {
+        for _ in 0..n {
+            self.record_hist(hist, nanos);
+        }
+    }
 }
 
 /// The always-disabled recorder; the default everywhere.
@@ -264,6 +273,12 @@ impl RecorderHandle {
     /// Records one `nanos` observation into the `hist` distribution.
     pub fn record_hist(&self, hist: Hist, nanos: u64) {
         self.0.record_hist(hist, nanos);
+    }
+
+    /// Records `n` observations of `nanos` each into the `hist`
+    /// distribution.
+    pub fn record_hist_n(&self, hist: Hist, nanos: u64, n: u64) {
+        self.0.record_hist_n(hist, nanos, n);
     }
 
     /// Runs `f`, timing it as one `stage` span when enabled. When disabled

@@ -50,9 +50,9 @@ pub struct ServeConfig {
     /// processed points (and once more on shutdown). `0` disables periodic
     /// publication (shutdown still publishes).
     pub snapshot_every: u64,
-    /// Upper bound on the shard worker's micro-batch: after blocking for one
-    /// job, the worker opportunistically drains up to `max_batch − 1` more
-    /// already-queued jobs and scores them through the detector's batched
+    /// Upper bound on the shard worker's micro-batch: after waiting for one
+    /// row, the worker pops up to `max_batch` already-queued rows as one
+    /// contiguous block and scores them through the detector's batched
     /// path (one blocked `V_kᵀY` matmul per batch). Scores are bitwise
     /// identical to per-point processing; `1` is a micro-batch of one.
     /// Must be ≥ 1.

@@ -5,14 +5,13 @@ use crate::error::{panic_message, ServeError};
 use crate::quarantine::Quarantine;
 use crate::queue::JobQueue;
 use crate::ring::{DeathWatch, ShardChannel, SpscRing};
-use crate::shard::{run_supervised, Job, ShardShared, WorkerConfig};
+use crate::shard::{run_supervised, ShardShared, WorkerConfig};
 use crate::snapshot::SnapshotScorer;
 use crate::stats::{LatencyHistogram, PipelineStats, ShardStats};
 use crate::telemetry::{EngineProbe, TelemetryConfig, TelemetryHandle};
 use sketchad_core::{validate_point, InputViolation, ScoreKind, StreamingDetector, SubspaceModel};
 use sketchad_durable::{self as durable, StateStore};
 use sketchad_obs::{Counter, Event, MetricsRecorder, ObsReport, Recorder, RecorderHandle, Sampler};
-use std::collections::VecDeque;
 use std::sync::atomic::{
     AtomicU64,
     Ordering::{Relaxed, Release},
@@ -159,6 +158,10 @@ pub struct ServeEngine {
     /// (Self::start_telemetry) is active; stopped by `finish` after the
     /// workers join so the final frame records the quiesced state.
     telemetry: Option<Sampler>,
+    /// One staging area per producer lane (as many as shards, the lane
+    /// cap), reused across submit calls so staging allocates per call at
+    /// most, never per row.
+    staging: Vec<Staged>,
 }
 
 impl ServeEngine {
@@ -300,10 +303,10 @@ impl ServeEngine {
             // shared access to the buffer, which only the queue allows.
             let channel = Arc::new(match config.backpressure {
                 BackpressurePolicy::ShedOldest => {
-                    ShardChannel::Queue(JobQueue::new(config.queue_capacity))
+                    ShardChannel::Queue(JobQueue::new(config.queue_capacity, d))
                 }
                 BackpressurePolicy::Block | BackpressurePolicy::DropNewest => {
-                    ShardChannel::Ring(SpscRing::new(config.queue_capacity))
+                    ShardChannel::Ring(SpscRing::new(config.queue_capacity, d))
                 }
             });
             let shared = Arc::new(ShardShared::default());
@@ -416,9 +419,11 @@ impl ServeEngine {
                 obs,
             });
         }
+        let dim = dim.expect("validated shards >= 1");
         Ok(Self {
+            staging: (0..shards.len()).map(|_| Staged::new(dim)).collect(),
             shards,
-            dim: dim.expect("validated shards >= 1"),
+            dim,
             submitted: Arc::new(AtomicU64::new(0)),
             in_flight: Arc::new(AtomicU64::new(0)),
             backpressure: config.backpressure,
@@ -673,16 +678,19 @@ impl ServeEngine {
             backpressure: self.backpressure,
             enqueued,
         };
+        let staging = &mut self.staging[..lanes];
         let reports: Vec<LaneReport> = if lanes == 1 {
-            vec![run_lane(&lane_input, 0, 1)]
+            vec![run_lane(&lane_input, 0, 1, &mut staging[0])]
         } else {
             let input = &lane_input;
             std::thread::scope(|s| {
-                let joins: Vec<_> = (0..lanes)
-                    .map(|lane| {
+                let joins: Vec<_> = staging
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(lane, staged)| {
                         std::thread::Builder::new()
                             .name(format!("sketchad-lane-{lane}"))
-                            .spawn_scoped(s, move || run_lane(input, lane, lanes))
+                            .spawn_scoped(s, move || run_lane(input, lane, lanes, staged))
                             .expect("spawn producer lane")
                     })
                     .collect();
@@ -956,58 +964,76 @@ struct LaneReport {
     dead: Vec<usize>,
 }
 
-/// One producer lane: stages and flushes every row whose shard the lane
-/// owns (`shard % lanes == lane`).
+/// A producer lane's staging area: the accepted rows bound for the shard
+/// being staged, flat and row-major, with their sequence numbers. Cleared
+/// per shard, never shrunk.
+struct Staged {
+    dim: usize,
+    values: Vec<f64>,
+    seqs: Vec<u64>,
+}
+
+impl Staged {
+    fn new(dim: usize) -> Self {
+        Self {
+            dim,
+            values: Vec::new(),
+            seqs: Vec::new(),
+        }
+    }
+
+    /// The staged rows from the `from`-th on, and their sequence numbers.
+    fn rest(&self, from: usize) -> (&[f64], &[u64]) {
+        (&self.values[from * self.dim..], &self.seqs[from..])
+    }
+}
+
+/// One producer lane: stages and flushes, shard by shard, every row whose
+/// shard the lane owns (`shard % lanes == lane`).
 ///
 /// Determinism: which rows a shard receives, and in which order, depends
 /// only on `(base, shards, validation, shedding)` — all identical across
 /// lane counts — never on how lanes interleave.
-fn run_lane(input: &LaneInput<'_>, lane: usize, lanes: usize) -> LaneReport {
+fn run_lane(input: &LaneInput<'_>, lane: usize, lanes: usize, staged: &mut Staged) -> LaneReport {
     let n_shards = input.shards.len();
     let mut report = LaneReport {
         outcome: BatchOutcome::default(),
         quarantined: Vec::new(),
         dead: Vec::new(),
     };
-    let mut staged: Vec<VecDeque<Job>> = (0..n_shards).map(|_| VecDeque::new()).collect();
-    if lanes == 1 {
-        for j in 0..input.rows.len() {
-            let round_robin = ((input.base + j as u64) % n_shards as u64) as usize;
-            let shard = input.route.unwrap_or(round_robin);
-            lane_stage_row(input, j, shard, &mut staged, &mut report);
-        }
-    } else {
+    for shard in (lane..n_shards).step_by(lanes) {
         // A shard's sequences stride the batch with period `n_shards`, so
-        // the lane can jump straight to its own rows instead of
-        // filter-walking the whole slice: per owned shard, start at the
-        // first in-batch sequence routed to it and step by `n_shards`.
-        // Per-shard visit order is still ascending-seq — the determinism
-        // contract cares only about that, not about interleaving across
-        // shards (quarantine entries are re-sorted after the join).
-        for shard in (lane..n_shards).step_by(lanes) {
-            let offset =
-                (shard as u64 + n_shards as u64 - input.base % n_shards as u64) % n_shards as u64;
-            let mut j = offset as usize;
-            while j < input.rows.len() {
-                lane_stage_row(input, j, shard, &mut staged, &mut report);
-                j += n_shards;
+        // the lane jumps straight to its rows: from the first in-batch
+        // sequence routed to the shard, step by `n_shards`. A pinned route
+        // sends every row to its one shard.
+        let (first, step) = match input.route {
+            Some(route) if route != shard => continue,
+            Some(_) => (0, 1),
+            None => {
+                let n = n_shards as u64;
+                (((shard as u64 + n - input.base % n) % n) as usize, n_shards)
             }
+        };
+        staged.values.clear();
+        staged.seqs.clear();
+        for j in (first..input.rows.len()).step_by(step) {
+            lane_stage_row(input, j, shard, staged, &mut report);
         }
-    }
-    for (shard, group) in staged.iter_mut().enumerate() {
-        if group.is_empty() {
+        if staged.seqs.is_empty() {
             continue;
         }
         let handle = &input.shards[shard];
         // One depth reservation per shard per batch, before the flush: the
-        // worker may drain (and decrement) the moment a job lands.
-        handle.shared.reserve_slots(group.len());
+        // worker may drain (and decrement) the moment a row lands.
+        handle.shared.reserve_slots(staged.seqs.len());
         let flushed = match input.backpressure {
-            BackpressurePolicy::Block => lane_flush_blocking(handle, shard, group),
+            BackpressurePolicy::Block => lane_flush_blocking(handle, shard, staged, input.enqueued),
             BackpressurePolicy::DropNewest => {
-                lane_flush_drop_newest(handle, shard, group, &mut report.outcome)
+                lane_flush_drop_newest(handle, shard, staged, input.enqueued, &mut report.outcome)
             }
-            BackpressurePolicy::ShedOldest => lane_flush_shed_oldest(handle, shard, group),
+            BackpressurePolicy::ShedOldest => {
+                lane_flush_shed_oldest(handle, shard, staged, input.enqueued)
+            }
         };
         if flushed.is_err() {
             report.dead.push(shard);
@@ -1016,12 +1042,12 @@ fn run_lane(input: &LaneInput<'_>, lane: usize, lanes: usize) -> LaneReport {
     report
 }
 
-/// Validates, sheds, or stages row `j` of the batch onto `shard`'s group.
+/// Validates, sheds, or stages row `j` of the batch for `shard`.
 fn lane_stage_row(
     input: &LaneInput<'_>,
     j: usize,
     shard: usize,
-    staged: &mut [VecDeque<Job>],
+    staged: &mut Staged,
     report: &mut LaneReport,
 ) {
     let seq = input.base + j as u64;
@@ -1051,115 +1077,109 @@ fn lane_stage_row(
         report.outcome.shed += 1;
         return;
     }
-    staged[shard].push_back(Job {
-        seq,
-        point: row.clone(),
-        enqueued: input.enqueued,
-    });
+    staged.values.extend_from_slice(row);
+    staged.seqs.push(seq);
     report.outcome.accepted += 1;
 }
 
-/// Flushes one shard's staged group under `Block`: retry batch pushes,
+/// Flushes one shard's staged rows under `Block`: retry batch pushes,
 /// yielding while the channel is full, until everything is in. `Err` means
 /// the worker thread is dead (reservations already rolled back).
 fn lane_flush_blocking(
     handle: &ShardHandle,
     shard: usize,
-    staged: &mut VecDeque<Job>,
+    staged: &Staged,
+    enqueued: Instant,
 ) -> Result<(), ()> {
     let mut blocked_recorded = false;
-    loop {
-        match handle.channel.try_push_batch(staged) {
-            Ok(_) if staged.is_empty() => return Ok(()),
-            Ok(pushed) => {
-                if pushed == 0 {
-                    if !blocked_recorded && handle.obs.enabled() {
-                        blocked_recorded = true;
-                        handle.obs.incr(Counter::QueueBlocked, 1);
-                        handle.obs.event(Event::QueueBlocked {
-                            shard,
-                            seq: staged.front().expect("non-empty").seq,
-                        });
-                    }
-                    std::thread::yield_now();
+    let mut pushed = 0;
+    while pushed < staged.seqs.len() {
+        let (rows, seqs) = staged.rest(pushed);
+        match handle.channel.try_push_batch(rows, seqs, enqueued) {
+            Ok(0) => {
+                if !blocked_recorded && handle.obs.enabled() {
+                    blocked_recorded = true;
+                    handle.obs.incr(Counter::QueueBlocked, 1);
+                    handle.obs.event(Event::QueueBlocked {
+                        shard,
+                        seq: seqs[0],
+                    });
                 }
+                std::thread::yield_now();
             }
-            Err(()) => return abort_lane_flush(handle, staged),
+            Ok(n) => pushed += n,
+            Err(()) => return abort_lane_flush(handle, seqs.len()),
         }
     }
+    Ok(())
 }
 
-/// Flushes one shard's staged group under `DropNewest`: one batch push,
+/// Flushes one shard's staged rows under `DropNewest`: one batch push,
 /// everything that did not fit is dropped with exact counts.
 fn lane_flush_drop_newest(
     handle: &ShardHandle,
     shard: usize,
-    staged: &mut VecDeque<Job>,
+    staged: &Staged,
+    enqueued: Instant,
     outcome: &mut BatchOutcome,
 ) -> Result<(), ()> {
-    match handle.channel.try_push_batch(staged) {
-        Ok(_) => {
-            for job in staged.drain(..) {
-                handle.shared.release_slot();
-                handle.shared.dropped.fetch_add(1, Relaxed);
-                if handle.obs.enabled() {
-                    handle.obs.incr(Counter::QueueDropped, 1);
-                    handle.obs.event(Event::QueueDropped {
-                        shard,
-                        seq: job.seq,
-                    });
-                }
-                outcome.accepted -= 1;
-                outcome.dropped += 1;
-            }
-            Ok(())
+    let (rows, seqs) = staged.rest(0);
+    let pushed = match handle.channel.try_push_batch(rows, seqs, enqueued) {
+        Ok(pushed) => pushed,
+        Err(()) => return abort_lane_flush(handle, seqs.len()),
+    };
+    let dropped = &seqs[pushed..];
+    handle.shared.release_slots(dropped.len());
+    handle
+        .shared
+        .dropped
+        .fetch_add(dropped.len() as u64, Relaxed);
+    if handle.obs.enabled() {
+        for &seq in dropped {
+            handle.obs.incr(Counter::QueueDropped, 1);
+            handle.obs.event(Event::QueueDropped { shard, seq });
         }
-        Err(()) => abort_lane_flush(handle, staged),
     }
+    outcome.accepted -= dropped.len() as u64;
+    outcome.dropped += dropped.len() as u64;
+    Ok(())
 }
 
-/// Flushes one shard's staged group under `ShedOldest` (always the queue
-/// channel): per-job pushes, evictions counted as shed.
+/// Flushes one shard's staged rows under `ShedOldest` (always the queue
+/// channel): one push of the whole group, evictions counted as shed.
 fn lane_flush_shed_oldest(
     handle: &ShardHandle,
     shard: usize,
-    staged: &mut VecDeque<Job>,
+    staged: &Staged,
+    enqueued: Instant,
 ) -> Result<(), ()> {
-    while let Some(job) = staged.pop_front() {
-        match handle.channel.push_shed_oldest(job) {
-            Ok(None) => {}
-            Ok(Some(evicted)) => {
-                // The new point took the evicted one's slot.
-                handle.shared.release_slot();
-                handle.shared.shed.fetch_add(1, Relaxed);
-                if handle.obs.enabled() {
-                    handle.obs.incr(Counter::PointsShed, 1);
-                    handle.obs.event(Event::QueueShed {
-                        shard,
-                        seq: evicted.seq,
-                    });
-                }
-            }
-            Err(()) => {
-                // The in-hand job was already popped from `staged`; roll
-                // its reservation back separately.
-                handle.shared.release_slot();
-                return abort_lane_flush(handle, staged);
-            }
+    let (rows, seqs) = staged.rest(0);
+    let mut evicted = Vec::new();
+    if handle
+        .channel
+        .push_shed_oldest(rows, seqs, enqueued, &mut evicted)
+        .is_err()
+    {
+        return abort_lane_flush(handle, seqs.len());
+    }
+    // Each new row took an evicted one's slot.
+    handle.shared.release_slots(evicted.len());
+    handle.shared.shed.fetch_add(evicted.len() as u64, Relaxed);
+    if handle.obs.enabled() {
+        for seq in evicted {
+            handle.obs.incr(Counter::PointsShed, 1);
+            handle.obs.event(Event::QueueShed { shard, seq });
         }
     }
     Ok(())
 }
 
 /// A dead worker thread surfaced mid-flush: roll back the depth
-/// reservations for everything unflushed and return the flush's `Err`.
-/// The caller reports the shard so the engine can join (harvest) the dead
+/// reservations of the `unflushed` rows and return the flush's `Err`. The
+/// caller reports the shard so the engine can join (harvest) the dead
 /// worker once the lanes are back.
-fn abort_lane_flush(handle: &ShardHandle, staged: &mut VecDeque<Job>) -> Result<(), ()> {
-    for _ in 0..staged.len() {
-        handle.shared.release_slot();
-    }
-    staged.clear();
+fn abort_lane_flush(handle: &ShardHandle, unflushed: usize) -> Result<(), ()> {
+    handle.shared.release_slots(unflushed);
     Err(())
 }
 

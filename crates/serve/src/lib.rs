@@ -54,11 +54,11 @@
 //!   plus the off-thread model refresher
 //!   ([`ServeConfig::with_async_refresh`]).
 //! * `ring` *(private)* — the lock-free SPSC ingest ring (the channel under
-//!   `Block` / `DropNewest`; seqlock-style per-slot counters, batch
-//!   push/pop). The one module in this crate allowed to use `unsafe`; its
-//!   memory-ordering contract is documented in the module and exercised
-//!   under ASan in CI.
-//! * `queue` *(private)* — the bounded condvar job queue, the channel under
+//!   `Block` / `DropNewest`; seqlock-style per-slot counters, a flat row
+//!   arena, batch push/pop). The one module in this crate allowed to use
+//!   `unsafe`; its memory-ordering contract is documented in the module and
+//!   exercised under ASan in CI.
+//! * `queue` *(private)* — the bounded condvar row queue, the channel under
 //!   `ShedOldest` (sender-side eviction).
 //! * [`quarantine`] — [`Quarantine`] / [`QuarantinedRow`] for refused input.
 //! * [`snapshot`] — [`SnapshotCell`] / [`SnapshotScorer`] read path.

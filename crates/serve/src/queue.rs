@@ -1,49 +1,65 @@
-//! The bounded job queue between the submit path and a shard worker under
+//! The bounded row queue between the submit path and a shard worker under
 //! `ShedOldest` backpressure.
 //!
 //! `std::sync::mpsc` almost fits, but two fault-tolerance requirements rule
-//! it out: `ShedOldest` must evict the *oldest queued* job from the sender
-//! side, and jobs already queued must survive a worker panic so the
+//! it out: `ShedOldest` must evict the *oldest queued* row from the sender
+//! side, and rows already queued must survive a worker panic so the
 //! restarted worker can take over the backlog (an mpsc `Receiver` dies with
 //! the thread that owns it). This is the classic bounded buffer instead —
 //! one mutex, one condvar (the producer never waits: a full queue evicts) —
 //! with explicit lifecycle flags:
 //!
 //! * `closed` — set by the engine at shutdown; the worker drains what is
-//!   queued and then sees `None` from [`JobQueue::pop_block`].
+//!   queued and then sees `false` from [`JobQueue::wait`].
 //! * `dead` — set by the worker thread's [`DeathWatch`] guard if the
 //!   supervisor itself dies (it should never: every detector panic is
 //!   caught and handled). A dead queue refuses pushes instead of growing a
 //!   backlog nobody will ever drain.
+//!
+//! Rows are stored flat, like the ring's arena: `dim` values a row in one
+//! buffer, their `(seq, enqueued)` in another. A push copies a whole staged
+//! group in under one lock, and a pop copies up to `max` rows out into the
+//! worker's [`RowBlock`] under one lock (the ring lends its rows in place
+//! instead; a queue shared with evicting producers cannot).
+//!
+//! [`DeathWatch`]: crate::ring::DeathWatch
 
-use crate::shard::Job;
+use crate::ring::RowBlock;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
 #[derive(Debug)]
 struct Inner {
-    jobs: VecDeque<Job>,
+    /// Queued rows back to back, oldest first: `meta.len() × dim` values.
+    values: VecDeque<f64>,
+    /// Sequence number and enqueue stamp of each queued row, oldest first.
+    meta: VecDeque<(u64, Instant)>,
     closed: bool,
     dead: bool,
 }
 
-/// Bounded MPSC job queue with sender-side eviction; see the module docs.
+/// Bounded MPSC row queue with sender-side eviction; see the module docs.
 #[derive(Debug)]
 pub(crate) struct JobQueue {
     inner: Mutex<Inner>,
     capacity: usize,
+    dim: usize,
     not_empty: Condvar,
 }
 
 impl JobQueue {
-    pub(crate) fn new(capacity: usize) -> Self {
+    /// A queue of at most `capacity` rows of `dim` values.
+    pub(crate) fn new(capacity: usize, dim: usize) -> Self {
         Self {
             inner: Mutex::new(Inner {
-                jobs: VecDeque::with_capacity(capacity.min(1024)),
+                values: VecDeque::new(),
+                meta: VecDeque::new(),
                 closed: false,
                 dead: false,
             }),
             capacity,
+            dim,
             not_empty: Condvar::new(),
         }
     }
@@ -54,36 +70,48 @@ impl JobQueue {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Always-admitting push (`ShedOldest` backpressure): when full, the
-    /// oldest queued job is evicted and returned so the caller can account
-    /// for it. `Err` on a dead or closed queue: enqueuing would be a silent
-    /// loss.
-    pub(crate) fn push_shed_oldest(&self, job: Job) -> Result<Option<Job>, ()> {
+    /// Always-admitting push (`ShedOldest` backpressure) of every row of
+    /// `rows` (row-major, one row per entry of `seqs`), all stamped
+    /// `enqueued`: while full, the oldest queued row is evicted and its
+    /// sequence number appended to `evicted` so the caller can account for
+    /// it. `Err` on a dead or closed queue, with nothing pushed: enqueuing
+    /// would be a silent loss.
+    pub(crate) fn push_shed_oldest(
+        &self,
+        rows: &[f64],
+        seqs: &[u64],
+        enqueued: Instant,
+        evicted: &mut Vec<u64>,
+    ) -> Result<(), ()> {
+        let dim = self.dim;
         let mut inner = self.lock();
         if inner.dead || inner.closed {
             return Err(());
         }
-        let evicted = if inner.jobs.len() >= self.capacity {
-            inner.jobs.pop_front()
-        } else {
-            None
-        };
-        inner.jobs.push_back(job);
+        for (i, &seq) in seqs.iter().enumerate() {
+            if inner.meta.len() >= self.capacity {
+                let (old, _) = inner.meta.pop_front().expect("a full queue is non-empty");
+                inner.values.drain(..dim);
+                evicted.push(old);
+            }
+            inner.values.extend(&rows[i * dim..(i + 1) * dim]);
+            inner.meta.push_back((seq, enqueued));
+        }
         drop(inner);
         self.not_empty.notify_one();
-        Ok(evicted)
+        Ok(())
     }
 
-    /// Blocks for the next job; `None` once the queue is closed *and*
-    /// drained (the graceful-shutdown signal).
-    pub(crate) fn pop_block(&self) -> Option<Job> {
+    /// Blocks until a row is queued (`true`), or the queue is closed *and*
+    /// drained (`false`, the graceful-shutdown signal).
+    pub(crate) fn wait(&self) -> bool {
         let mut inner = self.lock();
         loop {
-            if let Some(job) = inner.jobs.pop_front() {
-                return Some(job);
+            if !inner.meta.is_empty() {
+                return true;
             }
             if inner.closed {
-                return None;
+                return false;
             }
             inner = self
                 .not_empty
@@ -92,26 +120,23 @@ impl JobQueue {
         }
     }
 
-    /// Non-blocking pop; production drains go through
-    /// [`pop_batch`](Self::pop_batch) instead.
-    #[cfg(test)]
-    pub(crate) fn try_pop(&self) -> Option<Job> {
-        self.lock().jobs.pop_front()
-    }
-
-    /// Current queue length.
+    /// Current queue length in rows.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.lock().jobs.len()
+        self.lock().meta.len()
     }
 
-    /// Non-blocking pop of up to `max` jobs under one lock acquisition,
+    /// Non-blocking pop of up to `max` rows under one lock acquisition,
     /// appended to `out`; the queue-channel counterpart of the ring's batch
     /// pop.
-    pub(crate) fn pop_batch(&self, out: &mut Vec<Job>, max: usize) -> usize {
+    pub(crate) fn pop_batch(&self, out: &mut RowBlock, max: usize) -> usize {
         let mut inner = self.lock();
-        let n = max.min(inner.jobs.len());
-        out.extend(inner.jobs.drain(..n));
+        let n = max.min(inner.meta.len());
+        out.values.extend(inner.values.drain(..n * self.dim));
+        for (seq, enqueued) in inner.meta.drain(..n) {
+            out.seqs.push(seq);
+            out.stamps.push(enqueued);
+        }
         n
     }
 
@@ -136,59 +161,74 @@ impl JobQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
 
-    fn job(seq: u64) -> Job {
-        Job {
-            seq,
-            point: vec![seq as f64],
-            enqueued: Instant::now(),
+    const DIM: usize = 2;
+
+    fn row_of(seq: u64) -> [f64; DIM] {
+        [seq as f64, -(seq as f64) - 0.5]
+    }
+
+    fn push(q: &JobQueue, seqs: &[u64]) -> Result<Vec<u64>, ()> {
+        let rows: Vec<f64> = seqs.iter().flat_map(|&s| row_of(s)).collect();
+        let mut evicted = Vec::new();
+        q.push_shed_oldest(&rows, seqs, Instant::now(), &mut evicted)?;
+        Ok(evicted)
+    }
+
+    /// Pops up to `max` rows, checking each against its sequence number.
+    fn pop(q: &JobQueue, max: usize) -> Vec<u64> {
+        let mut block = RowBlock::default();
+        q.pop_batch(&mut block, max);
+        for (row, &seq) in block.values.chunks_exact(DIM).zip(&block.seqs) {
+            assert_eq!(row, row_of(seq), "row of seq {seq} damaged");
         }
+        block.seqs
     }
 
     #[test]
     fn fifo_order_and_close_drain() {
-        let q = JobQueue::new(4);
-        for s in 0..3 {
-            q.push_shed_oldest(job(s)).unwrap();
-        }
+        let q = JobQueue::new(4, DIM);
+        assert_eq!(push(&q, &[0, 1, 2]), Ok(vec![]));
         q.close();
-        assert_eq!(q.pop_block().unwrap().seq, 0);
-        assert_eq!(q.pop_block().unwrap().seq, 1);
-        assert_eq!(q.pop_block().unwrap().seq, 2);
-        assert!(q.pop_block().is_none(), "closed and drained");
+        for s in 0..3 {
+            assert!(q.wait());
+            assert_eq!(pop(&q, 1), vec![s]);
+        }
+        assert!(!q.wait(), "closed and drained");
     }
 
     #[test]
     fn shed_oldest_evicts_front() {
-        let q = JobQueue::new(2);
-        assert!(q.push_shed_oldest(job(0)).unwrap().is_none());
-        assert!(q.push_shed_oldest(job(1)).unwrap().is_none());
-        let evicted = q.push_shed_oldest(job(2)).unwrap().unwrap();
-        assert_eq!(evicted.seq, 0, "oldest job is the one shed");
+        let q = JobQueue::new(2, DIM);
+        assert_eq!(push(&q, &[0, 1]), Ok(vec![]));
+        assert_eq!(push(&q, &[2]), Ok(vec![0]), "oldest row is the one shed");
         assert_eq!(q.len(), 2);
-        assert_eq!(q.try_pop().unwrap().seq, 1);
-        assert_eq!(q.try_pop().unwrap().seq, 2);
+        assert_eq!(pop(&q, 1), vec![1]);
+        assert_eq!(
+            push(&q, &[3, 4, 5]),
+            Ok(vec![2, 3]),
+            "a group evicts in order"
+        );
+        assert_eq!(pop(&q, 8), vec![4, 5]);
     }
 
     #[test]
     fn dead_queue_refuses_pushes() {
-        let q = JobQueue::new(1);
-        q.push_shed_oldest(job(0)).unwrap();
+        let q = JobQueue::new(1, DIM);
+        push(&q, &[0]).unwrap();
         q.mark_dead();
-        assert!(q.push_shed_oldest(job(1)).is_err());
+        assert!(push(&q, &[1]).is_err());
         assert_eq!(q.len(), 1, "a refused push evicts nothing");
     }
 
     #[test]
     fn queued_jobs_survive_for_a_new_consumer() {
-        // The restart story: jobs enqueued before a worker panic are still
+        // The restart story: rows enqueued before a worker panic are still
         // there for whoever picks the queue back up.
-        let q = JobQueue::new(8);
-        q.push_shed_oldest(job(7)).unwrap();
-        q.push_shed_oldest(job(8)).unwrap();
+        let q = JobQueue::new(8, DIM);
+        push(&q, &[7, 8]).unwrap();
         // (No consumer existed yet; a restarted one simply pops.)
-        assert_eq!(q.pop_block().unwrap().seq, 7);
-        assert_eq!(q.pop_block().unwrap().seq, 8);
+        assert!(q.wait());
+        assert_eq!(pop(&q, 8), vec![7, 8]);
     }
 }

@@ -22,7 +22,7 @@
 //! refresher (and any in-flight task) is discarded and respawned when a
 //! panic replaces the detector, and joined at drain end.
 
-use crate::ring::ShardChannel;
+use crate::ring::{RowBlock, ShardChannel};
 use crate::snapshot::SnapshotCell;
 use crate::stats::LatencyHistogram;
 use sketchad_core::{RefreshTask, StreamingDetector, SubspaceModel};
@@ -33,14 +33,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// One unit of work: a point plus its global submission sequence number.
-#[derive(Debug)]
-pub(crate) struct Job {
-    pub seq: u64,
-    pub point: Vec<f64>,
-    pub enqueued: Instant,
-}
 
 /// State shared between the submitting side and a shard's worker thread.
 /// All counters are monotone and read with relaxed ordering — they are
@@ -80,7 +72,7 @@ pub(crate) struct ShardShared {
 impl ShardShared {
     /// Reserves `n` queue slots in the depth accounting: one depth bump and
     /// one high-water update for a whole staged group. Called **before**
-    /// the actual enqueue — the worker may drain a job (and decrement) at
+    /// the actual enqueue — the worker may drain a row (and decrement) at
     /// any moment after the send, so incrementing afterwards could
     /// underflow.
     pub(crate) fn reserve_slots(&self, n: usize) {
@@ -88,10 +80,10 @@ impl ShardShared {
         self.high_water.fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// Rolls back a reservation whose enqueue did not happen (full queue or
-    /// dead worker) or whose job left the queue unprocessed (eviction).
-    pub(crate) fn release_slot(&self) {
-        self.depth.fetch_sub(1, Ordering::Relaxed);
+    /// Rolls back `n` reservations whose enqueue did not happen (full queue
+    /// or dead worker) or whose rows left the queue unprocessed (eviction).
+    pub(crate) fn release_slots(&self, n: usize) {
+        self.depth.fetch_sub(n, Ordering::Relaxed);
     }
 }
 
@@ -124,7 +116,7 @@ pub(crate) struct ShardOutput {
 struct WorkerState {
     scores: Vec<(u64, f64)>,
     latency: LatencyHistogram,
-    /// Jobs popped from the queue but not yet scored; folded into
+    /// Rows popped from the channel but not yet scored; folded into
     /// `crash_lost` when a panic lands between pop and score.
     in_flight: u64,
 }
@@ -331,16 +323,18 @@ pub(crate) fn run_supervised(
     }
 }
 
-/// Drains jobs until the channel closes, one micro-batch at a time: after
-/// blocking for one job the worker opportunistically drains up to
-/// `max_batch − 1` already-queued jobs (one batch pop on the ring) and
-/// scores the group through [`StreamingDetector::process_batch`], whose
-/// blocked `V_kᵀY` kernel yields scores bitwise identical to per-point
-/// processing (`max_batch = 1` is a budget of one). Under async refresh a
-/// micro-batch is additionally clamped so it never crosses a
-/// `refresh_every` boundary — adoption points stay a pure function of the
-/// point stream. An attached recorder samples the depth gauges once per
-/// micro-batch and the queue-wait histogram once per job.
+/// Drains rows until the channel closes, one micro-batch at a time: after
+/// waiting for the first row the worker pops up to `max_batch` queued rows
+/// as one contiguous row-major block (lent in place by the ring, which
+/// re-arms the slots when the block drops) and scores it through
+/// [`StreamingDetector::process_batch`], whose blocked `V_kᵀY` kernel
+/// yields scores bitwise identical to per-point processing (`max_batch = 1`
+/// is a budget of one). Under async refresh a micro-batch
+/// is additionally clamped so it never crosses a `refresh_every` boundary —
+/// adoption points stay a pure function of the point stream. An attached
+/// recorder samples the depth gauges once per micro-batch; queue wait is
+/// recorded once per run of rows that share a submit call's stamp, which
+/// gives the histogram per-row records would.
 #[allow(clippy::too_many_arguments)]
 fn drain(
     cfg: &WorkerConfig,
@@ -353,13 +347,12 @@ fn drain(
     refresher: &mut Option<Refresher>,
 ) {
     let observing = recorder.enabled();
-    // Reused across batches: the only steady-state allocations left are
-    // the point vectors themselves, owned by the submitter.
-    let mut batch_jobs: Vec<Job> = Vec::with_capacity(cfg.max_batch);
-    let mut batch_points: Vec<Vec<f64>> = Vec::with_capacity(cfg.max_batch);
-    let mut batch_meta: Vec<(u64, Instant)> = Vec::with_capacity(cfg.max_batch);
+    let dim = detector.dim();
+    // Reused across batches: steady-state draining allocates only the
+    // growth of `state.scores`.
+    let mut copied = RowBlock::default();
     let mut batch_scores: Vec<f64> = Vec::with_capacity(cfg.max_batch);
-    while let Some(job) = channel.pop_block() {
+    while channel.wait() {
         let before = shared.processed.load(Ordering::Relaxed);
         // Clamp to the next refresh boundary so no batch straddles one.
         let budget = match refresher {
@@ -369,19 +362,8 @@ fn drain(
             }
             None => cfg.max_batch,
         };
-        batch_points.clear();
-        batch_meta.clear();
-        batch_meta.push((job.seq, job.enqueued));
-        batch_points.push(job.point);
-        if batch_points.len() < budget {
-            batch_jobs.clear();
-            channel.pop_batch(&mut batch_jobs, budget - batch_points.len());
-            for job in batch_jobs.drain(..) {
-                batch_meta.push((job.seq, job.enqueued));
-                batch_points.push(job.point);
-            }
-        }
-        let n = batch_points.len() as u64;
+        let block = channel.pop_batch(&mut copied, budget);
+        let n = block.len() as u64;
         let depth_before = shared.depth.fetch_sub(n as usize, Ordering::Relaxed);
         if observing {
             recorder.gauge(Gauge::QueueDepth, (depth_before - n as usize) as f64);
@@ -392,23 +374,33 @@ fn drain(
         // Write-ahead for the whole micro-batch, as one WAL frame, before
         // any scoring: a crash mid-batch replays every logged row on
         // recovery, and a crash mid-write loses only unscored rows.
-        log_rows(store, &batch_points);
+        log_rows(store, block.values(), dim);
         state.in_flight = n;
-        detector.process_batch(&batch_points, &mut batch_scores);
+        detector.process_batch(block.values(), &mut batch_scores);
         state.in_flight = 0;
         let before = shared.processed.fetch_add(n, Ordering::Relaxed);
         // One clock read per micro-batch: queue latency is measured at
         // drain granularity, like the submit side stamps one `enqueued`
-        // per staged batch (metrics-only accounting, scores unaffected).
+        // per submit call (metrics-only accounting, scores unaffected).
         let drained = Instant::now();
-        for (&(seq, enqueued), &score) in batch_meta.iter().zip(batch_scores.iter()) {
-            let waited = drained.duration_since(enqueued);
-            state.latency.record(waited);
-            state.scores.push((seq, score));
+        for run in block.stamps().chunk_by(|a, b| a == b) {
+            let waited = drained.duration_since(run[0]).as_nanos();
+            let waited = u64::try_from(waited).unwrap_or(u64::MAX);
+            state.latency.record_n(waited, run.len() as u64);
             if observing {
-                recorder.record_hist(Hist::SubmitLatency, waited.as_nanos() as u64);
+                recorder.record_hist_n(Hist::SubmitLatency, waited, run.len() as u64);
             }
         }
+        state.scores.extend(
+            block
+                .seqs()
+                .iter()
+                .copied()
+                .zip(batch_scores.iter().copied()),
+        );
+        // Hand the slots back to the producer before the refresh, publish
+        // and checkpoint work below.
+        drop(block);
         if let Some(r) = refresher.as_mut() {
             // The clamp above means crossing ⇔ landing exactly on it.
             if (before + n).is_multiple_of(cfg.refresh_every) {
@@ -433,7 +425,7 @@ fn drain(
 }
 
 /// Terminal degraded mode: flag the shard, then drain every remaining and
-/// future job as shed (exact counts, no scoring) until shutdown. The last
+/// future row as shed (exact counts, no scoring) until shutdown. The last
 /// published snapshot stays up for readers.
 fn degrade(
     cfg: &WorkerConfig,
@@ -449,27 +441,32 @@ fn degrade(
             restarts,
         });
     }
-    while let Some(job) = channel.pop_block() {
-        shared.depth.fetch_sub(1, Ordering::Relaxed);
-        shared.shed.fetch_add(1, Ordering::Relaxed);
+    let mut copied = RowBlock::default();
+    while channel.wait() {
+        let block = channel.pop_batch(&mut copied, cfg.max_batch);
+        let n = block.len();
+        shared.depth.fetch_sub(n, Ordering::Relaxed);
+        shared.shed.fetch_add(n as u64, Ordering::Relaxed);
         if recorder.enabled() {
-            recorder.incr(Counter::PointsShed, 1);
-            recorder.event(Event::QueueShed {
-                shard: cfg.shard,
-                seq: job.seq,
-            });
+            recorder.incr(Counter::PointsShed, n as u64);
+            for &seq in block.seqs() {
+                recorder.event(Event::QueueShed {
+                    shard: cfg.shard,
+                    seq,
+                });
+            }
         }
     }
 }
 
-/// Appends a micro-batch to the shard's WAL as one frame. A durable I/O
-/// failure disables persistence for the rest of the run (the store is
-/// dropped) rather than taking the shard down: serving availability
-/// outranks durability, and the on-disk state stays valid — it is merely
-/// frozen at the last good write.
-fn log_rows(store: &mut Option<StateStore>, points: &[Vec<f64>]) {
+/// Appends a micro-batch (row-major, `dim` values a row) to the shard's WAL
+/// as one frame. A durable I/O failure disables persistence for the rest
+/// of the run (the store is dropped) rather than taking the shard down:
+/// serving availability outranks durability, and the on-disk state stays
+/// valid — it is merely frozen at the last good write.
+fn log_rows(store: &mut Option<StateStore>, rows: &[f64], dim: usize) {
     if let Some(s) = store.as_mut() {
-        if s.append_rows(points).is_err() {
+        if s.append_rows(rows, dim).is_err() {
             *store = None;
         }
     }
@@ -518,10 +515,9 @@ mod tests {
     use super::*;
     use crate::ring::SpscRing;
     use sketchad_obs::{MetricsRecorder, Recorder};
-    use std::collections::VecDeque;
 
-    /// Scores each row with its first component and remembers the slice
-    /// lengths `process_batch` was handed.
+    /// Scores each row with its first component and remembers the batch
+    /// sizes `process_batch` was handed.
     #[derive(Default)]
     struct CountingDetector {
         processed: u64,
@@ -545,25 +541,29 @@ mod tests {
         fn name(&self) -> String {
             "counting".into()
         }
-        fn process_batch(&mut self, ys: &[Vec<f64>], out: &mut Vec<f64>) {
-            self.batch_lens.push(ys.len());
+        fn process_batch(&mut self, rows: &[f64], out: &mut Vec<f64>) {
+            self.batch_lens.push(rows.len());
             out.clear();
-            out.extend(ys.iter().map(|y| self.process(y)));
+            out.extend(rows.chunks_exact(1).map(|y| self.process(y)));
         }
     }
 
     #[test]
     fn observed_worker_drains_in_micro_batches() {
         const N: usize = 200;
-        let channel = ShardChannel::Ring(SpscRing::new(256));
-        let mut jobs: VecDeque<Job> = (0..N as u64)
-            .map(|seq| Job {
-                seq,
-                point: vec![seq as f64],
-                enqueued: Instant::now(),
-            })
-            .collect();
-        assert_eq!(channel.try_push_batch(&mut jobs), Ok(N as u64));
+        let channel = ShardChannel::Ring(SpscRing::new(256, 1));
+        let seqs: Vec<u64> = (0..N as u64).collect();
+        let rows: Vec<f64> = seqs.iter().map(|&s| s as f64).collect();
+        // Two submit calls, so two stamp runs straddle the first batch.
+        let (first, second) = (Instant::now(), Instant::now());
+        assert_eq!(
+            channel.try_push_batch(&rows[..10], &seqs[..10], first),
+            Ok(10)
+        );
+        assert_eq!(
+            channel.try_push_batch(&rows[10..], &seqs[10..], second),
+            Ok(N - 10)
+        );
         channel.close();
         let shared = ShardShared::default();
         shared.reserve_slots(N);
@@ -601,7 +601,7 @@ mod tests {
         let expected: Vec<(u64, f64)> = (0..N as u64).map(|seq| (seq, seq as f64)).collect();
         assert_eq!(state.scores, expected, "every score, in order");
         assert_eq!(shared.depth.load(Ordering::Relaxed), 0);
-        // Depth gauges once per micro-batch, queue-wait once per job.
+        // Depth gauges once per micro-batch, queue-wait once per row.
         let obs = metrics.snapshot();
         assert_eq!(obs.gauge("queue_depth").unwrap().samples, 4);
         assert_eq!(obs.gauge("ring_depth").unwrap().samples, 4);

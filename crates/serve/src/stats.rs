@@ -27,7 +27,7 @@ pub struct ShardStats {
     pub queue_high_water: usize,
     /// Rows routed here that input validation refused (quarantined).
     pub rejected: u64,
-    /// Updates shed: `ShedOldest` evictions, read-only refusals, and jobs a
+    /// Updates shed: `ShedOldest` evictions, read-only refusals, and rows a
     /// degraded shard drained without scoring.
     pub shed: u64,
     /// Points consumed from the queue but unscored when the worker panicked.

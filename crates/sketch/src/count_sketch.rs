@@ -64,6 +64,7 @@ impl CountSketch {
         assert!(ell > 0, "sketch size ℓ must be positive");
         assert!(dim > 0, "dimension must be positive");
         assert!(s > 0 && s <= ell, "need 1 <= s <= ℓ (s={s}, ℓ={ell})");
+        vecops::resolve_tier();
         Self {
             ell,
             dim,

@@ -35,6 +35,7 @@ impl IsvdTruncation {
     pub fn new(ell: usize, dim: usize) -> Self {
         assert!(ell > 0, "sketch size ℓ must be positive");
         assert!(dim > 0, "dimension must be positive");
+        sketchad_linalg::vecops::resolve_tier();
         Self {
             ell,
             dim,

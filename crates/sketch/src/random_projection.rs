@@ -52,6 +52,7 @@ impl RandomProjection {
     pub fn new(ell: usize, dim: usize, seed: u64) -> Self {
         assert!(ell > 0, "sketch size ℓ must be positive");
         assert!(dim > 0, "dimension must be positive");
+        vecops::resolve_tier();
         Self {
             ell,
             dim,

@@ -8,7 +8,8 @@
 //! sketch where it lies rather than a copy of it. A WAL append encodes its
 //! frame into a staging buffer the store keeps, so appends after the first
 //! never do either, and a damaged WAL segment never makes the reader
-//! reserve more than the file holds.
+//! reserve more than the file holds. The serving engine stages and queues
+//! rows flat, so a submit call allocates per call, never per row.
 //! This binary installs a counting global allocator (it is its own crate, so
 //! `sketchad-linalg` keeps its `deny(unsafe_code)`) and counts.
 //!
@@ -23,7 +24,10 @@ use sketchad_core::{RefreshPolicy, ScoreKind, SketchDetector, StreamingDetector,
 use sketchad_durable::{wal, FsyncPolicy, StateStore};
 use sketchad_linalg::rng::{gaussian_matrix, seeded_rng};
 use sketchad_linalg::svd::{right_factor, Workspace};
-use sketchad_sketch::{CountSketch, FrequentDirections, MatrixSketch, RandomProjection};
+use sketchad_serve::{BackpressurePolicy, ServeConfig, ServeEngine};
+use sketchad_sketch::{
+    CountSketch, FrequentDirections, MatrixSketch, RandomProjection, RowSampling,
+};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -267,6 +271,48 @@ fn linear_detector_allocates_only_the_model_it_installs() {
     run("random projection", RandomProjection::new(32, 96, 5));
 }
 
+#[test]
+fn submit_allocates_per_call_not_per_row() {
+    // A warmed one-shard `Block` engine over a cheap detector: the rows of a
+    // submit call are staged and queued flat, so the submitting thread's
+    // allocations do not grow with the call's row count. (The worker
+    // thread's score buffer grows, but it is not this thread's.)
+    let d = 8;
+    let rows: Vec<Vec<f64>> = gaussian_matrix(&mut seeded_rng(31), 4_096, d, 1.0)
+        .iter_rows()
+        .map(<[f64]>::to_vec)
+        .collect();
+    let config = ServeConfig::new(1)
+        .with_queue_capacity(1_024)
+        .with_backpressure(BackpressurePolicy::Block)
+        .with_max_batch(256);
+    let mut engine = ServeEngine::start(config, move |_shard| {
+        Box::new(SketchDetector::new(
+            RowSampling::new(8, d, 3),
+            2,
+            ScoreKind::RelativeProjection,
+            RefreshPolicy::Periodic { period: 1_024 },
+            256,
+        ))
+    })
+    .unwrap();
+    for _ in 0..2 {
+        engine.submit_batch_rows_parallel(&rows, 1).unwrap();
+    }
+    let small = allocations_in(|| {
+        engine.submit_batch_rows_parallel(&rows[..64], 1).unwrap();
+    });
+    let large = allocations_in(|| {
+        engine.submit_batch_rows_parallel(&rows, 1).unwrap();
+    });
+    let report = engine.finish().unwrap();
+    assert_eq!(report.stats.total_processed, 3 * 4_096 + 64);
+    assert!(
+        large <= small,
+        "a 4096-row submit made {large} allocations, a 64-row one {small}"
+    );
+}
+
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("skad-alloc-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -278,13 +324,12 @@ fn wal_append_allocates_nothing_after_the_first_call() {
     // The durable benchmark's row shape, in the serving engine's largest
     // default micro-batch: one frame per call.
     let rows = gaussian_matrix(&mut seeded_rng(26), 256, 48, 1.0);
-    let rows: Vec<&[f64]> = rows.iter_rows().collect();
     let dir = temp_dir("wal-append");
     let mut store = StateStore::open(&dir, 0, FsyncPolicy::Never).unwrap();
-    store.append_rows(&rows).unwrap();
+    store.append_rows(rows.as_slice(), 48).unwrap();
     let allocated = allocations_in(|| {
         for _ in 0..100 {
-            store.append_rows(&rows).unwrap();
+            store.append_rows(rows.as_slice(), 48).unwrap();
         }
     });
     assert_eq!(store.seq(), 101 * 256);
@@ -299,11 +344,11 @@ fn damaged_wal_segment_never_reserves_more_than_the_file() {
     // 2³² − 1. The size checks refuse them before any reservation: the
     // largest allocation a read makes stays under the file's length.
     let rows = gaussian_matrix(&mut seeded_rng(27), 6, 48, 1.0);
-    let rows: Vec<&[f64]> = rows.iter_rows().collect();
+    let rows = rows.as_slice();
     let dir = temp_dir("wal-read");
     let mut store = StateStore::open(&dir, 0, FsyncPolicy::Never).unwrap();
-    for batch in [&rows[..1], &rows[1..3], &rows[3..]] {
-        store.append_rows(batch).unwrap();
+    for batch in [&rows[..48], &rows[48..3 * 48], &rows[3 * 48..]] {
+        store.append_rows(batch, 48).unwrap();
     }
     drop(store);
     let (_, path) = wal::list_segments(&dir).unwrap().pop().unwrap();
