@@ -893,8 +893,8 @@ fn cmd_matrix(p: &ParsedArgs) -> Result<(), String> {
 
 /// Inspects a durable state directory without opening it for writing:
 /// per shard, the newest valid snapshot, the WAL tail that would be
-/// replayed on warm restart, and any damage (corrupt snapshots, torn
-/// tails) recovery would route around.
+/// replayed on warm restart (counted by a walk that holds none of it), and
+/// any damage (corrupt snapshots, torn tails) recovery would route around.
 fn cmd_recover(p: &ParsedArgs) -> Result<(), String> {
     use sketchad_durable as durable;
 
@@ -922,7 +922,7 @@ fn cmd_recover(p: &ParsedArgs) -> Result<(), String> {
     let mut damaged = false;
     for shard in &shard_ids {
         let dir = durable::shard_dir(root, *shard);
-        let recovered = durable::recover(&dir)
+        let recovered = durable::inspect(&dir)
             .map_err(|e| format!("shard {shard} ({}): {e}", dir.display()))?;
         let stats = &recovered.stats;
         damaged |= stats.snapshots_corrupt > 0
@@ -934,13 +934,11 @@ fn cmd_recover(p: &ParsedArgs) -> Result<(), String> {
         match &recovered.snapshot {
             Some(snap) => println!(
                 "shard {shard}: snapshot generation {} (through row {}), {} WAL row(s) to replay",
-                snap.generation,
-                snap.seq,
-                recovered.replay.len()
+                snap.generation, snap.seq, stats.replay_rows
             ),
             None => println!(
                 "shard {shard}: no snapshot, {} WAL row(s) to replay from scratch",
-                recovered.replay.len()
+                stats.replay_rows
             ),
         }
         println!(

@@ -156,6 +156,28 @@ pub trait StreamingDetector {
         }
     }
 
+    /// Folds a block of points into the detector state exactly as
+    /// [`Self::process`] would, in order, and discards their scores. `rows`
+    /// is row-major, as for [`Self::process_batch`].
+    ///
+    /// Contract: afterwards the detector is bitwise the detector
+    /// `process_batch` (or per-row `process`) would have left — same
+    /// `save_state` bytes, same scores for every later point. Only the
+    /// scores of the absorbed rows are lost. Warm-restart recovery replays
+    /// the WAL through this method. The default calls `process` per row;
+    /// detectors whose state never depends on a score (the sketch detector
+    /// under `UpdatePolicy::Always`) override it to skip scoring.
+    ///
+    /// # Panics
+    /// When `rows.len()` is not a multiple of `dim()`.
+    fn absorb_batch(&mut self, rows: &[f64]) {
+        let dim = self.dim();
+        assert_eq!(rows.len() % dim, 0, "a block holds whole rows of dim {dim}");
+        for y in rows.chunks_exact(dim) {
+            self.process(y);
+        }
+    }
+
     /// Convenience: scores an entire slice of rows.
     fn process_all(&mut self, rows: &[Vec<f64>]) -> Vec<f64> {
         rows.iter().map(|r| self.process(r)).collect()
@@ -199,6 +221,13 @@ mod tests {
         d.process_batch(&[3.0, 4.0, 1.0, 0.0], &mut out);
         assert_eq!(out, vec![25.0, 1.0]);
         assert_eq!(d.processed(), 2);
+    }
+
+    #[test]
+    fn absorb_batch_processes_every_row() {
+        let mut d = NormDetector { dim: 2, n: 0 };
+        d.absorb_batch(&[3.0, 4.0, 1.0, 0.0, 2.0, 2.0]);
+        assert_eq!(d.processed(), 3);
     }
 
     #[test]

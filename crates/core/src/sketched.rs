@@ -558,7 +558,9 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
         let model = if r.get_u8(ctx)? == 1 {
             let rows = r.get_u64(ctx)? as usize;
             let cols = r.get_u64(ctx)? as usize;
-            if cols != self.dim() || rows > cols.max(self.k) {
+            // The basis must fit the bytes left before anything is
+            // reserved for it.
+            if cols != self.dim() || rows > cols.max(self.k) || rows * cols * 8 > r.remaining() {
                 return Err(WireError { context: ctx });
             }
             let mut data = Vec::with_capacity(rows * cols);
@@ -667,6 +669,27 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
             }
             self.batch_scores = scores;
             i = end;
+        }
+    }
+
+    /// Absorbs rows without scoring them wherever no score can reach
+    /// state. Under [`UpdatePolicy::Always`] a score only ever leaves the
+    /// detector, so each row costs just the sketch update and the
+    /// decay/refresh bookkeeping `process` runs after scoring. Under
+    /// `SkipAnomalous` the score decides the update and feeds the filtering
+    /// quantile, so the rows are scored through `process_batch`.
+    fn absorb_batch(&mut self, rows: &[f64]) {
+        let d = self.dim();
+        assert_eq!(rows.len() % d, 0, "a block holds whole rows of dim {d}");
+        if self.update_policy != UpdatePolicy::Always {
+            self.process_batch(rows, &mut Vec::new());
+            return;
+        }
+        for y in rows.chunks_exact(d) {
+            let started = self.span_start();
+            self.sketch.update(y);
+            self.span_end(Stage::SketchUpdate, started);
+            self.after_update();
         }
     }
 }

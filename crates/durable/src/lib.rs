@@ -14,15 +14,18 @@
 //!   the detector processes it, one framed and checksummed micro-batch
 //!   per append, so a crash mid-append costs at most the torn final
 //!   batch — none of which had been scored.
-//! * **Recovery** ([`recover`]) finds the newest valid snapshot (falling
-//!   back a generation when the newest is corrupt), reads the WAL segments
-//!   it does not cover once each, and hands back the rows past it for
-//!   replay together with where a writer resumes
-//!   ([`StateStore::resume`]). Because detectors are deterministic and
-//!   `save_state`/`restore_state` round-trip bitwise, the recovered
-//!   detector is bit-for-bit the detector that crashed — and because
-//!   recovery itself is read-only, running it twice gives identical
-//!   results.
+//! * **Recovery** ([`Recovery`]) runs in two phases. Phase one finds the
+//!   newest valid snapshot (falling back a generation when the newest is
+//!   corrupt) and hands it over for restore; phase two reads the WAL
+//!   segments it does not cover once each and streams the rows past it to
+//!   a sink in bounded blocks, reporting where a writer resumes
+//!   ([`StateStore::resume`]). Replay memory is one block, not the tail.
+//!   [`recover`] is the same walk with a sink that collects every row, and
+//!   [`inspect`] the walk with one that keeps none. Because detectors are
+//!   deterministic and `save_state`/`restore_state` round-trip bitwise,
+//!   the recovered detector is bit-for-bit the detector that crashed — and
+//!   because recovery itself is read-only, running it twice gives
+//!   identical results.
 //!
 //! The format is self-contained (no serializer dependency, fixed-width
 //! little-endian fields) and versioned; see [`mod@format`] for the layout
@@ -39,7 +42,7 @@ pub mod wal;
 pub use format::{checksum64, DurableError, FORMAT_VERSION, MAGIC_SNAPSHOT, MAGIC_WAL};
 pub use snapshot::{read_snapshot, write_snapshot, Snapshot};
 pub use store::{
-    recover, shard_dir, FsyncPolicy, LastSegment, RecoveredState, RecoveryStats, StateStore,
-    RETAINED_SNAPSHOTS,
+    inspect, recover, shard_dir, FsyncPolicy, LastSegment, RecoveredState, Recovery, RecoveryStats,
+    StateStore, RETAINED_SNAPSHOTS,
 };
-pub use wal::{TailStatus, WalHeader, WalRecord};
+pub use wal::{TailStatus, WalHeader, WalRecord, REPLAY_BLOCK_ROWS};

@@ -9,13 +9,17 @@
 //!   the WAL to a fresh segment, and prunes artifacts no longer needed for
 //!   recovery (the last two snapshots and the segments after the older one
 //!   are retained, so recovery survives a corrupt newest snapshot).
-//! * [`recover`] is **read-only**: it finds the newest valid snapshot,
-//!   collects the WAL rows past it (stopping at a torn tail), and hands both
-//!   back for replay, together with where a writer resumes. It reads each
-//!   segment it needs once and skips, by header alone, every segment the
-//!   snapshot already covers. Because it mutates nothing, running it twice
-//!   over the same directory yields bitwise-identical results — the
-//!   property the deterministic-recovery tests pin down.
+//! * Recovery is **read-only** and runs in two phases over one frame
+//!   parser. [`Recovery::open`] finds the newest valid snapshot and skips,
+//!   by header alone, every segment it covers; the caller restores the
+//!   snapshot; [`Recovery::replay_into`] then reads each remaining segment
+//!   once (stopping at a torn tail) and streams the rows past the snapshot
+//!   to a sink in blocks of at most
+//!   [`REPLAY_BLOCK_ROWS`](crate::wal::REPLAY_BLOCK_ROWS) rows, returning
+//!   the stats and where a writer resumes. [`recover`] collects the rows
+//!   instead; [`inspect`] keeps none. Because it mutates nothing, running
+//!   recovery twice over the same directory yields bitwise-identical
+//!   results — the property the deterministic-recovery tests pin down.
 //!
 //! Torn tails are truncated *physically* only when a writer resumes on the
 //! directory ([`StateStore::resume`], which [`StateStore::open`] calls),
@@ -27,8 +31,8 @@ use std::path::{Path, PathBuf};
 use crate::format::DurableError;
 use crate::snapshot::{list_snapshots, read_snapshot, write_snapshot, Snapshot};
 use crate::wal::{
-    encode_wal_frame, list_segments, read_wal_header, scan_segment, wal_file_name, SegmentWriter,
-    TailStatus, WalHeader, WalRecord,
+    collect_into, encode_wal_frame, list_segments, read_wal_header, wal_file_name, MappedSegment,
+    ReplayBlock, SegmentWriter, TailStatus, WalHeader, WalRecord,
 };
 
 /// How eagerly WAL appends are forced to stable storage. Rows are counted
@@ -104,7 +108,10 @@ pub struct LastSegment {
 pub struct RecoveredState {
     /// Newest valid snapshot, if any generation survived validation.
     pub snapshot: Option<Snapshot>,
-    /// Rows to replay on top of the snapshot, in stream order.
+    /// Rows to replay on top of the snapshot, in stream order. Only
+    /// [`recover`] collects them; a streaming walk
+    /// ([`Recovery::replay_into`], [`inspect`]) hands them to its sink and
+    /// leaves this empty.
     pub replay: Vec<WalRecord>,
     /// What the scan encountered.
     pub stats: RecoveryStats,
@@ -113,87 +120,160 @@ pub struct RecoveredState {
     pub newest_generation: u64,
     /// The newest WAL segment, if any.
     pub last_segment: Option<LastSegment>,
+    /// Sequence of the last intact row on disk, WAL or snapshot.
+    last_seq: u64,
 }
 
 impl RecoveredState {
-    /// The stream sequence this recovered state reaches once `replay` has
-    /// been applied: rows `1..=last_seq()` are accounted for.
+    /// The stream sequence this recovered state reaches once the rows past
+    /// the snapshot have been replayed: rows `1..=last_seq()` are accounted
+    /// for, and a writer resumes after it.
     pub fn last_seq(&self) -> u64 {
-        self.replay
-            .last()
-            .map(|r| r.seq)
-            .or_else(|| self.snapshot.as_ref().map(|s| s.seq))
-            .unwrap_or(0)
+        self.last_seq
     }
 }
 
-/// Read-only recovery: locate the newest valid snapshot in `dir` and the
-/// WAL rows past it. Missing directory ⇒ empty state (fresh start).
-pub fn recover(dir: &Path) -> Result<RecoveredState, DurableError> {
-    let mut state = RecoveredState {
-        snapshot: None,
-        replay: Vec::new(),
-        stats: RecoveryStats::default(),
-        newest_generation: 0,
-        last_segment: None,
-    };
-    if !dir.exists() {
-        return Ok(state);
-    }
-    let stats = &mut state.stats;
+/// Phase one of a recovery: the newest valid snapshot, found and validated,
+/// and the WAL segments past it, not yet read. Phase two,
+/// [`Recovery::replay_into`], walks those segments once and streams their
+/// rows to a sink; a caller restores the snapshot in between, so replay
+/// never needs the whole tail in memory.
+#[derive(Debug)]
+pub struct Recovery {
+    /// Everything but the WAL walk's findings.
+    state: RecoveredState,
+    /// Segments phase two reads, in order.
+    segments: Vec<(u64, PathBuf)>,
+}
 
-    // Newest snapshot that validates wins; corrupt ones are skipped.
-    let snapshots = list_snapshots(dir)?;
-    state.newest_generation = snapshots.last().map_or(0, |(generation, _)| *generation);
-    for (_, path) in snapshots.iter().rev() {
-        stats.snapshots_scanned += 1;
-        match read_snapshot(path) {
-            Ok(s) => {
-                state.snapshot = Some(s);
-                break;
-            }
-            Err(DurableError::Io(e)) => return Err(DurableError::Io(e)),
-            Err(_) => stats.snapshots_corrupt += 1,
-        }
-    }
-    let covered = state.snapshot.as_ref().map_or(0, |s| s.seq);
-
-    // Segments the snapshot covers are skipped by their successor's header
-    // (the rule `prune` deletes by). The rest are read once, in order,
-    // keeping the rows past the snapshot. A torn tail ends that segment;
-    // later segments only exist after a clean rotation, so a torn tail can
-    // only be the end of the whole log.
-    let segments = list_segments(dir)?;
-    while let Some((_, next)) = segments.get(stats.wal_segments_skipped + 1) {
-        match read_wal_header(next) {
-            Ok(h) if h.start_seq <= covered => stats.wal_segments_skipped += 1,
-            Err(DurableError::Io(e)) => return Err(DurableError::Io(e)),
-            _ => break,
-        }
-    }
-    for (number, path) in &segments[stats.wal_segments_skipped..] {
-        let valid_len = match scan_segment(path, covered, &mut state.replay) {
-            Ok(scan) => {
-                stats.wal_segments += 1;
-                stats.wal_records_seen += scan.rows;
-                if let TailStatus::Torn { bytes_dropped } = scan.tail {
-                    stats.torn_tail_bytes += bytes_dropped as u64;
-                }
-                Some(scan.valid_len)
-            }
-            Err(DurableError::Io(e)) => return Err(DurableError::Io(e)),
-            Err(_) => {
-                stats.wal_segments_corrupt += 1;
-                None
-            }
+impl Recovery {
+    /// Phase one over `dir`: the newest snapshot that validates (falling
+    /// back a generation past a corrupt one), and the segments it does not
+    /// cover, skipped by header alone. A missing directory is an empty
+    /// state (fresh start).
+    pub fn open(dir: &Path) -> Result<Self, DurableError> {
+        let mut state = RecoveredState {
+            snapshot: None,
+            replay: Vec::new(),
+            stats: RecoveryStats::default(),
+            newest_generation: 0,
+            last_segment: None,
+            last_seq: 0,
         };
-        state.last_segment = Some(LastSegment {
-            number: *number,
-            valid_len,
-        });
+        if !dir.exists() {
+            return Ok(Self {
+                state,
+                segments: Vec::new(),
+            });
+        }
+        let stats = &mut state.stats;
+
+        // Newest snapshot that validates wins; corrupt ones are skipped.
+        let snapshots = list_snapshots(dir)?;
+        state.newest_generation = snapshots.last().map_or(0, |(generation, _)| *generation);
+        for (_, path) in snapshots.iter().rev() {
+            stats.snapshots_scanned += 1;
+            match read_snapshot(path) {
+                Ok(s) => {
+                    state.snapshot = Some(s);
+                    break;
+                }
+                Err(DurableError::Io(e)) => return Err(DurableError::Io(e)),
+                Err(_) => stats.snapshots_corrupt += 1,
+            }
+        }
+        state.last_seq = state.snapshot.as_ref().map_or(0, |s| s.seq);
+
+        // Segments the snapshot covers are skipped by their successor's
+        // header (the rule `prune` deletes by).
+        let mut segments = list_segments(dir)?;
+        while let Some((_, next)) = segments.get(stats.wal_segments_skipped + 1) {
+            match read_wal_header(next) {
+                Ok(h) if h.start_seq <= state.last_seq => stats.wal_segments_skipped += 1,
+                Err(DurableError::Io(e)) => return Err(DurableError::Io(e)),
+                _ => break,
+            }
+        }
+        segments.drain(..stats.wal_segments_skipped);
+        Ok(Self { state, segments })
     }
-    stats.replay_rows = state.replay.len() as u64;
+
+    /// The snapshot phase two replays on top of, if any generation
+    /// validated: restore it before calling [`Recovery::replay_into`].
+    pub fn snapshot(&self) -> Option<&Snapshot> {
+        self.state.snapshot.as_ref()
+    }
+
+    /// Phase two: reads each remaining segment once, in order, verifying
+    /// every frame's checksum, and hands the rows past the snapshot to
+    /// `sink` as `(first_seq, rows, dim)`: row-major blocks of at most
+    /// [`REPLAY_BLOCK_ROWS`](crate::wal::REPLAY_BLOCK_ROWS) consecutive
+    /// rows of one width, decoded into one reused buffer, the first row at
+    /// sequence `first_seq`. A torn
+    /// tail ends its segment; later segments only exist after a clean
+    /// rotation, so a torn tail can only be the end of the whole log. An
+    /// error from `sink` ends the walk and is returned.
+    pub fn replay_into(
+        self,
+        mut sink: impl FnMut(u64, &[f64], usize) -> Result<(), DurableError>,
+    ) -> Result<RecoveredState, DurableError> {
+        let Self {
+            mut state,
+            segments,
+        } = self;
+        let covered = state.last_seq;
+        let stats = &mut state.stats;
+        let mut block = ReplayBlock::default();
+        let mut last_seq = covered;
+        let mut sink = |first_seq: u64, rows: &[f64], dim: usize| {
+            last_seq = first_seq + (rows.len() / dim) as u64 - 1;
+            sink(first_seq, rows, dim)
+        };
+        for (number, path) in &segments {
+            let valid_len = match MappedSegment::open(path) {
+                Ok(segment) => {
+                    let scan = segment.walk(covered, &mut block, &mut sink)?;
+                    stats.wal_segments += 1;
+                    stats.wal_records_seen += scan.rows;
+                    stats.replay_rows += scan.replayed;
+                    if let TailStatus::Torn { bytes_dropped } = scan.tail {
+                        stats.torn_tail_bytes += bytes_dropped as u64;
+                    }
+                    Some(scan.valid_len)
+                }
+                Err(DurableError::Io(e)) => return Err(DurableError::Io(e)),
+                Err(_) => {
+                    stats.wal_segments_corrupt += 1;
+                    None
+                }
+            };
+            state.last_segment = Some(LastSegment {
+                number: *number,
+                valid_len,
+            });
+        }
+        state.last_seq = last_seq;
+        Ok(state)
+    }
+}
+
+/// Read-only recovery: locate the newest valid snapshot in `dir` and
+/// collect the WAL rows past it into [`RecoveredState::replay`]. The same
+/// walk as [`Recovery::replay_into`], with a sink that keeps every row.
+/// Missing directory ⇒ empty state (fresh start).
+pub fn recover(dir: &Path) -> Result<RecoveredState, DurableError> {
+    let mut replay = Vec::new();
+    let mut state = Recovery::open(dir)?.replay_into(collect_into(&mut replay))?;
+    state.replay = replay;
     Ok(state)
+}
+
+/// What a restart of `dir` would find, without keeping its rows: the walk
+/// [`recover`] makes, with a sink that only lets the rows pass, so the
+/// stats, the snapshot and where a writer resumes come back while
+/// `replay` stays empty.
+pub fn inspect(dir: &Path) -> Result<RecoveredState, DurableError> {
+    Recovery::open(dir)?.replay_into(|_, _, _| Ok(()))
 }
 
 /// A writable per-shard state store (see module docs).
@@ -213,14 +293,15 @@ pub struct StateStore {
 }
 
 impl StateStore {
-    /// Opens (or creates) the store in `dir` for `shard`: a [`recover`]
-    /// scan, then [`StateStore::resume`] from it.
+    /// Opens (or creates) the store in `dir` for `shard`: an [`inspect`]
+    /// walk, which holds no WAL row in memory, then [`StateStore::resume`]
+    /// from it.
     pub fn open(dir: &Path, shard: u32, fsync: FsyncPolicy) -> Result<Self, DurableError> {
-        Self::resume(dir, shard, fsync, &recover(dir)?)
+        Self::resume(dir, shard, fsync, &inspect(dir)?)
     }
 
-    /// Opens the store in `dir` for `shard` from the [`recover`] scan of
-    /// that same directory, positioning the write cursor after the last
+    /// Opens the store in `dir` for `shard` from a recovery walk of that
+    /// same directory ([`recover`], [`inspect`] or [`Recovery::replay_into`]), positioning the write cursor after the last
     /// intact WAL row. Any torn tail on the newest segment is physically
     /// truncated here (a segment whose header is corrupt is abandoned for
     /// the next one); older artifacts are left untouched.
@@ -564,6 +645,31 @@ mod tests {
         let rec = recover(&dir).unwrap();
         assert_eq!(rec.snapshot.as_ref().unwrap().seq, 20);
         assert_eq!(rec.last_seq(), 20);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn inspect_finds_what_recover_finds_and_keeps_no_row() {
+        let dir = tmp_dir("inspect");
+        let mut store = StateStore::open(&dir, 0, FsyncPolicy::Never).unwrap();
+        store.append_rows(&[row(1), row(2)].concat(), 3).unwrap();
+        store.checkpoint(b"at-2").unwrap();
+        store
+            .append_rows(&[row(3), row(4), row(5)].concat(), 3)
+            .unwrap();
+        drop(store);
+        let collected = recover(&dir).unwrap();
+        let inspected = inspect(&dir).unwrap();
+        assert!(inspected.replay.is_empty());
+        assert_eq!(inspected.stats.replay_rows, 3);
+        assert_eq!(inspected.last_seq(), 5);
+        assert_eq!(
+            RecoveredState {
+                replay: collected.replay.clone(),
+                ..inspected
+            },
+            collected
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -200,62 +200,186 @@ pub fn read_wal_header(path: &Path) -> Result<WalHeader, DurableError> {
 /// is unusable); a corrupt *tail* is expected after a crash and reported
 /// via [`TailStatus`].
 pub fn read_segment(path: &Path) -> Result<(WalHeader, Vec<WalRecord>, TailStatus), DurableError> {
+    let segment = MappedSegment::open(path)?;
     let mut records = Vec::new();
-    let scan = scan_segment(path, 0, &mut records)?;
-    Ok((scan.header, records, scan.tail))
+    let scan = segment.walk(
+        0,
+        &mut ReplayBlock::default(),
+        &mut collect_into(&mut records),
+    )?;
+    Ok((segment.header, records, scan.tail))
+}
+
+/// A replay sink that appends each row it is handed to `out` as a
+/// [`WalRecord`].
+pub(crate) fn collect_into(
+    out: &mut Vec<WalRecord>,
+) -> impl FnMut(u64, &[f64], usize) -> Result<(), DurableError> + '_ {
+    move |first_seq, rows, dim| {
+        let rows = rows.chunks_exact(dim).zip(first_seq..);
+        out.extend(rows.map(|(row, seq)| WalRecord {
+            seq,
+            row: row.to_vec(),
+        }));
+        Ok(())
+    }
+}
+
+/// Most rows one replay block holds. A segment walk decodes rows into one
+/// reused block of at most this many rows and hands each block to its sink
+/// whole, so replay memory is bounded by the block, not by the log.
+pub const REPLAY_BLOCK_ROWS: usize = 1024;
+
+/// The reused buffer a segment walk decodes rows into: consecutive rows of
+/// one width, the first of them at sequence `first_seq`.
+#[derive(Debug, Default)]
+pub(crate) struct ReplayBlock {
+    values: Vec<f64>,
+    first_seq: u64,
+    dim: usize,
+}
+
+impl ReplayBlock {
+    /// Hands the rows held to `sink` as `(first_seq, rows, dim)` and empties
+    /// the block, keeping its capacity.
+    fn flush(
+        &mut self,
+        sink: &mut impl FnMut(u64, &[f64], usize) -> Result<(), DurableError>,
+    ) -> Result<(), DurableError> {
+        if self.values.is_empty() {
+            return Ok(());
+        }
+        let handed = sink(self.first_seq, &self.values, self.dim);
+        self.values.clear();
+        handed
+    }
+
+    /// Decodes the rows of `frame` with sequence past `covered` into the
+    /// block, handing it to `sink` each time it fills; returns how many
+    /// rows it took. `room` is the segment's bytes from the frame on: an
+    /// empty block reserves at most that many rows' worth, so a damaged
+    /// segment can never make the walk reserve more than the file holds.
+    fn push_past(
+        &mut self,
+        frame: &Frame<'_>,
+        covered: u64,
+        room: usize,
+        sink: &mut impl FnMut(u64, &[f64], usize) -> Result<(), DurableError>,
+    ) -> Result<u64, DurableError> {
+        let skip = covered
+            .checked_sub(frame.first_seq)
+            .map_or(0, |d| d.saturating_add(1).min(frame.rows as u64) as usize);
+        let row_bytes = frame.dim * 8;
+        let mut seq = frame.first_seq + skip as u64;
+        let mut rest = &frame.values[skip * row_bytes..];
+        let taken = (rest.len() / row_bytes) as u64;
+        // A block holds consecutive rows of one width only.
+        if !self.values.is_empty()
+            && (frame.dim != self.dim || seq != self.first_seq + self.rows() as u64)
+        {
+            self.flush(sink)?;
+        }
+        while !rest.is_empty() {
+            if self.values.is_empty() {
+                self.dim = frame.dim;
+                self.first_seq = seq;
+                self.values
+                    .reserve_exact(REPLAY_BLOCK_ROWS.min(room / row_bytes) * frame.dim);
+            }
+            let n = (REPLAY_BLOCK_ROWS - self.rows()).min(rest.len() / row_bytes);
+            let (now, later) = rest.split_at(n * row_bytes);
+            self.values.extend(
+                now.chunks_exact(8)
+                    .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
+            );
+            seq += n as u64;
+            rest = later;
+            if self.rows() == REPLAY_BLOCK_ROWS {
+                self.flush(sink)?;
+            }
+        }
+        Ok(taken)
+    }
+
+    /// Rows held; only meaningful while the block is non-empty.
+    fn rows(&self) -> usize {
+        self.values.len() / self.dim
+    }
 }
 
 /// What one pass over a segment found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SegmentScan {
-    pub header: WalHeader,
-    /// Rows in the intact frames, whether or not they were collected.
+    /// Rows in the intact frames, whether or not they were replayed.
     pub rows: u64,
+    /// Rows past the covered sequence, handed to the sink.
+    pub replayed: u64,
     pub tail: TailStatus,
     /// Bytes through the last intact frame: where an appender resumes.
     pub valid_len: u64,
 }
 
-/// Reads the segment at `path` once, appending to `out` each row of an
-/// intact frame whose sequence is past `covered`; rows at or below it are
-/// checksummed but never copied.
+/// A segment whose header validated, its bytes mapped for one walk.
 ///
 /// The segment is memory-mapped where the platform allows it
 /// (`sketchad_core::mmapio::MappedBytes`), so frames are parsed straight
-/// out of the page cache. The mapping lives only for the duration of this
-/// call — it is released before a writer truncates a torn tail via
+/// out of the page cache. The mapping lives only as long as this value —
+/// it is released before a writer truncates a torn tail via
 /// [`SegmentWriter::reopen`] — and callers hold no writer on the segment
 /// while reading (recovery and inspection are exclusive), so the
 /// no-concurrent-truncation precondition holds.
-pub(crate) fn scan_segment(
-    path: &Path,
-    covered: u64,
-    out: &mut Vec<WalRecord>,
-) -> Result<SegmentScan, DurableError> {
-    let mapped = sketchad_core::mmapio::MappedBytes::open(path)?;
-    let bytes = mapped.bytes();
-    let header = decode_wal_header(bytes)?;
-    let mut pos = WAL_HEADER_LEN;
-    let mut rows = 0;
-    let tail = loop {
-        if pos == bytes.len() {
-            break TailStatus::Clean;
-        }
-        let Some(frame) = Frame::parse(&bytes[pos..]) else {
-            break TailStatus::Torn {
-                bytes_dropped: bytes.len() - pos,
+pub(crate) struct MappedSegment {
+    bytes: sketchad_core::mmapio::MappedBytes,
+    pub header: WalHeader,
+}
+
+impl MappedSegment {
+    /// Maps the segment at `path` and validates its header: an I/O error,
+    /// or a corrupt header that makes the whole segment unusable.
+    pub fn open(path: &Path) -> Result<Self, DurableError> {
+        let bytes = sketchad_core::mmapio::MappedBytes::open(path)?;
+        let header = decode_wal_header(bytes.bytes())?;
+        Ok(Self { bytes, header })
+    }
+
+    /// Walks the frames once, checksumming each, and hands every row of an
+    /// intact frame whose sequence is past `covered` to `sink`, in blocks
+    /// of at most [`REPLAY_BLOCK_ROWS`] consecutive rows decoded into
+    /// `block`; rows at or below `covered` are checksummed but never
+    /// decoded. The walk stops at the first frame that is incomplete or
+    /// fails its checks (a torn tail). The last block is handed over
+    /// before the walk returns; the only error is one from `sink`, which
+    /// ends the walk.
+    pub fn walk(
+        &self,
+        covered: u64,
+        block: &mut ReplayBlock,
+        sink: &mut impl FnMut(u64, &[f64], usize) -> Result<(), DurableError>,
+    ) -> Result<SegmentScan, DurableError> {
+        let bytes = self.bytes.bytes();
+        let mut pos = WAL_HEADER_LEN;
+        let (mut rows, mut replayed) = (0, 0);
+        let tail = loop {
+            if pos == bytes.len() {
+                break TailStatus::Clean;
+            }
+            let Some(frame) = Frame::parse(&bytes[pos..]) else {
+                break TailStatus::Torn {
+                    bytes_dropped: bytes.len() - pos,
+                };
             };
+            rows += frame.rows as u64;
+            replayed += block.push_past(&frame, covered, bytes.len() - pos, sink)?;
+            pos += frame.len;
         };
-        rows += frame.rows as u64;
-        frame.collect_past(covered, out);
-        pos += frame.len;
-    };
-    Ok(SegmentScan {
-        header,
-        rows,
-        tail,
-        valid_len: pos as u64,
-    })
+        block.flush(sink)?;
+        Ok(SegmentScan {
+            rows,
+            replayed,
+            tail,
+            valid_len: pos as u64,
+        })
+    }
 }
 
 /// One intact frame, borrowed from the segment bytes.
@@ -300,23 +424,6 @@ impl<'a> Frame<'a> {
             values,
             len: FRAME_OVERHEAD + len,
         })
-    }
-
-    /// Appends the frame's rows with sequence past `covered` to `out`.
-    fn collect_past(&self, covered: u64, out: &mut Vec<WalRecord>) {
-        let skip = covered
-            .checked_sub(self.first_seq)
-            .map_or(0, |d| d.saturating_add(1).min(self.rows as u64) as usize);
-        let rows = self.values.chunks_exact(self.dim * 8);
-        for (i, row) in rows.enumerate().skip(skip) {
-            out.push(WalRecord {
-                seq: self.first_seq + i as u64,
-                row: row
-                    .chunks_exact(8)
-                    .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
-                    .collect(),
-            });
-        }
     }
 }
 
@@ -651,8 +758,16 @@ mod tests {
         let path = dir.join(wal_file_name(0));
         for covered in 0..=10 {
             let mut out = Vec::new();
-            let scan = scan_segment(&path, covered, &mut out).unwrap();
+            let scan = MappedSegment::open(&path)
+                .unwrap()
+                .walk(
+                    covered,
+                    &mut ReplayBlock::default(),
+                    &mut collect_into(&mut out),
+                )
+                .unwrap();
             assert_eq!(scan.rows, 9);
+            assert_eq!(scan.replayed, out.len() as u64);
             assert_eq!(scan.valid_len, w.len());
             assert_eq!(out, recs[(covered as usize).min(9)..], "covered {covered}");
         }

@@ -879,10 +879,11 @@ struct PreparedShard {
 }
 
 /// Warm-restarts one shard from its durable directory: restore the newest
-/// valid snapshot into the detector, replay the WAL rows past it, publish
-/// the recovered model, and resume the store for writing from the same
-/// scan (which truncates any torn WAL tail and positions the write cursor
-/// after the replayed rows). Runs on a per-shard recovery thread when the engine has more
+/// valid snapshot into the detector, stream the WAL rows past it into the
+/// detector block by block (`absorb_batch`), publish the recovered model,
+/// and resume the store for writing from the same walk (which truncates
+/// any torn WAL tail and positions the write cursor after the replayed
+/// rows). Runs on a per-shard recovery thread when the engine has more
 /// than one shard; the logic is identical either way.
 fn recover_shard(
     root: &std::path::Path,
@@ -896,9 +897,9 @@ fn recover_shard(
         message,
     };
     let detector = &mut prep.detector;
-    let recovered = durable::recover(&dir).map_err(|e| durable_err(e.to_string()))?;
+    let recovery = durable::Recovery::open(&dir).map_err(|e| durable_err(e.to_string()))?;
     let mut generation = 0;
-    if let Some(snap) = &recovered.snapshot {
+    if let Some(snap) = recovery.snapshot() {
         match detector.restore_state(&snap.payload) {
             Ok(true) => generation = snap.generation,
             // Detector kind without a persistence path: its checkpoints
@@ -916,10 +917,21 @@ fn recover_shard(
             }
         }
     }
-    let replayed = recovered.replay.len() as u64;
-    for rec in &recovered.replay {
-        detector.process(&rec.row);
-    }
+    // The WAL streams straight into the detector, one bounded block at a
+    // time; replayed scores are never read, so the rows are absorbed.
+    let dim = detector.dim();
+    let recovered = recovery
+        .replay_into(|_, rows, width| {
+            if width != dim {
+                return Err(durable::DurableError::Corrupt {
+                    context: "WAL row width differs from the detector's",
+                });
+            }
+            detector.absorb_batch(rows);
+            Ok(())
+        })
+        .map_err(|e| durable_err(e.to_string()))?;
+    let replayed = recovered.stats.replay_rows;
     prep.shared.replayed.store(replayed, Relaxed);
     prep.shared.recovered_generation.store(generation, Relaxed);
     if let Some(model) = detector.current_model() {
@@ -1726,5 +1738,24 @@ mod tests {
         assert!(model.k() >= 1);
         assert!(scorer.score(&wave(1000)).unwrap().is_finite());
         assert!(scorer.generation() >= 1);
+    }
+
+    #[test]
+    fn a_wal_of_another_width_fails_recovery_instead_of_replaying() {
+        // Two rows of width 2 hold four values, which a detector of width 4
+        // would take as one row: recovery refuses the block as a durable
+        // error instead of replaying it.
+        let root = std::env::temp_dir().join(format!("skad-engine-width-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = durable::shard_dir(&root, 0);
+        let mut store = StateStore::open(&dir, 0, durable::FsyncPolicy::Never).unwrap();
+        store.append_rows(&[1.0, 2.0, 3.0, 4.0], 2).unwrap();
+        drop(store);
+        let config = ServeConfig::new(1).with_state_dir(&root);
+        let Err(err) = ServeEngine::open_or_recover(config, fd_factory) else {
+            panic!("recovery replayed rows of the wrong width");
+        };
+        assert!(matches!(err, ServeError::Durable { shard: 0, .. }), "{err}");
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -335,7 +335,8 @@ impl MatrixSketch for FrequentDirections {
         let rows_seen = r.get_u64(ctx)?;
         let frobenius_sq = r.get_f64(ctx)?;
         let total_shrink_delta = r.get_f64(ctx)?;
-        self.reset();
+        // Cleared in place: decoding reserves nothing.
+        self.buffer.as_mut_slice().fill(0.0);
         for i in 0..occupied {
             for v in self.buffer.row_mut(i) {
                 *v = r.get_f64(ctx)?;

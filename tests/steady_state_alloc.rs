@@ -8,7 +8,9 @@
 //! sketch where it lies rather than a copy of it. A WAL append encodes its
 //! frame into a staging buffer the store keeps, so appends after the first
 //! never do either, and a damaged WAL segment never makes the reader
-//! reserve more than the file holds. The serving engine stages and queues
+//! reserve more than the file holds. Recovery decodes the WAL into one
+//! reused block, so it allocates per block, never per row, and a damaged
+//! detector payload never makes `restore_state` reserve more than it holds. The serving engine stages and queues
 //! rows flat, so a submit call allocates per call, never per row.
 //! This binary installs a counting global allocator (it is its own crate, so
 //! `sketchad-linalg` keeps its `deny(unsafe_code)`) and counts.
@@ -20,8 +22,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sketchad_core::{RefreshPolicy, ScoreKind, SketchDetector, StreamingDetector, SubspaceModel};
-use sketchad_durable::{wal, FsyncPolicy, StateStore};
+use sketchad_core::{
+    RefreshPolicy, ScoreKind, SketchDetector, StreamingDetector, SubspaceModel, UpdatePolicy,
+};
+use sketchad_durable::{wal, FsyncPolicy, Recovery, StateStore};
 use sketchad_linalg::rng::{gaussian_matrix, seeded_rng};
 use sketchad_linalg::svd::{right_factor, Workspace};
 use sketchad_serve::{BackpressurePolicy, ServeConfig, ServeEngine};
@@ -372,4 +376,119 @@ fn damaged_wal_segment_never_reserves_more_than_the_file() {
         bad[i] = good[i];
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn recovery_allocates_per_block_not_per_row() {
+    // A snapshot, then a WAL tail in the serving engine's 256-row frames:
+    // the recovery walk decodes into one reused block and the inspection
+    // behind `StateStore::open` keeps no row, so neither allocates per row
+    // and neither reserves more than one block.
+    let recover = |tail: usize| {
+        let rows = gaussian_matrix(&mut seeded_rng(32), 256, 48, 1.0);
+        let dir = temp_dir(&format!("recover-{tail}"));
+        let mut store = StateStore::open(&dir, 0, FsyncPolicy::Never).unwrap();
+        store.append_rows(rows.as_slice(), 48).unwrap();
+        store.checkpoint(b"detector state").unwrap();
+        for _ in 0..tail / 256 {
+            store.append_rows(rows.as_slice(), 48).unwrap();
+        }
+        drop(store);
+        let mut allocations = 0;
+        let mut sum = 0.0;
+        let largest = largest_allocation_in(|| {
+            allocations = allocations_in(|| {
+                let state = Recovery::open(&dir)
+                    .unwrap()
+                    .replay_into(|_, block, _| {
+                        sum += block[0];
+                        Ok(())
+                    })
+                    .unwrap();
+                assert_eq!(state.stats.replay_rows, tail as u64);
+            });
+        });
+        std::hint::black_box(sum);
+        let mut opened = 0;
+        let opened_largest = largest_allocation_in(|| {
+            opened = allocations_in(|| {
+                let store = StateStore::open(&dir, 0, FsyncPolicy::Never).unwrap();
+                assert_eq!(store.seq(), 256 + tail as u64);
+            });
+        });
+        std::fs::remove_dir_all(&dir).unwrap();
+        (allocations, largest, opened, opened_largest)
+    };
+    let block_bytes = wal::REPLAY_BLOCK_ROWS * 48 * 8;
+    let (small, small_largest, small_open, _) = recover(1_024);
+    let (large, large_largest, large_open, large_open_largest) = recover(16_384);
+    assert_eq!(
+        large, small,
+        "recovering 16384 rows made {large} allocations, 1024 rows {small}"
+    );
+    assert_eq!(large_open, small_open, "StateStore::open");
+    for largest in [small_largest, large_largest, large_open_largest] {
+        assert!(
+            largest <= block_bytes,
+            "recovery reserved {largest} bytes at once; a block is {block_bytes}"
+        );
+    }
+}
+
+#[test]
+fn damaged_detector_payload_never_panics_or_reserves_more_than_it_holds() {
+    // Real `save_state` payloads of a frequent-directions detector (with
+    // its filtering quantile) and a CountSketch one, each warmed up with a
+    // model: every prefix and every single-byte flip (each bit, and all
+    // eight) restores to `Ok` or `Err`, and no restore reserves more than
+    // the bytes it was handed.
+    fn probe<S: MatrixSketch + Clone>(name: &str, mut live: SketchDetector<S>) {
+        let fresh = live.clone();
+        let rows = gaussian_matrix(&mut seeded_rng(33), 120, live.dim(), 1.0);
+        live.process_batch(rows.as_slice(), &mut Vec::new());
+        assert!(live.current_model().is_some(), "{name}: no model");
+        let mut payload = Vec::new();
+        assert!(live.save_state(&mut payload));
+        let restore = |bytes: &[u8], what: &str| {
+            let mut det = fresh.clone();
+            let largest = largest_allocation_in(|| {
+                let _ = std::hint::black_box(det.restore_state(bytes));
+            });
+            assert!(
+                largest <= bytes.len(),
+                "{name}, {what}: reserved {largest} bytes from a {}-byte payload",
+                bytes.len()
+            );
+        };
+        restore(&payload, "intact");
+        for len in 0..payload.len() {
+            restore(&payload[..len], &format!("{len}-byte prefix"));
+        }
+        let mut bad = payload.clone();
+        for i in 0..payload.len() {
+            for mask in [1u8, 2, 4, 8, 16, 32, 64, 128, 0xff] {
+                bad[i] = payload[i] ^ mask;
+                restore(&bad, &format!("byte {i} ^ {mask:#x}"));
+            }
+            bad[i] = payload[i];
+        }
+    }
+    let skip = UpdatePolicy::SkipAnomalous { quantile: 0.9 };
+    let fd = SketchDetector::new(
+        FrequentDirections::new(8, 6),
+        2,
+        ScoreKind::RelativeProjection,
+        RefreshPolicy::Periodic { period: 20 },
+        16,
+    )
+    .with_update_policy(skip);
+    probe("fd", fd);
+    let cs = SketchDetector::new(
+        CountSketch::new(8, 6, 1, 7),
+        2,
+        ScoreKind::RelativeProjection,
+        RefreshPolicy::Periodic { period: 20 },
+        16,
+    );
+    probe("count-sketch", cs);
 }
