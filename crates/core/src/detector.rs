@@ -2,15 +2,6 @@
 
 use crate::subspace::SubspaceModel;
 
-/// A deferred model-refresh computation, detached from the detector that
-/// created it (see [`StreamingDetector::refresh_task`]).
-///
-/// The closure owns everything it needs (a sketch snapshot, the rank, the
-/// previous model for warm-starting) and may run on any thread. It returns
-/// `None` when the captured sketch was too degenerate to yield a model —
-/// the caller keeps the old model, exactly as an in-line rebuild would.
-pub type RefreshTask = Box<dyn FnOnce() -> Option<SubspaceModel> + Send + 'static>;
-
 /// A one-pass anomaly detector over a stream of `d`-dimensional points.
 ///
 /// `process` consumes one point and returns its anomaly score (higher is
@@ -93,36 +84,6 @@ pub trait StreamingDetector {
     fn restore_state(&mut self, bytes: &[u8]) -> Result<bool, sketchad_sketch::wire::WireError> {
         let _ = bytes;
         Ok(false)
-    }
-
-    /// Switches the detector between internal and **external** model
-    /// refresh. In external mode the detector stops triggering its own
-    /// policy-scheduled rebuilds (the warmup-end build stays internal, so
-    /// the detector still becomes ready on its own); the owner instead
-    /// calls [`refresh_task`](Self::refresh_task) to obtain a detached
-    /// recompute, runs it wherever it likes, and installs the result via
-    /// [`adopt_model`](Self::adopt_model).
-    ///
-    /// Returns `false` (and changes nothing) for detector kinds that do not
-    /// support deferred refresh. Used by the serving layer to move model
-    /// rebuilds off the ingest thread.
-    fn set_external_refresh(&mut self, enabled: bool) -> bool {
-        let _ = enabled;
-        false
-    }
-
-    /// Packages the detector's current state into a [`RefreshTask`] that
-    /// recomputes the subspace model off-thread, warm-started from the
-    /// current model where supported. Returns `None` for detector kinds
-    /// without deferred refresh, or while there is nothing to refresh from
-    /// (e.g. an empty sketch).
-    ///
-    /// The task is a pure function of the state captured at call time: the
-    /// detector may keep processing points while it runs, and the caller
-    /// decides when (at which processed-count boundary) to adopt the
-    /// result — that choice, not thread timing, determines the scores.
-    fn refresh_task(&self) -> Option<RefreshTask> {
-        None
     }
 
     /// Resident bytes held by the detector's sketch state, when the

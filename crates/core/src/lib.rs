@@ -101,7 +101,7 @@ pub use sketchad_obs as obs;
 
 pub use baseline::{MeanDistanceDetector, OjaDetector, RandomScoreDetector};
 pub use config::DetectorConfig;
-pub use detector::{RefreshTask, StreamingDetector};
+pub use detector::StreamingDetector;
 pub use exact::{ExactSvdDetector, ExactWindowedDetector};
 pub use mmapio::{MappedBytes, MmapRows};
 pub use normalize::{NormalizedDetector, OnlineNormalizer};

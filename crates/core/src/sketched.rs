@@ -91,10 +91,6 @@ pub struct SketchDetector<S: MatrixSketch> {
     score_quantile: Option<QuantileEstimator>,
     skipped_updates: u64,
     model: Option<SubspaceModel>,
-    /// When set, policy-scheduled rebuilds are suppressed: the owner drives
-    /// refresh through `refresh_task` + `adopt_model` (the warmup-end build
-    /// stays internal). Runtime mode, deliberately not persisted.
-    external_refresh: bool,
     since_refresh: usize,
     energy_at_refresh: f64,
     processed: u64,
@@ -140,7 +136,6 @@ impl<S: MatrixSketch> SketchDetector<S> {
             score_quantile: None,
             skipped_updates: 0,
             model: None,
-            external_refresh: false,
             since_refresh: 0,
             energy_at_refresh: 0.0,
             processed: 0,
@@ -312,15 +307,11 @@ impl<S: MatrixSketch> SketchDetector<S> {
             }
         }
         let warmup_just_done = self.processed as usize == self.warmup.max(1);
-        // In external-refresh mode the policy never fires here — only the
-        // warmup-end build stays internal; later models arrive via
-        // `refresh_task` + `adopt_model`.
-        let due = !self.external_refresh
-            && self.refresh.should_refresh(
-                self.since_refresh,
-                self.sketch.stream_frobenius_sq(),
-                self.energy_at_refresh,
-            );
+        let due = self.refresh.should_refresh(
+            self.since_refresh,
+            self.sketch.stream_frobenius_sq(),
+            self.energy_at_refresh,
+        );
         if (self.model.is_none() && warmup_just_done)
             || (due && self.processed as usize >= self.warmup)
         {
@@ -456,9 +447,13 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
     /// Restart-from-snapshot support: installs `model` as the current
     /// subspace model and waives warmup, so a detector rebuilt after a
     /// worker crash scores incoming points against the adopted (stale)
-    /// model immediately instead of emitting warmup zeros. The refresh
-    /// schedule is reset; the next refresh replaces the adopted model with
-    /// one built from the post-restart sketch.
+    /// model immediately instead of emitting warmup zeros. Adoption counts
+    /// as a refresh: the schedule restarts, and energy growth is measured
+    /// from the energy the adopted model was built from (or the sketch's
+    /// own, if larger) — a fresh sketch's zero would make an
+    /// energy-triggered policy discard the model on the very next point.
+    /// The next refresh replaces the adopted model with one built from the
+    /// post-restart sketch.
     fn adopt_model(&mut self, model: &SubspaceModel) -> bool {
         if model.dim() != self.dim() {
             return false;
@@ -466,30 +461,8 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
         self.model = Some(model.clone());
         self.warmup = 0;
         self.since_refresh = 0;
+        self.energy_at_refresh = self.sketch.stream_frobenius_sq().max(model.total_energy());
         true
-    }
-
-    fn set_external_refresh(&mut self, enabled: bool) -> bool {
-        self.external_refresh = enabled;
-        true
-    }
-
-    /// Captures the sketch contents (the `MatrixSketch::sketch()` copy),
-    /// rank, row count, and current model into a detached closure that
-    /// recomputes the subspace via the warm-started iteration
-    /// ([`SubspaceModel::from_matrix_warm`]). Deterministic: the result
-    /// depends only on the captured state, never on when or where it runs.
-    fn refresh_task(&self) -> Option<crate::detector::RefreshTask> {
-        let b = self.sketch.sketch();
-        if b.rows() == 0 {
-            return None;
-        }
-        let k = self.k;
-        let rows_seen = self.sketch.rows_seen();
-        let warm = self.model.clone();
-        Some(Box::new(move || {
-            SubspaceModel::from_matrix_warm(&b, k, rows_seen, warm.as_ref()).ok()
-        }))
     }
 
     /// Full dynamic-state serialization for the durable tier: counters,
@@ -636,17 +609,11 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
                 continue;
             }
             // Largest chunk guaranteed to score against one model version.
-            // With external refresh the model can only change between calls
-            // (via adopt_model), so the whole remaining batch qualifies.
-            let horizon = if self.external_refresh {
-                n - i
-            } else {
-                match self.refresh {
-                    RefreshPolicy::Periodic { period } => {
-                        period.max(1).saturating_sub(self.since_refresh).max(1)
-                    }
-                    RefreshPolicy::EnergyTriggered { .. } => 1,
+            let horizon = match self.refresh {
+                RefreshPolicy::Periodic { period } => {
+                    period.max(1).saturating_sub(self.since_refresh).max(1)
                 }
+                RefreshPolicy::EnergyTriggered { .. } => 1,
             };
             let end = (i + horizon).min(n);
             if end - i < 2 {
@@ -1312,13 +1279,21 @@ mod tests {
 
     #[test]
     fn adopt_model_waives_warmup_and_scores_immediately() {
+        adopt_model_serves_until_the_policy_fires(RefreshPolicy::Periodic { period: 8 });
+        adopt_model_serves_until_the_policy_fires(RefreshPolicy::EnergyTriggered {
+            growth: 0.5,
+            max_period: 8,
+        });
+    }
+
+    fn adopt_model_serves_until_the_policy_fires(refresh: RefreshPolicy) {
         let d = 8;
         let make = |dim: usize| {
             SketchDetector::new(
                 FrequentDirections::new(8, dim),
                 2,
                 ScoreKind::RelativeProjection,
-                RefreshPolicy::Periodic { period: 8 },
+                refresh,
                 16,
             )
         };
@@ -1347,135 +1322,24 @@ mod tests {
             fresh.score_only(&probe).unwrap().to_bits(),
             donor.score_only(&probe).unwrap().to_bits()
         );
-        // `process` scores against the adopted model (no warmup zeros) and
-        // the refresh schedule later rebuilds from post-restart data.
+        // `process` scores against the adopted model (no warmup zeros),
+        // which keeps serving past the first post-restart point...
         let s = fresh.process(&probe);
         assert!(s.is_finite() && s > 0.0);
+        assert_eq!(fresh.refresh_count(), 0, "{refresh:?} replaced the model");
+        let kept = fresh.model().expect("adopted model").basis().as_slice();
+        let adopted = model.basis().as_slice();
+        assert!(
+            kept.iter()
+                .zip(adopted)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{refresh:?} changed the adopted basis"
+        );
+        // ...until the refresh schedule rebuilds from post-restart data.
         for _ in 0..16 {
             fresh.process(&probe);
         }
         assert!(fresh.refresh_count() >= 1, "refresh must still fire");
-    }
-
-    #[test]
-    fn external_refresh_suppresses_internal_rebuilds() {
-        let d = 8;
-        let (rows, _) = planted_stream(200, 0, d, 2, 31);
-        let mut det = SketchDetector::new(
-            FrequentDirections::new(8, d),
-            2,
-            ScoreKind::RelativeProjection,
-            RefreshPolicy::Periodic { period: 16 },
-            32,
-        );
-        assert!(det.set_external_refresh(true));
-        for r in &rows {
-            det.process(r);
-        }
-        // Only the warmup-end build happened; the periodic policy would
-        // otherwise have fired ~12 times over 200 points.
-        assert_eq!(det.refresh_count(), 1);
-        assert!(det.is_warmed_up());
-        // Flipping back re-enables the policy.
-        assert!(det.set_external_refresh(false));
-        for r in &rows {
-            det.process(r);
-        }
-        assert!(det.refresh_count() > 1);
-    }
-
-    #[test]
-    fn refresh_task_result_matches_inline_warm_rebuild() {
-        let d = 10;
-        let (rows, _) = planted_stream(150, 0, d, 3, 32);
-        let mut det = SketchDetector::new(
-            FrequentDirections::new(8, d),
-            3,
-            ScoreKind::RelativeProjection,
-            RefreshPolicy::Periodic { period: 16 },
-            32,
-        );
-        det.set_external_refresh(true);
-        // Nothing to refresh from before any point arrives.
-        assert!(det.refresh_task().is_none());
-        for r in &rows {
-            det.process(r);
-        }
-        let task = det.refresh_task().expect("sketch is non-empty");
-        // The task runs anywhere — here, on another thread — and returns
-        // exactly what an inline warm rebuild from the same state would.
-        let expect = SubspaceModel::from_matrix_warm(
-            &det.sketch().sketch(),
-            3,
-            det.sketch().rows_seen(),
-            det.model(),
-        )
-        .unwrap();
-        let got = std::thread::spawn(task).join().unwrap().expect("model");
-        assert_eq!(got.sigma(), expect.sigma());
-        assert_eq!(got.basis().as_slice(), expect.basis().as_slice());
-        // Adoption installs it and resets the refresh clock.
-        assert!(det.adopt_model(&got));
-        let probe: Vec<f64> = (0..d).map(|i| (i as f64).sin()).collect();
-        assert_eq!(
-            det.score_only(&probe).unwrap().to_bits(),
-            ScoreKind::RelativeProjection
-                .evaluate(&got, &probe)
-                .to_bits()
-        );
-    }
-
-    #[test]
-    fn external_refresh_batch_matches_per_point() {
-        // Simulate the serve worker's async-refresh protocol — kick a task
-        // at every boundary, adopt its result at the next — and require the
-        // batched and per-point drains to agree bitwise.
-        let d = 12;
-        let (rows, _) = planted_stream(400, 40, d, 3, 33);
-        const BOUNDARY: u64 = 50;
-        let make = || {
-            let mut det = SketchDetector::new(
-                FrequentDirections::new(10, d),
-                3,
-                ScoreKind::RelativeProjection,
-                RefreshPolicy::Periodic { period: 16 },
-                48,
-            );
-            det.set_external_refresh(true);
-            det
-        };
-        let run = |batch: usize| -> Vec<f64> {
-            let mut det = make();
-            let mut pending: Option<crate::detector::RefreshTask> = None;
-            let mut out = Vec::new();
-            let mut buf = Vec::new();
-            let mut i = 0usize;
-            while i < rows.len() {
-                // Clamp the chunk so adoption lands exactly on boundaries.
-                let to_boundary = (BOUNDARY - (det.processed() % BOUNDARY)) as usize;
-                let end = (i + batch.min(to_boundary)).min(rows.len());
-                det.process_batch(&rows[i..end].concat(), &mut buf);
-                out.extend_from_slice(&buf);
-                i = end;
-                if det.processed().is_multiple_of(BOUNDARY) {
-                    if let Some(task) = pending.take() {
-                        if let Some(m) = task() {
-                            det.adopt_model(&m);
-                        }
-                    }
-                    pending = det.refresh_task();
-                }
-            }
-            out
-        };
-        let per_point = run(1);
-        for batch in [7usize, 64, 512] {
-            let batched = run(batch);
-            assert_eq!(per_point.len(), batched.len());
-            for (j, (a, b)) in per_point.iter().zip(&batched).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "batch {batch}, point {j}");
-            }
-        }
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //!
 //! The blended score combines both, which catches anomalies of either kind.
 
-use sketchad_linalg::eigen::warm_subspace_iteration;
 use sketchad_linalg::svd::{right_factor, RightFactor, Workspace};
 use sketchad_linalg::vecops;
 use sketchad_linalg::{LinAlgError, Matrix, SparseVec};
@@ -145,51 +144,6 @@ impl SubspaceModel {
             rows_represented,
         })
     }
-
-    /// Like [`from_matrix`](Self::from_matrix), but warm-started from a
-    /// previous model's basis: a few deterministic subspace iterations on
-    /// `BᵀB` (never materialized) replace the cold SVD. Between refreshes a
-    /// sketch absorbs only a few hundred rows, so the old basis is already
-    /// near the new invariant subspace and
-    /// [`WARM_REFRESH_ITERATIONS`](Self::WARM_REFRESH_ITERATIONS) steps
-    /// suffice. Used by the off-thread refresh path in `sketchad-serve`.
-    ///
-    /// Falls back to the cold [`from_matrix`](Self::from_matrix) when no
-    /// usable warm basis exists (`warm` is `None`, dimensions moved, the
-    /// warm rank is below `k`) or the iteration fails — so the call always
-    /// produces a model if a cold build would.
-    ///
-    /// # Errors
-    /// Same conditions as [`from_matrix`](Self::from_matrix).
-    pub fn from_matrix_warm(
-        b: &Matrix,
-        k: usize,
-        rows_represented: u64,
-        warm: Option<&Self>,
-    ) -> Result<Self, LinAlgError> {
-        let k_eff = k.min(b.rows()).min(b.cols());
-        let Some(prev) = warm.filter(|m| m.dim() == b.cols() && m.k() >= k_eff && k_eff > 0) else {
-            return Self::from_matrix(b, k, rows_represented);
-        };
-        let v0 = prev.vt.transpose(); // d × k_prev columns
-        match warm_subspace_iteration(b, &v0, k_eff, Self::WARM_REFRESH_ITERATIONS) {
-            Ok(eig) => Ok(Self::from_covariance_eigen(
-                &eig.values,
-                &eig.vectors,
-                b.squared_frobenius_norm(),
-                rows_represented,
-            )),
-            // A degenerate warm basis (e.g. a zeroed sketch) must not make
-            // refresh fail where a cold rebuild would succeed.
-            Err(_) => Self::from_matrix(b, k, rows_represented),
-        }
-    }
-
-    /// Subspace-iteration steps used by
-    /// [`from_matrix_warm`](Self::from_matrix_warm). Convergence per step is
-    /// `(λ_{k+1}/λ_k)²`; with a near-converged warm start two steps already
-    /// track slow drift, the third buys margin after abrupt shifts.
-    pub const WARM_REFRESH_ITERATIONS: usize = 3;
 
     /// Builds a model directly from eigenpairs of a covariance matrix
     /// (`values` are eigenvalues of `AᵀA`, i.e. squared singular values;
@@ -832,76 +786,6 @@ mod tests {
             &mut scratch,
             &mut out,
         );
-    }
-
-    #[test]
-    fn from_matrix_warm_matches_cold_build() {
-        // Evolve a low-rank-plus-noise matrix slightly and refresh from the
-        // previous basis: scores must agree with the cold SVD rebuild.
-        let mut rng = seeded_rng(17);
-        let v = random_orthonormal_rows(&mut rng, 3, 12); // planted subspace
-        let make = |shift: f64| {
-            let mut b = Matrix::zeros(20, 12);
-            for i in 0..20 {
-                let c = [5.0, 3.0, 1.5][i % 3] + shift;
-                for j in 0..12 {
-                    b[(i, j)] = c * v[(i % 3, j)] + 1e-3 * ((i * 12 + j) as f64).sin();
-                }
-            }
-            b
-        };
-        let prev = SubspaceModel::from_matrix(&make(0.0), 3, 100).unwrap();
-        let b_next = make(0.2);
-        let cold = SubspaceModel::from_matrix(&b_next, 3, 120).unwrap();
-        let warm = SubspaceModel::from_matrix_warm(&b_next, 3, 120, Some(&prev)).unwrap();
-        assert_eq!(warm.rows_represented(), 120);
-        assert!((warm.total_energy() - cold.total_energy()).abs() < 1e-9);
-        for (sw, sc) in warm.sigma().iter().zip(cold.sigma()) {
-            assert!((sw - sc).abs() < 1e-6 * sc.max(1.0), "σ {sw} vs {sc}");
-        }
-        for p in 0..6 {
-            let y: Vec<f64> = (0..12).map(|i| ((i * (p + 2)) as f64).cos()).collect();
-            let dw = warm.projection_distance_sq(&y);
-            let dc = cold.projection_distance_sq(&y);
-            assert!((dw - dc).abs() < 1e-6 * dc.max(1.0), "{dw} vs {dc}");
-        }
-    }
-
-    #[test]
-    fn from_matrix_warm_is_deterministic() {
-        let mut rng = seeded_rng(23);
-        let b = sketchad_linalg::rng::gaussian_matrix(&mut rng, 30, 8, 1.0);
-        let prev = SubspaceModel::from_matrix(&b, 3, 30).unwrap();
-        let mut rng2 = seeded_rng(24);
-        let b2 = sketchad_linalg::rng::gaussian_matrix(&mut rng2, 30, 8, 1.0);
-        let m1 = SubspaceModel::from_matrix_warm(&b2, 3, 60, Some(&prev)).unwrap();
-        let m2 = SubspaceModel::from_matrix_warm(&b2, 3, 60, Some(&prev)).unwrap();
-        assert_eq!(m1.sigma(), m2.sigma());
-        assert_eq!(m1.basis().as_slice(), m2.basis().as_slice());
-    }
-
-    #[test]
-    fn from_matrix_warm_falls_back_without_usable_basis() {
-        let mut rng = seeded_rng(29);
-        let b = sketchad_linalg::rng::gaussian_matrix(&mut rng, 10, 6, 1.0);
-        // No warm model at all.
-        let cold = SubspaceModel::from_matrix(&b, 2, 10).unwrap();
-        let none = SubspaceModel::from_matrix_warm(&b, 2, 10, None).unwrap();
-        assert_eq!(cold.sigma(), none.sigma());
-        assert_eq!(cold.basis().as_slice(), none.basis().as_slice());
-        // Dimension mismatch → fallback, not an error.
-        let other = {
-            let b8 = sketchad_linalg::rng::gaussian_matrix(&mut seeded_rng(1), 10, 8, 1.0);
-            SubspaceModel::from_matrix(&b8, 2, 10).unwrap()
-        };
-        let fb = SubspaceModel::from_matrix_warm(&b, 2, 10, Some(&other)).unwrap();
-        assert_eq!(cold.sigma(), fb.sigma());
-        // Warm rank below requested k → fallback.
-        let low = SubspaceModel::from_matrix(&b, 1, 10).unwrap();
-        let fb2 = SubspaceModel::from_matrix_warm(&b, 2, 10, Some(&low)).unwrap();
-        assert_eq!(cold.sigma(), fb2.sigma());
-        // Error conditions still mirror from_matrix.
-        assert!(SubspaceModel::from_matrix_warm(&Matrix::zeros(0, 4), 2, 0, None).is_err());
     }
 
     #[test]

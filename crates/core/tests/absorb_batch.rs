@@ -73,14 +73,6 @@ fn every_detector() -> Vec<(&'static str, Build)> {
             Box::new(move || Box::new(config().with_update_policy(skip).build_cs(DIM))),
         ),
         (
-            "fd-external-refresh",
-            Box::new(|| {
-                let mut d = config().build_fd(DIM);
-                assert!(d.set_external_refresh(true));
-                Box::new(d)
-            }),
-        ),
-        (
             "normalized-fd",
             Box::new(|| Box::new(NormalizedDetector::new(config().build_fd(DIM)))),
         ),

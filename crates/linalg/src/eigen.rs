@@ -16,8 +16,11 @@
 //!   and several times slower at every size. Kept as the accuracy oracle the
 //!   tests compare the QL solver against; nothing on a hot path calls it.
 //! * [`subspace_iteration`] / [`warm_subspace_iteration`] — block orthogonal
-//!   iteration extracting only the top-k eigenpairs, for the exact-SVD
-//!   baseline's `d × d` covariances and the warm-started model refresh.
+//!   iteration extracting only the top-k eigenpairs. The cold one serves the
+//!   exact-SVD baseline's `d × d` covariances. The warm one is on no
+//!   refresh path: every model refresh is a cold `right_factor` build, and
+//!   its one non-test caller is the `skbench` isolate pass, which times it
+//!   (`linalg.subspace_iter_us`) against that build.
 
 use crate::error::{LinAlgError, Result};
 use crate::matrix::Matrix;
@@ -993,6 +996,11 @@ pub fn subspace_iteration(s: &Matrix, k: usize, iterations: usize, seed: u64) ->
 /// slowly between refreshes (the streaming case: one sketch absorbs a few
 /// hundred rows per refresh), the warm basis is already near the invariant
 /// subspace and 2–3 iterations replace a cold `O(min(ℓ,d)²·max(ℓ,d))` SVD.
+///
+/// No detector calls this: model refresh always runs the cold
+/// [`crate::svd::right_factor`] build. Its one non-test caller is the
+/// `skbench` isolate pass (`benchmark/src/isolate.rs`), which reports it as
+/// `linalg.subspace_iter_us` beside the cold refresh it would replace.
 ///
 /// Each iteration is `Z = B·Q` then `W = Bᵀ·Z` then `Q ← orth(W)` —
 /// `O(ℓ·d·k₀)` per step. Eigenpairs are extracted by Rayleigh–Ritz on

@@ -31,14 +31,13 @@ const COUNTERS: [Counter; 9] = [
     Counter::CheckpointsWritten,
 ];
 
-const GAUGES: [Gauge; 7] = [
+const GAUGES: [Gauge; 6] = [
     Gauge::FdErrorBound,
     Gauge::SketchEnergy,
     Gauge::ModelEnergyCaptured,
     Gauge::QueueDepth,
     Gauge::ResidualEnergy,
     Gauge::RingDepth,
-    Gauge::RefreshLag,
 ];
 
 const HISTS: [Hist; 2] = [Hist::SubmitLatency, Hist::RefreshDuration];
@@ -75,7 +74,6 @@ fn gauge_index(gauge: Gauge) -> usize {
         Gauge::QueueDepth => 3,
         Gauge::ResidualEnergy => 4,
         Gauge::RingDepth => 5,
-        Gauge::RefreshLag => 6,
     }
 }
 
@@ -106,7 +104,7 @@ struct GaugeAgg {
 struct Inner {
     spans: [SpanAgg; 5],
     counters: [u64; 9],
-    gauges: [Option<GaugeAgg>; 7],
+    gauges: [Option<GaugeAgg>; 6],
     hists: [LogHistogram; 2],
     events: VecDeque<Event>,
     event_capacity: usize,
@@ -146,7 +144,7 @@ impl MetricsRecorder {
             inner: Mutex::new(Inner {
                 spans: [SpanAgg::default(); 5],
                 counters: [0; 9],
-                gauges: [None; 7],
+                gauges: [None; 6],
                 hists: [LogHistogram::new(), LogHistogram::new()],
                 events: VecDeque::with_capacity(capacity.min(DEFAULT_EVENT_CAPACITY)),
                 event_capacity: capacity,

@@ -109,10 +109,6 @@ pub enum Gauge {
     /// Occupancy of a shard's SPSC ingest ring sampled at drain time (the
     /// lock-free fast path; `QueueDepth` covers the condvar fallback queue).
     RingDepth,
-    /// Staleness of an asynchronously-refreshed model at adoption: how many
-    /// points the shard processed between kicking the off-thread rebuild
-    /// and installing its result. Zero under synchronous (inline) refresh.
-    RefreshLag,
 }
 
 impl Gauge {
@@ -125,7 +121,6 @@ impl Gauge {
             Gauge::QueueDepth => "queue_depth",
             Gauge::ResidualEnergy => "residual_energy",
             Gauge::RingDepth => "ring_depth",
-            Gauge::RefreshLag => "refresh_lag",
         }
     }
 }
@@ -372,7 +367,6 @@ mod tests {
         assert_eq!(Gauge::FdErrorBound.label(), "fd_error_bound");
         assert_eq!(Gauge::ResidualEnergy.label(), "residual_energy");
         assert_eq!(Gauge::RingDepth.label(), "ring_depth");
-        assert_eq!(Gauge::RefreshLag.label(), "refresh_lag");
         assert_eq!(Hist::SubmitLatency.label(), "submit_latency");
         assert_eq!(Hist::RefreshDuration.label(), "refresh_duration");
         assert_ne!(Hist::SubmitLatency.label(), Hist::RefreshDuration.label());

@@ -79,18 +79,6 @@ pub struct ServeConfig {
     /// How eagerly WAL appends reach stable storage (see
     /// [`FsyncPolicy`]). Ignored without [`state_dir`](Self::state_dir).
     pub fsync: FsyncPolicy,
-    /// Asynchronous model refresh period in processed points per shard
-    /// (`0`, the default, keeps refresh inline on the ingest thread under
-    /// the detector's own policy). When set, each shard switches its
-    /// detector to external refresh and runs a dedicated refresher thread:
-    /// at every `refresh_every` boundary the worker adopts the previously
-    /// kicked rebuild (blocking if it is still running — determinism
-    /// outranks latency) and kicks a new one from the current sketch,
-    /// warm-started from the live model. Scores stay deterministic because
-    /// adoption happens at exact processed-count boundaries, never at
-    /// thread-timing-dependent moments; they differ from inline-refresh
-    /// scores (the model is adopted one period later than it was computed).
-    pub refresh_every: u64,
 }
 
 impl ServeConfig {
@@ -111,7 +99,6 @@ impl ServeConfig {
             state_dir: None,
             checkpoint_every: 4096,
             fsync: FsyncPolicy::default(),
-            refresh_every: 0,
         }
     }
 
@@ -185,16 +172,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_fsync(mut self, fsync: FsyncPolicy) -> Self {
         self.fsync = fsync;
-        self
-    }
-
-    /// Moves model refresh off the ingest thread: every `every` processed
-    /// points the shard adopts the previous off-thread rebuild and kicks a
-    /// new one (see [`refresh_every`](Self::refresh_every); `0` keeps
-    /// refresh inline).
-    #[must_use]
-    pub fn with_async_refresh(mut self, every: u64) -> Self {
-        self.refresh_every = every;
         self
     }
 

@@ -381,7 +381,6 @@ impl ServeEngine {
                 max_batch: config.max_batch,
                 max_restarts: config.max_restarts,
                 checkpoint_every: config.checkpoint_every,
-                refresh_every: config.refresh_every,
             };
             let rebuild = {
                 let factory = Arc::clone(&factory);
@@ -1649,28 +1648,6 @@ mod tests {
             run(BackpressurePolicy::ShedOldest),
             "queue channel scores diverged from the ring's"
         );
-    }
-
-    #[test]
-    fn async_refresh_is_deterministic_across_batch_sizes() {
-        // Off-thread refresh adopts results only at exact refresh_every
-        // boundaries, so scores must not depend on micro-batch sizing or on
-        // how long the refresher thread takes.
-        let run = |max_batch: usize| -> Vec<u64> {
-            let config = ServeConfig::new(2)
-                .with_snapshot_every(8)
-                .with_async_refresh(32)
-                .with_max_batch(max_batch);
-            let mut engine = ServeEngine::start(config, fd_factory).unwrap();
-            engine
-                .submit_batch_rows_parallel(&waves(0..300), 1)
-                .unwrap();
-            score_bits(&engine.finish().unwrap())
-        };
-        let strict = run(1);
-        assert_eq!(strict.len(), 300);
-        assert_eq!(strict, run(7), "async refresh with max_batch=7 diverged");
-        assert_eq!(strict, run(64), "async refresh with max_batch=64 diverged");
     }
 
     #[test]

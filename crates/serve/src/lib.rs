@@ -50,9 +50,8 @@
 //!
 //! * [`config`] — [`ServeConfig`], backpressure and partitioning policies.
 //! * [`engine`] — [`ServeEngine`], submission, shutdown, report assembly.
-//! * `shard` *(private)* — the supervised worker loop owning each detector,
-//!   plus the off-thread model refresher
-//!   ([`ServeConfig::with_async_refresh`]).
+//! * `shard` *(private)* — the supervised worker loop owning each detector;
+//!   the detector refreshes its model inline on that thread.
 //! * `ring` *(private)* — the lock-free SPSC ingest ring (the channel under
 //!   `Block` / `DropNewest`; seqlock-style per-slot counters, a flat row
 //!   arena, batch push/pop). The one module in this crate allowed to use

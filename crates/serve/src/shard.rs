@@ -1,6 +1,6 @@
 //! The worker side of a shard: a supervised thread owning one detector,
-//! draining one bounded channel, with an optional companion refresher
-//! thread that recomputes the model off the ingest path.
+//! draining one bounded channel. The detector rebuilds its model inline,
+//! on this thread, whenever its own refresh policy fires.
 //!
 //! Supervision contract: a panic inside the detector (`process` /
 //! `process_batch`) is caught *inside the worker thread*, which rebuilds a
@@ -11,27 +11,16 @@
 //! `max_restarts` such recoveries; beyond that it **degrades**: the stale
 //! snapshot keeps serving reads, while queued and future updates are shed
 //! with exact counts instead of failing the whole pipeline.
-//!
-//! Asynchronous refresh ([`WorkerConfig::refresh_every`] > 0): the worker
-//! switches its detector to external refresh and, at every
-//! `refresh_every`-processed-points boundary, (1) adopts the model rebuild
-//! it kicked at the *previous* boundary — blocking until it is ready, so
-//! adoption points are a pure function of the point stream — and (2) hands
-//! the refresher thread a new [`RefreshTask`] capturing the current sketch.
-//! Micro-batches are clamped so they never straddle a boundary. The
-//! refresher (and any in-flight task) is discarded and respawned when a
-//! panic replaces the detector, and joined at drain end.
 
 use crate::ring::{RowBlock, ShardChannel};
 use crate::snapshot::SnapshotCell;
 use crate::stats::LatencyHistogram;
-use sketchad_core::{RefreshTask, StreamingDetector, SubspaceModel};
+use sketchad_core::StreamingDetector;
 use sketchad_durable::StateStore;
 use sketchad_obs::{Counter, Event, Gauge, Hist, RecorderHandle, Stage};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// State shared between the submitting side and a shard's worker thread.
@@ -100,9 +89,6 @@ pub(crate) struct WorkerConfig {
     /// Durable checkpoint period in processed points (0 = only at clean
     /// drain). Only meaningful when a [`StateStore`] is attached.
     pub checkpoint_every: u64,
-    /// Off-thread refresh period in processed points (0 = inline refresh
-    /// under the detector's own policy).
-    pub refresh_every: u64,
 }
 
 /// What a worker thread returns when its queue closes.
@@ -119,108 +105,6 @@ struct WorkerState {
     /// Rows popped from the channel but not yet scored; folded into
     /// `crash_lost` when a panic lands between pop and score.
     in_flight: u64,
-}
-
-/// The worker's handle on its companion refresher thread: a task channel
-/// out, a model channel back, and the bookkeeping that pins adoption to
-/// processed-count boundaries.
-struct Refresher {
-    /// `Option` so `Drop` can hang up before joining.
-    task_tx: Option<mpsc::Sender<RefreshTask>>,
-    result_rx: mpsc::Receiver<Option<SubspaceModel>>,
-    join: Option<JoinHandle<()>>,
-    /// A task is in flight; the *next* boundary blocks on its result.
-    outstanding: bool,
-    /// Shard `processed` count when the in-flight task was kicked; the
-    /// adoption-time difference is the `refresh_lag` gauge.
-    kicked_at: u64,
-}
-
-impl Refresher {
-    /// Switches `detector` to external refresh and spawns the refresher
-    /// thread. `None` (detector left in inline mode) when async refresh is
-    /// off, the detector kind has no deferred-refresh path, or the spawn
-    /// fails.
-    fn start(cfg: &WorkerConfig, detector: &mut (dyn StreamingDetector + Send)) -> Option<Self> {
-        if cfg.refresh_every == 0 || !detector.set_external_refresh(true) {
-            return None;
-        }
-        let (task_tx, task_rx) = mpsc::channel::<RefreshTask>();
-        let (result_tx, result_rx) = mpsc::channel();
-        let spawned = std::thread::Builder::new()
-            .name(format!("sketchad-refresh-{}", cfg.shard))
-            .spawn(move || {
-                while let Ok(task) = task_rx.recv() {
-                    if result_tx.send(task()).is_err() {
-                        break; // the worker moved on (restart or shutdown)
-                    }
-                }
-            });
-        match spawned {
-            Ok(join) => Some(Self {
-                task_tx: Some(task_tx),
-                result_rx,
-                join: Some(join),
-                outstanding: false,
-                kicked_at: 0,
-            }),
-            Err(_) => {
-                // No refresher thread — fall back to inline refresh rather
-                // than never refreshing again.
-                detector.set_external_refresh(false);
-                None
-            }
-        }
-    }
-
-    /// Runs exactly when `processed` crosses a `refresh_every` boundary:
-    /// adopts the rebuild kicked at the previous boundary (blocking until
-    /// it is ready — adoption points must depend only on the point stream,
-    /// never on thread timing), then kicks a new rebuild from the current
-    /// sketch. Pre-warmup boundaries kick nothing, so the detector's own
-    /// warmup-end build stays the first model, exactly as in inline mode.
-    fn at_boundary(
-        &mut self,
-        detector: &mut (dyn StreamingDetector + Send),
-        shared: &ShardShared,
-        recorder: &RecorderHandle,
-    ) {
-        let processed = shared.processed.load(Ordering::Relaxed);
-        if self.outstanding {
-            self.outstanding = false;
-            if let Ok(result) = self.result_rx.recv() {
-                if let Some(model) = result {
-                    detector.adopt_model(&model);
-                }
-                if recorder.enabled() {
-                    recorder.gauge(Gauge::RefreshLag, (processed - self.kicked_at) as f64);
-                }
-            }
-        }
-        if detector.is_warmed_up() {
-            if let Some(task) = detector.refresh_task() {
-                if self
-                    .task_tx
-                    .as_ref()
-                    .is_some_and(|tx| tx.send(task).is_ok())
-                {
-                    self.outstanding = true;
-                    self.kicked_at = processed;
-                }
-            }
-        }
-    }
-}
-
-impl Drop for Refresher {
-    fn drop(&mut self) {
-        // Hang up first so the thread's recv loop ends, then join. At most
-        // one task can be in flight, so the join is bounded by one rebuild.
-        self.task_tx = None;
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
 }
 
 /// Supervised worker loop: drain, and on a detector panic restart from the
@@ -244,7 +128,6 @@ pub(crate) fn run_supervised(
         latency: LatencyHistogram::new(),
         in_flight: 0,
     };
-    let mut refresher = Refresher::start(&cfg, detector.as_mut());
     loop {
         let drained = catch_unwind(AssertUnwindSafe(|| {
             drain(
@@ -255,7 +138,6 @@ pub(crate) fn run_supervised(
                 &recorder,
                 &mut state,
                 &mut store,
-                &mut refresher,
             );
         }));
         match drained {
@@ -297,10 +179,6 @@ pub(crate) fn run_supervised(
                 match rebuilt {
                     Ok(fresh) => {
                         detector = fresh;
-                        // The old refresher's in-flight task (if any) was
-                        // computed from the corrupted detector's sketch;
-                        // discard it with the thread and start afresh.
-                        refresher = Refresher::start(&cfg, detector.as_mut());
                         if recorder.enabled() {
                             recorder.incr(Counter::WorkerRestarts, 1);
                             recorder.event(Event::WorkerRestarted {
@@ -329,13 +207,9 @@ pub(crate) fn run_supervised(
 /// re-arms the slots when the block drops) and scores it through
 /// [`StreamingDetector::process_batch`], whose blocked `V_kᵀY` kernel
 /// yields scores bitwise identical to per-point processing (`max_batch = 1`
-/// is a budget of one). Under async refresh a micro-batch
-/// is additionally clamped so it never crosses a `refresh_every` boundary —
-/// adoption points stay a pure function of the point stream. An attached
-/// recorder samples the depth gauges once per micro-batch; queue wait is
-/// recorded once per run of rows that share a submit call's stamp, which
-/// gives the histogram per-row records would.
-#[allow(clippy::too_many_arguments)]
+/// is a budget of one). An attached recorder samples the depth gauges once
+/// per micro-batch; queue wait is recorded once per run of rows that share
+/// a submit call's stamp, which gives the histogram per-row records would.
 fn drain(
     cfg: &WorkerConfig,
     channel: &ShardChannel,
@@ -344,7 +218,6 @@ fn drain(
     recorder: &RecorderHandle,
     state: &mut WorkerState,
     store: &mut Option<StateStore>,
-    refresher: &mut Option<Refresher>,
 ) {
     let observing = recorder.enabled();
     let dim = detector.dim();
@@ -353,16 +226,7 @@ fn drain(
     let mut copied = RowBlock::default();
     let mut batch_scores: Vec<f64> = Vec::with_capacity(cfg.max_batch);
     while channel.wait() {
-        let before = shared.processed.load(Ordering::Relaxed);
-        // Clamp to the next refresh boundary so no batch straddles one.
-        let budget = match refresher {
-            Some(_) => {
-                let to_boundary = cfg.refresh_every - (before % cfg.refresh_every);
-                (cfg.max_batch as u64).min(to_boundary) as usize
-            }
-            None => cfg.max_batch,
-        };
-        let block = channel.pop_batch(&mut copied, budget);
+        let block = channel.pop_batch(&mut copied, cfg.max_batch);
         let n = block.len() as u64;
         let depth_before = shared.depth.fetch_sub(n as usize, Ordering::Relaxed);
         if observing {
@@ -398,15 +262,9 @@ fn drain(
                 .copied()
                 .zip(batch_scores.iter().copied()),
         );
-        // Hand the slots back to the producer before the refresh, publish
-        // and checkpoint work below.
+        // Hand the slots back to the producer before the publish and
+        // checkpoint work below.
         drop(block);
-        if let Some(r) = refresher.as_mut() {
-            // The clamp above means crossing ⇔ landing exactly on it.
-            if (before + n).is_multiple_of(cfg.refresh_every) {
-                r.at_boundary(detector, shared, recorder);
-            }
-        }
         // Publish when the batch crossed a `snapshot_every` boundary: one
         // publish per period, whatever the batch sizes.
         if cfg.snapshot_every > 0
@@ -576,7 +434,6 @@ mod tests {
             max_batch: 64,
             max_restarts: 0,
             checkpoint_every: 0,
-            refresh_every: 0,
         };
         let mut detector = CountingDetector::default();
         let mut state = WorkerState {
@@ -591,7 +448,6 @@ mod tests {
             &shared,
             &recorder,
             &mut state,
-            &mut None,
             &mut None,
         );
 

@@ -19,6 +19,13 @@ use sketchad_serve::{
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// The repository README, compiled (and, unless marked `no_run`, run) as
+/// doctests, so its Rust snippets cannot drift from the API they show.
+/// This crate hosts it because it depends on both crates the snippets use.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+pub struct ReadmeDoctests;
+
 /// One draw from a splitmix64 stream (advances the state). The same tiny,
 /// stable PRNG the workspace's other seeded components use: the same plan
 /// and the same stream on every run and machine.
