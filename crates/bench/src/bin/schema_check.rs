@@ -27,7 +27,9 @@
 //!   frame checksum-verified, and the records contiguous: the first
 //!   carries `start_seq + 1` and each the previous + 1. A torn tail is
 //!   legitimate crash damage (the reader reports it and recovery drops
-//!   it), not a violation.
+//!   it), not a violation. The rule reads frames with a serial reader of
+//!   its own, not `sketchad-durable`'s frame walk, and reports a
+//!   violation wherever that walk's records or tail status differ.
 //! * `*.rows` binary row files — `sketchad-rows/v1` magic, version, and
 //!   row-count/body-length consistency verified by the real
 //!   `sketchad-core::rowfmt` reader.
@@ -38,7 +40,9 @@
 
 use serde::Value;
 use sketchad_core::rowfmt::RowsView;
-use sketchad_durable::{read_snapshot, snapshot::parse_snapshot_name, wal, TailStatus};
+use sketchad_durable::{
+    checksum64, read_snapshot, snapshot::parse_snapshot_name, wal, DurableError, TailStatus,
+};
 use sketchad_eval::matrix::{MatrixArtifact, MATRIX_SCHEMA};
 use sketchad_obs::{TelemetryRecord, TELEMETRY_SCHEMA};
 use std::path::Path;
@@ -96,8 +100,10 @@ fn check_file(path: &Path) -> Vec<String> {
     if path.extension().is_some_and(|x| x == "skwl") {
         // WAL segment: header magic/version, per-frame checksums, and
         // sequences running on from the header without a gap. A torn tail
-        // is expected crash damage — reported, not a violation.
-        match wal::read_segment(path) {
+        // is expected crash damage — reported, not a violation. The rule
+        // reads the segment itself, one frame at a time, and then holds
+        // the durable tier's own reader to what it found.
+        match read_segment_serially(path) {
             Ok((header, records, tail)) => {
                 let due = |i: usize| header.start_seq.checked_add(i as u64 + 1);
                 if let Some((i, rec)) = records
@@ -111,6 +117,26 @@ fn check_file(path: &Path) -> Vec<String> {
                         header.start_seq,
                         due(i).map_or("none".to_string(), |s| s.to_string())
                     ));
+                }
+                match wal::read_segment(path) {
+                    Ok((_, theirs, their_tail)) => {
+                        if theirs != records {
+                            violation(format!(
+                                "the WAL reader returns {} records where a serial read finds {}",
+                                theirs.len(),
+                                records.len()
+                            ));
+                        }
+                        if their_tail != tail {
+                            violation(format!(
+                                "the WAL reader reports tail {their_tail:?} where a serial \
+                                 read finds {tail:?}"
+                            ));
+                        }
+                    }
+                    Err(e) => violation(format!(
+                        "the WAL reader rejects a segment a serial read accepts: {e}"
+                    )),
                 }
                 if let TailStatus::Torn { bytes_dropped } = tail {
                     println!(
@@ -293,6 +319,59 @@ fn check_file(path: &Path) -> Vec<String> {
         }
     }
     violations
+}
+
+/// Reads a WAL segment without the durable tier's frame walk: the whole
+/// file into memory, then one frame at a time, each sized and checked
+/// with a serial [`checksum64`], stopping at the first frame that is
+/// incomplete, inconsistent or corrupt. Only the header goes through the
+/// tier's decoder; a bad header is the error.
+fn read_segment_serially(
+    path: &Path,
+) -> Result<(wal::WalHeader, Vec<wal::WalRecord>, TailStatus), DurableError> {
+    let bytes = std::fs::read(path)?;
+    let header = wal::decode_wal_header(&bytes)?;
+    let u32_at =
+        |b: &[u8], at: usize| Some(u32::from_le_bytes(b.get(at..at + 4)?.try_into().ok()?));
+    let u64_at =
+        |b: &[u8], at: usize| Some(u64::from_le_bytes(b.get(at..at + 8)?.try_into().ok()?));
+    let mut records = Vec::new();
+    let mut pos = wal::WAL_HEADER_LEN;
+    while pos < bytes.len() {
+        let rest = &bytes[pos..];
+        // `len`, then the body (`first_seq`, `rows`, `dim`, values), then
+        // the body's checksum.
+        let frame = u32_at(rest, 0).and_then(|len| {
+            let len = len as usize;
+            let body = rest.get(4..4 + len)?;
+            (checksum64(body) == u64_at(rest, 4 + len)?).then_some(())?;
+            let (first, n, dim) = (u64_at(body, 0)?, u32_at(body, 8)?, u32_at(body, 12)?);
+            let values = body.get(16..)?;
+            let whole = n > 0
+                && dim > 0
+                && (n as usize).checked_mul(dim as usize * 8) == Some(values.len())
+                && first.checked_add(u64::from(n)).is_some();
+            whole.then_some((len, first, dim as usize, values))
+        });
+        let Some((len, first, dim, values)) = frame else {
+            return Ok((
+                header,
+                records,
+                TailStatus::Torn {
+                    bytes_dropped: bytes.len() - pos,
+                },
+            ));
+        };
+        for (row, seq) in values.chunks_exact(dim * 8).zip(first..) {
+            let row = row
+                .chunks_exact(8)
+                .map(|v| f64::from_le_bytes(v.try_into().expect("8 bytes")))
+                .collect();
+            records.push(wal::WalRecord { seq, row });
+        }
+        pos += 4 + len + 8;
+    }
+    Ok((header, records, TailStatus::Clean))
 }
 
 /// True when `path` has an extension a schema rule exists for.
@@ -624,6 +703,47 @@ mod tests {
             }
             let v = check_file(w.path());
             assert!(v.len() == 1 && v[0].contains("due"), "{v:?}");
+        }
+    }
+
+    /// The rule's serial reader and the durable tier's walk agree on a
+    /// segment of six frames, whole, cut inside every frame and with a
+    /// byte flipped in every frame, so the rule raises no cross-check
+    /// violation on honest damage.
+    #[test]
+    fn serial_wal_reader_agrees_with_the_durable_walk() {
+        let dir = tmpdir("wal-serial");
+        let header = wal::WalHeader {
+            shard: 0,
+            start_seq: 0,
+        };
+        let mut w = wal::SegmentWriter::create(&dir, 0, &header).unwrap();
+        let mut ends = vec![wal::WAL_HEADER_LEN];
+        let mut seq = 1;
+        for n in [1usize, 5, 2, 9, 1, 3] {
+            let rows: Vec<f64> = (0..n * 2).map(|v| v as f64 + seq as f64).collect();
+            let mut frame = Vec::new();
+            wal::encode_wal_frame(seq, &rows, 2, &mut frame);
+            w.append(&frame).unwrap();
+            ends.push(w.len() as usize);
+            seq += n as u64;
+        }
+        let path = w.path().to_path_buf();
+        drop(w);
+        let good = std::fs::read(&path).unwrap();
+        let mut cases = vec![good.clone()];
+        for pair in ends.windows(2) {
+            let mid = (pair[0] + pair[1]) / 2;
+            cases.push(good[..mid].to_vec());
+            let mut bad = good.clone();
+            bad[mid] ^= 0x04;
+            cases.push(bad);
+        }
+        for bytes in cases {
+            std::fs::write(&path, &bytes).unwrap();
+            let serial = read_segment_serially(&path).unwrap();
+            assert_eq!(serial, wal::read_segment(&path).unwrap());
+            assert!(check_file(&path).is_empty(), "{:?}", check_file(&path));
         }
     }
 

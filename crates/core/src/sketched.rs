@@ -319,6 +319,23 @@ impl<S: MatrixSketch> SketchDetector<S> {
         }
     }
 
+    /// Rows from the next one (counted as 1) through the first whose
+    /// `after_update` could build a model under `Periodic { period }`: the
+    /// end of warmup while no model exists, or the first row at which a
+    /// refresh is both due and past warmup.
+    fn rows_to_next_build(&self, period: usize) -> usize {
+        let before_warm = |at: usize| (at as u64).saturating_sub(self.processed) as usize;
+        let due = period
+            .max(1)
+            .saturating_sub(self.since_refresh)
+            .max(before_warm(self.warmup))
+            .max(1);
+        match before_warm(self.warmup.max(1)) {
+            warm if self.model.is_none() && warm > 0 => due.min(warm),
+            _ => due,
+        }
+    }
+
     /// Forces an immediate model rebuild (used at warmup end and by tests).
     ///
     /// The model is built from the factor the sketch hands out
@@ -610,9 +627,7 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
             }
             // Largest chunk guaranteed to score against one model version.
             let horizon = match self.refresh {
-                RefreshPolicy::Periodic { period } => {
-                    period.max(1).saturating_sub(self.since_refresh).max(1)
-                }
+                RefreshPolicy::Periodic { period } => self.rows_to_next_build(period),
                 RefreshPolicy::EnergyTriggered { .. } => 1,
             };
             let end = (i + horizon).min(n);
@@ -645,6 +660,14 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
     /// decay/refresh bookkeeping `process` runs after scoring. Under
     /// `SkipAnomalous` the score decides the update and feeds the filtering
     /// quantile, so the rows are scored through `process_batch`.
+    ///
+    /// Under the periodic policy, with no decay and no recorder, the rows
+    /// go to the sketch in runs: each run ends at the first row after
+    /// which a model could be built (warmup end or a due refresh), is
+    /// folded into the sketch row by row, and the bookkeeping runs once,
+    /// for its last row. No row before it could build, decay or record
+    /// anything, so the detector ends bit for bit where per-row absorption
+    /// leaves it.
     fn absorb_batch(&mut self, rows: &[f64]) {
         let d = self.dim();
         assert_eq!(rows.len() % d, 0, "a block holds whole rows of dim {d}");
@@ -652,11 +675,33 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
             self.process_batch(rows, &mut Vec::new());
             return;
         }
-        for y in rows.chunks_exact(d) {
-            let started = self.span_start();
-            self.sketch.update(y);
-            self.span_end(Stage::SketchUpdate, started);
+        let period = match self.refresh {
+            RefreshPolicy::Periodic { period }
+                if self.decay.is_none() && !self.recorder.enabled() =>
+            {
+                period
+            }
+            _ => {
+                for y in rows.chunks_exact(d) {
+                    let started = self.span_start();
+                    self.sketch.update(y);
+                    self.span_end(Stage::SketchUpdate, started);
+                    self.after_update();
+                }
+                return;
+            }
+        };
+        let mut rest = rows;
+        while !rest.is_empty() {
+            let n = self.rows_to_next_build(period).min(rest.len() / d);
+            let (run, later) = rest.split_at(n * d);
+            for y in run.chunks_exact(d) {
+                self.sketch.update(y);
+            }
+            self.processed += n as u64 - 1;
+            self.since_refresh += n - 1;
             self.after_update();
+            rest = later;
         }
     }
 }
@@ -1208,6 +1253,52 @@ mod tests {
         }
         assert_eq!(plain.skipped_updates(), metered.skipped_updates());
         assert_eq!(plain.refresh_count(), metered.refresh_count());
+    }
+
+    /// Absorbing in runs leaves the detector where per-row processing
+    /// does, wherever the block edges fall against warmup and refresh
+    /// points — including behind an all-zero prefix, on which the first
+    /// builds fail and a refresh is then due on every row.
+    #[test]
+    fn absorb_batch_in_runs_matches_per_row_processing() {
+        let d = 6;
+        let (planted, _) = planted_stream(1_600, 0, d, 2, 31);
+        let rows: Vec<f64> = std::iter::repeat_n(vec![0.0; d], 40)
+            .chain(planted)
+            .flatten()
+            .collect();
+        for (warmup, period) in [(0, 1), (1, 7), (12, 20), (64, 64), (100, 1024)] {
+            let make = || {
+                SketchDetector::new(
+                    CountSketch::new(8, d, 1, 5),
+                    2,
+                    ScoreKind::RelativeProjection,
+                    RefreshPolicy::Periodic { period },
+                    warmup,
+                )
+            };
+            let mut per_row = make();
+            for y in rows.chunks_exact(d) {
+                per_row.process(y);
+            }
+            let mut runs = make();
+            let mut rest = rows.as_slice();
+            for n in [1, 7, 1024] {
+                let (block, later) = rest.split_at(n * d);
+                runs.absorb_batch(block);
+                rest = later;
+            }
+            runs.absorb_batch(rest);
+            let what = format!("warmup {warmup}, period {period}");
+            assert_eq!(runs.processed(), per_row.processed(), "{what}");
+            assert_eq!(runs.refresh_count(), per_row.refresh_count(), "{what}");
+            let saved = |det: &SketchDetector<CountSketch>| {
+                let mut out = Vec::new();
+                assert!(det.save_state(&mut out));
+                out
+            };
+            assert_eq!(saved(&runs), saved(&per_row), "{what}");
+        }
     }
 
     #[test]

@@ -61,16 +61,61 @@ fn step(h: u64, w: u64) -> u64 {
 /// is an integrity check against torn or bit-rotted files, not an
 /// adversarial MAC.
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    let mut h = step(0x2545_f491_4f6c_dd1d, bytes.len() as u64);
+    finish(absorb(seed(bytes), bytes))
+}
+
+/// [`checksum64`] of four buffers at once, bit for bit the four serial
+/// sums.
+///
+/// Each sum is one dependent chain of multiplies, so a single checksum
+/// runs at the multiply's latency. Here the four chains advance together
+/// over the words all four buffers have, which keeps four multiplies in
+/// flight; each buffer's words past the shortest one's, and its tail
+/// bytes, then finish serially. With an empty buffer among the four, all
+/// of them finish serially.
+pub(crate) fn checksum64x4(bufs: [&[u8]; 4]) -> [u64; 4] {
+    let mut h = bufs.map(seed);
+    let common = bufs.iter().map(|b| b.len() / 8).min().unwrap_or(0) * 8;
+    let [a, b, c, d] = bufs.map(|buf| buf[..common].chunks_exact(8));
+    for (((a, b), c), d) in a.zip(b).zip(c).zip(d) {
+        h[0] = step(h[0], word(a));
+        h[1] = step(h[1], word(b));
+        h[2] = step(h[2], word(c));
+        h[3] = step(h[3], word(d));
+    }
+    std::array::from_fn(|lane| finish(absorb(h[lane], &bufs[lane][common..])))
+}
+
+/// The state a checksum of `bytes` starts from: the length, absorbed.
+#[inline(always)]
+fn seed(bytes: &[u8]) -> u64 {
+    step(0x2545_f491_4f6c_dd1d, bytes.len() as u64)
+}
+
+/// The little-endian u64 in an 8-byte chunk.
+#[inline(always)]
+fn word(chunk: &[u8]) -> u64 {
+    u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"))
+}
+
+/// Absorbs `bytes` into the state `h`: one step per whole word, then one
+/// per tail byte.
+#[inline(always)]
+fn absorb(mut h: u64, bytes: &[u8]) -> u64 {
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
-        h = step(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        h = step(h, word(w));
     }
     for &b in words.remainder() {
         h = step(h, u64::from(b));
     }
-    // The splitmix64 finalizer: xor-shifts and odd multiplies, each a
-    // bijection, so distinct states stay distinct.
+    h
+}
+
+/// The splitmix64 finalizer: xor-shifts and odd multiplies, each a
+/// bijection, so distinct states stay distinct.
+#[inline(always)]
+fn finish(mut h: u64) -> u64 {
     h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     h ^ (h >> 31)
@@ -175,6 +220,46 @@ mod tests {
                     flipped[i] ^= 1 << bit;
                 }
             }
+        }
+    }
+
+    /// Every length from 0 to 40 bytes in every lane, against the other
+    /// lanes at other lengths: the lockstep part covers the shortest
+    /// buffer's words, the serial finish everything past them.
+    #[test]
+    fn four_lane_checksum_equals_four_serial_sums() {
+        let data = buffer();
+        let serial = |bufs: [&[u8]; 4]| bufs.map(checksum64);
+        for len in 0..=40 {
+            for lane in 0..4 {
+                for other in [0, 7, 8, 9, 17, 40] {
+                    let mut bufs: [&[u8]; 4] =
+                        std::array::from_fn(|i| &data[i * 41..i * 41 + other + i]);
+                    bufs[lane] = &data[lane..lane + len];
+                    assert_eq!(
+                        checksum64x4(bufs),
+                        serial(bufs),
+                        "lane {lane} of {len} bytes, others near {other}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Frame-sized buffers (~100 KB, the size of a 256-row frame at
+    /// d = 48) of unequal lengths.
+    #[test]
+    fn four_lane_checksum_equals_serial_on_frame_sized_buffers() {
+        let data: Vec<u8> = (0..100_003u32)
+            .map(|i| (i.wrapping_mul(0x9e37_79b9) >> 11) as u8)
+            .collect();
+        for lens in [
+            [98_320, 98_320, 98_320, 98_320],
+            [98_320, 100_003, 99_999, 98_321],
+            [100_000, 16, 98_320, 0],
+        ] {
+            let bufs: [&[u8]; 4] = std::array::from_fn(|i| &data[100_003 - lens[i]..]);
+            assert_eq!(checksum64x4(bufs), bufs.map(checksum64), "{lens:?}");
         }
     }
 

@@ -14,8 +14,10 @@
 //!
 //! Snapshots are written to a temporary file, flushed, then atomically
 //! renamed into place, so a crash mid-write never leaves a half snapshot
-//! under the final name — at worst a stale `.tmp` that is ignored (and
-//! cleaned up) by readers.
+//! under the final name — at worst a stale `.snapshot-<generation>.skad.tmp`.
+//! Readers ignore it, and recovery, being read-only, leaves it in place;
+//! the next writer to resume on the directory deletes it
+//! (`StateStore::resume`).
 
 use std::fs;
 use std::io::Write as _;
@@ -50,6 +52,24 @@ pub fn parse_snapshot_name(name: &str) -> Option<u64> {
         .strip_prefix("snapshot-")?
         .strip_suffix(&format!(".{SNAPSHOT_EXT}"))?;
     stem.parse().ok()
+}
+
+/// Deletes from `dir` the temporary files of snapshot writes that never
+/// reached their rename (a crash mid-checkpoint). Only a writer calls
+/// this: recovery reads and deletes nothing.
+pub(crate) fn remove_stale_temps(dir: &Path) -> Result<(), DurableError> {
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let stale = name
+            .to_str()
+            .and_then(|n| n.strip_prefix('.')?.strip_suffix(".tmp"))
+            .is_some_and(|n| parse_snapshot_name(n).is_some());
+        if stale {
+            fs::remove_file(entry.path())?;
+        }
+    }
+    Ok(())
 }
 
 /// Encodes a snapshot into its on-disk byte representation.

@@ -21,15 +21,18 @@
 //!   recovery twice over the same directory yields bitwise-identical
 //!   results — the property the deterministic-recovery tests pin down.
 //!
-//! Torn tails are truncated *physically* only when a writer resumes on the
-//! directory ([`StateStore::resume`], which [`StateStore::open`] calls),
-//! never during [`recover`].
+//! Torn tails are truncated *physically*, and the temp files of cut-short
+//! snapshot writes deleted, only when a writer resumes on the directory
+//! ([`StateStore::resume`], which [`StateStore::open`] calls), never during
+//! [`recover`].
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::format::DurableError;
-use crate::snapshot::{list_snapshots, read_snapshot, write_snapshot, Snapshot};
+use crate::snapshot::{
+    list_snapshots, read_snapshot, remove_stale_temps, write_snapshot, Snapshot,
+};
 use crate::wal::{
     collect_into, encode_wal_frame, list_segments, read_wal_header, wal_file_name, MappedSegment,
     ReplayBlock, SegmentWriter, TailStatus, WalHeader, WalRecord,
@@ -304,7 +307,8 @@ impl StateStore {
     /// same directory ([`recover`], [`inspect`] or [`Recovery::replay_into`]), positioning the write cursor after the last
     /// intact WAL row. Any torn tail on the newest segment is physically
     /// truncated here (a segment whose header is corrupt is abandoned for
-    /// the next one); older artifacts are left untouched.
+    /// the next one), and the temp files of snapshot writes a crash cut
+    /// short are deleted; older artifacts are left untouched.
     pub fn resume(
         dir: &Path,
         shard: u32,
@@ -312,6 +316,7 @@ impl StateStore {
         recovered: &RecoveredState,
     ) -> Result<Self, DurableError> {
         fs::create_dir_all(dir)?;
+        remove_stale_temps(dir)?;
         // Sequence resumes after everything on disk: the newest valid
         // snapshot plus every intact WAL row.
         let seq = recovered.last_seq();
@@ -509,6 +514,31 @@ mod tests {
         );
         assert_eq!(rec.last_seq(), 15);
         assert_eq!(rec.stats.replay_rows, 5);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn stale_snapshot_temp_files_go_only_when_a_writer_resumes() {
+        let dir = tmp_dir("stale-tmp");
+        let mut store = StateStore::open(&dir, 0, FsyncPolicy::Never).unwrap();
+        store.append_row(&row(1)).unwrap();
+        store.checkpoint(b"gen-1").unwrap();
+        drop(store);
+        // A crash between a snapshot's write and its rename.
+        let stale = dir.join(".snapshot-000000000002.skad.tmp");
+        std::fs::write(&stale, b"half a snapshot").unwrap();
+        let unrelated = dir.join(".notes.tmp");
+        std::fs::write(&unrelated, b"not ours").unwrap();
+
+        let rec = recover(&dir).unwrap();
+        assert_eq!(rec.snapshot.unwrap().payload, b"gen-1");
+        inspect(&dir).unwrap();
+        assert!(stale.exists(), "recovery is read-only");
+
+        let store = StateStore::open(&dir, 0, FsyncPolicy::Never).unwrap();
+        assert!(!stale.exists(), "the resuming writer deletes it");
+        assert!(unrelated.exists(), "only snapshot temp files are touched");
+        assert_eq!(store.generation(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

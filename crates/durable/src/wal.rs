@@ -26,6 +26,12 @@
 //! fails its checks and report how many bytes they dropped: the torn
 //! frame's whole batch is lost, and none of it had been scored before the
 //! crash. Everything before it is intact and replayable.
+//!
+//! A reader verifies frames four at a time: it sizes up to four frames
+//! ahead, computes their four checksums together (one chain of multiplies
+//! is latency-bound; four chains side by side are not), then accepts them
+//! in order under the same rule — it stops at the first frame that fails.
+//! What a walk returns is exactly what a frame-at-a-time walk would.
 
 use std::fs;
 use std::io::{Read as _, Write as _};
@@ -33,7 +39,7 @@ use std::path::{Path, PathBuf};
 
 use sketchad_sketch::wire::{ByteReader, ByteWriter};
 
-use crate::format::{checksum64, DurableError, FORMAT_VERSION, MAGIC_WAL, WAL_EXT};
+use crate::format::{checksum64, checksum64x4, DurableError, FORMAT_VERSION, MAGIC_WAL, WAL_EXT};
 
 /// One logged row: its global stream sequence number and the values.
 #[derive(Debug, Clone, PartialEq)]
@@ -350,6 +356,13 @@ impl MappedSegment {
     /// fails its checks (a torn tail). The last block is handed over
     /// before the walk returns; the only error is one from `sink`, which
     /// ends the walk.
+    ///
+    /// Frames are verified in groups of [`VERIFY_AHEAD`]: the walk sizes up
+    /// to that many frames ahead, checksums them together
+    /// ([`checksum64x4`]), then accepts them in order and stops at the
+    /// first that fails. A frame sized past a bad one is never accepted,
+    /// so the rows, the tail and `valid_len` are those of a walk that
+    /// verifies one frame at a time.
     pub fn walk(
         &self,
         covered: u64,
@@ -359,18 +372,42 @@ impl MappedSegment {
         let bytes = self.bytes.bytes();
         let mut pos = WAL_HEADER_LEN;
         let (mut rows, mut replayed) = (0, 0);
-        let tail = loop {
-            if pos == bytes.len() {
-                break TailStatus::Clean;
-            }
-            let Some(frame) = Frame::parse(&bytes[pos..]) else {
-                break TailStatus::Torn {
-                    bytes_dropped: bytes.len() - pos,
+        let tail = 'walk: loop {
+            let mut group: [Option<Frame<'_>>; VERIFY_AHEAD] = Default::default();
+            let mut ahead = pos;
+            for slot in &mut group {
+                let Some(frame) = Frame::parse(&bytes[ahead..]) else {
+                    break;
                 };
-            };
-            rows += frame.rows as u64;
-            replayed += block.push_past(&frame, covered, bytes.len() - pos, sink)?;
-            pos += frame.len;
+                ahead += frame.len;
+                *slot = Some(frame);
+            }
+            let sums = checksum64x4(
+                group
+                    .each_ref()
+                    .map(|frame| frame.as_ref().map_or(&[][..], |f| f.body)),
+            );
+            for (frame, sum) in group.iter().zip(sums) {
+                let Some(frame) = frame else {
+                    // The group ended early: at the end of the segment, or
+                    // at a frame that does not size.
+                    break 'walk if pos == bytes.len() {
+                        TailStatus::Clean
+                    } else {
+                        TailStatus::Torn {
+                            bytes_dropped: bytes.len() - pos,
+                        }
+                    };
+                };
+                if sum != frame.stored {
+                    break 'walk TailStatus::Torn {
+                        bytes_dropped: bytes.len() - pos,
+                    };
+                }
+                rows += frame.rows as u64;
+                replayed += block.push_past(frame, covered, bytes.len() - pos, sink)?;
+                pos += frame.len;
+            }
         };
         block.flush(sink)?;
         Ok(SegmentScan {
@@ -382,22 +419,32 @@ impl MappedSegment {
     }
 }
 
-/// One intact frame, borrowed from the segment bytes.
+/// Frames a segment walk sizes ahead and checksums together.
+const VERIFY_AHEAD: usize = 4;
+
+/// One frame whose sizes are consistent, borrowed from the segment bytes.
+/// Its checksum is not yet verified: only a frame whose `body` sums to
+/// `stored` is intact.
 struct Frame<'a> {
     first_seq: u64,
     rows: usize,
     dim: usize,
     values: &'a [u8],
+    /// The checksummed bytes: `first_seq`, `rows`, `dim` and the values.
+    body: &'a [u8],
+    /// The checksum the writer stored behind the body.
+    stored: u64,
     /// Bytes the whole frame occupies, prefix and checksum included.
     len: usize,
 }
 
 impl<'a> Frame<'a> {
-    /// Parses the frame at the front of `bytes`; `None` when it is
-    /// incomplete, inconsistent or fails its checksum (a torn tail). The
-    /// sizes are checked against each other and against `bytes` before
-    /// anything is read past them, so no field can make a reader allocate
-    /// more than the segment holds.
+    /// Sizes the frame at the front of `bytes`; `None` when it is
+    /// incomplete or inconsistent (a torn tail). The sizes are checked
+    /// against each other and against `bytes` before anything is read past
+    /// them, so no field can make a reader allocate more than the segment
+    /// holds. The checksum is left to the caller, which verifies several
+    /// frames at once.
     fn parse(bytes: &'a [u8]) -> Option<Self> {
         let field = |at: usize, n: usize| bytes.get(at..at.checked_add(n)?);
         let len = u32::from_le_bytes(field(0, 4)?.try_into().ok()?) as usize;
@@ -414,14 +461,13 @@ impl<'a> Frame<'a> {
         if rows == 0 || dim == 0 || !sized || first_seq.checked_add(rows as u64).is_none() {
             return None;
         }
-        if checksum64(body) != stored {
-            return None;
-        }
         Some(Frame {
             first_seq,
             rows,
             dim,
             values,
+            body,
+            stored,
             len: FRAME_OVERHEAD + len,
         })
     }
@@ -817,6 +863,130 @@ mod tests {
         std::fs::write(&path, [header.as_slice(), &frame(2, 2, 4)].concat()).unwrap();
         let (_, got, tail) = read_segment(&path).unwrap();
         assert_eq!((got.len(), tail), (2, TailStatus::Clean));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A walk that verifies one frame at a time, each sized and
+    /// checksummed on its own: the reference the grouped walk must match.
+    /// Returns the rows past `covered` and what the walk found.
+    fn reference_walk(bytes: &[u8], covered: u64) -> (Vec<WalRecord>, SegmentScan) {
+        let mut pos = WAL_HEADER_LEN;
+        let (mut out, mut rows) = (Vec::new(), 0);
+        let tail = loop {
+            if pos == bytes.len() {
+                break TailStatus::Clean;
+            }
+            let rest = &bytes[pos..];
+            let intact = (|| {
+                let len = u32::from_le_bytes(rest.get(..4)?.try_into().ok()?) as usize;
+                let body = rest.get(4..4 + len)?;
+                let stored = u64::from_le_bytes(rest.get(4 + len..12 + len)?.try_into().ok()?);
+                if checksum64(body) != stored || body.len() < 16 {
+                    return None;
+                }
+                let first = u64::from_le_bytes(body[..8].try_into().ok()?);
+                let n = u32::from_le_bytes(body[8..12].try_into().ok()?) as u64;
+                let dim = u32::from_le_bytes(body[12..16].try_into().ok()?) as usize;
+                let whole = n > 0 && dim > 0 && (n as usize) * dim * 8 == body.len() - 16;
+                whole.then_some((len, first, n, dim, &body[16..]))
+            })();
+            let Some((len, first, n, dim, values)) = intact else {
+                break TailStatus::Torn {
+                    bytes_dropped: bytes.len() - pos,
+                };
+            };
+            for (i, row) in values.chunks_exact(dim * 8).enumerate() {
+                let seq = first + i as u64;
+                if seq > covered {
+                    out.push(WalRecord {
+                        seq,
+                        row: row
+                            .chunks_exact(8)
+                            .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
+                            .collect(),
+                    });
+                }
+            }
+            rows += n;
+            pos += len + 12;
+        };
+        let scan = SegmentScan {
+            rows,
+            replayed: out.len() as u64,
+            tail,
+            valid_len: pos as u64,
+        };
+        (out, scan)
+    }
+
+    /// Nine frames of unequal row counts, so every position in a group of
+    /// four holds a bad frame in some case below: a cut inside frame j, a
+    /// flipped byte in frame j (in its length, its body and its checksum),
+    /// and `covered` at every frame boundary. The grouped walk returns the
+    /// reference walk's rows, `SegmentScan` and tail in each.
+    #[test]
+    fn grouped_walk_matches_a_frame_at_a_time_walk() {
+        let dir = tmp_dir("lockstep");
+        let mut w = SegmentWriter::create(
+            &dir,
+            0,
+            &WalHeader {
+                shard: 0,
+                start_seq: 0,
+            },
+        )
+        .unwrap();
+        let counts = [1usize, 256, 3, 17, 1, 64, 2, 9, 5];
+        let recs = records(counts.iter().sum::<usize>() as u64, 3);
+        let mut ends = vec![WAL_HEADER_LEN];
+        let mut last_seqs = vec![0];
+        let mut first = 0;
+        for n in counts {
+            append_frames(&mut w, &recs[first..first + n], n);
+            first += n;
+            ends.push(w.len() as usize);
+            last_seqs.push(first as u64);
+        }
+        drop(w);
+        let path = dir.join(wal_file_name(0));
+        let good = std::fs::read(&path).unwrap();
+
+        let check = |bytes: &[u8], covered: u64, what: &str| {
+            std::fs::write(&path, bytes).unwrap();
+            let mut got = Vec::new();
+            let scan = MappedSegment::open(&path)
+                .unwrap()
+                .walk(
+                    covered,
+                    &mut ReplayBlock::default(),
+                    &mut collect_into(&mut got),
+                )
+                .unwrap();
+            let (want, want_scan) = reference_walk(bytes, covered);
+            assert_eq!(scan, want_scan, "{what}");
+            assert_eq!(got, want, "{what}");
+        };
+
+        for j in 0..counts.len() {
+            let (start, end) = (ends[j], ends[j + 1]);
+            for cut in [start + 1, start + 4, (start + end) / 2, end - 1] {
+                check(&good[..cut], 0, &format!("cut at {cut} inside frame {j}"));
+            }
+            for at in [start, start + 5, (start + end) / 2, end - 1] {
+                let mut bad = good.clone();
+                bad[at] ^= 0x20;
+                check(&bad, 0, &format!("byte {at} of frame {j} flipped"));
+            }
+        }
+        for &covered in &last_seqs {
+            for covered in [covered.saturating_sub(1), covered, covered + 1] {
+                check(&good, covered, &format!("covered {covered}"));
+            }
+        }
+        // The intact segment, whole: two full groups and one frame.
+        let (_, scan) = reference_walk(&good, 0);
+        assert_eq!(scan.tail, TailStatus::Clean);
+        assert_eq!(scan.rows, recs.len() as u64);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -77,6 +77,14 @@ impl CountSketch {
         }
     }
 
+    /// The bucket and sign (±1) of draw `salt` for stream index `t`.
+    #[inline]
+    fn draw(&self, t: u64, salt: u64) -> (usize, f64) {
+        let h = mix64(self.seed ^ t.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (salt << 48));
+        let sign = if (h >> 63) == 0 { 1.0 } else { -1.0 };
+        ((h % self.ell as u64) as usize, sign)
+    }
+
     /// Fills `self.targets` with the `s` distinct `(bucket, signed weight)`
     /// targets for stream index `t`, sampled without replacement by
     /// rejection: salt `j` re-hashes `(seed, t)` until `s` distinct buckets
@@ -86,14 +94,12 @@ impl CountSketch {
         self.targets.clear();
         let mut salt = 0u64;
         while self.targets.len() < self.s {
-            let h = mix64(self.seed ^ t.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (salt << 48));
+            let (bucket, sign) = self.draw(t, salt);
             salt += 1;
-            let bucket = (h % self.ell as u64) as usize;
             if self.targets.iter().any(|&(b, _)| b == bucket) {
                 continue;
             }
-            let sign = if (h >> 63) == 0 { w } else { -w };
-            self.targets.push((bucket, sign));
+            self.targets.push((bucket, sign * w));
         }
     }
 }
@@ -113,9 +119,16 @@ impl MatrixSketch for CountSketch {
 
     fn update(&mut self, row: &[f64]) {
         assert_row_len(row, self.dim, "CountSketch::update");
-        self.draw_targets(self.rows_seen);
-        for &(bucket, weight) in &self.targets {
-            vecops::axpy(weight, row, self.b.row_mut(bucket));
+        if self.s == 1 {
+            // The first draw is the only one (no rejection can follow it)
+            // and its weight 1/√1 is exactly 1: no target list needed.
+            let (bucket, sign) = self.draw(self.rows_seen, 0);
+            vecops::axpy(sign, row, self.b.row_mut(bucket));
+        } else {
+            self.draw_targets(self.rows_seen);
+            for &(bucket, weight) in &self.targets {
+                vecops::axpy(weight, row, self.b.row_mut(bucket));
+            }
         }
         self.rows_seen += 1;
         self.frobenius_sq += vecops::norm2_sq(row);
