@@ -50,7 +50,13 @@ pub const NO_MMAP_ENV: &str = "SKETCHAD_NO_MMAP";
 ///   (POSIX makes accesses past a shrunken end fault). Replay inputs and
 ///   sealed WAL segments are immutable once written, which is why the
 ///   replay paths may map them; actively appended files must use the
-///   buffered path.
+///   buffered path;
+/// * `madvise(MADV_DONTNEED)` (Linux only) may drop the resident pages of
+///   a page-aligned prefix of a live mapping, even while `&[u8]` borrows
+///   of those bytes are outstanding: `PROT_READ` + `MAP_PRIVATE` pages are
+///   never written, so never copied on write, and the next read of a
+///   dropped page faults the same file bytes back in. The addresses stay
+///   mapped and the bytes they read do not change; only residency does.
 #[cfg(unix)]
 #[allow(unsafe_code)]
 mod sys {
@@ -68,11 +74,19 @@ mod sys {
             offset: i64,
         ) -> *mut core::ffi::c_void;
         fn munmap(addr: *mut core::ffi::c_void, len: usize) -> i32;
+        #[cfg(target_os = "linux")]
+        fn madvise(addr: *mut core::ffi::c_void, len: usize, advice: i32) -> i32;
+        #[cfg(target_os = "linux")]
+        fn sysconf(name: i32) -> core::ffi::c_long;
     }
 
     const PROT_READ: i32 = 1;
     const MAP_PRIVATE: i32 = 2;
     const MAP_FAILED: *mut core::ffi::c_void = usize::MAX as *mut core::ffi::c_void;
+    #[cfg(target_os = "linux")]
+    const MADV_DONTNEED: i32 = 4;
+    #[cfg(target_os = "linux")]
+    const SC_PAGESIZE: i32 = 30;
 
     /// An owned read-only mapping; `munmap`ped on drop.
     pub(super) struct Mapping {
@@ -118,6 +132,32 @@ mod sys {
             // SAFETY: ptr/len describe a live PROT_READ mapping owned by
             // `self`; it stays valid until Drop, and no mutable view exists.
             unsafe { core::slice::from_raw_parts(self.ptr, self.len) }
+        }
+
+        /// Drops the resident pages of the first `len` bytes, rounded down
+        /// to the page size, on Linux; a no-op elsewhere. Advisory: a
+        /// failed `madvise` leaves the pages resident, which is harmless.
+        pub(super) fn release_prefix(&self, len: usize) {
+            #[cfg(target_os = "linux")]
+            {
+                // SAFETY: sysconf has no memory preconditions.
+                let page = unsafe { sysconf(SC_PAGESIZE) };
+                let Some(page) = usize::try_from(page).ok().filter(|&p| p > 0) else {
+                    return;
+                };
+                let len = len.min(self.len) / page * page;
+                if len == 0 {
+                    return;
+                }
+                // SAFETY: [ptr, ptr + len) lies inside the live mapping and
+                // ptr is page-aligned (mmap returned it). MADV_DONTNEED on a
+                // never-written PROT_READ | MAP_PRIVATE file mapping only
+                // drops residency; later reads fault in the same file bytes
+                // (module invariants), so outstanding borrows stay valid.
+                unsafe { madvise(self.ptr as *mut core::ffi::c_void, len, MADV_DONTNEED) };
+            }
+            #[cfg(not(target_os = "linux"))]
+            let _ = len;
         }
     }
 
@@ -193,6 +233,21 @@ impl MappedBytes {
             #[cfg(unix)]
             Backing::Mapped(m) => m.bytes(),
             Backing::Buffered(v) => v,
+        }
+    }
+
+    /// Lets the kernel reclaim the resident pages of the first `len` bytes
+    /// (rounded down to the page size): a reader that walks the file front
+    /// to back calls this behind itself so its resident memory stays a
+    /// window, not the file. The bytes and every outstanding borrow of them
+    /// stay valid — a later read pages them back in. Only a live mapping on
+    /// Linux releases anything; the buffered backing and other targets
+    /// ignore the call.
+    pub fn release_prefix(&self, len: usize) {
+        match &self.backing {
+            #[cfg(unix)]
+            Backing::Mapped(m) => m.release_prefix(len),
+            Backing::Buffered(_) => {}
         }
     }
 
@@ -367,6 +422,29 @@ mod tests {
         let forced = MappedBytes::open(&path);
         std::env::remove_var(NO_MMAP_ENV);
         assert!(!forced.unwrap().is_mapped());
+    }
+
+    #[test]
+    fn released_pages_read_back_the_same_bytes() {
+        // A file of several pages, read through a borrow taken before the
+        // releases: every prefix length (page boundaries, mid-page, the
+        // whole file, past it) leaves the same bytes behind, on either
+        // backing. ASan watches the refaults.
+        let dir = tmp("release");
+        let path = dir.join("pages.bin");
+        let encoded: Vec<u8> = (0..5 * 4096 + 123).map(|i| (i * 31 % 251) as u8).collect();
+        fs::write(&path, &encoded).unwrap();
+        for m in [
+            MappedBytes::open(&path).unwrap(),
+            MappedBytes::open_buffered(&path).unwrap(),
+        ] {
+            let bytes = m.bytes();
+            assert_eq!(bytes, &encoded[..]);
+            for len in [0, 1, 4095, 4096, 4097, 3 * 4096, encoded.len(), usize::MAX] {
+                m.release_prefix(len);
+                assert_eq!(bytes, &encoded[..], "after releasing {len} bytes");
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,13 @@
 //!   corrupt) and hands it over for restore; phase two reads the WAL
 //!   segments it does not cover once each and streams the rows past it to
 //!   a sink in bounded blocks, reporting where a writer resumes
-//!   ([`StateStore::resume`]). Replay memory is one block, not the tail.
+//!   ([`StateStore::resume`]). Replay memory is bounded, not the tail: one
+//!   release step of the mapped segment (the walk hands the pages behind
+//!   it back every 2 MiB), plus one four-frame verify group, plus one
+//!   replay block, whatever the tail's length. The exceptions: the
+//!   buffered fallback (`SKETCHAD_NO_MMAP=1`, or a declined `mmap`) reads
+//!   the whole segment, and targets other than Linux keep the mapping
+//!   resident until the walk ends.
 //!   [`recover`] is the same walk with a sink that collects every row, and
 //!   [`inspect`] the walk with one that keeps none. Because detectors are
 //!   deterministic and `save_state`/`restore_state` round-trip bitwise,

@@ -31,7 +31,10 @@
 //! ahead, computes their four checksums together (one chain of multiplies
 //! is latency-bound; four chains side by side are not), then accepts them
 //! in order under the same rule — it stops at the first frame that fails.
-//! What a walk returns is exactly what a frame-at-a-time walk would.
+//! What a walk returns is exactly what a frame-at-a-time walk would. Behind
+//! the frames it has accepted, a walk over a mapped segment releases the
+//! pages it has read every couple of MiB, so a long log never stays
+//! resident as a whole.
 
 use std::fs;
 use std::io::{Read as _, Write as _};
@@ -363,6 +366,13 @@ impl MappedSegment {
     /// first that fails. A frame sized past a bad one is never accepted,
     /// so the rows, the tail and `valid_len` are those of a walk that
     /// verifies one frame at a time.
+    ///
+    /// Each time the accepted position has moved [`RELEASE_STEP`] bytes
+    /// past the last release, the walk lets the kernel drop the mapped
+    /// pages behind it (`MappedBytes::release_prefix`): those frames are
+    /// decoded and never read again, so the walk's resident memory is one
+    /// release step plus one verify group, not the segment. What the walk
+    /// reads and returns is unchanged; nothing on disk is touched.
     pub fn walk(
         &self,
         covered: u64,
@@ -371,6 +381,7 @@ impl MappedSegment {
     ) -> Result<SegmentScan, DurableError> {
         let bytes = self.bytes.bytes();
         let mut pos = WAL_HEADER_LEN;
+        let mut released = 0;
         let (mut rows, mut replayed) = (0, 0);
         let tail = 'walk: loop {
             let mut group: [Option<Frame<'_>>; VERIFY_AHEAD] = Default::default();
@@ -408,6 +419,10 @@ impl MappedSegment {
                 replayed += block.push_past(frame, covered, bytes.len() - pos, sink)?;
                 pos += frame.len;
             }
+            if pos - released >= RELEASE_STEP {
+                self.bytes.release_prefix(pos);
+                released = pos;
+            }
         };
         block.flush(sink)?;
         Ok(SegmentScan {
@@ -421,6 +436,10 @@ impl MappedSegment {
 
 /// Frames a segment walk sizes ahead and checksums together.
 const VERIFY_AHEAD: usize = 4;
+
+/// Bytes a segment walk accepts between two releases of the mapped pages
+/// behind it: the most of the walked log that stays resident.
+const RELEASE_STEP: usize = 2 << 20;
 
 /// One frame whose sizes are consistent, borrowed from the segment bytes.
 /// Its checksum is not yet verified: only a frame whose `body` sums to

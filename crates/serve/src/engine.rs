@@ -807,7 +807,13 @@ impl ServeEngine {
             };
             match handle.join() {
                 Ok(output) => {
-                    scores.extend(output.scores);
+                    // The first shard's buffer becomes the report's, so a
+                    // one-shard engine never holds its scores twice.
+                    if scores.is_empty() {
+                        scores = output.scores;
+                    } else {
+                        scores.extend(output.scores);
+                    }
                     latency.merge(&output.latency);
                     shard_stats.push(ShardStats {
                         shard: idx,

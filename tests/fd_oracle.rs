@@ -14,6 +14,10 @@
 //!   and a model of `min(k, sketch rows, d)` directions even where the
 //!   sketch is rank-deficient.
 //!
+//! The linear sketches — CountSketch at s ∈ {1, 4} and the Gaussian random
+//! projection — are held to their own, probabilistic covariance theorem on
+//! the same unscaled streams (see [`LINEAR_FAILURE`]).
+//!
 //! The reference quantities come from the cyclic Jacobi eigensolver
 //! (`jacobi_eigen_sym`), which shares no code with the tridiagonal-QL solver
 //! the sketch's shrink runs on. On the `fd_narrow`
@@ -28,7 +32,7 @@ use sketchad_linalg::eigen::jacobi_eigen_sym;
 use sketchad_linalg::power::gram_diff_spectral_norm;
 use sketchad_linalg::rng::{gaussian_matrix, seeded_rng};
 use sketchad_linalg::{vecops, Matrix};
-use sketchad_sketch::{FrequentDirections, MatrixSketch};
+use sketchad_sketch::{CountSketch, FrequentDirections, MatrixSketch, RandomProjection};
 
 /// One adversarial case: the rows, the sketch/model sizes, and the exact
 /// power of two that brings the rows to unit magnitude (so the reference
@@ -384,6 +388,83 @@ fn detector_driven_shrinks_keep_the_theorem_and_the_exact_model() {
             // refresh, each of them a shrink.
             assert!(det.refresh_count() >= (case.rows.len() / (3 * ell)) as u64);
             assert_fd_theorem(&case, det.sketch(), &name);
+        }
+    }
+}
+
+/// The failure probability δ each linear-sketch assertion is allowed.
+///
+/// CountSketch (any `s` distinct buckets, signs `±1/√s`) and the Gaussian
+/// projection (entries `N(0, 1/ℓ)`) are unbiased, `E[BᵀB] = AᵀA`, with
+/// `E‖AᵀA − BᵀB‖²_F ≤ (2/ℓ)‖A‖⁴_F`: for a row pair `t ≠ u` the weight of
+/// `a_t a_uᵀ` has variance `1/ℓ`, and distinct pairs are uncorrelated. By
+/// Markov, `‖AᵀA − BᵀB‖_F ≤ √(2/(ℓδ))·‖A‖²_F` with probability at least
+/// `1 − δ` — the approximate-matrix-product theorem (Clarkson–Woodruff), and
+/// a bound on the spectral covariance error too, since `‖·‖₂ ≤ ‖·‖_F`. The
+/// mean Gram of `m` independently seeded sketches is the Gram of the `m`
+/// stacked and scaled by `1/√m`, a sketch of `m·ℓ` rows whose pair weights
+/// have variance `1/(m·ℓ)`, so it meets the same bound with `m·ℓ` for `ℓ`.
+const LINEAR_FAILURE: f64 = 0.01;
+
+/// Independently seeded sketches per stream and sketch kind.
+const LINEAR_SEEDS: u64 = 64;
+
+/// `‖AᵀA − G‖_F` for a `d × d` matrix `G`.
+fn gram_error(a_gram: &Matrix, g: &Matrix) -> f64 {
+    a_gram.sub(g).unwrap().frobenius_norm()
+}
+
+#[test]
+fn linear_sketches_hold_their_covariance_bound() {
+    type Build = fn(usize, usize, u64) -> Box<dyn MatrixSketch>;
+    let kinds: [(&str, usize, Build); 3] = [
+        ("count-sketch s=1", 1, |ell, d, seed| {
+            Box::new(CountSketch::new(ell, d, 1, seed))
+        }),
+        ("count-sketch s=4", 4, |ell, d, seed| {
+            Box::new(CountSketch::new(ell, d, 4, seed))
+        }),
+        ("random projection", 1, |ell, d, seed| {
+            Box::new(RandomProjection::new(ell, d, seed))
+        }),
+    ];
+    for case in cases().into_iter().filter(|c| c.unit == 1.0) {
+        let d = case.rows[0].len();
+        let ell = case.ell;
+        let a = Matrix::from_rows(&case.rows).unwrap();
+        let (a_gram, energy) = (a.gram(), a.squared_frobenius_norm());
+        let slack = 1e-9 * energy;
+        for (kind, s, build) in kinds {
+            // s distinct buckets need ℓ ≥ s.
+            if s > ell {
+                continue;
+            }
+            let name = format!("{kind} on {}", case.name);
+            let bound = |rows: usize| (2.0 / (rows as f64 * LINEAR_FAILURE)).sqrt() * energy;
+            let mut mean = Matrix::zeros(d, d);
+            for seed in 0..LINEAR_SEEDS {
+                let mut sketch = build(ell, d, seed);
+                for row in &case.rows {
+                    sketch.update(row);
+                }
+                let g = sketch.sketch().gram();
+                assert!(g.all_finite(), "{name}, seed {seed}: non-finite sketch");
+                let err = gram_error(&a_gram, &g);
+                assert!(
+                    err <= bound(ell) + slack,
+                    "{name}, seed {seed}: ‖AᵀA − BᵀB‖_F = {err} exceeds {} (δ = {LINEAR_FAILURE})",
+                    bound(ell)
+                );
+                mean = mean.add(&g).unwrap();
+            }
+            let mean = mean.scaled(1.0 / LINEAR_SEEDS as f64);
+            let err = gram_error(&a_gram, &mean);
+            let rows = LINEAR_SEEDS as usize * ell;
+            assert!(
+                err <= bound(rows) + slack,
+                "{name}: the mean of {LINEAR_SEEDS} Grams is {err} from AᵀA, over {} (δ = {LINEAR_FAILURE})",
+                bound(rows)
+            );
         }
     }
 }

@@ -11,7 +11,8 @@
 //! reserve more than the file holds. Recovery decodes the WAL into one
 //! reused block, so it allocates per block, never per row, and a damaged
 //! detector payload never makes `restore_state` reserve more than it holds. The serving engine stages and queues
-//! rows flat, so a submit call allocates per call, never per row.
+//! rows flat, so a submit call allocates per call, never per row, and its
+//! report takes over the worker's score buffer instead of copying it.
 //! This binary installs a counting global allocator (it is its own crate, so
 //! `sketchad-linalg` keeps its `deny(unsafe_code)`) and counts.
 //!
@@ -314,6 +315,43 @@ fn submit_allocates_per_call_not_per_row() {
     assert!(
         large <= small,
         "a 4096-row submit made {large} allocations, a 64-row one {small}"
+    );
+}
+
+#[test]
+fn finish_hands_the_score_buffer_over() {
+    // A one-shard engine's report takes over the worker's score buffer:
+    // finishing never allocates a second buffer of every `(seq, score)`.
+    let d = 8;
+    let rows: Vec<Vec<f64>> = gaussian_matrix(&mut seeded_rng(34), 4_096, d, 1.0)
+        .iter_rows()
+        .map(<[f64]>::to_vec)
+        .collect();
+    let config = ServeConfig::new(1)
+        .with_queue_capacity(1_024)
+        .with_backpressure(BackpressurePolicy::Block);
+    let mut engine = ServeEngine::start(config, move |_shard| {
+        Box::new(SketchDetector::new(
+            RowSampling::new(8, d, 3),
+            2,
+            ScoreKind::RelativeProjection,
+            RefreshPolicy::Periodic { period: 1_024 },
+            256,
+        ))
+    })
+    .unwrap();
+    let n = 16 * rows.len();
+    for _ in 0..16 {
+        engine.submit_batch_rows_parallel(&rows, 1).unwrap();
+    }
+    let mut report = None;
+    let largest = largest_allocation_in(|| report = Some(engine.finish().unwrap()));
+    let report = report.unwrap();
+    assert_eq!(report.scores.len(), n);
+    let buffer = n * std::mem::size_of::<(u64, f64)>();
+    assert!(
+        largest < buffer,
+        "finishing {n} rows allocated {largest} bytes at once; the scores are {buffer}"
     );
 }
 
