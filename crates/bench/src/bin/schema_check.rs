@@ -33,10 +33,16 @@
 //! * `*.rows` binary row files — `sketchad-rows/v1` magic, version, and
 //!   row-count/body-length consistency verified by the real
 //!   `sketchad-core::rowfmt` reader.
+//! * `BENCH_trajectory.json`, the committed benchmark trajectory at the
+//!   repository root — the `sketchad-trajectory/v1` tag, and per row: git
+//!   revisions, a host, a workload and metric, the pair counts, parent and
+//!   change quartiles in order, and a ratio that is the medians' quotient
+//!   (see [`check_trajectory`]).
 //!
-//! Artifacts are found recursively (durable state dirs nest per-shard
-//! subdirectories). Exits non-zero listing every violation (not just the
-//! first), so one CI run shows the full damage.
+//! The argument is a directory, searched recursively (durable state dirs
+//! nest per-shard subdirectories), or one file. Exits non-zero listing
+//! every violation (not just the first), so one CI run shows the full
+//! damage.
 
 use serde::Value;
 use sketchad_core::rowfmt::RowsView;
@@ -213,6 +219,14 @@ fn check_file(path: &Path) -> Vec<String> {
         return violations;
     }
 
+    if name == "BENCH_trajectory.json" {
+        match serde_json::from_str::<Trajectory>(&text) {
+            Ok(trajectory) => check_trajectory(&trajectory, &mut violation),
+            Err(e) => violation(format!("not a valid trajectory: {e}")),
+        }
+        return violations;
+    }
+
     if name.starts_with("MATRIX_") {
         // The benchmark-matrix artifact: the real deserializer, then the
         // invariants the quality gate and `matrix select` rely on.
@@ -321,6 +335,143 @@ fn check_file(path: &Path) -> Vec<String> {
     violations
 }
 
+/// Schema tag of `BENCH_trajectory.json`.
+const TRAJECTORY_SCHEMA: &str = "sketchad-trajectory/v1";
+
+/// The committed benchmark trajectory: one row per (change, workload,
+/// metric, seed) a performance change measured against its parent.
+#[derive(serde::Deserialize)]
+struct Trajectory {
+    schema: String,
+    description: String,
+    rows: Vec<TrajectoryRow>,
+}
+
+#[derive(serde::Deserialize)]
+struct TrajectoryRow {
+    /// The revision measured against.
+    parent_rev: String,
+    /// The revision measured; `null` on the rows a commit adds about
+    /// itself, since a commit cannot name its own hash.
+    change_rev: Option<String>,
+    host: String,
+    workload: String,
+    metric: String,
+    /// `"higher"` or `"lower"`.
+    better: String,
+    seed: u64,
+    /// Parent/change run pairs.
+    pairs: u64,
+    /// Pairs whose change run beat its parent run; `null` where unreported.
+    pairs_won: Option<u64>,
+    /// `change.median / parent.median`.
+    median_ratio: f64,
+    parent: Quartiles,
+    change: Quartiles,
+    /// Whether the change claimed this metric as its gain.
+    claimed: bool,
+}
+
+/// One side's runs; quartiles are `null` where only the median was kept.
+#[derive(serde::Deserialize)]
+struct Quartiles {
+    q1: Option<f64>,
+    median: f64,
+    q3: Option<f64>,
+}
+
+/// Checks a trajectory: the schema tag, then per row its revisions (7–40
+/// hex digits), names, `better` direction, `pairs_won ≤ pairs`, positive
+/// medians inside their quartiles, and `median_ratio` within 1% of the
+/// medians' quotient (figures are kept to about three digits). A claimed
+/// row reports its pairs won and a ratio on the `better` side of 1. No two
+/// rows share (revisions, workload, metric, seed), and the rows without a
+/// `change_rev` share one parent.
+fn check_trajectory(t: &Trajectory, violation: &mut impl FnMut(String)) {
+    if t.schema != TRAJECTORY_SCHEMA {
+        violation(format!(
+            "schema tag {:?} (expected {TRAJECTORY_SCHEMA:?})",
+            t.schema
+        ));
+    }
+    if t.description.is_empty() {
+        violation("empty description".to_string());
+    }
+    if t.rows.is_empty() {
+        violation("no rows".to_string());
+    }
+    let is_rev = |r: &str| (7..=40).contains(&r.len()) && r.bytes().all(|b| b.is_ascii_hexdigit());
+    let mut seen = std::collections::BTreeSet::new();
+    let mut unnamed_parents = std::collections::BTreeSet::new();
+    for (i, r) in t.rows.iter().enumerate() {
+        let change = r.change_rev.as_deref().unwrap_or("this commit");
+        let mut row = |msg: String| {
+            violation(format!(
+                "row {i} ({} {} {}→{change}): {msg}",
+                r.workload, r.metric, r.parent_rev
+            ))
+        };
+        if !is_rev(&r.parent_rev) || r.change_rev.as_deref().is_some_and(|c| !is_rev(c)) {
+            row("revisions must be 7 to 40 hex digits".to_string());
+        }
+        if r.change_rev.is_none() {
+            unnamed_parents.insert(r.parent_rev.clone());
+        }
+        if r.host.is_empty() || r.workload.is_empty() || r.metric.is_empty() {
+            row("empty host, workload or metric".to_string());
+        }
+        let higher = match r.better.as_str() {
+            "higher" => true,
+            "lower" => false,
+            other => {
+                row(format!(
+                    "better is {other:?}, expected \"higher\" or \"lower\""
+                ));
+                true
+            }
+        };
+        if r.pairs == 0 || r.pairs_won.is_some_and(|w| w > r.pairs) {
+            row(format!("{:?} of {} pairs won", r.pairs_won, r.pairs));
+        }
+        for (side, q) in [("parent", &r.parent), ("change", &r.change)] {
+            let in_order =
+                q.q1.is_none_or(|q1| q1 <= q.median) && q.q3.is_none_or(|q3| q.median <= q3);
+            if !(q.median > 0.0 && q.median.is_finite() && in_order) {
+                row(format!(
+                    "{side} quartiles {:?} / {} / {:?} are not positive and ordered",
+                    q.q1, q.median, q.q3
+                ));
+            }
+        }
+        let quotient = r.change.median / r.parent.median;
+        if !(r.median_ratio > 0.0 && (r.median_ratio / quotient - 1.0).abs() <= 0.01) {
+            row(format!(
+                "median_ratio {} is not the medians' quotient {quotient:.4}",
+                r.median_ratio
+            ));
+        }
+        if r.claimed && (r.pairs_won.is_none() || (r.median_ratio > 1.0) != higher) {
+            row("a claimed gain needs its pairs won and a ratio on the better side".to_string());
+        }
+        let key = (
+            r.parent_rev.clone(),
+            r.change_rev.clone(),
+            r.workload.clone(),
+            r.metric.clone(),
+            r.seed,
+        );
+        if !seen.insert(key) {
+            row("duplicate row".to_string());
+        }
+    }
+    if unnamed_parents.len() > 1 {
+        violation(format!(
+            "rows without a change_rev name {} parents; only the newest change may",
+            unnamed_parents.len()
+        ));
+    }
+}
+
 /// Reads a WAL segment without the durable tier's frame walk: the whole
 /// file into memory, then one frame at a time, each sized and checked
 /// with a serial [`checksum64`], stopping at the first frame that is
@@ -399,12 +550,17 @@ fn collect_artifacts(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> std::io::
 fn main() {
     let root = std::env::args().nth(1).unwrap_or_else(|| "results".into());
     let root = Path::new(&root);
-    if !root.is_dir() {
-        eprintln!("schema_check: {} is not a directory", root.display());
+    if !root.is_dir() && !root.is_file() {
+        eprintln!(
+            "schema_check: {} is neither a directory nor a file",
+            root.display()
+        );
         std::process::exit(2);
     }
     let mut all_files = Vec::new();
-    if let Err(e) = collect_artifacts(root, &mut all_files) {
+    if root.is_file() {
+        all_files.push(root.to_path_buf());
+    } else if let Err(e) = collect_artifacts(root, &mut all_files) {
         eprintln!("schema_check: cannot read {}: {e}", root.display());
         std::process::exit(2);
     }
@@ -624,6 +780,83 @@ mod tests {
         // Not a MatrixArtifact at all.
         let garbage = write(&dir, "MATRIX_garbage.json", r#"{"id":"MATRIX_garbage"}"#);
         assert!(check_file(&garbage)[0].contains("not a valid MatrixArtifact"));
+    }
+
+    /// One trajectory row; `edit` rewrites the JSON text of a valid one.
+    fn trajectory(edit: impl Fn(String) -> String) -> String {
+        let row = r#"{"parent_rev":"847ca04","change_rev":"ccfed9b","host":"2-vCPU AVX-512",
+            "workload":"ingest_cheap","metric":"throughput_pts_s","better":"higher","seed":1,
+            "pairs":10,"pairs_won":9,"median_ratio":1.25,
+            "parent":{"q1":7.5,"median":8.0,"q3":8.5},
+            "change":{"q1":null,"median":10.0,"q3":null},"claimed":true}"#;
+        format!(
+            r#"{{"schema":"sketchad-trajectory/v1","description":"d","rows":[{}]}}"#,
+            edit(row.to_string())
+        )
+    }
+
+    #[test]
+    fn trajectory_rule() {
+        let dir = tmpdir("trajectory");
+        let check = |text: String| check_file(&write(&dir, "BENCH_trajectory.json", &text));
+        assert!(
+            check(trajectory(|r| r)).is_empty(),
+            "{:?}",
+            check(trajectory(|r| r))
+        );
+        // A row a commit adds about itself has no change revision.
+        let own = trajectory(|r| r.replace(r#""ccfed9b""#, "null"));
+        assert!(check(own).is_empty());
+        let cases: [(&str, &str, &str); 8] = [
+            ("847ca04", "no-hex!", "revisions must be"),
+            (
+                r#""better":"higher""#,
+                r#""better":"up""#,
+                "expected \"higher\"",
+            ),
+            (r#""pairs_won":9"#, r#""pairs_won":11"#, "pairs won"),
+            (r#""q3":8.5"#, r#""q3":7.9"#, "not positive and ordered"),
+            (
+                r#""median_ratio":1.25"#,
+                r#""median_ratio":1.3"#,
+                "medians' quotient",
+            ),
+            (r#""pairs_won":9"#, r#""pairs_won":null"#, "a claimed gain"),
+            (
+                r#""better":"higher""#,
+                r#""better":"lower""#,
+                "a claimed gain",
+            ),
+            (
+                r#""workload":"ingest_cheap""#,
+                r#""workload":"""#,
+                "empty host",
+            ),
+        ];
+        for (from, to, expect) in cases {
+            let violations = check(trajectory(|r| r.replace(from, to)));
+            assert!(
+                violations.iter().any(|v| v.contains(expect)),
+                "{from} → {to}: {violations:?}"
+            );
+        }
+        let twice = trajectory(|r| format!("{r},{r}"));
+        assert!(check(twice).iter().any(|v| v.contains("duplicate row")));
+        let two_unnamed = trajectory(|r| {
+            let r = r.replace(r#""ccfed9b""#, "null");
+            format!("{r},{}", r.replace("847ca04", "eb9eb0a"))
+        });
+        assert!(check(two_unnamed).iter().any(|v| v.contains("2 parents")));
+        let tag = trajectory(|r| r).replace("trajectory/v1", "trajectory/v0");
+        assert!(check(tag)[0].contains("schema tag"));
+        assert!(check("{}".to_string())[0].contains("not a valid trajectory"));
+    }
+
+    #[test]
+    fn committed_trajectory_validates() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_trajectory.json");
+        let violations = check_file(&path);
+        assert!(violations.is_empty(), "{violations:?}");
     }
 
     #[test]

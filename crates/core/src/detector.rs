@@ -102,7 +102,7 @@ pub trait StreamingDetector {
     /// Semantically identical — bitwise, for the detectors in this crate —
     /// to calling [`Self::process`] per row in order. The default simply
     /// does that; detectors with a batched scoring path (e.g. the sketch
-    /// detector's `V_kᵀY` blocked matmul) override it to amortize kernel
+    /// detector's one-pass block kernel) override it to amortize kernel
     /// cost across the batch while preserving per-point score identity.
     ///
     /// # Panics

@@ -63,8 +63,9 @@ impl ScoreKind {
     }
 
     /// Evaluates this score for every row of `ys` in one batched pass
-    /// (one blocked `Y·V_kᵀ` matmul). Bitwise identical to calling
-    /// [`Self::evaluate`] per row; see [`SubspaceModel::score_batch_into`].
+    /// (one block-kernel sweep for `Y·V_kᵀ` and `‖y‖²`). Bitwise identical
+    /// to calling [`Self::evaluate`] per row; see
+    /// [`SubspaceModel::score_batch_into`].
     pub fn evaluate_batch(
         &self,
         model: &SubspaceModel,

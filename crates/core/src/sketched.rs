@@ -12,6 +12,15 @@
 //! `1 + ⌊(period − 1)/ℓ⌋` decompositions per `period` rows — one per ℓ rows
 //! when `period` is a multiple of ℓ — instead of a shrink every ℓ rows *and*
 //! a second solve of the same buffer every `period`.
+//!
+//! A micro-batch (`process_batch`) is scored a chunk at a time, each chunk
+//! ending where the next model could be built: one `vecops::block_dots`
+//! pass writes every row's `k` basis dots and `‖y‖²` (`O(kd)` a row, the
+//! paper's projection cost, in one kernel dispatch per chunk), the scores
+//! are assembled from those numbers, and under `UpdatePolicy::Always`
+//! without decay the chunk goes into the sketch as one run with the refresh
+//! bookkeeping once. Scores and state are bit for bit those of per-point
+//! `process`.
 
 use sketchad_linalg::svd::Workspace;
 use sketchad_linalg::Matrix;
@@ -336,6 +345,24 @@ impl<S: MatrixSketch> SketchDetector<S> {
         }
     }
 
+    /// Folds a run of one or more rows into the sketch and runs the
+    /// post-update bookkeeping once, for its last row. Bit for bit the
+    /// per-row `update` + [`Self::after_update`] sequence provided nothing
+    /// in that sequence could fire before the last row: the update policy
+    /// is `Always`, there is no decay and no recorder, and the run ends no
+    /// later than [`Self::rows_to_next_build`] rows from here.
+    fn fold_run(&mut self, run: &[f64]) {
+        let d = self.dim();
+        let n = run.len() / d;
+        debug_assert!(n >= 1 && run.len() == n * d);
+        for y in run.chunks_exact(d) {
+            self.sketch.update(y);
+        }
+        self.processed += n as u64 - 1;
+        self.since_refresh += n - 1;
+        self.after_update();
+    }
+
     /// Forces an immediate model rebuild (used at warmup end and by tests).
     ///
     /// The model is built from the factor the sketch hands out
@@ -595,17 +622,22 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
         Ok(true)
     }
 
-    /// Batched processing: scores run through `SubspaceModel`'s blocked
-    /// `V_kᵀY` kernel in chunks, folded into the sketch per point.
+    /// Batched processing: each chunk is scored in one pass of
+    /// `SubspaceModel`'s block kernel (every point's `k` coefficients and
+    /// `‖y‖²` in one dispatch), then folded into the sketch.
     ///
     /// Scores depend only on the current model, which can change only at a
     /// refresh, so each chunk extends at most to the next possible refresh
     /// point (for the periodic policy; energy-triggered refresh can fire on
-    /// any point, so it stays per-point). Because the batched kernel is
-    /// bitwise identical to the per-point one, outputs match
-    /// [`StreamingDetector::process`] bit for bit — property-tested in this
-    /// crate. Instrumented detectors take the per-point path so recorded
-    /// span counts are identical to per-point processing.
+    /// any point, so it stays per-point). Under [`UpdatePolicy::Always`]
+    /// with no decay the chunk goes into the sketch as one run, with the
+    /// refresh bookkeeping once, for its last row, as `absorb_batch` does;
+    /// under `SkipAnomalous` or decay each row's update and bookkeeping run
+    /// in turn. Because the block kernel is bitwise identical to the
+    /// per-point one, outputs and state match [`StreamingDetector::process`]
+    /// bit for bit — tested in this crate. Instrumented detectors take the
+    /// per-point path so recorded span counts are identical to per-point
+    /// processing.
     fn process_batch(&mut self, rows: &[f64], out: &mut Vec<f64>) {
         let d = self.dim();
         assert_eq!(rows.len() % d, 0, "a block holds whole rows of dim {d}");
@@ -642,13 +674,17 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
                 .as_ref()
                 .expect("warmed up implies model")
                 .score_block_into(chunk, self.score, &mut self.scratch, &mut scores);
-            for (y, &score) in chunk.chunks_exact(d).zip(&scores) {
-                if self.should_update(score) {
-                    self.sketch.update(y);
+            if self.update_policy == UpdatePolicy::Always && self.decay.is_none() {
+                self.fold_run(chunk);
+            } else {
+                for (y, &score) in chunk.chunks_exact(d).zip(&scores) {
+                    if self.should_update(score) {
+                        self.sketch.update(y);
+                    }
+                    self.after_update();
                 }
-                self.after_update();
-                out.push(score);
             }
+            out.extend_from_slice(&scores);
             self.batch_scores = scores;
             i = end;
         }
@@ -662,12 +698,12 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
     /// quantile, so the rows are scored through `process_batch`.
     ///
     /// Under the periodic policy, with no decay and no recorder, the rows
-    /// go to the sketch in runs: each run ends at the first row after
-    /// which a model could be built (warmup end or a due refresh), is
-    /// folded into the sketch row by row, and the bookkeeping runs once,
-    /// for its last row. No row before it could build, decay or record
-    /// anything, so the detector ends bit for bit where per-row absorption
-    /// leaves it.
+    /// go to the sketch in runs (`fold_run`): each run ends at the
+    /// first row after which a model could be built (warmup end or a due
+    /// refresh), is folded into the sketch row by row, and the bookkeeping
+    /// runs once, for its last row. No row before it could build, decay or
+    /// record anything, so the detector ends bit for bit where per-row
+    /// absorption leaves it.
     fn absorb_batch(&mut self, rows: &[f64]) {
         let d = self.dim();
         assert_eq!(rows.len() % d, 0, "a block holds whole rows of dim {d}");
@@ -695,12 +731,7 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
         while !rest.is_empty() {
             let n = self.rows_to_next_build(period).min(rest.len() / d);
             let (run, later) = rest.split_at(n * d);
-            for y in run.chunks_exact(d) {
-                self.sketch.update(y);
-            }
-            self.processed += n as u64 - 1;
-            self.since_refresh += n - 1;
-            self.after_update();
+            self.fold_run(run);
             rest = later;
         }
     }
@@ -710,7 +741,7 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
 mod tests {
     use super::*;
     use sketchad_linalg::rng::{gaussian_vec, random_orthonormal_rows, seeded_rng};
-    use sketchad_sketch::{CountSketch, FrequentDirections, RandomProjection};
+    use sketchad_sketch::{CountSketch, FrequentDirections, RandomProjection, RowSampling};
 
     /// Generates `n` points near a planted rank-k subspace plus `n_anom`
     /// off-subspace anomalies at the end; returns (rows, labels).
@@ -1341,6 +1372,69 @@ mod tests {
             assert_eq!(batched.processed(), per_point.processed());
             assert_eq!(batched.refresh_count(), per_point.refresh_count());
         }
+
+        // The folded path under every sketch family and score, across
+        // refresh periods and warmups whose model builds the uneven blocks
+        // straddle: scores, counters and the whole saved state agree.
+        let scores = [
+            ScoreKind::ProjectionDistance,
+            ScoreKind::RelativeProjection,
+            ScoreKind::Leverage,
+            ScoreKind::Blended { beta: 0.1 },
+        ];
+        for period in [1usize, 2, 16, 64] {
+            for warmup in [0, 1, period - 1] {
+                for score in scores {
+                    let config = (score, RefreshPolicy::Periodic { period }, warmup);
+                    check_batch_against_per_point(&rows, FrequentDirections::new(10, d), config);
+                    check_batch_against_per_point(&rows, CountSketch::new(10, d, 1, 5), config);
+                    check_batch_against_per_point(&rows, RowSampling::new(10, d, 5), config);
+                }
+            }
+        }
+    }
+
+    /// Feeds `rows` to two rank-3 detectors of one configuration, one point
+    /// at a time and in uneven blocks through `process_batch`, and asserts
+    /// every score, `processed`, `refresh_count`, the sketch and the saved
+    /// state agree.
+    fn check_batch_against_per_point<S: MatrixSketch + Clone>(
+        rows: &[Vec<f64>],
+        sketch: S,
+        (score, refresh, warmup): (ScoreKind, RefreshPolicy, usize),
+    ) {
+        let make = || SketchDetector::new(sketch.clone(), 3, score, refresh, warmup);
+        let what = format!("{}, {refresh:?}, warmup {warmup}", make().name());
+        let mut per_point = make();
+        let expected: Vec<u64> = rows
+            .iter()
+            .map(|r| per_point.process(r).to_bits())
+            .collect();
+        let mut batched = make();
+        let mut got = Vec::new();
+        let mut buf = Vec::new();
+        let mut rest = rows;
+        for n in [7usize, 64, 5, 100, 1, 3, 2, 1000] {
+            let (block, later) = rest.split_at(n.min(rest.len()));
+            batched.process_batch(&block.concat(), &mut buf);
+            got.extend(buf.iter().map(|s| s.to_bits()));
+            rest = later;
+        }
+        assert_eq!(got.len(), expected.len(), "{what}: score count");
+        let first_diff = got.iter().zip(&expected).position(|(g, e)| g != e);
+        assert_eq!(first_diff, None, "{what}: first differing score");
+        assert_eq!(batched.processed(), per_point.processed(), "{what}");
+        assert_eq!(batched.refresh_count(), per_point.refresh_count(), "{what}");
+        assert_eq!(
+            batched.sketch().sketch(),
+            per_point.sketch().sketch(),
+            "{what}"
+        );
+        let saved = |det: &SketchDetector<S>| {
+            let mut out = Vec::new();
+            (det.save_state(&mut out), out)
+        };
+        assert_eq!(saved(&batched), saved(&per_point), "{what}: saved state");
     }
 
     #[test]

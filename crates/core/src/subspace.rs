@@ -25,9 +25,10 @@ const RELATIVE_SIGMA_FLOOR: f64 = 1e-8;
 
 /// Caller-reusable scratch for the batched scoring path.
 ///
-/// Holds the staged point matrix (for callers that feed rows one at a time)
-/// and the `batch × k` coefficient block `Y·V_kᵀ`. Reusing one scratch across
-/// batches makes steady-state batch scoring allocation-free.
+/// Holds the staged point matrix (for callers that feed rows one at a time),
+/// the `batch × k` coefficient block `Y·V_kᵀ` and the points' `‖y‖²`.
+/// Reusing one scratch across batches makes steady-state batch scoring
+/// allocation-free.
 #[derive(Debug, Clone)]
 pub struct ScoreScratch {
     /// Staging area for row-slice inputs (see
@@ -35,6 +36,8 @@ pub struct ScoreScratch {
     batch: Matrix,
     /// Row-major `batch × k` coefficient matrix `C = Y·V_kᵀ`.
     coeffs: Vec<f64>,
+    /// `‖y‖²` of each point of the batch.
+    norms_sq: Vec<f64>,
 }
 
 impl Default for ScoreScratch {
@@ -49,6 +52,7 @@ impl ScoreScratch {
         Self {
             batch: Matrix::zeros(0, 0),
             coeffs: Vec::new(),
+            norms_sq: Vec::new(),
         }
     }
 }
@@ -262,23 +266,13 @@ impl SubspaceModel {
     /// # Panics
     /// Panics when `y.len() != dim()`.
     pub fn projection_distance_sq(&self, y: &[f64]) -> f64 {
-        let norm_sq = vecops::norm2_sq(y);
-        let mut captured = 0.0;
-        for j in 0..self.k() {
-            let c = vecops::dot(self.vt.row(j), y);
-            captured += c * c;
-        }
-        (norm_sq - captured).max(0.0)
+        proj_sq(vecops::norm2_sq(y), self.coeffs(y))
     }
 
     /// Relative projection distance `proj² / ‖y‖²` in `[0, 1]`; 0 for the
     /// zero vector (which carries no evidence either way).
     pub fn relative_projection_distance(&self, y: &[f64]) -> f64 {
-        let norm_sq = vecops::norm2_sq(y);
-        if norm_sq <= 0.0 {
-            return 0.0;
-        }
-        (self.projection_distance_sq(y) / norm_sq).clamp(0.0, 1.0)
+        rel_proj(vecops::norm2_sq(y), self.coeffs(y))
     }
 
     /// Rank-k leverage score `lev_k(y) = Σ_{j≤k}(v_j·y)²/σ_j²`, skipping
@@ -308,18 +302,7 @@ impl SubspaceModel {
     /// # Panics
     /// Panics when `y.len() != dim()`.
     pub fn leverage_score(&self, y: &[f64]) -> f64 {
-        let sigma_max = self.sigma.first().copied().unwrap_or(0.0);
-        let floor = RELATIVE_SIGMA_FLOOR * sigma_max;
-        let mut lev = 0.0;
-        for j in 0..self.k() {
-            let s = self.sigma[j];
-            if s <= floor {
-                break; // descending order: the rest are also below the floor
-            }
-            let c = vecops::dot(self.vt.row(j), y);
-            lev += (c * c) / (s * s);
-        }
-        lev
+        self.leverage(self.coeffs(y))
     }
 
     /// Standardized leverage: `rows_represented · leverage / k`.
@@ -330,8 +313,7 @@ impl SubspaceModel {
     /// expectation ≈ 1 for points drawn from the normal model, independent
     /// of both stream length and model rank.
     pub fn standardized_leverage(&self, y: &[f64]) -> f64 {
-        let n = self.rows_represented.max(1) as f64;
-        n * self.leverage_score(y) / self.k().max(1) as f64
+        self.standardize(self.leverage_score(y))
     }
 
     /// Blended score `relative_projection + beta·standardized_leverage`:
@@ -339,24 +321,72 @@ impl SubspaceModel {
     /// With standardized leverage ≈ 1 for normal points, `beta ≈ 0.1` makes
     /// both terms comparably scaled.
     pub fn blended_score(&self, y: &[f64], beta: f64) -> f64 {
-        self.relative_projection_distance(y) + beta * self.standardized_leverage(y)
+        self.score_from(
+            ScoreKind::Blended { beta },
+            vecops::norm2_sq(y),
+            self.coeffs(y),
+        )
+    }
+
+    /// The coefficients `v_j·y`, `j < k`, computed as they are consumed.
+    fn coeffs<'a>(&'a self, y: &'a [f64]) -> impl Iterator<Item = f64> + Clone + 'a {
+        (0..self.k()).map(move |j| vecops::dot(self.vt.row(j), y))
+    }
+
+    /// Assembles the score of one point from its `‖y‖²` and its
+    /// coefficients `v_j·y`. Both the per-point methods and the batched
+    /// kernel end here, so a batched score is the per-point one bit for bit
+    /// whenever its inputs are.
+    fn score_from(
+        &self,
+        kind: ScoreKind,
+        norm_sq: f64,
+        coeffs: impl Iterator<Item = f64> + Clone,
+    ) -> f64 {
+        match kind {
+            ScoreKind::ProjectionDistance => proj_sq(norm_sq, coeffs),
+            ScoreKind::RelativeProjection => rel_proj(norm_sq, coeffs),
+            ScoreKind::Leverage => self.leverage(coeffs),
+            ScoreKind::Blended { beta } => {
+                let std_lev = self.standardize(self.leverage(coeffs.clone()));
+                rel_proj(norm_sq, coeffs) + beta * std_lev
+            }
+        }
+    }
+
+    /// `lev_k` from the coefficients, skipping numerically vanished
+    /// directions.
+    fn leverage(&self, coeffs: impl Iterator<Item = f64>) -> f64 {
+        let sigma_max = self.sigma.first().copied().unwrap_or(0.0);
+        let floor = RELATIVE_SIGMA_FLOOR * sigma_max;
+        let mut lev = 0.0;
+        for (&s, c) in self.sigma.iter().zip(coeffs) {
+            if s <= floor {
+                break; // descending order: the rest are also below the floor
+            }
+            lev += (c * c) / (s * s);
+        }
+        lev
+    }
+
+    /// `rows_represented · lev / k`.
+    fn standardize(&self, lev: f64) -> f64 {
+        let n = self.rows_represented.max(1) as f64;
+        n * lev / self.k().max(1) as f64
     }
 
     /// Batched scoring: evaluates `kind` for every row of the row-major
     /// block `rows` (`rows.len() / dim()` points) in one pass.
     ///
-    /// The `batch × k` coefficient matrix `C = Y·V_kᵀ` lands in
-    /// `scratch.coeffs`, computed through the blocked
-    /// [`vecops::row_dots`] kernel — one sweep of all `k` model rows per
-    /// point, with the score assembled from the coefficient row while the
-    /// point is still cache-hot (a separate coefficient pass would stream
-    /// large batches through L2 twice). Every output is **bitwise
-    /// identical** to the corresponding per-point method
-    /// ([`Self::projection_distance_sq`] and friends): the kernel keeps
-    /// independent accumulator chains per coefficient and the score
-    /// expressions replicate the per-point operation order exactly. Serving
-    /// layers rely on this to micro-batch without changing any emitted
-    /// score.
+    /// One [`vecops::block_dots`] dispatch sweeps the block once and writes
+    /// the `batch × k` coefficient matrix `C = Y·V_kᵀ` and every point's
+    /// `‖y‖²` into `scratch`; the scores are then assembled from those
+    /// `k + 1` numbers per point, so the points are read once. Every output
+    /// is **bitwise identical** to the corresponding per-point method
+    /// ([`Self::projection_distance_sq`] and friends): each kernel output is
+    /// the bits of [`vecops::dot`], and both paths assemble the score in one
+    /// shared function. Serving layers rely on this to micro-batch without
+    /// changing any emitted score.
     ///
     /// `out` is cleared and refilled; `scratch` is reused across calls so
     /// steady-state batch scoring performs no allocation.
@@ -370,7 +400,7 @@ impl SubspaceModel {
         scratch: &mut ScoreScratch,
         out: &mut Vec<f64>,
     ) {
-        self.score_block(rows, kind, &mut scratch.coeffs, out);
+        self.score_block(rows, kind, &mut scratch.coeffs, &mut scratch.norms_sq, out);
     }
 
     /// [`Self::score_block_into`] over the rows of a matrix.
@@ -427,15 +457,24 @@ impl SubspaceModel {
             self.dim(),
             "batch point dimension mismatch"
         );
-        self.score_block(scratch.batch.as_slice(), kind, &mut scratch.coeffs, out);
+        self.score_block(
+            scratch.batch.as_slice(),
+            kind,
+            &mut scratch.coeffs,
+            &mut scratch.norms_sq,
+            out,
+        );
     }
 
-    /// The one batched kernel under the entry points above.
+    /// The one batched kernel under the entry points above: one
+    /// [`vecops::block_dots`] dispatch writes every point's `k` coefficients
+    /// and `‖y‖²`, then each score is assembled from those alone.
     fn score_block(
         &self,
         rows: &[f64],
         kind: ScoreKind,
         coeffs: &mut Vec<f64>,
+        norms_sq: &mut Vec<f64>,
         out: &mut Vec<f64>,
     ) {
         out.clear();
@@ -443,64 +482,13 @@ impl SubspaceModel {
         assert_eq!(rows.len() % d, 0, "batch point dimension mismatch");
         let b = rows.len() / d;
         let k = self.k();
-        coeffs.clear();
         coeffs.resize(b * k, 0.0);
-        out.reserve(b);
-        for (i, y) in rows.chunks_exact(d).enumerate() {
-            let c = &mut coeffs[i * k..(i + 1) * k];
-            vecops::row_dots(self.vt.as_slice(), d, d, k, y, c);
-            out.push(self.score_from_coeffs(kind, y, c));
-        }
-    }
-
-    /// Assembles one score from a precomputed coefficient slice
-    /// (`coeffs[j] == v_j·y` bitwise), replicating the exact operation order
-    /// of the per-point methods so batched and per-point scores are
-    /// bit-for-bit equal.
-    fn score_from_coeffs(&self, kind: ScoreKind, y: &[f64], coeffs: &[f64]) -> f64 {
-        match kind {
-            ScoreKind::ProjectionDistance => self.proj_sq_from_coeffs(y, coeffs),
-            ScoreKind::RelativeProjection => self.rel_proj_from_coeffs(y, coeffs),
-            ScoreKind::Leverage => self.leverage_from_coeffs(coeffs),
-            ScoreKind::Blended { beta } => {
-                let n = self.rows_represented.max(1) as f64;
-                let std_lev = n * self.leverage_from_coeffs(coeffs) / self.k().max(1) as f64;
-                self.rel_proj_from_coeffs(y, coeffs) + beta * std_lev
-            }
-        }
-    }
-
-    /// Mirrors [`Self::projection_distance_sq`] from precomputed coefficients.
-    fn proj_sq_from_coeffs(&self, y: &[f64], coeffs: &[f64]) -> f64 {
-        let norm_sq = vecops::norm2_sq(y);
-        let mut captured = 0.0;
-        for &c in coeffs {
-            captured += c * c;
-        }
-        (norm_sq - captured).max(0.0)
-    }
-
-    /// Mirrors [`Self::relative_projection_distance`] from coefficients.
-    fn rel_proj_from_coeffs(&self, y: &[f64], coeffs: &[f64]) -> f64 {
-        let norm_sq = vecops::norm2_sq(y);
-        if norm_sq <= 0.0 {
-            return 0.0;
-        }
-        (self.proj_sq_from_coeffs(y, coeffs) / norm_sq).clamp(0.0, 1.0)
-    }
-
-    /// Mirrors [`Self::leverage_score`] from precomputed coefficients.
-    fn leverage_from_coeffs(&self, coeffs: &[f64]) -> f64 {
-        let sigma_max = self.sigma.first().copied().unwrap_or(0.0);
-        let floor = RELATIVE_SIGMA_FLOOR * sigma_max;
-        let mut lev = 0.0;
-        for (&s, &c) in self.sigma.iter().zip(coeffs) {
-            if s <= floor {
-                break; // descending order: the rest are also below the floor
-            }
-            lev += (c * c) / (s * s);
-        }
-        lev
+        norms_sq.resize(b, 0.0);
+        vecops::block_dots(self.vt.as_slice(), k, rows, d, coeffs, norms_sq);
+        out.extend(norms_sq.iter().enumerate().map(|(i, &norm_sq)| {
+            let c = &coeffs[i * k..(i + 1) * k];
+            self.score_from(kind, norm_sq, c.iter().copied())
+        }));
     }
 
     /// Sparse-input projection distance: `O(k·nnz)`.
@@ -508,47 +496,35 @@ impl SubspaceModel {
     /// # Panics
     /// Panics when `y.dim() != dim()`.
     pub fn projection_distance_sq_sparse(&self, y: &SparseVec) -> f64 {
-        assert_eq!(y.dim(), self.dim(), "sparse point dimension mismatch");
-        let norm_sq = y.norm2_sq();
-        let mut captured = 0.0;
-        for j in 0..self.k() {
-            let c = y.dot_dense(self.vt.row(j));
-            captured += c * c;
-        }
-        (norm_sq - captured).max(0.0)
+        proj_sq(y.norm2_sq(), self.sparse_coeffs(y))
     }
 
     /// Sparse-input relative projection distance in `[0, 1]`.
+    ///
+    /// # Panics
+    /// Panics when `y.dim() != dim()`.
     pub fn relative_projection_distance_sparse(&self, y: &SparseVec) -> f64 {
-        let norm_sq = y.norm2_sq();
-        if norm_sq <= 0.0 {
-            return 0.0;
-        }
-        (self.projection_distance_sq_sparse(y) / norm_sq).clamp(0.0, 1.0)
+        rel_proj(y.norm2_sq(), self.sparse_coeffs(y))
     }
 
     /// Sparse-input leverage score: `O(k·nnz)`.
+    ///
+    /// # Panics
+    /// Panics when `y.dim() != dim()`.
     pub fn leverage_score_sparse(&self, y: &SparseVec) -> f64 {
-        assert_eq!(y.dim(), self.dim(), "sparse point dimension mismatch");
-        let sigma_max = self.sigma.first().copied().unwrap_or(0.0);
-        let floor = RELATIVE_SIGMA_FLOOR * sigma_max;
-        let mut lev = 0.0;
-        for j in 0..self.k() {
-            let s = self.sigma[j];
-            if s <= floor {
-                break;
-            }
-            let c = y.dot_dense(self.vt.row(j));
-            lev += (c * c) / (s * s);
-        }
-        lev
+        self.leverage(self.sparse_coeffs(y))
     }
 
     /// Sparse-input standardized leverage (see
     /// [`standardized_leverage`](Self::standardized_leverage)).
     pub fn standardized_leverage_sparse(&self, y: &SparseVec) -> f64 {
-        let n = self.rows_represented.max(1) as f64;
-        n * self.leverage_score_sparse(y) / self.k().max(1) as f64
+        self.standardize(self.leverage_score_sparse(y))
+    }
+
+    /// [`Self::coeffs`] of a sparse point, `O(nnz)` each.
+    fn sparse_coeffs<'a>(&'a self, y: &'a SparseVec) -> impl Iterator<Item = f64> + Clone + 'a {
+        assert_eq!(y.dim(), self.dim(), "sparse point dimension mismatch");
+        (0..self.k()).map(move |j| y.dot_dense(self.vt.row(j)))
     }
 
     /// Projects `y` onto the normal subspace, returning the reconstruction
@@ -564,6 +540,24 @@ impl SubspaceModel {
         let rec = self.reconstruct(y);
         vecops::sub(y, &rec)
     }
+}
+
+/// `proj_k = ‖y‖² − Σ c_j²`, clamped at 0.
+fn proj_sq(norm_sq: f64, coeffs: impl Iterator<Item = f64>) -> f64 {
+    let mut captured = 0.0;
+    for c in coeffs {
+        captured += c * c;
+    }
+    (norm_sq - captured).max(0.0)
+}
+
+/// `proj_k / ‖y‖²` in `[0, 1]`; 0 for the zero vector, whose coefficients
+/// are then never computed.
+fn rel_proj(norm_sq: f64, coeffs: impl Iterator<Item = f64>) -> f64 {
+    if norm_sq <= 0.0 {
+        return 0.0;
+    }
+    (proj_sq(norm_sq, coeffs) / norm_sq).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]

@@ -22,12 +22,13 @@
 //! The fused kernel [`axpy4`] processes four rows against one shared vector
 //! in a single pass and is *bitwise compatible* with its one-row
 //! counterpart on every path: it produces the same bits as four sequential
-//! [`axpy`] calls, and so does [`row_dots`] with one [`dot`] per row. The
-//! blocked matrix kernels rely on this to keep batched results identical to
-//! the one-at-a-time paths; [`gemm8`] is likewise the bits of two [`gemm4`]
-//! calls on every tier. The register tile [`dots4x4`] and the row pass
-//! [`update_rows_dots`] are the exceptions: they sum in another order, so
-//! they agree with [`dot`] to rounding only.
+//! [`axpy`] calls, and so do [`row_dots`] and [`block_dots`] with one
+//! [`dot`] per output. The blocked matrix kernels rely on this to keep
+//! batched results identical to the one-at-a-time paths; [`gemm8`] is
+//! likewise the bits of two [`gemm4`] calls on every tier. The register
+//! tile [`dots4x4`] and the row pass [`update_rows_dots`] are the
+//! exceptions: they sum in another order, so they agree with [`dot`] to
+//! rounding only.
 
 /// Below this length the scalar path is used unconditionally: the SIMD
 /// prologue/reduction costs more than it saves, and keeping one fixed
@@ -211,6 +212,73 @@ pub fn row_dots(b: &[f64], ldb: usize, d: usize, nrows: usize, y: &[f64], out: &
     }
     for (j, o) in out.iter_mut().enumerate() {
         *o = scalar_dot(&b[j * ldb..j * ldb + d], y);
+    }
+}
+
+/// The per-point scoring inputs of a block of points in one dispatch: for
+/// each row `y_i` of the row-major block `ys` (rows of length `d`), the `k`
+/// dots against the rows of the row-major `k × d` `basis`,
+/// `dots[i*k + j] = dot(basis_j, y_i)`, and its squared norm
+/// `norms_sq[i] = dot(y_i, y_i)`.
+///
+/// Every output is bitwise identical to the corresponding [`dot`] call:
+/// each tier's loop runs that tier's own `dot` body inside one feature
+/// region, so the kernel adds a dispatch saving, not a summation order.
+/// This is the whole per-point kernel work of the batched scoring path
+/// (`SubspaceModel::score_block_into`): with `‖y‖²` in hand, a score never
+/// reads its point again.
+///
+/// # Panics
+/// Panics when `d == 0`, `basis.len() != k * d`,
+/// `ys.len()` is not a multiple of `d`, `norms_sq.len()` is not the row
+/// count, or `dots.len()` is not `k` times it.
+pub fn block_dots(
+    basis: &[f64],
+    k: usize,
+    ys: &[f64],
+    d: usize,
+    dots: &mut [f64],
+    norms_sq: &mut [f64],
+) {
+    assert!(d > 0, "block_dots: zero row length");
+    assert_eq!(basis.len(), k * d, "block_dots: basis is not k rows of d");
+    assert_eq!(ys.len() % d, 0, "block_dots: block holds partial rows");
+    let rows = ys.len() / d;
+    assert_eq!(norms_sq.len(), rows, "block_dots: norms length mismatch");
+    assert_eq!(dots.len(), rows * k, "block_dots: dots length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if d >= MIN_SIMD_LEN {
+        // SAFETY: the matching CPU features were verified at runtime, and
+        // the asserts above bound every row and output access.
+        #[allow(unsafe_code)]
+        match simd_level() {
+            2 => {
+                unsafe { simd::block_dots512(basis, k, ys, d, dots, norms_sq) };
+                return;
+            }
+            1 => {
+                unsafe { simd::block_dots(basis, k, ys, d, dots, norms_sq) };
+                return;
+            }
+            _ => {}
+        }
+    }
+    scalar_block_dots(basis, k, ys, d, dots, norms_sq);
+}
+
+fn scalar_block_dots(
+    basis: &[f64],
+    k: usize,
+    ys: &[f64],
+    d: usize,
+    dots: &mut [f64],
+    norms_sq: &mut [f64],
+) {
+    for (i, y) in ys.chunks_exact(d).enumerate() {
+        for (j, out) in dots[i * k..(i + 1) * k].iter_mut().enumerate() {
+            *out = scalar_dot(&basis[j * d..(j + 1) * d], y);
+        }
+        norms_sq[i] = scalar_dot(y, y);
     }
 }
 
@@ -801,6 +869,56 @@ mod simd {
     ) {
         for j in 0..nrows {
             *out.get_unchecked_mut(j) = dot512(b.get_unchecked(j * ldb..j * ldb + d), y);
+        }
+    }
+
+    /// [`super::block_dots`] on the 256-bit [`dot`] kernel: the whole block
+    /// in one feature region, so each of its `k + 1` dots per row inlines
+    /// without re-dispatch.
+    ///
+    /// # Safety
+    /// Requires AVX2 and FMA; the public wrapper's asserts bound every row
+    /// and output access taken here.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn block_dots(
+        basis: &[f64],
+        k: usize,
+        ys: &[f64],
+        d: usize,
+        dots: &mut [f64],
+        norms_sq: &mut [f64],
+    ) {
+        for i in 0..norms_sq.len() {
+            let y = ys.get_unchecked(i * d..(i + 1) * d);
+            for j in 0..k {
+                *dots.get_unchecked_mut(i * k + j) =
+                    dot(basis.get_unchecked(j * d..(j + 1) * d), y);
+            }
+            *norms_sq.get_unchecked_mut(i) = dot(y, y);
+        }
+    }
+
+    /// [`block_dots`] on the 512-bit [`dot512`] kernel.
+    ///
+    /// # Safety
+    /// Requires AVX-512F; the public wrapper's asserts bound every row and
+    /// output access taken here.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn block_dots512(
+        basis: &[f64],
+        k: usize,
+        ys: &[f64],
+        d: usize,
+        dots: &mut [f64],
+        norms_sq: &mut [f64],
+    ) {
+        for i in 0..norms_sq.len() {
+            let y = ys.get_unchecked(i * d..(i + 1) * d);
+            for j in 0..k {
+                *dots.get_unchecked_mut(i * k + j) =
+                    dot512(basis.get_unchecked(j * d..(j + 1) * d), y);
+            }
+            *norms_sq.get_unchecked_mut(i) = dot512(y, y);
         }
     }
 
@@ -1649,6 +1767,69 @@ mod tests {
                 (fast - slow).abs() <= 1e-12 * scale,
                 "n={n}: {fast} vs {slow}"
             );
+        }
+    }
+
+    /// Every tier's block kernel against the same tier's `dot`, bit for
+    /// bit: the public dispatch, the scalar body, and each SIMD body the
+    /// CPU has, called directly — on an AVX-512 host nothing else runs the
+    /// AVX2+FMA body, and the forced-scalar leg pins only the dispatch.
+    #[test]
+    fn block_dots_is_each_tiers_dot_bit_for_bit() {
+        type Body = fn(&[f64], usize, &[f64], usize, &mut [f64], &mut [f64]);
+        type Dot = fn(&[f64], &[f64]) -> f64;
+        let mut tiers: Vec<(&str, Body, Dot)> = vec![
+            ("dispatch", block_dots, dot),
+            ("scalar", scalar_block_dots, scalar_dot),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
+        {
+            // SAFETY (all four wrappers): each is pushed only when the CPU
+            // reports the features its body requires, and the test hands
+            // it slices of the lengths the public wrapper asserts.
+            if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
+                tiers.push((
+                    "avx2+fma",
+                    |b, k, y, d, o, n| unsafe { simd::block_dots(b, k, y, d, o, n) },
+                    |a, b| unsafe { simd::dot(a, b) },
+                ));
+            }
+            if std::is_x86_feature_detected!("avx512f") {
+                tiers.push((
+                    "avx512f",
+                    |b, k, y, d, o, n| unsafe { simd::block_dots512(b, k, y, d, o, n) },
+                    |a, b| unsafe { simd::dot512(a, b) },
+                ));
+            }
+        }
+        let rows = 3;
+        for d in 1..=80usize {
+            for k in [0usize, 1, 2, 4, 16] {
+                let basis: Vec<f64> = (0..k * d)
+                    .map(|i| ((i * 7 + 1) as f64 * 0.37).sin())
+                    .collect();
+                let ys: Vec<f64> = (0..rows * d)
+                    .map(|i| ((i * 3 + 2) as f64 * 0.29).cos() * 1.7)
+                    .collect();
+                for &(tier, body, tier_dot) in &tiers {
+                    let mut dots = vec![f64::NAN; rows * k];
+                    let mut norms = vec![f64::NAN; rows];
+                    body(&basis, k, &ys, d, &mut dots, &mut norms);
+                    for (i, y) in ys.chunks_exact(d).enumerate() {
+                        let what = format!("{tier}, d={d}, k={k}, row {i}");
+                        assert_eq!(norms[i].to_bits(), tier_dot(y, y).to_bits(), "{what}");
+                        for j in 0..k {
+                            let want = tier_dot(&basis[j * d..(j + 1) * d], y);
+                            assert_eq!(
+                                dots[i * k + j].to_bits(),
+                                want.to_bits(),
+                                "{what}, dot {j}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -53,7 +53,7 @@ pub struct ServeConfig {
     /// Upper bound on the shard worker's micro-batch: after waiting for one
     /// row, the worker pops up to `max_batch` already-queued rows as one
     /// contiguous block and scores them through the detector's batched
-    /// path (one blocked `V_kᵀY` matmul per batch). Scores are bitwise
+    /// path (one block-kernel pass per chunk). Scores are bitwise
     /// identical to per-point processing; `1` is a micro-batch of one.
     /// Must be ≥ 1.
     pub max_batch: usize,

@@ -205,9 +205,11 @@ pub(crate) fn run_supervised(
 /// waiting for the first row the worker pops up to `max_batch` queued rows
 /// as one contiguous row-major block (lent in place by the ring, which
 /// re-arms the slots when the block drops) and scores it through
-/// [`StreamingDetector::process_batch`], whose blocked `V_kᵀY` kernel
-/// yields scores bitwise identical to per-point processing (`max_batch = 1`
-/// is a budget of one). An attached recorder samples the depth gauges once
+/// [`StreamingDetector::process_batch`]: for a sketch detector, one
+/// `block_dots` kernel pass per chunk writes every row's `k` basis dots
+/// and `‖y‖²`, the scores come from those alone, and the chunk is folded
+/// into the sketch as one run — bitwise identical to per-point processing
+/// (`max_batch = 1` is a budget of one). An attached recorder samples the depth gauges once
 /// per micro-batch; queue wait is recorded once per run of rows that share
 /// a submit call's stamp, which gives the histogram per-row records would.
 fn drain(

@@ -94,8 +94,9 @@ impl SnapshotScorer {
     }
 
     /// Scores every row of `ys` against **one** snapshot generation (a
-    /// single cell load for the whole batch) through the model's blocked
-    /// `V_kᵀY` kernel. Appends to `out` after clearing it; `scratch` is
+    /// single cell load for the whole batch) through the model's one-pass
+    /// block kernel (every row's `k` basis dots and `‖y‖²` in one
+    /// dispatch). Appends to `out` after clearing it; `scratch` is
     /// caller-owned, so steady-state batch scoring allocates nothing.
     ///
     /// Returns `false` (with `out` empty) until the shard has published a

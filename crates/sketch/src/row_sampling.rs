@@ -36,6 +36,10 @@ pub struct RowSampling {
     seed: u64,
     rng: StdRng,
     reservoir: Vec<Entry>,
+    /// Index of the minimum-key entry, the eviction candidate, once the
+    /// reservoir is full. Keys change only when an entry is replaced, so
+    /// it is rescanned only then.
+    min_idx: usize,
     rows_seen: u64,
     /// Total squared-norm mass `W` of the (decayed) stream.
     total_weight: f64,
@@ -57,6 +61,7 @@ impl RowSampling {
             seed,
             rng: seeded_rng(seed),
             reservoir: Vec::with_capacity(ell),
+            min_idx: 0,
             rows_seen: 0,
             total_weight: 0.0,
             frobenius_sq: 0.0,
@@ -69,13 +74,14 @@ impl RowSampling {
         Matrix::from_rows(&rows).expect("reservoir rows share a dimension")
     }
 
-    /// Index of the minimum-key entry (the eviction candidate).
-    fn min_key_index(&self) -> Option<usize> {
+    /// Index of the first minimum-key entry (the eviction candidate); 0 for
+    /// an empty reservoir.
+    fn min_key_index(&self) -> usize {
         self.reservoir
             .iter()
             .enumerate()
             .min_by(|(_, a), (_, b)| a.key.partial_cmp(&b.key).expect("finite keys"))
-            .map(|(i, _)| i)
+            .map_or(0, |(i, _)| i)
     }
 }
 
@@ -104,6 +110,16 @@ impl MatrixSketch for RowSampling {
         // Efraimidis–Spirakis key: u^(1/w) with u ~ U(0,1); computed in log
         // space for numerical stability.
         let u: f64 = self.rng.gen::<f64>().max(f64::MIN_POSITIVE);
+        // Once the reservoir is full, most draws cannot beat the candidate's
+        // key m < 0. Since ln u ≤ u − 1, a draw with u − 1 ≤ 2·m·w has
+        // ln(u)/w ≤ 2m < m with a factor-2 margin that no rounding closes,
+        // so it is dropped without its logarithm. Every other draw, and any
+        // comparison a NaN or ∞ makes false, takes the exact path below.
+        if self.reservoir.len() == self.ell
+            && u - 1.0 <= 2.0 * (self.reservoir[self.min_idx].key * w)
+        {
+            return;
+        }
         let key = u.ln() / w;
         if self.reservoir.len() < self.ell {
             self.reservoir.push(Entry {
@@ -111,14 +127,16 @@ impl MatrixSketch for RowSampling {
                 weight: w,
                 row: row.to_vec(),
             });
-        } else if let Some(idx) = self.min_key_index() {
-            if key > self.reservoir[idx].key {
-                self.reservoir[idx] = Entry {
-                    key,
-                    weight: w,
-                    row: row.to_vec(),
-                };
+            if self.reservoir.len() == self.ell {
+                self.min_idx = self.min_key_index();
             }
+        } else if key > self.reservoir[self.min_idx].key {
+            // Evict in place: the entry's row buffer is reused.
+            let evicted = &mut self.reservoir[self.min_idx];
+            evicted.key = key;
+            evicted.weight = w;
+            evicted.row.copy_from_slice(row);
+            self.min_idx = self.min_key_index();
         }
     }
 
@@ -276,6 +294,68 @@ mod tests {
         s.reset();
         feed(&mut s, &a);
         assert_eq!(s.sketch(), first);
+    }
+
+    /// The reservoir as the plain algorithm keeps it: rescan for the
+    /// minimum key on every row once full, replace the whole entry.
+    fn rescanning_reference(ell: usize, a: &Matrix, seed: u64) -> Vec<Entry> {
+        let mut rng = seeded_rng(seed);
+        let mut reservoir: Vec<Entry> = Vec::new();
+        for row in a.iter_rows() {
+            let w = vecops::norm2_sq(row);
+            if w <= 0.0 {
+                continue;
+            }
+            let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+            let entry = Entry {
+                key: u.ln() / w,
+                weight: w,
+                row: row.to_vec(),
+            };
+            if reservoir.len() < ell {
+                reservoir.push(entry);
+                continue;
+            }
+            let idx = (0..reservoir.len())
+                .min_by(|&i, &j| reservoir[i].key.partial_cmp(&reservoir[j].key).unwrap())
+                .unwrap();
+            if entry.key > reservoir[idx].key {
+                reservoir[idx] = entry;
+            }
+        }
+        reservoir
+    }
+
+    #[test]
+    fn cached_eviction_candidate_matches_rescanning_every_row() {
+        let mut rng = seeded_rng(64);
+        let mut a = gaussian_matrix(&mut rng, 10_000, 5, 1.0);
+        // Zero rows (never sampled) and rows of weights far apart, down to
+        // 1e-300 and up to 1e300.
+        for i in (0..a.rows()).step_by(97) {
+            a.row_mut(i).fill(0.0);
+        }
+        for (step, factor) in [(31, 8.0), (89, 1e-150), (113, 1e150)] {
+            for i in (0..a.rows()).step_by(step) {
+                vecops::scale(factor, a.row_mut(i));
+            }
+        }
+        let bits = |entries: &[Entry]| -> Vec<(u64, u64, Vec<u64>)> {
+            entries
+                .iter()
+                .map(|e| {
+                    let row = e.row.iter().map(|v| v.to_bits()).collect();
+                    (e.key.to_bits(), e.weight.to_bits(), row)
+                })
+                .collect()
+        };
+        for ell in [1usize, 2, 8] {
+            let mut s = RowSampling::new(ell, 5, 23);
+            feed(&mut s, &a);
+            let want = rescanning_reference(ell, &a, 23);
+            assert_eq!(s.reservoir.len(), ell);
+            assert_eq!(bits(&s.reservoir), bits(&want), "ℓ={ell}");
+        }
     }
 
     #[test]

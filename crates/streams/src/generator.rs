@@ -66,12 +66,67 @@ impl Default for LowRankStreamConfig {
     }
 }
 
+/// How the normal points' signal is spread over the `k` planted directions:
+/// direction `j`'s coefficient is Gaussian with standard deviation
+/// `scales[j]` (see [`Spectrum::scales`]), so the planted covariance has
+/// eigenvalues `scales[j]²` plus the noise floor `noise_sigma²`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub enum Spectrum {
+    /// Every direction at `signal_scale`. Any top-`k'` subspace with
+    /// `k' < k` of such a stream is an arbitrary pick from a flat signal.
+    #[default]
+    Flat,
+    /// Geometric decay with a planted gap: direction `j` has scale
+    /// `signal_scale · decay^j`, times `gap` for every `j ≥ gap_after`, so
+    /// the planted eigenvalues fall by `decay²` per direction and by
+    /// `(decay·gap)²` from direction `gap_after − 1` to `gap_after`. A
+    /// detector of rank `gap_after` then has an identifiable model.
+    Geometric {
+        /// Per-direction scale ratio in `(0, 1]`.
+        decay: f64,
+        /// Directions before the gap, in `1..=k`.
+        gap_after: usize,
+        /// Extra scale factor past the gap, in `(0, 1]`.
+        gap: f64,
+    },
+}
+
+impl Spectrum {
+    /// The coefficient standard deviation of each of `k` planted directions.
+    /// Under [`Spectrum::Flat`] every entry is exactly `signal_scale`.
+    ///
+    /// # Panics
+    /// Panics when a `Geometric` parameter is outside its documented range.
+    pub fn scales(&self, signal_scale: f64, k: usize) -> Vec<f64> {
+        match *self {
+            Spectrum::Flat => vec![signal_scale; k],
+            Spectrum::Geometric {
+                decay,
+                gap_after,
+                gap,
+            } => {
+                assert!(decay > 0.0 && decay <= 1.0, "decay must be in (0,1]");
+                assert!(gap > 0.0 && gap <= 1.0, "gap must be in (0,1]");
+                assert!((1..=k).contains(&gap_after), "gap_after must be in 1..=k");
+                (0..k)
+                    .map(|j| {
+                        let past_gap = if j >= gap_after { gap } else { 1.0 };
+                        signal_scale * decay.powi(j as i32) * past_gap
+                    })
+                    .collect()
+            }
+        }
+    }
+}
+
 /// A generator holding the planted basis; exposes single-point sampling so
 /// drift scenarios can mutate the basis mid-stream.
 #[derive(Debug, Clone)]
 pub struct LowRankGenerator {
     /// `k × d` orthonormal rows spanning the normal subspace.
     basis: Matrix,
+    /// Coefficient standard deviation of each planted direction.
+    scales: Vec<f64>,
     cfg: LowRankStreamConfig,
     rng: StdRng,
 }
@@ -82,14 +137,30 @@ impl LowRankGenerator {
     /// # Panics
     /// Panics when `k == 0`, `k > d`, or `anomaly_rate ∉ [0, 1)`.
     pub fn new(cfg: LowRankStreamConfig) -> Self {
+        Self::with_spectrum(cfg, Spectrum::Flat)
+    }
+
+    /// [`new`](Self::new) with the planted signal spread by `spectrum`. The
+    /// flat spectrum draws the same stream as `new`, bit for bit.
+    ///
+    /// # Panics
+    /// As [`new`](Self::new), and when `spectrum` is invalid for `cfg.k`
+    /// (see [`Spectrum::scales`]).
+    pub fn with_spectrum(cfg: LowRankStreamConfig, spectrum: Spectrum) -> Self {
         assert!(cfg.k > 0 && cfg.k <= cfg.d, "require 1 <= k <= d");
         assert!(
             (0.0..1.0).contains(&cfg.anomaly_rate),
             "anomaly_rate must be in [0,1)"
         );
+        let scales = spectrum.scales(cfg.signal_scale, cfg.k);
         let mut rng = seeded_rng(cfg.seed);
         let basis = random_orthonormal_rows(&mut rng, cfg.k, cfg.d);
-        Self { basis, cfg, rng }
+        Self {
+            basis,
+            scales,
+            cfg,
+            rng,
+        }
     }
 
     /// The planted basis (`k × d` orthonormal rows).
@@ -105,7 +176,7 @@ impl LowRankGenerator {
     /// Samples one normal point.
     pub fn sample_normal(&mut self) -> Vec<f64> {
         let coeff: Vec<f64> = (0..self.cfg.k)
-            .map(|_| self.cfg.signal_scale * gaussian(&mut self.rng))
+            .map(|j| self.scales[j] * gaussian(&mut self.rng))
             .collect();
         let mut row = self.basis.tr_matvec(&coeff);
         for v in row.iter_mut() {
@@ -132,7 +203,7 @@ impl LowRankGenerator {
             AnomalyKind::InSubspaceExtreme => {
                 // 6σ–10σ coefficient along a random planted direction.
                 let j = self.rng.gen_range(0..self.cfg.k);
-                let magnitude = self.cfg.signal_scale * scale * (6.0 + 4.0 * self.rng.gen::<f64>());
+                let magnitude = self.scales[j] * scale * (6.0 + 4.0 * self.rng.gen::<f64>());
                 let sign = if self.rng.gen::<bool>() { 1.0 } else { -1.0 };
                 let mut coeff = vec![0.0; self.cfg.k];
                 coeff[j] = sign * magnitude;
@@ -185,7 +256,21 @@ impl LowRankGenerator {
 /// standard evaluation protocol). `CorrelatedBurst` anomalies are emitted in
 /// runs of 5–15 consecutive points sharing one direction.
 pub fn generate_low_rank_stream(cfg: LowRankStreamConfig) -> LabeledStream {
-    let mut generator = LowRankGenerator::new(cfg);
+    generate_low_rank_stream_with(cfg, Spectrum::Flat)
+}
+
+/// [`generate_low_rank_stream`] with the normal points' signal spread by
+/// `spectrum`; the flat spectrum generates the same stream, bit for bit.
+/// Anomaly energies are set from `signal_scale` as for the flat stream
+/// (an in-subspace extreme scales with its direction's own scale).
+///
+/// # Panics
+/// As [`LowRankGenerator::with_spectrum`].
+pub fn generate_low_rank_stream_with(
+    cfg: LowRankStreamConfig,
+    spectrum: Spectrum,
+) -> LabeledStream {
+    let mut generator = LowRankGenerator::with_spectrum(cfg, spectrum);
     let n = cfg.n;
     let guard = n / 10;
     let target_anomalies = ((n as f64) * cfg.anomaly_rate).round() as usize;
@@ -243,11 +328,18 @@ pub fn generate_low_rank_stream(cfg: LowRankStreamConfig) -> LabeledStream {
         });
     }
 
-    LabeledStream::new(
-        format!("synth-lowrank(n={n},d={},k={})", cfg.d, cfg.k),
-        cfg.d,
-        points,
-    )
+    let name = match spectrum {
+        Spectrum::Flat => format!("synth-lowrank(n={n},d={},k={})", cfg.d, cfg.k),
+        Spectrum::Geometric {
+            decay,
+            gap_after,
+            gap,
+        } => format!(
+            "synth-lowrank(n={n},d={},k={},decay={decay},gap={gap}@{gap_after})",
+            cfg.d, cfg.k
+        ),
+    };
+    LabeledStream::new(name, cfg.d, points)
 }
 
 #[cfg(test)]
@@ -379,6 +471,61 @@ mod tests {
         let b = &s.points[i + 1].values;
         let cos = vecops::dot(a, b) / (vecops::norm2(a) * vecops::norm2(b));
         assert!(cos > 0.9, "burst cosine {cos}");
+    }
+
+    #[test]
+    fn geometric_spectrum_plants_its_eigenvalues_and_gap() {
+        let spectrum = Spectrum::Geometric {
+            decay: 0.8,
+            gap_after: 3,
+            gap: 0.25,
+        };
+        let cfg = LowRankStreamConfig {
+            n: 20_000,
+            d: 16,
+            k: 6,
+            noise_sigma: 0.01,
+            anomaly_rate: 0.0,
+            ..Default::default()
+        };
+        let scales = spectrum.scales(cfg.signal_scale, cfg.k);
+        assert_eq!(scales[0], 3.0);
+        assert!((scales[2] / scales[1] - 0.8).abs() < 1e-12);
+        assert!((scales[3] / scales[2] - 0.8 * 0.25).abs() < 1e-12);
+        assert!((scales[5] / scales[4] - 0.8).abs() < 1e-12);
+
+        // The variance along each planted direction is its scale².
+        let mut generator = LowRankGenerator::with_spectrum(cfg, spectrum);
+        let mut var = vec![0.0; cfg.k];
+        for _ in 0..cfg.n {
+            let y = generator.sample_normal();
+            for (v, c) in var.iter_mut().zip(generator.basis().matvec(&y)) {
+                *v += c * c / cfg.n as f64;
+            }
+        }
+        for (j, (&v, &s)) in var.iter().zip(&scales).enumerate() {
+            let rel = (v / (s * s) - 1.0).abs();
+            assert!(rel < 0.05, "direction {j}: variance {v} vs {}", s * s);
+        }
+        // The planted relative eigengap at k = 3 is (λ₃ − λ₄)/λ₁.
+        let lambda = |j: usize| scales[j] * scales[j];
+        let gap = (lambda(2) - lambda(3)) / lambda(0);
+        assert!(gap > 0.35, "relative gap {gap}");
+    }
+
+    #[test]
+    #[should_panic(expected = "gap_after must be in 1..=k")]
+    fn gap_past_the_planted_rank_rejected() {
+        let spectrum = Spectrum::Geometric {
+            decay: 0.9,
+            gap_after: 5,
+            gap: 0.5,
+        };
+        let cfg = LowRankStreamConfig {
+            k: 4,
+            ..Default::default()
+        };
+        let _ = LowRankGenerator::with_spectrum(cfg, spectrum);
     }
 
     #[test]

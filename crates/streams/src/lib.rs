@@ -4,7 +4,8 @@
 //! `sketchad` experiments.
 //!
 //! * [`generator`] — planted low-rank streams with three anomaly flavours
-//!   (off-subspace, in-subspace extreme, correlated bursts);
+//!   (off-subspace, in-subspace extreme, correlated bursts) and a flat or
+//!   geometrically decaying, gapped signal spectrum;
 //! * [`drift`] — rotating-subspace and abrupt-switch drift scenarios;
 //! * [`datasets`] — named, seeded substitutes for the paper's real datasets
 //!   (see DESIGN.md §3 for the substitution table);
@@ -27,6 +28,9 @@ pub use datasets::{
     synth_drift, synth_lowrank, synth_powerlaw, synth_rotate, DatasetScale,
 };
 pub use drift::{generate_drift_stream, subspace_distance, DriftKind};
-pub use generator::{generate_low_rank_stream, AnomalyKind, LowRankGenerator, LowRankStreamConfig};
+pub use generator::{
+    generate_low_rank_stream, generate_low_rank_stream_with, AnomalyKind, LowRankGenerator,
+    LowRankStreamConfig, Spectrum,
+};
 pub use io::{read_csv, read_rows, read_stream, write_csv, write_rows, IoError};
 pub use point::{LabeledPoint, LabeledStream};

@@ -24,7 +24,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use sketchad_core::{
-    RefreshPolicy, ScoreKind, SketchDetector, StreamingDetector, SubspaceModel, UpdatePolicy,
+    RefreshPolicy, ScoreKind, ScoreScratch, SketchDetector, StreamingDetector, SubspaceModel,
+    UpdatePolicy,
 };
 use sketchad_durable::{wal, FsyncPolicy, Recovery, StateStore};
 use sketchad_linalg::rng::{gaussian_matrix, seeded_rng};
@@ -194,6 +195,52 @@ fn count_sketch_update_allocates_nothing() {
         });
         assert_eq!(cs.rows_seen(), 1_000);
         assert_eq!(allocated, 0, "s={s}: CountSketch update allocated");
+    }
+}
+
+#[test]
+fn row_sampling_update_on_a_full_reservoir_allocates_nothing() {
+    // Once the reservoir holds ℓ rows, an eviction overwrites the evicted
+    // entry's row in place.
+    let rows = gaussian_matrix(&mut seeded_rng(5), 2_000, 8, 1.0);
+    let mut fed = rows.iter_rows();
+    let mut rs = RowSampling::new(8, 8, 3);
+    for row in fed.by_ref().take(8) {
+        rs.update(row);
+    }
+    let before = rs.sampled_rows();
+    let allocated = allocations_in(|| {
+        for row in fed {
+            rs.update(row);
+        }
+    });
+    assert_ne!(
+        rs.sampled_rows(),
+        before,
+        "no eviction in the measured window"
+    );
+    assert_eq!(allocated, 0, "RowSampling update allocated");
+}
+
+#[test]
+fn score_block_allocates_nothing_once_its_scratch_has_grown() {
+    // The batched scoring kernel writes coefficients and norms into the
+    // caller's scratch: a second block of the same size reuses it.
+    let basis = gaussian_matrix(&mut seeded_rng(6), 64, 8, 1.0);
+    let model = SubspaceModel::from_matrix(&basis, 2, 64).unwrap();
+    let block = gaussian_matrix(&mut seeded_rng(7), 512, 8, 1.0);
+    let mut scratch = ScoreScratch::new();
+    let mut out = Vec::new();
+    for kind in [
+        ScoreKind::RelativeProjection,
+        ScoreKind::Blended { beta: 0.1 },
+    ] {
+        model.score_block_into(block.as_slice(), kind, &mut scratch, &mut out);
+        let allocated = allocations_in(|| {
+            model.score_block_into(block.as_slice(), kind, &mut scratch, &mut out);
+        });
+        assert_eq!(out.len(), 512);
+        assert_eq!(allocated, 0, "{kind:?}: a scored block allocated");
     }
 }
 
