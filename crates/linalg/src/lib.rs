@@ -46,6 +46,8 @@
 
 pub mod eigen;
 pub mod error;
+#[cfg(test)]
+mod golden;
 pub mod matrix;
 pub mod power;
 pub mod qr;

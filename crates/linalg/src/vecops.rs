@@ -54,6 +54,10 @@ const MIN_SIMD_LEN: usize = 8;
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn simd_level() -> u8 {
+    #[cfg(test)]
+    if let Some(tier) = PINNED_TIER.with(std::cell::Cell::get) {
+        return tier;
+    }
     static LEVEL: std::sync::OnceLock<u8> = std::sync::OnceLock::new();
     *LEVEL.get_or_init(|| {
         if force_scalar_requested()
@@ -66,6 +70,45 @@ fn simd_level() -> u8 {
             1
         }
     })
+}
+
+#[cfg(all(test, target_arch = "x86_64"))]
+thread_local! {
+    /// The tier [`at_tier`] pins on this thread, ahead of the cached one.
+    static PINNED_TIER: std::cell::Cell<Option<u8>> = const { std::cell::Cell::new(None) };
+}
+
+/// The dispatch tiers this CPU can run, whatever `SKETCHAD_FORCE_SCALAR`
+/// asks: 0 (scalar), then 1 (AVX2+FMA) and 2 (AVX-512F) when detected.
+#[cfg(test)]
+pub(crate) fn host_tiers() -> Vec<u8> {
+    #[allow(unused_mut)]
+    let mut tiers = vec![0];
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
+        tiers.push(1);
+        if std::is_x86_feature_detected!("avx512f") {
+            tiers.push(2);
+        }
+    }
+    tiers
+}
+
+/// Runs `f` with every kernel called on this thread dispatched at `tier`,
+/// one of [`host_tiers`], so a test reaches each tier through the public
+/// kernels exactly as a host of that tier would.
+#[cfg(test)]
+pub(crate) fn at_tier<R>(tier: u8, f: impl FnOnce() -> R) -> R {
+    assert!(host_tiers().contains(&tier), "tier {tier} not on this CPU");
+    #[cfg(target_arch = "x86_64")]
+    {
+        let previous = PINNED_TIER.with(|p| p.replace(Some(tier)));
+        let out = f();
+        PINNED_TIER.with(|p| p.set(previous));
+        out
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    f()
 }
 
 /// Whether `SKETCHAD_FORCE_SCALAR` asks for the scalar path.
