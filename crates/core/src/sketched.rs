@@ -280,7 +280,7 @@ impl<S: MatrixSketch> SketchDetector<S> {
         if self.should_update(score) {
             let started = self.span_start();
             self.sketch.update_sparse(y);
-            self.span_end(Stage::SketchUpdate, started);
+            self.span_end(Stage::SketchUpdate, started, 1);
         }
         self.after_update();
         score
@@ -297,11 +297,12 @@ impl<S: MatrixSketch> SketchDetector<S> {
         }
     }
 
-    /// Closes a manual span opened by [`Self::span_start`].
-    fn span_end(&self, stage: Stage, started: Option<Instant>) {
+    /// Closes a manual span opened by [`Self::span_start`] over `rows`
+    /// rows, recorded as one span per row.
+    fn span_end(&self, stage: Stage, started: Option<Instant>, rows: usize) {
         if let Some(t0) = started {
-            self.recorder
-                .record_span(stage, t0.elapsed().as_nanos() as u64);
+            let nanos = t0.elapsed().as_nanos() as u64;
+            self.recorder.record_span_n(stage, nanos, rows as u64);
         }
     }
 
@@ -345,19 +346,22 @@ impl<S: MatrixSketch> SketchDetector<S> {
         }
     }
 
-    /// Folds a run of one or more rows into the sketch and runs the
-    /// post-update bookkeeping once, for its last row. Bit for bit the
-    /// per-row `update` + [`Self::after_update`] sequence provided nothing
-    /// in that sequence could fire before the last row: the update policy
-    /// is `Always`, there is no decay and no recorder, and the run ends no
-    /// later than [`Self::rows_to_next_build`] rows from here.
+    /// Folds a run of one or more rows into the sketch, timed as one
+    /// [`Stage::SketchUpdate`] span per row, and runs the post-update
+    /// bookkeeping once, for its last row. Bit for bit the per-row
+    /// `update` + [`Self::after_update`] sequence provided nothing in that
+    /// sequence could fire before the last row: the update policy is
+    /// `Always`, there is no decay, and the run ends no later than
+    /// [`Self::rows_to_next_build`] rows from here.
     fn fold_run(&mut self, run: &[f64]) {
         let d = self.dim();
         let n = run.len() / d;
         debug_assert!(n >= 1 && run.len() == n * d);
+        let started = self.span_start();
         for y in run.chunks_exact(d) {
             self.sketch.update(y);
         }
+        self.span_end(Stage::SketchUpdate, started, n);
         self.processed += n as u64 - 1;
         self.since_refresh += n - 1;
         self.after_update();
@@ -422,7 +426,7 @@ impl<S: MatrixSketch> SketchDetector<S> {
                 self.refresh_count += 1;
             }
             Err(_) => {
-                self.span_end(Stage::ModelRefresh, started);
+                self.span_end(Stage::ModelRefresh, started, 1);
                 // A degenerate sketch (e.g. all-zero rows) yields no model;
                 // keep the previous one and retry at the next trigger.
             }
@@ -453,7 +457,7 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
         if self.should_update(score) {
             let started = self.span_start();
             self.sketch.update(y);
-            self.span_end(Stage::SketchUpdate, started);
+            self.span_end(Stage::SketchUpdate, started, 1);
         }
         self.after_update();
         score
@@ -635,21 +639,17 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
     /// under `SkipAnomalous` or decay each row's update and bookkeeping run
     /// in turn. Because the block kernel is bitwise identical to the
     /// per-point one, outputs and state match [`StreamingDetector::process`]
-    /// bit for bit — tested in this crate. Instrumented detectors take the
-    /// per-point path so recorded span counts are identical to per-point
-    /// processing.
+    /// bit for bit — tested in this crate. A recorder sees one
+    /// [`Stage::Score`] span per chunk and one [`Stage::SketchUpdate`] span
+    /// per folded run, each recorded as one span per row, so span counts
+    /// match per-point processing while the times are those of the block
+    /// kernel and the run.
     fn process_batch(&mut self, rows: &[f64], out: &mut Vec<f64>) {
         let d = self.dim();
         assert_eq!(rows.len() % d, 0, "a block holds whole rows of dim {d}");
         let n = rows.len() / d;
         out.clear();
         out.reserve(n);
-        if self.recorder.enabled() {
-            for y in rows.chunks_exact(d) {
-                out.push(self.process(y));
-            }
-            return;
-        }
         let mut i = 0;
         while i < n {
             if !self.is_warmed_up() {
@@ -670,16 +670,20 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
             }
             let chunk = &rows[i * d..end * d];
             let mut scores = std::mem::take(&mut self.batch_scores);
+            let started = self.span_start();
             self.model
                 .as_ref()
                 .expect("warmed up implies model")
                 .score_block_into(chunk, self.score, &mut self.scratch, &mut scores);
+            self.span_end(Stage::Score, started, end - i);
             if self.update_policy == UpdatePolicy::Always && self.decay.is_none() {
                 self.fold_run(chunk);
             } else {
                 for (y, &score) in chunk.chunks_exact(d).zip(&scores) {
                     if self.should_update(score) {
+                        let started = self.span_start();
                         self.sketch.update(y);
+                        self.span_end(Stage::SketchUpdate, started, 1);
                     }
                     self.after_update();
                 }
@@ -697,13 +701,13 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
     /// `SkipAnomalous` the score decides the update and feeds the filtering
     /// quantile, so the rows are scored through `process_batch`.
     ///
-    /// Under the periodic policy, with no decay and no recorder, the rows
-    /// go to the sketch in runs (`fold_run`): each run ends at the
-    /// first row after which a model could be built (warmup end or a due
-    /// refresh), is folded into the sketch row by row, and the bookkeeping
-    /// runs once, for its last row. No row before it could build, decay or
-    /// record anything, so the detector ends bit for bit where per-row
-    /// absorption leaves it.
+    /// Under the periodic policy with no decay, the rows go to the sketch
+    /// in runs (`fold_run`): each run ends at the first row after which a
+    /// model could be built (warmup end or a due refresh), is folded into
+    /// the sketch row by row, and the bookkeeping runs once, for its last
+    /// row. No row before it could build or decay anything, so the detector
+    /// ends bit for bit where per-row absorption leaves it, and its update
+    /// span counts one span per row as per-row absorption does.
     fn absorb_batch(&mut self, rows: &[f64]) {
         let d = self.dim();
         assert_eq!(rows.len() % d, 0, "a block holds whole rows of dim {d}");
@@ -712,16 +716,12 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
             return;
         }
         let period = match self.refresh {
-            RefreshPolicy::Periodic { period }
-                if self.decay.is_none() && !self.recorder.enabled() =>
-            {
-                period
-            }
+            RefreshPolicy::Periodic { period } if self.decay.is_none() => period,
             _ => {
                 for y in rows.chunks_exact(d) {
                     let started = self.span_start();
                     self.sketch.update(y);
-                    self.span_end(Stage::SketchUpdate, started);
+                    self.span_end(Stage::SketchUpdate, started, 1);
                     self.after_update();
                 }
                 return;
@@ -1259,7 +1259,8 @@ mod tests {
 
     #[test]
     fn instrumented_scores_are_bit_identical() {
-        use sketchad_obs::MetricsRecorder;
+        use sketchad_obs::{MetricsRecorder, ObsReport, Recorder};
+        use std::sync::Arc;
 
         let d = 10;
         let (rows, _) = planted_stream(200, 20, d, 3, 22);
@@ -1284,6 +1285,58 @@ mod tests {
         }
         assert_eq!(plain.skipped_updates(), metered.skipped_updates());
         assert_eq!(plain.refresh_count(), metered.refresh_count());
+
+        // Batched and instrumented: the scores, saved state and per-row
+        // span counts of instrumented per-point processing, through the
+        // block kernel and folded runs (`Always`) and through per-row
+        // updates (`SkipAnomalous`).
+        for policy in [
+            UpdatePolicy::Always,
+            UpdatePolicy::SkipAnomalous { quantile: 0.95 },
+        ] {
+            let metered = || {
+                let recorder = Arc::new(MetricsRecorder::new());
+                let handle = RecorderHandle::from(Arc::clone(&recorder) as Arc<dyn Recorder>);
+                (
+                    make().with_update_policy(policy).with_recorder(handle),
+                    recorder,
+                )
+            };
+            let (mut per_point, per_point_spans) = metered();
+            let (mut batched, batched_spans) = metered();
+            let expected: Vec<u64> = rows
+                .iter()
+                .map(|r| per_point.process(r).to_bits())
+                .collect();
+            let (mut got, mut buf, mut rest) = (Vec::new(), Vec::new(), rows.as_slice());
+            for n in [7usize, 64, 5, 100, 1, 1000] {
+                let (block, later) = rest.split_at(n.min(rest.len()));
+                batched.process_batch(&block.concat(), &mut buf);
+                got.extend(buf.iter().map(|s| s.to_bits()));
+                rest = later;
+            }
+            assert_eq!(got, expected, "{policy:?}: scores");
+            let saved = |det: &SketchDetector<FrequentDirections>| {
+                let mut out = Vec::new();
+                (det.save_state(&mut out), out)
+            };
+            assert_eq!(saved(&batched), saved(&per_point), "{policy:?}: state");
+            let (batched_spans, per_point_spans) =
+                (batched_spans.snapshot(), per_point_spans.snapshot());
+            for stage in [Stage::Score, Stage::SketchUpdate] {
+                let count = |report: &ObsReport| report.span(stage.label()).map(|s| s.count);
+                let per_point = count(&per_point_spans);
+                assert!(
+                    per_point.is_some_and(|c| c > 0),
+                    "{policy:?}: no {stage:?} spans"
+                );
+                assert_eq!(
+                    count(&batched_spans),
+                    per_point,
+                    "{policy:?}: {stage:?} spans"
+                );
+            }
+        }
     }
 
     /// Absorbing in runs leaves the detector where per-row processing

@@ -1,23 +1,47 @@
 //! Vector kernels over `&[f64]` slices.
 //!
 //! These free functions are the innermost loops of every sketch update and
-//! score computation. Each public kernel has two implementations:
+//! score computation. Each public kernel runs on one of three dispatch tiers,
+//! fixed per host ([`active_simd_tier`]):
 //!
-//! * a **scalar** path written to auto-vectorize on stable rustc —
-//!   `chunks_exact` blocks (no bounds checks in the hot path) with four
-//!   independent accumulator chains, so the compiler can emit SIMD without
-//!   needing `-ffast-math` reassociation; and
-//! * an **AVX2+FMA** path (x86-64 only; AVX-512 for the dot family, [`rot`],
-//!   [`gemm8`], [`update_rows_dots`] and [`max_abs_finite`]) selected by
-//!   runtime feature detection, since the default `x86_64` target compiles
-//!   the scalar path to baseline SSE2 and leaves 2–4× on the table on any
-//!   post-2013 core.
+//! * **scalar** — portable code written to auto-vectorize on stable rustc:
+//!   its reductions keep four independent accumulator chains over
+//!   `chunks_exact` blocks, so the compiler can emit SIMD without
+//!   `-ffast-math` reassociation;
+//! * **AVX2+FMA** and **AVX-512F** — x86-64 only, selected by runtime
+//!   feature detection, since the default `x86_64` target compiles the
+//!   scalar path to baseline SSE2 and leaves 2–4× on the table on any
+//!   post-2013 core. Each SIMD kernel is written once, as a body generic
+//!   over a private lane trait (`simd::Lanes`: four lanes of `__m256d`, or
+//!   eight of `__m512d`, and each tier's own horizontal sum). One thin
+//!   `#[target_feature]` wrapper per tier instantiates it
+//!   (`simd::avx2::dot`, `simd::avx512::dot`), and one dispatch macro,
+//!   `on_simd!`, picks the wrapper.
+//!
+//! What differs between the SIMD tiers is the register width, and these
+//! shapes, each kept because the other tier's would cost registers or move
+//! a bit:
+//!
+//! * [`axpy`], [`axpy4`], [`gram4_upper`] and [`gemm4`] run on 256-bit
+//!   lanes on both tiers: they are store-bound, and at eight lanes the axpy
+//!   family's unfused scalar tail would start at another column;
+//! * [`dots4x4`] sweeps its 4×4 tile in column groups of four on AVX-512
+//!   and of two on AVX2, whose sixteen registers cannot hold sixteen
+//!   accumulators and the operands;
+//! * [`update_rows_dots`] and [`max_abs_finite`] end a row with one masked
+//!   step on AVX-512 and with a scalar loop on AVX2, whose unfused tail is
+//!   that tier's bits.
+//!
+//! The scalar tier keeps bodies of its own (`scalar_dot` and the other
+//! `scalar_*` functions): its multiply-then-add rounding and `scalar_dot`'s
+//! four-chain split are bits no FMA lane type reproduces.
 //!
 //! Path selection depends only on the slice length and the host CPU, so a
 //! given machine always takes the same path for the same input: results are
 //! bitwise reproducible run-to-run. Across *different* machines the low bits
 //! may differ (FMA fuses the multiply-add rounding) — the workspace's
-//! determinism contract is per-host, matching the seeded-RNG contract.
+//! determinism contract is per-host, matching the seeded-RNG contract. A
+//! unit test pins every kernel's bits on every tier.
 //!
 //! The fused kernel [`axpy4`] processes four rows against one shared vector
 //! in a single pass and is *bitwise compatible* with its one-row
@@ -37,12 +61,8 @@ const MIN_SIMD_LEN: usize = 8;
 
 /// SIMD capability tiers, cached once (the kernels below sit on per-point
 /// hot paths where even a couple of extra atomic loads per call are
-/// measurable). The dot family, `rot`, the eigensolver's row pass and the
-/// input guard prefer AVX-512 (half the loop trips at the short lengths
-/// scoring and the eigensolver use), and so does the 8-row gemm panel,
-/// whose sixteen accumulators need the 512-bit register file; the axpy
-/// family and the 4-row gemm tile are store-bound and stay on the 256-bit
-/// path.
+/// measurable): 0 scalar, 1 AVX2+FMA, 2 AVX-512F. A kernel runs on the
+/// widest tier the host has, up to its own cap (see the module docs).
 ///
 /// Setting `SKETCHAD_FORCE_SCALAR=1` in the environment pins tier 0
 /// regardless of CPU capabilities. CI uses this to run the whole test suite
@@ -55,7 +75,7 @@ const MIN_SIMD_LEN: usize = 8;
 #[inline]
 fn simd_level() -> u8 {
     #[cfg(test)]
-    if let Some(tier) = PINNED_TIER.with(std::cell::Cell::get) {
+    if let Some(tier) = tests::PINNED_TIER.with(std::cell::Cell::get) {
         return tier;
     }
     static LEVEL: std::sync::OnceLock<u8> = std::sync::OnceLock::new();
@@ -72,44 +92,28 @@ fn simd_level() -> u8 {
     })
 }
 
-#[cfg(all(test, target_arch = "x86_64"))]
-thread_local! {
-    /// The tier [`at_tier`] pins on this thread, ahead of the cached one.
-    static PINNED_TIER: std::cell::Cell<Option<u8>> = const { std::cell::Cell::new(None) };
-}
-
-/// The dispatch tiers this CPU can run, whatever `SKETCHAD_FORCE_SCALAR`
-/// asks: 0 (scalar), then 1 (AVX2+FMA) and 2 (AVX-512F) when detected.
-#[cfg(test)]
-pub(crate) fn host_tiers() -> Vec<u8> {
-    #[allow(unused_mut)]
-    let mut tiers = vec![0];
-    #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
-        tiers.push(1);
-        if std::is_x86_feature_detected!("avx512f") {
-            tiers.push(2);
+/// `simd::avx512::$kernel` or `simd::avx2::$kernel` on the arguments at this
+/// host's tier, as `Some(output)`, or `None` — run the scalar kernel — on
+/// the scalar tier and for rows shorter than [`MIN_SIMD_LEN`]; `@tier t`
+/// takes tier `t` whatever the row length. The one dispatch point of every
+/// kernel. It expands to `unsafe` calls: the caller asserts the shapes the
+/// kernel's body indexes, and `t` must be a tier the CPU has.
+#[cfg(target_arch = "x86_64")]
+macro_rules! on_simd {
+    (@tier $tier:expr, $kernel:ident($($arg:expr),*)) => {
+        match $tier {
+            2 => Some(simd::avx512::$kernel($($arg),*)),
+            1 => Some(simd::avx2::$kernel($($arg),*)),
+            _ => None,
         }
-    }
-    tiers
+    };
+    ($len:expr, $kernel:ident($($arg:expr),*)) => {
+        on_simd!(@tier if $len < MIN_SIMD_LEN { 0 } else { simd_level() }, $kernel($($arg),*))
+    };
 }
 
-/// Runs `f` with every kernel called on this thread dispatched at `tier`,
-/// one of [`host_tiers`], so a test reaches each tier through the public
-/// kernels exactly as a host of that tier would.
 #[cfg(test)]
-pub(crate) fn at_tier<R>(tier: u8, f: impl FnOnce() -> R) -> R {
-    assert!(host_tiers().contains(&tier), "tier {tier} not on this CPU");
-    #[cfg(target_arch = "x86_64")]
-    {
-        let previous = PINNED_TIER.with(|p| p.replace(Some(tier)));
-        let out = f();
-        PINNED_TIER.with(|p| p.set(previous));
-        out
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    f()
-}
+pub(crate) use tests::{at_tier, host_tiers};
 
 /// Whether `SKETCHAD_FORCE_SCALAR` asks for the scalar path.
 #[cfg(target_arch = "x86_64")]
@@ -122,12 +126,6 @@ fn force_scalar_requested() -> bool {
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 fn parse_force_scalar(value: Option<&str>) -> bool {
     matches!(value, Some(v) if !v.is_empty() && v != "0")
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn simd_enabled() -> bool {
-    simd_level() >= 1
 }
 
 /// Resolves and caches the dispatch tier now, at a point where allocating
@@ -150,17 +148,10 @@ pub fn resolve_tier() {
 /// Calling this caches the tier, like any kernel call.
 pub fn active_simd_tier() -> &'static str {
     #[cfg(target_arch = "x86_64")]
-    {
-        match simd_level() {
-            2 => "avx512f",
-            1 => "avx2+fma",
-            _ => "scalar",
-        }
-    }
+    let tier = simd_level();
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        "scalar"
-    }
+    let tier = 0;
+    ["scalar", "avx2+fma", "avx512f"][usize::from(tier)]
 }
 
 /// Dot product `Σ aᵢ bᵢ`.
@@ -169,22 +160,12 @@ pub fn active_simd_tier() -> &'static str {
 /// Panics when the slices have different lengths.
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "dot: length mismatch {} vs {}",
-        a.len(),
-        b.len()
-    );
+    assert_eq!(a.len(), b.len(), "dot: length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if a.len() >= MIN_SIMD_LEN {
-        // SAFETY: the matching CPU features were verified at runtime.
-        #[allow(unsafe_code)]
-        match simd_level() {
-            2 => return unsafe { simd::dot512(a, b) },
-            1 => return unsafe { simd::dot(a, b) },
-            _ => {}
-        }
+    #[allow(unsafe_code)]
+    // SAFETY: the assert above makes `b` as long as `a`.
+    if let Some(s) = unsafe { on_simd!(a.len(), dot(a, b)) } {
+        return s;
     }
     scalar_dot(a, b)
 }
@@ -226,36 +207,25 @@ fn scalar_dot(a: &[f64], b: &[f64]) -> f64 {
 pub fn row_dots(b: &[f64], ldb: usize, d: usize, nrows: usize, y: &[f64], out: &mut [f64]) {
     assert_eq!(y.len(), d, "row_dots: y length mismatch");
     assert_eq!(out.len(), nrows, "row_dots: out length mismatch");
-    assert!(
-        d <= ldb || nrows <= 1,
-        "row_dots: row stride shorter than row"
-    );
-    if nrows > 0 {
-        assert!(
-            (nrows - 1) * ldb + d <= b.len(),
-            "row_dots: rows out of bounds"
-        );
-    }
+    assert_rows("row_dots", b.len(), nrows, ldb, d);
     #[cfg(target_arch = "x86_64")]
-    if d >= MIN_SIMD_LEN {
-        // SAFETY: the matching CPU features were verified at runtime, and
-        // the asserts above bound every row access.
-        #[allow(unsafe_code)]
-        match simd_level() {
-            2 => {
-                unsafe { simd::row_dots512(b, ldb, d, nrows, y, out) };
-                return;
-            }
-            1 => {
-                unsafe { simd::row_dots(b, ldb, d, nrows, y, out) };
-                return;
-            }
-            _ => {}
-        }
+    #[allow(unsafe_code)]
+    // SAFETY: the asserts above bound `y` and every row of `b`.
+    if unsafe { on_simd!(d, row_dots(b, ldb, y, &mut *out)) }.is_some() {
+        return;
     }
     for (j, o) in out.iter_mut().enumerate() {
         *o = scalar_dot(&b[j * ldb..j * ldb + d], y);
     }
+}
+
+/// Asserts that `rows` rows of length `len` at stride `ld` lie within a
+/// buffer of `buf` elements.
+#[track_caller]
+fn assert_rows(op: &str, buf: usize, rows: usize, ld: usize, len: usize) {
+    assert!(len <= ld || rows <= 1, "{op}: stride shorter than row");
+    let end = rows.checked_sub(1).map_or(0, |last| last * ld + len);
+    assert!(end <= buf, "{op}: rows out of bounds");
 }
 
 /// The per-point scoring inputs of a block of points in one dispatch: for
@@ -290,21 +260,10 @@ pub fn block_dots(
     assert_eq!(norms_sq.len(), rows, "block_dots: norms length mismatch");
     assert_eq!(dots.len(), rows * k, "block_dots: dots length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if d >= MIN_SIMD_LEN {
-        // SAFETY: the matching CPU features were verified at runtime, and
-        // the asserts above bound every row and output access.
-        #[allow(unsafe_code)]
-        match simd_level() {
-            2 => {
-                unsafe { simd::block_dots512(basis, k, ys, d, dots, norms_sq) };
-                return;
-            }
-            1 => {
-                unsafe { simd::block_dots(basis, k, ys, d, dots, norms_sq) };
-                return;
-            }
-            _ => {}
-        }
+    #[allow(unsafe_code)]
+    // SAFETY: the asserts above bound every row and output.
+    if unsafe { on_simd!(d, block_dots(basis, ys, d, &mut *dots, &mut *norms_sq)) }.is_some() {
+        return;
     }
     scalar_block_dots(basis, k, ys, d, dots, norms_sq);
 }
@@ -344,15 +303,10 @@ pub fn dots4x4(a: [&[f64]; 4], b: [&[f64]; 4]) -> [[f64; 4]; 4] {
         "dots4x4: length mismatch"
     );
     #[cfg(target_arch = "x86_64")]
-    if n >= MIN_SIMD_LEN {
-        // SAFETY: the matching CPU features were verified at runtime, and
-        // every slice has the length the kernels index up to.
-        #[allow(unsafe_code)]
-        match simd_level() {
-            2 => return unsafe { simd::dots4x4_512(a, b) },
-            1 => return unsafe { simd::dots4x4(a, b) },
-            _ => {}
-        }
+    #[allow(unsafe_code)]
+    // SAFETY: the assert above gives all eight slices one length.
+    if let Some(tile) = unsafe { on_simd!(n, dots4x4(a, b)) } {
+        return tile;
     }
     scalar_dots4x4(a, b)
 }
@@ -376,8 +330,8 @@ fn scalar_dots4x4(a: [&[f64]; 4], b: [&[f64]; 4]) -> [[f64; 4]; 4] {
 /// Accumulates four rows of a matrix product into `out`:
 /// `out[r][j] += Σ_k a_r[k] · b[k][j]` for `r in 0..4`, `j in 0..n`, where
 /// `b` is row-major with stride `ldb` and `out` holds four rows of stride
-/// `ldo`. Returns `false` without touching `out` when the AVX2+FMA
-/// micro-kernel is unavailable — the caller must then run its scalar path.
+/// `ldo`. Returns `false` without touching `out` when no SIMD tier is
+/// available — the caller must then run its scalar path.
 ///
 /// This is the register-tiled heart of `Matrix::matmul`: a 4×8 accumulator
 /// tile lives entirely in registers across the full `k` loop, so `out` is
@@ -399,25 +353,12 @@ pub fn gemm4(
     out: &mut [f64],
     ldo: usize,
 ) -> bool {
-    let kdim = a0.len();
-    assert!(
-        a1.len() == kdim && a2.len() == kdim && a3.len() == kdim,
-        "gemm4: a-row length mismatch"
-    );
-    assert!(n <= ldb || kdim <= 1, "gemm4: b stride shorter than row");
-    assert!(n <= ldo, "gemm4: out stride shorter than row");
-    if kdim > 0 {
-        assert!((kdim - 1) * ldb + n <= b.len(), "gemm4: b out of bounds");
-    }
-    assert!(3 * ldo + n <= out.len(), "gemm4: out too short for 4 rows");
+    let a = [a0, a1, a2, a3];
+    assert_gemm(&a, b, ldb, n, out, ldo);
     #[cfg(target_arch = "x86_64")]
-    if simd_enabled() {
-        // SAFETY: AVX2 and FMA presence was just verified at runtime, and the
-        // asserts above bound every access the kernel makes.
-        #[allow(unsafe_code)]
-        unsafe {
-            simd::gemm4(a0, a1, a2, a3, b, ldb, n, out, ldo)
-        };
+    #[allow(unsafe_code)]
+    // SAFETY: `assert_gemm` bounds every access to `a`, `b` and `out`.
+    if unsafe { on_simd!(@tier simd_level(), gemm4(a, b, ldb, n, out, ldo)) }.is_some() {
         return true;
     }
     false
@@ -431,46 +372,40 @@ pub fn gemm4(
 /// On AVX-512 an 8-row × 16-column accumulator tile (sixteen zmm registers)
 /// lives across the whole `k` loop, so each `b` load feeds eight rows where
 /// [`gemm4`]'s feeds four, with the same sequential-over-`k` FMA order per
-/// element; the `n % 16` column tail runs [`gemm4`]'s 8- and 4-wide loops.
-/// On AVX2 it *is* the two [`gemm4`] calls.
+/// element; column tiles of eight and four lanes follow, and the last
+/// `n % 4` columns run [`gemm4`]'s scalar loop. On AVX2 it *is* the two
+/// [`gemm4`] calls.
 ///
 /// # Panics
 /// Panics when the row lengths disagree or `b`/`out` are too short for the
 /// strides.
 pub fn gemm8(a: [&[f64]; 8], b: &[f64], ldb: usize, n: usize, out: &mut [f64], ldo: usize) -> bool {
+    assert_gemm(&a, b, ldb, n, out, ldo);
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    // SAFETY: `assert_gemm` bounds every access to `a`, `b` and `out`.
+    if unsafe { on_simd!(@tier simd_level(), gemm8(a, b, ldb, n, out, ldo)) }.is_some() {
+        return true;
+    }
+    false
+}
+
+/// The shape checks of [`gemm4`] (`R = 4`) and [`gemm8`].
+fn assert_gemm<const R: usize>(
+    a: &[&[f64]; R],
+    b: &[f64],
+    ldb: usize,
+    n: usize,
+    out: &[f64],
+    ldo: usize,
+) {
     let kdim = a[0].len();
     assert!(
         a.iter().all(|r| r.len() == kdim),
-        "gemm8: a-row length mismatch"
+        "gemm{R}: a-row length mismatch"
     );
-    assert!(n <= ldb || kdim <= 1, "gemm8: b stride shorter than row");
-    assert!(n <= ldo, "gemm8: out stride shorter than row");
-    if kdim > 0 {
-        assert!((kdim - 1) * ldb + n <= b.len(), "gemm8: b out of bounds");
-    }
-    assert!(7 * ldo + n <= out.len(), "gemm8: out too short for 8 rows");
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: the matching CPU features were verified at runtime, and
-        // the asserts above bound every access the kernels make.
-        #[allow(unsafe_code)]
-        match simd_level() {
-            2 => {
-                unsafe { simd::gemm8_512(a, b, ldb, n, out, ldo) };
-                return true;
-            }
-            1 => {
-                let (lo, hi) = out.split_at_mut(4 * ldo);
-                unsafe {
-                    simd::gemm4(a[0], a[1], a[2], a[3], b, ldb, n, lo, ldo);
-                    simd::gemm4(a[4], a[5], a[6], a[7], b, ldb, n, hi, ldo);
-                }
-                return true;
-            }
-            _ => {}
-        }
-    }
-    false
+    assert_rows("gemm: b", b.len(), kdim, ldb, n);
+    assert_rows("gemm: out", out.len(), R, ldo, n);
 }
 
 /// Accumulates the upper-triangle Gram contribution of four stream rows:
@@ -497,13 +432,9 @@ pub fn gram4_upper(
     );
     assert_eq!(g.len(), d * d, "gram4_upper: gram buffer size mismatch");
     #[cfg(target_arch = "x86_64")]
-    if simd_enabled() {
-        // SAFETY: AVX2 and FMA presence was just verified at runtime, and
-        // the asserts above bound every slice taken inside.
-        #[allow(unsafe_code)]
-        unsafe {
-            simd::gram4_upper(x0, x1, x2, x3, g, d)
-        };
+    #[allow(unsafe_code)]
+    // SAFETY: the asserts above give every row length `d` and `g` `d × d` entries.
+    if unsafe { on_simd!(@tier simd_level(), gram4_upper([x0, x1, x2, x3], g)) }.is_some() {
         return true;
     }
     false
@@ -517,26 +448,17 @@ pub fn gram4_upper(
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if y.len() >= MIN_SIMD_LEN && simd_enabled() {
-        // SAFETY: AVX2 and FMA presence was just verified at runtime.
-        #[allow(unsafe_code)]
-        return unsafe { simd::axpy(alpha, x, y) };
+    #[allow(unsafe_code)]
+    // SAFETY: the assert above makes `x` as long as `y`.
+    if unsafe { on_simd!(y.len(), axpy(alpha, x, &mut *y)) }.is_some() {
+        return;
     }
     scalar_axpy(alpha, x, y)
 }
 
 #[inline]
 fn scalar_axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    let x_blocks = x.chunks_exact(4);
-    let x_tail = x_blocks.remainder();
-    let mut y_blocks = y.chunks_exact_mut(4);
-    for (yb, xb) in y_blocks.by_ref().zip(x_blocks) {
-        yb[0] += alpha * xb[0];
-        yb[1] += alpha * xb[1];
-        yb[2] += alpha * xb[2];
-        yb[3] += alpha * xb[3];
-    }
-    for (yi, xi) in y_blocks.into_remainder().iter_mut().zip(x_tail.iter()) {
+    for (yi, xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
     }
 }
@@ -558,10 +480,10 @@ pub fn axpy4(alpha: [f64; 4], x0: &[f64], x1: &[f64], x2: &[f64], x3: &[f64], y:
         "axpy4: length mismatch"
     );
     #[cfg(target_arch = "x86_64")]
-    if n >= MIN_SIMD_LEN && simd_enabled() {
-        // SAFETY: AVX2 and FMA presence was just verified at runtime.
-        #[allow(unsafe_code)]
-        return unsafe { simd::axpy4(alpha, x0, x1, x2, x3, y) };
+    #[allow(unsafe_code)]
+    // SAFETY: the assert above makes every row as long as `y`.
+    if unsafe { on_simd!(n, axpy4(alpha, [x0, x1, x2, x3], &mut *y)) }.is_some() {
+        return;
     }
     scalar_axpy4(alpha, x0, x1, x2, x3, y)
 }
@@ -569,34 +491,9 @@ pub fn axpy4(alpha: [f64; 4], x0: &[f64], x1: &[f64], x2: &[f64], x3: &[f64], y:
 #[inline]
 fn scalar_axpy4(alpha: [f64; 4], x0: &[f64], x1: &[f64], x2: &[f64], x3: &[f64], y: &mut [f64]) {
     let n = y.len();
-    let blocks = n / 4;
-    let split = blocks * 4;
-    let (r0, t0) = x0.split_at(split);
-    let (r1, t1) = x1.split_at(split);
-    let (r2, t2) = x2.split_at(split);
-    let (r3, t3) = x3.split_at(split);
-    let (ym, yt) = y.split_at_mut(split);
-    for i in 0..blocks {
-        let j = i * 4;
-        ym[j] = ym[j] + alpha[0] * r0[j] + alpha[1] * r1[j] + alpha[2] * r2[j] + alpha[3] * r3[j];
-        ym[j + 1] = ym[j + 1]
-            + alpha[0] * r0[j + 1]
-            + alpha[1] * r1[j + 1]
-            + alpha[2] * r2[j + 1]
-            + alpha[3] * r3[j + 1];
-        ym[j + 2] = ym[j + 2]
-            + alpha[0] * r0[j + 2]
-            + alpha[1] * r1[j + 2]
-            + alpha[2] * r2[j + 2]
-            + alpha[3] * r3[j + 2];
-        ym[j + 3] = ym[j + 3]
-            + alpha[0] * r0[j + 3]
-            + alpha[1] * r1[j + 3]
-            + alpha[2] * r2[j + 3]
-            + alpha[3] * r3[j + 3];
-    }
-    for (i, yi) in yt.iter_mut().enumerate() {
-        *yi = *yi + alpha[0] * t0[i] + alpha[1] * t1[i] + alpha[2] * t2[i] + alpha[3] * t3[i];
+    let (x0, x1, x2, x3) = (&x0[..n], &x1[..n], &x2[..n], &x3[..n]);
+    for (i, yi) in y.iter_mut().enumerate() {
+        *yi = *yi + alpha[0] * x0[i] + alpha[1] * x1[i] + alpha[2] * x2[i] + alpha[3] * x3[i];
     }
 }
 
@@ -612,8 +509,8 @@ fn scalar_axpy4(alpha: [f64; 4], x0: &[f64], x1: &[f64], x2: &[f64], x3: &[f64],
 /// `A ← A − u·qᵀ − q·uᵀ` of the reduction (`c = u`, `x = q`, `b = q`,
 /// `y = u`), and the rank-1 update `R ← R − (R·u/h)·uᵀ` of the reflector
 /// accumulation and the back-transform, whose products are the next step's
-/// coefficients. Four rows share each load of `x`, `y` and `v`. The tiers sum in different orders,
-/// so they agree to rounding.
+/// coefficients. Four rows share each load of `x`, `y` and `v`. The tiers
+/// sum in different orders, so they agree to rounding.
 ///
 /// # Panics
 /// Panics unless `b` has `cd`'s length, `y` and `v` have `x`'s, and `block`
@@ -628,32 +525,16 @@ pub fn update_rows_dots(
 ) {
     let (rows, len) = (cd.len(), x.len());
     assert_eq!(v.len(), len, "update_rows_dots: length mismatch");
-    if let Some((b, y)) = by {
-        assert!(
-            b.len() == rows && y.len() == len,
-            "update_rows_dots: length mismatch"
-        );
-    }
     assert!(
-        len <= ld || rows <= 1,
-        "update_rows_dots: stride shorter than row"
+        by.is_none_or(|(b, y)| b.len() == rows && y.len() == len),
+        "update_rows_dots: length mismatch"
     );
-    if rows > 0 {
-        assert!(
-            (rows - 1) * ld + len <= block.len(),
-            "update_rows_dots: rows out of bounds"
-        );
-    }
+    assert_rows("update_rows_dots", block.len(), rows, ld, len);
     #[cfg(target_arch = "x86_64")]
-    if len >= MIN_SIMD_LEN {
-        // SAFETY: the matching CPU features were verified at runtime, and
-        // the asserts above bound every row access.
-        #[allow(unsafe_code)]
-        match simd_level() {
-            2 => return unsafe { simd::update_rows_dots512(block, ld, x, by, v, cd) },
-            1 => return unsafe { simd::update_rows_dots(block, ld, x, by, v, cd) },
-            _ => {}
-        }
+    #[allow(unsafe_code)]
+    // SAFETY: the asserts above bound every row of `block`, and `b`, `y` and `v`.
+    if unsafe { on_simd!(len, update_rows_dots(&mut *block, ld, x, by, v, &mut *cd)) }.is_some() {
+        return;
     }
     scalar_update_rows_dots(block, ld, x, by, v, cd)
 }
@@ -690,14 +571,10 @@ fn scalar_update_rows_dots(
 /// the result equals the sequential `f64::max` fold's on every path.
 pub fn max_abs_finite(x: &[f64]) -> (f64, bool) {
     #[cfg(target_arch = "x86_64")]
-    if x.len() >= MIN_SIMD_LEN {
-        // SAFETY: the matching CPU features were verified at runtime.
-        #[allow(unsafe_code)]
-        match simd_level() {
-            2 => return unsafe { simd::max_abs_finite512(x) },
-            1 => return unsafe { simd::max_abs_finite(x) },
-            _ => {}
-        }
+    #[allow(unsafe_code)]
+    // SAFETY: the kernel reads `x` only.
+    if let Some(found) = unsafe { on_simd!(x.len(), max_abs_finite(x)) } {
+        return found;
     }
     scalar_max_abs_finite(x)
 }
@@ -734,14 +611,10 @@ fn scalar_max_abs_finite(x: &[f64]) -> (f64, bool) {
 pub fn rot(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
     assert_eq!(x.len(), y.len(), "rot: length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if x.len() >= MIN_SIMD_LEN {
-        // SAFETY: the matching CPU features were verified at runtime.
-        #[allow(unsafe_code)]
-        match simd_level() {
-            2 => return unsafe { simd::rot512(x, y, c, s) },
-            1 => return unsafe { simd::rot(x, y, c, s) },
-            _ => {}
-        }
+    #[allow(unsafe_code)]
+    // SAFETY: the assert above makes `y` as long as `x`.
+    if unsafe { on_simd!(x.len(), rot(&mut *x, &mut *y, c, s)) }.is_some() {
+        return;
     }
     scalar_rot(x, y, c, s)
 }
@@ -755,248 +628,376 @@ fn scalar_rot(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
     }
 }
 
-/// Runtime-dispatched AVX2+FMA kernels. Kept in one module so the
-/// crate-level `deny(unsafe_code)` has exactly one sanctioned exception.
+/// The SIMD tiers: a lane trait with one impl per x86-64 tier, each kernel
+/// written once as a body generic over it, and one thin `#[target_feature]`
+/// wrapper per tier for each (`simd::avx2::dot`, `simd::avx512::dot`, …),
+/// entered through [`on_simd!`]. Kept in one module so the crate-level
+/// `deny(unsafe_code)` has exactly one sanctioned exception.
 ///
-/// Invariants the dispatchers above rely on:
-/// * every function here is only called after `simd_enabled()` returned
-///   true, so the `#[target_feature]` contracts hold;
-/// * the vector/scalar split point inside each kernel is `4 * (n / 4)`,
-///   matching the corresponding fused kernel so `axpy4` stays bitwise equal
-///   to four sequential `axpy` calls;
-/// * scalar tails use separate multiply-then-add (no fusing), same as the
-///   scalar kernels' tails.
+/// Invariants the public wrappers rely on:
+/// * a tier's wrapper is entered only on a CPU that reported its features:
+///   the cached tier never exceeds the detected one, and tests pin or call
+///   only tiers the CPU has;
+/// * each body indexes only what its public wrapper asserted;
+/// * where a tier ends a row with a scalar loop, the loop starts after the
+///   last whole register and multiplies then adds without fusing, as the
+///   scalar kernels do — so [`axpy4`] stays bitwise four [`axpy`] calls.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd {
     use std::arch::x86_64::*;
 
-    /// Dot product with four 256-bit FMA accumulator chains.
+    /// One register of `f64` lanes on one tier, and the operations the
+    /// kernel bodies are written in. Every method is `#[inline(always)]`
+    /// and enables no feature of its own: it is only ever inlined into a
+    /// tier's `#[target_feature]` wrapper, whose features its intrinsics
+    /// need.
     ///
     /// # Safety
-    /// Requires AVX2 and FMA; `a` and `b` must have equal lengths (checked
-    /// by the public wrapper).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot(a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut acc2 = _mm256_setzero_pd();
-        let mut acc3 = _mm256_setzero_pd();
-        let mut i = 0usize;
-        while i + 16 <= n {
-            acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(ap.add(i)), _mm256_loadu_pd(bp.add(i)), acc0);
-            acc1 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(ap.add(i + 4)),
-                _mm256_loadu_pd(bp.add(i + 4)),
-                acc1,
-            );
-            acc2 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(ap.add(i + 8)),
-                _mm256_loadu_pd(bp.add(i + 8)),
-                acc2,
-            );
-            acc3 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(ap.add(i + 12)),
-                _mm256_loadu_pd(bp.add(i + 12)),
-                acc3,
-            );
-            i += 16;
+    /// Every method requires the tier's CPU features, and the loads and
+    /// stores need `N` (or `m`) readable or writable lanes at `p`.
+    pub trait Lanes {
+        /// Lanes per register.
+        const N: usize;
+        /// Whether the tier has masked loads and stores: a body that may end
+        /// a row with one partial step ([`Lanes::load_n`]) takes it on a
+        /// tier with them, and a scalar loop on one without.
+        const MASKED: bool;
+        /// The register.
+        type V: Copy;
+        unsafe fn zero() -> Self::V;
+        unsafe fn splat(x: f64) -> Self::V;
+        unsafe fn load(p: *const f64) -> Self::V;
+        unsafe fn store(p: *mut f64, v: Self::V);
+        /// Lanes `..m` at `p` (`m ≤ N`), the others zero. A tier without
+        /// masked loads keeps this default and is only asked for whole
+        /// registers (`m == N`).
+        #[inline(always)]
+        unsafe fn load_n(p: *const f64, _m: usize) -> Self::V {
+            Self::load(p)
         }
-        while i + 4 <= n {
-            acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(ap.add(i)), _mm256_loadu_pd(bp.add(i)), acc0);
-            i += 4;
+        /// Lanes `..m` of `v` to `p`, as [`Lanes::load_n`].
+        #[inline(always)]
+        unsafe fn store_n(p: *mut f64, _m: usize, v: Self::V) {
+            Self::store(p, v)
         }
-        // Fixed reduction order: (acc0+acc1) + (acc2+acc3), then low→high
-        // within the register, then the scalar tail.
-        let sum = _mm256_add_pd(_mm256_add_pd(acc0, acc1), _mm256_add_pd(acc2, acc3));
-        let lo = _mm256_castpd256_pd128(sum);
-        let hi = _mm256_extractf128_pd(sum, 1);
-        let pair = _mm_add_pd(lo, hi);
-        let mut s = _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
-        while i < n {
+        /// `a·b + c`, rounded once.
+        unsafe fn fma(a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+        /// `c − a·b`, rounded once.
+        unsafe fn fnmadd(a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+        /// `a·b − c`, rounded once.
+        unsafe fn fmsub(a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+        unsafe fn mul(a: Self::V, b: Self::V) -> Self::V;
+        unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
+        /// Lanewise maximum, `b` where either lane is NaN (x86 `maxpd`).
+        unsafe fn max(a: Self::V, b: Self::V) -> Self::V;
+        unsafe fn abs(v: Self::V) -> Self::V;
+        /// The sum of the lanes, in the tier's fixed order.
+        unsafe fn hsum(v: Self::V) -> f64;
+        /// The largest lane (none NaN).
+        unsafe fn hmax(v: Self::V) -> f64;
+    }
+
+    /// AVX2+FMA: four lanes; rows end in a scalar loop.
+    pub struct Avx2;
+
+    impl Lanes for Avx2 {
+        const N: usize = 4;
+        const MASKED: bool = false;
+        type V = __m256d;
+        #[inline(always)]
+        unsafe fn zero() -> __m256d {
+            _mm256_setzero_pd()
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f64) -> __m256d {
+            _mm256_set1_pd(x)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f64) -> __m256d {
+            _mm256_loadu_pd(p)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f64, v: __m256d) {
+            _mm256_storeu_pd(p, v)
+        }
+        #[inline(always)]
+        unsafe fn fma(a: __m256d, b: __m256d, c: __m256d) -> __m256d {
+            _mm256_fmadd_pd(a, b, c)
+        }
+        #[inline(always)]
+        unsafe fn fnmadd(a: __m256d, b: __m256d, c: __m256d) -> __m256d {
+            _mm256_fnmadd_pd(a, b, c)
+        }
+        #[inline(always)]
+        unsafe fn fmsub(a: __m256d, b: __m256d, c: __m256d) -> __m256d {
+            _mm256_fmsub_pd(a, b, c)
+        }
+        #[inline(always)]
+        unsafe fn mul(a: __m256d, b: __m256d) -> __m256d {
+            _mm256_mul_pd(a, b)
+        }
+        #[inline(always)]
+        unsafe fn add(a: __m256d, b: __m256d) -> __m256d {
+            _mm256_add_pd(a, b)
+        }
+        #[inline(always)]
+        unsafe fn max(a: __m256d, b: __m256d) -> __m256d {
+            _mm256_max_pd(a, b)
+        }
+        #[inline(always)]
+        unsafe fn abs(v: __m256d) -> __m256d {
+            _mm256_andnot_pd(_mm256_set1_pd(-0.0), v)
+        }
+        /// `(l0 + l2) + (l1 + l3)`.
+        #[inline(always)]
+        unsafe fn hsum(v: __m256d) -> f64 {
+            let pair = _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
+            _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)))
+        }
+        #[inline(always)]
+        unsafe fn hmax(v: __m256d) -> f64 {
+            let pair = _mm_max_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
+            _mm_cvtsd_f64(_mm_max_sd(pair, _mm_unpackhi_pd(pair, pair)))
+        }
+    }
+
+    /// AVX-512F: eight lanes; rows end in one masked step.
+    pub struct Avx512;
+
+    impl Lanes for Avx512 {
+        const N: usize = 8;
+        const MASKED: bool = true;
+        type V = __m512d;
+        #[inline(always)]
+        unsafe fn zero() -> __m512d {
+            _mm512_setzero_pd()
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f64) -> __m512d {
+            _mm512_set1_pd(x)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f64) -> __m512d {
+            _mm512_loadu_pd(p)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f64, v: __m512d) {
+            _mm512_storeu_pd(p, v)
+        }
+        #[inline(always)]
+        unsafe fn load_n(p: *const f64, m: usize) -> __m512d {
+            _mm512_maskz_loadu_pd(u8::MAX >> (8 - m), p)
+        }
+        #[inline(always)]
+        unsafe fn store_n(p: *mut f64, m: usize, v: __m512d) {
+            _mm512_mask_storeu_pd(p, u8::MAX >> (8 - m), v)
+        }
+        #[inline(always)]
+        unsafe fn fma(a: __m512d, b: __m512d, c: __m512d) -> __m512d {
+            _mm512_fmadd_pd(a, b, c)
+        }
+        #[inline(always)]
+        unsafe fn fnmadd(a: __m512d, b: __m512d, c: __m512d) -> __m512d {
+            _mm512_fnmadd_pd(a, b, c)
+        }
+        #[inline(always)]
+        unsafe fn fmsub(a: __m512d, b: __m512d, c: __m512d) -> __m512d {
+            _mm512_fmsub_pd(a, b, c)
+        }
+        #[inline(always)]
+        unsafe fn mul(a: __m512d, b: __m512d) -> __m512d {
+            _mm512_mul_pd(a, b)
+        }
+        #[inline(always)]
+        unsafe fn add(a: __m512d, b: __m512d) -> __m512d {
+            _mm512_add_pd(a, b)
+        }
+        #[inline(always)]
+        unsafe fn max(a: __m512d, b: __m512d) -> __m512d {
+            _mm512_max_pd(a, b)
+        }
+        #[inline(always)]
+        unsafe fn abs(v: __m512d) -> __m512d {
+            _mm512_abs_pd(v)
+        }
+        #[inline(always)]
+        unsafe fn hsum(v: __m512d) -> f64 {
+            _mm512_reduce_add_pd(v)
+        }
+        #[inline(always)]
+        unsafe fn hmax(v: __m512d) -> f64 {
+            _mm512_reduce_max_pd(v)
+        }
+    }
+
+    /// One thin `#[target_feature]` wrapper per tier for each kernel body
+    /// `name::<L>` below: `avx2::name` instantiates it on [`Avx2`] lanes,
+    /// and `avx512::name` on the lanes in brackets — [`Avx512`], or
+    /// [`Avx2`] for a kernel that stays on 256-bit lanes. The arguments
+    /// keep the public kernel's shape, so they pass in registers.
+    macro_rules! tiers {
+        ($($name:ident[$wide:ident]($($arg:ident: $ty:ty),*) $(-> $out:ty)?;)*) => {
+            /// The AVX2+FMA tier.
+            pub mod avx2 {
+                $(
+                    /// # Safety
+                    /// The CPU has AVX2 and FMA, and the arguments have the
+                    /// shapes the public kernel asserts.
+                    #[target_feature(enable = "avx2", enable = "fma")]
+                    pub unsafe fn $name($($arg: $ty),*) $(-> $out)? {
+                        super::$name::<super::Avx2>($($arg),*)
+                    }
+                )*
+            }
+            /// The AVX-512F tier.
+            pub mod avx512 {
+                $(
+                    /// # Safety
+                    /// The CPU has AVX-512F, and the arguments have the
+                    /// shapes the public kernel asserts.
+                    #[target_feature(enable = "avx512f")]
+                    pub unsafe fn $name($($arg: $ty),*) $(-> $out)? {
+                        super::$name::<super::$wide>($($arg),*)
+                    }
+                )*
+            }
+        };
+    }
+
+    tiers! {
+        dot[Avx512](a: &[f64], b: &[f64]) -> f64;
+        row_dots[Avx512](b: &[f64], ldb: usize, y: &[f64], out: &mut [f64]);
+        block_dots[Avx512](basis: &[f64], ys: &[f64], d: usize, dots: &mut [f64], sq: &mut [f64]);
+        dots4x4[Avx512](a: [&[f64]; 4], b: [&[f64]; 4]) -> [[f64; 4]; 4];
+        gemm4[Avx2](a: [&[f64]; 4], b: &[f64], ldb: usize, n: usize, out: &mut [f64], ldo: usize);
+        gemm8[Avx512](a: [&[f64]; 8], b: &[f64], ldb: usize, n: usize, out: &mut [f64], ldo: usize);
+        gram4_upper[Avx2](x: [&[f64]; 4], g: &mut [f64]);
+        axpy[Avx2](alpha: f64, x: &[f64], y: &mut [f64]);
+        axpy4[Avx2](alpha: [f64; 4], x: [&[f64]; 4], y: &mut [f64]);
+        update_rows_dots[Avx512](
+            block: &mut [f64],
+            ld: usize,
+            x: &[f64],
+            by: Option<(&[f64], &[f64])>,
+            v: &[f64],
+            cd: &mut [f64]
+        );
+        max_abs_finite[Avx512](x: &[f64]) -> (f64, bool);
+        rot[Avx512](x: &mut [f64], y: &mut [f64], c: f64, s: f64);
+    }
+
+    /// [`super::dot`]: four accumulators over blocks of four registers,
+    /// whole registers into the first, the fixed reduction
+    /// `(0 + 1) + (2 + 3)`, the tier's horizontal sum, then the scalar tail.
+    ///
+    /// # Safety
+    /// `L`'s features are enabled, and `b` is at least as long as `a`.
+    #[inline(always)]
+    unsafe fn dot<L: Lanes>(a: &[f64], b: &[f64]) -> f64 {
+        let (n, ap, bp) = (a.len(), a.as_ptr(), b.as_ptr());
+        let mut acc = [L::zero(); 4];
+        let mut i = 0;
+        while i + 4 * L::N <= n {
+            for (c, acc) in acc.iter_mut().enumerate() {
+                let k = i + c * L::N;
+                *acc = L::fma(L::load(ap.add(k)), L::load(bp.add(k)), *acc);
+            }
+            i += 4 * L::N;
+        }
+        while i + L::N <= n {
+            acc[0] = L::fma(L::load(ap.add(i)), L::load(bp.add(i)), acc[0]);
+            i += L::N;
+        }
+        let mut s = L::hsum(L::add(L::add(acc[0], acc[1]), L::add(acc[2], acc[3])));
+        for i in i..n {
             s += *ap.add(i) * *bp.add(i);
-            i += 1;
         }
         s
     }
 
-    /// Dot product with four 512-bit FMA accumulator chains — the same
-    /// shape as [`dot`] but half the loop trips, which matters most at the
-    /// short lengths (d = 64…512) the scoring paths use.
+    /// [`super::row_dots`]: one [`dot`] per row of stride `ldb`.
     ///
     /// # Safety
-    /// Requires AVX-512F; `a` and `b` must have equal lengths (checked by
-    /// the public wrapper).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn dot512(a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc0 = _mm512_setzero_pd();
-        let mut acc1 = _mm512_setzero_pd();
-        let mut acc2 = _mm512_setzero_pd();
-        let mut acc3 = _mm512_setzero_pd();
-        let mut i = 0usize;
-        while i + 32 <= n {
-            acc0 = _mm512_fmadd_pd(_mm512_loadu_pd(ap.add(i)), _mm512_loadu_pd(bp.add(i)), acc0);
-            acc1 = _mm512_fmadd_pd(
-                _mm512_loadu_pd(ap.add(i + 8)),
-                _mm512_loadu_pd(bp.add(i + 8)),
-                acc1,
-            );
-            acc2 = _mm512_fmadd_pd(
-                _mm512_loadu_pd(ap.add(i + 16)),
-                _mm512_loadu_pd(bp.add(i + 16)),
-                acc2,
-            );
-            acc3 = _mm512_fmadd_pd(
-                _mm512_loadu_pd(ap.add(i + 24)),
-                _mm512_loadu_pd(bp.add(i + 24)),
-                acc3,
-            );
-            i += 32;
-        }
-        while i + 8 <= n {
-            acc0 = _mm512_fmadd_pd(_mm512_loadu_pd(ap.add(i)), _mm512_loadu_pd(bp.add(i)), acc0);
-            i += 8;
-        }
-        // Fixed reduction order: (acc0+acc1) + (acc2+acc3), in-register tree
-        // reduce, then the scalar tail.
-        let sum = _mm512_add_pd(_mm512_add_pd(acc0, acc1), _mm512_add_pd(acc2, acc3));
-        let mut s = _mm512_reduce_add_pd(sum);
-        while i < n {
-            s += *ap.add(i) * *bp.add(i);
-            i += 1;
-        }
-        s
-    }
-
-    /// Row sweep of [`dot`] against a shared `y`, one feature region for the
-    /// whole sweep so the per-row kernel inlines without re-dispatch.
-    ///
-    /// # Safety
-    /// Requires AVX2 and FMA; the public wrapper's asserts bound every row
-    /// slice taken here.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn row_dots(
-        b: &[f64],
-        ldb: usize,
-        d: usize,
-        nrows: usize,
-        y: &[f64],
-        out: &mut [f64],
-    ) {
-        for j in 0..nrows {
-            *out.get_unchecked_mut(j) = dot(b.get_unchecked(j * ldb..j * ldb + d), y);
+    /// `L`'s features are enabled, and `b` holds `out.len()` rows of
+    /// stride `ldb` and length `y.len()`.
+    #[inline(always)]
+    unsafe fn row_dots<L: Lanes>(b: &[f64], ldb: usize, y: &[f64], out: &mut [f64]) {
+        for (j, out) in out.iter_mut().enumerate() {
+            *out = dot::<L>(b.get_unchecked(j * ldb..j * ldb + y.len()), y);
         }
     }
 
-    /// [`row_dots`] on the 512-bit [`dot512`] kernel.
+    /// [`super::block_dots`]: `k + 1` [`dot`]s per row.
     ///
     /// # Safety
-    /// Requires AVX-512F; the public wrapper's asserts bound every row slice
-    /// taken here.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn row_dots512(
-        b: &[f64],
-        ldb: usize,
-        d: usize,
-        nrows: usize,
-        y: &[f64],
-        out: &mut [f64],
-    ) {
-        for j in 0..nrows {
-            *out.get_unchecked_mut(j) = dot512(b.get_unchecked(j * ldb..j * ldb + d), y);
-        }
-    }
-
-    /// [`super::block_dots`] on the 256-bit [`dot`] kernel: the whole block
-    /// in one feature region, so each of its `k + 1` dots per row inlines
-    /// without re-dispatch.
-    ///
-    /// # Safety
-    /// Requires AVX2 and FMA; the public wrapper's asserts bound every row
-    /// and output access taken here.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn block_dots(
+    /// `L`'s features are enabled, `basis` and `ys` hold whole rows of `d`,
+    /// and `dots` and `norms_sq` one output per dot.
+    #[inline(always)]
+    unsafe fn block_dots<L: Lanes>(
         basis: &[f64],
-        k: usize,
         ys: &[f64],
         d: usize,
         dots: &mut [f64],
         norms_sq: &mut [f64],
     ) {
-        for i in 0..norms_sq.len() {
+        let k = basis.len() / d;
+        for (i, norm_sq) in norms_sq.iter_mut().enumerate() {
             let y = ys.get_unchecked(i * d..(i + 1) * d);
             for j in 0..k {
-                *dots.get_unchecked_mut(i * k + j) =
-                    dot(basis.get_unchecked(j * d..(j + 1) * d), y);
+                let row = basis.get_unchecked(j * d..(j + 1) * d);
+                *dots.get_unchecked_mut(i * k + j) = dot::<L>(row, y);
             }
-            *norms_sq.get_unchecked_mut(i) = dot(y, y);
+            *norm_sq = dot::<L>(y, y);
         }
     }
 
-    /// [`block_dots`] on the 512-bit [`dot512`] kernel.
+    /// [`super::dots4x4`], its columns in groups of `C`: all four (sixteen
+    /// accumulators) in AVX-512's 32 registers, two at a time in AVX2's 16.
     ///
     /// # Safety
-    /// Requires AVX-512F; the public wrapper's asserts bound every row and
-    /// output access taken here.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn block_dots512(
-        basis: &[f64],
-        k: usize,
-        ys: &[f64],
-        d: usize,
-        dots: &mut [f64],
-        norms_sq: &mut [f64],
-    ) {
-        for i in 0..norms_sq.len() {
-            let y = ys.get_unchecked(i * d..(i + 1) * d);
-            for j in 0..k {
-                *dots.get_unchecked_mut(i * k + j) =
-                    dot512(basis.get_unchecked(j * d..(j + 1) * d), y);
-            }
-            *norms_sq.get_unchecked_mut(i) = dot512(y, y);
+    /// `L`'s features are enabled, and all eight slices share one length.
+    #[inline(always)]
+    unsafe fn dots4x4<L: Lanes>(a: [&[f64]; 4], b: [&[f64]; 4]) -> [[f64; 4]; 4] {
+        if L::N == 8 {
+            return dots4xc::<L, 4>(a, b);
         }
+        let lo = dots4xc::<L, 2>(a, [b[0], b[1]]);
+        let hi = dots4xc::<L, 2>(a, [b[2], b[3]]);
+        std::array::from_fn(|r| [lo[r][0], lo[r][1], hi[r][0], hi[r][1]])
     }
 
-    /// 4×4 dot tile on 512-bit lanes: sixteen zmm accumulators live across
-    /// the whole column loop, fed by eight loads per eight columns; each is
-    /// tree-reduced once at the end, then the `n % 8` tail is added.
+    /// The `4 × C` tile of dots: each entry's accumulator takes one FMA per
+    /// register of columns and is reduced once by the tier's horizontal
+    /// sum; the scalar tail adds.
     ///
     /// # Safety
-    /// Requires AVX-512F; all eight slices must share one length (checked
-    /// by the public wrapper).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn dots4x4_512(a: [&[f64]; 4], b: [&[f64]; 4]) -> [[f64; 4]; 4] {
+    /// As [`dots4x4`].
+    #[inline(always)]
+    unsafe fn dots4xc<L: Lanes, const C: usize>(a: [&[f64]; 4], b: [&[f64]; C]) -> [[f64; C]; 4] {
         let n = a[0].len();
-        let ap = a.map(<[f64]>::as_ptr);
-        let bp = b.map(<[f64]>::as_ptr);
-        let mut acc = [[_mm512_setzero_pd(); 4]; 4];
-        let mut av = [_mm512_setzero_pd(); 4];
-        let mut bv = [_mm512_setzero_pd(); 4];
-        let mut k = 0usize;
-        while k + 8 <= n {
+        let (ap, bp) = (a.map(<[f64]>::as_ptr), b.map(<[f64]>::as_ptr));
+        let mut acc = [[L::zero(); C]; 4];
+        let (mut av, mut bv) = ([L::zero(); 4], [L::zero(); C]);
+        let mut k = 0;
+        while k + L::N <= n {
             for r in 0..4 {
-                av[r] = _mm512_loadu_pd(ap[r].add(k));
-                bv[r] = _mm512_loadu_pd(bp[r].add(k));
+                av[r] = L::load(ap[r].add(k));
+            }
+            for c in 0..C {
+                bv[c] = L::load(bp[c].add(k));
             }
             for r in 0..4 {
-                for c in 0..4 {
-                    acc[r][c] = _mm512_fmadd_pd(av[r], bv[c], acc[r][c]);
+                for c in 0..C {
+                    acc[r][c] = L::fma(av[r], bv[c], acc[r][c]);
                 }
             }
-            k += 8;
+            k += L::N;
         }
-        let mut out = [[0.0f64; 4]; 4];
+        let mut out = [[0.0f64; C]; 4];
         for r in 0..4 {
-            for c in 0..4 {
-                let mut s = _mm512_reduce_add_pd(acc[r][c]);
+            for c in 0..C {
+                let mut s = L::hsum(acc[r][c]);
                 for i in k..n {
                     s += *ap[r].add(i) * *bp[c].add(i);
                 }
@@ -1006,158 +1007,42 @@ mod simd {
         out
     }
 
-    /// 4×4 dot tile on 256-bit lanes. Sixteen ymm accumulators plus the
-    /// operands would overflow the sixteen-register file, so the tile is
-    /// swept as two 4×2 halves (eight accumulators, six operand registers).
+    /// [`super::gemm4`]: the four-row tile, on 256-bit lanes on both tiers.
     ///
     /// # Safety
-    /// Requires AVX2 and FMA; all eight slices must share one length
-    /// (checked by the public wrapper).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dots4x4(a: [&[f64]; 4], b: [&[f64]; 4]) -> [[f64; 4]; 4] {
-        let n = a[0].len();
-        let ap = a.map(<[f64]>::as_ptr);
-        let bp = b.map(<[f64]>::as_ptr);
-        let mut out = [[0.0f64; 4]; 4];
-        for half in [0usize, 2] {
-            let mut acc = [[_mm256_setzero_pd(); 2]; 4];
-            let mut av = [_mm256_setzero_pd(); 4];
-            let mut k = 0usize;
-            while k + 4 <= n {
-                for r in 0..4 {
-                    av[r] = _mm256_loadu_pd(ap[r].add(k));
-                }
-                let bv = [
-                    _mm256_loadu_pd(bp[half].add(k)),
-                    _mm256_loadu_pd(bp[half + 1].add(k)),
-                ];
-                for r in 0..4 {
-                    for c in 0..2 {
-                        acc[r][c] = _mm256_fmadd_pd(av[r], bv[c], acc[r][c]);
-                    }
-                }
-                k += 4;
-            }
-            for r in 0..4 {
-                for c in 0..2 {
-                    let v = acc[r][c];
-                    let pair = _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
-                    let mut s = _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
-                    for i in k..n {
-                        s += *ap[r].add(i) * *bp[half + c].add(i);
-                    }
-                    out[r][half + c] = s;
-                }
-            }
-        }
-        out
-    }
-
-    /// 4-row register-tiled GEMM block: `out[r][j] += Σ_k a_r[k]·b[k][j]`.
-    ///
-    /// The j loop walks 8 columns at a time holding a 4×8 accumulator tile
-    /// (eight ymm registers) across the entire k loop; per k step it costs
-    /// two `b` loads plus four broadcasts for eight FMAs, and `out` is only
-    /// touched once per tile. 4-column and scalar column tails follow the
-    /// same k-inner ordering.
-    ///
-    /// # Safety
-    /// Requires AVX2 and FMA; the public wrapper's asserts guarantee
-    /// `(kdim-1)*ldb + n <= b.len()` and `3*ldo + n <= out.len()`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn gemm4(
-        a0: &[f64],
-        a1: &[f64],
-        a2: &[f64],
-        a3: &[f64],
+    /// `L`'s features are enabled, the rows of `a` share one length `kdim`,
+    /// `b` holds `kdim` rows of stride `ldb ≥ n`, and `out` four rows of
+    /// stride `ldo ≥ n`.
+    #[inline(always)]
+    unsafe fn gemm4<L: Lanes>(
+        a: [&[f64]; 4],
         b: &[f64],
         ldb: usize,
         n: usize,
         out: &mut [f64],
         ldo: usize,
     ) {
-        let kdim = a0.len();
-        let bp = b.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut j = 0usize;
-        while j + 8 <= n {
-            let mut c00 = _mm256_setzero_pd();
-            let mut c01 = _mm256_setzero_pd();
-            let mut c10 = _mm256_setzero_pd();
-            let mut c11 = _mm256_setzero_pd();
-            let mut c20 = _mm256_setzero_pd();
-            let mut c21 = _mm256_setzero_pd();
-            let mut c30 = _mm256_setzero_pd();
-            let mut c31 = _mm256_setzero_pd();
-            for k in 0..kdim {
-                let b0 = _mm256_loadu_pd(bp.add(k * ldb + j));
-                let b1 = _mm256_loadu_pd(bp.add(k * ldb + j + 4));
-                let v0 = _mm256_set1_pd(*a0.get_unchecked(k));
-                c00 = _mm256_fmadd_pd(v0, b0, c00);
-                c01 = _mm256_fmadd_pd(v0, b1, c01);
-                let v1 = _mm256_set1_pd(*a1.get_unchecked(k));
-                c10 = _mm256_fmadd_pd(v1, b0, c10);
-                c11 = _mm256_fmadd_pd(v1, b1, c11);
-                let v2 = _mm256_set1_pd(*a2.get_unchecked(k));
-                c20 = _mm256_fmadd_pd(v2, b0, c20);
-                c21 = _mm256_fmadd_pd(v2, b1, c21);
-                let v3 = _mm256_set1_pd(*a3.get_unchecked(k));
-                c30 = _mm256_fmadd_pd(v3, b0, c30);
-                c31 = _mm256_fmadd_pd(v3, b1, c31);
-            }
-            for (r, (lo, hi)) in [(c00, c01), (c10, c11), (c20, c21), (c30, c31)]
-                .into_iter()
-                .enumerate()
-            {
-                let p = op.add(r * ldo + j);
-                _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), lo));
-                _mm256_storeu_pd(p.add(4), _mm256_add_pd(_mm256_loadu_pd(p.add(4)), hi));
-            }
-            j += 8;
-        }
-        while j + 4 <= n {
-            let mut c0 = _mm256_setzero_pd();
-            let mut c1 = _mm256_setzero_pd();
-            let mut c2 = _mm256_setzero_pd();
-            let mut c3 = _mm256_setzero_pd();
-            for k in 0..kdim {
-                let bv = _mm256_loadu_pd(bp.add(k * ldb + j));
-                c0 = _mm256_fmadd_pd(_mm256_set1_pd(*a0.get_unchecked(k)), bv, c0);
-                c1 = _mm256_fmadd_pd(_mm256_set1_pd(*a1.get_unchecked(k)), bv, c1);
-                c2 = _mm256_fmadd_pd(_mm256_set1_pd(*a2.get_unchecked(k)), bv, c2);
-                c3 = _mm256_fmadd_pd(_mm256_set1_pd(*a3.get_unchecked(k)), bv, c3);
-            }
-            for (r, c) in [c0, c1, c2, c3].into_iter().enumerate() {
-                let p = op.add(r * ldo + j);
-                _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), c));
-            }
-            j += 4;
-        }
-        while j < n {
-            for (r, a) in [a0, a1, a2, a3].into_iter().enumerate() {
-                let mut s = *op.add(r * ldo + j);
-                for (k, &ak) in a.iter().enumerate() {
-                    s = ak.mul_add(*bp.add(k * ldb + j), s);
-                }
-                *op.add(r * ldo + j) = s;
-            }
-            j += 1;
-        }
+        let (kdim, b, out) = (a[0].len(), b.as_ptr(), out.as_mut_ptr());
+        gemm::<L, 4>(
+            a.map(<[f64]>::as_ptr),
+            Panel {
+                kdim,
+                b,
+                ldb,
+                n,
+                out,
+                ldo,
+            },
+        );
     }
 
-    /// 8-row × 16-column GEMM tile on 512-bit lanes: sixteen zmm
-    /// accumulators live across the whole k loop, fed per k step by two `b`
-    /// loads and eight broadcasts. Each accumulator starts at zero, takes one
-    /// FMA per k in order and is added to `out` once — [`gemm4`]'s order —
-    /// and the `n % 16` column tail runs [`gemm4`] itself on each 4-row
-    /// half, so the result is bitwise that of two [`gemm4`] calls.
+    /// [`super::gemm8`]. Sixteen accumulators hold a tile of `R` rows × two
+    /// registers: all eight rows on AVX-512, four at a time on AVX2.
     ///
     /// # Safety
-    /// Requires AVX-512F; the public wrapper's asserts guarantee equal row
-    /// lengths, `(kdim-1)*ldb + n <= b.len()` and `7*ldo + n <= out.len()`.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn gemm8_512(
+    /// As [`gemm4`], for eight rows.
+    #[inline(always)]
+    unsafe fn gemm8<L: Lanes>(
         a: [&[f64]; 8],
         b: &[f64],
         ldb: usize,
@@ -1165,66 +1050,185 @@ mod simd {
         out: &mut [f64],
         ldo: usize,
     ) {
-        let kdim = a[0].len();
-        let ap = a.map(<[f64]>::as_ptr);
-        let bp = b.as_ptr();
-        let op = out.as_mut_ptr();
-        let mut j = 0usize;
-        while j + 16 <= n {
-            let mut acc = [[_mm512_setzero_pd(); 2]; 8];
-            for k in 0..kdim {
-                let b0 = _mm512_loadu_pd(bp.add(k * ldb + j));
-                let b1 = _mm512_loadu_pd(bp.add(k * ldb + j + 8));
-                for r in 0..8 {
-                    let v = _mm512_set1_pd(*ap[r].add(k));
-                    acc[r][0] = _mm512_fmadd_pd(v, b0, acc[r][0]);
-                    acc[r][1] = _mm512_fmadd_pd(v, b1, acc[r][1]);
-                }
-            }
-            for (r, [lo, hi]) in acc.into_iter().enumerate() {
-                let p = op.add(r * ldo + j);
-                _mm512_storeu_pd(p, _mm512_add_pd(_mm512_loadu_pd(p), lo));
-                _mm512_storeu_pd(p.add(8), _mm512_add_pd(_mm512_loadu_pd(p.add(8)), hi));
-            }
-            j += 16;
+        let (kdim, b, out) = (a[0].len(), b.as_ptr(), out.as_mut_ptr());
+        let (a, p) = (
+            a.map(<[f64]>::as_ptr),
+            Panel {
+                kdim,
+                b,
+                ldb,
+                n,
+                out,
+                ldo,
+            },
+        );
+        if L::N == 8 {
+            return gemm::<L, 8>(a, p);
         }
-        if j < n {
-            let b = b.get_unchecked(j..);
-            let (lo, hi) = out.split_at_mut(4 * ldo);
-            gemm4(
-                a[0],
-                a[1],
-                a[2],
-                a[3],
-                b,
-                ldb,
-                n - j,
-                lo.get_unchecked_mut(j..),
-                ldo,
-            );
-            gemm4(
-                a[4],
-                a[5],
-                a[6],
-                a[7],
-                b,
-                ldb,
-                n - j,
-                hi.get_unchecked_mut(j..),
-                ldo,
-            );
+        for q in 0..2 {
+            let out = out.add(4 * q * ldo);
+            gemm::<L, 4>(std::array::from_fn(|r| a[4 * q + r]), Panel { out, ..p });
         }
     }
 
-    /// [`update_rows_dots`](super::update_rows_dots) on 512-bit lanes:
-    /// four rows at a time share every load of `x`, `y` and `v`, each row
-    /// keeps one dot accumulator, and the `len % 8` tail is one masked step.
+    /// What a gemm tile sweeps: `kdim` rows of `b` (stride `ldb`) and the
+    /// `n` columns of the rows of `out` (stride `ldo`).
+    #[derive(Clone, Copy)]
+    struct Panel {
+        kdim: usize,
+        b: *const f64,
+        ldb: usize,
+        n: usize,
+        out: *mut f64,
+        ldo: usize,
+    }
+
+    /// `out[r][j] += Σ_k a_r[k]·b[k][j]`: column tiles of two registers,
+    /// then of one, then of one four-lane register, so every tier leaves
+    /// exactly the last `n % 4` columns to the scalar loop. In a tile each
+    /// element's accumulator starts at zero, takes one FMA per `k` in order
+    /// and is added to `out` once; in the scalar loop the FMAs go into
+    /// `out` directly. An element's bits thus do not depend on the tier or
+    /// the tile, which makes [`super::gemm8`] bitwise two `gemm4` calls.
     ///
     /// # Safety
-    /// Requires AVX-512F; the public wrapper's asserts guarantee the
-    /// lengths and that `block` holds `cd.len()` rows of stride `ld ≥ len`.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn update_rows_dots512(
+    /// `L`'s and AVX2's features are enabled, each `a[r]` points at `kdim`
+    /// values, and `p` holds the shapes [`gemm4`] requires for `R` rows.
+    #[inline(always)]
+    unsafe fn gemm<L: Lanes, const R: usize>(a: [*const f64; R], p: Panel) {
+        let mut j = gemm_tiles::<L, R, 2>(&a, p, 0);
+        j = gemm_tiles::<L, R, 1>(&a, p, j);
+        j = gemm_tiles::<Avx2, R, 1>(&a, p, j);
+        for j in j..p.n {
+            for (r, a) in a.iter().enumerate() {
+                let o = p.out.add(r * p.ldo + j);
+                let mut s = *o;
+                for k in 0..p.kdim {
+                    s = (*a.add(k)).mul_add(*p.b.add(k * p.ldb + j), s);
+                }
+                *o = s;
+            }
+        }
+    }
+
+    /// Tiles of `V` registers of columns from column `j` on while whole ones
+    /// fit; returns the first column left.
+    ///
+    /// # Safety
+    /// As [`gemm`].
+    #[inline(always)]
+    unsafe fn gemm_tiles<L: Lanes, const R: usize, const V: usize>(
+        a: &[*const f64; R],
+        p: Panel,
+        mut j: usize,
+    ) -> usize {
+        while j + V * L::N <= p.n {
+            let mut acc = [[L::zero(); V]; R];
+            let mut bv = [L::zero(); V];
+            for k in 0..p.kdim {
+                for (v, bv) in bv.iter_mut().enumerate() {
+                    *bv = L::load(p.b.add(k * p.ldb + j + v * L::N));
+                }
+                for (acc, a) in acc.iter_mut().zip(a) {
+                    let x = L::splat(*a.add(k));
+                    for (acc, &bv) in acc.iter_mut().zip(&bv) {
+                        *acc = L::fma(x, bv, *acc);
+                    }
+                }
+            }
+            for (r, acc) in acc.iter().enumerate() {
+                for (v, &acc) in acc.iter().enumerate() {
+                    let o = p.out.add(r * p.ldo + j + v * L::N);
+                    L::store(o, L::add(L::load(o), acc));
+                }
+            }
+            j += V * L::N;
+        }
+        j
+    }
+
+    /// [`super::gram4_upper`]: one [`axpy4`] per row of `g`.
+    ///
+    /// # Safety
+    /// `L`'s features are enabled, the four rows share one length `d`, and
+    /// `g` holds `d × d` values.
+    #[inline(always)]
+    unsafe fn gram4_upper<L: Lanes>(x: [&[f64]; 4], g: &mut [f64]) {
+        let d = x[0].len();
+        for i in 0..d {
+            let alpha = [x[0][i], x[1][i], x[2][i], x[3][i]];
+            let tails = [&x[0][i..], &x[1][i..], &x[2][i..], &x[3][i..]];
+            axpy4::<L>(alpha, tails, g.get_unchecked_mut(i * d + i..(i + 1) * d));
+        }
+    }
+
+    /// [`super::axpy`]: one FMA per element, two registers a step so their
+    /// loads issue before either store, then the scalar tail.
+    ///
+    /// # Safety
+    /// `L`'s features are enabled, and `x` is at least as long as `y`.
+    #[inline(always)]
+    unsafe fn axpy<L: Lanes>(alpha: f64, x: &[f64], y: &mut [f64]) {
+        let (n, xp, yp) = (y.len(), x.as_ptr(), y.as_mut_ptr());
+        let a = L::splat(alpha);
+        let mut i = 0;
+        while i + 2 * L::N <= n {
+            let (x0, x1) = (L::load(xp.add(i)), L::load(xp.add(i + L::N)));
+            let (y0, y1) = (L::load(yp.add(i)), L::load(yp.add(i + L::N)));
+            L::store(yp.add(i), L::fma(a, x0, y0));
+            L::store(yp.add(i + L::N), L::fma(a, x1, y1));
+            i += 2 * L::N;
+        }
+        while i + L::N <= n {
+            L::store(yp.add(i), L::fma(a, L::load(xp.add(i)), L::load(yp.add(i))));
+            i += L::N;
+        }
+        for i in i..n {
+            *yp.add(i) += alpha * *xp.add(i);
+        }
+    }
+
+    /// [`super::axpy4`]: per element the FMAs nest in row order, and the
+    /// scalar tail multiplies then adds per row, so the result is bitwise
+    /// four sequential `axpy` calls.
+    ///
+    /// # Safety
+    /// `L`'s features are enabled, and every `x[r]` is at least as long as
+    /// `y`.
+    #[inline(always)]
+    unsafe fn axpy4<L: Lanes>(alpha: [f64; 4], x: [&[f64]; 4], y: &mut [f64]) {
+        let (n, yp) = (y.len(), y.as_mut_ptr());
+        let mut a = [L::zero(); 4];
+        for (a, &alpha) in a.iter_mut().zip(&alpha) {
+            *a = L::splat(alpha);
+        }
+        let mut i = 0;
+        while i + L::N <= n {
+            let mut v = L::load(yp.add(i));
+            for (&a, x) in a.iter().zip(&x) {
+                v = L::fma(a, L::load(x.as_ptr().add(i)), v);
+            }
+            L::store(yp.add(i), v);
+            i += L::N;
+        }
+        for i in i..n {
+            let mut v = *yp.add(i);
+            for (&alpha, x) in alpha.iter().zip(&x) {
+                v += alpha * *x.get_unchecked(i);
+            }
+            *yp.add(i) = v;
+        }
+    }
+
+    /// [`super::update_rows_dots`]: four rows at a time share every load of
+    /// `x`, `y` and `v`, and each row keeps one dot accumulator.
+    ///
+    /// # Safety
+    /// `L`'s features are enabled, `block` holds `cd.len()` rows of stride
+    /// `ld ≥ x.len()`, `v` and any `y` are as long as `x`, and any `b` as
+    /// `cd`.
+    #[inline(always)]
+    unsafe fn update_rows_dots<L: Lanes>(
         block: &mut [f64],
         ld: usize,
         x: &[f64],
@@ -1232,427 +1236,156 @@ mod simd {
         v: &[f64],
         cd: &mut [f64],
     ) {
-        let p = RowUpdate::new(block, ld, x, by, v, cd);
-        let mut j = 0usize;
-        while j < p.rows {
-            let four = p.rows - j >= 4;
+        let (b, y) = by.unwrap_or((&[], x));
+        let mut p = RowUpdate {
+            block: block.as_mut_ptr(),
+            ld,
+            x,
+            b,
+            y,
+            v,
+            cd,
+        };
+        let rows = p.cd.len();
+        let mut j = 0;
+        while j < rows {
+            let four = rows - j >= 4;
             match (four, by.is_some()) {
-                (true, true) => update_rows512::<4, true>(&p, j),
-                (true, false) => update_rows512::<4, false>(&p, j),
-                (false, true) => update_rows512::<1, true>(&p, j),
-                (false, false) => update_rows512::<1, false>(&p, j),
+                (true, true) => update_rows::<L, 4, true>(&mut p, j),
+                (true, false) => update_rows::<L, 4, false>(&mut p, j),
+                (false, true) => update_rows::<L, 1, true>(&mut p, j),
+                (false, false) => update_rows::<L, 1, false>(&mut p, j),
             }
             j += if four { 4 } else { 1 };
         }
     }
 
-    /// The operands of one [`update_rows_dots512`] or [`update_rows_dots`]
-    /// pass as raw pointers; `b` and `y` alias `cd` and `x` when the update
-    /// is rank-1, and are then never read.
-    struct RowUpdate {
+    /// The operands of [`update_rows_dots`]; when the update is rank-1, `b`
+    /// is empty and `y` is `x`, read but not applied.
+    struct RowUpdate<'a> {
         block: *mut f64,
         ld: usize,
-        rows: usize,
-        len: usize,
-        cd: *mut f64,
-        x: *const f64,
-        b: *const f64,
-        y: *const f64,
-        v: *const f64,
+        x: &'a [f64],
+        b: &'a [f64],
+        y: &'a [f64],
+        v: &'a [f64],
+        cd: &'a mut [f64],
     }
 
-    impl RowUpdate {
-        fn new(
-            block: &mut [f64],
-            ld: usize,
-            x: &[f64],
-            by: Option<(&[f64], &[f64])>,
-            v: &[f64],
-            cd: &mut [f64],
-        ) -> Self {
-            let (b, y) = by.map_or((cd.as_ptr(), x.as_ptr()), |(b, y)| (b.as_ptr(), y.as_ptr()));
-            Self {
-                block: block.as_mut_ptr(),
-                ld,
-                rows: cd.len(),
-                len: x.len(),
-                cd: cd.as_mut_ptr(),
-                x: x.as_ptr(),
-                b,
-                y,
-                v: v.as_ptr(),
-            }
-        }
-    }
-
-    /// Rows `j0..j0 + R` of [`update_rows_dots512`]; `RANK2` applies the
-    /// second term. Each row's coefficient is read before its dot is
-    /// written back over it.
+    /// Rows `j0..j0 + R`; `RANK2` applies the second term. Each row's
+    /// coefficient is read before its dot is written back over it. A tier
+    /// with masked loads ends the row in one partial step, one without in a
+    /// scalar loop.
     ///
     /// # Safety
-    /// As [`update_rows_dots512`], with `j0 + R <= p.rows`.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn update_rows512<const R: usize, const RANK2: bool>(p: &RowUpdate, j0: usize) {
-        let len = p.len;
-        let rows: [*mut f64; R] = std::array::from_fn(|r| p.block.add((j0 + r) * p.ld));
-        let ca: [__m512d; R] = std::array::from_fn(|r| _mm512_set1_pd(*p.cd.add(j0 + r)));
-        let cb: [__m512d; R] = std::array::from_fn(|r| _mm512_set1_pd(*p.b.add(j0 + r)));
-        let mut acc = [_mm512_setzero_pd(); R];
-        let mut k = 0usize;
-        while k < len {
-            // A full step of eight lanes, or the masked tail.
-            let m: __mmask8 = if k + 8 <= len {
-                0xff
-            } else {
-                (1u8 << (len - k)) - 1
-            };
-            let xv = _mm512_maskz_loadu_pd(m, p.x.add(k));
-            let yv = _mm512_maskz_loadu_pd(m, p.y.add(k));
-            let vv = _mm512_maskz_loadu_pd(m, p.v.add(k));
-            for r in 0..R {
-                let mut e = _mm512_maskz_loadu_pd(m, rows[r].add(k));
-                e = _mm512_fnmadd_pd(ca[r], xv, e);
-                if RANK2 {
-                    e = _mm512_fnmadd_pd(cb[r], yv, e);
-                }
-                _mm512_mask_storeu_pd(rows[r].add(k), m, e);
-                acc[r] = _mm512_fmadd_pd(e, vv, acc[r]);
-            }
-            k += 8;
-        }
-        for (r, s) in acc.into_iter().enumerate() {
-            *p.cd.add(j0 + r) = _mm512_reduce_add_pd(s);
-        }
-    }
-
-    /// [`update_rows_dots`](super::update_rows_dots) on 256-bit lanes, four
-    /// rows at a time with one dot accumulator each and a scalar tail.
-    ///
-    /// # Safety
-    /// Requires AVX2 and FMA; the public wrapper's asserts guarantee the
-    /// lengths and that `block` holds `cd.len()` rows of stride `ld ≥ len`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn update_rows_dots(
-        block: &mut [f64],
-        ld: usize,
-        x: &[f64],
-        by: Option<(&[f64], &[f64])>,
-        v: &[f64],
-        cd: &mut [f64],
+    /// As [`update_rows_dots`], with rows `j0..j0 + R` in `p.cd`.
+    #[inline(always)]
+    unsafe fn update_rows<L: Lanes, const R: usize, const RANK2: bool>(
+        p: &mut RowUpdate,
+        j0: usize,
     ) {
-        let p = RowUpdate::new(block, ld, x, by, v, cd);
-        let mut j = 0usize;
-        while j < p.rows {
-            let four = p.rows - j >= 4;
-            match (four, by.is_some()) {
-                (true, true) => update_rows256::<4, true>(&p, j),
-                (true, false) => update_rows256::<4, false>(&p, j),
-                (false, true) => update_rows256::<1, true>(&p, j),
-                (false, false) => update_rows256::<1, false>(&p, j),
-            }
-            j += if four { 4 } else { 1 };
-        }
-    }
-
-    /// Rows `j0..j0 + R` of [`update_rows_dots`]; `RANK2` applies the
-    /// second term. Each row's coefficient is read before its dot is
-    /// written back over it.
-    ///
-    /// # Safety
-    /// As [`update_rows_dots`], with `j0 + R <= p.rows`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[inline]
-    unsafe fn update_rows256<const R: usize, const RANK2: bool>(p: &RowUpdate, j0: usize) {
-        let len = p.len;
-        let rows: [*mut f64; R] = std::array::from_fn(|r| p.block.add((j0 + r) * p.ld));
-        let sa: [f64; R] = std::array::from_fn(|r| *p.cd.add(j0 + r));
-        let sb: [f64; R] = std::array::from_fn(|r| *p.b.add(j0 + r));
-        let ca = sa.map(|c| _mm256_set1_pd(c));
-        let cb = sb.map(|c| _mm256_set1_pd(c));
-        let mut acc = [_mm256_setzero_pd(); R];
-        let mut k = 0usize;
-        while k + 4 <= len {
-            let xv = _mm256_loadu_pd(p.x.add(k));
-            let yv = _mm256_loadu_pd(p.y.add(k));
-            let vv = _mm256_loadu_pd(p.v.add(k));
-            for r in 0..R {
-                let mut e = _mm256_loadu_pd(rows[r].add(k));
-                e = _mm256_fnmadd_pd(ca[r], xv, e);
-                if RANK2 {
-                    e = _mm256_fnmadd_pd(cb[r], yv, e);
-                }
-                _mm256_storeu_pd(rows[r].add(k), e);
-                acc[r] = _mm256_fmadd_pd(e, vv, acc[r]);
-            }
-            k += 4;
-        }
+        let RowUpdate {
+            block,
+            ld,
+            x,
+            b,
+            y,
+            v,
+            ..
+        } = *p;
+        let len = x.len();
+        let rows: [*mut f64; R] = std::array::from_fn(|r| block.add((j0 + r) * ld));
+        let cd = p.cd.get_unchecked_mut(j0..j0 + R);
+        let (mut ca, mut cb, mut acc) = ([L::zero(); R], [L::zero(); R], [L::zero(); R]);
         for r in 0..R {
-            let s = acc[r];
-            let pair = _mm_add_pd(_mm256_castpd256_pd128(s), _mm256_extractf128_pd(s, 1));
-            let mut dot = _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
-            for i in k..len {
-                let e = rows[r].add(i);
-                *e -= sa[r] * *p.x.add(i);
+            ca[r] = L::splat(cd[r]);
+            if RANK2 {
+                cb[r] = L::splat(b[j0 + r]);
+            }
+        }
+        let vector_end = if L::MASKED { len } else { len - len % L::N };
+        let mut k = 0;
+        while k < vector_end {
+            let m = L::N.min(vector_end - k);
+            let xv = L::load_n(x.as_ptr().add(k), m);
+            let vv = L::load_n(v.as_ptr().add(k), m);
+            let yv = L::load_n(y.as_ptr().add(k), m);
+            for r in 0..R {
+                let mut e = L::fnmadd(ca[r], xv, L::load_n(rows[r].add(k), m));
                 if RANK2 {
-                    *e -= sb[r] * *p.y.add(i);
+                    e = L::fnmadd(cb[r], yv, e);
                 }
-                dot += *e * *p.v.add(i);
+                L::store_n(rows[r].add(k), m, e);
+                acc[r] = L::fma(e, vv, acc[r]);
             }
-            *p.cd.add(j0 + r) = dot;
+            k += m;
+        }
+        for (r, c) in cd.iter_mut().enumerate() {
+            let mut dot = L::hsum(acc[r]);
+            for i in vector_end..len {
+                let e = rows[r].add(i);
+                *e -= *c * x[i];
+                if RANK2 {
+                    *e -= b[j0 + r] * y[i];
+                }
+                dot += *e * v[i];
+            }
+            *c = dot;
         }
     }
 
-    /// [`max_abs_finite`](super::max_abs_finite) on 512-bit lanes: four
-    /// independent maximum chains of eight lanes, a mask of lanes that were
-    /// NaN or ±∞, and a masked load for the `len % 8` tail (its padding
-    /// lanes read as zero, which moves neither result).
+    /// [`super::max_abs_finite`]: four chains of lanewise maxima and of
+    /// NaN/∞ detectors. `max(v, m)` keeps `m` where `v` is NaN, so a NaN
+    /// entry is skipped as `f64::max` skips it; `v·0 + bad` turns NaN at the
+    /// first NaN or ±∞ and stays ±0 before it. A masked step's padding
+    /// lanes read as zero, which moves neither result.
     ///
     /// # Safety
-    /// Requires AVX-512F.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn max_abs_finite512(x: &[f64]) -> (f64, bool) {
-        let n = x.len();
-        let p = x.as_ptr();
-        let limit = _mm512_set1_pd(f64::MAX);
-        let mut m = [_mm512_setzero_pd(); 4];
-        let mut bad: __mmask8 = 0;
-        // `max_pd(a, b)` returns `b` when either operand is NaN: with the
-        // running maximum as `b`, a NaN entry is skipped like `f64::max`
-        // skips it. `!(|x| <= MAX)` holds exactly for NaN and ±∞.
-        macro_rules! absorb {
-            ($acc:expr, $v:expr) => {{
-                let v = _mm512_abs_pd($v);
-                $acc = _mm512_max_pd(v, $acc);
-                bad |= _mm512_cmp_pd_mask::<_CMP_NLE_UQ>(v, limit);
-            }};
-        }
-        let mut i = 0usize;
-        while i + 32 <= n {
-            for (lane, acc) in m.iter_mut().enumerate() {
-                absorb!(*acc, _mm512_loadu_pd(p.add(i + 8 * lane)));
+    /// `L`'s features are enabled.
+    #[inline(always)]
+    unsafe fn max_abs_finite<L: Lanes>(x: &[f64]) -> (f64, bool) {
+        let (n, p, zero) = (x.len(), x.as_ptr(), L::zero());
+        let (mut m, mut bad) = ([zero; 4], [zero; 4]);
+        let mut i = 0;
+        while i + 4 * L::N <= n {
+            for c in 0..4 {
+                let v = L::abs(L::load(p.add(i + c * L::N)));
+                m[c] = L::max(v, m[c]);
+                bad[c] = L::fma(v, zero, bad[c]);
             }
-            i += 32;
+            i += 4 * L::N;
         }
-        while i + 8 <= n {
-            absorb!(m[0], _mm512_loadu_pd(p.add(i)));
-            i += 8;
+        while i < n && (L::MASKED || i + L::N <= n) {
+            let step = L::N.min(n - i);
+            let v = L::abs(L::load_n(p.add(i), step));
+            m[0] = L::max(v, m[0]);
+            bad[0] = L::fma(v, zero, bad[0]);
+            i += step;
         }
-        if i < n {
-            absorb!(m[0], _mm512_maskz_loadu_pd((1u8 << (n - i)) - 1, p.add(i)));
-        }
-        let all = _mm512_max_pd(_mm512_max_pd(m[0], m[1]), _mm512_max_pd(m[2], m[3]));
-        (_mm512_reduce_max_pd(all), bad == 0)
-    }
-
-    /// [`max_abs_finite`](super::max_abs_finite) on 256-bit lanes: four
-    /// independent maximum chains of four lanes, a vector of NaN/∞ flags,
-    /// and a scalar tail.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn max_abs_finite(x: &[f64]) -> (f64, bool) {
-        let n = x.len();
-        let p = x.as_ptr();
-        let sign = _mm256_set1_pd(-0.0);
-        let limit = _mm256_set1_pd(f64::MAX);
-        let mut m = [_mm256_setzero_pd(); 4];
-        let mut bad = _mm256_setzero_pd();
-        // Same operand order and NaN test as the 512-bit kernel.
-        macro_rules! absorb {
-            ($acc:expr, $v:expr) => {{
-                let v = _mm256_andnot_pd(sign, $v);
-                $acc = _mm256_max_pd(v, $acc);
-                bad = _mm256_or_pd(bad, _mm256_cmp_pd::<_CMP_NLE_UQ>(v, limit));
-            }};
-        }
-        let mut i = 0usize;
-        while i + 16 <= n {
-            for (lane, acc) in m.iter_mut().enumerate() {
-                absorb!(*acc, _mm256_loadu_pd(p.add(i + 4 * lane)));
-            }
-            i += 16;
-        }
-        while i + 4 <= n {
-            absorb!(m[0], _mm256_loadu_pd(p.add(i)));
-            i += 4;
-        }
-        let all = _mm256_max_pd(_mm256_max_pd(m[0], m[1]), _mm256_max_pd(m[2], m[3]));
-        let pair = _mm_max_pd(_mm256_castpd256_pd128(all), _mm256_extractf128_pd(all, 1));
-        let mut s = _mm_cvtsd_f64(_mm_max_sd(pair, _mm_unpackhi_pd(pair, pair)));
-        let mut finite = _mm256_movemask_pd(bad) == 0;
-        while i < n {
-            let v = *p.add(i);
+        let mut s = L::hmax(L::max(L::max(m[0], m[1]), L::max(m[2], m[3])));
+        let mut finite = L::hsum(L::add(L::add(bad[0], bad[1]), L::add(bad[2], bad[3]))) == 0.0;
+        for &v in x.get_unchecked(i..) {
             s = s.max(v.abs());
             finite &= v.is_finite();
-            i += 1;
         }
         (s, finite)
     }
 
-    /// Upper-triangle Gram sweep of four stream rows in one feature region:
-    /// row `i` of `g` gets one inlined [`axpy4`] over the `[i..]` tails.
+    /// [`super::rot`]: each output is one multiply feeding one FMA; the
+    /// tail is the scalar rotation.
     ///
     /// # Safety
-    /// Requires AVX2 and FMA; the public wrapper's asserts guarantee all
-    /// four rows have length `d` and `g` has length `d * d`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn gram4_upper(
-        x0: &[f64],
-        x1: &[f64],
-        x2: &[f64],
-        x3: &[f64],
-        g: &mut [f64],
-        d: usize,
-    ) {
-        for i in 0..d {
-            let alpha = [
-                *x0.get_unchecked(i),
-                *x1.get_unchecked(i),
-                *x2.get_unchecked(i),
-                *x3.get_unchecked(i),
-            ];
-            axpy4(
-                alpha,
-                x0.get_unchecked(i..),
-                x1.get_unchecked(i..),
-                x2.get_unchecked(i..),
-                x3.get_unchecked(i..),
-                g.get_unchecked_mut(i * d + i..(i + 1) * d),
-            );
-        }
-    }
-
-    /// `y ← y + alpha·x`, one fused multiply-add per element.
-    ///
-    /// # Safety
-    /// Requires AVX2 and FMA; slices must have equal lengths (checked by the
-    /// public wrapper).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-        debug_assert_eq!(x.len(), y.len());
-        let n = y.len();
-        let a = _mm256_set1_pd(alpha);
-        let xp = x.as_ptr();
-        let yp = y.as_mut_ptr();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let y0 = _mm256_fmadd_pd(a, _mm256_loadu_pd(xp.add(i)), _mm256_loadu_pd(yp.add(i)));
-            let y1 = _mm256_fmadd_pd(
-                a,
-                _mm256_loadu_pd(xp.add(i + 4)),
-                _mm256_loadu_pd(yp.add(i + 4)),
-            );
-            _mm256_storeu_pd(yp.add(i), y0);
-            _mm256_storeu_pd(yp.add(i + 4), y1);
-            i += 8;
-        }
-        while i + 4 <= n {
-            let y0 = _mm256_fmadd_pd(a, _mm256_loadu_pd(xp.add(i)), _mm256_loadu_pd(yp.add(i)));
-            _mm256_storeu_pd(yp.add(i), y0);
-            i += 4;
-        }
-        while i < n {
-            *yp.add(i) += alpha * *xp.add(i);
-            i += 1;
-        }
-    }
-
-    /// Fused four-row axpy; the FMA chain nests in row order per element, so
-    /// the result is bitwise identical to four sequential [`axpy`] calls.
-    ///
-    /// # Safety
-    /// Requires AVX2 and FMA; all slices must have equal lengths (checked by
-    /// the public wrapper).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn axpy4(
-        alpha: [f64; 4],
-        x0: &[f64],
-        x1: &[f64],
-        x2: &[f64],
-        x3: &[f64],
-        y: &mut [f64],
-    ) {
-        let n = y.len();
-        let a0 = _mm256_set1_pd(alpha[0]);
-        let a1 = _mm256_set1_pd(alpha[1]);
-        let a2 = _mm256_set1_pd(alpha[2]);
-        let a3 = _mm256_set1_pd(alpha[3]);
-        let p0 = x0.as_ptr();
-        let p1 = x1.as_ptr();
-        let p2 = x2.as_ptr();
-        let p3 = x3.as_ptr();
-        let yp = y.as_mut_ptr();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let mut v = _mm256_loadu_pd(yp.add(i));
-            v = _mm256_fmadd_pd(a0, _mm256_loadu_pd(p0.add(i)), v);
-            v = _mm256_fmadd_pd(a1, _mm256_loadu_pd(p1.add(i)), v);
-            v = _mm256_fmadd_pd(a2, _mm256_loadu_pd(p2.add(i)), v);
-            v = _mm256_fmadd_pd(a3, _mm256_loadu_pd(p3.add(i)), v);
-            _mm256_storeu_pd(yp.add(i), v);
-            i += 4;
-        }
-        while i < n {
-            // Separate multiply-then-add per row, matching the scalar tail of
-            // sequential `axpy` calls bit for bit.
-            let mut v = *yp.add(i);
-            v += alpha[0] * *p0.add(i);
-            v += alpha[1] * *p1.add(i);
-            v += alpha[2] * *p2.add(i);
-            v += alpha[3] * *p3.add(i);
-            *yp.add(i) = v;
-            i += 1;
-        }
-    }
-
-    /// Plane rotation `(x, y) ← (c·x − s·y, s·x + c·y)`, four lanes at a
-    /// time; each output is one multiply feeding one fused multiply-add.
-    ///
-    /// # Safety
-    /// Requires AVX2 and FMA; `x` and `y` must have equal lengths (checked
-    /// by the public wrapper).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn rot(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
-        debug_assert_eq!(x.len(), y.len());
-        let n = x.len();
-        let xp = x.as_mut_ptr();
-        let yp = y.as_mut_ptr();
-        let cv = _mm256_set1_pd(c);
-        let sv = _mm256_set1_pd(s);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let a = _mm256_loadu_pd(xp.add(i));
-            let b = _mm256_loadu_pd(yp.add(i));
-            _mm256_storeu_pd(xp.add(i), _mm256_fmsub_pd(cv, a, _mm256_mul_pd(sv, b)));
-            _mm256_storeu_pd(yp.add(i), _mm256_fmadd_pd(sv, a, _mm256_mul_pd(cv, b)));
-            i += 4;
-        }
-        super::scalar_rot(&mut x[i..], &mut y[i..], c, s);
-    }
-
-    /// [`rot`] on 512-bit lanes: half the loop trips at the row lengths the
-    /// eigensolver uses (n = 48…128).
-    ///
-    /// # Safety
-    /// Requires AVX-512F; `x` and `y` must have equal lengths (checked by
-    /// the public wrapper).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn rot512(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
-        debug_assert_eq!(x.len(), y.len());
-        let n = x.len();
-        let xp = x.as_mut_ptr();
-        let yp = y.as_mut_ptr();
-        let cv = _mm512_set1_pd(c);
-        let sv = _mm512_set1_pd(s);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let a = _mm512_loadu_pd(xp.add(i));
-            let b = _mm512_loadu_pd(yp.add(i));
-            _mm512_storeu_pd(xp.add(i), _mm512_fmsub_pd(cv, a, _mm512_mul_pd(sv, b)));
-            _mm512_storeu_pd(yp.add(i), _mm512_fmadd_pd(sv, a, _mm512_mul_pd(cv, b)));
-            i += 8;
+    /// `L`'s features are enabled, and `y` is at least as long as `x`.
+    #[inline(always)]
+    unsafe fn rot<L: Lanes>(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
+        let (n, xp, yp) = (x.len(), x.as_mut_ptr(), y.as_mut_ptr());
+        let (cv, sv) = (L::splat(c), L::splat(s));
+        let mut i = 0;
+        while i + L::N <= n {
+            let (a, b) = (L::load(xp.add(i)), L::load(yp.add(i)));
+            L::store(xp.add(i), L::fmsub(cv, a, L::mul(sv, b)));
+            L::store(yp.add(i), L::fma(sv, a, L::mul(cv, b)));
+            i += L::N;
         }
         super::scalar_rot(&mut x[i..], &mut y[i..], c, s);
     }
@@ -1661,14 +1394,7 @@ mod simd {
 /// `y ← alpha * y`.
 #[inline]
 pub fn scale(alpha: f64, y: &mut [f64]) {
-    let mut blocks = y.chunks_exact_mut(4);
-    for yb in blocks.by_ref() {
-        yb[0] *= alpha;
-        yb[1] *= alpha;
-        yb[2] *= alpha;
-        yb[3] *= alpha;
-    }
-    for yi in blocks.into_remainder() {
+    for yi in y {
         *yi *= alpha;
     }
 }
@@ -1754,6 +1480,38 @@ pub fn orthogonalize_against(v: &mut [f64], basis: &[&[f64]]) {
 mod tests {
     use super::*;
 
+    thread_local! {
+        /// The tier [`at_tier`] pins on this thread, ahead of the cached one.
+        pub(super) static PINNED_TIER: std::cell::Cell<Option<u8>> =
+            const { std::cell::Cell::new(None) };
+    }
+
+    /// The dispatch tiers this CPU can run, whatever `SKETCHAD_FORCE_SCALAR`
+    /// asks: 0 (scalar), then 1 (AVX2+FMA) and 2 (AVX-512F) when detected.
+    pub(crate) fn host_tiers() -> Vec<u8> {
+        #[cfg(target_arch = "x86_64")]
+        let simd = [
+            std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma"),
+            std::is_x86_feature_detected!("avx512f"),
+        ];
+        #[cfg(not(target_arch = "x86_64"))]
+        let simd = [false; 2];
+        (0..3u8)
+            .take_while(|&t| t == 0 || simd[usize::from(t) - 1])
+            .collect()
+    }
+
+    /// Runs `f` with every kernel called on this thread dispatched at
+    /// `tier`, one of [`host_tiers`], so a test reaches each tier through
+    /// the public kernels exactly as a host of that tier would.
+    pub(crate) fn at_tier<R>(tier: u8, f: impl FnOnce() -> R) -> R {
+        assert!(host_tiers().contains(&tier), "tier {tier} not on this CPU");
+        let previous = PINNED_TIER.with(|p| p.replace(Some(tier)));
+        let out = f();
+        PINNED_TIER.with(|p| p.set(previous));
+        out
+    }
+
     #[test]
     fn force_scalar_parsing() {
         assert!(parse_force_scalar(Some("1")));
@@ -1828,21 +1586,21 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
         {
-            // SAFETY (all four wrappers): each is pushed only when the CPU
-            // reports the features its body requires, and the test hands
-            // it slices of the lengths the public wrapper asserts.
-            if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
+            // SAFETY (all four closures): each is pushed only when the CPU
+            // has its tier, and the test hands it slices of the lengths the
+            // public wrapper asserts.
+            if host_tiers().contains(&1) {
                 tiers.push((
                     "avx2+fma",
-                    |b, k, y, d, o, n| unsafe { simd::block_dots(b, k, y, d, o, n) },
-                    |a, b| unsafe { simd::dot(a, b) },
+                    |b, _, y, d, o, n| unsafe { simd::avx2::block_dots(b, y, d, o, n) },
+                    |a, b| unsafe { simd::avx2::dot(a, b) },
                 ));
             }
-            if std::is_x86_feature_detected!("avx512f") {
+            if host_tiers().contains(&2) {
                 tiers.push((
                     "avx512f",
-                    |b, k, y, d, o, n| unsafe { simd::block_dots512(b, k, y, d, o, n) },
-                    |a, b| unsafe { simd::dot512(a, b) },
+                    |b, _, y, d, o, n| unsafe { simd::avx512::block_dots(b, y, d, o, n) },
+                    |a, b| unsafe { simd::avx512::dot(a, b) },
                 ));
             }
         }
@@ -1996,15 +1754,11 @@ mod tests {
         ];
         #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
-        {
-            if std::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 was just detected.
-                got.push(("avx2", bits(unsafe { simd::max_abs_finite(x) })));
-            }
-            if std::is_x86_feature_detected!("avx512f") {
-                // SAFETY: AVX-512F was just detected.
-                got.push(("avx512f", bits(unsafe { simd::max_abs_finite512(x) })));
-            }
+        for tier in host_tiers().into_iter().skip(1) {
+            // SAFETY: the CPU has the tier; the kernel reads `x` only.
+            let found = unsafe { on_simd!(@tier tier, max_abs_finite(x)) };
+            let label = at_tier(tier, active_simd_tier);
+            got.push((label, bits(found.expect("a SIMD tier"))));
         }
         got
     }
@@ -2095,9 +1849,8 @@ mod tests {
 
     #[cfg(target_arch = "x86_64")]
     #[test]
-    #[allow(unsafe_code)]
     fn avx512_panel_tile_is_bitwise_the_avx2_tier() {
-        if !std::is_x86_feature_detected!("avx512f") {
+        if !host_tiers().contains(&2) {
             return;
         }
         for kdim in [0usize, 1, 11] {
@@ -2133,19 +1886,19 @@ mod tests {
             // block's rows of stride `ldo ≥ n`.
             unsafe {
                 if i + 8 <= m {
-                    simd::gemm8_512(std::array::from_fn(|r| row(i + r)), &b, ldb, n, out, ldo);
+                    let a = std::array::from_fn(|r| row(i + r));
+                    simd::avx512::gemm8(a, &b, ldb, n, out, ldo);
                     i += 8;
                 } else {
-                    let [a0, a1, a2, a3] = quad(i);
-                    simd::gemm4(a0, a1, a2, a3, &b, ldb, n, out, ldo);
+                    simd::avx512::gemm4(quad(i), &b, ldb, n, out, ldo);
                     i += 4;
                 }
             }
         }
         for i in (0..m / 4 * 4).step_by(4) {
-            let [a0, a1, a2, a3] = quad(i);
+            let out = &mut narrow[i * ldo..];
             // SAFETY: as above.
-            unsafe { simd::gemm4(a0, a1, a2, a3, &b, ldb, n, &mut narrow[i * ldo..], ldo) };
+            unsafe { simd::avx2::gemm4(quad(i), &b, ldb, n, out, ldo) };
         }
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&wide), bits(&narrow), "k={kdim} m={m} n={n}");
@@ -2214,21 +1967,12 @@ mod tests {
         check("scalar", &got, &cd);
         #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
-        {
-            if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
-                let (mut got, mut cd) = (block.clone(), c.clone());
-                // SAFETY: AVX2 and FMA were just detected; the shapes are
-                // the public wrapper's.
-                unsafe { simd::update_rows_dots(&mut got, ld, &x, by, &v, &mut cd) };
-                check("avx2", &got, &cd);
-            }
-            if std::is_x86_feature_detected!("avx512f") {
-                let (mut got, mut cd) = (block.clone(), c.clone());
-                // SAFETY: AVX-512F was just detected; the shapes are the
-                // public wrapper's.
-                unsafe { simd::update_rows_dots512(&mut got, ld, &x, by, &v, &mut cd) };
-                check("avx512f", &got, &cd);
-            }
+        for tier in host_tiers().into_iter().skip(1) {
+            let (mut got, mut cd) = (block.clone(), c.clone());
+            // SAFETY: the CPU has the tier, and the shapes are the public
+            // wrapper's.
+            unsafe { on_simd!(@tier tier, update_rows_dots(&mut got, ld, &x, by, &v, &mut cd)) };
+            check(at_tier(tier, active_simd_tier), &got, &cd);
         }
     }
 

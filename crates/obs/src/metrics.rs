@@ -210,16 +210,26 @@ impl Recorder for MetricsRecorder {
     }
 
     fn record_span(&self, stage: Stage, nanos: u64) {
+        self.record_span_n(stage, nanos, 1);
+    }
+
+    fn record_span_n(&self, stage: Stage, nanos: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        // The `n` spans are `nanos / n` long, the first `nanos % n` of them
+        // a nanosecond longer.
+        let (shortest, longest) = (nanos / n, nanos.div_ceil(n));
         let mut inner = self.inner.lock().expect("obs recorder poisoned");
         let agg = &mut inner.spans[stage_index(stage)];
         if agg.count == 0 {
-            agg.min_ns = nanos;
-            agg.max_ns = nanos;
+            agg.min_ns = shortest;
+            agg.max_ns = longest;
         } else {
-            agg.min_ns = agg.min_ns.min(nanos);
-            agg.max_ns = agg.max_ns.max(nanos);
+            agg.min_ns = agg.min_ns.min(shortest);
+            agg.max_ns = agg.max_ns.max(longest);
         }
-        agg.count += 1;
+        agg.count += n;
         agg.total_ns = agg.total_ns.saturating_add(nanos);
     }
 
@@ -284,6 +294,27 @@ mod tests {
         assert_eq!(s.min_ns, 10);
         assert_eq!(s.max_ns, 30);
         assert!(report.span("sketch_update").is_none());
+    }
+
+    #[test]
+    fn span_n_aggregates_as_its_n_spans() {
+        /// Forwards single spans only, so `record_span_n` is the trait's
+        /// definition: `n` calls of `record_span`.
+        struct Split(MetricsRecorder);
+        impl Recorder for Split {
+            fn record_span(&self, stage: Stage, nanos: u64) {
+                self.0.record_span(stage, nanos);
+            }
+        }
+        let (fused, split) = (MetricsRecorder::new(), Split(MetricsRecorder::new()));
+        for (nanos, n) in [(5, 1), (10, 4), (7, 0), (2, 3), (900, 9)] {
+            fused.record_span_n(Stage::Score, nanos, n);
+            split.record_span_n(Stage::Score, nanos, n);
+        }
+        let (fused, split) = (fused.snapshot(), split.0.snapshot());
+        assert_eq!(fused.span("score"), split.span("score"));
+        let s = fused.span("score").unwrap();
+        assert_eq!((s.count, s.total_ns, s.min_ns, s.max_ns), (17, 917, 0, 100));
     }
 
     #[test]

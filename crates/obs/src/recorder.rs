@@ -168,6 +168,17 @@ pub trait Recorder: Send + Sync {
         let _ = (stage, nanos);
     }
 
+    /// Records one timed pass over `n` items as `n` spans of `nanos / n`
+    /// each (the remainder spread a nanosecond apiece over the first
+    /// spans, so they sum to `nanos`); the same as those `n` calls of
+    /// [`record_span`](Self::record_span). A batched path uses it to keep
+    /// span counts per item.
+    fn record_span_n(&self, stage: Stage, nanos: u64, n: u64) {
+        for i in 0..n {
+            self.record_span(stage, nanos / n + u64::from(i < nanos % n));
+        }
+    }
+
     /// Adds `by` to `counter`.
     fn incr(&self, counter: Counter, by: u64) {
         let _ = (counter, by);
@@ -248,6 +259,12 @@ impl RecorderHandle {
     /// Records `nanos` spent in `stage`.
     pub fn record_span(&self, stage: Stage, nanos: u64) {
         self.0.record_span(stage, nanos);
+    }
+
+    /// Records one timed pass over `n` items as `n` equal `stage` spans
+    /// summing to `nanos`.
+    pub fn record_span_n(&self, stage: Stage, nanos: u64, n: u64) {
+        self.0.record_span_n(stage, nanos, n);
     }
 
     /// Adds `by` to `counter`.
