@@ -58,11 +58,8 @@ pub fn usage(commands: &[Command]) -> String {
     let mut text = format!("usage: sketchad <{}> [options] [--help]", names.join("|"));
     for c in commands {
         let lines: Vec<&str> = c.lines().collect();
-        text.push_str(&format!(
-            "\n  {:<8} {}",
-            c.name,
-            lines.join("\n           ")
-        ));
+        let usage = format!("\n  {:<8} {}", c.name, lines.join("\n           "));
+        text.push_str(usage.trim_end());
     }
     text
 }
@@ -75,8 +72,6 @@ pub struct Args {
     values: HashMap<&'static str, String>,
     /// The positional argument, for a command that declares one.
     pub positional: Option<String>,
-    /// `--help` was given.
-    pub help: bool,
 }
 
 /// Parses the raw argument list against the declared commands, rejecting
@@ -95,10 +90,6 @@ pub fn parse<'c>(commands: &'c [Command], raw: &[String]) -> Result<(&'c Command
     let mut iter = rest.iter();
     while let Some(arg) = iter.next() {
         let name = match arg.strip_prefix("--") {
-            Some("help") => {
-                args.help = true;
-                continue;
-            }
             Some(name) => name,
             None if command.takes_positional() && args.positional.is_none() => {
                 args.positional = Some(arg.clone());

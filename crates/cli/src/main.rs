@@ -78,10 +78,10 @@ fn main() -> ExitCode {
 }
 
 fn run(raw: &[String]) -> Result<(), String> {
-    let (command, parsed) = args::parse(COMMANDS, raw)?;
-    if parsed.help {
+    if raw.iter().any(|arg| arg == "--help") {
         println!("{}", args::usage(COMMANDS));
         return Ok(());
     }
+    let (command, parsed) = args::parse(COMMANDS, raw)?;
     (command.run)(&parsed)
 }
