@@ -2,7 +2,7 @@
 
 use sketchad_core::{
     DetectorConfig, ExactSvdDetector, MeanDistanceDetector, OjaDetector, RandomScoreDetector,
-    ScoreKind, StreamingDetector,
+    StreamingDetector,
 };
 use sketchad_eval::timing::{LatencyStats, Stopwatch};
 use sketchad_eval::{average_precision, roc_auc};
@@ -133,12 +133,6 @@ pub fn standard_roster(
         ),
         ("Random", Box::new(RandomScoreDetector::new(dim, cfg.seed))),
     ]
-}
-
-/// The default score kind used across experiments (the paper's headline
-/// relative projection distance).
-pub fn default_score() -> ScoreKind {
-    ScoreKind::RelativeProjection
 }
 
 #[cfg(test)]

@@ -3,13 +3,13 @@
 //! validated `sketchad-rows/v1` mapping exposing [`RowsView`]).
 //!
 //! The batched ingest path made parsing free ([`RowsView`] reads rows
-//! straight out of a byte slice), which left the *allocation* as the
-//! remaining replay cost: `read_rows_file` copies the whole file into a
-//! `Vec<u8>` before a single row is scored. On multi-gigabyte replays that
-//! doubles memory and serializes ingest behind one big `read`. Mapping the
-//! file instead lets the kernel page bytes in on demand and share them
-//! across processes, and the `RowsView` contract ("the whole file is usable
-//! as-is") means no other layer has to change.
+//! straight out of a byte slice), which leaves the *allocation* as the
+//! replay cost: reading the whole file into a `Vec<u8>` before a single row
+//! is scored doubles memory on multi-gigabyte replays and serializes ingest
+//! behind one big `read`. Mapping the file instead lets the kernel page
+//! bytes in on demand and share them across processes, and the `RowsView`
+//! contract ("the whole file is usable as-is") means no other layer has to
+//! change. [`MmapRows::open`] is the one way to open a `.rows` file.
 //!
 //! Platform strategy: on Unix the file is `mmap(2)`-ed `PROT_READ` +
 //! `MAP_PRIVATE` through the raw libc ABI declared below (the workspace has

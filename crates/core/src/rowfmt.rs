@@ -41,8 +41,10 @@
 //! ```
 
 use std::fs::File;
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
+
+use sketchad_sketch::wire::{ByteReader, ByteWriter, PreambleError};
 
 /// File magic: the first four bytes of every `sketchad-rows` file.
 pub const ROWS_MAGIC: [u8; 4] = *b"SKRW";
@@ -111,15 +113,13 @@ impl RowsHeader {
     }
 
     /// Serializes the header into its fixed 20-byte form.
-    pub fn encode(&self) -> [u8; HEADER_LEN] {
-        let mut out = [0u8; HEADER_LEN];
-        out[0..4].copy_from_slice(&ROWS_MAGIC);
-        out[4..6].copy_from_slice(&ROWS_VERSION.to_le_bytes());
-        let flags: u16 = if self.has_keys { FLAG_HAS_KEYS } else { 0 };
-        out[6..8].copy_from_slice(&flags.to_le_bytes());
-        out[8..12].copy_from_slice(&(self.dim as u32).to_le_bytes());
-        out[12..20].copy_from_slice(&self.count.to_le_bytes());
-        out
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_preamble(ROWS_MAGIC, ROWS_VERSION);
+        w.put_u16(if self.has_keys { FLAG_HAS_KEYS } else { 0 });
+        w.put_u32(self.dim as u32);
+        w.put_u64(self.count);
+        w.into_vec()
     }
 
     /// Parses and validates the fixed header (magic, version, flags, dim).
@@ -127,26 +127,23 @@ impl RowsHeader {
     /// # Errors
     /// Every malformed-header case maps to a distinct [`RowfmtError`].
     pub fn decode(bytes: &[u8]) -> Result<Self, RowfmtError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(RowfmtError::TooShort);
-        }
-        let magic: [u8; 4] = bytes[0..4].try_into().expect("4-byte slice");
-        if magic != ROWS_MAGIC {
-            return Err(RowfmtError::BadMagic(magic));
-        }
-        let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2-byte slice"));
-        if version != ROWS_VERSION {
-            return Err(RowfmtError::BadVersion(version));
-        }
-        let flags = u16::from_le_bytes(bytes[6..8].try_into().expect("2-byte slice"));
+        let mut r = ByteReader::new(bytes.get(..HEADER_LEN).ok_or(RowfmtError::TooShort)?);
+        r.get_preamble(ROWS_MAGIC, ROWS_VERSION)
+            .map_err(|e| match e {
+                PreambleError::Magic(magic) => RowfmtError::BadMagic(magic),
+                PreambleError::Version(version) => RowfmtError::BadVersion(version),
+                PreambleError::Short => RowfmtError::TooShort,
+            })?;
+        let (field, short) = ("sketchad-rows header", |_| RowfmtError::TooShort);
+        let flags = r.get_u16(field).map_err(short)?;
         if flags & !FLAG_HAS_KEYS != 0 {
             return Err(RowfmtError::BadFlags(flags));
         }
-        let dim = u32::from_le_bytes(bytes[8..12].try_into().expect("4-byte slice")) as usize;
+        let dim = r.get_u32(field).map_err(short)? as usize;
         if dim == 0 {
             return Err(RowfmtError::ZeroDim);
         }
-        let count = u64::from_le_bytes(bytes[12..20].try_into().expect("8-byte slice"));
+        let count = r.get_u64(field).map_err(short)?;
         Ok(Self {
             dim,
             count,
@@ -221,19 +218,11 @@ impl<'a> RowsView<'a> {
             return None;
         }
         let stride = self.header.row_stride();
-        let base = i * stride;
-        let row = &self.body[base..base + stride];
-        for (j, v) in out.iter_mut().enumerate() {
-            *v = f64::from_le_bytes(row[j * 8..j * 8 + 8].try_into().expect("8-byte cell"));
-        }
-        let key = self.header.has_keys.then(|| {
-            u64::from_le_bytes(
-                row[self.header.dim * 8..self.header.dim * 8 + 8]
-                    .try_into()
-                    .expect("8-byte key"),
-            )
-        });
-        Some(key)
+        let mut row = ByteReader::new(&self.body[i * stride..(i + 1) * stride]);
+        let validated = "a row of a validated body";
+        row.get_f64s_into(out, "rows cells").expect(validated);
+        let key = self.header.has_keys;
+        Some(key.then(|| row.get_u64("rows key").expect(validated)))
     }
 
     /// Iterates `(row, key)` pairs, reusing one internal row buffer is the
@@ -273,8 +262,7 @@ pub fn encode_rows(rows: &[Vec<f64>], keys: Option<&[u64]>) -> Result<Vec<u8>, R
         count: rows.len() as u64,
         has_keys: keys.is_some(),
     };
-    let mut out = Vec::with_capacity(HEADER_LEN + rows.len() * header.row_stride());
-    out.extend_from_slice(&header.encode());
+    let mut w = ByteWriter::from_vec(header.encode());
     for (i, row) in rows.iter().enumerate() {
         if row.len() != dim {
             return Err(RowfmtError::LengthMismatch {
@@ -282,28 +270,26 @@ pub fn encode_rows(rows: &[Vec<f64>], keys: Option<&[u64]>) -> Result<Vec<u8>, R
                 actual: row.len() as u64,
             });
         }
-        for v in row {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        w.put_f64s(row);
         if let Some(keys) = keys {
-            out.extend_from_slice(&keys[i].to_le_bytes());
+            w.put_u64(keys[i]);
         }
     }
-    Ok(out)
+    Ok(w.into_vec())
 }
 
 /// Streaming writer producing a `sketchad-rows/v1` file.
 ///
-/// Rows are appended incrementally; [`finish`](Self::finish) patches the
-/// header's row count and flushes. Dropping without `finish` leaves a file
+/// Rows are appended incrementally, one `write` each; [`finish`](Self::finish)
+/// rewrites the header with the row count and flushes. Dropping without `finish` leaves a file
 /// whose header claims zero rows over a non-empty body — readers reject it,
 /// so a torn write never passes for a complete one.
 #[derive(Debug)]
 pub struct RowsWriter {
     w: BufWriter<File>,
-    dim: usize,
-    has_keys: bool,
-    count: u64,
+    header: RowsHeader,
+    /// One encoded row, reused across rows.
+    row: ByteWriter,
 }
 
 impl RowsWriter {
@@ -327,9 +313,8 @@ impl RowsWriter {
         w.write_all(&header.encode())?;
         Ok(Self {
             w,
-            dim,
-            has_keys,
-            count: 0,
+            header,
+            row: ByteWriter::from_vec(Vec::with_capacity(header.row_stride())),
         })
     }
 
@@ -340,55 +325,42 @@ impl RowsWriter {
     /// Filesystem errors; row-length or key-presence mismatches yield
     /// `InvalidInput`.
     pub fn write_row(&mut self, row: &[f64], key: Option<u64>) -> io::Result<()> {
-        if row.len() != self.dim {
+        let dim = self.header.dim;
+        if row.len() != dim {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("row has {} values, writer dim is {}", row.len(), self.dim),
+                format!("row has {} values, writer dim is {dim}", row.len()),
             ));
         }
-        if key.is_some() != self.has_keys {
+        if key.is_some() != self.header.has_keys {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "key presence must match the writer's has_keys flag",
             ));
         }
-        for v in row {
-            self.w.write_all(&v.to_le_bytes())?;
-        }
+        self.row.clear();
+        self.row.put_f64s(row);
         if let Some(k) = key {
-            self.w.write_all(&k.to_le_bytes())?;
+            self.row.put_u64(k);
         }
-        self.count += 1;
+        self.w.write_all(self.row.as_slice())?;
+        self.header.count += 1;
         Ok(())
     }
 
-    /// Patches the row count into the header and flushes; returns the rows
-    /// written.
+    /// Rewrites the header with the row count and flushes; returns the
+    /// rows written.
     ///
     /// # Errors
     /// Filesystem errors.
     pub fn finish(mut self) -> io::Result<u64> {
         self.w.flush()?;
         let file = self.w.get_mut();
-        file.seek(SeekFrom::Start(12))?;
-        file.write_all(&self.count.to_le_bytes())?;
+        file.seek(SeekFrom::Start(0))?;
+        file.write_all(&self.header.encode())?;
         file.flush()?;
-        Ok(self.count)
+        Ok(self.header.count)
     }
-}
-
-/// Reads a whole `sketchad-rows` file into memory and validates it. The
-/// returned buffer is addressed through [`RowsView`] — the same zero-parse
-/// access an `mmap` would give, without `unsafe`.
-///
-/// # Errors
-/// Filesystem errors as `io::Error`; format violations as [`RowfmtError`]
-/// wrapped in `InvalidData`.
-pub fn read_rows_file(path: &Path) -> io::Result<Vec<u8>> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    RowsView::new(&bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    Ok(bytes)
 }
 
 #[cfg(test)]
@@ -496,13 +468,14 @@ mod tests {
         w.write_row(&[1.5, -2.5], Some(1)).unwrap();
         w.write_row(&[0.0, 9.75], Some(0)).unwrap();
         assert_eq!(w.finish().unwrap(), 2);
-        let bytes = read_rows_file(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let view = RowsView::new(&bytes).unwrap();
+        let file = crate::MmapRows::open(&path).unwrap();
+        let view = file.view();
         assert_eq!(view.len(), 2);
         let mut row = vec![0.0; 2];
         assert_eq!(view.read_row_into(0, &mut row), Some(Some(1)));
         assert_eq!(row, vec![1.5, -2.5]);
+        drop(file);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -574,7 +547,7 @@ mod tests {
         let mut w = RowsWriter::create(&path, 2, false).unwrap();
         w.write_row(&[1.0, 2.0], None).unwrap();
         drop(w);
-        assert!(read_rows_file(&path).is_err());
+        assert!(crate::MmapRows::open(&path).is_err());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -62,20 +62,6 @@ impl ScoreKind {
         }
     }
 
-    /// Evaluates this score for every row of `ys` in one batched pass
-    /// (one block-kernel sweep for `Y·V_kᵀ` and `‖y‖²`). Bitwise identical
-    /// to calling [`Self::evaluate`] per row; see
-    /// [`SubspaceModel::score_batch_into`].
-    pub fn evaluate_batch(
-        &self,
-        model: &SubspaceModel,
-        ys: &sketchad_linalg::Matrix,
-        scratch: &mut crate::subspace::ScoreScratch,
-        out: &mut Vec<f64>,
-    ) {
-        model.score_batch_into(ys, *self, scratch, out);
-    }
-
     /// Evaluates this score for a sparse point (`O(k·nnz)` for the
     /// projection/leverage families).
     pub fn evaluate_sparse(&self, model: &SubspaceModel, y: &sketchad_linalg::SparseVec) -> f64 {

@@ -231,11 +231,6 @@ impl<S: MatrixSketch> SketchDetector<S> {
         self.k
     }
 
-    /// The score family in use.
-    pub fn score_kind(&self) -> ScoreKind {
-        self.score
-    }
-
     /// Borrow the underlying sketch (e.g. for quality measurement).
     pub fn sketch(&self) -> &S {
         &self.sketch
@@ -536,9 +531,7 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
                 let vt = m.basis();
                 w.put_u64(vt.rows() as u64);
                 w.put_u64(vt.cols() as u64);
-                for &v in vt.as_slice() {
-                    w.put_f64(v);
-                }
+                w.put_f64s(vt.as_slice());
                 w.put_f64_slice(m.sigma());
                 w.put_f64(m.total_energy());
                 w.put_u64(m.rows_represented());
@@ -564,12 +557,9 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
     fn restore_state(&mut self, bytes: &[u8]) -> Result<bool, WireError> {
         let ctx = "SketchDetector state";
         let mut r = ByteReader::new(bytes);
-        if r.get_u8(ctx)? != DETECTOR_STATE_TAG
-            || r.get_u8(ctx)? != DETECTOR_STATE_VERSION
-            || r.get_u64(ctx)? != self.k as u64
-        {
-            return Err(WireError { context: ctx });
-        }
+        r.require(DETECTOR_STATE_TAG, ctx)?;
+        r.require(DETECTOR_STATE_VERSION, ctx)?;
+        r.require(self.k as u64, ctx)?;
         let warmup = r.get_u64(ctx)? as usize;
         let processed = r.get_u64(ctx)?;
         let since_refresh = r.get_u64(ctx)? as usize;
@@ -577,22 +567,17 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
         let refresh_count = r.get_u64(ctx)?;
         let skipped_updates = r.get_u64(ctx)?;
         let model = if r.get_u8(ctx)? == 1 {
-            let rows = r.get_u64(ctx)? as usize;
-            let cols = r.get_u64(ctx)? as usize;
-            // The basis must fit the bytes left before anything is
-            // reserved for it.
-            if cols != self.dim() || rows > cols.max(self.k) || rows * cols * 8 > r.remaining() {
+            let (rows, cols) = (r.get_u64(ctx)? as usize, self.dim());
+            r.require(cols as u64, ctx)?;
+            if rows > cols.max(self.k) {
                 return Err(WireError { context: ctx });
             }
-            let mut data = Vec::with_capacity(rows * cols);
-            for _ in 0..rows * cols {
-                data.push(r.get_f64(ctx)?);
-            }
+            // Each block is checked against the bytes left before anything
+            // is reserved for it.
+            let data = r.get_f64s(rows * cols, ctx)?;
             let vt = Matrix::from_vec(rows, cols, data).map_err(|_| WireError { context: ctx })?;
-            let sigma = r.get_f64_vec(ctx)?;
-            if sigma.len() != rows {
-                return Err(WireError { context: ctx });
-            }
+            r.require(rows as u64, ctx)?;
+            let sigma = r.get_f64s(rows, ctx)?;
             let total_energy = r.get_f64(ctx)?;
             let rows_represented = r.get_u64(ctx)?;
             Some(SubspaceModel::from_parts(

@@ -8,6 +8,8 @@
 //! its score exceeds the running `(1 − fp_rate)` quantile of previous
 //! scores.
 
+use sketchad_sketch::wire::{ByteReader, ByteWriter, WireError};
+
 use crate::detector::StreamingDetector;
 
 /// P² streaming quantile estimator.
@@ -141,41 +143,35 @@ impl QuantileEstimator {
     }
 
     /// Serializes the full P² marker state (persistence support; bitwise).
-    pub(crate) fn encode_wire(&self, out: &mut sketchad_sketch::wire::ByteWriter) {
+    pub(crate) fn encode_wire(&self, out: &mut ByteWriter) {
         out.put_f64(self.q);
-        for arr in [
+        for markers in [
             &self.heights,
             &self.positions,
             &self.desired,
             &self.increments,
         ] {
-            for &v in arr.iter() {
-                out.put_f64(v);
-            }
+            out.put_f64s(markers);
         }
         out.put_u64(self.count as u64);
         out.put_f64_slice(&self.bootstrap);
     }
 
     /// Restores an estimator serialized by [`Self::encode_wire`].
-    pub(crate) fn decode_wire(
-        r: &mut sketchad_sketch::wire::ByteReader<'_>,
-    ) -> Result<Self, sketchad_sketch::wire::WireError> {
+    pub(crate) fn decode_wire(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
         let ctx = "QuantileEstimator state";
         let q = r.get_f64(ctx)?;
         if !(q > 0.0 && q < 1.0) {
-            return Err(sketchad_sketch::wire::WireError { context: ctx });
+            return Err(WireError { context: ctx });
         }
         let mut est = Self::new(q);
-        for arr in [
+        for markers in [
             &mut est.heights,
             &mut est.positions,
             &mut est.desired,
             &mut est.increments,
         ] {
-            for v in arr.iter_mut() {
-                *v = r.get_f64(ctx)?;
-            }
+            r.get_f64s_into(markers, ctx)?;
         }
         est.count = r.get_u64(ctx)? as usize;
         est.bootstrap = r.get_f64_vec(ctx)?;

@@ -23,9 +23,15 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use sketchad_sketch::wire::{ByteReader, ByteWriter};
+use sketchad_sketch::wire::ByteWriter;
 
-use crate::format::{checksum64, DurableError, FORMAT_VERSION, MAGIC_SNAPSHOT, SNAPSHOT_EXT};
+use crate::{list_numbered, open_region, DurableError, FORMAT_VERSION};
+
+/// Magic bytes opening every snapshot file.
+pub const MAGIC_SNAPSHOT: [u8; 4] = *b"SKAD";
+
+/// File extension for snapshot files.
+pub const SNAPSHOT_EXT: &str = "skad";
 
 /// A decoded snapshot: header fields plus the opaque detector payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,16 +64,9 @@ pub fn parse_snapshot_name(name: &str) -> Option<u64> {
 /// reached their rename (a crash mid-checkpoint). Only a writer calls
 /// this: recovery reads and deletes nothing.
 pub(crate) fn remove_stale_temps(dir: &Path) -> Result<(), DurableError> {
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let stale = name
-            .to_str()
-            .and_then(|n| n.strip_prefix('.')?.strip_suffix(".tmp"))
-            .is_some_and(|n| parse_snapshot_name(n).is_some());
-        if stale {
-            fs::remove_file(entry.path())?;
-        }
+    let temp = |name: &str| parse_snapshot_name(name.strip_prefix('.')?.strip_suffix(".tmp")?);
+    for (_, path) in list_numbered(dir, temp)? {
+        fs::remove_file(path)?;
     }
     Ok(())
 }
@@ -75,16 +74,13 @@ pub(crate) fn remove_stale_temps(dir: &Path) -> Result<(), DurableError> {
 /// Encodes a snapshot into its on-disk byte representation.
 pub fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_bytes(&MAGIC_SNAPSHOT);
-    w.put_u8(FORMAT_VERSION);
+    w.put_preamble(MAGIC_SNAPSHOT, FORMAT_VERSION);
     w.put_u64(snap.generation);
     w.put_u32(snap.shard);
     w.put_u64(snap.seq);
     w.put_len_bytes(&snap.payload);
-    let mut bytes = w.into_vec();
-    let sum = checksum64(&bytes);
-    bytes.extend_from_slice(&sum.to_le_bytes());
-    bytes
+    w.put_checksum(0);
+    w.into_vec()
 }
 
 /// Decodes and validates snapshot bytes: magic, version, and checksum must
@@ -92,29 +88,16 @@ pub fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
 /// checked first, so a snapshot of another format version reports
 /// "unsupported snapshot format version".
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, DurableError> {
-    if bytes.len() < MAGIC_SNAPSHOT.len() + 1 + 8 {
-        return Err(DurableError::Corrupt {
-            context: "snapshot shorter than its magic, version and checksum",
-        });
-    }
-    if bytes[..4] != MAGIC_SNAPSHOT {
-        return Err(DurableError::Corrupt {
-            context: "snapshot magic mismatch",
-        });
-    }
-    if bytes[4] != FORMAT_VERSION {
-        return Err(DurableError::Corrupt {
-            context: "unsupported snapshot format version",
-        });
-    }
-    let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
-    if checksum64(body) != stored {
-        return Err(DurableError::Corrupt {
-            context: "snapshot checksum mismatch",
-        });
-    }
-    let mut r = ByteReader::new(&body[5..]);
+    let mut r = open_region(
+        bytes,
+        MAGIC_SNAPSHOT,
+        [
+            "snapshot shorter than its magic, version and checksum",
+            "snapshot magic mismatch",
+            "unsupported snapshot format version",
+            "snapshot checksum mismatch",
+        ],
+    )?;
     let generation = r.get_u64("snapshot generation")?;
     let shard = r.get_u32("snapshot shard")?;
     let seq = r.get_u64("snapshot seq")?;
@@ -166,17 +149,7 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, DurableError> {
 /// do not match the naming convention (including `.tmp` leftovers) are
 /// skipped.
 pub fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, DurableError> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(gen) = parse_snapshot_name(name) {
-            out.push((gen, entry.path()));
-        }
-    }
-    out.sort_by_key(|(gen, _)| *gen);
-    Ok(out)
+    list_numbered(dir, parse_snapshot_name)
 }
 
 #[cfg(test)]

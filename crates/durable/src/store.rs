@@ -29,7 +29,6 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::format::DurableError;
 use crate::snapshot::{
     list_snapshots, read_snapshot, remove_stale_temps, write_snapshot, Snapshot,
 };
@@ -37,6 +36,7 @@ use crate::wal::{
     collect_into, encode_wal_frame, list_segments, read_wal_header, wal_file_name, MappedSegment,
     ReplayBlock, SegmentWriter, TailStatus, WalHeader, WalRecord,
 };
+use crate::DurableError;
 
 /// How eagerly WAL appends are forced to stable storage. Rows are counted
 /// per append call: a call logs one micro-batch as one frame, and a sync

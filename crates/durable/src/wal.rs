@@ -37,12 +37,18 @@
 //! resident as a whole.
 
 use std::fs;
-use std::io::{Read as _, Write as _};
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
-use sketchad_sketch::wire::{ByteReader, ByteWriter};
+use sketchad_sketch::wire::{checksum64x4, iter_f64s, ByteReader, ByteWriter};
 
-use crate::format::{checksum64, checksum64x4, DurableError, FORMAT_VERSION, MAGIC_WAL, WAL_EXT};
+use crate::{list_numbered, open_region, DurableError, FORMAT_VERSION};
+
+/// Magic bytes opening every WAL segment file.
+pub const MAGIC_WAL: [u8; 4] = *b"SKWL";
+
+/// File extension for WAL segment files.
+pub const WAL_EXT: &str = "skwl";
 
 /// One logged row: its global stream sequence number and the values.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,14 +106,11 @@ pub fn parse_wal_name(name: &str) -> Option<u64> {
 /// Encodes a segment header.
 pub fn encode_wal_header(header: &WalHeader) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_bytes(&MAGIC_WAL);
-    w.put_u8(FORMAT_VERSION);
+    w.put_preamble(MAGIC_WAL, FORMAT_VERSION);
     w.put_u32(header.shard);
     w.put_u64(header.start_seq);
-    let mut bytes = w.into_vec();
-    let sum = checksum64(&bytes);
-    bytes.extend_from_slice(&sum.to_le_bytes());
-    bytes
+    w.put_checksum(0);
+    w.into_vec()
 }
 
 /// Appends to `out` the frames that log the row-major block `rows` (rows
@@ -123,26 +126,21 @@ pub fn encode_wal_frame(first_seq: u64, rows: &[f64], dim: usize, out: &mut Vec<
         dim > 0 && !rows.is_empty() && rows.len().is_multiple_of(dim),
         "a WAL frame holds one or more rows of one non-zero width"
     );
-    let row_bytes = dim * 8;
-    let max_rows = ((u32::MAX as usize - FRAME_BODY_HEADER) / row_bytes).max(1);
+    let max_rows = ((u32::MAX as usize - FRAME_BODY_HEADER) / (dim * 8)).max(1);
+    let frames = rows.len().div_ceil(max_rows * dim);
+    out.reserve(rows.len() * 8 + frames * (FRAME_OVERHEAD + FRAME_BODY_HEADER));
+    let mut w = ByteWriter::from_vec(std::mem::take(out));
     for (k, batch) in rows.chunks(max_rows * dim).enumerate() {
-        let seq = first_seq + (k * max_rows) as u64;
-        let n = batch.len() / dim;
         let body_len = FRAME_BODY_HEADER + batch.len() * 8;
-        let len = u32::try_from(body_len).expect("a WAL row fits a 4 GiB frame");
-        let start = out.len();
-        out.resize(start + FRAME_OVERHEAD + body_len, 0);
-        let frame = &mut out[start..];
-        frame[..4].copy_from_slice(&len.to_le_bytes());
-        let (body, sum) = frame[4..].split_at_mut(body_len);
-        body[..8].copy_from_slice(&seq.to_le_bytes());
-        body[8..12].copy_from_slice(&(n as u32).to_le_bytes());
-        body[12..16].copy_from_slice(&(dim as u32).to_le_bytes());
-        for (d, v) in body[FRAME_BODY_HEADER..].chunks_exact_mut(8).zip(batch) {
-            d.copy_from_slice(&v.to_le_bytes());
-        }
-        sum.copy_from_slice(&checksum64(body).to_le_bytes());
+        w.put_u32(u32::try_from(body_len).expect("a WAL row fits a 4 GiB frame"));
+        let body_at = w.len();
+        w.put_u64(first_seq + (k * max_rows) as u64);
+        w.put_u32((batch.len() / dim) as u32);
+        w.put_u32(dim as u32);
+        w.put_f64s(batch);
+        w.put_checksum(body_at);
     }
+    *out = w.into_vec();
 }
 
 /// Encodes one record as a one-row frame.
@@ -156,34 +154,16 @@ pub fn encode_wal_record(record: &WalRecord) -> Vec<u8> {
 /// magic and version are checked before the checksum, so a segment of
 /// another format version reports "unsupported WAL format version".
 pub fn decode_wal_header(bytes: &[u8]) -> Result<WalHeader, DurableError> {
-    if bytes.len() < WAL_HEADER_LEN {
-        return Err(DurableError::Corrupt {
-            context: "WAL segment shorter than its header",
-        });
-    }
-    let (body, sum_bytes) = bytes[..WAL_HEADER_LEN].split_at(WAL_HEADER_LEN - 8);
-    let mut r = ByteReader::new(body);
-    let mut magic = [0u8; 4];
-    for m in &mut magic {
-        *m = r.get_u8("WAL magic")?;
-    }
-    if magic != MAGIC_WAL {
-        return Err(DurableError::Corrupt {
-            context: "WAL magic mismatch",
-        });
-    }
-    let version = r.get_u8("WAL version")?;
-    if version != FORMAT_VERSION {
-        return Err(DurableError::Corrupt {
-            context: "unsupported WAL format version",
-        });
-    }
-    let stored = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
-    if checksum64(body) != stored {
-        return Err(DurableError::Corrupt {
-            context: "WAL header checksum mismatch",
-        });
-    }
+    let mut r = open_region(
+        bytes.get(..WAL_HEADER_LEN).unwrap_or_default(),
+        MAGIC_WAL,
+        [
+            "WAL segment shorter than its header",
+            "WAL magic mismatch",
+            "unsupported WAL format version",
+            "WAL header checksum mismatch",
+        ],
+    )?;
     let shard = r.get_u32("WAL shard")?;
     let start_seq = r.get_u64("WAL start_seq")?;
     Ok(WalHeader { shard, start_seq })
@@ -192,15 +172,10 @@ pub fn decode_wal_header(bytes: &[u8]) -> Result<WalHeader, DurableError> {
 /// Reads and validates only the header of the segment at `path`: the
 /// first [`WAL_HEADER_LEN`] bytes, not the frames behind them.
 pub fn read_wal_header(path: &Path) -> Result<WalHeader, DurableError> {
-    let mut bytes = [0u8; WAL_HEADER_LEN];
-    match fs::File::open(path)?.read_exact(&mut bytes) {
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-            return Err(DurableError::Corrupt {
-                context: "WAL segment shorter than its header",
-            })
-        }
-        other => other?,
-    }
+    let mut bytes = Vec::with_capacity(WAL_HEADER_LEN);
+    fs::File::open(path)?
+        .take(WAL_HEADER_LEN as u64)
+        .read_to_end(&mut bytes)?;
     decode_wal_header(&bytes)
 }
 
@@ -297,10 +272,7 @@ impl ReplayBlock {
             }
             let n = (REPLAY_BLOCK_ROWS - self.rows()).min(rest.len() / row_bytes);
             let (now, later) = rest.split_at(n * row_bytes);
-            self.values.extend(
-                now.chunks_exact(8)
-                    .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
-            );
+            self.values.extend(iter_f64s(now));
             seq += n as u64;
             rest = later;
             if self.rows() == REPLAY_BLOCK_ROWS {
@@ -383,7 +355,7 @@ impl MappedSegment {
         let mut pos = WAL_HEADER_LEN;
         let mut released = 0;
         let (mut rows, mut replayed) = (0, 0);
-        let tail = 'walk: loop {
+        'walk: loop {
             let mut group: [Option<Frame<'_>>; VERIFY_AHEAD] = Default::default();
             let mut ahead = pos;
             for slot in &mut group {
@@ -399,22 +371,12 @@ impl MappedSegment {
                     .map(|frame| frame.as_ref().map_or(&[][..], |f| f.body)),
             );
             for (frame, sum) in group.iter().zip(sums) {
-                let Some(frame) = frame else {
-                    // The group ended early: at the end of the segment, or
-                    // at a frame that does not size.
-                    break 'walk if pos == bytes.len() {
-                        TailStatus::Clean
-                    } else {
-                        TailStatus::Torn {
-                            bytes_dropped: bytes.len() - pos,
-                        }
-                    };
+                // The group ends early at the end of the segment, or at a
+                // frame that does not size; a frame that fails its checksum
+                // ends the walk too.
+                let Some(frame) = frame.as_ref().filter(|f| f.stored == sum) else {
+                    break 'walk;
                 };
-                if sum != frame.stored {
-                    break 'walk TailStatus::Torn {
-                        bytes_dropped: bytes.len() - pos,
-                    };
-                }
                 rows += frame.rows as u64;
                 replayed += block.push_past(frame, covered, bytes.len() - pos, sink)?;
                 pos += frame.len;
@@ -423,8 +385,12 @@ impl MappedSegment {
                 self.bytes.release_prefix(pos);
                 released = pos;
             }
-        };
+        }
         block.flush(sink)?;
+        let tail = match bytes.len() - pos {
+            0 => TailStatus::Clean,
+            bytes_dropped => TailStatus::Torn { bytes_dropped },
+        };
         Ok(SegmentScan {
             rows,
             replayed,
@@ -465,14 +431,16 @@ impl<'a> Frame<'a> {
     /// holds. The checksum is left to the caller, which verifies several
     /// frames at once.
     fn parse(bytes: &'a [u8]) -> Option<Self> {
-        let field = |at: usize, n: usize| bytes.get(at..at.checked_add(n)?);
-        let len = u32::from_le_bytes(field(0, 4)?.try_into().ok()?) as usize;
-        let body = field(4, len)?;
-        let stored = u64::from_le_bytes(field(4 + len, 8)?.try_into().ok()?);
-        let (head, values) = body.split_at_checked(FRAME_BODY_HEADER)?;
-        let first_seq = u64::from_le_bytes(head[..8].try_into().ok()?);
-        let rows = u32::from_le_bytes(head[8..12].try_into().ok()?) as usize;
-        let dim = u32::from_le_bytes(head[12..16].try_into().ok()?) as usize;
+        let ctx = "WAL frame";
+        let mut r = ByteReader::new(bytes);
+        let len = r.get_u32(ctx).ok()? as usize;
+        let body = r.get_bytes(len, ctx).ok()?;
+        let stored = r.get_u64(ctx).ok()?;
+        let mut head = ByteReader::new(body);
+        let first_seq = head.get_u64(ctx).ok()?;
+        let rows = head.get_u32(ctx).ok()? as usize;
+        let dim = head.get_u32(ctx).ok()? as usize;
+        let values = head.get_bytes(head.remaining(), ctx).ok()?;
         let sized = rows
             .checked_mul(dim)
             .and_then(|n| n.checked_mul(8))
@@ -494,17 +462,7 @@ impl<'a> Frame<'a> {
 
 /// Lists WAL segment files in `dir`, sorted by segment number ascending.
 pub fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, DurableError> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(seg) = parse_wal_name(name) {
-            out.push((seg, entry.path()));
-        }
-    }
-    out.sort_by_key(|(seg, _)| *seg);
-    Ok(out)
+    list_numbered(dir, parse_wal_name)
 }
 
 /// An open WAL segment accepting appends.
@@ -532,11 +490,9 @@ impl SegmentWriter {
     /// Reopens an existing segment for append after truncating it to
     /// `valid_len` bytes (discarding any torn tail found during recovery).
     pub fn reopen(path: &Path, valid_len: u64) -> Result<Self, DurableError> {
-        let file = fs::OpenOptions::new().write(true).open(path)?;
+        let mut file = fs::OpenOptions::new().write(true).open(path)?;
         file.set_len(valid_len)?;
-        let mut file = file;
-        use std::io::Seek as _;
-        file.seek(std::io::SeekFrom::End(0))?;
+        file.seek(SeekFrom::End(0))?;
         Ok(Self {
             file,
             path: path.to_path_buf(),
@@ -577,6 +533,7 @@ impl SegmentWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sketchad_sketch::wire::checksum64;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("skad-wal-{tag}-{}", std::process::id()));

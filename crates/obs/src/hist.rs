@@ -1,56 +1,88 @@
 //! Log-bucketed (HDR-style) duration histograms with quantile estimation.
 //!
-//! [`LogHistogram`] refines the serve layer's original power-of-two latency
-//! histogram: each octave `[2^m, 2^(m+1))` is split into `2^sub_bits`
+//! [`LogHistogram`] splits each octave `[2^m, 2^(m+1))` into `2^SUB_BITS`
 //! equal-width sub-buckets, so quantile estimates carry a bounded
-//! *relative* error of `1 / 2^sub_bits` (≈3% at the default `sub_bits = 5`)
-//! instead of the old "at most 2× off". Recording stays O(1) and
-//! allocation-free; merging stays element-wise, so each worker keeps a
+//! *relative* error of `1 / 2^SUB_BITS` (≈3%). Recording is O(1) and
+//! allocation-free; merging is element-wise, so each worker keeps a
 //! private histogram and the engine folds them together at shutdown.
+//! Out-of-range observations land in an explicit [`overflow`] counter
+//! instead of being silently folded into the last bucket.
 //!
-//! Two compatibility properties are deliberate:
-//!
-//! * `sub_bits == 0` reproduces the legacy scheme exactly — bucket `i`
-//!   covers `[2^i, 2^(i+1))` ns — so pre-v3 `PipelineStats` artifacts
-//!   (`{"counts": [...], "total": n}`) deserialize *and* are interpreted
-//!   identically (the missing fields default to the legacy scheme).
-//! * Out-of-range observations land in an explicit [`overflow`] counter
-//!   instead of being silently folded into the last bucket.
+//! There is one bucket scheme. A serialized histogram names it
+//! (`"sub_bits": 5`), and one that names another scheme, or none, fails to
+//! deserialize rather than being read under a layout it was not written
+//! in.
 //!
 //! [`overflow`]: LogHistogram::overflow
 
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
-/// Sub-bucket resolution bits used by [`LogHistogram::new`]: 2^5 = 32
-/// sub-buckets per octave, a ≤ 1/32 ≈ 3.1% relative quantile error.
-pub const DEFAULT_SUB_BITS: u32 = 5;
+/// Sub-bucket resolution bits: 2^5 = 32 sub-buckets per octave, a ≤ 1/32
+/// ≈ 3.1% relative quantile error.
+pub const SUB_BITS: u32 = 5;
 
-/// Highest octave any scheme covers: values below `2^(MAX_OCTAVE + 1)` ns
-/// (≈ 2.4 hours) are bucketed; anything larger counts as overflow.
+/// Sub-buckets per octave.
+const SUB: usize = 1 << SUB_BITS;
+
+/// Highest octave covered: values below `2^(MAX_OCTAVE + 1)` ns (≈ 2.4
+/// hours) are bucketed; anything larger counts as overflow.
 const MAX_OCTAVE: u32 = 42;
+
+/// Buckets in every histogram. The linear region `[1, 2·SUB)` uses indices
+/// `1..2·SUB`; octave `m` in `(SUB_BITS, MAX_OCTAVE]` contributes `SUB`
+/// buckets starting at `SUB · (m − SUB_BITS + 1)`.
+const BUCKETS: usize = SUB * (MAX_OCTAVE - SUB_BITS + 2) as usize;
 
 /// Log-bucketed duration histogram with per-octave linear sub-buckets.
 ///
-/// See the [module docs](self) for the bucketing scheme and the
-/// compatibility contract with legacy (`sub_bits == 0`) artifacts.
+/// See the [module docs](self) for the bucketing scheme.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(try_from = "SerializedHistogram")]
 pub struct LogHistogram {
-    /// Raw bucket counts; the index scheme depends on `sub_bits`.
+    /// Raw bucket counts, [`BUCKETS`] of them.
     counts: Vec<u64>,
     /// Total observations, including overflow.
     total: u64,
-    /// Observations beyond the covered range (legacy artifacts: 0).
-    #[serde(default)]
+    /// Observations beyond the covered range.
     overflow: u64,
-    /// Sub-bucket resolution bits; 0 selects the legacy one-bucket-per-octave
-    /// scheme (and is what legacy artifacts without the field deserialize to).
-    #[serde(default)]
+    /// Always [`SUB_BITS`]: written so that a reader can refuse another
+    /// scheme.
     sub_bits: u32,
-    /// Saturating sum of recorded nanoseconds, for mean estimation
-    /// (legacy artifacts: 0, which reports no mean).
-    #[serde(default)]
+    /// Saturating sum of recorded nanoseconds, for mean estimation.
     sum_ns: u64,
+}
+
+/// A deserialized [`LogHistogram`] before its scheme is checked.
+#[derive(Deserialize)]
+struct SerializedHistogram {
+    counts: Vec<u64>,
+    total: u64,
+    overflow: u64,
+    sub_bits: u32,
+    sum_ns: u64,
+}
+
+impl TryFrom<SerializedHistogram> for LogHistogram {
+    type Error = String;
+
+    fn try_from(h: SerializedHistogram) -> Result<Self, Self::Error> {
+        if h.sub_bits != SUB_BITS || h.counts.len() != BUCKETS {
+            return Err(format!(
+                "histogram of {} buckets at sub_bits {}; only {BUCKETS} buckets at \
+                 sub_bits {SUB_BITS} are read",
+                h.counts.len(),
+                h.sub_bits
+            ));
+        }
+        Ok(Self {
+            counts: h.counts,
+            total: h.total,
+            overflow: h.overflow,
+            sub_bits: h.sub_bits,
+            sum_ns: h.sum_ns,
+        })
+    }
 }
 
 impl Default for LogHistogram {
@@ -60,30 +92,13 @@ impl Default for LogHistogram {
 }
 
 impl LogHistogram {
-    /// An empty histogram at the default resolution ([`DEFAULT_SUB_BITS`]).
+    /// An empty histogram.
     pub fn new() -> Self {
-        Self::with_sub_bits(DEFAULT_SUB_BITS)
-    }
-
-    /// An empty histogram with `2^sub_bits` sub-buckets per octave
-    /// (`sub_bits` is clamped to `0..=8`; 0 is the legacy scheme).
-    pub fn with_sub_bits(sub_bits: u32) -> Self {
-        let sub_bits = sub_bits.min(8);
-        let len = if sub_bits == 0 {
-            // Legacy layout: one bucket per octave, indices 0..MAX_OCTAVE.
-            MAX_OCTAVE as usize
-        } else {
-            // Linear region [1, 2*SUB) uses indices 1..2*SUB; octave m in
-            // (sub_bits, MAX_OCTAVE] contributes SUB buckets starting at
-            // SUB * (m - sub_bits + 1).
-            let sub = 1usize << sub_bits;
-            sub * (MAX_OCTAVE - sub_bits + 2) as usize
-        };
         Self {
-            counts: vec![0; len],
+            counts: vec![0; BUCKETS],
             total: 0,
             overflow: 0,
-            sub_bits,
+            sub_bits: SUB_BITS,
             sum_ns: 0,
         }
     }
@@ -93,43 +108,30 @@ impl LogHistogram {
     fn bucket_index(&self, nanos: u64) -> Option<usize> {
         let v = nanos.max(1);
         let octave = 63 - v.leading_zeros();
-        let idx = if self.sub_bits == 0 {
-            octave as usize
-        } else if octave <= self.sub_bits {
+        let idx = if octave <= SUB_BITS {
             // Linear region: unit-width buckets, exact up to 2*SUB - 1.
             v as usize
         } else {
-            let exp = octave - self.sub_bits;
-            let sub = 1usize << self.sub_bits;
-            let offset = ((v >> exp) as usize) & (sub - 1);
-            sub * (octave - self.sub_bits + 1) as usize + offset
+            let exp = octave - SUB_BITS;
+            SUB * (exp + 1) as usize + ((v >> exp) as usize & (SUB - 1))
         };
-        (idx < self.counts.len()).then_some(idx)
+        (idx < BUCKETS).then_some(idx)
     }
 
     /// Largest value (inclusive, in ns) that bucket `idx` covers.
     fn bucket_upper_ns(&self, idx: usize) -> u64 {
-        if self.sub_bits == 0 {
-            // Legacy semantics: report the exclusive octave upper bound,
-            // exactly as the original serve histogram did.
-            return 1u64 << (idx as u32 + 1).min(63);
-        }
-        let sub = 1u64 << self.sub_bits;
-        if (idx as u64) < 2 * sub {
+        if idx < 2 * SUB {
             return idx as u64; // exact-value bucket
         }
-        let exp = (idx as u64 / sub - 1) as u32;
-        let offset = idx as u64 % sub;
-        ((sub + offset) << exp) + (1u64 << exp) - 1
+        let exp = (idx / SUB - 1) as u32;
+        let offset = (idx % SUB) as u64;
+        ((SUB as u64 + offset) << exp) + (1u64 << exp) - 1
     }
 
     /// Largest nanosecond value the bucket range covers; observations above
     /// it are counted in [`overflow`](Self::overflow).
     pub fn max_covered_ns(&self) -> u64 {
-        match self.counts.len() {
-            0 => 0,
-            n => self.bucket_upper_ns(n - 1),
-        }
+        self.bucket_upper_ns(BUCKETS - 1)
     }
 
     /// Records one observation of `nanos` nanoseconds.
@@ -155,29 +157,13 @@ impl LogHistogram {
         self.record_ns(latency.as_nanos().min(u64::MAX as u128) as u64);
     }
 
-    /// Adds every observation of `other` into `self`. Same-scheme merges are
-    /// element-wise; mismatched schemes re-bucket `other` by each bucket's
-    /// representative (upper-bound) value, preserving totals exactly and
-    /// positions within the schemes' resolution.
+    /// Adds every observation of `other` into `self`, bucket by bucket.
     pub fn merge(&mut self, other: &LogHistogram) {
         self.total += other.total;
         self.overflow += other.overflow;
         self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
-        if self.sub_bits == other.sub_bits && self.counts.len() == other.counts.len() {
-            for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-                *a += b;
-            }
-            return;
-        }
-        for (i, &c) in other.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let representative = other.bucket_upper_ns(i);
-            match self.bucket_index(representative) {
-                Some(j) => self.counts[j] += c,
-                None => self.overflow += c,
-            }
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
         }
     }
 
@@ -196,13 +182,8 @@ impl LogHistogram {
         self.overflow
     }
 
-    /// Sub-bucket resolution bits (0 = legacy one-bucket-per-octave scheme).
-    pub fn sub_bits(&self) -> u32 {
-        self.sub_bits
-    }
-
-    /// Mean observation in nanoseconds, or `None` when empty or when the
-    /// histogram predates `sum_ns` (legacy artifacts).
+    /// Mean observation in nanoseconds, or `None` when empty or when every
+    /// observation recorded was 0 ns.
     pub fn mean_ns(&self) -> Option<f64> {
         (self.total > 0 && self.sum_ns > 0).then(|| self.sum_ns as f64 / self.total as f64)
     }
@@ -238,8 +219,7 @@ impl LogHistogram {
         self.quantile_ns(q).map(|ns| ns as f64 / 1e3).unwrap_or(0.0)
     }
 
-    /// The raw bucket counts (interpretation depends on
-    /// [`sub_bits`](Self::sub_bits); see the module docs).
+    /// The raw bucket counts (see the module docs for the scheme).
     pub fn buckets(&self) -> &[u64] {
         &self.counts
     }
@@ -329,33 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_scheme_matches_original_histogram() {
-        // sub_bits = 0 must reproduce the pre-v3 serve histogram bit for
-        // bit: index = floor(log2 v), quantile = exclusive octave upper.
-        let mut h = LogHistogram::with_sub_bits(0);
-        for _ in 0..99 {
-            h.record_ns(100); // bucket 6: [64, 128)
-        }
-        h.record_ns(100_000); // bucket 16: [65536, 131072)
-        assert_eq!(h.quantile(0.5), Some(Duration::from_nanos(128)));
-        assert_eq!(h.quantile(0.99), Some(Duration::from_nanos(128)));
-        assert_eq!(h.quantile(1.0), Some(Duration::from_nanos(131_072)));
-        assert_eq!(h.buckets()[6], 99);
-        assert_eq!(h.buckets()[16], 1);
-    }
-
-    #[test]
-    fn legacy_json_without_new_fields_parses_as_legacy_scheme() {
-        let legacy = r#"{"counts": [0, 2, 5], "total": 7}"#;
-        let h: LogHistogram = serde_json::from_str(legacy).unwrap();
-        assert_eq!(h.sub_bits(), 0, "missing sub_bits means legacy scheme");
-        assert_eq!(h.overflow(), 0);
-        assert_eq!(h.count(), 7);
-        // Bucket 2 covers [4, 8): quantile upper bound 8ns.
-        assert_eq!(h.quantile_ns(1.0), Some(8));
-    }
-
-    #[test]
     fn roundtrip_preserves_everything() {
         let mut h = LogHistogram::new();
         for v in [1, 77, 4096, 123_456_789, u64::MAX] {
@@ -381,17 +334,24 @@ mod tests {
     }
 
     #[test]
-    fn cross_scheme_merge_preserves_totals_and_positions() {
-        let mut legacy = LogHistogram::with_sub_bits(0);
-        legacy.record_ns(100);
-        legacy.record_ns(100);
-        let mut fine = LogHistogram::new();
-        fine.record_ns(1_000_000);
-        fine.merge(&legacy);
-        assert_eq!(fine.count(), 3);
-        // The legacy bucket's representative (128ns) lands near 100ns.
-        let p33 = fine.quantile_ns(0.34).unwrap();
-        assert!(p33 <= 256, "legacy observations stay in the fast buckets");
+    fn other_schemes_and_bucket_counts_fail_to_deserialize() {
+        let mut h = LogHistogram::new();
+        h.record_ns(1_500);
+        let json = serde_json::to_string(&h).unwrap();
+        assert!(json.contains(r#""sub_bits":5"#), "{json}");
+        let other_bucket_count = json.replacen("[0,", "[", 1);
+        let bad = [
+            json.replace(r#""sub_bits":5"#, r#""sub_bits":0"#),
+            json.replace(r#""sub_bits":5"#, r#""sub_bits":6"#),
+            json.replace(r#","sub_bits":5"#, ""),
+            other_bucket_count,
+            // The shape a histogram had before it recorded its scheme.
+            r#"{"counts": [0, 2, 5], "total": 7}"#.to_string(),
+        ];
+        for bad in bad {
+            assert!(serde_json::from_str::<LogHistogram>(&bad).is_err(), "{bad}");
+        }
+        assert_eq!(serde_json::from_str::<LogHistogram>(&json).unwrap(), h);
     }
 
     #[test]

@@ -41,6 +41,10 @@ use std::sync::atomic::{
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Samples each telemetry series retains: two minutes at the default
+/// 200 ms period.
+const SERIES_CAPACITY: usize = 600;
+
 /// How [`ServeEngine::start_telemetry`](crate::ServeEngine::start_telemetry)
 /// samples and exports.
 ///
@@ -56,7 +60,6 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
     sample_every: Duration,
-    series_capacity: usize,
     metrics_addr: Option<String>,
     flight_path: Option<PathBuf>,
 }
@@ -73,7 +76,6 @@ impl TelemetryConfig {
     pub fn new() -> Self {
         Self {
             sample_every: Duration::from_millis(200),
-            series_capacity: 600,
             metrics_addr: None,
             flight_path: None,
         }
@@ -82,12 +84,6 @@ impl TelemetryConfig {
     /// Sets the sampling period (floored at 100µs by the sampler).
     pub fn with_sample_every(mut self, period: Duration) -> Self {
         self.sample_every = period;
-        self
-    }
-
-    /// Sets how many samples each series retains (ring buffer, min 1).
-    pub fn with_series_capacity(mut self, capacity: usize) -> Self {
-        self.series_capacity = capacity;
         self
     }
 
@@ -111,11 +107,6 @@ impl TelemetryConfig {
         self.sample_every
     }
 
-    /// The configured per-series retention.
-    pub fn series_capacity(&self) -> usize {
-        self.series_capacity
-    }
-
     /// The configured Prometheus bind address, if any.
     pub fn metrics_addr(&self) -> Option<&str> {
         self.metrics_addr.as_deref()
@@ -137,7 +128,7 @@ impl TelemetryConfig {
         let sampler = Sampler::spawn(
             SamplerConfig {
                 period: self.sample_every,
-                capacity: self.series_capacity,
+                capacity: SERIES_CAPACITY,
             },
             move |step| probe.frame(step),
             sinks,

@@ -198,27 +198,20 @@ impl MatrixSketch for CountSketch {
         out.put_u64(self.seed);
         out.put_u64(self.rows_seen);
         out.put_f64(self.frobenius_sq);
-        for &v in self.b.as_slice() {
-            out.put_f64(v);
-        }
+        out.put_f64s(self.b.as_slice());
         true
     }
 
     fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<bool, WireError> {
         let ctx = "CountSketch state";
-        if r.get_u8(ctx)? != CS_STATE_TAG
-            || r.get_u64(ctx)? != self.ell as u64
-            || r.get_u64(ctx)? != self.dim as u64
-            || r.get_u64(ctx)? != self.s as u64
-        {
-            return Err(WireError { context: ctx });
-        }
+        r.require(CS_STATE_TAG, ctx)?;
+        r.require(self.ell as u64, ctx)?;
+        r.require(self.dim as u64, ctx)?;
+        r.require(self.s as u64, ctx)?;
         self.seed = r.get_u64(ctx)?;
         self.rows_seen = r.get_u64(ctx)?;
         self.frobenius_sq = r.get_f64(ctx)?;
-        for v in self.b.as_mut_slice() {
-            *v = r.get_f64(ctx)?;
-        }
+        r.get_f64s_into(self.b.as_mut_slice(), ctx)?;
         Ok(true)
     }
 }

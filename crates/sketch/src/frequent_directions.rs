@@ -312,22 +312,15 @@ impl MatrixSketch for FrequentDirections {
         out.put_u64(self.rows_seen);
         out.put_f64(self.frobenius_sq);
         out.put_f64(self.total_shrink_delta);
-        for i in 0..self.occupied {
-            for &v in self.buffer.row(i) {
-                out.put_f64(v);
-            }
-        }
+        out.put_f64s(&self.buffer.as_slice()[..self.occupied * self.dim]);
         true
     }
 
     fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<bool, WireError> {
         let ctx = "FrequentDirections state";
-        if r.get_u8(ctx)? != FD_STATE_TAG
-            || r.get_u64(ctx)? != self.ell as u64
-            || r.get_u64(ctx)? != self.dim as u64
-        {
-            return Err(WireError { context: ctx });
-        }
+        r.require(FD_STATE_TAG, ctx)?;
+        r.require(self.ell as u64, ctx)?;
+        r.require(self.dim as u64, ctx)?;
         let occupied = r.get_u64(ctx)? as usize;
         if occupied > self.buffer.rows() {
             return Err(WireError { context: ctx });
@@ -335,13 +328,10 @@ impl MatrixSketch for FrequentDirections {
         let rows_seen = r.get_u64(ctx)?;
         let frobenius_sq = r.get_f64(ctx)?;
         let total_shrink_delta = r.get_f64(ctx)?;
-        // Cleared in place: decoding reserves nothing.
-        self.buffer.as_mut_slice().fill(0.0);
-        for i in 0..occupied {
-            for v in self.buffer.row_mut(i) {
-                *v = r.get_f64(ctx)?;
-            }
-        }
+        // Decoded and cleared in place: decoding reserves nothing.
+        let (rows, zeros) = self.buffer.as_mut_slice().split_at_mut(occupied * self.dim);
+        r.get_f64s_into(rows, ctx)?;
+        zeros.fill(0.0);
         self.occupied = occupied;
         self.rows_seen = rows_seen;
         self.frobenius_sq = frobenius_sq;

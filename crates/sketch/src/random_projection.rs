@@ -164,20 +164,15 @@ impl MatrixSketch for RandomProjection {
         out.put_u64(self.rows_seen);
         out.put_u64(self.columns_drawn);
         out.put_f64(self.frobenius_sq);
-        for &v in self.b.as_slice() {
-            out.put_f64(v);
-        }
+        out.put_f64s(self.b.as_slice());
         true
     }
 
     fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<bool, WireError> {
         let ctx = "RandomProjection state";
-        if r.get_u8(ctx)? != RP_STATE_TAG
-            || r.get_u64(ctx)? != self.ell as u64
-            || r.get_u64(ctx)? != self.dim as u64
-        {
-            return Err(WireError { context: ctx });
-        }
+        r.require(RP_STATE_TAG, ctx)?;
+        r.require(self.ell as u64, ctx)?;
+        r.require(self.dim as u64, ctx)?;
         let seed = r.get_u64(ctx)?;
         let rows_seen = r.get_u64(ctx)?;
         let columns_drawn = r.get_u64(ctx)?;
@@ -190,9 +185,7 @@ impl MatrixSketch for RandomProjection {
         }
         let frobenius_sq = r.get_f64(ctx)?;
         let mut b = Matrix::zeros(self.ell, self.dim);
-        for v in b.as_mut_slice() {
-            *v = r.get_f64(ctx)?;
-        }
+        r.get_f64s_into(b.as_mut_slice(), ctx)?;
         // Restore the live RNG by replaying the column stream from the
         // seed: `columns_drawn` draws leave the generator exactly where the
         // serialized sketch had it, so post-recovery columns are bitwise
