@@ -18,6 +18,9 @@
 //! 20      …     rows: dim × f64 (LE), then the u64 key (LE) when flagged
 //! ```
 //!
+//! Every field is framed by `sketchad_sketch::wire`, the one module that
+//! knows the workspace's byte layouts.
+//!
 //! The key column is caller-defined: the serving layer uses it as a
 //! partition key, the `streams` adapter stores 0/1 ground-truth labels in
 //! it. Readers that do not care simply ignore it.
@@ -221,8 +224,8 @@ impl<'a> RowsView<'a> {
         let mut row = ByteReader::new(&self.body[i * stride..(i + 1) * stride]);
         let validated = "a row of a validated body";
         row.get_f64s_into(out, "rows cells").expect(validated);
-        let key = self.header.has_keys;
-        Some(key.then(|| row.get_u64("rows key").expect(validated)))
+        let has_keys = self.header.has_keys;
+        Some(has_keys.then(|| row.get_u64("rows key").expect(validated)))
     }
 
     /// Iterates `(row, key)` pairs, reusing one internal row buffer is the
@@ -280,10 +283,11 @@ pub fn encode_rows(rows: &[Vec<f64>], keys: Option<&[u64]>) -> Result<Vec<u8>, R
 
 /// Streaming writer producing a `sketchad-rows/v1` file.
 ///
-/// Rows are appended incrementally, one `write` each; [`finish`](Self::finish)
-/// rewrites the header with the row count and flushes. Dropping without `finish` leaves a file
-/// whose header claims zero rows over a non-empty body — readers reject it,
-/// so a torn write never passes for a complete one.
+/// Rows are appended incrementally, one `write` each;
+/// [`finish`](Self::finish) rewrites the header with the row count and
+/// flushes. Dropping without `finish` leaves a file whose header claims
+/// zero rows over a non-empty body — readers reject it, so a torn write
+/// never passes for a complete one.
 #[derive(Debug)]
 pub struct RowsWriter {
     w: BufWriter<File>,

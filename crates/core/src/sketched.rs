@@ -576,6 +576,7 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
             // is reserved for it.
             let data = r.get_f64s(rows * cols, ctx)?;
             let vt = Matrix::from_vec(rows, cols, data).map_err(|_| WireError { context: ctx })?;
+            // σ is written length-prefixed; the prefix must be the basis rows.
             r.require(rows as u64, ctx)?;
             let sigma = r.get_f64s(rows, ctx)?;
             let total_energy = r.get_f64(ctx)?;

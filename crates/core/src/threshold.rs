@@ -145,14 +145,10 @@ impl QuantileEstimator {
     /// Serializes the full P² marker state (persistence support; bitwise).
     pub(crate) fn encode_wire(&self, out: &mut ByteWriter) {
         out.put_f64(self.q);
-        for markers in [
-            &self.heights,
-            &self.positions,
-            &self.desired,
-            &self.increments,
-        ] {
-            out.put_f64s(markers);
-        }
+        out.put_f64s(&self.heights);
+        out.put_f64s(&self.positions);
+        out.put_f64s(&self.desired);
+        out.put_f64s(&self.increments);
         out.put_u64(self.count as u64);
         out.put_f64_slice(&self.bootstrap);
     }
@@ -165,14 +161,10 @@ impl QuantileEstimator {
             return Err(WireError { context: ctx });
         }
         let mut est = Self::new(q);
-        for markers in [
-            &mut est.heights,
-            &mut est.positions,
-            &mut est.desired,
-            &mut est.increments,
-        ] {
-            r.get_f64s_into(markers, ctx)?;
-        }
+        r.get_f64s_into(&mut est.heights, ctx)?;
+        r.get_f64s_into(&mut est.positions, ctx)?;
+        r.get_f64s_into(&mut est.desired, ctx)?;
+        r.get_f64s_into(&mut est.increments, ctx)?;
         est.count = r.get_u64(ctx)? as usize;
         est.bootstrap = r.get_f64_vec(ctx)?;
         Ok(est)

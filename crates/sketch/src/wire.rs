@@ -113,8 +113,7 @@ impl ByteWriter {
     /// Appends the [`checksum64`] of the bytes written since offset `from`:
     /// the trailer [`split_checksum`] verifies.
     pub fn put_checksum(&mut self, from: usize) {
-        let sum = checksum64(&self.buf[from..]);
-        self.put_u64(sum);
+        self.put_u64(checksum64(&self.buf[from..]));
     }
 }
 
