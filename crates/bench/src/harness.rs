@@ -11,14 +11,10 @@ use sketchad_streams::LabeledStream;
 /// Result of running one detector over one stream.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
-    /// Detector display name.
-    pub method: String,
     /// Per-point anomaly scores.
     pub scores: Vec<f64>,
     /// Total wall-clock seconds (scoring + updates, excluding generation).
     pub seconds: f64,
-    /// Mean per-point latency in nanoseconds.
-    pub mean_latency_ns: f64,
 }
 
 /// Evaluation of scores against ground truth.
@@ -30,22 +26,6 @@ pub struct EvalOutcome {
     pub ap: Option<f64>,
 }
 
-/// Runs `det` over `stream`, timing the full pass.
-pub fn run_detector<D: StreamingDetector>(det: &mut D, stream: &LabeledStream) -> RunOutcome {
-    let sw = Stopwatch::start();
-    let mut scores = Vec::with_capacity(stream.len());
-    for (values, _) in stream.iter() {
-        scores.push(det.process(values));
-    }
-    let seconds = sw.seconds();
-    RunOutcome {
-        method: det.name(),
-        scores,
-        seconds,
-        mean_latency_ns: seconds * 1e9 / stream.len().max(1) as f64,
-    }
-}
-
 /// Runs a boxed detector (for heterogeneous rosters).
 pub fn run_boxed(det: &mut Box<dyn StreamingDetector>, stream: &LabeledStream) -> RunOutcome {
     let sw = Stopwatch::start();
@@ -54,12 +34,7 @@ pub fn run_boxed(det: &mut Box<dyn StreamingDetector>, stream: &LabeledStream) -
         scores.push(det.process(values));
     }
     let seconds = sw.seconds();
-    RunOutcome {
-        method: det.name(),
-        scores,
-        seconds,
-        mean_latency_ns: seconds * 1e9 / stream.len().max(1) as f64,
-    }
+    RunOutcome { scores, seconds }
 }
 
 /// Runs `det` collecting per-point latency samples (figure F7).
@@ -75,15 +50,7 @@ pub fn run_with_latency<D: StreamingDetector>(
         scores.push(s);
     }
     let seconds = sw.seconds();
-    (
-        RunOutcome {
-            method: det.name(),
-            scores,
-            seconds,
-            mean_latency_ns: stats.mean_ns(),
-        },
-        stats,
-    )
+    (RunOutcome { scores, seconds }, stats)
 }
 
 /// Standard evaluation protocol: AUC/AP computed over points at index ≥
@@ -171,7 +138,7 @@ mod tests {
         let (out, stats) = run_with_latency(&mut det, &stream);
         assert_eq!(out.scores.len(), 300);
         assert_eq!(stats.len(), 300);
-        assert!(out.mean_latency_ns > 0.0);
+        assert!(stats.mean_ns() > 0.0);
     }
 
     #[test]

@@ -13,7 +13,3 @@
 #![forbid(unsafe_code)]
 
 pub mod harness;
-
-pub use harness::{
-    evaluate_scores, run_boxed, run_detector, standard_roster, EvalOutcome, RunOutcome,
-};

@@ -29,9 +29,6 @@ pub struct ExactSvdDetector {
     score: ScoreKind,
     refresh_period: usize,
     warmup: usize,
-    /// Optional exponential forgetting `(alpha, every)` matching
-    /// [`crate::sketched::DecayConfig`] semantics.
-    decay: Option<(f64, usize)>,
     model: Option<SubspaceModel>,
     since_refresh: usize,
     processed: u64,
@@ -59,7 +56,6 @@ impl ExactSvdDetector {
             score,
             refresh_period: refresh_period.max(1),
             warmup,
-            decay: None,
             model: None,
             since_refresh: 0,
             processed: 0,
@@ -77,22 +73,6 @@ impl ExactSvdDetector {
         assert!(iters > 0, "eigensolver iterations must be positive");
         self.eig_iters = iters;
         self
-    }
-
-    /// Enables exponential forgetting of the covariance.
-    ///
-    /// # Panics
-    /// Panics when `alpha ∉ (0,1)` or `every == 0`.
-    pub fn with_decay(mut self, alpha: f64, every: usize) -> Self {
-        assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0,1)");
-        assert!(every > 0, "decay interval must be positive");
-        self.decay = Some((alpha, every));
-        self
-    }
-
-    /// The current model, if built.
-    pub fn model(&self) -> Option<&SubspaceModel> {
-        self.model.as_ref()
     }
 
     fn rebuild(&mut self) {
@@ -142,13 +122,6 @@ impl StreamingDetector for ExactSvdDetector {
         self.trace += y.iter().map(|v| v * v).sum::<f64>();
         self.processed += 1;
         self.since_refresh += 1;
-
-        if let Some((alpha, every)) = self.decay {
-            if self.processed.is_multiple_of(every as u64) {
-                self.cov.scale_mut(alpha);
-                self.trace *= alpha;
-            }
-        }
 
         let warmup_just_done = self.processed as usize == self.warmup.max(1);
         if (self.model.is_none() && warmup_just_done)
@@ -356,23 +329,6 @@ mod tests {
         }
         let s_after = det.process(&e2);
         assert!(s_after < 0.05, "post-adaptation score {s_after}");
-    }
-
-    #[test]
-    fn decayed_exact_adapts() {
-        let d = 4;
-        let mut det =
-            ExactSvdDetector::new(d, 1, ScoreKind::RelativeProjection, 10, 10).with_decay(0.5, 10);
-        let e1 = [4.0, 0.0, 0.0, 0.0];
-        let e2 = [0.0, 4.0, 0.0, 0.0];
-        for _ in 0..100 {
-            det.process(&e1);
-        }
-        for _ in 0..150 {
-            det.process(&e2);
-        }
-        let s = det.process(&e2);
-        assert!(s < 0.05, "decayed exact failed to adapt: {s}");
     }
 
     #[test]

@@ -38,24 +38,24 @@
 //!
 //! ## Module map
 //!
-//! * [`subspace`] — the rank-k model and both anomaly scores.
-//! * [`sketched`] — [`SketchDetector`], the paper's streaming algorithm.
-//! * [`exact`] — exact-SVD baselines (global and sliding-window).
-//! * [`baseline`] — Oja incremental PCA, distance-to-mean, random control.
-//! * [`refresh`] — model refresh policies (periodic / energy-triggered).
-//! * [`threshold`] — P² streaming quantile + alerting wrapper.
-//! * [`normalize`] — online z-scoring wrapper.
-//! * [`config`] — [`DetectorConfig`] builder entry point.
+//! * `subspace` — the rank-k model and both anomaly scores.
+//! * `sketched` — [`SketchDetector`], the paper's streaming algorithm.
+//! * `exact` — exact-SVD baselines (global and sliding-window).
+//! * `baseline` — Oja incremental PCA, distance-to-mean, random control.
+//! * `refresh` — model refresh policies (periodic / energy-triggered).
+//! * `threshold` — P² streaming quantile + alerting wrapper.
+//! * `normalize` — online z-scoring wrapper.
+//! * `config` — [`DetectorConfig`] builder entry point.
 //! * [`rowfmt`] — the `sketchad-rows/v1` binary row format: fixed-width
 //!   f64-LE rows with an optional key column, readable with zero parse
 //!   cost ([`rowfmt::RowsView`] / [`rowfmt::RowsWriter`]).
 //! * [`mmapio`] — zero-copy replay backing: [`mmapio::MmapRows`] maps a
 //!   rows file read-only (buffered fallback everywhere `mmap` isn't
 //!   available) so replay never buffers whole files again.
-//! * [`validate`] — input hygiene ([`validate_point`]) for serving layers:
+//! * `validate` — input hygiene ([`validate_point`]) for serving layers:
 //!   non-finite and wrong-dimension rows are detected *before* they can
 //!   poison a sketch or panic a worker.
-//! * [`detector`] — the [`StreamingDetector`] trait every detector
+//! * `detector` — the [`StreamingDetector`] trait every detector
 //!   implements: mutating [`process`](StreamingDetector::process) plus the
 //!   pure-read [`score_only`](StreamingDetector::score_only) used by
 //!   concurrent scorers.
@@ -79,19 +79,19 @@
 // mappings, unique munmap on drop). Everything else stays safe Rust.
 #![deny(unsafe_code)]
 
-pub mod baseline;
-pub mod config;
-pub mod detector;
-pub mod exact;
+pub(crate) mod baseline;
+pub(crate) mod config;
+pub(crate) mod detector;
+pub(crate) mod exact;
 pub mod mmapio;
-pub mod normalize;
-pub mod refresh;
+pub(crate) mod normalize;
+pub(crate) mod refresh;
 pub mod rowfmt;
-pub mod score;
-pub mod sketched;
-pub mod subspace;
-pub mod threshold;
-pub mod validate;
+pub(crate) mod score;
+pub(crate) mod sketched;
+pub(crate) mod subspace;
+pub(crate) mod threshold;
+pub(crate) mod validate;
 
 /// Re-export of the observability layer (`sketchad-obs`) so downstream
 /// crates can instrument detectors without a separate dependency:
@@ -103,8 +103,8 @@ pub use baseline::{MeanDistanceDetector, OjaDetector, RandomScoreDetector};
 pub use config::DetectorConfig;
 pub use detector::StreamingDetector;
 pub use exact::{ExactSvdDetector, ExactWindowedDetector};
-pub use mmapio::{MappedBytes, MmapRows};
-pub use normalize::{NormalizedDetector, OnlineNormalizer};
+pub use mmapio::MmapRows;
+pub use normalize::NormalizedDetector;
 pub use refresh::RefreshPolicy;
 pub use score::ScoreKind;
 pub use sketched::{DecayConfig, SketchDetector, UpdatePolicy};

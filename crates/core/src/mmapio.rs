@@ -201,9 +201,10 @@ impl MappedBytes {
     }
 
     /// Opens `path` through the buffered backing unconditionally — the
-    /// deterministic twin of [`open`](Self::open) used by equivalence
-    /// tests (env-independent) and by writers that may still append.
-    pub fn open_buffered(path: &Path) -> io::Result<MappedBytes> {
+    /// deterministic twin of [`open`](Self::open) that the equivalence
+    /// tests compare against, whatever [`NO_MMAP_ENV`] says.
+    #[cfg(test)]
+    fn open_buffered(path: &Path) -> io::Result<MappedBytes> {
         Self::open_impl(path, true)
     }
 
@@ -254,7 +255,7 @@ impl MappedBytes {
     /// Whether the zero-copy mapping is live (`false` means the buffered
     /// fallback served this file). Observability only — behaviour is
     /// identical either way.
-    pub fn is_mapped(&self) -> bool {
+    pub(crate) fn is_mapped(&self) -> bool {
         match &self.backing {
             #[cfg(unix)]
             Backing::Mapped(_) => true,
@@ -291,12 +292,6 @@ impl MmapRows {
         Self::from_bytes(MappedBytes::open(path)?)
     }
 
-    /// Buffered-backing twin of [`open`](Self::open) (see
-    /// [`MappedBytes::open_buffered`]).
-    pub fn open_buffered(path: &Path) -> io::Result<MmapRows> {
-        Self::from_bytes(MappedBytes::open_buffered(path)?)
-    }
-
     fn from_bytes(bytes: MappedBytes) -> io::Result<MmapRows> {
         RowsView::new(bytes.bytes())
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
@@ -304,16 +299,10 @@ impl MmapRows {
     }
 
     /// A validated view over the mapped rows. O(1): re-parses only the
-    /// fixed [`crate::rowfmt::HEADER_LEN`]-byte header already proven
+    /// fixed `crate::rowfmt::HEADER_LEN`-byte header already proven
     /// valid at open.
     pub fn view(&self) -> RowsView<'_> {
         RowsView::new(self.bytes.bytes()).expect("validated at open")
-    }
-
-    /// Whether the zero-copy mapping is live (see
-    /// [`MappedBytes::is_mapped`]).
-    pub fn is_mapped(&self) -> bool {
-        self.bytes.is_mapped()
     }
 }
 
@@ -362,7 +351,7 @@ mod tests {
         fs::write(&path, encode_rows(&rows, Some(&keys)).unwrap()).unwrap();
 
         let mapped = MmapRows::open(&path).unwrap();
-        let buffered = MmapRows::open_buffered(&path).unwrap();
+        let buffered = MmapRows::from_bytes(MappedBytes::open_buffered(&path).unwrap()).unwrap();
         let (mv, bv) = (mapped.view(), buffered.view());
         assert_eq!(mv.len(), rows.len());
         assert_eq!(mv.len(), bv.len());

@@ -10,7 +10,7 @@ use crate::detector::StreamingDetector;
 
 /// Per-dimension streaming z-score normalizer.
 #[derive(Debug, Clone)]
-pub struct OnlineNormalizer {
+pub(crate) struct OnlineNormalizer {
     mean: Vec<f64>,
     m2: Vec<f64>,
     count: u64,
@@ -18,7 +18,7 @@ pub struct OnlineNormalizer {
 
 impl OnlineNormalizer {
     /// Creates a normalizer over `dim` dimensions.
-    pub fn new(dim: usize) -> Self {
+    pub(crate) fn new(dim: usize) -> Self {
         Self {
             mean: vec![0.0; dim],
             m2: vec![0.0; dim],
@@ -27,13 +27,8 @@ impl OnlineNormalizer {
     }
 
     /// Dimensionality.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.mean.len()
-    }
-
-    /// Observations absorbed so far.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// Z-scores `y` against the running moments *without* updating them.
@@ -42,7 +37,7 @@ impl OnlineNormalizer {
     ///
     /// # Panics
     /// Panics when `y.len() != dim()`.
-    pub fn transform(&self, y: &[f64]) -> Vec<f64> {
+    pub(crate) fn transform(&self, y: &[f64]) -> Vec<f64> {
         assert_eq!(y.len(), self.dim(), "point dimension mismatch");
         if self.count < 2 {
             return y.to_vec();
@@ -61,7 +56,7 @@ impl OnlineNormalizer {
     ///
     /// # Panics
     /// Panics when `y.len() != dim()`.
-    pub fn update(&mut self, y: &[f64]) {
+    pub(crate) fn update(&mut self, y: &[f64]) {
         assert_eq!(y.len(), self.dim(), "point dimension mismatch");
         self.count += 1;
         let n = self.count as f64;
@@ -74,24 +69,10 @@ impl OnlineNormalizer {
     }
 
     /// Convenience: transform then update.
-    pub fn transform_and_update(&mut self, y: &[f64]) -> Vec<f64> {
+    pub(crate) fn transform_and_update(&mut self, y: &[f64]) -> Vec<f64> {
         let out = self.transform(y);
         self.update(y);
         out
-    }
-
-    /// Current running mean.
-    pub fn mean(&self) -> &[f64] {
-        &self.mean
-    }
-
-    /// Current running per-dimension variance (sample variance).
-    pub fn variance(&self) -> Vec<f64> {
-        if self.count < 2 {
-            return vec![0.0; self.dim()];
-        }
-        let n = self.count as f64;
-        self.m2.iter().map(|&m| m / (n - 1.0)).collect()
     }
 }
 
@@ -110,11 +91,6 @@ impl<D: StreamingDetector> NormalizedDetector<D> {
             normalizer: OnlineNormalizer::new(dim),
             inner,
         }
-    }
-
-    /// Access the wrapped detector.
-    pub fn inner(&self) -> &D {
-        &self.inner
     }
 }
 
@@ -176,8 +152,8 @@ mod tests {
         for dim in 0..2 {
             let mean: f64 = data.iter().map(|y| y[dim]).sum::<f64>() / n;
             let var: f64 = data.iter().map(|y| (y[dim] - mean).powi(2)).sum::<f64>() / (n - 1.0);
-            assert!((norm.mean()[dim] - mean).abs() < 1e-10);
-            assert!((norm.variance()[dim] - var).abs() < 1e-9);
+            assert!((norm.mean[dim] - mean).abs() < 1e-10);
+            assert!((norm.m2[dim] / (n - 1.0) - var).abs() < 1e-9);
         }
     }
 

@@ -36,7 +36,7 @@ impl RefreshPolicy {
     /// * `since_refresh` — points processed since the last rebuild;
     /// * `energy_now` / `energy_at_refresh` — sketch Frobenius mass now and
     ///   at the last rebuild (used by the adaptive policy).
-    pub fn should_refresh(
+    pub(crate) fn should_refresh(
         &self,
         since_refresh: usize,
         energy_now: f64,

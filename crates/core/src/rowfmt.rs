@@ -50,22 +50,22 @@ use std::path::Path;
 use sketchad_sketch::wire::{ByteReader, ByteWriter, PreambleError};
 
 /// File magic: the first four bytes of every `sketchad-rows` file.
-pub const ROWS_MAGIC: [u8; 4] = *b"SKRW";
+pub(crate) const ROWS_MAGIC: [u8; 4] = *b"SKRW";
 /// Current format version.
-pub const ROWS_VERSION: u16 = 1;
+pub(crate) const ROWS_VERSION: u16 = 1;
 /// Flag bit 0: every row is followed by a `u64` key.
-pub const FLAG_HAS_KEYS: u16 = 1;
+pub(crate) const FLAG_HAS_KEYS: u16 = 1;
 /// Fixed header size in bytes.
-pub const HEADER_LEN: usize = 20;
+pub(crate) const HEADER_LEN: usize = 20;
 
 /// Errors from decoding a `sketchad-rows` buffer or file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RowfmtError {
     /// Buffer shorter than the fixed header.
     TooShort,
-    /// The first four bytes are not [`ROWS_MAGIC`].
+    /// The first four bytes are not `ROWS_MAGIC`.
     BadMagic([u8; 4]),
-    /// Version other than [`ROWS_VERSION`].
+    /// Version other than `ROWS_VERSION`.
     BadVersion(u16),
     /// Flags with bits this version does not define.
     BadFlags(u16),
@@ -100,23 +100,23 @@ impl std::error::Error for RowfmtError {}
 
 /// Parsed fixed-width header of a `sketchad-rows` buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RowsHeader {
+pub(crate) struct RowsHeader {
     /// Features per row.
-    pub dim: usize,
+    pub(crate) dim: usize,
     /// Rows in the body.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Whether every row carries a trailing `u64` key.
-    pub has_keys: bool,
+    pub(crate) has_keys: bool,
 }
 
 impl RowsHeader {
     /// Bytes one row occupies in the body.
-    pub fn row_stride(&self) -> usize {
+    pub(crate) fn row_stride(&self) -> usize {
         self.dim * 8 + if self.has_keys { 8 } else { 0 }
     }
 
     /// Serializes the header into its fixed 20-byte form.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_preamble(ROWS_MAGIC, ROWS_VERSION);
         w.put_u16(if self.has_keys { FLAG_HAS_KEYS } else { 0 });
@@ -129,7 +129,7 @@ impl RowsHeader {
     ///
     /// # Errors
     /// Every malformed-header case maps to a distinct [`RowfmtError`].
-    pub fn decode(bytes: &[u8]) -> Result<Self, RowfmtError> {
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Self, RowfmtError> {
         let mut r = ByteReader::new(bytes.get(..HEADER_LEN).ok_or(RowfmtError::TooShort)?);
         r.get_preamble(ROWS_MAGIC, ROWS_VERSION)
             .map_err(|e| match e {
@@ -184,11 +184,6 @@ impl<'a> RowsView<'a> {
         Ok(Self { header, body })
     }
 
-    /// The validated header.
-    pub fn header(&self) -> RowsHeader {
-        self.header
-    }
-
     /// Features per row.
     pub fn dim(&self) -> usize {
         self.header.dim
@@ -202,11 +197,6 @@ impl<'a> RowsView<'a> {
     /// Whether the view holds no rows.
     pub fn is_empty(&self) -> bool {
         self.header.count == 0
-    }
-
-    /// Whether rows carry keys.
-    pub fn has_keys(&self) -> bool {
-        self.header.has_keys
     }
 
     /// Decodes row `i` into `out` (length must equal [`dim`](Self::dim))
@@ -384,7 +374,7 @@ mod tests {
         let bytes = encode_rows(&rows, None).unwrap();
         let view = RowsView::new(&bytes).unwrap();
         assert_eq!(view.len(), 2);
-        assert!(!view.has_keys());
+        assert!(!view.header.has_keys);
         let mut row = vec![0.0; 3];
         for (i, original) in rows.iter().enumerate() {
             assert_eq!(view.read_row_into(i, &mut row), Some(None));
@@ -401,7 +391,7 @@ mod tests {
         let keys = vec![7u64, u64::MAX, 0];
         let bytes = encode_rows(&rows, Some(&keys)).unwrap();
         let view = RowsView::new(&bytes).unwrap();
-        assert!(view.has_keys());
+        assert!(view.header.has_keys);
         let collected: Vec<(Vec<f64>, Option<u64>)> = view.iter_rows().collect();
         assert_eq!(collected.len(), 3);
         for (i, (row, key)) in collected.iter().enumerate() {
@@ -516,7 +506,7 @@ mod tests {
                 assert!(view.read_row_into(i, &mut out).is_some());
                 assert_eq!(
                     view.read_row_into(i, &mut out).unwrap().is_some(),
-                    view.has_keys()
+                    view.header.has_keys
                 );
             }
             assert!(view.read_row_into(view.len(), &mut out).is_none());

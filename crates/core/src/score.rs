@@ -64,7 +64,11 @@ impl ScoreKind {
 
     /// Evaluates this score for a sparse point (`O(k·nnz)` for the
     /// projection/leverage families).
-    pub fn evaluate_sparse(&self, model: &SubspaceModel, y: &sketchad_linalg::SparseVec) -> f64 {
+    pub(crate) fn evaluate_sparse(
+        &self,
+        model: &SubspaceModel,
+        y: &sketchad_linalg::SparseVec,
+    ) -> f64 {
         match *self {
             ScoreKind::ProjectionDistance => model.projection_distance_sq_sparse(y),
             ScoreKind::RelativeProjection => model.relative_projection_distance_sparse(y),

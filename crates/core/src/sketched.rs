@@ -67,9 +67,9 @@ pub enum UpdatePolicy {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecayConfig {
     /// Covariance multiplier in `(0, 1)`.
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Points between decay applications (a "time tick").
-    pub every: usize,
+    pub(crate) every: usize,
 }
 
 impl DecayConfig {
@@ -77,7 +77,7 @@ impl DecayConfig {
     ///
     /// # Panics
     /// Panics when `alpha ∉ (0,1)` or `every == 0`.
-    pub fn new(alpha: f64, every: usize) -> Self {
+    pub(crate) fn new(alpha: f64, every: usize) -> Self {
         assert!(
             alpha > 0.0 && alpha < 1.0,
             "alpha must be in (0,1), got {alpha}"
@@ -157,7 +157,7 @@ impl<S: MatrixSketch> SketchDetector<S> {
     }
 
     /// Enables exponential forgetting.
-    pub fn with_decay(mut self, decay: DecayConfig) -> Self {
+    pub(crate) fn with_decay(mut self, decay: DecayConfig) -> Self {
         self.decay = Some(decay);
         self
     }
@@ -226,11 +226,6 @@ impl<S: MatrixSketch> SketchDetector<S> {
         }
     }
 
-    /// Model rank k.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Borrow the underlying sketch (e.g. for quality measurement).
     pub fn sketch(&self) -> &S {
         &self.sketch
@@ -248,7 +243,7 @@ impl<S: MatrixSketch> SketchDetector<S> {
 
     /// Scores `y` against the current model without updating any state.
     /// Returns `None` before the first model build.
-    pub fn score_only(&self, y: &[f64]) -> Option<f64> {
+    pub(crate) fn score_only(&self, y: &[f64]) -> Option<f64> {
         self.model.as_ref().map(|m| self.score.evaluate(m, y))
     }
 
@@ -515,7 +510,8 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
     /// `false` — writing nothing — when the underlying sketch kind has no
     /// persistent form.
     fn save_state(&self, out: &mut Vec<u8>) -> bool {
-        let mut w = ByteWriter::new();
+        let start = out.len();
+        let mut w = ByteWriter::from_vec(std::mem::take(out));
         w.put_u8(DETECTOR_STATE_TAG);
         w.put_u8(DETECTOR_STATE_VERSION);
         w.put_u64(self.k as u64);
@@ -545,11 +541,12 @@ impl<S: MatrixSketch> StreamingDetector for SketchDetector<S> {
             }
             None => w.put_u8(0),
         }
-        if !self.sketch.encode_state(&mut w) {
-            return false;
+        let persisted = self.sketch.encode_state(&mut w);
+        *out = w.into_vec();
+        if !persisted {
+            out.truncate(start);
         }
-        out.extend_from_slice(&w.into_vec());
-        true
+        persisted
     }
 
     /// Restores state saved by [`save_state`](StreamingDetector::save_state)
@@ -902,6 +899,33 @@ mod tests {
             64,
         );
         check_separation("cs", cs, &rows, &labels);
+    }
+
+    #[test]
+    fn save_state_appends_to_out_and_leaves_it_alone_without_a_persistent_form() {
+        let d = 8;
+        let (rows, _) = planted_stream(120, 0, d, 2, 11);
+        fn detector<S: MatrixSketch>(sketch: S) -> SketchDetector<S> {
+            let refresh = RefreshPolicy::Periodic { period: 16 };
+            SketchDetector::new(sketch, 2, ScoreKind::RelativeProjection, refresh, 32)
+        }
+        let mut fd = detector(FrequentDirections::new(8, d));
+        let mut rs = detector(RowSampling::new(8, d, 5));
+        for row in &rows {
+            fd.process(row);
+            rs.process(row);
+        }
+        let mut alone = Vec::new();
+        assert!(fd.save_state(&mut alone));
+        let mut out = b"prefix".to_vec();
+        assert!(fd.save_state(&mut out));
+        assert_eq!(out[..6], *b"prefix");
+        assert_eq!(out[6..], alone[..]);
+
+        // RowSampling has no persistent form: `out` keeps exactly its bytes.
+        let mut out = b"prefix".to_vec();
+        assert!(!rs.save_state(&mut out));
+        assert_eq!(out, b"prefix");
     }
 
     #[test]

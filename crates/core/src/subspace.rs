@@ -124,7 +124,7 @@ impl SubspaceModel {
     ///
     /// # Errors
     /// `k = 0` is invalid, and so is a matrix of no rows.
-    pub fn from_right_factor(
+    pub(crate) fn from_right_factor(
         factor: &RightFactor<'_>,
         k: usize,
         rows: usize,
@@ -155,7 +155,7 @@ impl SubspaceModel {
     ///
     /// # Panics
     /// Panics when `values.len() != vectors.cols()`.
-    pub fn from_covariance_eigen(
+    pub(crate) fn from_covariance_eigen(
         values: &[f64],
         vectors: &Matrix,
         total_energy: f64,
@@ -178,7 +178,7 @@ impl SubspaceModel {
     ///
     /// # Panics
     /// Panics when `sigma.len() != vt.rows()`.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         vt: Matrix,
         sigma: Vec<f64>,
         total_energy: f64,
@@ -305,22 +305,11 @@ impl SubspaceModel {
         self.leverage(self.coeffs(y))
     }
 
-    /// Standardized leverage: `rows_represented · leverage / k`.
-    ///
-    /// Raw leverage shrinks like `1/n` as the stream grows (σ_j² scales with
-    /// the number of accumulated rows), so it cannot be combined with the
-    /// scale-free projection score directly. The standardized form has
-    /// expectation ≈ 1 for points drawn from the normal model, independent
-    /// of both stream length and model rank.
-    pub fn standardized_leverage(&self, y: &[f64]) -> f64 {
-        self.standardize(self.leverage_score(y))
-    }
-
     /// Blended score `relative_projection + beta·standardized_leverage`:
     /// sensitive to points outside the subspace *and* to extremes within it.
     /// With standardized leverage ≈ 1 for normal points, `beta ≈ 0.1` makes
     /// both terms comparably scaled.
-    pub fn blended_score(&self, y: &[f64], beta: f64) -> f64 {
+    pub(crate) fn blended_score(&self, y: &[f64], beta: f64) -> f64 {
         self.score_from(
             ScoreKind::Blended { beta },
             vecops::norm2_sq(y),
@@ -369,7 +358,13 @@ impl SubspaceModel {
         lev
     }
 
-    /// `rows_represented · lev / k`.
+    /// Standardized leverage: `rows_represented · lev / k`.
+    ///
+    /// Raw leverage shrinks like `1/n` as the stream grows (σ_j² scales with
+    /// the number of accumulated rows), so it cannot be combined with the
+    /// scale-free projection score directly. The standardized form has
+    /// expectation ≈ 1 for points drawn from the normal model, independent
+    /// of both stream length and model rank.
     fn standardize(&self, lev: f64) -> f64 {
         let n = self.rows_represented.max(1) as f64;
         n * lev / self.k().max(1) as f64
@@ -407,7 +402,7 @@ impl SubspaceModel {
     ///
     /// # Panics
     /// Panics when `ys.cols() != dim()` (for a non-empty batch).
-    pub fn score_batch_into(
+    pub(crate) fn score_batch_into(
         &self,
         ys: &Matrix,
         kind: ScoreKind,
@@ -420,7 +415,11 @@ impl SubspaceModel {
         self.score_block_into(ys.as_slice(), kind, scratch, out);
     }
 
-    /// [`Self::score_batch_into`] returning a fresh vector.
+    /// Scores every row of `ys` under `kind` into a fresh vector, bitwise
+    /// identical to scoring each row alone.
+    ///
+    /// # Panics
+    /// Panics when `ys.cols() != dim()` (for a non-empty batch).
     pub fn score_batch(
         &self,
         ys: &Matrix,
@@ -495,7 +494,7 @@ impl SubspaceModel {
     ///
     /// # Panics
     /// Panics when `y.dim() != dim()`.
-    pub fn projection_distance_sq_sparse(&self, y: &SparseVec) -> f64 {
+    pub(crate) fn projection_distance_sq_sparse(&self, y: &SparseVec) -> f64 {
         proj_sq(y.norm2_sq(), self.sparse_coeffs(y))
     }
 
@@ -503,7 +502,7 @@ impl SubspaceModel {
     ///
     /// # Panics
     /// Panics when `y.dim() != dim()`.
-    pub fn relative_projection_distance_sparse(&self, y: &SparseVec) -> f64 {
+    pub(crate) fn relative_projection_distance_sparse(&self, y: &SparseVec) -> f64 {
         rel_proj(y.norm2_sq(), self.sparse_coeffs(y))
     }
 
@@ -511,13 +510,12 @@ impl SubspaceModel {
     ///
     /// # Panics
     /// Panics when `y.dim() != dim()`.
-    pub fn leverage_score_sparse(&self, y: &SparseVec) -> f64 {
+    pub(crate) fn leverage_score_sparse(&self, y: &SparseVec) -> f64 {
         self.leverage(self.sparse_coeffs(y))
     }
 
-    /// Sparse-input standardized leverage (see
-    /// [`standardized_leverage`](Self::standardized_leverage)).
-    pub fn standardized_leverage_sparse(&self, y: &SparseVec) -> f64 {
+    /// Sparse-input standardized leverage (see [`Self::standardize`]).
+    pub(crate) fn standardized_leverage_sparse(&self, y: &SparseVec) -> f64 {
         self.standardize(self.leverage_score_sparse(y))
     }
 
@@ -622,7 +620,7 @@ mod tests {
         let m = axis_model();
         let y = [0.0, 2.0, 2.0, 0.0]; // half in-subspace (lev 4), half out
         let blended = m.blended_score(&y, 0.5);
-        let expect = m.relative_projection_distance(&y) + 0.5 * m.standardized_leverage(&y);
+        let expect = m.relative_projection_distance(&y) + 0.5 * m.standardize(m.leverage_score(&y));
         assert!((blended - expect).abs() < 1e-12);
     }
 
@@ -639,8 +637,8 @@ mod tests {
         let m_small = SubspaceModel::from_matrix(&b_small, 2, 10).unwrap();
         let m_large = SubspaceModel::from_matrix(&b_large, 2, 1000).unwrap();
         let y = [1.0, 0.5, 0.0, 0.0];
-        let s = m_small.standardized_leverage(&y);
-        let l = m_large.standardized_leverage(&y);
+        let s = m_small.standardize(m_small.leverage_score(&y));
+        let l = m_large.standardize(m_large.leverage_score(&y));
         assert!((s - l).abs() < 1e-10, "{s} vs {l}");
     }
 

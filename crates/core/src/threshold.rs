@@ -47,13 +47,8 @@ impl QuantileEstimator {
         }
     }
 
-    /// The quantile being tracked.
-    pub fn quantile(&self) -> f64 {
-        self.q
-    }
-
     /// Number of observations seen.
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.count
     }
 

@@ -57,7 +57,7 @@ impl fmt::Display for InputViolation {
 /// violation is deterministic for a given row.
 ///
 /// ```
-/// use sketchad_core::validate::{validate_point, InputViolation};
+/// use sketchad_core::{validate_point, InputViolation};
 ///
 /// assert!(validate_point(&[1.0, 2.0], 2).is_ok());
 /// assert_eq!(

@@ -34,21 +34,21 @@
 //!   identical results.
 //!
 //! Both file kinds open with a 4-byte magic (`SKAD`, `SKWL`) and the
-//! format-version byte [`FORMAT_VERSION`], and end every
+//! format-version byte `FORMAT_VERSION`, and end every
 //! integrity-protected region with a [`checksum64`] of the bytes it covers.
 //! Readers check the magic and the version before the checksum, so a file
 //! of another version fails as "unsupported format version", not as
 //! corrupt. The format is self-contained (no serializer dependency,
 //! fixed-width little-endian fields): every byte of it is framed by
 //! `sketchad_sketch::wire`, the one module that knows the layout. See
-//! [`snapshot`] and [`wal`] for each file's layout and [`store`] for
+//! [`snapshot`] and [`wal`] for each file's layout and `store` for
 //! rotation/retention policy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod snapshot;
-pub mod store;
+pub(crate) mod store;
 pub mod wal;
 
 use std::path::{Path, PathBuf};
@@ -56,12 +56,11 @@ use std::path::{Path, PathBuf};
 use sketchad_sketch::wire::{split_checksum, ByteReader, PreambleError, WireError};
 
 pub use sketchad_sketch::wire::checksum64;
-pub use snapshot::{read_snapshot, write_snapshot, Snapshot, MAGIC_SNAPSHOT};
+pub use snapshot::{read_snapshot, write_snapshot, Snapshot};
 pub use store::{
-    inspect, recover, shard_dir, FsyncPolicy, LastSegment, RecoveredState, Recovery, RecoveryStats,
-    StateStore, RETAINED_SNAPSHOTS,
+    inspect, recover, shard_dir, FsyncPolicy, RecoveredState, Recovery, RecoveryStats, StateStore,
 };
-pub use wal::{TailStatus, WalHeader, WalRecord, MAGIC_WAL, REPLAY_BLOCK_ROWS};
+pub use wal::{TailStatus, WalHeader, WalRecord, REPLAY_BLOCK_ROWS};
 
 /// Version of the on-disk format. Bump on any incompatible layout change;
 /// readers reject files whose version they do not understand.
@@ -69,7 +68,7 @@ pub use wal::{TailStatus, WalHeader, WalRecord, MAGIC_WAL, REPLAY_BLOCK_ROWS};
 /// Version 2 (`sketchad-wal/v2`): one WAL frame per logged micro-batch, and
 /// the word-at-a-time [`checksum64`] on both file kinds. Files of any other
 /// version are rejected.
-pub const FORMAT_VERSION: u8 = 2;
+pub(crate) const FORMAT_VERSION: u8 = 2;
 
 /// Lists the files in `dir` whose names `parse` reads a number from,
 /// sorted by that number.

@@ -28,10 +28,10 @@ use sketchad_sketch::wire::ByteWriter;
 use crate::{list_numbered, open_region, DurableError, FORMAT_VERSION};
 
 /// Magic bytes opening every snapshot file.
-pub const MAGIC_SNAPSHOT: [u8; 4] = *b"SKAD";
+pub(crate) const MAGIC_SNAPSHOT: [u8; 4] = *b"SKAD";
 
 /// File extension for snapshot files.
-pub const SNAPSHOT_EXT: &str = "skad";
+pub(crate) const SNAPSHOT_EXT: &str = "skad";
 
 /// A decoded snapshot: header fields plus the opaque detector payload.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -65,7 +65,7 @@ impl Default for FsyncPolicy {
 
 /// Number of snapshot generations kept on disk. Two, so recovery can fall
 /// back to the previous generation when the newest file is corrupt.
-pub const RETAINED_SNAPSHOTS: usize = 2;
+pub(crate) const RETAINED_SNAPSHOTS: usize = 2;
 
 /// Per-shard subdirectory under a pipeline's state root,
 /// e.g. `<root>/shard-0003`.
@@ -98,12 +98,12 @@ pub struct RecoveryStats {
 
 /// The newest WAL segment as recovery found it: where a writer resumes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LastSegment {
+pub(crate) struct LastSegment {
     /// Segment number.
-    pub number: u64,
+    pub(crate) number: u64,
     /// Bytes through its last intact frame; `None` when its header is
     /// corrupt, so a writer abandons it and starts the next segment.
-    pub valid_len: Option<u64>,
+    pub(crate) valid_len: Option<u64>,
 }
 
 /// The outcome of a read-only recovery scan.
@@ -120,9 +120,9 @@ pub struct RecoveredState {
     pub stats: RecoveryStats,
     /// Newest snapshot generation on disk, valid or not (0 when none): a
     /// writer numbers its next checkpoint past it.
-    pub newest_generation: u64,
+    pub(crate) newest_generation: u64,
     /// The newest WAL segment, if any.
-    pub last_segment: Option<LastSegment>,
+    pub(crate) last_segment: Option<LastSegment>,
     /// Sequence of the last intact row on disk, WAL or snapshot.
     last_seq: u64,
 }
@@ -432,16 +432,6 @@ impl StateStore {
         self.seq
     }
 
-    /// Generation of the most recent checkpoint (0 before the first).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Directory this store writes into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Deletes snapshots older than the retained window and WAL segments
     /// that no retained snapshot needs for replay.
     fn prune(&self) -> Result<(), DurableError> {
@@ -538,7 +528,7 @@ mod tests {
         let store = StateStore::open(&dir, 0, FsyncPolicy::Never).unwrap();
         assert!(!stale.exists(), "the resuming writer deletes it");
         assert!(unrelated.exists(), "only snapshot temp files are touched");
-        assert_eq!(store.generation(), 1);
+        assert_eq!(store.generation, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -782,7 +772,7 @@ mod tests {
         // A writer resumed from that scan numbers past the corrupt
         // generation and appends after row 10.
         let mut store = StateStore::resume(&dir, 0, FsyncPolicy::Never, &fallback).unwrap();
-        assert_eq!((store.seq(), store.generation()), (10, 2));
+        assert_eq!((store.seq(), store.generation), (10, 2));
         assert_eq!(store.append_row(&row(11)).unwrap(), 11);
         assert_eq!(store.checkpoint(b"gen-3").unwrap(), 3);
         std::fs::remove_dir_all(&dir).unwrap();

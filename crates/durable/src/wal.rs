@@ -45,10 +45,10 @@ use sketchad_sketch::wire::{checksum64x4, iter_f64s, ByteReader, ByteWriter};
 use crate::{list_numbered, open_region, DurableError, FORMAT_VERSION};
 
 /// Magic bytes opening every WAL segment file.
-pub const MAGIC_WAL: [u8; 4] = *b"SKWL";
+pub(crate) const MAGIC_WAL: [u8; 4] = *b"SKWL";
 
 /// File extension for WAL segment files.
-pub const WAL_EXT: &str = "skwl";
+pub(crate) const WAL_EXT: &str = "skwl";
 
 /// One logged row: its global stream sequence number and the values.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,7 +96,7 @@ pub fn wal_file_name(segment: u64) -> String {
 }
 
 /// Parses a segment number out of a WAL filename.
-pub fn parse_wal_name(name: &str) -> Option<u64> {
+pub(crate) fn parse_wal_name(name: &str) -> Option<u64> {
     let stem = name
         .strip_prefix("wal-")?
         .strip_suffix(&format!(".{WAL_EXT}"))?;
@@ -171,7 +171,7 @@ pub fn decode_wal_header(bytes: &[u8]) -> Result<WalHeader, DurableError> {
 
 /// Reads and validates only the header of the segment at `path`: the
 /// first [`WAL_HEADER_LEN`] bytes, not the frames behind them.
-pub fn read_wal_header(path: &Path) -> Result<WalHeader, DurableError> {
+pub(crate) fn read_wal_header(path: &Path) -> Result<WalHeader, DurableError> {
     let mut bytes = Vec::with_capacity(WAL_HEADER_LEN);
     fs::File::open(path)?
         .take(WAL_HEADER_LEN as u64)
@@ -292,12 +292,12 @@ impl ReplayBlock {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SegmentScan {
     /// Rows in the intact frames, whether or not they were replayed.
-    pub rows: u64,
+    pub(crate) rows: u64,
     /// Rows past the covered sequence, handed to the sink.
-    pub replayed: u64,
-    pub tail: TailStatus,
+    pub(crate) replayed: u64,
+    pub(crate) tail: TailStatus,
     /// Bytes through the last intact frame: where an appender resumes.
-    pub valid_len: u64,
+    pub(crate) valid_len: u64,
 }
 
 /// A segment whose header validated, its bytes mapped for one walk.
@@ -311,13 +311,13 @@ pub(crate) struct SegmentScan {
 /// no-concurrent-truncation precondition holds.
 pub(crate) struct MappedSegment {
     bytes: sketchad_core::mmapio::MappedBytes,
-    pub header: WalHeader,
+    pub(crate) header: WalHeader,
 }
 
 impl MappedSegment {
     /// Maps the segment at `path` and validates its header: an I/O error,
     /// or a corrupt header that makes the whole segment unusable.
-    pub fn open(path: &Path) -> Result<Self, DurableError> {
+    pub(crate) fn open(path: &Path) -> Result<Self, DurableError> {
         let bytes = sketchad_core::mmapio::MappedBytes::open(path)?;
         let header = decode_wal_header(bytes.bytes())?;
         Ok(Self { bytes, header })
@@ -345,7 +345,7 @@ impl MappedSegment {
     /// decoded and never read again, so the walk's resident memory is one
     /// release step plus one verify group, not the segment. What the walk
     /// reads and returns is unchanged; nothing on disk is touched.
-    pub fn walk(
+    pub(crate) fn walk(
         &self,
         covered: u64,
         block: &mut ReplayBlock,
@@ -489,7 +489,7 @@ impl SegmentWriter {
 
     /// Reopens an existing segment for append after truncating it to
     /// `valid_len` bytes (discarding any torn tail found during recovery).
-    pub fn reopen(path: &Path, valid_len: u64) -> Result<Self, DurableError> {
+    pub(crate) fn reopen(path: &Path, valid_len: u64) -> Result<Self, DurableError> {
         let mut file = fs::OpenOptions::new().write(true).open(path)?;
         file.set_len(valid_len)?;
         file.seek(SeekFrom::End(0))?;
@@ -509,7 +509,7 @@ impl SegmentWriter {
     }
 
     /// Forces written frames to stable storage.
-    pub fn sync(&mut self) -> Result<(), DurableError> {
+    pub(crate) fn sync(&mut self) -> Result<(), DurableError> {
         self.file.sync_data()?;
         Ok(())
     }

@@ -7,7 +7,7 @@
 ///
 /// # Panics
 /// Panics on length mismatch.
-pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
+pub(crate) fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
     assert_eq!(x.len(), y.len(), "length mismatch");
     let n = x.len();
     if n < 2 {
@@ -34,7 +34,7 @@ pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
 
 /// Spearman rank correlation (Pearson on average ranks, tie-aware).
 ///
-/// Returns `None` under the same conditions as [`pearson`].
+/// Returns `None` under the same conditions as `pearson`.
 pub fn spearman(x: &[f64], y: &[f64]) -> Option<f64> {
     assert_eq!(x.len(), y.len(), "length mismatch");
     let rx = average_ranks(x);
@@ -43,7 +43,7 @@ pub fn spearman(x: &[f64], y: &[f64]) -> Option<f64> {
 }
 
 /// Average ranks (1-based; ties share the mean rank of their run).
-pub fn average_ranks(x: &[f64]) -> Vec<f64> {
+pub(crate) fn average_ranks(x: &[f64]) -> Vec<f64> {
     let n = x.len();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&i, &j| x[i].partial_cmp(&x[j]).expect("finite values"));

@@ -42,11 +42,11 @@ pub const MATRIX_SCHEMA: &str = "sketchad-matrix/v1";
 /// False-positive budget behind the delay threshold: the detection-delay
 /// threshold is the `1 − NORMAL_FP_RATE` quantile of post-warmup normal
 /// scores (a 2% alert rate on clean traffic).
-pub const NORMAL_FP_RATE: f64 = 0.02;
+pub(crate) const NORMAL_FP_RATE: f64 = 0.02;
 
 /// The sketch arms the matrix sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SketchArm {
+pub(crate) enum SketchArm {
     /// Frequent directions (deterministic).
     Fd,
     /// Gaussian random projection.
@@ -61,11 +61,11 @@ pub enum SketchArm {
 
 impl SketchArm {
     /// The four single-sketch arms (everything except the ensemble).
-    pub const SINGLES: [SketchArm; 4] =
+    pub(crate) const SINGLES: [SketchArm; 4] =
         [SketchArm::Fd, SketchArm::Rp, SketchArm::Cs, SketchArm::Sjl];
 
     /// Stable artifact label.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             SketchArm::Fd => "fd",
             SketchArm::Rp => "rp",
@@ -79,7 +79,7 @@ impl SketchArm {
 /// Memory-budget tier: a point on the ε → ℓ sketch-size curve plus the
 /// refresh cadence the budget buys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BudgetTier {
+pub(crate) enum BudgetTier {
     /// ε = 0.5 → ℓ = k + 2, refresh every 128 points.
     Low,
     /// ε = 0.125 → ℓ = k + 8, refresh every 64 points (the anchor tier).
@@ -90,10 +90,10 @@ pub enum BudgetTier {
 
 impl BudgetTier {
     /// All tiers, cheapest first.
-    pub const ALL: [BudgetTier; 3] = [BudgetTier::Low, BudgetTier::Mid, BudgetTier::High];
+    pub(crate) const ALL: [BudgetTier; 3] = [BudgetTier::Low, BudgetTier::Mid, BudgetTier::High];
 
     /// Stable artifact label.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             BudgetTier::Low => "low",
             BudgetTier::Mid => "mid",
@@ -103,7 +103,7 @@ impl BudgetTier {
 
     /// Covariance error target ε fed to
     /// [`sketchad_sketch::bounds::required_fd_size`].
-    pub fn eps(&self) -> f64 {
+    pub(crate) fn eps(&self) -> f64 {
         match self {
             BudgetTier::Low => 0.5,
             BudgetTier::Mid => 0.125,
@@ -112,7 +112,7 @@ impl BudgetTier {
     }
 
     /// Model-refresh period the tier runs at.
-    pub fn refresh_period(&self) -> usize {
+    pub(crate) fn refresh_period(&self) -> usize {
         match self {
             BudgetTier::Low => 128,
             BudgetTier::Mid => 64,
@@ -174,7 +174,7 @@ pub struct CellMetrics {
     /// Best achievable F1 over post-warmup points.
     pub best_f1: Option<f64>,
     /// Mean detection delay (points) over anomaly episodes, at the
-    /// [`NORMAL_FP_RATE`] operating threshold.
+    /// `NORMAL_FP_RATE` operating threshold.
     pub detection_delay: Option<f64>,
     /// Resident sketch bytes at end of stream.
     pub sketch_bytes: usize,
@@ -315,7 +315,7 @@ impl MatrixArtifact {
 
 /// The scenario families the matrix sweeps, in presentation order: the six
 /// standard datasets plus the two drift scenarios.
-pub fn scenario_names() -> Vec<&'static str> {
+pub(crate) fn scenario_names() -> Vec<&'static str> {
     vec![
         "synth-lowrank",
         "synth-burst",
@@ -330,7 +330,7 @@ pub fn scenario_names() -> Vec<&'static str> {
 
 /// Generates the named scenario stream at `scale` (`None` for an unknown
 /// name).
-pub fn scenario_stream(name: &str, scale: DatasetScale) -> Option<LabeledStream> {
+pub(crate) fn scenario_stream(name: &str, scale: DatasetScale) -> Option<LabeledStream> {
     match name {
         "synth-lowrank" => Some(sketchad_streams::synth_lowrank(scale)),
         "synth-burst" => Some(sketchad_streams::synth_burst(scale)),
@@ -346,7 +346,7 @@ pub fn scenario_stream(name: &str, scale: DatasetScale) -> Option<LabeledStream>
 
 /// Model rank per scenario, following the experiment-harness convention:
 /// the sparse prototype stream gets the larger rank, capped at `dim / 2`.
-pub fn rank_for_scenario(scenario: &str, dim: usize) -> usize {
+pub(crate) fn rank_for_scenario(scenario: &str, dim: usize) -> usize {
     let base = if scenario == "dorothea-like" { 24 } else { 10 };
     base.min((dim / 2).max(2))
 }
@@ -369,22 +369,22 @@ pub fn cell_seed(key: &str) -> u64 {
 
 /// One grid entry: a cell yet to be executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GridEntry {
+pub(crate) struct GridEntry {
     /// Scenario index into [`scenario_names`].
-    pub scenario: &'static str,
+    pub(crate) scenario: &'static str,
     /// Sketch arm.
-    pub sketch: SketchArm,
+    pub(crate) sketch: SketchArm,
     /// Budget tier.
-    pub budget: BudgetTier,
+    pub(crate) budget: BudgetTier,
     /// Whether the cell is gate-anchored.
-    pub anchor: bool,
+    pub(crate) anchor: bool,
 }
 
 /// Builds the declarative cell grid. The full grid runs every single-sketch
 /// arm at every budget tier plus the ensemble at the anchor (mid) tier; the
 /// smoke grid is exactly the anchored subset, so smoke metrics are
 /// comparable cell-for-cell against a committed full run.
-pub fn build_grid(smoke: bool) -> Vec<GridEntry> {
+pub(crate) fn build_grid(smoke: bool) -> Vec<GridEntry> {
     let mut grid = Vec::new();
     for scenario in scenario_names() {
         for arm in SketchArm::SINGLES {
@@ -412,7 +412,7 @@ pub fn build_grid(smoke: bool) -> Vec<GridEntry> {
 }
 
 /// Resolves the detector parameters for a grid entry against its stream.
-pub fn resolve_params(entry: &GridEntry, stream: &LabeledStream) -> CellParams {
+pub(crate) fn resolve_params(entry: &GridEntry, stream: &LabeledStream) -> CellParams {
     let k = rank_for_scenario(entry.scenario, stream.dim);
     let eps = entry.budget.eps();
     // Sharan et al.-style sizing: ℓ = k + ⌈1/ε⌉, capped at the ambient
@@ -456,7 +456,7 @@ fn build_detector(arm: SketchArm, params: &CellParams, dim: usize) -> Box<dyn St
 
 /// Executes one cell: runs the detector over the stream and evaluates the
 /// post-warmup scores.
-pub fn run_cell(entry: &GridEntry, stream: &LabeledStream) -> MatrixCell {
+pub(crate) fn run_cell(entry: &GridEntry, stream: &LabeledStream) -> MatrixCell {
     let params = resolve_params(entry, stream);
     let mut detector = build_detector(entry.sketch, &params, stream.dim);
     let watch = Stopwatch::start();
@@ -599,11 +599,6 @@ pub fn run_matrix_with_progress(
         cells,
         pareto,
     }
-}
-
-/// Runs the whole matrix without progress reporting.
-pub fn run_matrix(spec: &MatrixSpec) -> MatrixArtifact {
-    run_matrix_with_progress(spec, |_| {})
 }
 
 /// Regression tolerances for the quality gate.

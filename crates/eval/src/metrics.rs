@@ -159,7 +159,7 @@ pub fn prequential_auc(scores: &[f64], labels: &[bool], chunk: usize) -> Vec<(us
 ///
 /// # Panics
 /// Panics on length mismatch, NaN scores, or `q` outside `[0, 1]`.
-pub fn normal_score_quantile(scores: &[f64], labels: &[bool], q: f64) -> Option<f64> {
+pub(crate) fn normal_score_quantile(scores: &[f64], labels: &[bool], q: f64) -> Option<f64> {
     assert_eq!(scores.len(), labels.len(), "scores/labels length mismatch");
     assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
     let mut normal: Vec<f64> = scores
@@ -192,7 +192,7 @@ pub fn normal_score_quantile(scores: &[f64], labels: &[bool], q: f64) -> Option<
 ///
 /// # Panics
 /// Panics on length mismatch or when an anomaly-position score is NaN.
-pub fn detection_delay(scores: &[f64], labels: &[bool], threshold: f64) -> Option<f64> {
+pub(crate) fn detection_delay(scores: &[f64], labels: &[bool], threshold: f64) -> Option<f64> {
     assert_eq!(scores.len(), labels.len(), "scores/labels length mismatch");
     let mut episodes = 0usize;
     let mut total_delay = 0.0f64;
@@ -223,61 +223,6 @@ pub fn detection_delay(scores: &[f64], labels: &[bool], threshold: f64) -> Optio
         None
     } else {
         Some(total_delay / episodes as f64)
-    }
-}
-
-/// Confusion counts at a fixed threshold (`score > threshold` = positive).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Confusion {
-    /// True positives.
-    pub tp: usize,
-    /// False positives.
-    pub fp: usize,
-    /// True negatives.
-    pub tn: usize,
-    /// False negatives.
-    pub fn_: usize,
-}
-
-impl Confusion {
-    /// Builds the confusion counts for a threshold.
-    pub fn at_threshold(scores: &[f64], labels: &[bool], threshold: f64) -> Self {
-        assert_eq!(scores.len(), labels.len(), "scores/labels length mismatch");
-        let mut c = Confusion {
-            tp: 0,
-            fp: 0,
-            tn: 0,
-            fn_: 0,
-        };
-        for (&s, &l) in scores.iter().zip(labels.iter()) {
-            match (s > threshold, l) {
-                (true, true) => c.tp += 1,
-                (true, false) => c.fp += 1,
-                (false, false) => c.tn += 1,
-                (false, true) => c.fn_ += 1,
-            }
-        }
-        c
-    }
-
-    /// False-positive rate `fp / (fp + tn)` (0 when no negatives).
-    pub fn fpr(&self) -> f64 {
-        let denom = self.fp + self.tn;
-        if denom == 0 {
-            0.0
-        } else {
-            self.fp as f64 / denom as f64
-        }
-    }
-
-    /// Recall `tp / (tp + fn)` (0 when no positives).
-    pub fn recall(&self) -> f64 {
-        let denom = self.tp + self.fn_;
-        if denom == 0 {
-            0.0
-        } else {
-            self.tp as f64 / denom as f64
-        }
     }
 }
 
@@ -352,24 +297,6 @@ mod tests {
         // Thresholding below 0.7: tp=2, fp=1 → P=2/3, R=1 → F1=0.8.
         let f1 = best_f1(&scores, &labels).unwrap();
         assert!((f1 - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn confusion_counts_and_rates() {
-        let scores = [0.9, 0.2, 0.8, 0.1];
-        let labels = [true, true, false, false];
-        let c = Confusion::at_threshold(&scores, &labels, 0.5);
-        assert_eq!(
-            c,
-            Confusion {
-                tp: 1,
-                fp: 1,
-                tn: 1,
-                fn_: 1
-            }
-        );
-        assert!((c.fpr() - 0.5).abs() < 1e-12);
-        assert!((c.recall() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -92,16 +92,6 @@ impl ExperimentReport {
         w.write_all(b"\n")?;
         Ok(())
     }
-
-    /// Reads a report back from JSON.
-    ///
-    /// # Errors
-    /// Propagates filesystem and deserialization errors.
-    pub fn read_json(path: &Path) -> std::io::Result<Self> {
-        let data = std::fs::read_to_string(path)?;
-        serde_json::from_str(&data)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
 }
 
 #[cfg(test)]
@@ -127,7 +117,8 @@ mod tests {
         let mut path = std::env::temp_dir();
         path.push(format!("sketchad-report-{}.json", std::process::id()));
         r.write_json(&path).unwrap();
-        let back = ExperimentReport::read_json(&path).unwrap();
+        let back: ExperimentReport =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(back, r);
     }
@@ -139,10 +130,5 @@ mod tests {
         s.push(3.0, 4.0);
         assert_eq!(s.x, vec![1.0, 3.0]);
         assert_eq!(s.y, vec![2.0, 4.0]);
-    }
-
-    #[test]
-    fn read_missing_file_errors() {
-        assert!(ExperimentReport::read_json(Path::new("/nonexistent/x.json")).is_err());
     }
 }

@@ -17,7 +17,7 @@ use crate::matrix::MatrixArtifact;
 
 /// AUC band treated as "statistically indistinguishable from the best":
 /// candidates within this much of the scenario's top AUC compete on cost.
-pub const AUC_INDIFFERENCE: f64 = 0.01;
+pub(crate) const AUC_INDIFFERENCE: f64 = 0.01;
 
 /// The recommended configuration for one scenario family.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -97,7 +97,7 @@ pub fn recommend(artifact: &MatrixArtifact) -> Vec<Recommendation> {
 /// errors partially cancel while FD anchors the subspace. The matrix runs
 /// this as its fifth arm to measure whether the combination earns its 4×
 /// memory cost on any scenario.
-pub struct ScoreAveragingEnsemble {
+pub(crate) struct ScoreAveragingEnsemble {
     fd: Box<dyn StreamingDetector>,
     rp: Box<dyn StreamingDetector>,
     cs: Box<dyn StreamingDetector>,
@@ -109,7 +109,7 @@ pub struct ScoreAveragingEnsemble {
 impl ScoreAveragingEnsemble {
     /// Builds the four arms from a shared configuration; each arm's seed is
     /// derived from `cfg.seed` so the arms use independent randomness.
-    pub fn from_config(cfg: &DetectorConfig, dim: usize) -> Self {
+    pub(crate) fn from_config(cfg: &DetectorConfig, dim: usize) -> Self {
         let arm_cfg =
             |salt: u64| cfg.with_seed(cfg.seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         Self {

@@ -37,16 +37,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         let ncols = self.headers.len();
@@ -119,8 +109,7 @@ mod tests {
         let header_pos = lines[1].find("auc").unwrap();
         assert_eq!(lines[3].find("0.99"), Some(header_pos));
         assert_eq!(lines[4].find("1.0"), Some(header_pos));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

@@ -18,7 +18,7 @@ impl Stopwatch {
     }
 
     /// Elapsed time since start.
-    pub fn elapsed(&self) -> Duration {
+    pub(crate) fn elapsed(&self) -> Duration {
         self.start.elapsed()
     }
 
@@ -49,7 +49,7 @@ impl LatencyStats {
     }
 
     /// Records one latency sample.
-    pub fn record(&mut self, d: Duration) {
+    pub(crate) fn record(&mut self, d: Duration) {
         self.samples_ns.push(d.as_nanos() as u64);
     }
 
@@ -90,16 +90,6 @@ impl LatencyStats {
         sorted.sort_unstable();
         let idx = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
         sorted[idx]
-    }
-
-    /// Items per second implied by the mean latency (0 when empty).
-    pub fn throughput_per_sec(&self) -> f64 {
-        let m = self.mean_ns();
-        if m <= 0.0 {
-            0.0
-        } else {
-            1e9 / m
-        }
     }
 
     /// Histogram over logarithmic buckets `< 1µs, < 10µs, < 100µs, < 1ms, ≥ 1ms`
@@ -146,8 +136,6 @@ mod tests {
         assert_eq!(s.percentile_ns(0.5), 3_000_000);
         assert_eq!(s.percentile_ns(1.0), 5_000_000);
         assert_eq!(s.percentile_ns(0.0), 1_000_000);
-        let tp = s.throughput_per_sec();
-        assert!((tp - 1e9 / 3e6).abs() < 1.0);
     }
 
     #[test]
@@ -180,6 +168,5 @@ mod tests {
         let s = LatencyStats::new();
         assert!(s.is_empty());
         assert_eq!(s.mean_ns(), 0.0);
-        assert_eq!(s.throughput_per_sec(), 0.0);
     }
 }

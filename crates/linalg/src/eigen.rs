@@ -1,7 +1,7 @@
 //! Symmetric eigendecomposition.
 //!
-//! * [`sym_eigenvalues`] + [`sym_eigenvectors`] — the one production
-//!   solver, over caller-owned buffers ([`EigenScratch`]), in LAPACK's
+//! * `sym_eigenvalues` + `sym_eigenvectors` — the one production
+//!   solver, over caller-owned buffers (`EigenScratch`), in LAPACK's
 //!   `dsyevx` shape: Householder tridiagonalization, implicit-shift QL for
 //!   every eigenvalue, and only the `keep` eigenvectors asked for. Up to a
 //!   quarter of `n` kept, those come from inverse iteration on the
@@ -175,7 +175,7 @@ pub fn eigen_sym(s: &Matrix) -> Result<SymEigen> {
 
 /// The top `keep` eigenpairs of a symmetric matrix (`keep` is clamped to
 /// `n`; only the lower triangle of `s` is read): the allocating wrapper
-/// over [`sym_eigenvalues`] and [`sym_eigenvectors`]. `values` holds the
+/// over `sym_eigenvalues` and `sym_eigenvectors`. `values` holds the
 /// `keep` largest eigenvalues, descending, and column `i` of the
 /// `n × keep` `vectors` the unit eigenvector of `values[i]`. Only those
 /// `keep` vectors are computed.
@@ -257,7 +257,7 @@ const TIE_REL_GAP: f64 = 1e-13;
 /// Sized for an `n` and `keep`, a scratch allocates nothing on later calls
 /// of that `n` or smaller keeping as many vectors or fewer.
 #[derive(Debug, Clone, Default)]
-pub struct EigenScratch {
+pub(crate) struct EigenScratch {
     /// Diagonal and off-diagonal of the tridiagonal `T = QᵀSQ`, in scaled
     /// units; `off[i]` couples `i` and `i + 1`. On the all-vectors route QL
     /// consumes them, leaving the eigenvalues in `diag`.
@@ -522,7 +522,7 @@ fn start_entry(j: usize, i: usize) -> f64 {
 /// * [`LinAlgError::NoConvergence`] if QL exceeds its iteration budget.
 /// * [`LinAlgError::NotFinite`] if the input holds a non-finite value or an
 ///   eigenvalue comes out non-finite.
-pub fn sym_eigenvalues(
+pub(crate) fn sym_eigenvalues(
     z: &mut [f64],
     values: &mut [f64],
     keep: usize,
@@ -638,7 +638,7 @@ fn descending_order(d: &[f64], order: &mut [usize]) {
 /// # Panics
 /// Panics unless `z.len() == n²` and `count` is no more than the `keep`
 /// that [`sym_eigenvalues`] call was given.
-pub fn sym_eigenvectors<'a>(
+pub(crate) fn sym_eigenvectors<'a>(
     z: &'a [f64],
     count: usize,
     scratch: &'a mut EigenScratch,

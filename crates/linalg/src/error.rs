@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Result alias using [`LinAlgError`].
-pub type Result<T> = std::result::Result<T, LinAlgError>;
+pub(crate) type Result<T> = std::result::Result<T, LinAlgError>;
 
 /// Errors produced by the linear-algebra substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]

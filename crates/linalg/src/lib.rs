@@ -12,7 +12,7 @@
 //!
 //! ## Module map
 //!
-//! * [`matrix`] — the dense row-major [`Matrix`] type and its kernels.
+//! * `matrix` — the dense row-major [`Matrix`] type and its kernels.
 //! * [`vecops`] — slice-level vector kernels (dot, axpy, plane rotation,
 //!   norms).
 //! * [`qr`] — Householder thin QR.
@@ -45,18 +45,18 @@
 #![deny(unsafe_code)]
 
 pub mod eigen;
-pub mod error;
+pub(crate) mod error;
 #[cfg(test)]
 mod golden;
-pub mod matrix;
+pub(crate) mod matrix;
 pub mod power;
 pub mod qr;
 pub mod rng;
-pub mod sparse;
+pub(crate) mod sparse;
 pub mod svd;
 pub mod vecops;
 
-pub use error::{LinAlgError, Result};
+pub use error::LinAlgError;
 pub use matrix::Matrix;
 pub use sparse::SparseVec;
 pub use vecops::active_simd_tier;

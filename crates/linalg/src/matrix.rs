@@ -55,7 +55,7 @@ impl Matrix {
     /// Column-block width for the retiled [`Self::matmul`] kernel: the inner
     /// loops touch one output slice plus four `rhs` slices of this many
     /// `f64`s (5 × 2 KiB), keeping the working set inside a 32 KiB L1.
-    pub const COL_BLOCK: usize = 256;
+    pub(crate) const COL_BLOCK: usize = 256;
 
     /// Creates a `rows × cols` matrix filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
@@ -63,15 +63,6 @@ impl Matrix {
             rows,
             cols,
             data: vec![0.0; rows * cols],
-        }
-    }
-
-    /// Creates a `rows × cols` matrix where every element is `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
         }
     }
 
@@ -154,11 +145,6 @@ impl Matrix {
         (self.rows, self.cols)
     }
 
-    /// True when the matrix has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Borrow the underlying row-major data.
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
@@ -169,11 +155,6 @@ impl Matrix {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consume the matrix and return the row-major data vector.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Borrow row `i` as a slice.
@@ -201,24 +182,6 @@ impl Matrix {
             self.cols
         );
         (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
-    /// Mutably borrow two distinct rows at once.
-    ///
-    /// # Panics
-    /// Panics when `i == j` or either index is out of bounds.
-    pub fn two_rows_mut(&mut self, i: usize, j: usize) -> (&mut [f64], &mut [f64]) {
-        assert!(i != j, "two_rows_mut requires distinct indices");
-        assert!(i < self.rows && j < self.rows, "row index out of bounds");
-        let c = self.cols;
-        if i < j {
-            let (a, b) = self.data.split_at_mut(j * c);
-            (&mut a[i * c..(i + 1) * c], &mut b[..c])
-        } else {
-            let (a, b) = self.data.split_at_mut(i * c);
-            let (rj, ri) = (&mut a[j * c..(j + 1) * c], &mut b[..c]);
-            (ri, rj)
-        }
     }
 
     /// Iterator over rows as slices.
@@ -255,14 +218,14 @@ impl Matrix {
     /// Matrix product `self * rhs`.
     ///
     /// Eight output rows at a time go through the register-tiled
-    /// [`vecops::gemm8`] micro-kernel (an 8×16 accumulator tile held in
-    /// registers across the whole k loop on AVX-512, two [`vecops::gemm4`]
+    /// `vecops::gemm8` micro-kernel (an 8×16 accumulator tile held in
+    /// registers across the whole k loop on AVX-512, two `vecops::gemm4`
     /// 4×8 tiles on AVX2, the same bits either way), four leftover rows
-    /// through [`vecops::gemm4`]; the last `nrows % 4` rows — and every
+    /// through `vecops::gemm4`; the last `nrows % 4` rows — and every
     /// row on hosts without AVX2+FMA — fall back to a retiled `i-k-j`
     /// kernel where the k dimension is unrolled four-wide through
-    /// [`vecops::axpy4`] and the j dimension is blocked at
-    /// [`Self::COL_BLOCK`] columns so the working set stays L1-resident. The
+    /// `vecops::axpy4` and the j dimension is blocked at
+    /// `Self::COL_BLOCK` columns so the working set stays L1-resident. The
     /// inner loops are branch-free on purpose: dense data gains nothing from
     /// zero-skipping, and the branch defeats vectorization (sparse inputs
     /// should use the `SparseVec` paths instead).
@@ -290,7 +253,7 @@ impl Matrix {
 
     /// `self * rhsᵀ` without materializing the transpose (`rows × rhs.rows`).
     ///
-    /// Every output row is one [`vecops::row_dots`] sweep of the `rhs` rows
+    /// Every output row is one `vecops::row_dots` sweep of the `rhs` rows
     /// against the corresponding row of `self` (one kernel dispatch per
     /// sweep, `rhs` cache-hot across it). Each element is bitwise identical
     /// to `vecops::dot(self.row(i), rhs.row(j))` — the batched scoring path
@@ -311,7 +274,7 @@ impl Matrix {
     /// # Errors
     /// Returns [`LinAlgError::ShapeMismatch`] when `self.cols != rhs.cols` or
     /// `out` has the wrong length.
-    pub fn matmul_nt_into(&self, rhs: &Matrix, out: &mut [f64]) -> Result<()> {
+    pub(crate) fn matmul_nt_into(&self, rhs: &Matrix, out: &mut [f64]) -> Result<()> {
         if self.cols != rhs.cols {
             return Err(LinAlgError::ShapeMismatch {
                 expected: (0, self.cols),
@@ -343,7 +306,7 @@ impl Matrix {
     /// `selfᵀ * rhs` without materializing the transpose.
     ///
     /// Processes four stream rows per pass: each output row accumulates the
-    /// four corresponding `rhs` rows through one fused [`vecops::axpy4`], so
+    /// four corresponding `rhs` rows through one fused `vecops::axpy4`, so
     /// the (large, `cols × rhs.cols`) accumulator is swept once per four
     /// stream rows while the four `rhs` rows stay cache-hot. Branch-free on
     /// dense data (see [`Self::matmul`]).
@@ -385,10 +348,10 @@ impl Matrix {
 
     /// Gram matrix `selfᵀ * self` (`cols × cols`), exploiting symmetry.
     ///
-    /// Same four-row [`vecops::axpy4`] tiling as [`Self::tr_matmul`], but
+    /// Same four-row `vecops::axpy4` tiling as [`Self::tr_matmul`], but
     /// only the upper triangle is accumulated (`g[i][i..]`) and then
     /// mirrored, halving the flops. On AVX2+FMA hosts each four-row sweep
-    /// runs as one fused [`vecops::gram4_upper`] dispatch.
+    /// runs as one fused `vecops::gram4_upper` dispatch.
     pub fn gram(&self) -> Matrix {
         let mut g = Matrix::zeros(self.cols, self.cols);
         gram_into(&self.data, self.rows, self.cols, &mut g.data);
@@ -398,7 +361,7 @@ impl Matrix {
     /// Outer Gram matrix `self * selfᵀ` (`rows × rows`), exploiting symmetry.
     ///
     /// Upper-triangle row-row dot products in register-tiled 4×4 blocks via
-    /// [`vecops::dots4x4`].
+    /// `vecops::dots4x4`.
     pub fn outer_gram(&self) -> Matrix {
         let mut g = Matrix::zeros(self.rows, self.rows);
         outer_gram_into(&self.data, self.rows, self.cols, &mut g.data);
@@ -496,7 +459,7 @@ impl Matrix {
         vecops::dot(&self.data, &self.data)
     }
 
-    /// Maximum absolute element (NaNs skipped): [`vecops::norm_inf`] of
+    /// Maximum absolute element (NaNs skipped): `vecops::norm_inf` of
     /// the entries.
     pub fn max_abs(&self) -> f64 {
         vecops::norm_inf(&self.data)
@@ -872,23 +835,6 @@ mod tests {
     }
 
     #[test]
-    fn two_rows_mut_both_orders() {
-        let mut m = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]).unwrap();
-        {
-            let (a, b) = m.two_rows_mut(0, 2);
-            std::mem::swap(&mut a[0], &mut b[0]);
-        }
-        assert_eq!(m[(0, 0)], 5.0);
-        assert_eq!(m[(2, 0)], 1.0);
-        {
-            let (a, b) = m.two_rows_mut(2, 0);
-            std::mem::swap(&mut a[1], &mut b[1]);
-        }
-        assert_eq!(m[(2, 1)], 2.0);
-        assert_eq!(m[(0, 1)], 6.0);
-    }
-
-    #[test]
     fn matmul_nt_matches_explicit_transpose() {
         // Sizes straddle the 4-wide unroll boundaries of the dot kernels.
         for (m, n, d) in [(3, 5, 7), (4, 4, 8), (6, 9, 13), (1, 1, 3)] {
@@ -1005,7 +951,7 @@ mod tests {
 
     #[test]
     fn scale_and_add_sub() {
-        let a = Matrix::filled(2, 2, 2.0);
+        let a = Matrix::from_vec(2, 2, vec![2.0; 4]).unwrap();
         let b = Matrix::identity(2);
         let c = a.add(&b).unwrap();
         assert_eq!(c[(0, 0)], 3.0);

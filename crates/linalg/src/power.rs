@@ -1,7 +1,7 @@
 //! Power iteration for spectral-norm estimation.
 //!
 //! The sketch-quality experiments need `‖AᵀA − BᵀB‖₂` for large `d` without
-//! ever forming a `d × d` matrix. [`spectral_norm_op`] runs power iteration
+//! ever forming a `d × d` matrix. `spectral_norm_op` runs power iteration
 //! against an arbitrary symmetric operator supplied as a closure, so callers
 //! can apply `x ↦ Aᵀ(Ax) − Bᵀ(Bx)` directly from the row data.
 
@@ -17,7 +17,7 @@ pub const DEFAULT_POWER_ITERS: usize = 100;
 /// operator `op: R^d → R^d` via power iteration.
 ///
 /// Deterministic for a fixed `seed`. Returns 0.0 for `d == 0`.
-pub fn spectral_norm_op(
+pub(crate) fn spectral_norm_op(
     d: usize,
     mut op: impl FnMut(&[f64]) -> Vec<f64>,
     iterations: usize,
@@ -40,16 +40,6 @@ pub fn spectral_norm_op(
         v = w;
     }
     lambda
-}
-
-/// Spectral norm of a symmetric matrix via power iteration.
-pub fn spectral_norm_sym(s: &Matrix, iterations: usize, seed: u64) -> f64 {
-    debug_assert_eq!(
-        s.rows(),
-        s.cols(),
-        "spectral_norm_sym requires square input"
-    );
-    spectral_norm_op(s.rows(), |x| s.matvec(x), iterations, seed)
 }
 
 /// Spectral norm of an arbitrary matrix `A` (largest singular value),
@@ -108,7 +98,7 @@ mod tests {
     #[test]
     fn spectral_norm_sym_diagonal() {
         let s = Matrix::from_diag(&[2.0, -7.0, 3.0]);
-        let est = spectral_norm_sym(&s, 200, 1);
+        let est = spectral_norm_op(3, |x| s.matvec(x), 200, 1);
         assert!((est - 7.0).abs() < 1e-8, "est {est}");
     }
 
@@ -139,7 +129,7 @@ mod tests {
         let a = gaussian_matrix(&mut rng, 15, 8, 1.0);
         let b = gaussian_matrix(&mut rng, 9, 8, 1.0);
         let dense = a.gram().sub(&b.gram()).unwrap();
-        let want = spectral_norm_sym(&dense, 400, 4);
+        let want = spectral_norm_op(8, |x| dense.matvec(x), 400, 4);
         let got = gram_diff_spectral_norm(&a, &b, 400, 4);
         assert!(
             (got - want).abs() / want.max(1e-12) < 1e-5,

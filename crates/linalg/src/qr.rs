@@ -11,11 +11,11 @@ use crate::matrix::Matrix;
 
 /// Result of a thin QR factorization.
 #[derive(Debug, Clone)]
-pub struct QrThin {
+pub(crate) struct QrThin {
     /// `m × k` matrix with orthonormal columns.
-    pub q: Matrix,
+    pub(crate) q: Matrix,
     /// `k × n` upper-triangular factor.
-    pub r: Matrix,
+    pub(crate) r: Matrix,
 }
 
 /// Computes the thin QR factorization of `a`.
@@ -32,7 +32,7 @@ pub fn qr_thin(a: &Matrix) -> Result<(Matrix, Matrix)> {
 ///
 /// # Errors
 /// See [`qr_thin`].
-pub fn qr_decompose(a: &Matrix) -> Result<QrThin> {
+pub(crate) fn qr_decompose(a: &Matrix) -> Result<QrThin> {
     let (m, n) = a.shape();
     if m == 0 || n == 0 {
         return Err(LinAlgError::EmptyInput { op: "qr_thin" });

@@ -53,17 +53,8 @@ pub fn gaussian_matrix<R: Rng + ?Sized>(
     m
 }
 
-/// Samples a Rademacher (±1) variate.
-pub fn rademacher<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    if rng.gen::<bool>() {
-        1.0
-    } else {
-        -1.0
-    }
-}
-
 /// Samples a uniformly random unit vector in `R^n`.
-pub fn random_unit_vector<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<f64> {
+pub(crate) fn random_unit_vector<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<f64> {
     loop {
         let mut v = gaussian_vec(rng, n);
         if vecops::normalize(&mut v) > 1e-12 {
@@ -107,14 +98,6 @@ mod tests {
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.03, "var {var}");
         assert!(samples.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn rademacher_is_balanced() {
-        let mut rng = seeded_rng(1);
-        let n = 20_000;
-        let sum: f64 = (0..n).map(|_| rademacher(&mut rng)).sum();
-        assert!(sum.abs() / (n as f64) < 0.02);
     }
 
     #[test]

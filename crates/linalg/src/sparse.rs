@@ -22,7 +22,7 @@ impl SparseVec {
     ///
     /// # Panics
     /// Panics when any index is `≥ dim` or `dim` exceeds `u32::MAX`.
-    pub fn from_pairs(dim: usize, pairs: impl IntoIterator<Item = (usize, f64)>) -> Self {
+    pub(crate) fn from_pairs(dim: usize, pairs: impl IntoIterator<Item = (usize, f64)>) -> Self {
         assert!(dim <= u32::MAX as usize, "dimension exceeds u32 range");
         let mut entries: Vec<(u32, f64)> = pairs
             .into_iter()
@@ -75,11 +75,6 @@ impl SparseVec {
         self.dim
     }
 
-    /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.indices.len()
-    }
-
     /// Iterator over `(index, value)` pairs in index order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
         self.indices
@@ -130,7 +125,7 @@ mod tests {
     #[test]
     fn from_pairs_sorts_merges_and_drops_zeros() {
         let v = SparseVec::from_pairs(10, vec![(5, 1.0), (2, 3.0), (5, 2.0), (7, 0.0)]);
-        assert_eq!(v.nnz(), 2);
+        assert_eq!(v.iter().count(), 2);
         let pairs: Vec<(usize, f64)> = v.iter().collect();
         assert_eq!(pairs, vec![(2, 3.0), (5, 3.0)]);
     }
@@ -138,7 +133,7 @@ mod tests {
     #[test]
     fn duplicate_cancellation_removes_entry() {
         let v = SparseVec::from_pairs(4, vec![(1, 2.0), (1, -2.0)]);
-        assert_eq!(v.nnz(), 0);
+        assert_eq!(v.iter().count(), 0);
     }
 
     #[test]
@@ -151,7 +146,7 @@ mod tests {
     fn dense_roundtrip() {
         let dense = vec![0.0, 1.5, 0.0, -2.0, 0.0];
         let v = SparseVec::from_dense(&dense);
-        assert_eq!(v.nnz(), 2);
+        assert_eq!(v.iter().count(), 2);
         assert_eq!(v.to_dense(), dense);
         assert_eq!(v.dim(), 5);
     }

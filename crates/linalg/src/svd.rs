@@ -2,8 +2,8 @@
 //!
 //! * [`right_factor`] — the *Gram route* and the only one production code
 //!   runs: eigendecompose the smaller of `A Aᵀ` or `Aᵀ A` of a row prefix of
-//!   `A` with the keep-aware solver ([`crate::eigen::sym_eigenvalues`] +
-//!   [`crate::eigen::sym_eigenvectors`]) and return all `σ²` plus only the
+//!   `A` with the keep-aware solver (`crate::eigen::sym_eigenvalues` +
+//!   `crate::eigen::sym_eigenvectors`) and return all `σ²` plus only the
 //!   top-`keep` rows of `Vᵀ`. No `U`, no transpose, no completion of
 //!   unresolved directions, and no allocation once its [`Workspace`] has
 //!   been sized. For an `ℓ × d` sketch with ℓ ≤ d this costs `ℓ²d` for the
@@ -38,16 +38,6 @@ pub struct Svd {
 }
 
 impl Svd {
-    /// Effective numerical rank: number of singular values above
-    /// `rel_tol * s[0]`.
-    pub fn rank(&self, rel_tol: f64) -> usize {
-        if self.s.is_empty() || self.s[0] <= 0.0 {
-            return 0;
-        }
-        let thresh = rel_tol * self.s[0];
-        self.s.iter().take_while(|&&v| v > thresh).count()
-    }
-
     /// Reconstructs `U diag(s) Vᵀ`.
     pub fn reconstruct(&self) -> Matrix {
         let mut us = self.u.clone();
@@ -57,22 +47,6 @@ impl Svd {
             }
         }
         us.matmul(&self.vt).expect("shape by construction")
-    }
-
-    /// Truncates to the top `k` singular triplets (`k` is clamped to `r`).
-    pub fn truncate(&self, k: usize) -> Svd {
-        let k = k.min(self.s.len());
-        let mut u = Matrix::zeros(self.u.rows(), k);
-        for i in 0..self.u.rows() {
-            for j in 0..k {
-                u[(i, j)] = self.u[(i, j)];
-            }
-        }
-        Svd {
-            u,
-            s: self.s[..k].to_vec(),
-            vt: self.vt.top_rows(k),
-        }
     }
 }
 
@@ -251,7 +225,7 @@ fn gram_safe_scale(max_abs: f64) -> f64 {
 /// pays only for the occupied ones.
 ///
 /// The eigensolver computes every eigenvalue but only the `keep` kept
-/// eigenvectors ([`sym_eigenvalues`], then [`sym_eigenvectors`]):
+/// eigenvectors (`sym_eigenvalues`, then `sym_eigenvectors`):
 /// * `m > n`: the eigenvectors of `Aᵀ A` *are* the rows of `Vᵀ`, and are
 ///   written there directly.
 /// * `m ≤ n`: they are the rows of `Uᵀ`; only `keep` rows of `Uᵀ A` are
@@ -752,7 +726,7 @@ mod tests {
         }
         let svd = svd_thin(&a).unwrap();
         check_svd(&a, &svd, 1e-8);
-        assert_eq!(svd.rank(1e-8), 1);
+        assert!(svd.s[1..].iter().all(|&v| v <= 1e-8 * svd.s[0]));
     }
 
     #[test]
@@ -760,7 +734,6 @@ mod tests {
         let a = Matrix::zeros(3, 5);
         let svd = svd_thin(&a).unwrap();
         assert!(svd.s.iter().all(|&v| v == 0.0));
-        assert_eq!(svd.rank(1e-8), 0);
         // Completed singular vectors remain orthonormal.
         let utu = svd.u.tr_matmul(&svd.u).unwrap();
         assert!(utu.sub(&Matrix::identity(3)).unwrap().max_abs() < 1e-8);
@@ -804,13 +777,15 @@ mod tests {
         let mut rng = seeded_rng(107);
         let a = gaussian_matrix(&mut rng, 10, 10, 1.0);
         let svd = svd_thin(&a).unwrap();
-        let t = svd.truncate(3);
+        let t = top_k_svd(&a, 3).unwrap();
         assert_eq!(t.s.len(), 3);
         assert_eq!(t.u.shape(), (10, 3));
         assert_eq!(t.vt.shape(), (3, 10));
-        assert_eq!(&t.s[..], &svd.s[..3]);
-        // Truncation beyond r clamps.
-        let t2 = svd.truncate(99);
+        for (got, want) in t.s.iter().zip(&svd.s[..3]) {
+            assert!((got - want).abs() <= 1e-10 * want, "{got} vs {want}");
+        }
+        // Asking beyond r clamps.
+        let t2 = top_k_svd(&a, 99).unwrap();
         assert_eq!(t2.s.len(), 10);
     }
 

@@ -22,13 +22,13 @@
 //! shapes, each kept because the other tier's would cost registers or move
 //! a bit:
 //!
-//! * [`axpy`], [`axpy4`], [`gram4_upper`] and [`gemm4`] run on 256-bit
+//! * [`axpy`], `axpy4`, `gram4_upper` and `gemm4` run on 256-bit
 //!   lanes on both tiers: they are store-bound, and at eight lanes the axpy
 //!   family's unfused scalar tail would start at another column;
-//! * [`dots4x4`] sweeps its 4×4 tile in column groups of four on AVX-512
+//! * `dots4x4` sweeps its 4×4 tile in column groups of four on AVX-512
 //!   and of two on AVX2, whose sixteen registers cannot hold sixteen
 //!   accumulators and the operands;
-//! * [`update_rows_dots`] and [`max_abs_finite`] end a row with one masked
+//! * `update_rows_dots` and `max_abs_finite` end a row with one masked
 //!   step on AVX-512 and with a scalar loop on AVX2, whose unfused tail is
 //!   that tier's bits.
 //!
@@ -43,14 +43,14 @@
 //! determinism contract is per-host, matching the seeded-RNG contract. A
 //! unit test pins every kernel's bits on every tier.
 //!
-//! The fused kernel [`axpy4`] processes four rows against one shared vector
+//! The fused kernel `axpy4` processes four rows against one shared vector
 //! in a single pass and is *bitwise compatible* with its one-row
 //! counterpart on every path: it produces the same bits as four sequential
-//! [`axpy`] calls, and so do [`row_dots`] and [`block_dots`] with one
+//! [`axpy`] calls, and so do `row_dots` and [`block_dots`] with one
 //! [`dot`] per output. The blocked matrix kernels rely on this to keep
-//! batched results identical to the one-at-a-time paths; [`gemm8`] is
-//! likewise the bits of two [`gemm4`] calls on every tier. The register
-//! tile [`dots4x4`] and the row pass [`update_rows_dots`] are the
+//! batched results identical to the one-at-a-time paths; `gemm8` is
+//! likewise the bits of two `gemm4` calls on every tier. The register
+//! tile `dots4x4` and the row pass `update_rows_dots` are the
 //! exceptions: they sum in another order, so they agree with [`dot`] to
 //! rounding only.
 
@@ -204,7 +204,7 @@ fn scalar_dot(a: &[f64], b: &[f64]) -> f64 {
 /// # Panics
 /// Panics when `y.len() != d`, `out.len() != nrows`, or `b` is too short for
 /// `nrows` rows of stride `ldb` (with `d <= ldb`).
-pub fn row_dots(b: &[f64], ldb: usize, d: usize, nrows: usize, y: &[f64], out: &mut [f64]) {
+pub(crate) fn row_dots(b: &[f64], ldb: usize, d: usize, nrows: usize, y: &[f64], out: &mut [f64]) {
     assert_eq!(y.len(), d, "row_dots: y length mismatch");
     assert_eq!(out.len(), nrows, "row_dots: out length mismatch");
     assert_rows("row_dots", b.len(), nrows, ldb, d);
@@ -296,7 +296,7 @@ fn scalar_block_dots(
 ///
 /// # Panics
 /// Panics when the eight slices do not share one length.
-pub fn dots4x4(a: [&[f64]; 4], b: [&[f64]; 4]) -> [[f64; 4]; 4] {
+pub(crate) fn dots4x4(a: [&[f64]; 4], b: [&[f64]; 4]) -> [[f64; 4]; 4] {
     let n = a[0].len();
     assert!(
         a.iter().chain(&b).all(|s| s.len() == n),
@@ -342,7 +342,7 @@ fn scalar_dots4x4(a: [&[f64]; 4], b: [&[f64]; 4]) -> [[f64; 4]; 4] {
 /// Panics when the row lengths disagree or `b`/`out` are too short for the
 /// strides.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm4(
+pub(crate) fn gemm4(
     a0: &[f64],
     a1: &[f64],
     a2: &[f64],
@@ -379,7 +379,14 @@ pub fn gemm4(
 /// # Panics
 /// Panics when the row lengths disagree or `b`/`out` are too short for the
 /// strides.
-pub fn gemm8(a: [&[f64]; 8], b: &[f64], ldb: usize, n: usize, out: &mut [f64], ldo: usize) -> bool {
+pub(crate) fn gemm8(
+    a: [&[f64]; 8],
+    b: &[f64],
+    ldb: usize,
+    n: usize,
+    out: &mut [f64],
+    ldo: usize,
+) -> bool {
     assert_gemm(&a, b, ldb, n, out, ldo);
     #[cfg(target_arch = "x86_64")]
     #[allow(unsafe_code)]
@@ -418,7 +425,7 @@ fn assert_gemm<const R: usize>(
 ///
 /// # Panics
 /// Panics when any `x` length differs from `d` or `g.len() != d * d`.
-pub fn gram4_upper(
+pub(crate) fn gram4_upper(
     x0: &[f64],
     x1: &[f64],
     x2: &[f64],
@@ -473,7 +480,14 @@ fn scalar_axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 /// # Panics
 /// Panics when any slice length differs from `y.len()`.
 #[inline]
-pub fn axpy4(alpha: [f64; 4], x0: &[f64], x1: &[f64], x2: &[f64], x3: &[f64], y: &mut [f64]) {
+pub(crate) fn axpy4(
+    alpha: [f64; 4],
+    x0: &[f64],
+    x1: &[f64],
+    x2: &[f64],
+    x3: &[f64],
+    y: &mut [f64],
+) {
     let n = y.len();
     assert!(
         x0.len() == n && x1.len() == n && x2.len() == n && x3.len() == n,
@@ -515,7 +529,7 @@ fn scalar_axpy4(alpha: [f64; 4], x0: &[f64], x1: &[f64], x2: &[f64], x3: &[f64],
 /// # Panics
 /// Panics unless `b` has `cd`'s length, `y` and `v` have `x`'s, and `block`
 /// holds `cd.len()` rows of stride `ld ≥ len`.
-pub fn update_rows_dots(
+pub(crate) fn update_rows_dots(
     block: &mut [f64],
     ld: usize,
     x: &[f64],
@@ -569,7 +583,7 @@ fn scalar_update_rows_dots(
 /// Every tier keeps independent per-lane maximum chains and a separate
 /// NaN/∞ detector. A maximum is exact, so the chains' split changes no bit:
 /// the result equals the sequential `f64::max` fold's on every path.
-pub fn max_abs_finite(x: &[f64]) -> (f64, bool) {
+pub(crate) fn max_abs_finite(x: &[f64]) -> (f64, bool) {
     #[cfg(target_arch = "x86_64")]
     #[allow(unsafe_code)]
     // SAFETY: the kernel reads `x` only.
@@ -656,7 +670,7 @@ mod simd {
     /// # Safety
     /// Every method requires the tier's CPU features, and the loads and
     /// stores need `N` (or `m`) readable or writable lanes at `p`.
-    pub trait Lanes {
+    pub(crate) trait Lanes {
         /// Lanes per register.
         const N: usize;
         /// Whether the tier has masked loads and stores: a body that may end
@@ -699,7 +713,7 @@ mod simd {
     }
 
     /// AVX2+FMA: four lanes; rows end in a scalar loop.
-    pub struct Avx2;
+    pub(crate) struct Avx2;
 
     impl Lanes for Avx2 {
         const N: usize = 4;
@@ -763,7 +777,7 @@ mod simd {
     }
 
     /// AVX-512F: eight lanes; rows end in one masked step.
-    pub struct Avx512;
+    pub(crate) struct Avx512;
 
     impl Lanes for Avx512 {
         const N: usize = 8;
@@ -839,25 +853,25 @@ mod simd {
     macro_rules! tiers {
         ($($name:ident[$wide:ident]($($arg:ident: $ty:ty),*) $(-> $out:ty)?;)*) => {
             /// The AVX2+FMA tier.
-            pub mod avx2 {
+            pub(crate) mod avx2 {
                 $(
                     /// # Safety
                     /// The CPU has AVX2 and FMA, and the arguments have the
                     /// shapes the public kernel asserts.
                     #[target_feature(enable = "avx2", enable = "fma")]
-                    pub unsafe fn $name($($arg: $ty),*) $(-> $out)? {
+                    pub(crate) unsafe fn $name($($arg: $ty),*) $(-> $out)? {
                         super::$name::<super::Avx2>($($arg),*)
                     }
                 )*
             }
             /// The AVX-512F tier.
-            pub mod avx512 {
+            pub(crate) mod avx512 {
                 $(
                     /// # Safety
                     /// The CPU has AVX-512F, and the arguments have the
                     /// shapes the public kernel asserts.
                     #[target_feature(enable = "avx512f")]
-                    pub unsafe fn $name($($arg: $ty),*) $(-> $out)? {
+                    pub(crate) unsafe fn $name($($arg: $ty),*) $(-> $out)? {
                         super::$name::<super::$wide>($($arg),*)
                     }
                 )*
@@ -1413,14 +1427,14 @@ pub fn norm2_sq(x: &[f64]) -> f64 {
 
 /// ℓ₁ norm `Σ |xᵢ|`.
 #[inline]
-pub fn norm1(x: &[f64]) -> f64 {
+pub(crate) fn norm1(x: &[f64]) -> f64 {
     x.iter().map(|v| v.abs()).sum()
 }
 
 /// ℓ∞ norm `max |xᵢ|` (NaNs skipped): the magnitude half of
 /// [`max_abs_finite`].
 #[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
+pub(crate) fn norm_inf(x: &[f64]) -> f64 {
     max_abs_finite(x).0
 }
 
@@ -1452,28 +1466,6 @@ pub fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
 pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
     assert_eq!(a.len(), b.len(), "sub: length mismatch");
     a.iter().zip(b.iter()).map(|(&x, &y)| x - y).collect()
-}
-
-/// Elementwise addition into a new vector.
-pub fn add(a: &[f64], b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "add: length mismatch");
-    a.iter().zip(b.iter()).map(|(&x, &y)| x + y).collect()
-}
-
-/// True when every element is finite.
-pub fn all_finite(x: &[f64]) -> bool {
-    x.iter().all(|v| v.is_finite())
-}
-
-/// Gram–Schmidt: removes from `v` its components along each (unit-norm) row of
-/// `basis`, iterating twice for numerical robustness ("twice is enough").
-pub fn orthogonalize_against(v: &mut [f64], basis: &[&[f64]]) {
-    for _ in 0..2 {
-        for b in basis {
-            let c = dot(v, b);
-            axpy(-c, b, v);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2006,27 +1998,18 @@ mod tests {
     }
 
     #[test]
-    fn orthogonalize_removes_component() {
-        let e1 = [1.0, 0.0, 0.0];
-        let e2 = [0.0, 1.0, 0.0];
-        let mut v = vec![3.0, 4.0, 5.0];
-        orthogonalize_against(&mut v, &[&e1, &e2]);
-        assert!(v[0].abs() < 1e-12);
-        assert!(v[1].abs() < 1e-12);
-        assert!((v[2] - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn add_sub_roundtrip() {
         let a = [1.0, 2.0];
         let b = [0.5, -0.5];
-        assert_eq!(sub(&add(&a, &b), &b), a.to_vec());
+        let sum: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
+        assert_eq!(sub(&sum, &b), a.to_vec());
     }
 
     #[test]
     fn all_finite_detects_nan() {
-        assert!(all_finite(&[1.0, 2.0]));
-        assert!(!all_finite(&[1.0, f64::NAN]));
-        assert!(!all_finite(&[f64::INFINITY]));
+        let row = |v: Vec<f64>| crate::Matrix::from_vec(1, v.len(), v).unwrap();
+        assert!(row(vec![1.0, 2.0]).all_finite());
+        assert!(!row(vec![1.0, f64::NAN]).all_finite());
+        assert!(!row(vec![f64::INFINITY]).all_finite());
     }
 }

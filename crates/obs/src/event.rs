@@ -65,8 +65,8 @@ pub enum Event {
         reason: String,
     },
     /// The oldest queued update was evicted to admit a newer one
-    /// (`ShedOldest` policy), or an update was refused by a read-only or
-    /// degraded shard.
+    /// (`ShedOldest` policy), or an update was refused by a degraded
+    /// shard.
     QueueShed {
         /// The shedding shard.
         shard: usize,
@@ -106,7 +106,7 @@ pub enum Event {
 
 impl Event {
     /// Stable identifier of the event kind (the JSON `kind` tag).
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Event::RefreshFired { .. } => "refresh_fired",
             Event::SnapshotPublished { .. } => "snapshot_published",

@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -37,7 +37,7 @@ pub struct TelemetryRecord {
     /// Monotone sample index.
     pub step: u64,
     /// Milliseconds since sampling began.
-    pub elapsed_ms: u64,
+    pub(crate) elapsed_ms: u64,
     /// Monotone counters at this instant.
     #[serde(default)]
     pub counters: BTreeMap<String, u64>,
@@ -50,7 +50,7 @@ impl TelemetryRecord {
     /// Wraps a frame with the current schema tag. Non-finite gauge values
     /// are dropped at this boundary: JSON cannot represent them, and a
     /// single NaN must not poison a whole flight-recorder line.
-    pub fn from_frame(frame: &TelemetryFrame) -> Self {
+    pub(crate) fn from_frame(frame: &TelemetryFrame) -> Self {
         Self {
             schema: TELEMETRY_SCHEMA.to_string(),
             step: frame.step,
@@ -85,7 +85,6 @@ impl TelemetryRecord {
 #[derive(Debug)]
 pub struct FlightRecorder {
     writer: Option<BufWriter<File>>,
-    path: PathBuf,
 }
 
 impl FlightRecorder {
@@ -103,13 +102,7 @@ impl FlightRecorder {
         let file = File::create(path)?;
         Ok(Self {
             writer: Some(BufWriter::new(file)),
-            path: path.to_path_buf(),
         })
-    }
-
-    /// The file being written.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -152,7 +145,7 @@ fn sanitize_metric_name(name: &str) -> String {
 /// `sketchad_<key>` gauge families. Non-finite gauge values are skipped
 /// (Prometheus rejects them). `step`/`elapsed_ms` export as gauges too, so
 /// a scraper can detect a stalled sampler.
-pub fn render_prometheus(frame: &TelemetryFrame) -> String {
+pub(crate) fn render_prometheus(frame: &TelemetryFrame) -> String {
     let mut out = String::new();
     for (key, value) in &frame.counters {
         let name = format!("sketchad_{}_total", sanitize_metric_name(key));
@@ -178,7 +171,7 @@ pub fn render_prometheus(frame: &TelemetryFrame) -> String {
 /// The scrape endpoint: a background accept loop over a non-blocking
 /// `TcpListener` serving the latest frame of a shared [`SeriesStore`] as
 /// Prometheus text. Offline-safe and dependency-free; stops (politely,
-/// within one poll interval) on [`stop`](MetricsServer::stop) or drop.
+/// within one poll interval) on `stop` or drop.
 #[derive(Debug)]
 pub struct MetricsServer {
     addr: SocketAddr,
@@ -224,7 +217,7 @@ impl MetricsServer {
     }
 
     /// Stops the accept loop and joins the thread. Idempotent.
-    pub fn stop(&mut self) {
+    pub(crate) fn stop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(join) = self.join.take() {
             let _ = join.join();

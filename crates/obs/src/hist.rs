@@ -20,7 +20,7 @@ use std::time::Duration;
 
 /// Sub-bucket resolution bits: 2^5 = 32 sub-buckets per octave, a ≤ 1/32
 /// ≈ 3.1% relative quantile error.
-pub const SUB_BITS: u32 = 5;
+pub(crate) const SUB_BITS: u32 = 5;
 
 /// Sub-buckets per octave.
 const SUB: usize = 1 << SUB_BITS;
@@ -36,7 +36,7 @@ const BUCKETS: usize = SUB * (MAX_OCTAVE - SUB_BITS + 2) as usize;
 
 /// Log-bucketed duration histogram with per-octave linear sub-buckets.
 ///
-/// See the [module docs](self) for the bucketing scheme.
+/// See the module docs for the bucketing scheme.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(try_from = "SerializedHistogram")]
 pub struct LogHistogram {
@@ -130,18 +130,18 @@ impl LogHistogram {
 
     /// Largest nanosecond value the bucket range covers; observations above
     /// it are counted in [`overflow`](Self::overflow).
-    pub fn max_covered_ns(&self) -> u64 {
+    pub(crate) fn max_covered_ns(&self) -> u64 {
         self.bucket_upper_ns(BUCKETS - 1)
     }
 
     /// Records one observation of `nanos` nanoseconds.
-    pub fn record_ns(&mut self, nanos: u64) {
+    pub(crate) fn record_ns(&mut self, nanos: u64) {
         self.record_n(nanos, 1);
     }
 
     /// Records `n` observations of `nanos` nanoseconds each: one bucket
     /// lookup, and a histogram bit-identical to `n` calls of
-    /// [`record_ns`](Self::record_ns) (the saturating sum saturates at the
+    /// `record_ns` (the saturating sum saturates at the
     /// same point either way).
     pub fn record_n(&mut self, nanos: u64, n: u64) {
         self.total += n;
@@ -173,7 +173,7 @@ impl LogHistogram {
     }
 
     /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.total == 0
     }
 
@@ -182,17 +182,11 @@ impl LogHistogram {
         self.overflow
     }
 
-    /// Mean observation in nanoseconds, or `None` when empty or when every
-    /// observation recorded was 0 ns.
-    pub fn mean_ns(&self) -> Option<f64> {
-        (self.total > 0 && self.sum_ns > 0).then(|| self.sum_ns as f64 / self.total as f64)
-    }
-
     /// Upper bound (ns) of the bucket holding the `q`-quantile observation,
     /// or `None` for an empty histogram. Ranks landing in the overflow
     /// region report [`max_covered_ns`](Self::max_covered_ns) — an honest
     /// "at least this much".
-    pub fn quantile_ns(&self, q: f64) -> Option<u64> {
+    pub(crate) fn quantile_ns(&self, q: f64) -> Option<u64> {
         if self.total == 0 {
             return None;
         }
@@ -208,20 +202,15 @@ impl LogHistogram {
         Some(self.max_covered_ns())
     }
 
-    /// [`quantile_ns`](Self::quantile_ns) as a `Duration`.
+    /// `quantile_ns` as a `Duration`.
     pub fn quantile(&self, q: f64) -> Option<Duration> {
         self.quantile_ns(q).map(Duration::from_nanos)
     }
 
-    /// [`quantile_ns`](Self::quantile_ns) in microseconds (0.0 when empty),
+    /// `quantile_ns` in microseconds (0.0 when empty),
     /// the unit dashboards and the telemetry frames use.
     pub fn quantile_us(&self, q: f64) -> f64 {
         self.quantile_ns(q).map(|ns| ns as f64 / 1e3).unwrap_or(0.0)
-    }
-
-    /// The raw bucket counts (see the module docs for the scheme).
-    pub fn buckets(&self) -> &[u64] {
-        &self.counts
     }
 }
 
@@ -248,7 +237,10 @@ mod tests {
             }
             assert_eq!(batched, single, "after {n} × {nanos} ns");
         }
-        assert_eq!(batched.mean_ns(), single.mean_ns());
+        assert_eq!(
+            (batched.sum_ns, batched.total),
+            (single.sum_ns, single.total)
+        );
         assert!(batched.overflow() > 0);
         batched.record_n(9, 0);
         assert_eq!(batched, single, "n = 0 records nothing");
@@ -303,7 +295,7 @@ mod tests {
         h.record_ns(1000);
         assert_eq!(h.count(), 2);
         assert_eq!(h.overflow(), 1);
-        assert_eq!(h.buckets().iter().sum::<u64>(), 1);
+        assert_eq!(h.counts.iter().sum::<u64>(), 1);
         // A rank landing in the overflow region reports the covered max.
         assert_eq!(h.quantile_ns(1.0), Some(h.max_covered_ns()));
     }
@@ -359,8 +351,9 @@ mod tests {
         let mut h = LogHistogram::new();
         h.record_ns(100);
         h.record_ns(300);
-        assert_eq!(h.mean_ns(), Some(200.0));
-        assert_eq!(LogHistogram::new().mean_ns(), None);
+        assert_eq!((h.sum_ns, h.total), (400, 2));
+        let empty = LogHistogram::new();
+        assert_eq!((empty.sum_ns, empty.total), (0, 0));
     }
 
     #[test]

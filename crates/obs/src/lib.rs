@@ -31,9 +31,9 @@
 //!
 //! ## The live tier
 //!
-//! End-of-run reports are blind to transients, so [`timeseries`] adds a
+//! End-of-run reports are blind to transients, so `timeseries` adds a
 //! background [`Sampler`] that snapshots recorders into bounded
-//! [`TimeSeries`] ring buffers while the pipeline runs, and [`export`]
+//! `TimeSeries` ring buffers while the pipeline runs, and `export`
 //! ships those samples out with zero dependencies: Prometheus text
 //! exposition over a tiny `std::net` HTTP endpoint ([`MetricsServer`]) and
 //! a versioned JSONL flight recorder ([`FlightRecorder`],
@@ -72,20 +72,18 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod event;
-pub mod export;
-pub mod hist;
-pub mod metrics;
-pub mod recorder;
-pub mod report;
-pub mod timeseries;
+pub(crate) mod event;
+pub(crate) mod export;
+pub(crate) mod hist;
+pub(crate) mod metrics;
+pub(crate) mod recorder;
+pub(crate) mod report;
+pub(crate) mod timeseries;
 
 pub use event::Event;
-pub use export::{
-    render_prometheus, FlightRecorder, MetricsServer, TelemetryRecord, TELEMETRY_SCHEMA,
-};
+pub use export::{FlightRecorder, MetricsServer, TelemetryRecord, TELEMETRY_SCHEMA};
 pub use hist::LogHistogram;
 pub use metrics::MetricsRecorder;
-pub use recorder::{Counter, Gauge, Hist, NoopRecorder, Recorder, RecorderHandle, Stage};
+pub use recorder::{Counter, Gauge, Hist, Recorder, RecorderHandle, Stage};
 pub use report::{GaugeStats, ObsArtifact, ObsReport, SpanStats, OBS_SCHEMA};
-pub use timeseries::{FrameSink, Sampler, SamplerConfig, SeriesStore, TelemetryFrame, TimeSeries};
+pub use timeseries::{FrameSink, Sampler, SamplerConfig, SeriesStore, TelemetryFrame};

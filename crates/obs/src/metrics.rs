@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// Default bound on the structured event log (drop-oldest on overflow).
-pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_EVENT_CAPACITY: usize = 1024;
 
 const STAGES: [Stage; 5] = [
     Stage::SketchUpdate,
@@ -130,7 +130,7 @@ impl Default for MetricsRecorder {
 }
 
 impl MetricsRecorder {
-    /// A recorder with the [`DEFAULT_EVENT_CAPACITY`] event bound.
+    /// A recorder with the `DEFAULT_EVENT_CAPACITY` event bound.
     pub fn new() -> Self {
         Self::with_event_capacity(DEFAULT_EVENT_CAPACITY)
     }
@@ -138,7 +138,7 @@ impl MetricsRecorder {
     /// A recorder whose event log keeps at most `capacity` events,
     /// discarding the oldest on overflow (the count of discarded events is
     /// reported as `events_dropped`).
-    pub fn with_event_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_event_capacity(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
             inner: Mutex::new(Inner {

@@ -56,7 +56,7 @@ pub enum Counter {
     PointsRejected,
     /// Update points shed by overload handling: oldest-queued evictions
     /// under `ShedOldest`, plus submissions refused while a shard is
-    /// read-only or degraded.
+    /// degraded.
     PointsShed,
     /// Shard workers restarted from their last published snapshot after a
     /// detector panic.
@@ -69,7 +69,7 @@ pub enum Counter {
 
 impl Counter {
     /// Stable identifier used as the key in reports and JSON artifacts.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Counter::UpdatesSkipped => "updates_skipped",
             Counter::QueueDropped => "queue_dropped",
@@ -139,7 +139,7 @@ pub enum Hist {
 
 impl Hist {
     /// Stable identifier used as the key in reports and JSON artifacts.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Hist::SubmitLatency => "submit_latency",
             Hist::RefreshDuration => "refresh_duration",
@@ -211,7 +211,7 @@ pub trait Recorder: Send + Sync {
 
 /// The always-disabled recorder; the default everywhere.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
+pub(crate) struct NoopRecorder;
 
 impl Recorder for NoopRecorder {}
 

@@ -19,14 +19,14 @@ pub struct SpanStats {
     /// Sum of span durations, nanoseconds.
     pub total_ns: u64,
     /// Shortest recorded span, nanoseconds.
-    pub min_ns: u64,
+    pub(crate) min_ns: u64,
     /// Longest recorded span, nanoseconds.
-    pub max_ns: u64,
+    pub(crate) max_ns: u64,
 }
 
 impl SpanStats {
     /// Mean span duration in nanoseconds (0 when nothing was recorded).
-    pub fn mean_ns(&self) -> f64 {
+    pub(crate) fn mean_ns(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -35,7 +35,7 @@ impl SpanStats {
     }
 
     /// Folds another aggregate into this one.
-    pub fn merge(&mut self, other: &SpanStats) {
+    pub(crate) fn merge(&mut self, other: &SpanStats) {
         if other.count == 0 {
             return;
         }
@@ -58,9 +58,9 @@ pub struct GaugeStats {
     /// in, which is arbitrary but stable; min/max/samples stay exact.
     pub last: f64,
     /// Smallest recorded value.
-    pub min: f64,
+    pub(crate) min: f64,
     /// Largest recorded value.
-    pub max: f64,
+    pub(crate) max: f64,
     /// Number of recorded samples.
     pub samples: u64,
 }
@@ -68,7 +68,7 @@ pub struct GaugeStats {
 impl GaugeStats {
     /// Folds another aggregate into this one (`last` is taken from
     /// `other`).
-    pub fn merge(&mut self, other: &GaugeStats) {
+    pub(crate) fn merge(&mut self, other: &GaugeStats) {
         self.last = other.last;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
@@ -86,7 +86,7 @@ impl GaugeStats {
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ObsReport {
     /// Per-stage span aggregates, keyed by stage label.
-    pub spans: BTreeMap<String, SpanStats>,
+    pub(crate) spans: BTreeMap<String, SpanStats>,
     /// Monotone counters, keyed by counter label.
     pub counters: BTreeMap<String, u64>,
     /// Gauge aggregates, keyed by gauge label.
@@ -123,13 +123,13 @@ impl ObsReport {
         self.hists.get(label)
     }
 
-    /// How many logged events have the given [`Event::kind`].
+    /// How many logged events have the given `Event::kind`.
     pub fn event_count(&self, kind: &str) -> usize {
         self.events.iter().filter(|e| e.kind() == kind).count()
     }
 
     /// Whether nothing at all was recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.spans.is_empty()
             && self.counters.is_empty()
             && self.gauges.is_empty()

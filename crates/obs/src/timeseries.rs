@@ -25,14 +25,14 @@ use serde::{Deserialize, Serialize};
 /// A fixed-capacity series of `(step, value)` samples with drop-oldest
 /// eviction and strictly increasing step stamps.
 #[derive(Debug, Clone)]
-pub struct TimeSeries<T> {
+pub(crate) struct TimeSeries<T> {
     buf: VecDeque<(u64, T)>,
     capacity: usize,
 }
 
 impl<T> TimeSeries<T> {
     /// An empty series holding at most `capacity` samples (min 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
             buf: VecDeque::with_capacity(capacity.min(1024)),
@@ -43,7 +43,7 @@ impl<T> TimeSeries<T> {
     /// Appends a sample, evicting the oldest when full. Returns `false`
     /// (and keeps the series unchanged) if `step` does not advance past the
     /// latest stamp — series are strictly monotonic by construction.
-    pub fn push(&mut self, step: u64, value: T) -> bool {
+    pub(crate) fn push(&mut self, step: u64, value: T) -> bool {
         if let Some(&(last, _)) = self.buf.back() {
             if step <= last {
                 return false;
@@ -57,32 +57,12 @@ impl<T> TimeSeries<T> {
     }
 
     /// Number of retained samples.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Maximum retained samples.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The most recent sample.
-    pub fn latest(&self) -> Option<(u64, &T)> {
-        self.buf.back().map(|(s, v)| (*s, v))
-    }
-
-    /// The step stamp of the most recent sample.
-    pub fn last_step(&self) -> Option<u64> {
-        self.buf.back().map(|(s, _)| *s)
-    }
-
     /// Iterates retained samples oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
         self.buf.iter().map(|(s, v)| (*s, v))
     }
 }
@@ -127,7 +107,7 @@ struct StoreInner {
     frames: u64,
 }
 
-/// Thread-safe store of the sampled series: one bounded [`TimeSeries`] per
+/// Thread-safe store of the sampled series: one bounded `TimeSeries` per
 /// counter/gauge key plus the latest whole frame (what the Prometheus
 /// endpoint serves).
 #[derive(Debug)]
@@ -138,7 +118,7 @@ pub struct SeriesStore {
 
 /// Key under which each frame's `elapsed_ms` is also stored as a series,
 /// so rates (Δcounter / Δelapsed) can be derived from the store alone.
-pub const ELAPSED_SERIES: &str = "elapsed_ms";
+pub(crate) const ELAPSED_SERIES: &str = "elapsed_ms";
 
 impl SeriesStore {
     /// An empty store whose per-key series retain `capacity` samples.
@@ -183,20 +163,6 @@ impl SeriesStore {
     /// The most recently ingested frame.
     pub fn latest(&self) -> Option<TelemetryFrame> {
         self.lock().latest.clone()
-    }
-
-    /// Retained samples for `key`, oldest first (empty when unknown).
-    pub fn series(&self, key: &str) -> Vec<(u64, f64)> {
-        self.lock()
-            .series
-            .get(key)
-            .map(|s| s.iter().map(|(step, v)| (step, *v)).collect())
-            .unwrap_or_default()
-    }
-
-    /// All series keys currently present.
-    pub fn keys(&self) -> Vec<String> {
-        self.lock().series.keys().cloned().collect()
     }
 
     /// Total frames ingested (not bounded by series capacity).
@@ -377,8 +343,7 @@ mod tests {
         assert_eq!(s.len(), 3);
         let kept: Vec<_> = s.iter().map(|(step, v)| (step, *v)).collect();
         assert_eq!(kept, vec![(1, 11), (2, 12), (5, 15)]);
-        assert_eq!(s.latest(), Some((5, &15)));
-        assert_eq!(s.last_step(), Some(5));
+        assert_eq!(s.iter().last(), Some((5, &15)));
     }
 
     #[test]
@@ -396,8 +361,8 @@ mod tests {
         }
         assert_eq!(store.frames(), 3);
         assert_eq!(store.latest().unwrap().counter("processed"), 150);
-        assert_eq!(store.series("processed").len(), 3);
-        assert!(store.keys().contains(&ELAPSED_SERIES.to_string()));
+        assert_eq!(store.lock().series["processed"].len(), 3);
+        assert!(store.lock().series.contains_key(ELAPSED_SERIES));
         // 100 points in the last 100ms → 1000/s.
         let rate = store.rate_per_sec("processed").unwrap();
         assert!((rate - 1000.0).abs() < 1e-9, "rate {rate}");
@@ -457,9 +422,12 @@ mod tests {
         assert_eq!(sunk.load(Ordering::Relaxed), taken, "every frame sunk");
         assert_eq!(store.frames(), taken, "every frame ingested");
         // Steps in the store are strictly monotonic by construction.
-        let series = store.series("ticks");
-        for pair in series.windows(2) {
-            assert!(pair[0].0 < pair[1].0);
+        let steps: Vec<u64> = store.lock().series["ticks"]
+            .iter()
+            .map(|(s, _)| s)
+            .collect();
+        for pair in steps.windows(2) {
+            assert!(pair[0] < pair[1]);
         }
     }
 }

@@ -39,53 +39,49 @@ pub enum PartitionStrategy {
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Number of worker shards (each owns one detector). Must be ≥ 1.
-    pub shards: usize,
+    pub(crate) shards: usize,
     /// Bounded capacity of each shard's work queue. Must be ≥ 1.
-    pub queue_capacity: usize,
+    pub(crate) queue_capacity: usize,
     /// Full-queue behaviour.
-    pub backpressure: BackpressurePolicy,
+    pub(crate) backpressure: BackpressurePolicy,
     /// Point-to-shard assignment.
-    pub partition: PartitionStrategy,
+    pub(crate) partition: PartitionStrategy,
     /// A shard publishes a fresh model snapshot after every `snapshot_every`
     /// processed points (and once more on shutdown). `0` disables periodic
     /// publication (shutdown still publishes).
-    pub snapshot_every: u64,
+    pub(crate) snapshot_every: u64,
     /// Upper bound on the shard worker's micro-batch: after waiting for one
     /// row, the worker pops up to `max_batch` already-queued rows as one
     /// contiguous block and scores them through the detector's batched
     /// path (one block-kernel pass per chunk). Scores are bitwise
     /// identical to per-point processing; `1` is a micro-batch of one.
     /// Must be ≥ 1.
-    pub max_batch: usize,
+    pub(crate) max_batch: usize,
     /// How many times a shard's panicked worker is rebuilt (resuming from
     /// its last published snapshot) before the shard degrades to
     /// shed-with-count. `0` means a single panic degrades the shard.
-    pub max_restarts: u32,
-    /// Upper bound on quarantined rows retained for inspection (oldest are
-    /// discarded beyond it; rejection *counts* are always exact). `0`
-    /// counts rejections without retaining any row.
-    pub quarantine_capacity: usize,
+    pub(crate) max_restarts: u32,
     /// Root directory for durable state. When set, each shard write-ahead
     /// logs every row before processing it and periodically checkpoints its
     /// full detector state under `<state_dir>/shard-<idx>/`, and
     /// [`crate::ServeEngine::open_or_recover`] warm-restarts from whatever
     /// is found there. `None` (the default) disables persistence entirely.
-    pub state_dir: Option<PathBuf>,
+    pub(crate) state_dir: Option<PathBuf>,
     /// A shard writes a durable checkpoint (snapshot + WAL rotation) after
     /// every `checkpoint_every` processed points, plus once at clean
     /// shutdown. `0` checkpoints only at shutdown. Ignored without
     /// [`state_dir`](Self::state_dir).
-    pub checkpoint_every: u64,
+    pub(crate) checkpoint_every: u64,
     /// How eagerly WAL appends reach stable storage (see
     /// [`FsyncPolicy`]). Ignored without [`state_dir`](Self::state_dir).
-    pub fsync: FsyncPolicy,
+    pub(crate) fsync: FsyncPolicy,
 }
 
 impl ServeConfig {
     /// Config with `shards` workers and defaults: queue capacity 1024,
     /// blocking backpressure, round-robin partitioning, snapshots every
     /// 256 points, micro-batches of up to 64 queued points, 2 worker
-    /// restarts per shard, 64 retained quarantine rows.
+    /// restarts per shard.
     pub fn new(shards: usize) -> Self {
         Self {
             shards,
@@ -95,7 +91,6 @@ impl ServeConfig {
             snapshot_every: 256,
             max_batch: 64,
             max_restarts: 2,
-            quarantine_capacity: 64,
             state_dir: None,
             checkpoint_every: 4096,
             fsync: FsyncPolicy::default(),
@@ -142,13 +137,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_max_restarts(mut self, max_restarts: u32) -> Self {
         self.max_restarts = max_restarts;
-        self
-    }
-
-    /// Sets how many quarantined rows are retained for inspection.
-    #[must_use]
-    pub fn with_quarantine_capacity(mut self, capacity: usize) -> Self {
-        self.quarantine_capacity = capacity;
         self
     }
 

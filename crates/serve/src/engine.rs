@@ -2,14 +2,14 @@
 
 use crate::config::{stable_hash, BackpressurePolicy, PartitionStrategy, ServeConfig};
 use crate::error::{panic_message, ServeError};
-use crate::quarantine::Quarantine;
+use crate::quarantine::{Quarantine, QUARANTINE_CAPACITY};
 use crate::queue::JobQueue;
 use crate::ring::{DeathWatch, ShardChannel, SpscRing};
 use crate::shard::{run_supervised, ShardShared, WorkerConfig};
 use crate::snapshot::SnapshotScorer;
 use crate::stats::{LatencyHistogram, PipelineStats, ShardStats};
 use crate::telemetry::{EngineProbe, TelemetryConfig, TelemetryHandle};
-use sketchad_core::{validate_point, InputViolation, ScoreKind, StreamingDetector, SubspaceModel};
+use sketchad_core::{validate_point, InputViolation, ScoreKind, StreamingDetector};
 use sketchad_durable::{self as durable, StateStore};
 use sketchad_obs::{Counter, Event, MetricsRecorder, ObsReport, Recorder, RecorderHandle, Sampler};
 use std::sync::atomic::{
@@ -31,8 +31,8 @@ pub enum SubmitOutcome {
     /// dimension) and was quarantined instead of enqueued.
     Rejected(InputViolation),
     /// The point was an update the pipeline refused in order to stay
-    /// available: the engine is read-only, or the target shard has
-    /// degraded. Reads against published snapshots keep working.
+    /// available: the target shard has degraded. Reads against published
+    /// snapshots keep working.
     Shed,
 }
 
@@ -45,7 +45,7 @@ pub struct BatchOutcome {
     pub dropped: u64,
     /// Points quarantined by input validation.
     pub rejected: u64,
-    /// Points shed at submit time (read-only engine or degraded shard).
+    /// Points shed at submit time (degraded shard).
     /// `ShedOldest` evictions of *previously accepted* points are counted
     /// in [`PipelineStats::total_shed`], not here.
     pub shed: u64,
@@ -111,7 +111,7 @@ type SharedFactory =
 /// with non-finite components or the wrong dimension are quarantined
 /// ([`SubmitOutcome::Rejected`]) rather than poisoning the sketch. A
 /// detector panic is contained to its shard — the worker restarts from the
-/// last published snapshot up to [`ServeConfig::max_restarts`] times, after
+/// last published snapshot up to `ServeConfig::max_restarts` times, after
 /// which the shard degrades to shed-with-count while every other shard (and
 /// every snapshot reader) keeps running. [`finish`](Self::finish) then
 /// reports exact loss accounting:
@@ -149,7 +149,6 @@ pub struct ServeEngine {
     backpressure: BackpressurePolicy,
     partition: PartitionStrategy,
     max_batch: usize,
-    read_only: bool,
     quarantine: Quarantine,
     /// Errors from shards discovered dead during submission; reported again
     /// (first one) by `finish` so they cannot be silently lost.
@@ -186,7 +185,7 @@ impl ServeEngine {
         )
     }
 
-    /// Opens the engine against [`ServeConfig::state_dir`], warm-restarting
+    /// Opens the engine against `ServeConfig::state_dir`, warm-restarting
     /// every shard from its durable state before accepting traffic.
     ///
     /// For each shard: the newest valid on-disk snapshot (if any) is
@@ -428,8 +427,7 @@ impl ServeEngine {
             backpressure: config.backpressure,
             partition: config.partition,
             max_batch: config.max_batch,
-            read_only: false,
-            quarantine: Quarantine::new(config.quarantine_capacity),
+            quarantine: Quarantine::new(QUARANTINE_CAPACITY),
             dead: Vec::new(),
             telemetry: None,
         })
@@ -476,35 +474,6 @@ impl ServeEngine {
         let (sampler, handle) = config.launch(probe)?;
         self.telemetry = Some(sampler);
         Ok(handle)
-    }
-
-    /// Ambient dimensionality every submitted point must have.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Global submission counter (also the next point's sequence number).
-    pub fn submitted(&self) -> u64 {
-        self.submitted.load(Relaxed)
-    }
-
-    /// Switches the engine into (or out of) read-only mode. While read-only,
-    /// every submission is shed — counted, never enqueued — and snapshot
-    /// readers keep scoring against the latest published (now stale) models.
-    /// The overload escape hatch: scoring stays available while updates
-    /// stop.
-    pub fn set_read_only(&mut self, read_only: bool) {
-        self.read_only = read_only;
-    }
-
-    /// Whether the engine is currently shedding all updates.
-    pub fn is_read_only(&self) -> bool {
-        self.read_only
     }
 
     /// Whether `shard` has exhausted its restart budget and degraded.
@@ -664,7 +633,7 @@ impl ServeEngine {
         let shedding: Vec<bool> = self
             .shards
             .iter()
-            .map(|h| self.read_only || h.shared.degraded.load(Relaxed))
+            .map(|h| h.shared.degraded.load(Relaxed))
             .collect();
         let enqueued = Instant::now();
         let lane_input = LaneInput {
@@ -756,11 +725,6 @@ impl ServeEngine {
         };
         self.dead.push(err.clone());
         err
-    }
-
-    /// The latest model snapshot published by `shard`, if any.
-    pub fn snapshot(&self, shard: usize) -> Option<Arc<SubspaceModel>> {
-        self.shards[shard].shared.snapshot.load()
     }
 
     /// A cloneable scorer over `shard`'s snapshot stream; hand these to
@@ -1336,15 +1300,14 @@ mod tests {
 
     #[test]
     fn quarantine_respects_capacity_bound() {
-        let config = ServeConfig::new(1).with_quarantine_capacity(3);
-        let mut engine = ServeEngine::start(config, fd_factory).unwrap();
-        for _ in 0..10 {
+        let mut engine = ServeEngine::start(ServeConfig::new(1), fd_factory).unwrap();
+        let rejected = QUARANTINE_CAPACITY as u64 + 6;
+        for _ in 0..rejected {
             engine.submit(vec![f64::NAN, 0.0, 0.0, 0.0]).unwrap();
         }
         let report = engine.finish().unwrap();
-        assert_eq!(report.quarantine.total(), 10);
-        assert_eq!(report.quarantine.len(), 3);
-        assert_eq!(report.quarantine.evicted(), 7);
+        assert_eq!(report.quarantine.total(), rejected);
+        assert_eq!(report.quarantine.len(), QUARANTINE_CAPACITY);
     }
 
     #[test]
@@ -1399,36 +1362,6 @@ mod tests {
             let last_seq = report.scores.last().unwrap().0;
             assert_eq!(last_seq, 4_999, "newest point must not be shed");
         }
-    }
-
-    #[test]
-    fn read_only_mode_sheds_updates_but_serves_reads() {
-        let config = ServeConfig::new(1).with_snapshot_every(16);
-        let mut engine = ServeEngine::start(config, fd_factory).unwrap();
-        engine.submit_batch_rows_parallel(&waves(0..64), 1).unwrap();
-        // Wait for a snapshot so the read path has a model to serve.
-        let scorer = engine.scorer(0, ScoreKind::ProjectionDistance);
-        while scorer.generation() == 0 {
-            std::thread::yield_now();
-        }
-        engine.set_read_only(true);
-        assert!(engine.is_read_only());
-        for i in 64..96 {
-            assert_eq!(engine.submit(wave(i)).unwrap(), SubmitOutcome::Shed);
-        }
-        // Stale-snapshot reads keep working while updates shed.
-        assert!(scorer.score(&wave(1_000)).unwrap().is_finite());
-        engine.set_read_only(false);
-        engine
-            .submit_batch_rows_parallel(&waves(96..128), 1)
-            .unwrap();
-        let report = engine.finish().unwrap();
-        assert_eq!(report.stats.total_shed, 32);
-        assert_eq!(report.stats.total_processed, 96);
-        assert_eq!(
-            report.stats.total_processed + report.stats.total_shed,
-            engine_submitted(&report),
-        );
     }
 
     /// Back out the submission count from a report's conservation identity.

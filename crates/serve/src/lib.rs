@@ -17,7 +17,7 @@
 //!   drops, [`ShedOldest`] admits fresh points by evicting stale queued
 //!   ones so the detector tracks the live stream under overload.
 //! * **Reads snapshot.** Each shard periodically publishes its model as an
-//!   immutable `Arc<SubspaceModel>` into a [`SnapshotCell`]; any number of
+//!   immutable `Arc<SubspaceModel>` into a `SnapshotCell`; any number of
 //!   [`SnapshotScorer`] handles score against the latest generation without
 //!   ever touching (or waiting on) the live detector.
 //!
@@ -34,9 +34,8 @@
 //!   the panic survive. After `max_restarts` recoveries the shard
 //!   *degrades*: updates shed with exact counts while the stale snapshot
 //!   keeps serving reads. Other shards never notice.
-//! * **Overload → shedding.** Besides the backpressure policies,
-//!   [`ServeEngine::set_read_only`] flips the whole engine into a mode
-//!   where every update is shed but snapshot reads stay available.
+//! * **Overload → shedding.** [`BackpressurePolicy::ShedOldest`] admits
+//!   each new point by evicting the oldest queued one, counted as shed.
 //!
 //! Lifecycle is explicit: [`ServeEngine::finish`] closes the queues, lets
 //! every worker drain, and returns a [`PipelineReport`] — scores,
@@ -48,8 +47,8 @@
 //!
 //! ## Module map
 //!
-//! * [`config`] — [`ServeConfig`], backpressure and partitioning policies.
-//! * [`engine`] — [`ServeEngine`], submission, shutdown, report assembly.
+//! * `config` — [`ServeConfig`], backpressure and partitioning policies.
+//! * `engine` — [`ServeEngine`], submission, shutdown, report assembly.
 //! * `shard` *(private)* — the supervised worker loop owning each detector;
 //!   the detector refreshes its model inline on that thread.
 //! * `ring` *(private)* — the lock-free SPSC ingest ring (the channel under
@@ -59,14 +58,14 @@
 //!   exercised under ASan in CI.
 //! * `queue` *(private)* — the bounded condvar row queue, the channel under
 //!   `ShedOldest` (sender-side eviction).
-//! * [`quarantine`] — [`Quarantine`] / [`QuarantinedRow`] for refused input.
-//! * [`snapshot`] — [`SnapshotCell`] / [`SnapshotScorer`] read path.
-//! * [`stats`] — [`PipelineStats`], [`LatencyHistogram`], serializable.
-//! * [`telemetry`] — live sampling of a running engine into bounded time
+//! * `quarantine` — [`Quarantine`] / `QuarantinedRow` for refused input.
+//! * `snapshot` — `SnapshotCell` / [`SnapshotScorer`] read path.
+//! * `stats` — [`PipelineStats`], `LatencyHistogram`, serializable.
+//! * `telemetry` — live sampling of a running engine into bounded time
 //!   series, with optional Prometheus and JSONL flight-recorder export
 //!   ([`TelemetryConfig`] / [`TelemetryHandle`], started via
 //!   [`ServeEngine::start_telemetry`]).
-//! * [`error`] — [`ServeError`].
+//! * `error` — [`ServeError`].
 //!
 //! [`Block`]: BackpressurePolicy::Block
 //! [`DropNewest`]: BackpressurePolicy::DropNewest
@@ -77,22 +76,22 @@
 // `allow` for its UnsafeCell slot accesses. Everything else stays safe.
 #![deny(unsafe_code)]
 
-pub mod config;
-pub mod engine;
-pub mod error;
-pub mod quarantine;
+pub(crate) mod config;
+pub(crate) mod engine;
+pub(crate) mod error;
+pub(crate) mod quarantine;
 mod queue;
 mod ring;
 mod shard;
-pub mod snapshot;
-pub mod stats;
-pub mod telemetry;
+pub(crate) mod snapshot;
+pub(crate) mod stats;
+pub(crate) mod telemetry;
 
 pub use config::{BackpressurePolicy, PartitionStrategy, ServeConfig};
 pub use engine::{BatchOutcome, PipelineReport, ServeEngine, SubmitOutcome};
 pub use error::ServeError;
-pub use quarantine::{Quarantine, QuarantinedRow};
+pub use quarantine::Quarantine;
 pub use sketchad_durable::FsyncPolicy;
-pub use snapshot::{SnapshotCell, SnapshotScorer};
-pub use stats::{LatencyHistogram, PipelineStats, ShardStats, STATS_VERSION};
+pub use snapshot::SnapshotScorer;
+pub use stats::{PipelineStats, ShardStats};
 pub use telemetry::{TelemetryConfig, TelemetryHandle};

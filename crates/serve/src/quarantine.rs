@@ -10,28 +10,31 @@
 use sketchad_core::InputViolation;
 use std::collections::VecDeque;
 
+/// Rows the engine's quarantine retains; older ones are discarded beyond
+/// it, while rejection counts stay exact.
+pub(crate) const QUARANTINE_CAPACITY: usize = 64;
+
 /// One quarantined row: what arrived, when, and why it was refused.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QuarantinedRow {
+pub(crate) struct QuarantinedRow {
     /// Global submission sequence number the row consumed.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Why validation refused it.
-    pub violation: InputViolation,
+    pub(crate) violation: InputViolation,
     /// The offending row, verbatim, for offline diagnosis.
-    pub point: Vec<f64>,
+    pub(crate) point: Vec<f64>,
 }
 
 /// A bounded drop-oldest buffer of rejected rows.
 ///
 /// `total()` counts every rejection ever made; the retained rows are the
-/// most recent `capacity` of them (`evicted()` says how many fell off), so
-/// a poison flood cannot balloon memory while accounting stays exact.
+/// most recent `capacity` of them, so a poison flood cannot balloon memory
+/// while accounting stays exact.
 #[derive(Debug, Clone)]
 pub struct Quarantine {
     rows: VecDeque<QuarantinedRow>,
     capacity: usize,
     total: u64,
-    evicted: u64,
 }
 
 impl Quarantine {
@@ -40,19 +43,16 @@ impl Quarantine {
             rows: VecDeque::with_capacity(capacity.min(64)),
             capacity,
             total: 0,
-            evicted: 0,
         }
     }
 
     pub(crate) fn push(&mut self, seq: u64, violation: InputViolation, point: Vec<f64>) {
         self.total += 1;
         if self.capacity == 0 {
-            self.evicted += 1;
             return;
         }
         if self.rows.len() >= self.capacity {
             self.rows.pop_front();
-            self.evicted += 1;
         }
         self.rows.push_back(QuarantinedRow {
             seq,
@@ -66,11 +66,6 @@ impl Quarantine {
         self.total
     }
 
-    /// Rejections whose rows were discarded to respect the capacity bound.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
     /// Number of rows currently retained.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -82,7 +77,8 @@ impl Quarantine {
     }
 
     /// The retained rows, oldest first.
-    pub fn rows(&self) -> impl Iterator<Item = &QuarantinedRow> {
+    #[cfg(test)]
+    pub(crate) fn rows(&self) -> impl Iterator<Item = &QuarantinedRow> {
         self.rows.iter()
     }
 }
@@ -102,7 +98,7 @@ mod tests {
             q.push(seq, nan_violation(), vec![f64::NAN]);
         }
         assert_eq!(q.total(), 5);
-        assert_eq!(q.evicted(), 3);
+        assert_eq!(q.total() - q.len() as u64, 3);
         assert_eq!(q.len(), 2);
         let seqs: Vec<u64> = q.rows().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![3, 4], "most recent rows are retained");
@@ -113,7 +109,6 @@ mod tests {
         let mut q = Quarantine::new(0);
         q.push(9, nan_violation(), vec![f64::INFINITY]);
         assert_eq!(q.total(), 1);
-        assert_eq!(q.evicted(), 1);
         assert!(q.is_empty());
     }
 

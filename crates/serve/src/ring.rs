@@ -78,11 +78,11 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Default)]
 pub(crate) struct RowBlock {
     /// Row-major values, `dim` per row.
-    pub values: Vec<f64>,
+    pub(crate) values: Vec<f64>,
     /// Global submission sequence number of each row.
-    pub seqs: Vec<u64>,
+    pub(crate) seqs: Vec<u64>,
     /// Enqueue stamp of each row.
-    pub stamps: Vec<Instant>,
+    pub(crate) stamps: Vec<Instant>,
 }
 
 impl RowBlock {

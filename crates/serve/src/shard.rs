@@ -29,33 +29,33 @@ use std::time::Instant;
 #[derive(Debug, Default)]
 pub(crate) struct ShardShared {
     /// Approximate current queue depth (enqueued − processed).
-    pub depth: AtomicUsize,
+    pub(crate) depth: AtomicUsize,
     /// Highest depth ever observed at enqueue time.
-    pub high_water: AtomicUsize,
+    pub(crate) high_water: AtomicUsize,
     /// Points rejected at a full queue under `DropNewest`.
-    pub dropped: AtomicU64,
+    pub(crate) dropped: AtomicU64,
     /// Points the worker has scored.
-    pub processed: AtomicU64,
+    pub(crate) processed: AtomicU64,
     /// Rows refused by input validation and quarantined.
-    pub rejected: AtomicU64,
-    /// Updates shed: `ShedOldest` evictions, read-only refusals, and
-    /// everything a degraded shard drains without scoring.
-    pub shed: AtomicU64,
+    pub(crate) rejected: AtomicU64,
+    /// Updates shed: `ShedOldest` evictions, submissions refused by a
+    /// degraded shard, and everything it drains without scoring.
+    pub(crate) shed: AtomicU64,
     /// Points consumed from the queue but unscored when a panic struck.
-    pub crash_lost: AtomicU64,
+    pub(crate) crash_lost: AtomicU64,
     /// Worker restarts performed after detector panics.
-    pub restarts: AtomicU64,
+    pub(crate) restarts: AtomicU64,
     /// Set once the restart budget is exhausted: updates shed, reads keep
     /// serving the stale snapshot.
-    pub degraded: AtomicBool,
+    pub(crate) degraded: AtomicBool,
     /// WAL rows replayed into the detector during warm restart (set once at
     /// engine startup, before the worker spawns).
-    pub replayed: AtomicU64,
+    pub(crate) replayed: AtomicU64,
     /// Durable snapshot generation the detector was restored from (0 for
     /// cold starts).
-    pub recovered_generation: AtomicU64,
+    pub(crate) recovered_generation: AtomicU64,
     /// Latest published model snapshot.
-    pub snapshot: Arc<SnapshotCell>,
+    pub(crate) snapshot: Arc<SnapshotCell>,
 }
 
 impl ShardShared {
@@ -82,19 +82,19 @@ pub(crate) type DetectorRebuild = Box<dyn FnMut() -> Box<dyn StreamingDetector +
 
 /// Per-shard worker parameters (everything `Copy`-ish the loops need).
 pub(crate) struct WorkerConfig {
-    pub shard: usize,
-    pub snapshot_every: u64,
-    pub max_batch: usize,
-    pub max_restarts: u32,
+    pub(crate) shard: usize,
+    pub(crate) snapshot_every: u64,
+    pub(crate) max_batch: usize,
+    pub(crate) max_restarts: u32,
     /// Durable checkpoint period in processed points (0 = only at clean
     /// drain). Only meaningful when a [`StateStore`] is attached.
-    pub checkpoint_every: u64,
+    pub(crate) checkpoint_every: u64,
 }
 
 /// What a worker thread returns when its queue closes.
 pub(crate) struct ShardOutput {
-    pub scores: Vec<(u64, f64)>,
-    pub latency: LatencyHistogram,
+    pub(crate) scores: Vec<(u64, f64)>,
+    pub(crate) latency: LatencyHistogram,
 }
 
 /// Worker results that must survive a detector panic: they live in the

@@ -8,7 +8,6 @@
 //! publishes ten newer generations meanwhile.
 
 use sketchad_core::{ScoreKind, ScoreScratch, SubspaceModel};
-use sketchad_linalg::Matrix;
 use std::sync::{Arc, RwLock};
 
 /// A slot holding the latest published model for one shard.
@@ -18,18 +17,13 @@ use std::sync::{Arc, RwLock};
 /// pointer clone, so contention is limited to those few instructions, not
 /// to scoring or model rebuilds.
 #[derive(Debug, Default)]
-pub struct SnapshotCell {
+pub(crate) struct SnapshotCell {
     slot: RwLock<Option<Arc<SubspaceModel>>>,
     /// Publication count, for staleness monitoring.
     generation: std::sync::atomic::AtomicU64,
 }
 
 impl SnapshotCell {
-    /// An empty cell (no model published yet).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Publishes a new model generation, replacing the previous one.
     /// In-flight readers keep scoring against the generation they already
     /// cloned.
@@ -38,9 +32,9 @@ impl SnapshotCell {
     /// bumping it after the guard dropped (as an earlier revision did) let a
     /// reader observe the new model paired with the old generation number,
     /// and let two racing publishers interleave swap/bump so the counter no
-    /// longer matched publication order. Holding the lock across both makes
-    /// `load_with_generation` exact.
-    pub fn publish(&self, model: Arc<SubspaceModel>) {
+    /// longer matched publication order. Holding the lock across both means a
+    /// reader that sees a model also sees its bump.
+    pub(crate) fn publish(&self, model: Arc<SubspaceModel>) {
         let mut guard = self.slot.write().unwrap_or_else(|e| e.into_inner());
         *guard = Some(model);
         self.generation
@@ -48,24 +42,12 @@ impl SnapshotCell {
     }
 
     /// Clones out the latest published model, if any.
-    pub fn load(&self) -> Option<Arc<SubspaceModel>> {
+    pub(crate) fn load(&self) -> Option<Arc<SubspaceModel>> {
         self.slot.read().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// Clones out the latest model together with the generation that
-    /// published it. Unlike calling [`Self::load`] and [`Self::generation`]
-    /// separately (which can interleave with a concurrent publish), the
-    /// pair is consistent: the returned number is exactly the publication
-    /// count at the moment this model was the latest.
-    pub fn load_with_generation(&self) -> (Option<Arc<SubspaceModel>>, u64) {
-        let guard = self.slot.read().unwrap_or_else(|e| e.into_inner());
-        let model = guard.clone();
-        let generation = self.generation.load(std::sync::atomic::Ordering::Acquire);
-        (model, generation)
-    }
-
     /// How many times a model has been published into this cell.
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation.load(std::sync::atomic::Ordering::Acquire)
     }
 }
@@ -75,7 +57,7 @@ impl SnapshotCell {
 /// [`StreamingDetector::score_only`](sketchad_core::StreamingDetector::score_only).
 ///
 /// Safe to use from any number of threads while the shard keeps updating:
-/// reads never block writes beyond the pointer swap in [`SnapshotCell`].
+/// reads never block writes beyond the pointer swap in `SnapshotCell`.
 #[derive(Debug, Clone)]
 pub struct SnapshotScorer {
     cell: Arc<SnapshotCell>,
@@ -93,35 +75,15 @@ impl SnapshotScorer {
         self.cell.load().map(|m| self.score.evaluate(&m, y))
     }
 
-    /// Scores every row of `ys` against **one** snapshot generation (a
+    /// Scores every row of `rows` against **one** snapshot generation (a
     /// single cell load for the whole batch) through the model's one-pass
     /// block kernel (every row's `k` basis dots and `‖y‖²` in one
-    /// dispatch). Appends to `out` after clearing it; `scratch` is
-    /// caller-owned, so steady-state batch scoring allocates nothing.
+    /// dispatch), staging the rows into the scratch's reusable matrix.
+    /// Appends to `out` after clearing it; `scratch` is caller-owned, so
+    /// steady-state batch scoring allocates nothing.
     ///
     /// Returns `false` (with `out` empty) until the shard has published a
     /// model. Scores are bitwise identical to [`Self::score`] per row.
-    pub fn score_batch_into(
-        &self,
-        ys: &Matrix,
-        scratch: &mut ScoreScratch,
-        out: &mut Vec<f64>,
-    ) -> bool {
-        match self.cell.load() {
-            Some(m) => {
-                m.score_batch_into(ys, self.score, scratch, out);
-                true
-            }
-            None => {
-                out.clear();
-                false
-            }
-        }
-    }
-
-    /// Row-slice variant of [`Self::score_batch_into`]: stages `rows` into
-    /// the scratch's reusable matrix, then scores them against one snapshot
-    /// generation.
     pub fn score_rows_into(
         &self,
         rows: &[Vec<f64>],
@@ -168,7 +130,7 @@ mod tests {
 
     #[test]
     fn publish_then_load_round_trips() {
-        let cell = SnapshotCell::new();
+        let cell = SnapshotCell::default();
         assert!(cell.load().is_none());
         assert_eq!(cell.generation(), 0);
         let m = Arc::new(trained_model());
@@ -180,7 +142,7 @@ mod tests {
 
     #[test]
     fn old_readers_survive_republication() {
-        let cell = SnapshotCell::new();
+        let cell = SnapshotCell::default();
         let first = Arc::new(trained_model());
         cell.publish(Arc::clone(&first));
         let held = cell.load().unwrap();
@@ -193,18 +155,15 @@ mod tests {
 
     #[test]
     fn batch_scorer_matches_per_point_bitwise() {
-        let cell = Arc::new(SnapshotCell::new());
+        let cell = Arc::new(SnapshotCell::default());
         let scorer = SnapshotScorer::new(Arc::clone(&cell), ScoreKind::RelativeProjection);
         let mut scratch = ScoreScratch::new();
         let mut out = vec![1.0; 3]; // stale contents must be cleared
         let rows: Vec<Vec<f64>> = (0..9)
             .map(|i| (0..6).map(|j| ((i * 6 + j) as f64 * 0.21).sin()).collect())
             .collect();
-        // No model yet: both batch entry points report absence.
+        // No model yet: the batch entry point reports absence.
         assert!(!scorer.score_rows_into(&rows, &mut scratch, &mut out));
-        assert!(out.is_empty());
-        let ys = Matrix::from_rows(&rows).unwrap();
-        assert!(!scorer.score_batch_into(&ys, &mut scratch, &mut out));
         assert!(out.is_empty());
 
         cell.publish(Arc::new(trained_model()));
@@ -214,9 +173,6 @@ mod tests {
             let want = scorer.score(row).unwrap();
             assert_eq!(got.to_bits(), want.to_bits());
         }
-        let mut out2 = Vec::new();
-        assert!(scorer.score_batch_into(&ys, &mut scratch, &mut out2));
-        assert_eq!(out, out2);
     }
 
     /// Regression test for the publish ordering bug: under concurrent
@@ -227,7 +183,7 @@ mod tests {
     #[test]
     fn generation_never_lags_published_model() {
         use std::sync::atomic::{AtomicBool, Ordering};
-        let cell = Arc::new(SnapshotCell::new());
+        let cell = Arc::new(SnapshotCell::default());
         let stop = Arc::new(AtomicBool::new(false));
         let base = trained_model();
 
@@ -255,7 +211,8 @@ mod tests {
             std::thread::spawn(move || {
                 let mut last_gen = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    let (model, generation) = cell.load_with_generation();
+                    let model = cell.load();
+                    let generation = cell.generation();
                     // A model present implies at least one publication has
                     // completed its counter bump — this is exactly what the
                     // old drop-then-bump ordering violated.
@@ -278,23 +235,8 @@ mod tests {
     }
 
     #[test]
-    fn load_with_generation_pairs_are_exact_in_sequence() {
-        let cell = SnapshotCell::new();
-        let (m, g) = cell.load_with_generation();
-        assert!(m.is_none());
-        assert_eq!(g, 0);
-        cell.publish(Arc::new(trained_model()));
-        let (m, g) = cell.load_with_generation();
-        assert!(m.is_some());
-        assert_eq!(g, 1);
-        cell.publish(Arc::new(trained_model()));
-        let (_, g) = cell.load_with_generation();
-        assert_eq!(g, 2);
-    }
-
-    #[test]
     fn scorer_matches_direct_evaluation() {
-        let cell = Arc::new(SnapshotCell::new());
+        let cell = Arc::new(SnapshotCell::default());
         let scorer = SnapshotScorer::new(Arc::clone(&cell), ScoreKind::ProjectionDistance);
         assert!(scorer.score(&[1.0; 6]).is_none());
         let m = Arc::new(trained_model());

@@ -9,10 +9,10 @@ use sketchad_obs::ObsReport;
 /// give p50/p90/p99/p999 at ≤3% relative error, and out-of-range
 /// observations land in an explicit `overflow` field instead of being
 /// folded into the last bucket.
-pub type LatencyHistogram = sketchad_obs::LogHistogram;
+pub(crate) type LatencyHistogram = sketchad_obs::LogHistogram;
 
 /// Schema version written into [`PipelineStats::stats_version`].
-pub const STATS_VERSION: u32 = 3;
+pub(crate) const STATS_VERSION: u32 = 3;
 
 /// Final counters for one shard.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -27,8 +27,8 @@ pub struct ShardStats {
     pub queue_high_water: usize,
     /// Rows routed here that input validation refused (quarantined).
     pub rejected: u64,
-    /// Updates shed: `ShedOldest` evictions, read-only refusals, and rows a
-    /// degraded shard drained without scoring.
+    /// Updates shed: `ShedOldest` evictions, submissions refused by a
+    /// degraded shard, and rows it drained without scoring.
     pub shed: u64,
     /// Points consumed from the queue but unscored when the worker panicked.
     pub crash_lost: u64,
@@ -51,7 +51,7 @@ pub struct ShardStats {
 pub struct PipelineStats {
     /// Artifact schema version ([`STATS_VERSION`] when written by this
     /// build).
-    pub stats_version: u32,
+    pub(crate) stats_version: u32,
     /// Per-shard final counters.
     pub shards: Vec<ShardStats>,
     /// Sum of per-shard `processed`.
@@ -80,13 +80,13 @@ pub struct PipelineStats {
     pub latency_p50_us: f64,
     /// 90th-percentile end-to-end latency in microseconds (bucket upper
     /// bound; 0 when nothing was processed).
-    pub latency_p90_us: f64,
+    pub(crate) latency_p90_us: f64,
     /// 99th-percentile end-to-end latency in microseconds (bucket upper
     /// bound; 0 when nothing was processed).
     pub latency_p99_us: f64,
     /// 99.9th-percentile end-to-end latency in microseconds (bucket upper
     /// bound; 0 when nothing was processed).
-    pub latency_p999_us: f64,
+    pub(crate) latency_p999_us: f64,
     /// Merged per-shard observability report (spans, counters, gauges,
     /// events). `None` for engines started without instrumentation
     /// (`ServeEngine::start`); populated by
@@ -97,7 +97,7 @@ pub struct PipelineStats {
 impl PipelineStats {
     /// Assembles pipeline stats from per-shard results, computing the
     /// summary quantiles.
-    pub fn from_shards(shards: Vec<ShardStats>, latency: LatencyHistogram) -> Self {
+    pub(crate) fn from_shards(shards: Vec<ShardStats>, latency: LatencyHistogram) -> Self {
         let total_processed = shards.iter().map(|s| s.processed).sum();
         let total_dropped = shards.iter().map(|s| s.dropped).sum();
         let total_rejected = shards.iter().map(|s| s.rejected).sum();
@@ -146,7 +146,7 @@ impl PipelineStats {
 
     /// Attaches a merged observability report (builder style).
     #[must_use]
-    pub fn with_obs(mut self, obs: ObsReport) -> Self {
+    pub(crate) fn with_obs(mut self, obs: ObsReport) -> Self {
         self.obs = Some(obs);
         self
     }

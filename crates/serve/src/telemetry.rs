@@ -33,7 +33,7 @@ use sketchad_obs::{
     SeriesStore, TelemetryFrame,
 };
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{
     AtomicU64,
     Ordering::{Acquire, Relaxed},
@@ -107,16 +107,6 @@ impl TelemetryConfig {
         self.sample_every
     }
 
-    /// The configured Prometheus bind address, if any.
-    pub fn metrics_addr(&self) -> Option<&str> {
-        self.metrics_addr.as_deref()
-    }
-
-    /// The configured flight-recorder path, if any.
-    pub fn flight_path(&self) -> Option<&Path> {
-        self.flight_path.as_deref()
-    }
-
     /// Spawns the sampler (and exporters) over `probe`. Returns the sampler
     /// — owned by the engine so `finish` can stop it at quiesce — plus the
     /// caller's handle.
@@ -170,15 +160,15 @@ impl TelemetryHandle {
 /// thread. Everything here is an `Arc` to state the workers own; `frame` is
 /// a pure read.
 pub(crate) struct EngineProbe {
-    pub shards: Vec<Arc<ShardShared>>,
-    pub recorders: Vec<Option<Arc<MetricsRecorder>>>,
-    pub submitted: Arc<AtomicU64>,
+    pub(crate) shards: Vec<Arc<ShardShared>>,
+    pub(crate) recorders: Vec<Option<Arc<MetricsRecorder>>>,
+    pub(crate) submitted: Arc<AtomicU64>,
     /// Row count of the submit call in flight (0 between calls).
-    pub in_flight: Arc<AtomicU64>,
-    pub started: Instant,
+    pub(crate) in_flight: Arc<AtomicU64>,
+    pub(crate) started: Instant,
     /// Allowed |conservation_lag| on a live sample besides the in-flight
     /// rows: one micro-batch per worker, one reserved slot per shard.
-    pub slack_limit: u64,
+    pub(crate) slack_limit: u64,
 }
 
 impl EngineProbe {

@@ -17,16 +17,6 @@ pub fn fd_spectral_error_bound(frobenius_sq: f64, ell: usize) -> f64 {
     frobenius_sq / ell as f64
 }
 
-/// The refined frequent-directions guarantee in terms of the rank-`k` tail:
-/// `‖AᵀA − BᵀB‖₂ ≤ ‖A − A_k‖_F² / (ℓ − k)` for `k < ℓ`.
-///
-/// # Panics
-/// Panics when `k >= ell`.
-pub fn fd_refined_error_bound(tail_frobenius_sq: f64, ell: usize, k: usize) -> f64 {
-    assert!(k < ell, "refined bound requires k < ℓ (got k={k}, ℓ={ell})");
-    tail_frobenius_sq / (ell - k) as f64
-}
-
 /// Sketch size sufficient for a relative covariance error of `eps` against
 /// the rank-`k` tail: `ℓ ≥ k + ⌈1/eps⌉` gives
 /// `‖AᵀA − BᵀB‖₂ ≤ eps · ‖A − A_k‖_F²`.
@@ -36,12 +26,6 @@ pub fn fd_refined_error_bound(tail_frobenius_sq: f64, ell: usize, k: usize) -> f
 pub fn required_fd_size(k: usize, eps: f64) -> usize {
     assert!(eps > 0.0 && eps <= 1.0, "eps must be in (0, 1], got {eps}");
     k + (1.0 / eps).ceil() as usize
-}
-
-/// Squared Frobenius norm of the rank-`k` tail `‖A − A_k‖_F²`, given the full
-/// singular value list of `A`.
-pub fn tail_frobenius_sq(singular_values: &[f64], k: usize) -> f64 {
-    singular_values.iter().skip(k).map(|s| s * s).sum()
 }
 
 /// Measured covariance error of sketch `b` against data `a`.
@@ -75,6 +59,22 @@ mod tests {
     use crate::traits::MatrixSketch;
     use sketchad_linalg::rng::{gaussian_matrix, seeded_rng};
     use sketchad_linalg::svd::svd_thin;
+
+    /// The refined frequent-directions guarantee in terms of the rank-`k` tail:
+    /// `‖AᵀA − BᵀB‖₂ ≤ ‖A − A_k‖_F² / (ℓ − k)` for `k < ℓ`.
+    ///
+    /// # Panics
+    /// Panics when `k >= ell`.
+    fn fd_refined_error_bound(tail_frobenius_sq: f64, ell: usize, k: usize) -> f64 {
+        assert!(k < ell, "refined bound requires k < ℓ (got k={k}, ℓ={ell})");
+        tail_frobenius_sq / (ell - k) as f64
+    }
+
+    /// Squared Frobenius norm of the rank-`k` tail `‖A − A_k‖_F²`, given the full
+    /// singular value list of `A`.
+    fn tail_frobenius_sq(singular_values: &[f64], k: usize) -> f64 {
+        singular_values.iter().skip(k).map(|s| s * s).sum()
+    }
 
     #[test]
     fn basic_bound_formula() {

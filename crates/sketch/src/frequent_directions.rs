@@ -87,14 +87,6 @@ impl FrequentDirections {
         self.total_shrink_delta
     }
 
-    /// Forces a shrink so that at most ℓ rows are occupied. Useful before
-    /// merging or when a caller wants the canonical compressed form.
-    pub fn compress(&mut self) {
-        if self.occupied > self.ell {
-            self.shrink();
-        }
-    }
-
     /// Merges another frequent-directions sketch into this one (the FD merge
     /// theorem: the merged sketch satisfies the same error bound with the
     /// Frobenius masses added).
@@ -356,6 +348,14 @@ mod tests {
     use sketchad_linalg::power::gram_diff_spectral_norm;
     use sketchad_linalg::rng::{gaussian_matrix, seeded_rng};
 
+    /// Shrinks a partly filled buffer to at most ℓ rows: the cold path,
+    /// which `update` never takes (it shrinks only a full buffer).
+    fn compress(fd: &mut FrequentDirections) {
+        if fd.occupied > fd.ell {
+            fd.shrink();
+        }
+    }
+
     fn feed(fd: &mut FrequentDirections, a: &Matrix) {
         for row in a.iter_rows() {
             fd.update(row);
@@ -461,7 +461,7 @@ mod tests {
         let a = gaussian_matrix(&mut rng, 50, 10, 1.0);
         let mut fd = FrequentDirections::new(4, 10);
         feed(&mut fd, &a);
-        fd.compress();
+        compress(&mut fd);
         assert!(fd.sketch().rows() <= 4);
     }
 
@@ -608,7 +608,7 @@ mod tests {
                     .collect();
                 fd.update(&row);
             }
-            fd.compress();
+            compress(&mut fd);
             let b = fd.sketch();
             assert!((1..=4).contains(&b.rows()), "{mag:e}: {} rows", b.rows());
             assert!(b.all_finite(), "{mag:e}: non-finite sketch");
@@ -632,7 +632,7 @@ mod tests {
         let a = gaussian_matrix(&mut rng, 11, 6, 1.0);
         let mut fd = FrequentDirections::new(4, 6);
         feed(&mut fd, &a); // 11 rows: one full-buffer shrink at 8, 3 pending
-        fd.compress(); // partial shrink: occupied < 2ℓ
+        compress(&mut fd); // partial shrink: occupied < 2ℓ
         assert!(fd.sketch().rows() <= 4);
         let diff = a.gram().sub(&fd.sketch().gram()).unwrap();
         for p in 0..6usize {

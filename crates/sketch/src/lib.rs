@@ -47,14 +47,14 @@
 #![forbid(unsafe_code)]
 
 pub mod bounds;
-pub mod count_sketch;
-pub mod frequent_directions;
-pub mod isvd;
-pub mod merge;
-pub mod random_projection;
-pub mod row_sampling;
-pub mod traits;
-pub mod window;
+pub(crate) mod count_sketch;
+pub(crate) mod frequent_directions;
+pub(crate) mod isvd;
+pub(crate) mod merge;
+pub(crate) mod random_projection;
+pub(crate) mod row_sampling;
+pub(crate) mod traits;
+pub(crate) mod window;
 pub mod wire;
 
 pub use count_sketch::CountSketch;
@@ -63,5 +63,5 @@ pub use isvd::IsvdTruncation;
 pub use merge::tree_merge;
 pub use random_projection::RandomProjection;
 pub use row_sampling::RowSampling;
-pub use traits::{MatrixSketch, MergeableSketch};
+pub use traits::{MatrixSketch, MergeableSketch, RefreshFactor};
 pub use window::BlockWindowSketch;

@@ -77,11 +77,6 @@ impl<S: MatrixSketch + Clone> BlockWindowSketch<S> {
         self.completed.len() * self.block_len + self.active_rows
     }
 
-    /// Number of live blocks (completed + the active one).
-    pub fn live_blocks(&self) -> usize {
-        self.completed.len() + 1
-    }
-
     fn roll_block(&mut self) {
         let mut fresh = self.prototype.clone();
         fresh.reseed(Self::block_seed(self.blocks_created));
@@ -278,7 +273,7 @@ mod tests {
         for _ in 0..5 {
             w.update(&[1.0, 1.0, 1.0]);
         }
-        assert_eq!(w.resident_bytes(), w.live_blocks() * per_block);
+        assert_eq!(w.resident_bytes(), (w.completed.len() + 1) * per_block);
     }
 
     #[test]

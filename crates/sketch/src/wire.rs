@@ -77,7 +77,7 @@ impl ByteWriter {
     }
 
     /// Appends raw bytes verbatim (no length prefix).
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 

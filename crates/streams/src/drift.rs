@@ -41,7 +41,7 @@ pub enum DriftKind {
 /// first 10% of the stream.
 ///
 /// # Panics
-/// Panics on invalid `cfg` (see [`LowRankGenerator::new`]) or an
+/// Panics on invalid `cfg` (see `LowRankGenerator::new`) or an
 /// `at_fraction` outside `(0, 1)`.
 pub fn generate_drift_stream(cfg: LowRankStreamConfig, drift: DriftKind) -> LabeledStream {
     if let DriftKind::AbruptSwitch { at_fraction } = drift {
@@ -115,20 +115,20 @@ fn rotate_basis(generator: &mut LowRankGenerator, angle: f64) {
     }
 }
 
-/// Measures the principal-angle distance between the planted basis at the
-/// start and end of a drift run (used by tests and diagnostics):
-/// `1 − σ_min(B_start B_endᵀ)`, 0 when identical, → 1 when orthogonal.
-pub fn subspace_distance(a: &sketchad_linalg::Matrix, b: &sketchad_linalg::Matrix) -> f64 {
-    let m = a.matmul(&b.transpose()).expect("basis dims must agree");
-    let svd = sketchad_linalg::svd::svd_thin(&m).expect("SVD of a small matrix");
-    let sigma_min = svd.s.last().copied().unwrap_or(0.0);
-    (1.0 - sigma_min).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sketchad_linalg::vecops;
+
+    /// Measures the principal-angle distance between the planted basis at the
+    /// start and end of a drift run:
+    /// `1 − σ_min(B_start B_endᵀ)`, 0 when identical, → 1 when orthogonal.
+    fn subspace_distance(a: &sketchad_linalg::Matrix, b: &sketchad_linalg::Matrix) -> f64 {
+        let m = a.matmul(&b.transpose()).expect("basis dims must agree");
+        let svd = sketchad_linalg::svd::svd_thin(&m).expect("SVD of a small matrix");
+        let sigma_min = svd.s.last().copied().unwrap_or(0.0);
+        (1.0 - sigma_min).clamp(0.0, 1.0)
+    }
 
     fn base_cfg() -> LowRankStreamConfig {
         LowRankStreamConfig {

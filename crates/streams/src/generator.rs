@@ -71,7 +71,7 @@ impl Default for LowRankStreamConfig {
 /// `scales[j]` (see [`Spectrum::scales`]), so the planted covariance has
 /// eigenvalues `scales[j]²` plus the noise floor `noise_sigma²`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub enum Spectrum {
+pub(crate) enum Spectrum {
     /// Every direction at `signal_scale`. Any top-`k'` subspace with
     /// `k' < k` of such a stream is an arbitrary pick from a flat signal.
     #[default]
@@ -80,7 +80,10 @@ pub enum Spectrum {
     /// `signal_scale · decay^j`, times `gap` for every `j ≥ gap_after`, so
     /// the planted eigenvalues fall by `decay²` per direction and by
     /// `(decay·gap)²` from direction `gap_after − 1` to `gap_after`. A
-    /// detector of rank `gap_after` then has an identifiable model.
+    /// detector of rank `gap_after` then has an identifiable model. Only
+    /// this crate's tests construct it so far; the planned fidelity
+    /// scenarios against the exact detector are its first callers.
+    #[cfg(test)]
     Geometric {
         /// Per-direction scale ratio in `(0, 1]`.
         decay: f64,
@@ -97,9 +100,10 @@ impl Spectrum {
     ///
     /// # Panics
     /// Panics when a `Geometric` parameter is outside its documented range.
-    pub fn scales(&self, signal_scale: f64, k: usize) -> Vec<f64> {
+    pub(crate) fn scales(&self, signal_scale: f64, k: usize) -> Vec<f64> {
         match *self {
             Spectrum::Flat => vec![signal_scale; k],
+            #[cfg(test)]
             Spectrum::Geometric {
                 decay,
                 gap_after,
@@ -122,7 +126,7 @@ impl Spectrum {
 /// A generator holding the planted basis; exposes single-point sampling so
 /// drift scenarios can mutate the basis mid-stream.
 #[derive(Debug, Clone)]
-pub struct LowRankGenerator {
+pub(crate) struct LowRankGenerator {
     /// `k × d` orthonormal rows spanning the normal subspace.
     basis: Matrix,
     /// Coefficient standard deviation of each planted direction.
@@ -136,7 +140,7 @@ impl LowRankGenerator {
     ///
     /// # Panics
     /// Panics when `k == 0`, `k > d`, or `anomaly_rate ∉ [0, 1)`.
-    pub fn new(cfg: LowRankStreamConfig) -> Self {
+    pub(crate) fn new(cfg: LowRankStreamConfig) -> Self {
         Self::with_spectrum(cfg, Spectrum::Flat)
     }
 
@@ -146,7 +150,7 @@ impl LowRankGenerator {
     /// # Panics
     /// As [`new`](Self::new), and when `spectrum` is invalid for `cfg.k`
     /// (see [`Spectrum::scales`]).
-    pub fn with_spectrum(cfg: LowRankStreamConfig, spectrum: Spectrum) -> Self {
+    pub(crate) fn with_spectrum(cfg: LowRankStreamConfig, spectrum: Spectrum) -> Self {
         assert!(cfg.k > 0 && cfg.k <= cfg.d, "require 1 <= k <= d");
         assert!(
             (0.0..1.0).contains(&cfg.anomaly_rate),
@@ -164,17 +168,17 @@ impl LowRankGenerator {
     }
 
     /// The planted basis (`k × d` orthonormal rows).
-    pub fn basis(&self) -> &Matrix {
+    pub(crate) fn basis(&self) -> &Matrix {
         &self.basis
     }
 
     /// Mutable basis access (drift scenarios rotate it in place).
-    pub fn basis_mut(&mut self) -> &mut Matrix {
+    pub(crate) fn basis_mut(&mut self) -> &mut Matrix {
         &mut self.basis
     }
 
     /// Samples one normal point.
-    pub fn sample_normal(&mut self) -> Vec<f64> {
+    pub(crate) fn sample_normal(&mut self) -> Vec<f64> {
         let coeff: Vec<f64> = (0..self.cfg.k)
             .map(|j| self.scales[j] * gaussian(&mut self.rng))
             .collect();
@@ -188,7 +192,7 @@ impl LowRankGenerator {
     /// Samples one anomaly of the configured kind. For
     /// [`AnomalyKind::CorrelatedBurst`], `burst_dir` supplies the shared
     /// direction (pass the same vector for each point in a burst).
-    pub fn sample_anomaly(&mut self, burst_dir: Option<&[f64]>) -> Vec<f64> {
+    pub(crate) fn sample_anomaly(&mut self, burst_dir: Option<&[f64]>) -> Vec<f64> {
         let scale = self.cfg.anomaly_scale;
         match self.cfg.anomaly_kind {
             AnomalyKind::OffSubspace => {
@@ -232,20 +236,15 @@ impl LowRankGenerator {
     }
 
     /// Draws a fresh shared direction for a correlated burst.
-    pub fn new_burst_direction(&mut self) -> Vec<f64> {
+    pub(crate) fn new_burst_direction(&mut self) -> Vec<f64> {
         let mut v = gaussian_vec(&mut self.rng, self.cfg.d);
         sketchad_linalg::vecops::normalize(&mut v);
         v
     }
 
     /// Access to the generator's RNG (drift scenarios share it).
-    pub fn rng(&mut self) -> &mut StdRng {
+    pub(crate) fn rng(&mut self) -> &mut StdRng {
         &mut self.rng
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &LowRankStreamConfig {
-        &self.cfg
     }
 }
 
@@ -266,7 +265,7 @@ pub fn generate_low_rank_stream(cfg: LowRankStreamConfig) -> LabeledStream {
 ///
 /// # Panics
 /// As [`LowRankGenerator::with_spectrum`].
-pub fn generate_low_rank_stream_with(
+pub(crate) fn generate_low_rank_stream_with(
     cfg: LowRankStreamConfig,
     spectrum: Spectrum,
 ) -> LabeledStream {
@@ -330,6 +329,7 @@ pub fn generate_low_rank_stream_with(
 
     let name = match spectrum {
         Spectrum::Flat => format!("synth-lowrank(n={n},d={},k={})", cfg.d, cfg.k),
+        #[cfg(test)]
         Spectrum::Geometric {
             decay,
             gap_after,

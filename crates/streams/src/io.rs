@@ -7,7 +7,7 @@
 //! data into the examples.
 //!
 //! For replay-heavy paths (eval sweeps, benchmarks) CSV pays a float parse
-//! per cell per run; [`write_rows`]/[`read_rows`] store the same stream in
+//! per cell per run; [`write_rows`]/`read_rows` store the same stream in
 //! [`sketchad_core::rowfmt`]'s fixed-width binary layout with the 0/1 label
 //! in the key column, so re-reading is a straight memory copy.
 //! [`read_stream`] dispatches on the file extension (`.rows` → binary,
@@ -175,7 +175,7 @@ pub fn write_rows(stream: &LabeledStream, path: &Path) -> Result<(), IoError> {
 /// # Errors
 /// Format violations surface as [`IoError::Parse`] at line 0; filesystem
 /// failures as [`IoError::Io`].
-pub fn read_rows(path: &Path) -> Result<LabeledStream, IoError> {
+pub(crate) fn read_rows(path: &Path) -> Result<LabeledStream, IoError> {
     let rows = MmapRows::open(path).map_err(|e| {
         if e.kind() == io::ErrorKind::InvalidData {
             IoError::Parse {
@@ -205,7 +205,7 @@ pub fn read_rows(path: &Path) -> Result<LabeledStream, IoError> {
 }
 
 /// Reads a labeled stream, dispatching on the file extension: `.rows` goes
-/// through the zero-parse binary reader ([`read_rows`]), everything else
+/// through the zero-parse binary reader (`read_rows`), everything else
 /// through the CSV parser ([`read_csv`]).
 ///
 /// # Errors

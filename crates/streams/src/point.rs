@@ -27,7 +27,7 @@ impl LabeledStream {
     ///
     /// # Panics
     /// Panics when any point has the wrong dimensionality.
-    pub fn new(name: impl Into<String>, dim: usize, points: Vec<LabeledPoint>) -> Self {
+    pub(crate) fn new(name: impl Into<String>, dim: usize, points: Vec<LabeledPoint>) -> Self {
         let name = name.into();
         for (i, p) in points.iter().enumerate() {
             assert_eq!(

@@ -24,7 +24,7 @@ use std::sync::Arc;
 /// This crate hosts it because it depends on both crates the snippets use.
 #[cfg(doctest)]
 #[doc = include_str!("../../../README.md")]
-pub struct ReadmeDoctests;
+pub(crate) struct ReadmeDoctests;
 
 /// One draw from a splitmix64 stream (advances the state). The same tiny,
 /// stable PRNG the workspace's other seeded components use: the same plan
@@ -49,13 +49,13 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Poison one row in every `poison_every` (NaN or ∞ at a
     /// seed-determined component); `None` injects no poison.
-    pub poison_every: Option<u64>,
+    pub(crate) poison_every: Option<u64>,
     /// Panic the (single flaky) detector once its shard has processed this
     /// many points; `None` never panics.
-    pub panic_after: Option<u64>,
+    pub(crate) panic_after: Option<u64>,
     /// Shrink queues to this capacity to force overload; `None` leaves the
     /// default (ample) capacity.
-    pub saturate_queue: Option<usize>,
+    pub(crate) saturate_queue: Option<usize>,
 }
 
 impl FaultPlan {
@@ -107,7 +107,7 @@ impl FaultPlan {
 }
 
 /// Ambient dimension of the harness's synthetic stream.
-pub const FAULT_DIM: usize = 12;
+pub(crate) const FAULT_DIM: usize = 12;
 
 /// The harness's deterministic base stream: a smooth multi-frequency wave,
 /// identical for a given `(seed, i)` on every machine. Tests comparing a
