@@ -4,7 +4,7 @@
 use sketchad_core::ScoreScratch;
 use sketchad_eval::{fmt_opt, roc_auc};
 
-use crate::args::{for_each_block, read_stream, write_scores, Args, Command};
+use crate::args::{open_input, write_scores, Args, Command, CLI_BATCH};
 use crate::score::SavedModel;
 
 pub const COMMAND: Command = Command {
@@ -16,26 +16,28 @@ pub const COMMAND: Command = Command {
 fn run(p: &Args) -> Result<(), String> {
     let raw = std::fs::read_to_string(p.required("model")?).map_err(|e| e.to_string())?;
     let saved: SavedModel = serde_json::from_str(&raw).map_err(|e| e.to_string())?;
-    let stream = read_stream(p.required("input")?)?;
-    if stream.dim != saved.model.dim() {
+    let mut input = open_input(p.required("input")?)?;
+    if input.dim() != saved.model.dim() {
         return Err(format!(
             "model dimension {} does not match stream dimension {}",
             saved.model.dim(),
-            stream.dim
+            input.dim()
         ));
     }
 
     // Score-only inference runs through the batched `V_kᵀY` kernel (bitwise
     // identical to per-point `evaluate`), reusing one scratch across blocks.
-    let mut scores: Vec<f64> = Vec::with_capacity(stream.len());
+    let (mut scores, mut labels) = (Vec::new(), Vec::new());
     let mut scratch = ScoreScratch::new();
     let mut block_scores = Vec::new();
-    for_each_block(&stream, |block| {
+    while let Some(block) = input.next_block(CLI_BATCH).map_err(|e| e.to_string())? {
+        let values = block.rows.values();
         saved
             .model
-            .score_block_into(block, saved.score, &mut scratch, &mut block_scores);
+            .score_block_into(values, saved.score, &mut scratch, &mut block_scores);
         scores.extend_from_slice(&block_scores);
-    });
+        labels.extend_from_slice(block.labels);
+    }
 
     let quiet = p.flag("quiet");
     if !quiet {
@@ -43,9 +45,8 @@ fn run(p: &Args) -> Result<(), String> {
             "applied saved model (k={}, trained on {} rows) to {} points",
             saved.model.k(),
             saved.model.rows_represented(),
-            stream.len()
+            scores.len()
         );
-        let labels = stream.labels();
         if labels.iter().any(|&l| l) && labels.iter().any(|&l| !l) {
             println!("ROC-AUC: {}", fmt_opt(roc_auc(&scores, &labels)));
         }

@@ -11,6 +11,7 @@ use std::path::Path;
 use sketchad_core::obs::RecorderHandle;
 use sketchad_core::{DetectorConfig, RefreshPolicy, ScoreKind, StreamingDetector};
 use sketchad_obs::ObsArtifact;
+use sketchad_streams::io::BlockReader;
 use sketchad_streams::{self as ss, DatasetScale, LabeledStream};
 
 /// A subcommand: its name, the options it accepts and what it runs.
@@ -253,8 +254,9 @@ pub fn dataset_by_name(name: &str, scale: DatasetScale) -> Option<LabeledStream>
         .map(|(_, make)| make(scale))
 }
 
-pub fn read_stream(path: &str) -> Result<LabeledStream, String> {
-    sketchad_streams::io::read_stream(Path::new(path)).map_err(|e| e.to_string())
+/// Opens an input file, CSV or `.rows`, to be read a block at a time.
+pub fn open_input(path: &str) -> Result<BlockReader, String> {
+    BlockReader::open(Path::new(path)).map_err(|e| e.to_string())
 }
 
 /// The builtin dataset `name`, at `Small` scale under `--small`.
@@ -270,19 +272,7 @@ pub fn dataset(args: &Args, name: &str) -> Result<LabeledStream, String> {
 
 /// Points scored per batched call in `score`/`apply` — large enough to
 /// amortize the blocked `V_kᵀY` kernel, small enough to stay cache-warm.
-const CLI_BATCH: usize = 512;
-
-/// Calls `f` on the stream's points as row-major blocks of [`CLI_BATCH`] rows.
-pub fn for_each_block(stream: &LabeledStream, mut f: impl FnMut(&[f64])) {
-    let mut block: Vec<f64> = Vec::with_capacity(CLI_BATCH * stream.dim);
-    for points in stream.points.chunks(CLI_BATCH) {
-        block.clear();
-        for p in points {
-            block.extend_from_slice(&p.values);
-        }
-        f(&block);
-    }
-}
+pub const CLI_BATCH: usize = 512;
 
 /// Writes a per-point score CSV: an `index,score` row per point, plus an
 /// `alert` column of 0/1 when `alerts` (one per row) is given.

@@ -11,9 +11,10 @@ use sketchad_core::obs::RecorderHandle;
 use sketchad_core::StreamingDetector;
 use sketchad_obs::{ObsArtifact, SeriesStore};
 use sketchad_serve::{BackpressurePolicy, FsyncPolicy, ServeConfig, ServeEngine, TelemetryConfig};
+use sketchad_streams::io::BlockReader;
 
 use crate::args::{
-    dataset, read_stream, write_artifact, write_scores, Args, Command, DetectorArgs, UseDetector,
+    dataset, open_input, write_artifact, write_scores, Args, Command, DetectorArgs, UseDetector,
 };
 
 pub const COMMAND: Command = Command {
@@ -55,10 +56,10 @@ pub fn parse_fsync(raw: &str) -> Result<FsyncPolicy, String> {
 }
 
 fn run(p: &Args) -> Result<(), String> {
-    // Input: a CSV/.rows file or a named builtin dataset.
-    let stream = match (p.get("input"), p.get("dataset")) {
-        (Some(input), None) => read_stream(input)?,
-        (None, Some(name)) => dataset(p, name)?,
+    // Input: a CSV/.rows file or a named builtin dataset, read in blocks.
+    let mut input = match (p.get("input"), p.get("dataset")) {
+        (Some(input), None) => open_input(input)?,
+        (None, Some(name)) => BlockReader::from_stream(dataset(p, name)?),
         _ => return Err("pipeline needs exactly one of --input or --dataset".into()),
     };
 
@@ -85,7 +86,7 @@ fn run(p: &Args) -> Result<(), String> {
     };
     let max_restarts: u32 = p.parse_or("max-restarts", 2, "integer")?;
     let det = DetectorArgs::parse(p)?;
-    let dim = stream.dim;
+    let dim = input.dim();
 
     let mut serve_config = ServeConfig::new(shards)
         .with_queue_capacity(queue)
@@ -170,12 +171,12 @@ fn run(p: &Args) -> Result<(), String> {
 
     let started = std::time::Instant::now();
     let mut submitted = 0u64;
-    let mut chunk: Vec<Vec<f64>> = Vec::with_capacity(PIPELINE_CHUNK);
-    for points in stream.points.chunks(PIPELINE_CHUNK) {
-        chunk.clear();
-        chunk.extend(points.iter().map(|p| p.values.clone()));
+    while let Some(block) = input
+        .next_block(PIPELINE_CHUNK)
+        .map_err(|e| e.to_string())?
+    {
         submitted += engine
-            .submit_batch_rows_parallel(&chunk, producers)
+            .submit_batch_rows_parallel(&block.rows, producers)
             .map_err(|e| e.to_string())?
             .submitted();
     }
@@ -249,8 +250,8 @@ fn run(p: &Args) -> Result<(), String> {
     }
     if let Some(path) = metrics_out {
         let artifact = ObsArtifact::new("pipeline", stats.obs.clone().unwrap_or_default())
-            .with_context("source", stream.name.as_str())
-            .with_context("points", stream.len().to_string())
+            .with_context("source", input.name())
+            .with_context("points", submitted.to_string())
             .with_context("dim", dim.to_string())
             .with_context("shards", shards.to_string())
             .with_context("snapshot_every", snapshot_every.to_string())

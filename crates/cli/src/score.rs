@@ -9,11 +9,10 @@ use sketchad_core::{
 };
 use sketchad_eval::{fmt_opt, roc_auc};
 use sketchad_obs::{MetricsRecorder, ObsArtifact, Recorder};
-use sketchad_streams::LabeledStream;
+use sketchad_streams::io::BlockReader;
 
 use crate::args::{
-    for_each_block, read_stream, write_artifact, write_scores, Args, Command, DetectorArgs,
-    UseDetector,
+    open_input, write_artifact, write_scores, Args, Command, DetectorArgs, UseDetector, CLI_BATCH,
 };
 
 pub const COMMAND: Command = Command {
@@ -50,8 +49,7 @@ pub fn parse_decay(raw: &str) -> Result<(f64, usize), String> {
 }
 
 fn run(p: &Args) -> Result<(), String> {
-    let input = p.required("input")?;
-    let stream = read_stream(input)?;
+    let input = open_input(p.required("input")?)?;
     let mut det = DetectorArgs::parse(p)?;
     let fp_rate: f64 = p.parse_or("fp-rate", 0.01, "fraction in (0,1)")?;
     if !(0.0 < fp_rate && fp_rate < 1.0) {
@@ -67,21 +65,22 @@ fn run(p: &Args) -> Result<(), String> {
     let recorder = metrics.as_ref().map_or_else(RecorderHandle::default, |r| {
         RecorderHandle::from(Arc::clone(r) as Arc<dyn Recorder>)
     });
+    let dim = input.dim();
     let scoring = Scoring {
         p,
-        stream: &stream,
+        input,
         det,
         fp_rate,
         metrics,
     };
-    det.build(stream.dim, recorder, scoring)
+    det.build(dim, recorder, scoring)
 }
 
 /// The rest of a `score` run, generic over the concrete detector so the
 /// alerting (and `--normalize`) wrappers call it without dynamic dispatch.
 struct Scoring<'a> {
     p: &'a Args,
-    stream: &'a LabeledStream,
+    input: BlockReader,
     det: DetectorArgs,
     fp_rate: f64,
     metrics: Option<Arc<MetricsRecorder>>,
@@ -100,28 +99,27 @@ impl UseDetector for Scoring<'_> {
 
 impl Scoring<'_> {
     fn score<D: StreamingDetector>(self, detector: D) -> Result<(), String> {
-        let (p, stream, det, fp_rate) = (self.p, self.stream, self.det, self.fp_rate);
+        let (p, mut input, det, fp_rate) = (self.p, self.input, self.det, self.fp_rate);
         let (warmup, quiet) = (det.warmup, p.flag("quiet"));
         let mut alerting = ThresholdedDetector::new(detector, fp_rate, warmup.max(64));
-        let mut scores = Vec::with_capacity(stream.len());
-        let mut alerts = Vec::with_capacity(stream.len());
+        let (mut scores, mut alerts, mut labels) = (Vec::new(), Vec::new(), Vec::new());
         // Batched scoring path: bitwise identical to per-point processing.
         let mut block_alerts: Vec<Alert> = Vec::new();
-        for_each_block(stream, |block| {
-            alerting.process_batch(block, &mut block_alerts);
+        while let Some(block) = input.next_block(CLI_BATCH).map_err(|e| e.to_string())? {
+            alerting.process_batch(block.rows.values(), &mut block_alerts);
             scores.extend(block_alerts.iter().map(|a| a.score));
             alerts.extend(block_alerts.iter().map(|a| a.is_anomaly));
-        });
+            labels.extend_from_slice(block.labels);
+        }
 
         // Summary.
-        let labels = stream.labels();
         let has_both_classes = labels[warmup.min(labels.len())..].iter().any(|&l| l)
             && labels[warmup.min(labels.len())..].iter().any(|&l| !l);
         if !quiet {
             println!(
                 "scored {} points (d={}) with {}",
-                stream.len(),
-                stream.dim,
+                scores.len(),
+                input.dim(),
                 alerting.inner().name()
             );
             if has_both_classes {

@@ -8,6 +8,17 @@ use sketchad_core::{DetectorConfig, ScoreKind};
 use sketchad_obs::ObsArtifact;
 use sketchad_streams::DatasetScale;
 
+/// A two-shard pipeline over the small `synth-lowrank` stream.
+const SMALL_PIPELINE: &str = "pipeline --dataset synth-lowrank --small --shards 2 --warmup 100";
+
+/// Runs the CLI on the whitespace-separated arguments of `line`.
+fn cli(line: &str) -> Result<(), String> {
+    run(&line
+        .split_whitespace()
+        .map(String::from)
+        .collect::<Vec<_>>())
+}
+
 #[test]
 fn score_kind_parsing() {
     assert_eq!(
@@ -51,37 +62,17 @@ fn end_to_end_generate_and_score() {
     let dir = std::env::temp_dir();
     let csv = dir.join(format!("sketchad-cli-test-{}.csv", std::process::id()));
     let out = dir.join(format!("sketchad-cli-scores-{}.csv", std::process::id()));
-    let gen_args: Vec<String> = [
-        "generate",
-        "--dataset",
-        "synth-lowrank",
-        "--output",
-        csv.to_str().unwrap(),
-        "--small",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    run(&gen_args).unwrap();
-
-    let score_args: Vec<String> = [
-        "score",
-        "--input",
-        csv.to_str().unwrap(),
-        "--k",
-        "10",
-        "--ell",
-        "32",
-        "--warmup",
-        "100",
-        "--output",
-        out.to_str().unwrap(),
-        "--quiet",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    run(&score_args).unwrap();
+    cli(&format!(
+        "generate --dataset synth-lowrank --output {} --small",
+        csv.display()
+    ))
+    .unwrap();
+    cli(&format!(
+        "score --input {} --k 10 --ell 32 --warmup 100 --output {} --quiet",
+        csv.display(),
+        out.display()
+    ))
+    .unwrap();
 
     let dumped = std::fs::read_to_string(&out).unwrap();
     assert!(dumped.starts_with("index,score,alert"));
@@ -97,38 +88,23 @@ fn save_and_apply_roundtrip() {
     let csv = dir.join(format!("sketchad-apply-{pid}.csv"));
     let model = dir.join(format!("sketchad-model-{pid}.json"));
     let out = dir.join(format!("sketchad-apply-out-{pid}.csv"));
-    run(&[
-        "generate".into(),
-        "--dataset".into(),
-        "synth-lowrank".into(),
-        "--output".into(),
-        csv.to_str().unwrap().into(),
-        "--small".into(),
-    ])
+    cli(&format!(
+        "generate --dataset synth-lowrank --output {} --small",
+        csv.display()
+    ))
     .unwrap();
-    run(&[
-        "score".into(),
-        "--input".into(),
-        csv.to_str().unwrap().into(),
-        "--k".into(),
-        "10".into(),
-        "--warmup".into(),
-        "100".into(),
-        "--save-model".into(),
-        model.to_str().unwrap().into(),
-        "--quiet".into(),
-    ])
+    cli(&format!(
+        "score --input {} --k 10 --warmup 100 --save-model {} --quiet",
+        csv.display(),
+        model.display()
+    ))
     .unwrap();
-    run(&[
-        "apply".into(),
-        "--model".into(),
-        model.to_str().unwrap().into(),
-        "--input".into(),
-        csv.to_str().unwrap().into(),
-        "--output".into(),
-        out.to_str().unwrap().into(),
-        "--quiet".into(),
-    ])
+    cli(&format!(
+        "apply --model {} --input {} --output {} --quiet",
+        model.display(),
+        csv.display(),
+        out.display()
+    ))
     .unwrap();
     let dumped = std::fs::read_to_string(&out).unwrap();
     assert!(dumped.starts_with("index,score"));
@@ -144,43 +120,27 @@ fn apply_rejects_dimension_mismatch() {
     let csv_a = dir.join(format!("sketchad-dimcheck-a-{pid}.csv"));
     let csv_b = dir.join(format!("sketchad-dimcheck-b-{pid}.csv"));
     let model = dir.join(format!("sketchad-dimcheck-m-{pid}.json"));
-    run(&[
-        "generate".into(),
-        "--dataset".into(),
-        "synth-lowrank".into(),
-        "--output".into(),
-        csv_a.to_str().unwrap().into(),
-        "--small".into(),
-    ])
+    cli(&format!(
+        "generate --dataset synth-lowrank --output {} --small",
+        csv_a.display()
+    ))
     .unwrap();
-    run(&[
-        "generate".into(),
-        "--dataset".into(),
-        "synth-drift".into(),
-        "--output".into(),
-        csv_b.to_str().unwrap().into(),
-        "--small".into(),
-    ])
+    cli(&format!(
+        "generate --dataset synth-drift --output {} --small",
+        csv_b.display()
+    ))
     .unwrap();
-    run(&[
-        "score".into(),
-        "--input".into(),
-        csv_a.to_str().unwrap().into(),
-        "--warmup".into(),
-        "100".into(),
-        "--save-model".into(),
-        model.to_str().unwrap().into(),
-        "--quiet".into(),
-    ])
+    cli(&format!(
+        "score --input {} --warmup 100 --save-model {} --quiet",
+        csv_a.display(),
+        model.display()
+    ))
     .unwrap();
-    let err = run(&[
-        "apply".into(),
-        "--model".into(),
-        model.to_str().unwrap().into(),
-        "--input".into(),
-        csv_b.to_str().unwrap().into(),
-        "--quiet".into(),
-    ])
+    let err = cli(&format!(
+        "apply --model {} --input {} --quiet",
+        model.display(),
+        csv_b.display()
+    ))
     .unwrap_err();
     for p in [&csv_a, &csv_b, &model] {
         std::fs::remove_file(p).ok();
@@ -200,34 +160,21 @@ fn rows_and_csv_inputs_score_identically() {
     let out_csv = dir.join(format!("sketchad-cli-fmt-out-csv-{pid}.csv"));
     let out_rows = dir.join(format!("sketchad-cli-fmt-out-rows-{pid}.csv"));
     for output in [&csv, &rows] {
-        run(&[
-            "generate".into(),
-            "--dataset".into(),
-            "synth-lowrank".into(),
-            "--output".into(),
-            output.to_str().unwrap().into(),
-            "--small".into(),
-        ])
+        cli(&format!(
+            "generate --dataset synth-lowrank --output {} --small",
+            output.display()
+        ))
         .unwrap();
     }
     // Binary file is the fixed-width layout: 20-byte header + n rows.
     let raw = std::fs::read(&rows).unwrap();
     assert_eq!(&raw[0..4], b"SKRW");
     for (input, output) in [(&csv, &out_csv), (&rows, &out_rows)] {
-        run(&[
-            "score".into(),
-            "--input".into(),
-            input.to_str().unwrap().into(),
-            "--k".into(),
-            "10".into(),
-            "--ell".into(),
-            "32".into(),
-            "--warmup".into(),
-            "100".into(),
-            "--output".into(),
-            output.to_str().unwrap().into(),
-            "--quiet".into(),
-        ])
+        cli(&format!(
+            "score --input {} --k 10 --ell 32 --warmup 100 --output {} --quiet",
+            input.display(),
+            output.display()
+        ))
         .unwrap();
     }
     let a = std::fs::read_to_string(&out_csv).unwrap();
@@ -240,7 +187,7 @@ fn rows_and_csv_inputs_score_identically() {
 
 #[test]
 fn unknown_subcommand_is_error() {
-    let err = run(&["frobnicate".to_string()]).unwrap_err();
+    let err = cli("frobnicate").unwrap_err();
     assert!(err.contains("unknown subcommand"));
 }
 
@@ -250,21 +197,11 @@ fn end_to_end_pipeline_on_builtin_dataset() {
     let pid = std::process::id();
     let out = dir.join(format!("sketchad-pipeline-scores-{pid}.csv"));
     let stats = dir.join(format!("sketchad-pipeline-stats-{pid}.json"));
-    run(&[
-        "pipeline".into(),
-        "--dataset".into(),
-        "synth-lowrank".into(),
-        "--small".into(),
-        "--shards".into(),
-        "2".into(),
-        "--warmup".into(),
-        "100".into(),
-        "--output".into(),
-        out.to_str().unwrap().into(),
-        "--stats-json".into(),
-        stats.to_str().unwrap().into(),
-        "--quiet".into(),
-    ])
+    cli(&format!(
+        "{SMALL_PIPELINE} --output {} --stats-json {} --quiet",
+        out.display(),
+        stats.display()
+    ))
     .unwrap();
     let dumped = std::fs::read_to_string(&out).unwrap();
     assert!(dumped.starts_with("index,score"));
@@ -287,21 +224,10 @@ fn pipeline_metrics_out_emits_obs_artifact() {
     let dir = std::env::temp_dir();
     let pid = std::process::id();
     let metrics = dir.join(format!("sketchad-pipeline-obs-{pid}.json"));
-    run(&[
-        "pipeline".into(),
-        "--dataset".into(),
-        "synth-lowrank".into(),
-        "--small".into(),
-        "--shards".into(),
-        "2".into(),
-        "--warmup".into(),
-        "100".into(),
-        "--snapshot-every".into(),
-        "64".into(),
-        "--metrics-out".into(),
-        metrics.to_str().unwrap().into(),
-        "--quiet".into(),
-    ])
+    cli(&format!(
+        "{SMALL_PIPELINE} --snapshot-every 64 --metrics-out {} --quiet",
+        metrics.display()
+    ))
     .unwrap();
     let raw = std::fs::read_to_string(&metrics).unwrap();
     std::fs::remove_file(&metrics).ok();
@@ -339,25 +265,16 @@ fn score_metrics_out_emits_obs_artifact() {
     let pid = std::process::id();
     let csv = dir.join(format!("sketchad-score-obs-{pid}.csv"));
     let metrics = dir.join(format!("sketchad-score-obs-{pid}.json"));
-    run(&[
-        "generate".into(),
-        "--dataset".into(),
-        "synth-lowrank".into(),
-        "--output".into(),
-        csv.to_str().unwrap().into(),
-        "--small".into(),
-    ])
+    cli(&format!(
+        "generate --dataset synth-lowrank --output {} --small",
+        csv.display()
+    ))
     .unwrap();
-    run(&[
-        "score".into(),
-        "--input".into(),
-        csv.to_str().unwrap().into(),
-        "--warmup".into(),
-        "100".into(),
-        "--metrics-out".into(),
-        metrics.to_str().unwrap().into(),
-        "--quiet".into(),
-    ])
+    cli(&format!(
+        "score --input {} --warmup 100 --metrics-out {} --quiet",
+        csv.display(),
+        metrics.display()
+    ))
     .unwrap();
     let raw = std::fs::read_to_string(&metrics).unwrap();
     for p in [&csv, &metrics] {
@@ -377,21 +294,10 @@ fn pipeline_telemetry_out_produces_valid_jsonl_and_watch_reads_it() {
     let dir = std::env::temp_dir();
     let pid = std::process::id();
     let telemetry = dir.join(format!("sketchad-pipeline-telemetry-{pid}.jsonl"));
-    run(&[
-        "pipeline".into(),
-        "--dataset".into(),
-        "synth-lowrank".into(),
-        "--small".into(),
-        "--shards".into(),
-        "2".into(),
-        "--warmup".into(),
-        "100".into(),
-        "--telemetry-out".into(),
-        telemetry.to_str().unwrap().into(),
-        "--telemetry-every-ms".into(),
-        "5".into(),
-        "--quiet".into(),
-    ])
+    cli(&format!(
+        "{SMALL_PIPELINE} --telemetry-out {} --telemetry-every-ms 5 --quiet",
+        telemetry.display()
+    ))
     .unwrap();
     let raw = std::fs::read_to_string(&telemetry).unwrap();
     let frames: Vec<_> = raw
@@ -418,21 +324,9 @@ fn pipeline_telemetry_out_produces_valid_jsonl_and_watch_reads_it() {
     assert_eq!(last.counter("submitted"), expected);
 
     // The watch subcommand replays the same file without error …
-    run(&[
-        "watch".into(),
-        "--input".into(),
-        telemetry.to_str().unwrap().into(),
-        "--quiet".into(),
-    ])
-    .unwrap();
+    cli(&format!("watch --input {} --quiet", telemetry.display())).unwrap();
     // … and a missing file is a clean error.
-    assert!(run(&[
-        "watch".into(),
-        "--input".into(),
-        "/nonexistent/telemetry.jsonl".into(),
-        "--quiet".into(),
-    ])
-    .is_err());
+    assert!(cli("watch --input /nonexistent/telemetry.jsonl --quiet").is_err());
     std::fs::remove_file(&telemetry).ok();
 }
 
@@ -490,25 +384,12 @@ fn pipeline_state_dir_persists_and_recover_inspects() {
     let stats = dir.join(format!("sketchad-pipeline-state-stats-{pid}.json"));
     let _ = std::fs::remove_dir_all(&state);
     let run_pipeline = || {
-        run(&[
-            "pipeline".into(),
-            "--dataset".into(),
-            "synth-lowrank".into(),
-            "--small".into(),
-            "--shards".into(),
-            "2".into(),
-            "--warmup".into(),
-            "100".into(),
-            "--state-dir".into(),
-            state.to_str().unwrap().into(),
-            "--checkpoint-every".into(),
-            "200".into(),
-            "--fsync".into(),
-            "every:32".into(),
-            "--stats-json".into(),
-            stats.to_str().unwrap().into(),
-            "--quiet".into(),
-        ])
+        cli(&format!(
+            "{SMALL_PIPELINE} --state-dir {} --checkpoint-every 200 --fsync every:32 \
+             --stats-json {} --quiet",
+            state.display(),
+            stats.display()
+        ))
     };
     // First run: cold start, leaves snapshots + WAL segments behind.
     run_pipeline().unwrap();
@@ -529,19 +410,8 @@ fn pipeline_state_dir_persists_and_recover_inspects() {
     assert_eq!(recovered, vec![0, 1], "warm restart must recover");
 
     // The inspection subcommand reads the same state without writing.
-    run(&[
-        "recover".into(),
-        "--state-dir".into(),
-        state.to_str().unwrap().into(),
-        "--quiet".into(),
-    ])
-    .unwrap();
-    assert!(run(&[
-        "recover".into(),
-        "--state-dir".into(),
-        "/nonexistent/state".into(),
-    ])
-    .is_err());
+    cli(&format!("recover --state-dir {} --quiet", state.display())).unwrap();
+    assert!(cli("recover --state-dir /nonexistent/state").is_err());
     let _ = std::fs::remove_dir_all(&state);
     std::fs::remove_file(&stats).ok();
 }
@@ -558,7 +428,7 @@ fn fsync_policy_parsing() {
 
 #[test]
 fn pipeline_rejects_ambiguous_input() {
-    let err = run(&["pipeline".to_string()]).unwrap_err();
+    let err = cli("pipeline").unwrap_err();
     assert!(err.contains("exactly one of"), "{err}");
 }
 
@@ -566,23 +436,12 @@ fn pipeline_rejects_ambiguous_input() {
 fn unknown_sketch_is_error() {
     let dir = std::env::temp_dir();
     let csv = dir.join(format!("sketchad-cli-badsketch-{}.csv", std::process::id()));
-    run(&[
-        "generate".into(),
-        "--dataset".into(),
-        "synth-lowrank".into(),
-        "--output".into(),
-        csv.to_str().unwrap().into(),
-        "--small".into(),
-    ])
+    cli(&format!(
+        "generate --dataset synth-lowrank --output {} --small",
+        csv.display()
+    ))
     .unwrap();
-    let err = run(&[
-        "score".into(),
-        "--input".into(),
-        csv.to_str().unwrap().into(),
-        "--sketch".into(),
-        "bogus".into(),
-    ])
-    .unwrap_err();
+    let err = cli(&format!("score --input {} --sketch bogus", csv.display())).unwrap_err();
     std::fs::remove_file(&csv).ok();
     assert!(err.contains("unknown sketch"));
 }

@@ -52,6 +52,9 @@
 //! * [`mmapio`] — zero-copy replay backing: [`mmapio::MmapRows`] maps a
 //!   rows file read-only (buffered fallback everywhere `mmap` isn't
 //!   available) so replay never buffers whole files again.
+//! * `block` — [`RowBlock`], the flat row-major block input rows travel
+//!   in from a file to a detector or the serving engine, and [`Rows`],
+//!   the engine's by-index view of it.
 //! * `validate` — input hygiene ([`validate_point`]) for serving layers:
 //!   non-finite and wrong-dimension rows are detected *before* they can
 //!   poison a sketch or panic a worker.
@@ -80,6 +83,7 @@
 #![deny(unsafe_code)]
 
 pub(crate) mod baseline;
+pub(crate) mod block;
 pub(crate) mod config;
 pub(crate) mod detector;
 pub(crate) mod exact;
@@ -100,6 +104,7 @@ pub(crate) mod validate;
 pub use sketchad_obs as obs;
 
 pub use baseline::{MeanDistanceDetector, OjaDetector, RandomScoreDetector};
+pub use block::{RowBlock, Rows};
 pub use config::DetectorConfig;
 pub use detector::StreamingDetector;
 pub use exact::{ExactSvdDetector, ExactWindowedDetector};

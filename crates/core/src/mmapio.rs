@@ -304,6 +304,14 @@ impl MmapRows {
     pub fn view(&self) -> RowsView<'_> {
         RowsView::new(self.bytes.bytes()).expect("validated at open")
     }
+
+    /// Lets the kernel reclaim the pages of the header and rows `0..rows`,
+    /// as [`MappedBytes::release_prefix`] does: a reader that walks the
+    /// rows front to back calls this behind itself, so it keeps a window of
+    /// the file resident, not the file.
+    pub fn release_rows(&self, rows: usize) {
+        self.bytes.release_prefix(self.view().row_offset(rows));
+    }
 }
 
 #[cfg(test)]

@@ -21,9 +21,9 @@
 //! Every field is framed by `sketchad_sketch::wire`, the one module that
 //! knows the workspace's byte layouts.
 //!
-//! The key column is caller-defined: the serving layer uses it as a
-//! partition key, the `streams` adapter stores 0/1 ground-truth labels in
-//! it. Readers that do not care simply ignore it.
+//! The key column is caller-defined: the `streams` block reader reads a
+//! nonzero key as the anomaly label. Readers that do not care simply
+//! ignore it.
 //!
 //! ## Encode/decode round-trip
 //!
@@ -218,15 +218,9 @@ impl<'a> RowsView<'a> {
         Some(has_keys.then(|| row.get_u64("rows key").expect(validated)))
     }
 
-    /// Iterates `(row, key)` pairs, reusing one internal row buffer is the
-    /// caller's job — this convenience allocates per row and is meant for
-    /// tests and small files; hot paths should loop `read_row_into`.
-    pub fn iter_rows(&self) -> impl Iterator<Item = (Vec<f64>, Option<u64>)> + '_ {
-        (0..self.len()).map(move |i| {
-            let mut row = vec![0.0; self.header.dim];
-            let key = self.read_row_into(i, &mut row).expect("index in range");
-            (row, key)
-        })
+    /// The byte offset of row `i` in the whole buffer (header included).
+    pub(crate) fn row_offset(&self, i: usize) -> usize {
+        HEADER_LEN + i * self.header.row_stride()
     }
 }
 
@@ -392,11 +386,11 @@ mod tests {
         let bytes = encode_rows(&rows, Some(&keys)).unwrap();
         let view = RowsView::new(&bytes).unwrap();
         assert!(view.header.has_keys);
-        let collected: Vec<(Vec<f64>, Option<u64>)> = view.iter_rows().collect();
-        assert_eq!(collected.len(), 3);
-        for (i, (row, key)) in collected.iter().enumerate() {
-            assert_eq!(row, &rows[i]);
-            assert_eq!(*key, Some(keys[i]));
+        assert_eq!(view.len(), 3);
+        let mut row = vec![0.0];
+        for (i, original) in rows.iter().enumerate() {
+            assert_eq!(view.read_row_into(i, &mut row), Some(Some(keys[i])));
+            assert_eq!(&row, original);
         }
     }
 

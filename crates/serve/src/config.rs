@@ -1,5 +1,5 @@
-//! Engine configuration: shard count, queue bounds, backpressure,
-//! partitioning, and durable-state policy.
+//! Engine configuration: shard count, queue bounds, backpressure, and
+//! durable-state policy.
 
 use crate::error::ServeError;
 use sketchad_durable::FsyncPolicy;
@@ -23,18 +23,6 @@ pub enum BackpressurePolicy {
     ShedOldest,
 }
 
-/// How points are assigned to shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartitionStrategy {
-    /// Cycle through shards in submission order. With one shard this makes
-    /// the engine bit-for-bit equivalent to driving the detector directly.
-    RoundRobin,
-    /// Stable FNV-1a hash of the point's key: the same key always lands on
-    /// the same shard, across runs and across machines. Points submitted
-    /// without a key fall back to round-robin.
-    KeyHash,
-}
-
 /// Configuration for [`crate::ServeEngine`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -44,8 +32,6 @@ pub struct ServeConfig {
     pub(crate) queue_capacity: usize,
     /// Full-queue behaviour.
     pub(crate) backpressure: BackpressurePolicy,
-    /// Point-to-shard assignment.
-    pub(crate) partition: PartitionStrategy,
     /// A shard publishes a fresh model snapshot after every `snapshot_every`
     /// processed points (and once more on shutdown). `0` disables periodic
     /// publication (shutdown still publishes).
@@ -79,15 +65,13 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Config with `shards` workers and defaults: queue capacity 1024,
-    /// blocking backpressure, round-robin partitioning, snapshots every
-    /// 256 points, micro-batches of up to 64 queued points, 2 worker
-    /// restarts per shard.
+    /// blocking backpressure, snapshots every 256 points, micro-batches of
+    /// up to 64 queued points, 2 worker restarts per shard.
     pub fn new(shards: usize) -> Self {
         Self {
             shards,
             queue_capacity: 1024,
             backpressure: BackpressurePolicy::Block,
-            partition: PartitionStrategy::RoundRobin,
             snapshot_every: 256,
             max_batch: 64,
             max_restarts: 2,
@@ -108,13 +92,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_backpressure(mut self, policy: BackpressurePolicy) -> Self {
         self.backpressure = policy;
-        self
-    }
-
-    /// Sets the partitioning strategy.
-    #[must_use]
-    pub fn with_partition(mut self, partition: PartitionStrategy) -> Self {
-        self.partition = partition;
         self
     }
 
@@ -179,18 +156,6 @@ impl ServeConfig {
     }
 }
 
-/// Stable 64-bit FNV-1a — the key-hash partitioner. Deliberately not
-/// `DefaultHasher` (whose output may change across Rust releases): shard
-/// assignment must be reproducible for the determinism tests.
-pub(crate) fn stable_hash(key: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,15 +170,5 @@ mod tests {
         assert!(ServeConfig::new(1).with_max_batch(0).validate().is_err());
         assert!(ServeConfig::new(1).validate().is_ok());
         assert!(ServeConfig::new(1).with_max_batch(1).validate().is_ok());
-    }
-
-    #[test]
-    fn stable_hash_is_stable() {
-        // Pinned values: shard routing must never silently change.
-        assert_eq!(stable_hash(0), stable_hash(0));
-        assert_ne!(stable_hash(1), stable_hash(2));
-        let spread: std::collections::HashSet<u64> =
-            (0..64u64).map(|k| stable_hash(k) % 4).collect();
-        assert!(spread.len() > 1, "hash must spread keys over shards");
     }
 }

@@ -1,6 +1,6 @@
 //! The sharded serving engine.
 
-use crate::config::{stable_hash, BackpressurePolicy, PartitionStrategy, ServeConfig};
+use crate::config::{BackpressurePolicy, ServeConfig};
 use crate::error::{panic_message, ServeError};
 use crate::quarantine::{Quarantine, QUARANTINE_CAPACITY};
 use crate::queue::JobQueue;
@@ -9,7 +9,7 @@ use crate::shard::{run_supervised, ShardShared, WorkerConfig};
 use crate::snapshot::SnapshotScorer;
 use crate::stats::{LatencyHistogram, PipelineStats, ShardStats};
 use crate::telemetry::{EngineProbe, TelemetryConfig, TelemetryHandle};
-use sketchad_core::{validate_point, InputViolation, ScoreKind, StreamingDetector};
+use sketchad_core::{validate_point, InputViolation, Rows, ScoreKind, StreamingDetector};
 use sketchad_durable::{self as durable, StateStore};
 use sketchad_obs::{Counter, Event, MetricsRecorder, ObsReport, Recorder, RecorderHandle, Sampler};
 use std::sync::atomic::{
@@ -147,7 +147,6 @@ pub struct ServeEngine {
     /// telemetry probe widens its conservation slack by this much.
     in_flight: Arc<AtomicU64>,
     backpressure: BackpressurePolicy,
-    partition: PartitionStrategy,
     max_batch: usize,
     quarantine: Quarantine,
     /// Errors from shards discovered dead during submission; reported again
@@ -425,7 +424,6 @@ impl ServeEngine {
             submitted: Arc::new(AtomicU64::new(0)),
             in_flight: Arc::new(AtomicU64::new(0)),
             backpressure: config.backpressure,
-            partition: config.partition,
             max_batch: config.max_batch,
             quarantine: Quarantine::new(QUARANTINE_CAPACITY),
             dead: Vec::new(),
@@ -513,29 +511,8 @@ impl ServeEngine {
     /// assert_eq!(batched.scores_in_order(), per_point.scores_in_order());
     /// ```
     pub fn submit(&mut self, point: Vec<f64>) -> Result<SubmitOutcome, ServeError> {
-        self.submit_one(None, point)
-    }
-
-    /// Submits one point with an explicit partition key: under
-    /// [`PartitionStrategy::KeyHash`] the key's stable hash picks the shard,
-    /// under round-robin the key is ignored.
-    pub fn submit_keyed(&mut self, key: u64, point: Vec<f64>) -> Result<SubmitOutcome, ServeError> {
-        let shard = match self.partition {
-            PartitionStrategy::KeyHash => {
-                Some((stable_hash(key) % self.shards.len() as u64) as usize)
-            }
-            PartitionStrategy::RoundRobin => None,
-        };
-        self.submit_one(shard, point)
-    }
-
-    /// A batch of one; whichever outcome count it bumped names the outcome.
-    fn submit_one(
-        &mut self,
-        route: Option<usize>,
-        point: Vec<f64>,
-    ) -> Result<SubmitOutcome, ServeError> {
-        let outcome = self.submit_rows(std::slice::from_ref(&point), 1, route)?;
+        let outcome = self.submit_batch_rows_parallel(std::slice::from_ref(&point), 1)?;
+        // A batch of one: whichever outcome count it bumped names the outcome.
         Ok(if outcome.accepted == 1 {
             SubmitOutcome::Accepted
         } else if outcome.dropped == 1 {
@@ -548,8 +525,11 @@ impl ServeEngine {
         })
     }
 
-    /// Submits a slice of rows through `producers` concurrent lanes: the
-    /// engine's one ingest boundary.
+    /// Submits a batch of rows through `producers` concurrent lanes: the
+    /// engine's one ingest boundary. The rows come as a flat row-major
+    /// [`RowBlock`](sketchad_core::RowBlock) or as `Vec`-per-row input,
+    /// either read in place through [`Rows`]; a row of the wrong width is
+    /// quarantined like any other invalid row.
     ///
     /// Rows are routed into per-shard staging buffers (validation,
     /// quarantine, and shed accounting run per row), then each shard's
@@ -583,7 +563,7 @@ impl ServeEngine {
     /// harvested and returned as the error.
     ///
     /// ```
-    /// use sketchad_core::{DetectorConfig, StreamingDetector};
+    /// use sketchad_core::{DetectorConfig, RowBlock, StreamingDetector};
     /// use sketchad_serve::{ServeConfig, ServeEngine};
     ///
     /// fn factory(_shard: usize) -> Box<dyn StreamingDetector + Send> {
@@ -602,27 +582,19 @@ impl ServeEngine {
     ///     engine.finish().unwrap().scores_in_order()
     /// };
     /// assert_eq!(run(1), run(4), "producer count changed scores");
+    ///
+    /// // The same rows as one flat row-major block score the same.
+    /// let flat = rows.concat();
+    /// let mut engine = ServeEngine::start(ServeConfig::new(4), factory).unwrap();
+    /// engine.submit_batch_rows_parallel(&RowBlock::new(&flat, 4), 2).unwrap();
+    /// assert_eq!(engine.finish().unwrap().scores_in_order(), run(1));
     /// ```
-    pub fn submit_batch_rows_parallel(
+    pub fn submit_batch_rows_parallel<R: Rows + ?Sized>(
         &mut self,
-        rows: &[Vec<f64>],
+        rows: &R,
         producers: usize,
     ) -> Result<BatchOutcome, ServeError> {
-        self.submit_rows(rows, producers, None)
-    }
-
-    /// The one submit path. `route` pins every row to one shard (keyed
-    /// submission, single lane); `None` routes round-robin by sequence.
-    fn submit_rows(
-        &mut self,
-        rows: &[Vec<f64>],
-        producers: usize,
-        route: Option<usize>,
-    ) -> Result<BatchOutcome, ServeError> {
-        let lanes = match route {
-            Some(_) => 1,
-            None => producers.clamp(1, self.shards.len()),
-        };
+        let lanes = producers.clamp(1, self.shards.len());
         // Published before the claim (Release pairs with the probe's
         // Acquire load of `submitted`): a sampler that sees the claimed
         // sequence range also sees how many of its rows may still be
@@ -640,7 +612,6 @@ impl ServeEngine {
             shards: &self.shards,
             rows,
             base,
-            route,
             dim: self.dim,
             shedding: &shedding,
             backpressure: self.backpressure,
@@ -922,12 +893,10 @@ fn recover_shard(
 /// duration of one batch. Shared read-only across lanes; the per-shard
 /// mutable state (channels, atomics, recorders) is already thread-safe and
 /// partitioned by shard ownership.
-struct LaneInput<'a> {
+struct LaneInput<'a, R: ?Sized> {
     shards: &'a [ShardHandle],
-    rows: &'a [Vec<f64>],
+    rows: &'a R,
     base: u64,
-    /// `Some(shard)` pins every row to that shard; `None` is round-robin.
-    route: Option<usize>,
     dim: usize,
     shedding: &'a [bool],
     backpressure: BackpressurePolicy,
@@ -975,7 +944,12 @@ impl Staged {
 /// Determinism: which rows a shard receives, and in which order, depends
 /// only on `(base, shards, validation, shedding)` — all identical across
 /// lane counts — never on how lanes interleave.
-fn run_lane(input: &LaneInput<'_>, lane: usize, lanes: usize, staged: &mut Staged) -> LaneReport {
+fn run_lane<R: Rows + ?Sized>(
+    input: &LaneInput<'_, R>,
+    lane: usize,
+    lanes: usize,
+    staged: &mut Staged,
+) -> LaneReport {
     let n_shards = input.shards.len();
     let mut report = LaneReport {
         outcome: BatchOutcome::default(),
@@ -985,19 +959,12 @@ fn run_lane(input: &LaneInput<'_>, lane: usize, lanes: usize, staged: &mut Stage
     for shard in (lane..n_shards).step_by(lanes) {
         // A shard's sequences stride the batch with period `n_shards`, so
         // the lane jumps straight to its rows: from the first in-batch
-        // sequence routed to the shard, step by `n_shards`. A pinned route
-        // sends every row to its one shard.
-        let (first, step) = match input.route {
-            Some(route) if route != shard => continue,
-            Some(_) => (0, 1),
-            None => {
-                let n = n_shards as u64;
-                (((shard as u64 + n - input.base % n) % n) as usize, n_shards)
-            }
-        };
+        // sequence routed to the shard, step by `n_shards`.
+        let n = n_shards as u64;
+        let first = ((shard as u64 + n - input.base % n) % n) as usize;
         staged.values.clear();
         staged.seqs.clear();
-        for j in (first..input.rows.len()).step_by(step) {
+        for j in (first..input.rows.len()).step_by(n_shards) {
             lane_stage_row(input, j, shard, staged, &mut report);
         }
         if staged.seqs.is_empty() {
@@ -1024,15 +991,15 @@ fn run_lane(input: &LaneInput<'_>, lane: usize, lanes: usize, staged: &mut Stage
 }
 
 /// Validates, sheds, or stages row `j` of the batch for `shard`.
-fn lane_stage_row(
-    input: &LaneInput<'_>,
+fn lane_stage_row<R: Rows + ?Sized>(
+    input: &LaneInput<'_, R>,
     j: usize,
     shard: usize,
     staged: &mut Staged,
     report: &mut LaneReport,
 ) {
     let seq = input.base + j as u64;
-    let row = &input.rows[j];
+    let row = input.rows.row(j);
     if let Err(violation) = validate_point(row, input.dim) {
         let handle = &input.shards[shard];
         handle.shared.rejected.fetch_add(1, Relaxed);
@@ -1044,7 +1011,7 @@ fn lane_stage_row(
                 reason: violation.label().to_string(),
             });
         }
-        report.quarantined.push((seq, violation, row.clone()));
+        report.quarantined.push((seq, violation, row.to_vec()));
         report.outcome.rejected += 1;
         return;
     }
@@ -1167,7 +1134,7 @@ fn abort_lane_flush(handle: &ShardHandle, unflushed: usize) -> Result<(), ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sketchad_core::DetectorConfig;
+    use sketchad_core::{DetectorConfig, RowBlock};
 
     fn fd_factory(shard: usize) -> Box<dyn StreamingDetector + Send> {
         let _ = shard;
@@ -1224,24 +1191,6 @@ mod tests {
     }
 
     #[test]
-    fn key_hash_is_sticky() {
-        let config = ServeConfig::new(4).with_partition(PartitionStrategy::KeyHash);
-        let mut engine = ServeEngine::start(config, fd_factory).unwrap();
-        for round in 0..5 {
-            for key in 0..8u64 {
-                engine.submit_keyed(key, wave(round * 8 + key)).unwrap();
-            }
-        }
-        let report = engine.finish().unwrap();
-        // Every key's 5 submissions land on one shard, so each shard's
-        // processed count is a multiple of 5.
-        for s in &report.stats.shards {
-            assert_eq!(s.processed % 5, 0, "shard {}: {}", s.shard, s.processed);
-        }
-        assert_eq!(report.stats.total_processed, 40);
-    }
-
-    #[test]
     fn wrong_dimension_is_quarantined_not_fatal() {
         let mut engine = ServeEngine::start(ServeConfig::new(1), fd_factory).unwrap();
         let outcome = engine.submit(vec![1.0, 2.0]).unwrap();
@@ -1252,15 +1201,23 @@ mod tests {
                 got: 2
             })
         );
+        // A flat block of the wrong width is quarantined row by row.
+        let block = RowBlock::new(&[3.0, 4.0, 5.0, 6.0], 2);
+        let outcome = engine.submit_batch_rows_parallel(&block, 1).unwrap();
+        assert_eq!((outcome.rejected, outcome.submitted()), (2, 2));
         // The stream keeps flowing afterwards.
         engine.submit(wave(0)).unwrap();
         let report = engine.finish().unwrap();
         assert_eq!(report.stats.total_processed, 1);
-        assert_eq!(report.stats.total_rejected, 1);
-        assert_eq!(report.quarantine.total(), 1);
-        let row = report.quarantine.rows().next().unwrap();
-        assert_eq!(row.seq, 0);
-        assert_eq!(row.point, vec![1.0, 2.0]);
+        assert_eq!(report.stats.total_rejected, 3);
+        assert_eq!(report.quarantine.total(), 3);
+        let rows: Vec<_> = report
+            .quarantine
+            .rows()
+            .map(|r| (r.seq, &r.point))
+            .collect();
+        let expected = [vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]];
+        assert_eq!(rows, (0..3).zip(&expected).collect::<Vec<_>>());
     }
 
     #[test]

